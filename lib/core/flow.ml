@@ -205,16 +205,21 @@ let micro_cost db lib target constraints design () =
   +. (0.05 *. stats.Milo_critic.Micro_critic.stat_power)
   +. penalty
 
-let micro_pass ?(max_steps = 16) ?budget db lib target constraints design =
+let micro_pass ?(max_steps = 16) ?budget ?deadline ~session db lib target
+    constraints design =
   let ctx =
-    R.make_context ~extra_resolve:(Database.resolver db [ lib ]) lib
+    R.make_context ~session ~extra_resolve:(Database.resolver db [ lib ]) lib
       (Milo_compilers.Gate_comp.generic_set lib)
       design
   in
-  let cost = micro_cost db lib target constraints design in
   let apps =
-    Milo_rules.Engine.greedy_pass ~max_steps ?budget ctx ~cost ~cleanups:[]
-      Milo_critic.Critic.micro
+    (* Inline even under a pool: measuring a candidate compiles it,
+       which registers sub-designs into the shared [db]. *)
+    Milo_rules.Engine.greedy_pass ~max_steps ?budget
+      ~exec:(Milo_parallel.Exec.inline ?deadline ())
+      ~cost_factory:(fun wctx ->
+        micro_cost db lib target constraints wctx.R.design)
+      ctx ~cleanups:[] Milo_critic.Critic.micro
   in
   List.map
     (fun (a : Milo_rules.Engine.application) ->
@@ -328,41 +333,41 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
   let budget =
     match budget with Some b -> b | None -> Milo_rules.Budget.unlimited ()
   in
-  (* Parallel runtime: [None] keeps the legacy sequential engine paths;
-     [Some n] runs the fan-out sites under supervised-task semantics —
-     pooled across [n] domains when a pool comes up, inline on this
-     domain otherwise.  Inline and pooled merge identically, so the
-     degraded run is bit-identical to the parallel one; the degradation
-     is still recorded so operators can see the speedup was lost. *)
+  (* Parallel runtime: the fan-out sites run as supervised tasks —
+     pooled across [domains] domains when a pool comes up, inline on
+     this domain otherwise.  Inline and pooled merge identically, so
+     the degraded run is bit-identical to the parallel one; the
+     degradation is still recorded so operators can see the speedup was
+     lost. *)
   let run_notes = ref [] in
+  let deadline = Milo_rules.Budget.deadline_time budget in
   let pool, exec =
-    let deadline = Milo_rules.Budget.deadline_time budget in
-    match domains with
-    | None -> (None, Milo_parallel.Exec.sequential)
-    | Some n when n <= 1 -> (None, Milo_parallel.Exec.inline ?deadline ())
-    | Some n -> (
-        match
-          Milo_parallel.Pool.create ~force:force_domains ~domains:n ()
-        with
-        | Some p -> (Some p, Milo_parallel.Exec.pooled ?deadline p)
-        | None ->
-            run_notes := "Degraded_to_sequential" :: !run_notes;
-            (None, Milo_parallel.Exec.inline ?deadline ()))
+    if domains <= 1 then (None, Milo_parallel.Exec.inline ?deadline ())
+    else
+      match
+        Milo_parallel.Pool.create ~force:force_domains ~domains ()
+      with
+      | Some p -> (Some p, Milo_parallel.Exec.pooled ?deadline p)
+      | None ->
+          run_notes := "Degraded_to_sequential" :: !run_notes;
+          (None, Milo_parallel.Exec.inline ?deadline ())
   in
   let shutdown_pool () =
     match pool with Some p -> Milo_parallel.Pool.shutdown p | None -> ()
   in
-  Milo_rules.Engine.quarantine_reset ();
+  (* The engine session of this run: quarantine, rule guard and
+     certificates, handed to every context the flow builds. *)
+  let session = R.new_session () in
   if !run_notes <> [] && Milo_trace.Trace.enabled () then
     Milo_trace.Trace.emit
       (Milo_trace.Trace.Note
          "Degraded_to_sequential: domain pool construction failed; \
           continuing inline with identical results");
   (* Semantic guard: one stats record shared between the engine's
-     rule-level cone checks (armed here, disarmed on exit) and the
-     stage-level equivalence checks below. *)
+     rule-level cone checks (armed on the session) and the stage-level
+     equivalence checks below. *)
   let gstats = Guard.fresh_stats () in
-  Milo_rules.Engine.set_rule_guard ~budget ~stats:gstats guard;
+  Milo_rules.Engine.set_rule_guard session ~budget ~stats:gstats guard;
   (* Journal writer: the header carries everything [resume] needs to
      re-issue this call.  Created before the first checkpoint — and, on
      a resume, after recovery has already read the previous image, so
@@ -422,8 +427,8 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
       gstats.Guard.rule_mismatches <- rp.rp_guard.(3);
       gstats.Guard.rule_skipped <- rp.rp_guard.(4);
       gstats.Guard.rule_certified <- rp.rp_guard.(5);
-      Milo_rules.Engine.restore_guard_sample_state rp.rp_tick rp.rp_seen;
-      Milo_rules.Engine.quarantine_restore rp.rp_quarantine;
+      Milo_rules.Engine.restore_guard_sample_state session rp.rp_tick rp.rp_seen;
+      Milo_rules.Engine.quarantine_restore session rp.rp_quarantine;
       (* Tracer sequence numbers continue from the interrupted run, so
          trace events (and trajectory records keyed to them) stay
          aligned with the journal across the kill. *)
@@ -485,7 +490,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
     | Some w ->
         let st = Milo_rules.Budget.status budget in
         let tick, seen =
-          match Milo_rules.Engine.guard_sample_state () with
+          match Milo_rules.Engine.guard_sample_state session with
           | Some s -> s
           | None -> (0, [])
         in
@@ -515,7 +520,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
                  List.map
                    (fun (r, c, m, reason) ->
                      (r, c, m, Milo_rules.Engine.reason_name reason))
-                   (Milo_rules.Engine.quarantine_dump ());
+                   (Milo_rules.Engine.quarantine_dump session);
                ck_micro = !micro_applications;
                ck_levels = levels_to_journal !levels_ref;
                ck_timing = Option.map timing_to_journal !timing_ref;
@@ -632,7 +637,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
     certificates :=
       Milo_absint.Certify.certify_rules target
         Milo_critic.Critic.all_logic_level;
-    Milo_rules.Engine.set_certified
+    Milo_rules.Engine.set_certified session
       (Milo_absint.Certify.certified_names !certificates)
   end;
   checkpoint Capture design;
@@ -652,7 +657,8 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
         let d = D.copy design in
         enter Micro d;
         track d;
-        micro_applications := micro_pass ~budget db lib target constraints d;
+        micro_applications :=
+          micro_pass ~budget ?deadline ~session db lib target constraints d;
         lint_stage ~techs:generic "micro-critic" d;
         checkpoint Micro d;
         d
@@ -702,7 +708,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
       | Some expanded ->
           enter Techmap expanded;
           let optimized, report =
-            Milo_optimizer.Logic_optimizer.optimize ~exec ~required
+            Milo_optimizer.Logic_optimizer.optimize ~exec ~session ~required
               ~input_arrivals ~incremental
               ~on_mapped:(fun d levels ->
                 levels_ref := levels;
@@ -740,7 +746,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
             enter Optimize tm;
             track tm;
             let optimized, report =
-              Milo_optimizer.Logic_optimizer.optimize_flat ~exec ~required
+              Milo_optimizer.Logic_optimizer.optimize_flat ~exec ~session ~required
                 ~input_arrivals ~incremental ~budget target tm
             in
             timing_ref := report.Milo_optimizer.Logic_optimizer.timing;
@@ -783,8 +789,6 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
          the trace is complete before the caller sees the result. *)
       untrack ();
       shutdown_pool ();
-      Milo_rules.Engine.clear_rule_guard ();
-      Milo_rules.Engine.clear_certified ();
       (match jw with
       | Some w ->
           J.commit w
@@ -819,9 +823,9 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
           database = db;
           lint_findings = List.rev !findings;
           checkpoints = List.rev !checkpoints;
-          quarantined = Milo_rules.Engine.quarantined ();
-          quarantine_errors = Milo_rules.Engine.quarantined_errors ();
-          quarantine_reasons = Milo_rules.Engine.quarantined_reasons ();
+          quarantined = Milo_rules.Engine.quarantined session;
+          quarantine_errors = Milo_rules.Engine.quarantined_errors session;
+          quarantine_reasons = Milo_rules.Engine.quarantined_reasons session;
           guard_stats = gstats;
           budget = Milo_rules.Budget.status budget;
           run_trace = trace;
@@ -833,12 +837,9 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
   | exception (J.Crash _ as e) ->
       (* Simulated kill from the fault harness: the journal file stays
          exactly as the crash left it — no Finish record, no Partial
-         degradation — but the process-global engine state is cleared so
-         an in-process harness can keep running flows. *)
+         degradation. *)
       untrack ();
       shutdown_pool ();
-      Milo_rules.Engine.clear_rule_guard ();
-      Milo_rules.Engine.clear_certified ();
       (match jw with
       | Some w -> ( try J.close w with Sys_error _ -> ())
       | None -> ());
@@ -848,8 +849,6 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
          streaming sinks see a well-formed trace up to the failure. *)
       untrack ();
       shutdown_pool ();
-      Milo_rules.Engine.clear_rule_guard ();
-      Milo_rules.Engine.clear_certified ();
       (match jw with
       | Some w -> (
           try
@@ -882,9 +881,11 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
           partial_micro_applications = !micro_applications;
           partial_lint_findings = List.rev !findings;
           partial_database = db;
-          partial_quarantined = Milo_rules.Engine.quarantined ();
-          partial_quarantine_errors = Milo_rules.Engine.quarantined_errors ();
-          partial_quarantine_reasons = Milo_rules.Engine.quarantined_reasons ();
+          partial_quarantined = Milo_rules.Engine.quarantined session;
+          partial_quarantine_errors =
+            Milo_rules.Engine.quarantined_errors session;
+          partial_quarantine_reasons =
+            Milo_rules.Engine.quarantined_reasons session;
           partial_guard_stats = gstats;
           partial_budget = Milo_rules.Budget.status budget;
           partial_trace = trace;
@@ -894,7 +895,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
 let run ?(technology = Ecl) ?(constraints = Constraints.none)
     ?(lint = Milo_lint.Lint.Off) ?(incremental = true) ?budget
     ?(hooks = no_hooks) ?trace ?(guard = Guard.Off) ?(certify = true) ?journal
-    ?journal_fault ?provenance ?domains ?(force_domains = false) design =
+    ?journal_fault ?provenance ?(domains = 1) ?(force_domains = false) design =
   run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
     ~guard ~certify ~journal ~journal_fault ~provenance ~domains ~force_domains
     ~resume:None design

@@ -133,18 +133,6 @@ val describe_error : exn -> string
     errors ({!Milo_techmap.Table_map.Unmappable}, [Design.Error],
     [Lint_error]) carry. *)
 
-val micro_pass :
-  ?max_steps:int ->
-  ?budget:Milo_rules.Budget.t ->
-  Milo_compilers.Database.t ->
-  Milo_library.Technology.t ->
-  Milo_techmap.Table_map.target ->
-  Constraints.t ->
-  D.t ->
-  (string * string) list
-(** Run the microarchitecture critic in place; returns the applied
-    rules. *)
-
 val run :
   ?technology:technology ->
   ?constraints:Constraints.t ->
@@ -192,7 +180,8 @@ val run :
     techmap and optimize stage outputs are equivalence-checked against
     the previous checkpoint (exhaustive for small input counts,
     random-vector and lock-step sequential otherwise), and the engine
-    re-simulates rule applications over their touched cone, reverting
+    re-simulates committed rule applications over their touched cone
+    (candidate evaluations are unguarded oracles), reverting
     and quarantining any rule caught changing function
     ([Engine.Miscompiled]).  A stage-level mismatch degrades the run
     to [Partial] with a [Milo_guard.Guard.Miscompile] error carrying
@@ -234,11 +223,13 @@ val run :
     record for record so {!Milo_provenance.Trajectory.crosscheck} can
     verify one against the other.
 
-    [domains] (default none — the legacy sequential engine paths,
-    byte-for-byte) runs the optimizer's fan-out sites (timing-strategy
-    dispatch, per-rule candidate evaluation, lookahead branch
-    exploration) as supervised tasks over a pool of [domains] worker
-    domains ({!Milo_parallel.Pool}).  Tasks evaluate on immutable
+    [domains] (default 1) runs the optimizer's fan-out sites
+    (timing-strategy dispatch, per-rule candidate evaluation, lookahead
+    branch exploration) as supervised tasks — inline at 1, over a pool
+    of [domains] worker domains ({!Milo_parallel.Pool}) above.  The
+    microarchitecture critic's pass always runs inline: measuring its
+    candidates registers compiled sub-designs into the run's shared
+    database.  Tasks evaluate on immutable
     id-preserving design snapshots; a task that raises, overruns the
     budget deadline or stops heartbeating is quarantined as a typed
     fault without poisoning the run, and results merge in a

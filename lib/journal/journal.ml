@@ -20,10 +20,9 @@ type header = {
   h_timeout : float option;
   h_max_steps : int option;
   h_max_evals : int option;
-  h_domains : int option;
-      (* parallel domain count the run was started with; [None] for
-         sequential runs (and journals from before the field existed,
-         which decode to [None] by default) *)
+  h_domains : int;
+      (* domain count the run was started with; journals from before
+         the field was always written decode to 1 *)
 }
 
 type timing = {
@@ -326,11 +325,7 @@ let header_payload h =
   line "timeout %s" (opt_str fl h.h_timeout);
   line "max_steps %s" (opt_str string_of_int h.h_max_steps);
   line "max_evals %s" (opt_str string_of_int h.h_max_evals);
-  (* Written only when present, so sequential runs produce headers
-     byte-identical to pre-parallel builds (and replayable by them). *)
-  (match h.h_domains with
-  | Some d -> line "domains %d" d
-  | None -> ());
+  line "domains %d" h.h_domains;
   Buffer.contents b
 
 let header_of_lines lines =
@@ -349,7 +344,7 @@ let header_of_lines lines =
         h_timeout = None;
         h_max_steps = None;
         h_max_evals = None;
-        h_domains = None;
+        h_domains = 1;
       }
   in
   List.iter
@@ -370,7 +365,7 @@ let header_of_lines lines =
       | [ "timeout"; s ] -> h := { !h with h_timeout = opt_tok float_tok s }
       | [ "max_steps"; s ] -> h := { !h with h_max_steps = opt_tok int_tok s }
       | [ "max_evals"; s ] -> h := { !h with h_max_evals = opt_tok int_tok s }
-      | [ "domains"; s ] -> h := { !h with h_domains = Some (int_tok s) }
+      | [ "domains"; s ] -> h := { !h with h_domains = int_tok s }
       | t -> corrupt "bad header line: %s" (String.concat " " t))
     lines;
   !h

@@ -37,10 +37,9 @@ type header = {
   h_timeout : float option;  (** original budget limits, if any *)
   h_max_steps : int option;
   h_max_evals : int option;
-  h_domains : int option;
-      (** parallel domain count the run was started with; [None] for
-          sequential runs and for journals written before the field
-          existed *)
+  h_domains : int;
+      (** domain count the run was started with; a header without the
+          field (written before it was always recorded) reads as 1 *)
 }
 
 type timing = {

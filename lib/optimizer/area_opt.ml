@@ -20,23 +20,19 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
   in
   m.Engine.area +. (0.05 *. m.Engine.power) +. penalty
 
-let optimize ?(exec = Milo_parallel.Exec.sequential) ?(required = infinity)
-    ?(input_arrivals = []) ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
+let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
+    ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
   Milo_trace.Trace.with_span "area-opt" @@ fun () ->
-  let cost = cost_fn ~required ~input_arrivals ctx in
-  (* Worker forks carry no measurer, so the factory's cost function
-     recomputes from scratch on the fork — the same objective, just
-     not incremental. *)
+  (* Worker forks carry no measurer, so the cost function recomputes
+     from scratch on the fork — the same objective, just not
+     incremental. *)
   let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
-  Engine.greedy_pass_par ~max_steps ?budget ~exec ~cost_factory ctx ~cost
-    ~cleanups rules
+  Engine.greedy_pass ~max_steps ?budget ?exec ~cost_factory ctx ~cleanups rules
 
 (* Area recovery with lookahead (used by the metarules experiment). *)
-let optimize_lookahead ?(exec = Milo_parallel.Exec.sequential)
-    ?(required = infinity) ?(input_arrivals = [])
+let optimize_lookahead ?exec ?(required = infinity) ?(input_arrivals = [])
     ?(params = Milo_rules.Search.default_params) ?stats ?budget ~rules
     ~cleanups ctx =
-  let cost = cost_fn ~required ~input_arrivals ctx in
   let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
-  Milo_rules.Search.run_par ~params ?stats ?budget ~exec ~cost_factory ctx
-    ~cost ~cleanups rules
+  Milo_rules.Search.run ~params ?stats ?budget ?exec ~cost_factory ctx
+    ~cleanups rules

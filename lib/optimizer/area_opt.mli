@@ -20,9 +20,9 @@ val optimize :
   cleanups:R.t list ->
   R.context ->
   Milo_rules.Engine.application list
-(** With a parallel [exec] plan, candidate evaluation fans out per rule
-    onto supervised tasks ({!Milo_rules.Engine.greedy_pass_par});
-    [Sequential] (the default) is the legacy path byte-for-byte. *)
+(** Candidate evaluation fans out per rule onto supervised tasks
+    ({!Milo_rules.Engine.greedy_pass}); [exec] defaults to
+    [Exec.inline ()]. *)
 
 val optimize_lookahead :
   ?exec:Milo_parallel.Exec.t ->

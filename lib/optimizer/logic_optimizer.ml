@@ -51,8 +51,8 @@ let instance_order db design =
   visit design;
   List.rev !order
 
-let make_ctx _db tech_db target design =
-  R.make_context
+let make_ctx ~session tech_db target design =
+  R.make_context ~session
     ~extra_resolve:(Database.resolver tech_db [ target.Table_map.tech ])
     target.Table_map.tech target.Table_map.set design
 
@@ -86,33 +86,35 @@ let level_cost target tech_db ctx () =
   in
   List.fold_left (fun acc c -> acc +. area c) 0.0 (D.comps ctx.R.design)
 
-let optimize_level ?budget db tech_db target design =
+let optimize_level ?budget ~exec ~session tech_db target design =
   Milo_trace.Trace.with_span ("level:" ^ D.name design) @@ fun () ->
-  let ctx = make_ctx db tech_db target design in
-  let cost = level_cost target tech_db ctx in
-  let before = cost () in
+  let ctx = make_ctx ~session tech_db target design in
+  (* [level_cost] only reads [tech_db], and nothing registers into it
+     while a level is optimized, so the run's plan may fan out here. *)
+  let cost_factory = level_cost target tech_db in
+  let before = cost_factory ctx () in
   (* Per-level passes use only the logic critic's always-good rules
      ("for the most part a cleanup of the technology mapper's design");
      timing-sensitive area recovery happens on the flat design where the
      constraint can be enforced. *)
   let apps =
-    Milo_rules.Engine.greedy_pass ?budget ctx ~cost
+    Milo_rules.Engine.greedy_pass ?budget ~exec ~cost_factory ctx
       ~cleanups:Milo_critic.Critic.cleanup Milo_critic.Critic.logic
   in
   {
     level_design = D.name design;
     applications = List.length apps;
     area_before = before;
-    area_after = cost ();
+    area_after = cost_factory ctx ();
   }
 
 (* 3. Electric correctness, then timing against the constraint, then
    area recovery off the critical paths — everything that happens on the
    flat technology-mapped design.  Split out so a journal resume can
    re-enter here with a restored Techmap snapshot. *)
-let flat_passes ?(exec = Milo_parallel.Exec.sequential) ~required
-    ~input_arrivals ~incremental ?budget db tech_db target d =
-  let ctx = make_ctx db tech_db target d in
+let flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
+    tech_db target d =
+  let ctx = make_ctx ~session tech_db target d in
   let electric () =
     Milo_trace.Trace.with_span "electric" (fun () ->
         let log = D.new_log () in
@@ -147,7 +149,8 @@ let flat_passes ?(exec = Milo_parallel.Exec.sequential) ~required
    technology-specific design (Figure 18's process), then run the time
    optimizer against the constraint and recover area off the critical
    paths. *)
-let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
+let optimize ?(exec = Milo_parallel.Exec.inline ())
+    ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
     ?(incremental = true) ?on_mapped ?budget db target design =
   let tech_db = Database.create () in
   let entries = ref [] in
@@ -156,7 +159,7 @@ let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
     (fun name ->
       let sub = Database.get db name in
       let mapped = Table_map.map_design ~keep_instances:true target sub in
-      let entry = optimize_level ?budget db tech_db target mapped in
+      let entry = optimize_level ?budget ~exec ~session tech_db target mapped in
       entries := entry :: !entries;
       Database.register tech_db mapped)
     (instance_order db design);
@@ -174,16 +177,17 @@ let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
             false)
       (D.comps d)
   in
-  entries := optimize_level ?budget db tech_db target !top :: !entries;
+  let level d = optimize_level ?budget ~exec ~session tech_db target d in
+  entries := level !top :: !entries;
   while has_instances !top do
     top := Database.flatten_once tech_db !top;
-    entries := optimize_level ?budget db tech_db target !top :: !entries
+    entries := level !top :: !entries
   done;
   (* The design is now flat and fully technology-mapped; let the caller
      inspect it (the flow lints here) before timing/area optimization. *)
   (match on_mapped with Some f -> f !top (List.rev !entries) | None -> ());
   let timing =
-    flat_passes ?exec ~required ~input_arrivals ~incremental ?budget db
+    flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
       tech_db target !top
   in
   (!top, { entries = List.rev !entries; timing })
@@ -192,11 +196,11 @@ let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
    only) — the journal-resume entry point: a restored Techmap snapshot
    has no [Instance] kinds left, so an empty technology database
    resolves every kind it can contain. *)
-let optimize_flat ?exec ?(required = infinity) ?(input_arrivals = [])
+let optimize_flat ?(exec = Milo_parallel.Exec.inline ())
+    ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
     ?(incremental = true) ?budget target d =
-  let tech_db = Database.create () in
   let timing =
-    flat_passes ?exec ~required ~input_arrivals ~incremental ?budget tech_db
-      tech_db target d
+    flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
+      (Database.create ()) target d
   in
   (d, { entries = []; timing })

@@ -21,6 +21,7 @@ val instance_order : Milo_compilers.Database.t -> D.t -> string list
 
 val optimize :
   ?exec:Milo_parallel.Exec.t ->
+  ?session:Milo_rules.Rule.session ->
   ?required:float ->
   ?input_arrivals:(string * float) list ->
   ?incremental:bool ->
@@ -46,14 +47,15 @@ val optimize :
     instead of full recomputes; pass [false] to force the full
     measurement path.
 
-    [exec] is the parallel execution plan threaded into the flat
-    timing/area passes (strategy fan-out, per-rule candidate fan-out);
-    [Sequential] — the default — is the legacy path byte-for-byte.
-    Per-level greedy passes stay sequential: they are cheap cleanups
-    dominated by mapping time. *)
+    [exec] (default [Exec.inline ()]) is the execution plan of every
+    pass: per-level greedy, strategy fan-out and per-rule candidate
+    fan-out.  Every context the optimizer builds carries [session]
+    (default: a fresh one), so quarantine, rule guard and certificates
+    span the whole optimization. *)
 
 val optimize_flat :
   ?exec:Milo_parallel.Exec.t ->
+  ?session:Milo_rules.Rule.session ->
   ?required:float ->
   ?input_arrivals:(string * float) list ->
   ?incremental:bool ->

@@ -17,10 +17,8 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
   in
   m.Engine.power +. (0.05 *. m.Engine.area) +. penalty
 
-let optimize ?(exec = Milo_parallel.Exec.sequential) ?(required = infinity)
-    ?(input_arrivals = []) ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
+let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
+    ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
   Milo_trace.Trace.with_span "power-opt" @@ fun () ->
-  let cost = cost_fn ~required ~input_arrivals ctx in
   let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
-  Engine.greedy_pass_par ~max_steps ?budget ~exec ~cost_factory ctx ~cost
-    ~cleanups rules
+  Engine.greedy_pass ~max_steps ?budget ?exec ~cost_factory ctx ~cleanups rules

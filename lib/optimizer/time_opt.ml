@@ -100,7 +100,7 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
                      });
               if kept then begin
                 (* Keep the measurement before committing (mirroring
-                   [Engine.greedy_step]): if keeping forces a resync,
+                   [Engine.greedy_step]'s commit): if keeping forces a resync,
                    the totals attached to the commit below are the
                    resynced — final — ones, so attribution telescopes. *)
                 Milo_rules.Engine.measure_keep ctx step;
@@ -135,20 +135,23 @@ module Exec = Milo_parallel.Exec
    reserved name the rule tables cannot collide with. *)
 let strategy_key name = "strategy:" ^ name
 
-(* Parallel strategy fan-out for one optimizer iteration: every
-   non-quarantined strategy in [order] is tried speculatively by one
-   supervised task on a forked snapshot (a pure would-this-help
-   oracle), then the first success in strategy order is re-run
-   authoritatively on the real context — so trace, provenance, the
-   measurer and the budget see exactly one strategy application, the
-   same one a sequential scan of the oracle verdicts would pick.  A
-   faulting task quarantines its strategy for the rest of the run. *)
-let try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order =
+(* Strategy fan-out for one optimizer iteration: every non-quarantined
+   strategy in [order] is tried speculatively by one supervised task on
+   a forked snapshot (a pure would-this-help oracle), then the first
+   success in strategy order is re-run authoritatively on the real
+   context — so trace, provenance, the measurer and the budget see
+   exactly one strategy application, the one a scan of the oracle
+   verdicts in order picks.  A faulting task quarantines its strategy
+   for the rest of the run. *)
+let try_all ?budget ~exec ctx ~input_arrivals ~cleanups order =
+  let session = ctx.R.session in
   let strategies =
     List.filter_map
       (fun id ->
         let s = Strategies.by_id id in
-        if Milo_rules.Engine.is_quarantined (strategy_key s.Strategies.strat_name)
+        if
+          Milo_rules.Engine.is_quarantined session
+            (strategy_key s.Strategies.strat_name)
         then None
         else Some s)
       order
@@ -161,8 +164,7 @@ let try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order =
     let tasks =
       List.map
         (fun (s : Strategies.strategy) () ->
-          Milo_rules.Engine.worker_task (fun () ->
-              let wctx = R.fork_context ctx in
+          Milo_rules.Engine.worker_task ctx (fun wctx ->
               try_strategy wctx ~input_arrivals ~cleanups s <> None))
         strategies
     in
@@ -171,9 +173,9 @@ let try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order =
     Array.iteri
       (fun i outcome ->
         match outcome with
-        | Pool.Done (_, fails) -> Milo_rules.Engine.import_failures fails
+        | Pool.Done (_, fails) -> Milo_rules.Engine.import_failures session fails
         | Pool.Task_failed fault ->
-            Milo_rules.Engine.note_failure_named
+            Milo_rules.Engine.note_failure_named session
               ~reason:Milo_rules.Engine.Raised
               (strategy_key sarr.(i).Strategies.strat_name)
               ("parallel task: " ^ Pool.fault_message fault))
@@ -196,7 +198,7 @@ let try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order =
     pick 0
   end
 
-let optimize ?(exec = Exec.sequential) ?(required = 0.0) ?(input_arrivals = [])
+let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(input_arrivals = [])
     ?(max_steps = 64) ?budget ~cleanups ctx =
   Milo_trace.Trace.with_span "time-opt" @@ fun () ->
   let steps = ref [] in
@@ -209,25 +211,7 @@ let optimize ?(exec = Exec.sequential) ?(required = 0.0) ?(input_arrivals = [])
     else begin
       let deficit = current -. required in
       let order = Strategies.order_for ~deficit ~required:(Float.max required current) in
-      let rec try_all = function
-        | [] -> None
-        | id :: rest -> (
-            if exhausted () then None
-            else
-              match
-                try_strategy ?budget ctx ~input_arrivals ~cleanups
-                  (Strategies.by_id id)
-              with
-              | Some step -> Some step
-              | None -> try_all rest)
-      in
-      let picked =
-        match (exec : Exec.t) with
-        | Exec.Sequential -> try_all order
-        | Exec.Inline _ | Exec.Pooled _ ->
-            try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order
-      in
-      match picked with
+      match try_all ?budget ~exec ctx ~input_arrivals ~cleanups order with
       | Some step ->
           steps := step :: !steps;
           loop (n + 1)

@@ -39,12 +39,11 @@ val optimize :
     budget exhaustion — in the last case the outcome reports the
     best-so-far delay.
 
-    With a parallel [exec] plan, each iteration tries every eligible
-    strategy speculatively as a supervised task on a forked snapshot
-    and re-applies the first success (in strategy order)
-    authoritatively; a faulting strategy task is quarantined under
-    ["strategy:NAME"] for the rest of the run.  [Sequential] (the
-    default) is the legacy path byte-for-byte. *)
+    Each iteration tries every eligible strategy speculatively as a
+    supervised task on a forked snapshot and re-applies the first
+    success (in strategy order) authoritatively; a faulting strategy
+    task is quarantined under ["strategy:NAME"] for the rest of the
+    run.  [exec] defaults to [Exec.inline ()]. *)
 
 val minimize_delay :
   ?exec:Milo_parallel.Exec.t ->

@@ -1,32 +1,23 @@
 (* Execution plans for the optimizer's fan-out sites.
 
-   [Sequential] is the legacy path: no task wrappers, no supervision,
-   byte-identical behaviour to the pre-parallel engine — the default
-   everywhere so existing callers are untouched.
-
-   [Inline] and [Pooled] are the two faces of the parallel semantics:
-   the same task lists, the same deterministic index-ordered merge,
-   the same supervision (exception capture, deadline cancellation) —
-   only the scheduling differs.  That is what makes [--domains 1] and
-   [--domains N] bit-identical, and what makes graceful degradation
-   (a pool that failed to construct falls back to [Inline]) free of
+   [Inline] and [Pooled] are the two faces of one semantics: the same
+   task lists, the same deterministic index-ordered merge, the same
+   supervision (exception capture, deadline cancellation) — only the
+   scheduling differs.  That is what makes [--domains 1] and
+   [--domains N] bit-identical, and what makes graceful degradation (a
+   pool that failed to construct falls back to [Inline]) free of
    observable divergence. *)
 
 type t =
-  | Sequential
   | Inline of { deadline : float option }
   | Pooled of { pool : Pool.t; deadline : float option }
 
-let sequential = Sequential
 let inline ?deadline () = Inline { deadline }
 let pooled ?deadline pool = Pooled { pool; deadline }
-
-let is_parallel = function Sequential -> false | Inline _ | Pooled _ -> true
 
 (* Deterministic indexed map: slot [i] of the result is task [i]'s
    outcome, whatever domain ran it. *)
 let map t (tasks : (unit -> 'a) list) : 'a Pool.outcome array =
   match t with
-  | Sequential -> invalid_arg "Exec.map: sequential plan has no task runner"
   | Inline { deadline } -> Pool.run_inline ?deadline tasks
   | Pooled { pool; deadline } -> Pool.run pool ?deadline tasks

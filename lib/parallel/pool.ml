@@ -19,7 +19,7 @@
      replacement spawning fails too, the coordinator drains the
      remaining queue inline — [run] terminates as long as the
      coordinator itself is alive, which is the same guarantee the
-     sequential path offers.
+     inline path offers.
 
    Determinism: result slot [i] always holds task [i]'s outcome, so a
    reduction over the array in index order is independent of which
@@ -176,7 +176,7 @@ let create ?(stall_timeout = default_stall) ?(force = false) ~domains () =
   if domains < 2 then None
   else if (not force) && Domain.recommended_domain_count () < 2 then
     (* A single-core host gains nothing from timesliced domains; the
-       caller's sequential path is strictly better. *)
+       caller's inline path is strictly better. *)
     None
   else begin
     let p =
@@ -254,7 +254,7 @@ let run p ?deadline tasks =
       if !drain_inline then begin
         (* Replacement spawning failed: the pool cannot be trusted to
            drain the queue, so the coordinator does — same termination
-           guarantee as the sequential path. *)
+           guarantee as the inline path. *)
         Mutex.lock p.p_mutex;
         let job =
           if Queue.is_empty p.p_queue then None else Some (Queue.pop p.p_queue)

@@ -39,7 +39,7 @@ type t
 val create :
   ?stall_timeout:float -> ?force:bool -> domains:int -> unit -> t option
 (** [create ~domains:n ()] spawns [n] worker domains.  Returns [None]
-    — the caller degrades to its sequential path — when [n < 2], when
+    — the caller degrades to inline execution — when [n < 2], when
     the host has fewer than two cores (unless [force] is set: tests
     exercise real multi-domain supervision on single-core hosts with
     [~force:true]), or when domain spawning fails.  [stall_timeout]

@@ -10,7 +10,10 @@
      run cleanup rules, measure the cost function, undo, and commit the
      best candidate (Logic Consultant's gain evaluation with its
      one-rule cleanup lookahead).
-   - deeper lookahead lives in [Search] (SOCRATES). *)
+   - deeper lookahead lives in [Search] (SOCRATES).
+
+   The run's state — quarantine, rule guard, certificates — lives in
+   the [Rule.session] its contexts carry, never in this module. *)
 
 module D = Milo_netlist.Design
 module Trace = Milo_trace.Trace
@@ -59,11 +62,10 @@ let () =
         Some (Printf.sprintf "Lint_violation after rule %s:\n%s" rule report)
     | _ -> None)
 
-let debug_lint = ref false
-let set_debug_lint v = debug_lint := v
+let set_debug_lint (s : Rule.session) v = s.Rule.debug_lint <- v
 
 let lint_after ctx name =
-  if !debug_lint then begin
+  if ctx.Rule.session.Rule.debug_lint then begin
     let is_sequential kind =
       match kind with
       | Milo_netlist.Types.Instance _ -> true
@@ -101,105 +103,84 @@ let lint_after ctx name =
    miscompile that was reverted).  The distinction matters downstream —
    a raising rule is a crash bug, a miscompiling one is a correctness
    bug that would have shipped silently. *)
-type reason = Raised | Miscompiled
+type reason = Rule.reason = Raised | Miscompiled
 
 let reason_name = function Raised -> "raised" | Miscompiled -> "miscompiled"
 
-(* Per rule: failure count, the first trapped failure message and why —
-   the count says how noisy the rule was, the message says why it
-   first went wrong. *)
-let quarantine : (string, int * string * reason) Hashtbl.t = Hashtbl.create 16
-
-(* Oracle-worker discipline for the parallel fan-out: while candidate
-   evaluations run on forked design snapshots — on pool domains or
-   inline on the coordinator — the global quarantine table is
-   read-only.  A worker that traps a failure defers it into a
-   domain-local buffer; the coordinator imports the buffers in task
-   (= submission) order after the fan-out, so first-failure messages
-   and quarantine trace events are deterministic regardless of which
-   domain trapped what when. *)
-type deferred_failure = { df_rule : string; df_msg : string; df_reason : reason }
-
-let worker_key : deferred_failure list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let in_worker () = Domain.DLS.get worker_key <> None
-
-let quarantine_reset () = Hashtbl.reset quarantine
-
-let is_quarantined name =
-  Hashtbl.mem quarantine name
+(* The quarantine lives in the run's session: per rule, the failure
+   count (how noisy the rule was), the first trapped failure message
+   and why (why it first went wrong).  A worker fork reads its
+   parent's table and keeps its own failures in [trapped]; the
+   coordinator imports them in task (= submission) order after the
+   fan-out, so first-failure messages and quarantine trace events are
+   deterministic regardless of which domain trapped what when. *)
+let is_quarantined (s : Rule.session) name =
+  Hashtbl.mem s.Rule.quarantine name
   ||
   (* A failure trapped earlier in this worker task quarantines the rule
-     for the task's remaining sites, mirroring what the sequential pass
-     would do globally. *)
-  (match Domain.DLS.get worker_key with
-  | Some buf -> List.exists (fun d -> d.df_rule = name) !buf
-  | None -> false)
+     for the task's remaining sites. *)
+  match s.Rule.trapped with
+  | Some t -> List.exists (fun (rule, _, _) -> rule = name) !t
+  | None -> false
 
 (* Full quarantine image, for journal checkpoints: a resumed run
    restores it so rules trapped before the crash stay trapped. *)
-let quarantine_dump () =
+let quarantine_dump (s : Rule.session) =
   Hashtbl.fold
     (fun name (n, msg, reason) acc -> (name, n, msg, reason) :: acc)
-    quarantine []
+    s.Rule.quarantine []
   |> List.sort compare
 
-let quarantine_restore dump =
-  Hashtbl.reset quarantine;
+let quarantine_restore (s : Rule.session) dump =
+  Hashtbl.reset s.Rule.quarantine;
   List.iter
-    (fun (name, n, msg, reason) -> Hashtbl.replace quarantine name (n, msg, reason))
+    (fun (name, n, msg, reason) ->
+      Hashtbl.replace s.Rule.quarantine name (n, msg, reason))
     dump
 
-let quarantined () =
-  Hashtbl.fold (fun name (n, _, _) acc -> (name, n) :: acc) quarantine []
-  |> List.sort compare
+let quarantined s = List.map (fun (name, n, _, _) -> (name, n)) (quarantine_dump s)
 
-let quarantined_errors () =
-  Hashtbl.fold (fun name (_, msg, _) acc -> (name, msg) :: acc) quarantine []
-  |> List.sort compare
+let quarantined_errors s =
+  List.map (fun (name, _, msg, _) -> (name, msg)) (quarantine_dump s)
 
-let quarantined_reasons () =
-  Hashtbl.fold (fun name (_, _, r) acc -> (name, r) :: acc) quarantine []
-  |> List.sort compare
+let quarantined_reasons s =
+  List.map (fun (name, _, _, r) -> (name, r)) (quarantine_dump s)
 
-let note_failure_named ~reason name msg =
-  match Domain.DLS.get worker_key with
-  | Some buf -> buf := { df_rule = name; df_msg = msg; df_reason = reason } :: !buf
+let note_failure_named (s : Rule.session) ~reason name msg =
+  match s.Rule.trapped with
+  | Some t -> t := (name, msg, reason) :: !t
   | None -> (
-      match Hashtbl.find_opt quarantine name with
-      | Some (n, m, rs) -> Hashtbl.replace quarantine name (n + 1, m, rs)
+      match Hashtbl.find_opt s.Rule.quarantine name with
+      | Some (n, m, rs) -> Hashtbl.replace s.Rule.quarantine name (n + 1, m, rs)
       | None ->
-          Hashtbl.replace quarantine name (1, msg, reason);
+          Hashtbl.replace s.Rule.quarantine name (1, msg, reason);
           if Trace.enabled () then
             Trace.emit
               (Trace.Rule_quarantined { rule = name; failures = 1; message = msg }))
 
-let note_failure_msg ~reason (r : Rule.t) msg =
-  note_failure_named ~reason r.Rule.rule_name msg
+let note_failure_msg ctx ~reason (r : Rule.t) msg =
+  note_failure_named ctx.Rule.session ~reason r.Rule.rule_name msg
 
-let note_failure (r : Rule.t) exn =
-  note_failure_msg ~reason:Raised r (Printexc.to_string exn)
+let note_failure ctx (r : Rule.t) exn =
+  note_failure_msg ctx ~reason:Raised r (Printexc.to_string exn)
 
-(* Run [f] as an oracle worker: quarantine writes are deferred into a
-   local buffer (returned oldest-first), and tracing / provenance are
-   suppressed on this domain, so a task behaves identically whether it
-   runs inline on the coordinator or on a pool domain.  The rule guard
-   never runs in a worker — see [guard_snapshot]. *)
-let worker_task f =
-  let buf = ref [] in
-  let saved = Domain.DLS.get worker_key in
-  Domain.DLS.set worker_key (Some buf);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set worker_key saved)
-    (fun () ->
-      let v = Trace.without (fun () -> Prov.without f) in
-      (v, List.rev_map (fun d -> (d.df_rule, d.df_msg, d.df_reason)) !buf))
+(* Run [f] as an oracle worker on a fork of [ctx]: tracing and
+   provenance are suppressed on this domain, so a task behaves
+   identically whether it runs inline on the coordinator or on a pool
+   domain.  Returns [f]'s value and the failures the fork trapped,
+   oldest first. *)
+let worker_task ctx f =
+  let wctx = Rule.fork_context ctx in
+  let v = Trace.without (fun () -> Prov.without (fun () -> f wctx)) in
+  ( v,
+    match wctx.Rule.session.Rule.trapped with
+    | Some t -> List.rev !t
+    | None -> [] )
 
-(* Coordinator side: fold a worker's deferred failures into the global
+(* Coordinator side: fold a worker's failures into the session's
    quarantine.  Call in task order. *)
-let import_failures fails =
-  List.iter (fun (rule, msg, reason) -> note_failure_named ~reason rule msg) fails
+let import_failures s fails =
+  List.iter (fun (rule, msg, reason) -> note_failure_named s ~reason rule msg) fails
 
 (* --- Semantic rule guard ----------------------------------------------- *)
 
@@ -220,56 +201,43 @@ let import_failures fails =
 
 module Guard = Milo_guard.Guard
 
-type rule_guard_state = {
-  rg_policy : Guard.policy;
-  rg_budget : Budget.t option;
-  rg_stats : Guard.stats;
-  rg_seen : (string, unit) Hashtbl.t;  (* rules checked at least once *)
-  mutable rg_tick : int;  (* check opportunities, for sampling *)
-}
+(* The guard state lives in the run's session and is only ever armed on
+   the coordinator's session: worker forks never guard, so its mutable
+   sampling position is single-domain state and needs no locking. *)
+let set_rule_guard (s : Rule.session) ?budget ?stats policy =
+  s.Rule.rule_guard <-
+    (match policy with
+    | Guard.Off -> None
+    | Guard.Sampled | Guard.Full ->
+        Some
+          {
+            Rule.rg_policy = policy;
+            rg_budget = budget;
+            rg_stats =
+              (match stats with Some st -> st | None -> Guard.fresh_stats ());
+            rg_seen = Hashtbl.create 16;
+            rg_tick = 0;
+            rg_tv = Hashtbl.create 256;
+          })
 
-(* Domain-local: the flow arms the guard on the coordinating domain;
-   worker domains never see it (their [guard_snapshot] short-circuits
-   anyway), so its mutable sampling position is single-domain state
-   and needs no locking. *)
-let rule_guard_key : rule_guard_state option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let rule_guard () = Domain.DLS.get rule_guard_key
-
-let set_rule_guard ?budget ?stats policy =
-  match policy with
-  | Guard.Off -> rule_guard () := None
-  | Guard.Sampled | Guard.Full ->
-      rule_guard ()
-      := Some
-           {
-             rg_policy = policy;
-             rg_budget = budget;
-             rg_stats =
-               (match stats with Some s -> s | None -> Guard.fresh_stats ());
-             rg_seen = Hashtbl.create 16;
-             rg_tick = 0;
-           }
-
-let clear_rule_guard () = rule_guard () := None
-let rule_guard_stats () = Option.map (fun g -> g.rg_stats) !(rule_guard ())
+let rule_guard_stats (s : Rule.session) =
+  Option.map (fun g -> g.Rule.rg_stats) s.Rule.rule_guard
 
 (* Journal-resume support: the [Sampled] tier's position (tick counter
    and first-application set) is part of the run's deterministic state
    — a resumed run must re-enter the sampling sequence exactly where
    the interrupted one left off, or its guard counters diverge from
    the uninterrupted run's. *)
-let guard_sample_state () =
+let guard_sample_state (s : Rule.session) =
   Option.map
-    (fun g ->
+    (fun (g : Rule.rule_guard) ->
       ( g.rg_tick,
         Hashtbl.fold (fun n () acc -> n :: acc) g.rg_seen []
         |> List.sort compare ))
-    !(rule_guard ())
+    s.Rule.rule_guard
 
-let restore_guard_sample_state tick seen =
-  match !(rule_guard ()) with
+let restore_guard_sample_state (s : Rule.session) tick seen =
+  match s.Rule.rule_guard with
   | None -> ()
   | Some g ->
       g.rg_tick <- tick;
@@ -282,29 +250,17 @@ let restore_guard_sample_state tick seen =
    by [Milo_absint.Certify] over exhaustive cone enumeration).  Their
    applications skip the dynamic cone re-simulation: the per-apply
    Full-guard cost collapses to the flow's stage-boundary checks.  The
-   engine only stores names — certification itself lives above this
-   layer — and the store is global like the quarantine: the flow
-   installs it per run.  Quarantine still dominates: a certified rule
-   that raises is quarantined like any other. *)
-(* An immutable set behind an atomic, not a hashtable: worker domains
-   read it during parallel candidate evaluation while the coordinator
-   could in principle be between runs — a torn hashtable read would be
-   undefined behaviour, an atomic set swap is always coherent. *)
-module SS = Set.Make (String)
-
-let certified : SS.t Atomic.t = Atomic.make SS.empty
-
-let set_certified names = Atomic.set certified (SS.of_list names)
-let clear_certified () = Atomic.set certified SS.empty
-let is_certified name = SS.mem name (Atomic.get certified)
-let certified_rules () = SS.elements (Atomic.get certified)
+   engine only stores names in the session — certification itself
+   lives above this layer.  Quarantine still dominates: a certified
+   rule that raises is quarantined like any other. *)
+let set_certified (s : Rule.session) names = s.Rule.certified <- names
 
 (* Sampling interval for the [Sampled] tier: the first application of
    each rule is always checked (a systematically wrong rule is caught
    immediately), then every Nth opportunity across all rules. *)
 let sample_interval = 16
 
-let should_check g (r : Rule.t) =
+let should_check (g : Rule.rule_guard) (r : Rule.t) =
   match g.rg_policy with
   | Guard.Off -> false
   | Guard.Full -> true
@@ -369,54 +325,36 @@ let chunks_for n = ((1 lsl n) + lanes - 1) / lanes
    structurally identical cones — ubiquitous in mapped datapaths —
    share one packed sweep through a digest-keyed cache.  Keys include
    the library name: cone digests intern macro *names*, whose
-   behavior is per-technology. *)
-type tv_state = {
-  tv_tbl : (string, int array) Hashtbl.t;
-  mutable tv_hits : int;
-  mutable tv_misses : int;
-}
-
-(* Domain-local: the guard only runs on the coordinating domain today,
-   but a shared hashtable mutated from a hot path is exactly the kind
-   of latent hazard the parallel runtime must not inherit — per-domain
-   caches need no locking and keep the bound per-domain too. *)
-let tv_key : tv_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { tv_tbl = Hashtbl.create 256; tv_hits = 0; tv_misses = 0 })
-
+   behavior is per-technology.  The cache belongs to the armed guard,
+   so it lives and dies with the run's session. *)
 let tv_cache_bound = 4096
 
-let cone_truth_vector ctx cone =
-  let tv_cache = Domain.DLS.get tv_key in
+let cone_truth_vector (g : Rule.rule_guard) ctx cone =
   let key =
     Milo_library.Technology.name ctx.Rule.tech ^ ":" ^ Cone.digest ctx cone
   in
-  match Hashtbl.find_opt tv_cache.tv_tbl key with
-  | Some tv ->
-      tv_cache.tv_hits <- tv_cache.tv_hits + 1;
-      tv
+  match Hashtbl.find_opt g.rg_tv key with
+  | Some tv -> tv
   | None ->
-      tv_cache.tv_misses <- tv_cache.tv_misses + 1;
       let n = List.length cone.Cone.leaves in
       let tv =
         Array.init (chunks_for n) (fun c ->
             Cone.eval_packed ctx cone (leaf_words cone.Cone.leaves c))
       in
-      if Hashtbl.length tv_cache.tv_tbl >= tv_cache_bound then
-        Hashtbl.reset tv_cache.tv_tbl;
-      Hashtbl.replace tv_cache.tv_tbl key tv;
+      if Hashtbl.length g.rg_tv >= tv_cache_bound then Hashtbl.reset g.rg_tv;
+      Hashtbl.replace g.rg_tv key tv;
       tv
 
 (* Truth vectors of the verifiable site outputs over their cone
    leaves.  Cones with no components (the driver is not an expandable
    combinational macro — e.g. micro-level kinds) are unverifiable
    here and left to the stage guard. *)
-let snapshot_cones ctx nets =
+let snapshot_cones g ctx nets =
   List.filter_map
     (fun nid ->
       match Cone.extract ctx ~max_leaves:guard_max_leaves nid with
       | Some cone when cone.Cone.comps <> [] ->
-          Some (nid, cone.Cone.leaves, cone_truth_vector ctx cone)
+          Some (nid, cone.Cone.leaves, cone_truth_vector g ctx cone)
       | Some _ | None -> None)
     nets
 
@@ -522,67 +460,61 @@ let check_snapshot ctx snaps =
   in
   nets snaps
 
-(* Guard verdict of the most recent [guard_snapshot] decision, for the
-   provenance recorder.  Read by [greedy_step] immediately after the
-   winning commit-time apply — before cleanups run their own applies
-   and overwrite it. *)
-let last_verdict_key : Prov.verdict ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref Prov.Unguarded)
-
-let last_verdict () = Domain.DLS.get last_verdict_key
-
 (* Snapshot decision for one application: [None] when no check should
    run (guard off, sampled out, or nothing verifiable at the site).
+   The verdict is left in the session's [last_verdict] for the
+   provenance recorder, which reads it right after the winning
+   commit-time apply — before cleanups run their own applies and
+   overwrite it.
 
-   Oracle workers never guard: their applications are scratch
-   evaluations on forked snapshots whose results are discarded; only
-   the coordinator's authoritative re-application of the merged winner
-   is guarded (and ticks the sampling position), which is what keeps
-   guard stats bit-identical across domain counts. *)
+   Oracle workers never guard (a fork's session has no guard armed):
+   their applications are scratch evaluations on forked snapshots
+   whose results are discarded; only the coordinator's authoritative
+   re-application of the merged winner is guarded (and ticks the
+   sampling position), which is what keeps guard stats bit-identical
+   across domain counts. *)
 let guard_snapshot ctx r site =
-  if in_worker () then begin
-    last_verdict () := Prov.Unguarded;
-    None
-  end
-  else
-    match !(rule_guard ()) with
-    | None ->
-        last_verdict () := Prov.Unguarded;
+  let s = ctx.Rule.session in
+  let verdict v = s.Rule.last_verdict <- v in
+  match s.Rule.rule_guard with
+  | None ->
+      verdict Prov.Unguarded;
+      None
+  | Some g ->
+      let st = g.rg_stats in
+      if List.mem r.Rule.rule_name s.Rule.certified then begin
+        st.Guard.rule_certified <- st.Guard.rule_certified + 1;
+        verdict Prov.Certified;
         None
-    | Some g ->
-        if is_certified r.Rule.rule_name then begin
-          g.rg_stats.Guard.rule_certified <- g.rg_stats.Guard.rule_certified + 1;
-          last_verdict () := Prov.Certified;
-          None
-        end
-        else if not (should_check g r) then begin
-          g.rg_stats.Guard.rule_skipped <- g.rg_stats.Guard.rule_skipped + 1;
-          last_verdict () := Prov.Skipped;
-          None
-        end
-        else begin
-          match snapshot_cones ctx (site_out_nets ctx site) with
-          | [] ->
-              g.rg_stats.Guard.rule_skipped <- g.rg_stats.Guard.rule_skipped + 1;
-              last_verdict () := Prov.Skipped;
-              None
-          | snaps ->
-              g.rg_stats.Guard.rule_checks <- g.rg_stats.Guard.rule_checks + 1;
-              last_verdict () := Prov.Checked;
-              Some (g, snaps)
-        end
+      end
+      else if not (should_check g r) then begin
+        st.Guard.rule_skipped <- st.Guard.rule_skipped + 1;
+        verdict Prov.Skipped;
+        None
+      end
+      else begin
+        match snapshot_cones g ctx (site_out_nets ctx site) with
+        | [] ->
+            st.Guard.rule_skipped <- st.Guard.rule_skipped + 1;
+            verdict Prov.Skipped;
+            None
+        | snaps ->
+            st.Guard.rule_checks <- st.Guard.rule_checks + 1;
+            verdict Prov.Checked;
+            Some (st, snaps)
+      end
 
 (* Match sites, treating a raising [find] as "no sites" (and
    quarantining the rule).  A quarantined rule matches nothing. *)
 let guarded_find ctx (r : Rule.t) =
-  if is_quarantined r.Rule.rule_name then []
+  if is_quarantined ctx.Rule.session r.Rule.rule_name then []
   else
     match r.Rule.find ctx with
     | sites -> sites
     | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
         raise e
     | exception e ->
-        note_failure r e;
+        note_failure ctx r e;
         []
 
 (* Apply into a private sub-log so a failure rolls back exactly this
@@ -599,7 +531,7 @@ let guarded_apply ctx (r : Rule.t) site log =
      before any edit, so the task's scratch snapshot is abandoned
      cleanly.  A no-op on the authoritative path. *)
   Pool.poll ();
-  if is_quarantined r.Rule.rule_name then false
+  if is_quarantined ctx.Rule.session r.Rule.rule_name then false
   else
     let snap = guard_snapshot ctx r site in
     let local = D.new_log () in
@@ -620,11 +552,10 @@ let guarded_apply ctx (r : Rule.t) site log =
         | Some detail ->
             D.undo ctx.Rule.design local;
             (match snap with
-            | Some (g, _) ->
-                g.rg_stats.Guard.rule_mismatches <-
-                  g.rg_stats.Guard.rule_mismatches + 1
+            | Some (st, _) ->
+                st.Guard.rule_mismatches <- st.Guard.rule_mismatches + 1
             | None -> ());
-            note_failure_msg ~reason:Miscompiled r ("miscompile: " ^ detail);
+            note_failure_msg ctx ~reason:Miscompiled r ("miscompile: " ^ detail);
             if Prov.enabled () then
               Prov.debit ~kind:"miscompile" ~rule:r.Rule.rule_name;
             if Trace.enabled () then
@@ -641,7 +572,7 @@ let guarded_apply ctx (r : Rule.t) site log =
         raise Pool.Cancelled
     | exception e ->
         D.undo ctx.Rule.design local;
-        note_failure r e;
+        note_failure ctx r e;
         if Prov.enabled () then
           Prov.debit ~kind:"quarantine" ~rule:r.Rule.rule_name;
         false
@@ -748,72 +679,65 @@ let site_digest ctx (site : Rule.site) =
    unmeasurable intermediate) rejects the candidate rather than
    aborting the pass — the design is restored first.
 
-   When a tracer is installed, each evaluation is timed into the
-   per-rule attribution table and the eval-latency histogram, and a
-   rejected candidate emits a [Rule_refused] event naming the reason. *)
-let evaluate ?budget ctx ~cost ~cleanups (r : Rule.t) site =
+   Evaluations run inside worker tasks, where tracing is suppressed, so
+   the outcome and wall time come back as a value: [Ok gain], or
+   [Error reason] for a rejected candidate.  The coordinator records
+   them in task order ([record_eval]). *)
+type eval = { result : (float, string) result; dt : float }
+
+let evaluate ctx ~cost ~cleanups (r : Rule.t) site =
   Pool.poll ();
-  match budget with
-  | Some b when Budget.exhausted b -> None
-  | _ ->
-      (match budget with Some b -> Budget.eval b | None -> ());
-      let traced = Trace.enabled () in
-      let t0 = if traced then Unix.gettimeofday () else 0.0 in
-      let finish ?reason result =
-        if traced then begin
-          let dt = Unix.gettimeofday () -. t0 in
-          Trace.sample "engine.eval_us" (dt *. 1e6);
-          (match result with
-          | Some gain ->
-              Trace.note_rule ~rule:r.Rule.rule_name ~dt ~gain ~outcome:`Eval
-          | None ->
-              Trace.note_rule ~rule:r.Rule.rule_name ~dt ~gain:0.0
-                ~outcome:`Refused);
-          match reason with
-          | Some reason ->
-              Trace.emit
-                (Trace.Rule_refused
-                   { rule = r.Rule.rule_name; site = site.Rule.descr; reason })
-          | None -> ()
-        end;
-        result
-      in
-      let before = cost () in
-      let log = D.new_log () in
-      if not (guarded_apply ctx r site log) then begin
+  let t0 = Unix.gettimeofday () in
+  let finish result = { result; dt = Unix.gettimeofday () -. t0 } in
+  let before = cost () in
+  let log = D.new_log () in
+  if not (guarded_apply ctx r site log) then begin
+    D.undo ctx.Rule.design log;
+    finish (Error "apply-failed")
+  end
+  else begin
+    run_cleanups ctx cleanups log;
+    match measure_step ctx log with
+    | Measure_failed ->
+        (* The candidate state is unmeasurable incrementally (e.g.
+           unmapped): reject it, nothing to retreat. *)
         D.undo ctx.Rule.design log;
-        finish ~reason:"apply-failed" None
-      end
-      else begin
-        run_cleanups ctx cleanups log;
-        match measure_step ctx log with
-        | Measure_failed ->
-            (* The candidate state is unmeasurable incrementally (e.g.
-               unmapped): reject it, nothing to retreat. *)
+        finish (Error "unmeasurable")
+    | step -> (
+        match cost () with
+        | after ->
             D.undo ctx.Rule.design log;
-            finish ~reason:"unmeasurable" None
-        | step -> (
-            match cost () with
-            | after ->
-                D.undo ctx.Rule.design log;
-                measure_drop ctx step;
-                finish (Some (before -. after))
-            | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e)
-              ->
-                raise e
-            | exception _ ->
-                D.undo ctx.Rule.design log;
-                measure_drop ctx step;
-                finish ~reason:"cost-failed" None)
-      end
+            measure_drop ctx step;
+            finish (Ok (before -. after))
+        | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
+            raise e
+        | exception _ ->
+            D.undo ctx.Rule.design log;
+            measure_drop ctx step;
+            finish (Error "cost-failed"))
+  end
+
+(* When a tracer is installed, each evaluation is timed into the
+   per-rule attribution table and the eval-latency histogram, and a
+   rejected candidate emits a [Rule_refused] event naming the reason.
+   Wall time goes to metrics only, never into the event stream. *)
+let record_eval (r : Rule.t) (site : Rule.site) ev =
+  if Trace.enabled () then begin
+    let rule = r.Rule.rule_name and dt = ev.dt in
+    Trace.sample "engine.eval_us" (dt *. 1e6);
+    match ev.result with
+    | Ok gain -> Trace.note_rule ~rule ~dt ~gain ~outcome:`Eval
+    | Error reason ->
+        Trace.note_rule ~rule ~dt ~gain:0.0 ~outcome:`Refused;
+        Trace.emit (Trace.Rule_refused { rule; site = site.Rule.descr; reason })
+  end
 
 (* Authoritative commit of a winning candidate: re-apply on the real
    design (under the rule guard), run cleanups, keep the measurer step,
-   deposit the provenance note and commit.  Shared by the sequential
-   and parallel greedy steps — in the parallel path this is the only
-   place the winner touches the coordinator's design, so every
-   observable side effect (trace, ledger, guard stats, journal entries)
-   flows from the same code regardless of domain count. *)
+   deposit the provenance note and commit.  This is the only place the
+   winner touches the coordinator's design, so every observable side
+   effect (trace, ledger, guard stats, journal entries) flows from the
+   same code regardless of domain count. *)
 let commit_app ?budget ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   let prov = Prov.enabled () in
@@ -822,7 +746,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
   let site = if prov then Some (site_digest ctx app.site) else None in
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
-    let verdict = !(last_verdict ()) in
+    let verdict = ctx.Rule.session.Rule.last_verdict in
     run_cleanups ctx cleanups log;
     measure_keep ctx (measure_step ctx log);
     (* Attribution note for the commit below: the measurer's totals
@@ -866,50 +790,22 @@ let commit_app ?budget ctx ~cleanups (app : application) =
     None
   end
 
-(* One greedy step: evaluate all candidates, commit the best if it
-   improves the cost.  Returns the applied candidate. *)
-let greedy_step ?(min_gain = 1e-9) ?budget ctx ~cost ~cleanups rules =
-  let candidates =
-    List.concat_map
-      (fun (r : Rule.t) ->
-        List.map (fun site -> (r, site)) (guarded_find ctx r))
-      rules
-  in
-  let best =
-    List.fold_left
-      (fun acc (r, site) ->
-        match evaluate ?budget ctx ~cost ~cleanups r site with
-        | None -> acc
-        | Some gain -> (
-            match acc with
-            | Some { gain = g; _ } when g >= gain -> acc
-            | _ -> Some { rule = r; site; gain }))
-      None candidates
-  in
-  match best with
-  | Some app when app.gain > min_gain -> commit_app ?budget ctx ~cleanups app
-  | Some _ | None -> None
-
-(* --- Parallel greedy ------------------------------------------------- *)
-
-(* One parallel greedy step.  The fan-out unit is the rule: candidates
-   are found on the coordinator (sequential semantics, including
-   find-failure quarantine), then each rule's site list is evaluated by
-   one supervised task on a forked snapshot of the design.  Grouping by
-   rule — never by domain count — is what keeps the merge deterministic:
-   a rule that fails mid-task skips its own remaining sites exactly as
-   the sequential pass would, and the (rule index, site ordinal) merge
-   order plus the sequential tie-break (earlier candidate wins ties)
-   reproduce the sequential winner whenever the measured gains agree.
+(* One greedy step.  The fan-out unit is the rule: candidates are found
+   on the coordinator (including find-failure quarantine), then each
+   rule's site list is evaluated by one supervised task on a forked
+   snapshot of the design.  Grouping by rule — never by domain count —
+   is what keeps the merge deterministic: a rule that fails mid-task
+   skips its own remaining sites, and the (rule index, site ordinal)
+   merge order with its tie-break (earlier candidate wins ties) picks
+   the same winner whatever ran where.
 
    Workers are pure oracles: no trace, no provenance, no guard, no
    budget mutation.  The coordinator charges the budget (one eval per
-   candidate, deterministically), imports deferred quarantine failures
-   in task order, and re-applies only the merged winner through
-   [commit_app] — the same authoritative path the sequential step
-   uses. *)
-let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
-    ~cleanups rules =
+   candidate, deterministically), records the evaluations and imports
+   the trapped failures in task order, and re-applies only the merged
+   winner through [commit_app]. *)
+let greedy_step ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx ~cleanups
+    rules =
   match budget with
   | Some b when Budget.exhausted b -> None
   | _ ->
@@ -932,10 +828,9 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
         let tasks =
           List.map
             (fun ((r : Rule.t), sites) () ->
-              worker_task (fun () ->
-                  let wctx = Rule.fork_context ctx in
-                  let wcost = cost_factory wctx in
-                  List.map (fun site -> evaluate wctx ~cost:wcost ~cleanups r site) sites))
+              worker_task ctx (fun wctx ->
+                  let cost = cost_factory wctx in
+                  List.map (fun site -> evaluate wctx ~cost ~cleanups r site) sites))
             groups
         in
         let outcomes = Exec.map exec tasks in
@@ -943,22 +838,22 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
         List.iteri
           (fun ti ((r : Rule.t), sites) ->
             match outcomes.(ti) with
-            | Pool.Done (gains, fails) ->
-                import_failures fails;
+            | Pool.Done (evals, fails) ->
                 List.iter2
-                  (fun site gain ->
-                    match gain with
-                    | None -> ()
-                    | Some gain -> (
-                        match !best with
-                        | Some { gain = g; _ } when g >= gain -> ()
-                        | _ -> best := Some { rule = r; site; gain }))
-                  sites gains
+                  (fun site ev ->
+                    record_eval r site ev;
+                    match (ev.result, !best) with
+                    | Error _, _ -> ()
+                    | Ok gain, Some { gain = g; _ } when g >= gain -> ()
+                    | Ok gain, _ -> best := Some { rule = r; site; gain })
+                  sites evals;
+                import_failures ctx.Rule.session fails
             | Pool.Task_failed fault ->
                 (* The whole task is written off and its rule
                    quarantined: a raising rule, a deadline overrun or a
                    stall are all contained here, never escalated. *)
-                note_failure_named ~reason:Raised r.Rule.rule_name
+                note_failure_named ctx.Rule.session ~reason:Raised
+                  r.Rule.rule_name
                   ("parallel task: " ^ Pool.fault_message fault))
           groups;
         match !best with
@@ -967,7 +862,8 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
         | Some _ | None -> None
       end
 
-let greedy_pass ?(max_steps = 1000) ?budget ctx ~cost ~cleanups rules =
+let greedy_pass ?(max_steps = 1000) ?budget ?(exec = Exec.inline ())
+    ~cost_factory ctx ~cleanups rules =
   let stop n =
     n >= max_steps
     || match budget with Some b -> Budget.exhausted b | None -> false
@@ -975,33 +871,12 @@ let greedy_pass ?(max_steps = 1000) ?budget ctx ~cost ~cleanups rules =
   let rec go n acc =
     if stop n then List.rev acc
     else
-      match greedy_step ?budget ctx ~cost ~cleanups rules with
+      match greedy_step ?budget ~exec ~cost_factory ctx ~cleanups rules with
       | Some app -> go (n + 1) (app :: acc)
       | None -> List.rev acc
   in
   go 0 []
 
-(* Parallel greedy pass: [Sequential] plans take the legacy path
-   byte-for-byte; [Inline] and [Pooled] plans share the fan-out step
-   above, which is what makes [--domains 1] and [--domains N]
-   bit-identical. *)
-let greedy_pass_par ?(max_steps = 1000) ?budget ~exec ~cost_factory ctx ~cost
-    ~cleanups rules =
-  match (exec : Exec.t) with
-  | Exec.Sequential -> greedy_pass ~max_steps ?budget ctx ~cost ~cleanups rules
-  | Exec.Inline _ | Exec.Pooled _ ->
-      let stop n =
-        n >= max_steps
-        || match budget with Some b -> Budget.exhausted b | None -> false
-      in
-      let rec go n acc =
-        if stop n then List.rev acc
-        else
-          match greedy_step_par ?budget ~exec ~cost_factory ctx ~cleanups rules with
-          | Some app -> go (n + 1) (app :: acc)
-          | None -> List.rev acc
-      in
-      go 0 []
 (* --- OPS-style strictly rule-based control --------------------------- *)
 
 type ops_state = {

@@ -25,14 +25,14 @@ exception Lint_violation of string * string
 (** Raised in debug-lint mode when a rule application breaks a
     structural invariant: (rule name, lint report). *)
 
-val set_debug_lint : bool -> unit
+val set_debug_lint : Rule.session -> bool -> unit
 (** When enabled, the engine re-checks the structural lint invariants
     ([Milo_lint.Lint.structural_rules]) after every rule application
-    and raises {!Lint_violation} naming the offending rule.  Costs a
-    full design scan per application — debugging only.  Global; off by
-    default. *)
+    through a context carrying this session, and raises
+    {!Lint_violation} naming the offending rule.  Costs a full design
+    scan per application — debugging only.  Off by default. *)
 
-type reason =
+type reason = Rule.reason =
   | Raised  (** the rule's [apply] or [find] raised (or failed debug-lint) *)
   | Miscompiled
       (** the semantic guard caught the rule changing its site's
@@ -41,65 +41,71 @@ type reason =
 val reason_name : reason -> string
 (** ["raised"] / ["miscompiled"]. *)
 
-val quarantine_reset : unit -> unit
-(** Clear the rule quarantine (call at the start of a flow run). *)
+(** {2 Rule quarantine}
 
-val is_quarantined : string -> bool
+    A rule whose [apply] (or [find]) raises, or whose result debug-lint
+    or the rule guard flags, inside a measured pass is rolled back
+    through the change log and quarantined: it matches nothing for the
+    rest of the session, instead of the exception aborting the pass.
+    The quarantine lives in the {!Rule.session}, so it is per run. *)
 
-val quarantined : unit -> (string * int) list
-(** Rules quarantined since the last reset, with the number of failed
-    applications trapped for each, sorted by name.  A rule is
-    quarantined when its [apply] (or [find]) raises, or when debug-lint
-    flags its result, inside a measured pass: the offending edits are
-    rolled back through the change log and the rule matches nothing for
-    the rest of the run, instead of the exception aborting the pass. *)
+val is_quarantined : Rule.session -> string -> bool
 
-val quarantined_errors : unit -> (string * string) list
-(** For each quarantined rule, the message of the {e first} exception
+val quarantined : Rule.session -> (string * int) list
+(** Quarantined rules with the number of failed applications trapped
+    for each, sorted by name. *)
+
+val quarantined_errors : Rule.session -> (string * string) list
+(** For each quarantined rule, the message of the {e first} failure
     trapped from it (later failures only bump the count) — the raw
     material for [Report.partial_summary]'s diagnosis lines.  Sorted by
     name. *)
 
-val quarantined_reasons : unit -> (string * reason) list
+val quarantined_reasons : Rule.session -> (string * reason) list
 (** Why each quarantined rule was quarantined (the reason of its first
     trapped failure).  Sorted by name. *)
 
-val quarantine_dump : unit -> (string * int * string * reason) list
+val quarantine_dump : Rule.session -> (string * int * string * reason) list
 (** Full quarantine image — rule, trapped-failure count, first error
     message, reason — sorted by name.  Journaled at flow checkpoints so
     a resumed run can restore it. *)
 
-val quarantine_restore : (string * int * string * reason) list -> unit
+val quarantine_restore :
+  Rule.session -> (string * int * string * reason) list -> unit
 (** Replace the quarantine with a recorded image (journal resume). *)
 
-val note_failure_named : reason:reason -> string -> string -> unit
-(** [note_failure_named ~reason key msg] quarantines [key] directly —
+val note_failure_named :
+  Rule.session -> reason:reason -> string -> string -> unit
+(** [note_failure_named s ~reason key msg] quarantines [key] directly —
     used by the strategy layer to quarantine whole strategies
-    (["strategy:NAME"]) when their parallel task faults.  Inside an
-    oracle worker the failure is deferred into the worker's buffer
-    like any rule failure. *)
+    (["strategy:NAME"]) when their parallel task faults.  In a worker
+    fork's session the failure is collected for the coordinator like
+    any rule failure. *)
 
 (** {2 Parallel oracle workers}
 
-    The parallel fan-out runs candidate evaluations as supervised
-    tasks on forked design snapshots ({!Rule.fork_context}).  Inside
-    {!worker_task}, the engine's observable machinery is suspended:
-    tracing and provenance are suppressed on the domain, the rule
-    guard short-circuits (verdict [Unguarded], no stats ticks), and
-    quarantine writes are deferred into a per-task buffer the
-    coordinator imports in task order.  Only the merged winner is then
-    re-applied authoritatively on the coordinator — which is what
-    keeps every observable stream bit-identical across domain
-    counts. *)
+    The fan-out sites run candidate evaluations as supervised tasks on
+    forked contexts ({!Rule.fork_context}).  Inside {!worker_task} the
+    engine's observable machinery is suspended: tracing and provenance
+    are suppressed on the domain, the fork's session has no rule guard
+    (verdict [Unguarded], no stats ticks), and its failures are
+    collected and handed back for the coordinator to import in task
+    order.  Only the merged winner is then re-applied authoritatively
+    on the coordinator — which is what keeps every observable stream
+    bit-identical across domain counts. *)
 
 val worker_task :
-  (unit -> 'a) -> 'a * (string * string * reason) list
-(** Run a task body in oracle-worker mode; returns its value and the
-    deferred failures (oldest first) as [(rule, message, reason)]. *)
+  Rule.context ->
+  (Rule.context -> 'a) ->
+  'a * (string * string * reason) list
+(** [worker_task ctx f] runs [f] on a fresh fork of [ctx] in
+    oracle-worker mode; returns its value and the fork's trapped
+    failures (oldest first) as [(rule, message, reason)].  Call it
+    inside the task body, so the fork is made on the worker's domain. *)
 
-val import_failures : (string * string * reason) list -> unit
-(** Fold a worker's deferred failures into the global quarantine.
-    Call on the coordinator, in task-submission order. *)
+val import_failures : Rule.session -> (string * string * reason) list -> unit
+(** Fold a worker's failures into the session's quarantine.  Call on
+    the coordinator, in task-submission order. *)
 
 (** {2 Semantic rule guard}
 
@@ -112,49 +118,35 @@ val import_failures : (string * string * reason) list -> unit
     backstop them), so a sound rule is never quarantined. *)
 
 val set_rule_guard :
+  Rule.session ->
   ?budget:Budget.t -> ?stats:Milo_guard.Guard.stats ->
   Milo_guard.Guard.policy -> unit
-(** Arm (or, with [Off], disarm) the rule guard.  [Sampled] checks the
-    first application of each rule and then every 16th opportunity,
-    and stops checking once [budget] is exhausted; [Full] checks every
-    application.  Counters accumulate into [stats] when given.
-    Global, like the quarantine; the flow sets and clears it per
-    run. *)
+(** Arm (or, with [Off], disarm) the session's rule guard.  [Sampled]
+    checks the first application of each rule and then every 16th
+    opportunity, and stops checking once [budget] is exhausted; [Full]
+    checks every application.  Counters accumulate into [stats] when
+    given. *)
 
-val clear_rule_guard : unit -> unit
+val rule_guard_stats : Rule.session -> Milo_guard.Guard.stats option
+(** Counters of the session's armed rule guard, if any. *)
 
-val rule_guard_stats : unit -> Milo_guard.Guard.stats option
-(** Counters of the currently armed rule guard, if any. *)
-
-val guard_sample_state : unit -> (int * string list) option
+val guard_sample_state : Rule.session -> (int * string list) option
 (** The [Sampled] tier's deterministic position — tick counter and the
     set of rules already checked once — journaled at flow checkpoints;
     [None] when no rule guard is armed. *)
 
-val restore_guard_sample_state : int -> string list -> unit
+val restore_guard_sample_state : Rule.session -> int -> string list -> unit
 (** Re-enter the sampling sequence at a recorded position (journal
     resume).  No-op when no rule guard is armed. *)
 
-(** {2 Certified rules}
-
-    Rules holding a static Certified certificate (proved sound offline
-    by [Milo_absint.Certify]: exhaustive truth-table enumeration over
-    their rewrite cones).  Their applications skip the dynamic cone
-    re-simulation entirely — counted in [stats.rule_certified] — so a
-    [Full] rule guard costs only the flow's stage-boundary checks.
-    Probabilistic and Uncertified rules keep the dynamic check.  The
-    store holds names only (certification lives above this layer) and
-    is global like the quarantine; the flow installs and clears it per
-    run.  Quarantine still dominates a certificate. *)
-
-val set_certified : string list -> unit
-(** Replace the certified-rule store with the given rule names. *)
-
-val clear_certified : unit -> unit
-val is_certified : string -> bool
-
-val certified_rules : unit -> string list
-(** Currently installed certified rule names, sorted. *)
+val set_certified : Rule.session -> string list -> unit
+(** Install the rules holding a static Certified certificate (proved
+    sound offline by [Milo_absint.Certify]: exhaustive truth-table
+    enumeration over their rewrite cones).  Their applications skip
+    the dynamic cone re-simulation entirely — counted in
+    [stats.rule_certified] — so a [Full] rule guard costs only the
+    flow's stage-boundary checks.  Quarantine still dominates a
+    certificate. *)
 
 val guarded_find : Rule.context -> Rule.t -> Rule.site list
 (** [find] with quarantine: a raising or quarantined rule matches
@@ -199,70 +191,62 @@ val measure_keep : Rule.context -> mstep -> unit
 
 type application = { rule : Rule.t; site : Rule.site; gain : float }
 
+type eval = {
+  result : (float, string) result;
+      (** [Ok gain] (cost decrease including cleanups), or [Error
+          reason] for a rejected candidate: ["apply-failed"],
+          ["unmeasurable"] or ["cost-failed"] *)
+  dt : float;  (** wall time of the evaluation, seconds *)
+}
+
 val evaluate :
-  ?budget:Budget.t ->
   Rule.context ->
   cost:(unit -> float) ->
   cleanups:Rule.t list ->
   Rule.t ->
   Rule.site ->
-  float option
+  eval
 (** Gain of applying the rule (with cleanups) at the site: apply,
-    measure, undo.  Counts one evaluation against [budget] and returns
-    [None] without applying once the budget is exhausted. *)
+    measure, undo.  Nothing is traced here — evaluations run in worker
+    tasks — so the outcome comes back as a value for {!record_eval}. *)
+
+val record_eval : Rule.t -> Rule.site -> eval -> unit
+(** Report one evaluation to the ambient tracer, if any: the
+    [engine.eval_us] histogram, the per-rule attribution table and, for
+    a rejected candidate, a [Rule_refused] event.  The coordinator
+    calls it in task order. *)
 
 val greedy_step :
   ?min_gain:float ->
   ?budget:Budget.t ->
+  exec:Milo_parallel.Exec.t ->
+  cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
-  cost:(unit -> float) ->
   cleanups:Rule.t list ->
   Rule.t list ->
   application option
+(** One greedy step (the Logic Consultant's measure-the-gain control):
+    candidates are found on the coordinator, each rule's sites are
+    evaluated by one supervised task on a forked snapshot
+    ([cost_factory] builds the cost function over the fork), and the
+    merged winner — (rule index, site ordinal) order, earlier candidate
+    wins ties — is re-applied authoritatively if it improves the cost
+    by more than [min_gain].  A faulting task quarantines its rule; the
+    step never raises from a task and never hangs on one. *)
 
 val greedy_pass :
   ?max_steps:int ->
   ?budget:Budget.t ->
+  ?exec:Milo_parallel.Exec.t ->
+  cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
-  cost:(unit -> float) ->
   cleanups:Rule.t list ->
   Rule.t list ->
   application list
 (** Greedy steps until quiescence, [max_steps], or the budget is
     exhausted — in the last case the pass stops cleanly with the
-    applications committed so far. *)
-
-val greedy_step_par :
-  ?min_gain:float ->
-  ?budget:Budget.t ->
-  exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
-  Rule.context ->
-  cleanups:Rule.t list ->
-  Rule.t list ->
-  application option
-(** One parallel greedy step: candidates are found on the coordinator,
-    each rule's sites are evaluated by one supervised task on a forked
-    snapshot ([cost_factory] builds the worker's cost function over
-    the fork), and the merged winner — (rule index, site ordinal)
-    order, sequential tie-break — is re-applied authoritatively.  A
-    faulting task quarantines its rule; the step never raises from a
-    task and never hangs on one. *)
-
-val greedy_pass_par :
-  ?max_steps:int ->
-  ?budget:Budget.t ->
-  exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
-  Rule.context ->
-  cost:(unit -> float) ->
-  cleanups:Rule.t list ->
-  Rule.t list ->
-  application list
-(** {!greedy_pass} with a parallel execution plan.  A [Sequential]
-    plan takes the legacy path byte-for-byte (using [cost]); [Inline]
-    and [Pooled] plans share {!greedy_step_par}, which is what makes
-    [--domains 1] and [--domains N] produce identical results. *)
+    applications committed so far.  [exec] defaults to
+    [Exec.inline ()]; every plan gives identical results. *)
 
 type ops_state
 

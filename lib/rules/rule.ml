@@ -30,6 +30,53 @@ let class_name = function
   | Cleanup -> "cleanup"
   | Micro -> "micro"
 
+(* --- Engine session ------------------------------------------------------ *)
+
+(* The engine's per-run state.  [Engine] owns the logic; the record
+   lives here so every context of a run can carry it, and two runs in
+   one process never share a quarantine. *)
+
+type reason = Raised | Miscompiled
+
+type rule_guard = {
+  rg_policy : Milo_guard.Guard.policy;
+  rg_budget : Budget.t option;
+  rg_stats : Milo_guard.Guard.stats;
+  rg_seen : (string, unit) Hashtbl.t;  (* rules checked at least once *)
+  mutable rg_tick : int;  (* check opportunities, for sampling *)
+  rg_tv : (string, int array) Hashtbl.t;  (* cone digest -> truth vector *)
+}
+
+type session = {
+  quarantine : (string, int * string * reason) Hashtbl.t;
+  trapped : (string * string * reason) list ref option;
+  mutable rule_guard : rule_guard option;
+  mutable certified : string list;
+  mutable last_verdict : Milo_provenance.Provenance.verdict;
+  mutable debug_lint : bool;
+}
+
+let new_session () =
+  {
+    quarantine = Hashtbl.create 16;
+    trapped = None;
+    rule_guard = None;
+    certified = [];
+    last_verdict = Milo_provenance.Provenance.Unguarded;
+    debug_lint = false;
+  }
+
+(* A worker's session reads its parent's quarantine and collects its
+   own failures; it never guards (only the coordinator's authoritative
+   re-application is checked). *)
+let fork_session s =
+  {
+    (new_session ()) with
+    quarantine = s.quarantine;
+    trapped = Some (ref []);
+    debug_lint = s.debug_lint;
+  }
+
 type context = {
   design : D.t;
   tech : Technology.t;  (** library the design's macros come from *)
@@ -42,9 +89,10 @@ type context = {
       (** when set, the engine keeps this incremental measurer in
           lock-step with every apply/undo/commit, and measurer-aware
           cost functions read it instead of recomputing *)
+  session : session;
 }
 
-let make_context ?(extra_resolve : D.resolver option) tech set design =
+let make_context ?session ?(extra_resolve : D.resolver option) tech set design =
   let resolve kind nm =
     match kind with
     | T.Macro _ when Technology.mem tech nm -> (Technology.find tech nm).Macro.pins
@@ -58,20 +106,23 @@ let make_context ?(extra_resolve : D.resolver option) tech set design =
     | T.Constant _ ->
         T.pins_of_kind kind
   in
-  { design; tech; set; resolve; focus = ref None; measurer = ref None }
+  let session = match session with Some s -> s | None -> new_session () in
+  { design; tech; set; resolve; focus = ref None; measurer = ref None; session }
 
 (* Fork for a parallel oracle worker: an id-preserving snapshot of the
    design (so sites — bare component/net ids — found on the original
    resolve identically on the fork), sharing the immutable technology,
-   gate set and resolver, with fresh focus and measurer slots.  The
-   worker evaluates candidates on the copy and throws it away; nothing
-   it does is visible through the original context. *)
+   gate set and resolver, with fresh focus and measurer slots and a
+   forked session.  The worker evaluates candidates on the copy and
+   throws it away; nothing it does is visible through the original
+   context. *)
 let fork_context ctx =
   {
     ctx with
     design = D.copy ctx.design;
     focus = ref None;
     measurer = ref None;
+    session = fork_session ctx.session;
   }
 
 let find_macro ctx name = Technology.find_opt ctx.tech name

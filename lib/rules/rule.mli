@@ -9,6 +9,45 @@ type rule_class = Logic | Timing | Area | Power | Electric | Cleanup | Micro
 
 val class_name : rule_class -> string
 
+(** {2 Engine session}
+
+    The engine's per-run state, carried by every context of a run.
+    [Engine] owns the logic over it; two sessions share nothing, so
+    two runs in one process never share a quarantine. *)
+
+type reason =
+  | Raised  (** the rule's [apply] or [find] raised (or failed debug-lint) *)
+  | Miscompiled
+      (** the semantic guard caught the rule changing its site's
+          function; the application was reverted *)
+
+type rule_guard = {
+  rg_policy : Milo_guard.Guard.policy;
+  rg_budget : Budget.t option;
+  rg_stats : Milo_guard.Guard.stats;
+  rg_seen : (string, unit) Hashtbl.t;  (** rules checked at least once *)
+  mutable rg_tick : int;  (** check opportunities, for sampling *)
+  rg_tv : (string, int array) Hashtbl.t;
+      (** truth vectors of structurally identical cones, by digest *)
+}
+
+type session = {
+  quarantine : (string, int * string * reason) Hashtbl.t;
+      (** per rule: failure count, first failure message and why *)
+  trapped : (string * string * reason) list ref option;
+      (** [Some] in a worker fork: failures trapped by the task, newest
+          first, handed back to the coordinator instead of written to
+          the (then read-only) [quarantine] *)
+  mutable rule_guard : rule_guard option;  (** armed semantic rule guard *)
+  mutable certified : string list;  (** rules whose guard check is proved *)
+  mutable last_verdict : Milo_provenance.Provenance.verdict;
+      (** guard verdict of the latest guarded apply *)
+  mutable debug_lint : bool;
+}
+
+val new_session : unit -> session
+(** Empty quarantine, no guard, no certificates, debug-lint off. *)
+
 type context = {
   design : D.t;
   tech : Milo_library.Technology.t;
@@ -21,20 +60,25 @@ type context = {
       (** when set (see [Engine]), the measured disciplines keep this
           incremental measurer in lock-step with the design and
           measurer-aware cost functions read it in O(1) *)
+  session : session;
 }
 
 val make_context :
+  ?session:session ->
   ?extra_resolve:D.resolver ->
   Milo_library.Technology.t ->
   Milo_compilers.Gate_comp.gate_set ->
   D.t ->
   context
+(** [session] defaults to a fresh {!new_session}. *)
 
 val fork_context : context -> context
 (** An oracle-worker fork: id-preserving copy of the design (sites
     found on the original resolve identically on the fork), shared
-    immutable technology/set/resolver, fresh focus and measurer slots.
-    Nothing done through the fork is visible through the original. *)
+    immutable technology/set/resolver, fresh focus and measurer slots,
+    and a session that reads the parent's quarantine, collects its own
+    failures in [trapped] and never guards.  Nothing done through the
+    fork is visible through the original. *)
 
 val scan_comps : context -> D.comp list
 (** Components eligible for matching (respects the focus set). *)

@@ -75,134 +75,28 @@ let moves ctx rules ~allowed =
         (r.Rule.find ctx))
     rules
 
-(* Depth-first search returning the cost of the best reachable state and
-   the move sequence to it.  The circuit is restored before returning.
-   The [budget] bounds the otherwise-unbounded lookahead: every
-   candidate evaluation counts against it, and an exhausted budget
-   prunes the remaining tree (the search degrades to best-so-far). *)
-let search ?(params = default_params) ?stats ?budget ctx ~cost ~cleanups rules
-    =
-  let st = match stats with Some s -> s | None -> { nodes = 0; evals = 0 } in
-  let nodes0 = st.nodes and evals0 = st.evals in
-  let exhausted () =
-    match budget with Some b -> Budget.exhausted b | None -> false
-  in
-  let root_cost = cost () in
-  (* Order candidate moves by immediate gain and keep the best B. *)
-  let ranked ~allowed =
-    let cands = moves ctx rules ~allowed in
-    let scored =
-      List.filter_map
-        (fun (r, site) ->
-          st.evals <- st.evals + 1;
-          match Engine.evaluate ?budget ctx ~cost ~cleanups r site with
-          | None -> None
-          | Some gain ->
-              if -.gain > params.delta_cost then None else Some (gain, r, site))
-        cands
-    in
-    let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) scored in
-    List.filteri (fun i _ -> i < params.b) sorted
-  in
-  let rec dfs depth ~allowed current_cost =
-    st.nodes <- st.nodes + 1;
-    if depth >= params.d_max || exhausted () then (current_cost, [])
-    else
-      let best = ref (current_cost, []) in
-      List.iter
-        (fun (_, (r : Rule.t), site) ->
-          if (not (exhausted ())) && Rule.site_alive ctx site then begin
-            let log = D.new_log () in
-            if Engine.guarded_apply ctx r site log then begin
-              Engine.run_cleanups ctx cleanups log;
-              match Engine.measure_step ctx log with
-              | Engine.Measure_failed -> D.undo ctx.Rule.design log
-              | step ->
-                  let c = cost () in
-                  let allowed' =
-                    match allowed with
-                    | Some _ -> allowed
-                    | None ->
-                        if params.n_hood > 0 then
-                          Some
-                            (neighbourhood ctx site.Rule.site_comps
-                               params.n_hood)
-                        else None
-                  in
-                  let sub_cost, sub_moves = dfs (depth + 1) ~allowed:allowed' c in
-                  let total = Float.min c sub_cost in
-                  if total < fst !best then
-                    best :=
-                      (total, (r, site) :: (if sub_cost < c then sub_moves else []));
-                  D.undo ctx.Rule.design log;
-                  Engine.measure_drop ctx step
-            end
-            else D.undo ctx.Rule.design log
-          end)
-        (ranked ~allowed);
-      !best
-  in
-  let best_cost, seq = dfs 0 ~allowed:None root_cost in
-  if Milo_trace.Trace.enabled () then begin
-    Milo_trace.Trace.count "search.nodes" (st.nodes - nodes0);
-    Milo_trace.Trace.count "search.evals" (st.evals - evals0)
-  end;
-  if best_cost >= root_cost -. 1e-9 || seq = [] then None
-  else begin
-    (* Execute the first D_app moves of the winning sequence.  Later
-       moves assumed the edits of earlier ones, so the first move that
-       no longer applies (dead site or failed re-application) aborts
-       the rest of the sequence instead of executing it against a state
-       it was never evaluated on. *)
-    let rec exec k = function
-      | [] -> ()
-      | (r, site) :: rest ->
-          if k < params.d_app && Rule.site_alive ctx site then begin
-            let log = D.new_log () in
-            if Engine.guarded_apply ctx r site log then begin
-              Engine.run_cleanups ctx cleanups log;
-              Engine.measure_keep ctx (Engine.measure_step ctx log);
-              D.commit ~label:r.Rule.rule_name ~design:ctx.Rule.design log;
-              (match budget with Some b -> Budget.step b | None -> ());
-              if Milo_trace.Trace.enabled () then
-                Milo_trace.Trace.emit
-                  (Milo_trace.Trace.Search_decision
-                     {
-                       rule = r.Rule.rule_name;
-                       site = site.Rule.descr;
-                       depth = k;
-                       gain = root_cost -. best_cost;
-                     });
-              exec (k + 1) rest
-            end
-            else D.undo ctx.Rule.design log
-          end
-    in
-    exec 0 seq;
-    Some (root_cost -. cost ())
-  end
-
-(* --- Parallel lookahead ---------------------------------------------- *)
-
 module Pool = Milo_parallel.Pool
 module Exec = Milo_parallel.Exec
 
-(* Budget-free depth-first search for an oracle worker: the same tree
-   discipline as [search]'s inner [dfs], on a forked context, with no
-   shared-budget charging (the coordinator charges the merged eval
-   counts deterministically afterwards).  Cancellation still reaches
-   it through [Engine.evaluate]/[Engine.guarded_apply]'s poll
-   points. *)
-let worker_dfs ~params ctx ~cost ~cleanups rules st =
+(* Depth-first search for an oracle worker on a forked context,
+   returning the cost of the best reachable state and the move
+   sequence to it; the fork is restored before returning.  No budget
+   is charged here (the coordinator charges the merged eval counts
+   deterministically afterwards), and every evaluation is appended to
+   [trail] for the coordinator to record.  Cancellation reaches it
+   through [Engine.evaluate]/[Engine.guarded_apply]'s poll points. *)
+let dfs ~params ctx ~cost ~cleanups rules st trail =
   let ranked ~allowed =
     let cands = moves ctx rules ~allowed in
     let scored =
       List.filter_map
         (fun (r, site) ->
           st.evals <- st.evals + 1;
-          match Engine.evaluate ctx ~cost ~cleanups r site with
-          | None -> None
-          | Some gain ->
+          let ev = Engine.evaluate ctx ~cost ~cleanups r site in
+          trail := (r, site, ev) :: !trail;
+          match ev.Engine.result with
+          | Error _ -> None
+          | Ok gain ->
               if -.gain > params.delta_cost then None else Some (gain, r, site))
         cands
     in
@@ -249,76 +143,91 @@ let worker_dfs ~params ctx ~cost ~cleanups rules st =
   in
   dfs
 
-(* One parallel lookahead step.  Two fan-outs, both merged in
-   submission order so the result is independent of scheduling:
+(* Coordinator side of a worker's result: record its evaluations and
+   import its failures, in task order; a faulted task quarantines its
+   rule. *)
+let settle ctx (r : Rule.t) outcome k =
+  match outcome with
+  | Pool.Done ((v, trail), fails) ->
+      List.iter (fun (r, site, ev) -> Engine.record_eval r site ev) (List.rev trail);
+      Engine.import_failures ctx.Rule.session fails;
+      k v
+  | Pool.Task_failed fault ->
+      Engine.note_failure_named ctx.Rule.session ~reason:Engine.Raised
+        r.Rule.rule_name
+        ("parallel task: " ^ Pool.fault_message fault)
+
+(* One lookahead step: build the bounded search tree, execute the first
+   D_app moves of the best sequence, return the realized gain.  Two
+   fan-outs, both merged in submission order so the result is
+   independent of scheduling:
 
    1. root ranking — one supervised task per rule scores that rule's
       sites on a forked snapshot; the coordinator assembles the scored
-      list in (rule index, site ordinal) order and ranks it with the
-      same stable sort and breadth cut as the sequential search;
+      list in (rule index, site ordinal) order and ranks it with a
+      stable sort and the breadth cut;
    2. branch exploration — one supervised task per ranked root move
       applies the move on a fresh fork and runs the remaining subtree
-      there; the coordinator folds the branch results in rank order
-      with the sequential fold, so ties break identically.
+      there; the coordinator folds the branch results in rank order, so
+      ties break identically.
 
    Only the winning sequence's first D_app moves are then re-applied
    authoritatively on the coordinator — trace events, budget steps and
    provenance all flow from that single path.  A faulting task
    quarantines its rule and costs exactly its own candidates. *)
-let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
-    ctx ~cost ~cleanups rules =
+let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
+    ~cost_factory ctx ~cleanups rules =
   let st = match stats with Some s -> s | None -> { nodes = 0; evals = 0 } in
   let nodes0 = st.nodes and evals0 = st.evals in
+  let charge evals =
+    st.evals <- st.evals + evals;
+    match budget with
+    | Some b -> for _ = 1 to evals do Budget.eval b done
+    | None -> ()
+  in
   if match budget with Some b -> Budget.exhausted b | None -> false then None
   else begin
+    let cost = cost_factory ctx in
     let root_cost = cost () in
     (* Fan-out 1: score the root moves, one task per rule. *)
     let rules_arr = Array.of_list rules in
     let rank_tasks =
       Array.to_list rules_arr
       |> List.map (fun (r : Rule.t) () ->
-             Engine.worker_task (fun () ->
-                 let wctx = Rule.fork_context ctx in
+             Engine.worker_task ctx (fun wctx ->
                  let wcost = cost_factory wctx in
-                 let wst = { nodes = 0; evals = 0 } in
                  let sites =
-                   if Engine.is_quarantined r.Rule.rule_name then []
+                   if Engine.is_quarantined wctx.Rule.session r.Rule.rule_name
+                   then []
                    else r.Rule.find wctx
                  in
+                 let trail = ref [] in
                  let scored =
                    List.map
                      (fun site ->
-                       wst.evals <- wst.evals + 1;
-                       match Engine.evaluate wctx ~cost:wcost ~cleanups r site with
-                       | None -> None
-                       | Some gain ->
+                       let ev = Engine.evaluate wctx ~cost:wcost ~cleanups r site in
+                       trail := (r, site, ev) :: !trail;
+                       match ev.Engine.result with
+                       | Error _ -> None
+                       | Ok gain ->
                            if -.gain > params.delta_cost then None
                            else Some (gain, site))
                      sites
                  in
-                 (scored, wst.evals)))
+                 (scored, !trail)))
     in
-    let rank_out = Exec.map exec rank_tasks in
     let scored = ref [] in
     Array.iteri
       (fun ti outcome ->
         let r = rules_arr.(ti) in
-        match outcome with
-        | Pool.Done ((gains, evals), fails) ->
-            Engine.import_failures fails;
-            st.evals <- st.evals + evals;
-            (match budget with
-            | Some b -> for _ = 1 to evals do Budget.eval b done
-            | None -> ());
+        settle ctx r outcome (fun gains ->
+            charge (List.length gains);
             List.iter
               (function
                 | Some (gain, site) -> scored := (gain, r, site) :: !scored
                 | None -> ())
-              gains
-        | Pool.Task_failed fault ->
-            Engine.note_failure_named ~reason:Engine.Raised r.Rule.rule_name
-              ("parallel task: " ^ Pool.fault_message fault))
-      rank_out;
+              gains))
+      (Exec.map exec rank_tasks);
     let sorted =
       List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !scored)
     in
@@ -328,61 +237,53 @@ let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
     let branch_tasks =
       Array.to_list ranked_arr
       |> List.map (fun (_, (r : Rule.t), site) () ->
-             Engine.worker_task (fun () ->
-                 let wctx = Rule.fork_context ctx in
+             Engine.worker_task ctx (fun wctx ->
                  let wcost = cost_factory wctx in
                  let wst = { nodes = 0; evals = 0 } in
-                 if not (Rule.site_alive wctx site) then None
-                 else begin
-                   let log = D.new_log () in
-                   if Engine.guarded_apply wctx r site log then begin
-                     Engine.run_cleanups wctx cleanups log;
-                     match Engine.measure_step wctx log with
-                     | Engine.Measure_failed -> None
-                     | _step ->
-                         let c = wcost () in
-                         let allowed' =
-                           if params.n_hood > 0 then
-                             Some
-                               (neighbourhood wctx site.Rule.site_comps
-                                  params.n_hood)
-                           else None
-                         in
-                         let sub_cost, sub_moves =
-                           worker_dfs ~params wctx ~cost:wcost ~cleanups rules
-                             wst 1 ~allowed:allowed' c
-                         in
-                         Some (c, sub_cost, sub_moves, wst.nodes, wst.evals)
+                 let trail = ref [] in
+                 let explored =
+                   if not (Rule.site_alive wctx site) then None
+                   else begin
+                     let log = D.new_log () in
+                     if Engine.guarded_apply wctx r site log then begin
+                       Engine.run_cleanups wctx cleanups log;
+                       match Engine.measure_step wctx log with
+                       | Engine.Measure_failed -> None
+                       | _step ->
+                           let c = wcost () in
+                           let allowed' =
+                             if params.n_hood > 0 then
+                               Some
+                                 (neighbourhood wctx site.Rule.site_comps
+                                    params.n_hood)
+                             else None
+                           in
+                           let sub_cost, sub_moves =
+                             dfs ~params wctx ~cost:wcost ~cleanups rules wst
+                               trail 1 ~allowed:allowed' c
+                           in
+                           Some (c, sub_cost, sub_moves, wst.nodes, wst.evals)
+                     end
+                     else None
                    end
-                   else None
-                 end))
+                 in
+                 (explored, !trail)))
     in
-    let branch_out = Exec.map exec branch_tasks in
     st.nodes <- st.nodes + 1;
     let best = ref (root_cost, []) in
     Array.iteri
       (fun bi outcome ->
         let _, (r : Rule.t), site = ranked_arr.(bi) in
-        match outcome with
-        | Pool.Done (res, fails) -> (
-            Engine.import_failures fails;
-            match res with
-            | None -> ()
-            | Some (c, sub_cost, sub_moves, nodes, evals) ->
-                st.nodes <- st.nodes + nodes;
-                st.evals <- st.evals + evals;
-                (match budget with
-                | Some b -> for _ = 1 to evals do Budget.eval b done
-                | None -> ());
-                let total = Float.min c sub_cost in
-                if total < fst !best then
-                  best :=
-                    ( total,
-                      (r, site) :: (if sub_cost < c then sub_moves else []) ))
-        | Pool.Task_failed fault ->
-            Engine.note_failure_named ~reason:Engine.Raised r.Rule.rule_name
-              ("parallel task: " ^ Pool.fault_message fault))
-      branch_out;
+        settle ctx r outcome (function
+          | None -> ()
+          | Some (c, sub_cost, sub_moves, nodes, evals) ->
+              st.nodes <- st.nodes + nodes;
+              charge evals;
+              let total = Float.min c sub_cost in
+              if total < fst !best then
+                best :=
+                  (total, (r, site) :: (if sub_cost < c then sub_moves else []))))
+      (Exec.map exec branch_tasks);
     let best_cost, seq = !best in
     if Milo_trace.Trace.enabled () then begin
       Milo_trace.Trace.count "search.nodes" (st.nodes - nodes0);
@@ -390,8 +291,11 @@ let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
     end;
     if best_cost >= root_cost -. 1e-9 || seq = [] then None
     else begin
-      (* Authoritative execution of the winning prefix, identical to
-         the sequential path. *)
+      (* Execute the first D_app moves of the winning sequence.  Later
+         moves assumed the edits of earlier ones, so the first move that
+         no longer applies (dead site or failed re-application) aborts
+         the rest of the sequence instead of executing it against a
+         state it was never evaluated on. *)
       let rec exec_moves k = function
         | [] -> ()
         | ((r : Rule.t), site) :: rest ->
@@ -423,8 +327,8 @@ let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
 
 (* Run lookahead steps until no improving sequence remains, the step
    ceiling is reached, or the budget is exhausted. *)
-let run ?(params = default_params) ?(max_steps = 200) ?stats ?budget ctx ~cost
-    ~cleanups rules =
+let run ?(params = default_params) ?(max_steps = 200) ?stats ?budget ?exec
+    ~cost_factory ctx ~cleanups rules =
   let stop n =
     n >= max_steps
     || match budget with Some b -> Budget.exhausted b | None -> false
@@ -432,32 +336,10 @@ let run ?(params = default_params) ?(max_steps = 200) ?stats ?budget ctx ~cost
   let rec go n total =
     if stop n then total
     else
-      match search ~params ?stats ?budget ctx ~cost ~cleanups rules with
+      match
+        step ~params ?stats ?budget ?exec ~cost_factory ctx ~cleanups rules
+      with
       | Some gain when gain > 1e-9 -> go (n + 1) (total +. gain)
       | Some _ | None -> total
   in
   go 0 0.0
-
-(* [run] with a parallel execution plan: [Sequential] is the legacy
-   path byte-for-byte; [Inline] and [Pooled] share [search_par]. *)
-let run_par ?(params = default_params) ?(max_steps = 200) ?stats ?budget ~exec
-    ~cost_factory ctx ~cost ~cleanups rules =
-  match (exec : Exec.t) with
-  | Exec.Sequential ->
-      run ~params ~max_steps ?stats ?budget ctx ~cost ~cleanups rules
-  | Exec.Inline _ | Exec.Pooled _ ->
-      let stop n =
-        n >= max_steps
-        || match budget with Some b -> Budget.exhausted b | None -> false
-      in
-      let rec go n total =
-        if stop n then total
-        else
-          match
-            search_par ~params ?stats ?budget ~exec ~cost_factory ctx ~cost
-              ~cleanups rules
-          with
-          | Some gain when gain > 1e-9 -> go (n + 1) (total +. gain)
-          | Some _ | None -> total
-      in
-      go 0 0.0

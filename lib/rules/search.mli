@@ -18,64 +18,38 @@ val neighbourhood :
 
 type stats = { mutable nodes : int; mutable evals : int }
 
-val search :
+val step :
   ?params:params ->
   ?stats:stats ->
   ?budget:Budget.t ->
+  ?exec:Milo_parallel.Exec.t ->
+  cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
-  cost:(unit -> float) ->
   cleanups:Rule.t list ->
   Rule.t list ->
   float option
-(** One lookahead step: build the bounded search tree, execute the first
-    D_app moves of the best sequence.  Returns the realized gain.  An
-    exhausted [budget] prunes the remaining tree; the search returns
-    best-so-far. *)
+(** One lookahead step: build the bounded search tree, execute the
+    first D_app moves of the best sequence, return the realized gain.
+    Root moves are scored by one supervised task per rule on forked
+    snapshots ([cost_factory] builds each task's cost function, and
+    the root cost on the caller's context), the top-B branches are each
+    explored by their own task, and results merge in submission order
+    (stable rank, first-best tie-breaks) before the winning prefix is
+    re-applied on the caller's context.  An exhausted [budget] returns
+    [None]; faulting tasks quarantine their rule; the step never raises
+    from a task and never hangs on one.  [exec] defaults to
+    [Exec.inline ()]; every plan gives identical results. *)
 
 val run :
   ?params:params ->
   ?max_steps:int ->
   ?stats:stats ->
   ?budget:Budget.t ->
+  ?exec:Milo_parallel.Exec.t ->
+  cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
-  cost:(unit -> float) ->
   cleanups:Rule.t list ->
   Rule.t list ->
   float
-(** Iterate lookahead steps to quiescence, [max_steps], or budget
+(** Iterate lookahead {!step}s to quiescence, [max_steps], or budget
     exhaustion; returns the total gain. *)
-
-val search_par :
-  ?params:params ->
-  ?stats:stats ->
-  ?budget:Budget.t ->
-  exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
-  Rule.context ->
-  cost:(unit -> float) ->
-  cleanups:Rule.t list ->
-  Rule.t list ->
-  float option
-(** One parallel lookahead step: root moves are scored by one
-    supervised task per rule on forked snapshots, the top-B branches
-    are each explored by their own task, and results merge in
-    submission order (stable rank, sequential tie-breaks) before the
-    winning prefix is re-applied authoritatively on the caller's
-    context.  Faulting tasks quarantine their rule; the step never
-    raises from a task and never hangs on one. *)
-
-val run_par :
-  ?params:params ->
-  ?max_steps:int ->
-  ?stats:stats ->
-  ?budget:Budget.t ->
-  exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
-  Rule.context ->
-  cost:(unit -> float) ->
-  cleanups:Rule.t list ->
-  Rule.t list ->
-  float
-(** {!run} with a parallel execution plan.  A [Sequential] plan takes
-    the legacy path byte-for-byte; [Inline] and [Pooled] plans share
-    {!search_par}, making [--domains 1] and [--domains N] identical. *)

@@ -1,9 +1,8 @@
 (** Flow telemetry: hierarchical spans, a typed event log, and a
     metrics registry, with pluggable sinks.
 
-    The tracer is ambient, mirroring the engine's existing global
-    switches ([Engine.set_debug_lint], [Measure.set_debug_check]): the
-    flow installs a tracer with {!with_tracer} and instrumented code
+    The tracer is ambient, like [Measure.set_debug_check]: the flow
+    installs a tracer with {!with_tracer} and instrumented code
     reports through the module-level helpers, which are no-ops when no
     tracer is installed.  Hot paths guard payload construction behind
     {!enabled} so the disabled default costs one ref read per probe.

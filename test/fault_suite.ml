@@ -143,45 +143,45 @@ let ctx_for design =
     (Milo_compilers.Gate_comp.generic_set lib)
     design
 
+let comp_count (ctx : Milo_rules.Rule.context) () =
+  float_of_int (D.num_comps ctx.Milo_rules.Rule.design)
+
 let engine_rollback () =
-  Engine.quarantine_reset ();
   let d = Suite.accumulator () in
   let before = D.copy d in
   let ctx = ctx_for d in
-  let cost () = float_of_int (D.num_comps d) in
   let apps =
-    Engine.greedy_pass ctx ~cost ~cleanups:[] [ Faults.sabotage_rule () ]
+    Engine.greedy_pass ~cost_factory:comp_count ctx ~cleanups:[]
+      [ Faults.sabotage_rule () ]
   in
+  let session = ctx.Milo_rules.Rule.session in
   if apps <> [] then fail "engine rollback: sabotage rule committed";
   if not (D.equal_structure before d) then
     fail "engine rollback: design not restored after mid-edit failure";
-  if not (Engine.is_quarantined "fault-sabotage") then
+  if not (Engine.is_quarantined session "fault-sabotage") then
     fail "engine rollback: rule not quarantined";
-  (match Engine.quarantined () with
+  match Engine.quarantined session with
   | [ ("fault-sabotage", n) ] when n >= 1 ->
       Printf.printf "ok   engine rollback (quarantined after %d failure(s))\n" n
   | q -> fail "engine rollback: unexpected quarantine set (%d entries)"
-           (List.length q));
-  Engine.quarantine_reset ()
+           (List.length q)
 
 let engine_raising () =
-  Engine.quarantine_reset ();
   let d = Suite.accumulator () in
   let before = D.copy d in
   let ctx = ctx_for d in
-  let cost () = float_of_int (D.num_comps d) in
   let apps =
-    Engine.greedy_pass ctx ~cost ~cleanups:[] [ Faults.raising_rule () ]
+    Engine.greedy_pass ~cost_factory:comp_count ctx ~cleanups:[]
+      [ Faults.raising_rule () ]
   in
   if apps <> [] then fail "engine raising: raising rule committed";
   if not (D.equal_structure before d) then
     fail "engine raising: design mutated by a rule that only raises";
-  if not (Engine.is_quarantined "fault-raising") then
-    fail "engine raising: rule not quarantined"
-  else Printf.printf "ok   engine raising-rule quarantine\n";
-  Engine.quarantine_reset ()
+  if not (Engine.is_quarantined ctx.Milo_rules.Rule.session "fault-raising")
+  then fail "engine raising: rule not quarantined"
+  else Printf.printf "ok   engine raising-rule quarantine\n"
 
-(* A flow run resets the quarantine and reports it per run. *)
+(* A flow run has its own quarantine and reports it. *)
 let quarantine_reporting () =
   let case = List.hd (Suite.all ()) in
   match
@@ -283,34 +283,26 @@ let inline_fault_classification () =
    nothing from the faulty rule, and no exception escapes. *)
 let engine_parallel_faults () =
   let run_with what exec rule expect_note =
-    Engine.quarantine_reset ();
     let d = Suite.accumulator () in
     let before = D.copy d in
     let ctx = ctx_for d in
-    let cost () = float_of_int (D.num_comps d) in
-    let cost_factory wctx () =
-      float_of_int (D.num_comps wctx.Milo_rules.Rule.design)
-    in
     match
-      Engine.greedy_pass_par ~exec ~cost_factory ctx ~cost ~cleanups:[]
+      Engine.greedy_pass ~exec ~cost_factory:comp_count ctx ~cleanups:[]
         [ rule ]
     with
     | apps ->
         if apps <> [] then fail "%s: faulty rule committed" what;
         if not (D.equal_structure before d) then
           fail "%s: design mutated by a contained fault" what;
-        (match Engine.quarantined () with
+        (match Engine.quarantined ctx.Milo_rules.Rule.session with
         | [ (name, _) ] ->
             if name <> expect_note then
               fail "%s: quarantined %s, expected %s" what name expect_note
         | q ->
             fail "%s: expected exactly one quarantined rule, got %d" what
               (List.length q));
-        Engine.quarantine_reset ();
         Printf.printf "ok   %s\n" what
-    | exception e ->
-        Engine.quarantine_reset ();
-        fail "%s: escaped exception %s" what (Printexc.to_string e)
+    | exception e -> fail "%s: escaped exception %s" what (Printexc.to_string e)
   in
   (* Raising rule, inline plan: the engine-level quarantine fires inside
      the worker task and is imported deterministically. *)

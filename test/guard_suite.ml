@@ -154,11 +154,11 @@ let reason_str = function
 (* --- Direct guarded_apply: every planted rule caught -------------------- *)
 
 let direct_catch name make_rule make_design =
-  Engine.quarantine_reset ();
   let d = make_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard Guard.Full;
+  let session = ctx.Rule.session in
+  Engine.set_rule_guard session Guard.Full;
   let r = make_rule () in
   (match r.Rule.find ctx with
   | [] -> fail "%s: planted rule found no site" name
@@ -169,28 +169,27 @@ let direct_catch name make_rule make_design =
       if !log <> [] then fail "%s: edits leaked into the caller's log" name;
       if not (D.equal_structure before d) then
         fail "%s: design not reverted after miscompile" name;
-      if not (Engine.is_quarantined r.Rule.rule_name) then
+      if not (Engine.is_quarantined session r.Rule.rule_name) then
         fail "%s: rule not quarantined" name;
-      (match List.assoc_opt r.Rule.rule_name (Engine.quarantined_reasons ()) with
+      (match
+         List.assoc_opt r.Rule.rule_name (Engine.quarantined_reasons session)
+       with
       | Some Engine.Miscompiled -> ()
       | other -> fail "%s: quarantine reason %s, expected miscompiled" name
                    (reason_str other));
-      (match Engine.rule_guard_stats () with
+      match Engine.rule_guard_stats session with
       | Some s when s.Guard.rule_mismatches >= 1 ->
           Printf.printf "ok   %s caught, reverted, quarantined [miscompiled]\n"
             name
       | Some _ -> fail "%s: rule_mismatches counter not bumped" name
-      | None -> fail "%s: guard stats vanished" name));
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+      | None -> fail "%s: guard stats vanished" name)
 
 (* A sound restructuring passes the identical check: no false positive. *)
 let sound_rule_passes () =
-  Engine.quarantine_reset ();
   let d = and_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard Guard.Full;
+  Engine.set_rule_guard ctx.Rule.session Guard.Full;
   let r = sound_swap_rule () in
   (match r.Rule.find ctx with
   | [] -> fail "sound swap: no site found"
@@ -198,91 +197,116 @@ let sound_rule_passes () =
       let log = D.new_log () in
       let ok = Engine.guarded_apply ctx r site log in
       if not ok then fail "sound swap: rejected by the guard";
-      if Engine.is_quarantined r.Rule.rule_name then
+      if Engine.is_quarantined ctx.Rule.session r.Rule.rule_name then
         fail "sound swap: quarantined (false positive)";
       if D.equal_structure before d then
         fail "sound swap: apply had no effect (vacuous test)";
-      (match
-         Guard.check ~is_seq:generic_is_seq (generic_env ()) before
-           (generic_env ()) d
-       with
+      match
+        Guard.check ~is_seq:generic_is_seq (generic_env ()) before
+          (generic_env ()) d
+      with
       | None -> Printf.printf "ok   sound rule passes under full guard\n"
       | Some div ->
-          fail "sound swap: design diverged (%s)" (Guard.describe div)));
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+          fail "sound swap: design diverged (%s)" (Guard.describe div))
 
 (* --- Greedy pass: a rewarded miscompile still cannot land --------------- *)
 
+(* INV costs more than BUF here, so un-guarded the polarity fault would
+   look like a strict improvement at every inverter. *)
+let inv_cost (ctx : Rule.context) () =
+  List.fold_left
+    (fun acc (c : D.comp) ->
+      acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
+    0.0 (D.comps ctx.Rule.design)
+
 let pass_blocks_miscompile () =
-  Engine.quarantine_reset ();
   let d = inv_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard Guard.Full;
-  (* INV costs more than BUF here, so un-guarded the polarity fault
-     would look like a strict improvement at every inverter. *)
-  let cost () =
-    List.fold_left
-      (fun acc (c : D.comp) ->
-        acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
-      0.0 (D.comps d)
-  in
+  Engine.set_rule_guard ctx.Rule.session Guard.Full;
   let apps =
-    Engine.greedy_pass ctx ~cost ~cleanups:[] [ Faults.polarity_rule () ]
+    Engine.greedy_pass ~cost_factory:inv_cost ctx ~cleanups:[]
+      [ Faults.polarity_rule () ]
   in
   if apps <> [] then fail "greedy pass: miscompiling rule committed";
   if not (D.equal_structure before d) then
     fail "greedy pass: design mutated by a fully-guarded miscompile";
-  (match List.assoc_opt "fault-polarity" (Engine.quarantined_reasons ()) with
+  match
+    List.assoc_opt "fault-polarity" (Engine.quarantined_reasons ctx.Rule.session)
+  with
   | Some Engine.Miscompiled ->
       Printf.printf "ok   greedy pass blocked the rewarded miscompile\n"
   | other -> fail "greedy pass: quarantine reason %s, expected miscompiled"
-               (reason_str other));
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+               (reason_str other)
 
-(* All three planted rules loose on one workload: nothing lands, the
-   design stays equivalent to its snapshot, all three quarantined. *)
+(* A cost every planted rule lowers, each by a different amount:
+   inverters (polarity), gates whose first two inputs are distinct nets
+   (dropped fanin), and muxes whose D0 arm is an internal net (swapped
+   arms). *)
+let workload_cost (ctx : Rule.context) () =
+  let dsn = ctx.Rule.design in
+  List.fold_left
+    (fun acc (c : D.comp) ->
+      let conn pin = D.connection dsn c.D.id pin in
+      acc
+      +. (match c.D.kind with T.Macro "INV" -> 4.0 | _ -> 0.0)
+      +. (match (conn "A0", conn "A1") with
+         | Some a, Some b when a <> b -> 2.0
+         | _ -> 0.0)
+      +.
+      match (c.D.kind, conn "D0") with
+      | T.Macro "MUX2", Some n when not (Rule.net_is_port ctx n) -> 1.0
+      | _ -> 0.0)
+    0.0 (D.comps dsn)
+
+(* All three planted rules loose on one workload, each rewarded by the
+   cost: nothing lands, the design stays equivalent to its snapshot,
+   all three quarantined.  Candidate evaluations are unguarded oracles,
+   so each pass's winner is caught at its guarded commit, which ends
+   that pass; passes repeat until one quarantines nothing new. *)
 let workload_stays_equivalent () =
-  Engine.quarantine_reset ();
   let d = workload_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard Guard.Full;
-  let cost () = float_of_int (D.num_comps d) in
-  let apps =
-    Engine.greedy_pass ctx ~cost ~cleanups:[] (Faults.miscompiling_rules ())
+  let session = ctx.Rule.session in
+  Engine.set_rule_guard session Guard.Full;
+  let rec passes acc =
+    let known = List.length (Engine.quarantined session) in
+    let apps =
+      Engine.greedy_pass ~cost_factory:workload_cost ctx ~cleanups:[]
+        (Faults.miscompiling_rules ())
+    in
+    if List.length (Engine.quarantined session) > known then
+      passes (acc @ apps)
+    else acc @ apps
   in
+  let apps = passes [] in
   if apps <> [] then
     fail "workload: %d miscompiling application(s) committed" (List.length apps);
   List.iter
     (fun name ->
-      match List.assoc_opt name (Engine.quarantined_reasons ()) with
+      match List.assoc_opt name (Engine.quarantined_reasons session) with
       | Some Engine.Miscompiled -> ()
       | other -> fail "workload: %s reason %s, expected miscompiled" name
                    (reason_str other))
     [ "fault-polarity"; "fault-drop-fanin"; "fault-swap-mux" ];
-  (match
-     Guard.check ~is_seq:generic_is_seq (generic_env ()) before
-       (generic_env ()) d
-   with
+  match
+    Guard.check ~is_seq:generic_is_seq (generic_env ()) before
+      (generic_env ()) d
+  with
   | None -> Printf.printf "ok   workload equivalent after faulted pass\n"
   | Some div -> fail "workload: diverged from snapshot (%s)"
-                  (Guard.describe div));
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+                  (Guard.describe div)
 
 (* --- Sampled tier ------------------------------------------------------- *)
 
 (* The first application of each rule is always checked: a
    systematically wrong rule is caught immediately even when sampling. *)
 let sampled_first_application_checked () =
-  Engine.quarantine_reset ();
   let d = inv_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard Guard.Sampled;
+  Engine.set_rule_guard ctx.Rule.session Guard.Sampled;
   let r = Faults.polarity_rule () in
   (match r.Rule.find ctx with
   | [] -> fail "sampled: no site found"
@@ -291,35 +315,32 @@ let sampled_first_application_checked () =
       if ok then fail "sampled: first miscompile committed";
       if not (D.equal_structure before d) then
         fail "sampled: design not reverted";
-      if not (Engine.is_quarantined r.Rule.rule_name) then
+      if not (Engine.is_quarantined ctx.Rule.session r.Rule.rule_name) then
         fail "sampled: rule not quarantined on first application"
-      else Printf.printf "ok   sampled tier checks the first application\n");
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+      else Printf.printf "ok   sampled tier checks the first application\n")
 
 (* An exhausted budget turns the sampled tier off: zero checking
    overhead, the apply commits (and is later caught by a stage guard). *)
 let sampled_respects_budget () =
-  Engine.quarantine_reset ();
   let d = inv_design () in
   let ctx = generic_ctx d in
-  Engine.set_rule_guard ~budget:(Faults.exhausted_budget ()) Guard.Sampled;
+  let session = ctx.Rule.session in
+  Engine.set_rule_guard session ~budget:(Faults.exhausted_budget ())
+    Guard.Sampled;
   let r = Faults.polarity_rule () in
   (match r.Rule.find ctx with
   | [] -> fail "sampled budget: no site found"
   | site :: _ ->
       let ok = Engine.guarded_apply ctx r site (D.new_log ()) in
       if not ok then fail "sampled budget: apply blocked despite exhaustion";
-      if Engine.is_quarantined r.Rule.rule_name then
+      if Engine.is_quarantined session r.Rule.rule_name then
         fail "sampled budget: quarantined without checking";
-      (match Engine.rule_guard_stats () with
+      match Engine.rule_guard_stats session with
       | Some s when s.Guard.rule_skipped >= 1 && s.Guard.rule_checks = 0 ->
           Printf.printf "ok   sampled tier skips when the budget is gone\n"
       | Some s -> fail "sampled budget: checks=%d skipped=%d, expected 0/>=1"
                     s.Guard.rule_checks s.Guard.rule_skipped
-      | None -> fail "sampled budget: guard stats vanished"));
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ()
+      | None -> fail "sampled budget: guard stats vanished")
 
 (* --- Stage guards: semantic corruption degrades to Partial -------------- *)
 

@@ -10,7 +10,10 @@
    - replay: a clean run's journal replays with zero divergences under
      the Full guard; a tampered trajectory is pinpointed;
    - resume refusal: a journal without a committed checkpoint raises
-     [Flow.Journal_error] instead of fabricating state. *)
+     [Flow.Journal_error] instead of fabricating state;
+   - legacy header: a journal whose header predates the always-written
+     [domains] line reads as one domain and resumes to the
+     uninterrupted run's result. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -72,7 +75,7 @@ let round_trip () =
       h_timeout = Some 12.5;
       h_max_steps = None;
       h_max_evals = Some 77;
-      h_domains = Some 4;
+      h_domains = 4;
     }
   in
   let records =
@@ -272,7 +275,7 @@ let crash_fuzz ?domains (case : Suite.case) =
            re-enters under the same supervised-task semantics the
            killed run used. *)
         (match (domains, J.header (J.recover path)) with
-        | Some n, Some h when h.J.h_domains <> Some n ->
+        | Some n, Some h when h.J.h_domains <> n ->
             fail "%s: journal header lost the domain count" what
         | _ -> ());
         match Flow.resume ~force_domains:true path with
@@ -436,6 +439,83 @@ let trace_seq_resume () =
           fail "traceseq: resume raised %s" (Printexc.to_string e)));
   cleanup path
 
+(* --- Legacy header -------------------------------------------------------- *)
+
+(* CRC-32 (IEEE 802.3), bitwise: enough to re-frame one record by hand. *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* Rewrite the journal's header frame without its [domains] line, as
+   every journal of a default run was written before the line became
+   unconditional.  Returns whether the line was there to drop. *)
+let strip_domains_line path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let nl = String.index text '\n' in
+  let len = Scanf.sscanf (String.sub text 0 nl) "MILOJ1 header %d %_s" Fun.id in
+  let payload = String.sub text (nl + 1) len in
+  let rest = String.sub text (nl + len + 2) (String.length text - nl - len - 2) in
+  let lines = String.split_on_char '\n' payload in
+  let kept =
+    List.filter (fun l -> not (String.starts_with ~prefix:"domains " l)) lines
+  in
+  let payload' = String.concat "\n" kept in
+  let oc = open_out_bin path in
+  Printf.fprintf oc "MILOJ1 header %d %08x\n%s\n%s" (String.length payload')
+    (crc32 payload') payload' rest;
+  close_out oc;
+  List.length kept < List.length lines
+
+let legacy_header_resumes () =
+  let case = List.hd (Suite.all ()) in
+  let path = temp_journal "legacy" in
+  let run_to ?kill () =
+    match kill with
+    | None ->
+        Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+          ~guard:Guard.Sampled ~journal:path case.Suite.case_design
+    | Some n -> (
+        match
+          Faults.run_journaled_killed ~technology:Flow.Ecl
+            ~constraints:case.Suite.constraints ~guard:Guard.Sampled
+            ~journal:path n case.Suite.case_design
+        with
+        | Some o -> o
+        | None -> raise Exit)
+  in
+  (match run_to () with
+  | Flow.Complete reference -> (
+      let total = List.length (J.recover path).J.r_records in
+      match run_to ~kill:(total / 2) () with
+      | _ -> fail "legacy: the kill did not fire"
+      | exception Exit -> (
+          if not (strip_domains_line path) then
+            fail "legacy: header carried no domains line to drop";
+          (match J.header (J.recover path) with
+          | Some h when h.J.h_domains = 1 -> ()
+          | Some h -> fail "legacy: header reads as %d domains" h.J.h_domains
+          | None -> fail "legacy: rewritten header did not survive recovery");
+          match Flow.resume path with
+          | Flow.Complete r ->
+              compare_results "legacy header resume" reference r;
+              if !failures = 0 then
+                Printf.printf "ok   legacy header (no domains line) resumes\n"
+          | Flow.Partial p ->
+              fail "legacy: resume degraded at %s"
+                (Flow.stage_name p.Flow.failed_stage)
+          | exception e -> fail "legacy: resume raised %s" (Printexc.to_string e)))
+  | Flow.Partial _ | (exception _) -> fail "legacy: reference run failed");
+  cleanup path
+
 (* --- Resume refusal ------------------------------------------------------ *)
 
 let resume_refusal () =
@@ -458,7 +538,7 @@ let resume_refusal () =
         h_timeout = None;
         h_max_steps = None;
         h_max_evals = None;
-        h_domains = None;
+        h_domains = 1;
       }
   in
   J.close w;
@@ -497,6 +577,7 @@ let () =
   List.iter replay_clean cases;
   replay_tampered ();
   trace_seq_resume ();
+  legacy_header_resumes ();
   resume_refusal ();
   if !failures > 0 then begin
     Printf.printf "journal_suite: %d failure(s)\n" !failures;

@@ -154,7 +154,6 @@ let mapped_case (c : Suite.case) =
   (c.Suite.case_name, mapped)
 
 let () =
-  Engine.quarantine_reset ();
   Measure.set_debug_check true;
   lcg := 20260805;
   (* Random mapped workloads: dense combinational soup, lots of rule

@@ -314,7 +314,7 @@ let stalling_task ?(seconds = 1.2) () () : int =
   0
 
 (* Rule-shaped versions of the same faults, for the engine's parallel
-   fan-out paths ([greedy_pass_par] and friends): the fault fires
+   fan-out paths ([Engine.greedy_pass] and friends): the fault fires
    inside a supervised task's [evaluate], so the engine must convert
    it into a quarantine of the rule, never a hang or an escape. *)
 

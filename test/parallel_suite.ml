@@ -9,7 +9,11 @@
    trajectory JSONL (wall-clock fields masked) and trace event
    streams; every journal must replay with zero divergences; and the
    degraded run — only that one — must carry the
-   Degraded_to_sequential note. *)
+   Degraded_to_sequential note.
+
+   Engine state is per run: a rule quarantined through one session is
+   not quarantined in another, and two flows on two domains at once
+   return exactly what the same two flows return in series. *)
 
 module D = Milo_netlist.Design
 module Flow = Milo.Flow
@@ -20,6 +24,8 @@ module P = Milo_provenance.Provenance
 module Trajectory = Milo_provenance.Trajectory
 module Trace = Milo_trace.Trace
 module Pool = Milo_parallel.Pool
+module Rule = Milo_rules.Rule
+module Engine = Milo_rules.Engine
 
 let failures = ref 0
 
@@ -213,10 +219,87 @@ let check_case (case : Suite.case) =
       | None -> ())
     [ s1; s4a; s4b; sdeg ]
 
+(* --- Session isolation --------------------------------------------------- *)
+
+(* Matches every component; every application raises. *)
+let raising_rule =
+  Rule.make ~name:"isolation-raising" ~cls:Rule.Logic
+    ~find:(fun ctx ->
+      List.map
+        (fun (c : D.comp) -> Rule.site ~comps:[ c.D.id ] "isolation fault")
+        (Rule.scan_comps ctx))
+    ~apply:(fun _ _ _ -> failwith "isolation fault")
+
+let quarantine_is_per_session () =
+  let ctx () =
+    let lib = Milo_library.Generic.get () in
+    Rule.make_context lib
+      (Milo_compilers.Gate_comp.generic_set lib)
+      (Suite.accumulator ())
+  in
+  let comps (c : Rule.context) () = float_of_int (D.num_comps c.Rule.design) in
+  let a = ctx () and b = ctx () in
+  ignore (Engine.greedy_pass ~cost_factory:comps a ~cleanups:[] [ raising_rule ]);
+  if not (Engine.is_quarantined a.Rule.session "isolation-raising") then
+    fail "isolation: rule not quarantined in its own session"
+  else if Engine.quarantined b.Rule.session <> [] then
+    fail "isolation: quarantine leaked into a second session"
+  else if Engine.guarded_find b raising_rule = [] then
+    fail "isolation: second session refuses a rule it never saw fail"
+  else Printf.printf "ok   quarantine is per session\n"
+
+type run_summary = {
+  rs_hash : string;
+  rs_stats : Flow.stats;
+  rs_guard : int list;
+  rs_quarantined : (string * int) list;
+}
+
+let summarize (case : Suite.case) =
+  match
+    Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+      ~guard:Guard.Sampled case.Suite.case_design
+  with
+  | Flow.Complete res ->
+      Ok
+        {
+          rs_hash = J.design_hash res.Flow.optimized;
+          rs_stats = res.Flow.final;
+          rs_guard = guard_counters res.Flow.guard_stats;
+          rs_quarantined = res.Flow.quarantined;
+        }
+  | Flow.Partial p -> Error (Flow.stage_name p.Flow.failed_stage)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Two flows at once, one per domain, released together.  The serial
+   runs go first, which also fills the process-wide certificate cache
+   the concurrent runs then only read. *)
+let concurrent_flows_match_serial () =
+  let a = Suite.design1 () and b = Suite.design4 () in
+  let serial = (summarize a, summarize b) in
+  let ready = Atomic.make 0 in
+  let released case () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    summarize case
+  in
+  let da = Domain.spawn (released a) and db = Domain.spawn (released b) in
+  let concurrent = (Domain.join da, Domain.join db) in
+  match (serial, concurrent) with
+  | (Ok sa, Ok sb), (Ok ca, Ok cb) ->
+      if sa <> ca || sb <> cb then
+        fail "isolation: concurrent flows differ from the same flows in series"
+      else Printf.printf "ok   two concurrent flows == the same flows in series\n"
+  | _ -> fail "isolation: a flow did not complete"
+
 let () =
   Pool.fail_spawn_for_testing := false;
   let cases = List.filteri (fun i _ -> i < 3) (Suite.all ()) in
   List.iter check_case cases;
+  quarantine_is_per_session ();
+  concurrent_flows_match_serial ();
   if !failures > 0 then begin
     Printf.printf "parallel_suite: %d failure(s)\n" !failures;
     exit 1

@@ -213,7 +213,6 @@ let pending_hygiene () =
    nothing commits, no tags appear, and the reverted work surfaces as
    debit markers — netting to zero by construction. *)
 let miscompile_nets_to_zero () =
-  Engine.quarantine_reset ();
   let p = P.create () in
   let d = D.create "inv2" in
   let a = D.add_port d "A" T.Input in
@@ -230,20 +229,19 @@ let miscompile_nets_to_zero () =
   let ctx = Rule.make_context lib (Milo_compilers.Gate_comp.generic_set lib) d in
   D.set_commit_hook d
     (Some (fun label entries -> P.observe_commit p ~stage:"test" ~label d entries));
-  Engine.set_rule_guard Guard.Full;
+  Engine.set_rule_guard ctx.Rule.session Guard.Full;
   P.with_recorder p (fun () ->
-      let cost () =
+      let cost_factory (wctx : Rule.context) () =
         List.fold_left
           (fun acc (c : D.comp) ->
             acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
-          0.0 (D.comps d)
+          0.0 (D.comps wctx.Rule.design)
       in
       let apps =
-        Engine.greedy_pass ctx ~cost ~cleanups:[] [ Faults.polarity_rule () ]
+        Engine.greedy_pass ~cost_factory ctx ~cleanups:[]
+          [ Faults.polarity_rule () ]
       in
       if apps <> [] then fail "netting: miscompiling rule committed");
-  Engine.clear_rule_guard ();
-  Engine.quarantine_reset ();
   if not (D.equal_structure before d) then
     fail "netting: design not restored exactly";
   if P.tag_count p <> (0, 0) then begin

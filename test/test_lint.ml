@@ -194,17 +194,14 @@ let corrupt_rule =
 let test_debug_lint () =
   let ctx () = Util.ctx_for (Util.generic ()) (clean_design ()) in
   (* off: the corruption goes unnoticed *)
-  Engine.set_debug_lint false;
   Alcotest.(check bool) "fires" true
     (Engine.ops_cycle (ctx ()) (Engine.ops_create ()) [ corrupt_rule ]);
-  Fun.protect
-    ~finally:(fun () -> Engine.set_debug_lint false)
-    (fun () ->
-      Engine.set_debug_lint true;
-      match Engine.ops_cycle (ctx ()) (Engine.ops_create ()) [ corrupt_rule ] with
-      | (_ : bool) -> Alcotest.fail "Lint_violation expected"
-      | exception Engine.Lint_violation (rule, _) ->
-          Alcotest.(check string) "offending rule" "corrupt" rule)
+  let linted = ctx () in
+  Engine.set_debug_lint linted.Rule.session true;
+  match Engine.ops_cycle linted (Engine.ops_create ()) [ corrupt_rule ] with
+  | (_ : bool) -> Alcotest.fail "Lint_violation expected"
+  | exception Engine.Lint_violation (rule, _) ->
+      Alcotest.(check string) "offending rule" "corrupt" rule
 
 (* --- stage invariants over the suite ----------------------------------- *)
 

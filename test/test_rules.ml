@@ -275,7 +275,6 @@ let test_ops_determinism () =
 let test_cleanup_budget_accounting () =
   (* The cleanup fixpoint bound charges successful applications only:
      dead sites and refused applies don't burn it. *)
-  Milo_rules.Engine.quarantine_reset ();
   let d = D.create "bud" in
   let a = D.add_port d "A" T.Input in
   let y = D.add_port d "Y" T.Output in
@@ -318,7 +317,6 @@ let test_search_exec_abort () =
   (* A winning sequence that goes stale mid-execution aborts at the
      first failed re-application instead of running later moves against
      a state they were never evaluated on. *)
-  Milo_rules.Engine.quarantine_reset ();
   let d = D.create "stale" in
   let a = D.add_port d "A" T.Input in
   let y = D.add_port d "Y" T.Output in
@@ -364,7 +362,8 @@ let test_search_exec_abort () =
         D.remove_comp ~log ctx.R.design cid;
         true)
   in
-  let cost () =
+  let cost_factory (ctx : R.context) () =
+    let d = ctx.R.design in
     if D.num_comps d = 0 then 5.0
     else
       match D.comp_opt d c with
@@ -377,12 +376,13 @@ let test_search_exec_abort () =
       delta_cost = 100.0 }
   in
   let gain =
-    Milo_rules.Search.search ~params ctx ~cost ~cleanups:[] [ step1; step2 ]
+    Milo_rules.Search.step ~params ~cost_factory ctx ~cleanups:[]
+      [ step1; step2 ]
   in
   Alcotest.(check bool) "search found the sequence" true (gain <> None);
   Alcotest.(check bool) "stale move never executed" false !step2_stale;
   Alcotest.(check bool) "step2 not quarantined" false
-    (Milo_rules.Engine.is_quarantined "stale-step2");
+    (Milo_rules.Engine.is_quarantined ctx.R.session "stale-step2");
   Alcotest.(check int) "design intact" 1 (D.num_comps d);
   match D.comp_opt d c with
   | Some cp ->
@@ -395,14 +395,16 @@ let test_greedy_improves_cost () =
   let d = Milo_techmap.Table_map.map_design target src in
   let ctx = Util.ctx_for (Util.ecl ()) d in
   let env name = Milo_library.Technology.find (Util.ecl ()) name in
-  let cost () = Milo_estimate.Estimate.area env d in
-  let before = cost () in
+  let cost_factory (ctx : R.context) () =
+    Milo_estimate.Estimate.area env ctx.R.design
+  in
+  let before = cost_factory ctx () in
   let apps =
-    Milo_rules.Engine.greedy_pass ctx ~cost
+    Milo_rules.Engine.greedy_pass ~cost_factory ctx
       ~cleanups:Milo_critic.Critic.cleanup
       (Milo_critic.Critic.logic @ Milo_critic.Critic.area)
   in
-  let after = cost () in
+  let after = cost_factory ctx () in
   Alcotest.(check bool) "applications found" true (List.length apps > 0);
   Alcotest.(check bool) "cost decreased" true (after < before);
   List.iter
@@ -417,12 +419,14 @@ let test_search_lookahead () =
   let reference = D.copy d in
   let ctx = Util.ctx_for (Util.ecl ()) d in
   let env name = Milo_library.Technology.find (Util.ecl ()) name in
-  let cost () = Milo_estimate.Estimate.area env d in
+  let cost_factory (ctx : R.context) () =
+    Milo_estimate.Estimate.area env ctx.R.design
+  in
   let stats = { Milo_rules.Search.nodes = 0; evals = 0 } in
   let gain =
     Milo_rules.Search.run
       ~params:{ Milo_rules.Search.b = 2; d_max = 2; d_app = 1; n_hood = 0; delta_cost = 5.0 }
-      ~stats ctx ~cost ~cleanups:Milo_critic.Critic.cleanup
+      ~stats ~cost_factory ctx ~cleanups:Milo_critic.Critic.cleanup
       (Milo_critic.Critic.logic @ Milo_critic.Critic.area)
   in
   Alcotest.(check bool) "non-negative gain" true (gain >= 0.0);

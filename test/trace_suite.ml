@@ -194,7 +194,6 @@ end
    (adder-register-to-counter), so the event-ordering check below has a
    non-empty application list to reproduce. *)
 let run_traced () =
-  Milo_rules.Engine.quarantine_reset ();
   let t = Trace.create () in
   match
     Flow.run ~technology:Flow.Ecl ~trace:t (Suite.accumulator ~bits:4 ())
@@ -362,7 +361,6 @@ let check_chrome t =
 
 let check_faulted () =
   let what = "faulted" in
-  Milo_rules.Engine.quarantine_reset ();
   let c = Suite.design3 () in
   let t = Trace.create () in
   let path = Filename.temp_file "milo_trace_suite" ".jsonl" in
