@@ -617,10 +617,13 @@ let measure_bench ~smoke_mode () =
     let n = if smoke_mode then 10 else 40 in
     let result =
       try
+        let before = cost () in
         List.iteri
           (fun i (r, s) ->
             if i < n then
-              ignore (Milo_rules.Engine.evaluate ctx ~cost ~cleanups:[] r s))
+              ignore
+                (Milo_rules.Engine.evaluate ctx ~before ~cost ~quiet:false
+                   ~cleanups:[] r s))
           (candidates ctx);
         Ok (Measure.stats m).Measure.oracle_checks
       with Measure.Divergence msg -> Error msg
@@ -637,9 +640,12 @@ let measure_bench ~smoke_mode () =
   let eval_all ctx ~cleanups cost cands =
     let (), t =
       time (fun () ->
+          let before = cost () in
           List.iter
             (fun (r, s) ->
-              ignore (Milo_rules.Engine.evaluate ctx ~cost ~cleanups r s))
+              ignore
+                (Milo_rules.Engine.evaluate ctx ~before ~cost ~quiet:false
+                   ~cleanups r s))
             cands)
     in
     Float.max t 1e-9

@@ -79,10 +79,19 @@ type cache = (string * string, certificate) Hashtbl.t
 
 let create_cache () : cache = Hashtbl.create 64
 let shared_cache : cache = create_cache ()
-let reset_cache (c : cache) = Hashtbl.reset c
+
+(* [shared_cache] is process-wide, and flows on different domains fill
+   it while it is cold: an unsynchronized lookup racing an insert's
+   resize is undefined behaviour, so every cache access holds this lock
+   (as [Hashcons.kind_mutex] does for the kind table).  Certification
+   itself runs unlocked; two domains missing on the same key compute
+   the same signed certificate, so the later insert is harmless. *)
+let cache_mutex = Mutex.create ()
+let locked f = Mutex.protect cache_mutex f
+let reset_cache (c : cache) = locked (fun () -> Hashtbl.reset c)
 
 let lookup ?(cache = shared_cache) ~tech rule =
-  match Hashtbl.find_opt cache (rule, tech) with
+  match locked (fun () -> Hashtbl.find_opt cache (rule, tech)) with
   | Some c when valid c -> Some c
   | Some _ | None -> None
 
@@ -513,7 +522,7 @@ let certify_rules ?(cache = shared_cache) ?(witnesses = []) ?(max_sites = 12)
             certify_rule ~tech_name ~contexts:(Lazy.force contexts) ~max_sites
               rule
           in
-          Hashtbl.replace cache (rule.R.rule_name, tech_name) c;
+          locked (fun () -> Hashtbl.replace cache (rule.R.rule_name, tech_name) c);
           c)
     rules
 

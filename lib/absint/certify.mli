@@ -62,7 +62,8 @@ val create_cache : unit -> cache
 (** A private cache (per-instance state; nothing shared). *)
 
 val shared_cache : cache
-(** The default process-wide cache the flow uses. *)
+(** The default process-wide cache the flow uses.  Every cache access
+    is serialized, so flows on several domains may fill it at once. *)
 
 val reset_cache : cache -> unit
 

@@ -23,9 +23,9 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
 let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
     ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
   Milo_trace.Trace.with_span "area-opt" @@ fun () ->
-  (* Worker forks carry no measurer, so the cost function recomputes
-     from scratch on the fork — the same objective, just not
-     incremental. *)
+  (* Worker forks carry no measurer, so on a fork each cost is a full
+     STA + estimate fold: once per task for the baseline shared by the
+     task's sites, then once per candidate that applies. *)
   let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
   Engine.greedy_pass ~max_steps ?budget ?exec ~cost_factory ctx ~cleanups rules
 

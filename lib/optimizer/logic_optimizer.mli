@@ -19,6 +19,16 @@ type report = {
 val instance_order : Milo_compilers.Database.t -> D.t -> string list
 (** Sub-design names reachable from a design, deepest first. *)
 
+val level_cost :
+  Milo_techmap.Table_map.target ->
+  Milo_compilers.Database.t ->
+  Milo_rules.Rule.context ->
+  unit ->
+  float
+(** The per-level passes' structural cost: total macro area, with each
+    instance costed as its already-optimized sub-design in the
+    technology database. *)
+
 val optimize :
   ?exec:Milo_parallel.Exec.t ->
   ?session:Milo_rules.Rule.session ->

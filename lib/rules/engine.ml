@@ -577,13 +577,115 @@ let guarded_apply ctx (r : Rule.t) site log =
           Prov.debit ~kind:"quarantine" ~rule:r.Rule.rule_name;
         false
 
+(* Component ids within [n] hops of the seed components, a hop being a
+   shared net. *)
+let neighbourhood ctx seeds n =
+  let design = ctx.Rule.design in
+  let visited = Hashtbl.create 32 in
+  let rec expand frontier depth =
+    if depth > n then ()
+    else begin
+      let next = ref [] in
+      List.iter
+        (fun cid ->
+          if not (Hashtbl.mem visited cid) then begin
+            Hashtbl.replace visited cid ();
+            match D.comp_opt design cid with
+            | None -> ()
+            | Some c ->
+                Hashtbl.iter
+                  (fun _pin nid ->
+                    match D.net_opt design nid with
+                    | None -> ()
+                    | Some net ->
+                        List.iter
+                          (fun (cid', _) ->
+                            if not (Hashtbl.mem visited cid') then
+                              next := cid' :: !next)
+                          net.D.npins)
+                  c.D.conns
+          end)
+        frontier;
+      expand !next (depth + 1)
+    end
+  in
+  expand seeds 0;
+  visited
+
+(* Components whose cleanup match can differ after the edits in [log],
+   given the cleanup locality contract (see [Rule.scan_comps]): every
+   component the edits add, reconnect or re-kind, every component on a
+   net they touch, and every component sharing a net with one of
+   those. *)
+let edit_neighbourhood ctx log =
+  let design = ctx.Rule.design in
+  let core = ref [] in
+  let add_net nid =
+    match D.net_opt design nid with
+    | Some n -> List.iter (fun (cid, _) -> core := cid :: !core) n.D.npins
+    | None -> ()
+  in
+  List.iter
+    (function
+      | D.E_add_comp (cid, _, _) | D.E_set_kind (cid, _, _) ->
+          core := cid :: !core
+      | D.E_connect (cid, _, prev, next) ->
+          core := cid :: !core;
+          Option.iter add_net prev;
+          Option.iter add_net next
+      | D.E_remove_comp (_, _, _, conns) ->
+          List.iter (fun (_, nid) -> add_net nid) conns
+      | D.E_add_net (nid, _) | D.E_remove_net (nid, _, _) -> add_net nid)
+    !log;
+  neighbourhood ctx !core 1
+
+(* A design is cleanup-quiet when no live cleanup rule matches anywhere.
+   A [find] that raises counts as a match (the design is not known to be
+   quiet) and quarantines nothing: this is a probe, not a pass. *)
+let cleanup_quiet ctx cleanups =
+  List.for_all
+    (fun (r : Rule.t) ->
+      is_quarantined ctx.Rule.session r.Rule.rule_name
+      ||
+      match r.Rule.find ctx with
+      | sites -> sites = []
+      | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
+          raise e
+      | exception _ -> false)
+    cleanups
+
 (* Apply every applicable cleanup rule until none fires (bounded).  The
    Logic Consultant examines its high-priority rules after each regular
    rule application.  The budget counts successful applications only —
    dead or non-applying sites cost nothing — and once exhausted no
-   further site is scanned. *)
-let run_cleanups ctx cleanups log =
+   further site is scanned.
+
+   With [near], the design was cleanup-quiet before the edits in [log],
+   so every cleanup site lies in their neighbourhood: each [find] scans
+   only that, recomputed whenever the log has grown so cascades follow
+   their own edits.  Under the locality contract both modes fire the
+   same sites in the same order. *)
+let cleanups_to_fixpoint ~near ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
+  let hood = ref None in
+  let find r =
+    if not near then guarded_find ctx r
+    else begin
+      let tbl =
+        match !hood with
+        | Some (seen, tbl) when seen == !log -> tbl
+        | Some _ | None ->
+            let tbl = edit_neighbourhood ctx log in
+            hood := Some (!log, tbl);
+            tbl
+      in
+      let saved = !(ctx.Rule.focus) in
+      ctx.Rule.focus := Some tbl;
+      Fun.protect
+        ~finally:(fun () -> ctx.Rule.focus := saved)
+        (fun () -> guarded_find ctx r)
+    end
+  in
   let rec pass () =
     let fired =
       List.exists
@@ -596,12 +698,15 @@ let run_cleanups ctx cleanups log =
                  && guarded_apply ctx r site log
                  && (decr budget;
                      true))
-               (guarded_find ctx r))
+               (find r))
         cleanups
     in
     if fired && !budget > 0 then pass ()
   in
   pass ()
+
+let run_cleanups = cleanups_to_fixpoint ~near:false
+let run_cleanups_near = cleanups_to_fixpoint ~near:true
 
 (* --- Measurer lock-step ------------------------------------------------ *)
 
@@ -682,21 +787,26 @@ let site_digest ctx (site : Rule.site) =
    Evaluations run inside worker tasks, where tracing is suppressed, so
    the outcome and wall time come back as a value: [Ok gain], or
    [Error reason] for a rejected candidate.  The coordinator records
-   them in task order ([record_eval]). *)
+   them in task order ([record_eval]).
+
+   [before] is the cost of the current state, supplied by the caller:
+   every evaluation undoes itself exactly, so one baseline serves all
+   the candidates scored from the same state.  [quiet] says that state
+   is cleanup-quiet ([cleanup_quiet]), which lets the cleanups scan only
+   the candidate's neighbourhood. *)
 type eval = { result : (float, string) result; dt : float }
 
-let evaluate ctx ~cost ~cleanups (r : Rule.t) site =
+let evaluate ctx ~before ~cost ~quiet ~cleanups (r : Rule.t) site =
   Pool.poll ();
   let t0 = Unix.gettimeofday () in
   let finish result = { result; dt = Unix.gettimeofday () -. t0 } in
-  let before = cost () in
   let log = D.new_log () in
   if not (guarded_apply ctx r site log) then begin
     D.undo ctx.Rule.design log;
     finish (Error "apply-failed")
   end
   else begin
-    run_cleanups ctx cleanups log;
+    cleanups_to_fixpoint ~near:quiet ctx cleanups log;
     match measure_step ctx log with
     | Measure_failed ->
         (* The candidate state is unmeasurable incrementally (e.g.
@@ -803,7 +913,13 @@ let commit_app ?budget ctx ~cleanups (app : application) =
    budget mutation.  The coordinator charges the budget (one eval per
    candidate, deterministically), records the evaluations and imports
    the trapped failures in task order, and re-applies only the merged
-   winner through [commit_app]. *)
+   winner through [commit_app].
+
+   The coordinator also probes once whether the design is
+   cleanup-quiet; if so every evaluation re-matches cleanups only
+   around its own edits.  [commit_app] keeps whole-design cleanups,
+   which is what leaves the next step's design quiet.  Each task
+   measures its fork's cost once, as the baseline of all its sites. *)
 let greedy_step ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx ~cleanups
     rules =
   match budget with
@@ -825,12 +941,16 @@ let greedy_step ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx ~cleanups
               (fun (_, sites) -> List.iter (fun _ -> Budget.eval b) sites)
               groups
         | None -> ());
+        let quiet = cleanup_quiet ctx cleanups in
         let tasks =
           List.map
             (fun ((r : Rule.t), sites) () ->
               worker_task ctx (fun wctx ->
                   let cost = cost_factory wctx in
-                  List.map (fun site -> evaluate wctx ~cost ~cleanups r site) sites))
+                  let before = cost () in
+                  List.map
+                    (fun site -> evaluate wctx ~before ~cost ~quiet ~cleanups r site)
+                    sites))
             groups
         in
         let outcomes = Exec.map exec tasks in
@@ -958,7 +1078,6 @@ let ops_run ?(max_cycles = 2000) ctx rules =
    itself (which refuses sites that no longer match). *)
 let ops_run_incremental ?(max_cycles = 100000) ?(radius = 2) ctx rules =
   let st = ops_create () in
-  let design = ctx.Rule.design in
   let conflict :
       (string * int list, Rule.t * Rule.site) Hashtbl.t =
     Hashtbl.create 1024
@@ -977,38 +1096,6 @@ let ops_run_incremental ?(max_cycles = 100000) ?(radius = 2) ctx rules =
   (* Initial full match. *)
   ctx.Rule.focus := None;
   add_sites ();
-  let neighbourhood touched =
-    let tbl = Hashtbl.create 32 in
-    let rec expand frontier depth =
-      if depth > radius then ()
-      else begin
-        let next = ref [] in
-        List.iter
-          (fun cid ->
-            if not (Hashtbl.mem tbl cid) then begin
-              Hashtbl.replace tbl cid ();
-              match D.comp_opt design cid with
-              | None -> ()
-              | Some c ->
-                  Hashtbl.iter
-                    (fun _pin nid ->
-                      match D.net_opt design nid with
-                      | None -> ()
-                      | Some net ->
-                          List.iter
-                            (fun (cid', _) ->
-                              if not (Hashtbl.mem tbl cid') then
-                                next := cid' :: !next)
-                            net.D.npins)
-                    c.D.conns
-            end)
-          frontier;
-        expand !next (depth + 1)
-      end
-    in
-    expand touched 0;
-    tbl
-  in
   let score (_, (site : Rule.site)) =
     let rec_max =
       List.fold_left (fun acc c -> max acc (ops_recency st c)) 0
@@ -1058,7 +1145,7 @@ let ops_run_incremental ?(max_cycles = 100000) ?(radius = 2) ctx rules =
               incr cycles;
               ops_touch st site.Rule.site_comps;
               (* Re-match only around the touched components. *)
-              let hood = neighbourhood site.Rule.site_comps in
+              let hood = neighbourhood ctx site.Rule.site_comps radius in
               ctx.Rule.focus := Some hood;
               add_sites ();
               ctx.Rule.focus := None

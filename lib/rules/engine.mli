@@ -162,6 +162,26 @@ val run_cleanups : Rule.context -> Rule.t list -> D.log -> unit
 (** Fire applicable cleanup rules to a bounded fixpoint, recording into
     the same log.  The bound charges successful applications only. *)
 
+val neighbourhood : Rule.context -> int list -> int -> (int, unit) Hashtbl.t
+(** [neighbourhood ctx seeds n]: component ids within [n] hops of the
+    seeds, a hop being a shared net (radius 0 is the seeds alone).
+    Used by incremental recognize-act, focused cleanups and the
+    lookahead's N metarule. *)
+
+val cleanup_quiet : Rule.context -> Rule.t list -> bool
+(** No non-quarantined cleanup rule matches anywhere in the design.  A
+    [find] that raises makes the answer [false]; the probe never
+    quarantines. *)
+
+val run_cleanups_near : Rule.context -> Rule.t list -> D.log -> unit
+(** {!run_cleanups} for a design that was {!cleanup_quiet} before the
+    edits in the log: each [find] is focused ([Rule.focus]) on the
+    edits' neighbourhood — every component they add, reconnect or
+    re-kind, every component on a net they touch, and every component
+    sharing a net with one of those — recomputed as the log grows.
+    Under the cleanup locality contract ({!Rule.scan_comps}) it fires
+    exactly the sites {!run_cleanups} would, in the same order. *)
+
 (** {2 Incremental measurement lock-step}
 
     When [ctx.measurer] is set (see [Milo_measure.Measure]), the
@@ -201,13 +221,19 @@ type eval = {
 
 val evaluate :
   Rule.context ->
+  before:float ->
   cost:(unit -> float) ->
+  quiet:bool ->
   cleanups:Rule.t list ->
   Rule.t ->
   Rule.site ->
   eval
 (** Gain of applying the rule (with cleanups) at the site: apply,
-    measure, undo.  Nothing is traced here — evaluations run in worker
+    measure, undo.  [before] is [cost ()] of the current state — the
+    undo is exact, so one baseline serves every candidate scored from
+    the same state.  [quiet] asserts the state is {!cleanup_quiet}: the
+    cleanups then run as {!run_cleanups_near}, otherwise as
+    {!run_cleanups}.  Nothing is traced here — evaluations run in worker
     tasks — so the outcome comes back as a value for {!record_eval}. *)
 
 val record_eval : Rule.t -> Rule.site -> eval -> unit
@@ -228,7 +254,11 @@ val greedy_step :
 (** One greedy step (the Logic Consultant's measure-the-gain control):
     candidates are found on the coordinator, each rule's sites are
     evaluated by one supervised task on a forked snapshot
-    ([cost_factory] builds the cost function over the fork), and the
+    ([cost_factory] builds the cost function over the fork, measured
+    once per task for the baseline and once per candidate).  When the
+    design is {!cleanup_quiet}, the candidates' cleanups are focused on
+    their own edits; the winner's commit always runs whole-design
+    cleanups.  The
     merged winner — (rule index, site ordinal) order, earlier candidate
     wins ties — is re-applied authoritatively if it improves the cost
     by more than [min_gain].  A faulting task quarantines its rule; the

@@ -153,8 +153,9 @@ let make ~name ~cls ~find ~apply =
 
 (* --- Helpers shared by rule implementations -------------------------- *)
 
-(* Components eligible for matching: all of them, or just the focus set
-   during incremental recognize-act. *)
+(* Components eligible for matching: all of them, or just the live
+   members of the focus set.  Both come in id order, so a focused [find]
+   lists its sites in the order a full scan would. *)
 let scan_comps ctx =
   match !(ctx.focus) with
   | None -> D.comps ctx.design
@@ -165,6 +166,7 @@ let scan_comps ctx =
           | Some c -> c :: acc
           | None -> acc)
         tbl []
+      |> List.sort (fun (a : D.comp) b -> compare a.D.id b.D.id)
 
 (* All components whose kind is a macro satisfying [pred]. *)
 let macro_comps ctx pred =

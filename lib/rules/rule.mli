@@ -55,7 +55,8 @@ type context = {
   resolve : D.resolver;
   focus : (int, unit) Hashtbl.t option ref;
       (** when set, rule matching only examines these components (the
-          Rete-style incremental discipline of Section 2.2.1) *)
+          Rete-style incremental discipline of Section 2.2.1, and
+          [Engine]'s focused cleanups) *)
   measurer : Milo_measure.Measure.t option ref;
       (** when set (see [Engine]), the measured disciplines keep this
           incremental measurer in lock-step with the design and
@@ -81,7 +82,17 @@ val fork_context : context -> context
     fork is visible through the original. *)
 
 val scan_comps : context -> D.comp list
-(** Components eligible for matching (respects the focus set). *)
+(** Components eligible for matching, in id order: every component, or
+    the live members of the focus set.  A [find] built on it therefore
+    lists the sites of a focus in the order a full scan would.
+
+    {b Cleanup locality contract.}  A [Cleanup]-class rule's [find]
+    anchors each site at one scanned component, and whether that
+    component matches may depend only on its radius-1 neighbourhood:
+    its own kind and connections, and for each net it touches the
+    net's port binding, its pins and the kinds of the components on
+    it.  [Engine.evaluate] relies on this to re-match cleanups only
+    around a candidate's edits once the design is cleanup-quiet. *)
 
 val find_macro : context -> string -> Milo_library.Macro.t option
 val macro_of : context -> D.comp -> Milo_library.Macro.t option

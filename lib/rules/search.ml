@@ -23,40 +23,6 @@ type params = {
 
 let default_params = { b = 3; d_max = 3; d_app = 1; n_hood = 0; delta_cost = 10.0 }
 
-(* Component ids within [n] hops of the seed components. *)
-let neighbourhood ctx seeds n =
-  let design = ctx.Rule.design in
-  let visited = Hashtbl.create 32 in
-  let rec expand frontier depth =
-    if depth > n then ()
-    else begin
-      let next = ref [] in
-      List.iter
-        (fun cid ->
-          if not (Hashtbl.mem visited cid) then begin
-            Hashtbl.replace visited cid ();
-            match D.comp_opt design cid with
-            | None -> ()
-            | Some c ->
-                Hashtbl.iter
-                  (fun _pin nid ->
-                    match D.net_opt design nid with
-                    | None -> ()
-                    | Some net ->
-                        List.iter
-                          (fun (cid', _) ->
-                            if not (Hashtbl.mem visited cid') then
-                              next := cid' :: !next)
-                          net.D.npins)
-                  c.D.conns
-          end)
-        frontier;
-      expand !next (depth + 1)
-    end
-  in
-  expand seeds 0;
-  visited
-
 type stats = { mutable nodes : int; mutable evals : int }
 
 (* Candidate moves at the current state. *)
@@ -83,16 +49,19 @@ module Exec = Milo_parallel.Exec
    sequence to it; the fork is restored before returning.  No budget
    is charged here (the coordinator charges the merged eval counts
    deterministically afterwards), and every evaluation is appended to
-   [trail] for the coordinator to record.  Cancellation reaches it
+   [trail] for the coordinator to record.  A node's own cost is the
+   baseline of its moves' evaluations.  Cancellation reaches it
    through [Engine.evaluate]/[Engine.guarded_apply]'s poll points. *)
 let dfs ~params ctx ~cost ~cleanups rules st trail =
-  let ranked ~allowed =
+  let ranked ~allowed ~before =
     let cands = moves ctx rules ~allowed in
     let scored =
       List.filter_map
         (fun (r, site) ->
           st.evals <- st.evals + 1;
-          let ev = Engine.evaluate ctx ~cost ~cleanups r site in
+          let ev =
+            Engine.evaluate ctx ~before ~cost ~quiet:false ~cleanups r site
+          in
           trail := (r, site, ev) :: !trail;
           match ev.Engine.result with
           | Error _ -> None
@@ -124,7 +93,7 @@ let dfs ~params ctx ~cost ~cleanups rules st trail =
                     | None ->
                         if params.n_hood > 0 then
                           Some
-                            (neighbourhood ctx site.Rule.site_comps
+                            (Engine.neighbourhood ctx site.Rule.site_comps
                                params.n_hood)
                         else None
                   in
@@ -138,7 +107,7 @@ let dfs ~params ctx ~cost ~cleanups rules st trail =
             end
             else D.undo ctx.Rule.design log
           end)
-        (ranked ~allowed);
+        (ranked ~allowed ~before:current_cost);
       !best
   in
   dfs
@@ -203,16 +172,23 @@ let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
                  in
                  let trail = ref [] in
                  let scored =
-                   List.map
-                     (fun site ->
-                       let ev = Engine.evaluate wctx ~cost:wcost ~cleanups r site in
-                       trail := (r, site, ev) :: !trail;
-                       match ev.Engine.result with
-                       | Error _ -> None
-                       | Ok gain ->
-                           if -.gain > params.delta_cost then None
-                           else Some (gain, site))
-                     sites
+                   match sites with
+                   | [] -> []
+                   | _ :: _ ->
+                       let before = wcost () in
+                       List.map
+                         (fun site ->
+                           let ev =
+                             Engine.evaluate wctx ~before ~cost:wcost
+                               ~quiet:false ~cleanups r site
+                           in
+                           trail := (r, site, ev) :: !trail;
+                           match ev.Engine.result with
+                           | Error _ -> None
+                           | Ok gain ->
+                               if -.gain > params.delta_cost then None
+                               else Some (gain, site))
+                         sites
                  in
                  (scored, !trail)))
     in
@@ -254,7 +230,7 @@ let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
                            let allowed' =
                              if params.n_hood > 0 then
                                Some
-                                 (neighbourhood wctx site.Rule.site_comps
+                                 (Engine.neighbourhood wctx site.Rule.site_comps
                                     params.n_hood)
                              else None
                            in

@@ -12,10 +12,6 @@ type params = {
 
 val default_params : params
 
-val neighbourhood :
-  Rule.context -> int list -> int -> (int, unit) Hashtbl.t
-(** Component ids within the given path distance of the seeds. *)
-
 type stats = { mutable nodes : int; mutable evals : int }
 
 val step :

@@ -101,7 +101,9 @@ let step name i ctx m =
       | 0 ->
           (* Probe path: apply + measure + undo inside [evaluate]. *)
           let cost () = Engine.weighted () (Measure.current m) in
-          ignore (Engine.evaluate ctx ~cost ~cleanups:(cleanups ()) r site);
+          ignore
+            (Engine.evaluate ctx ~before:(cost ()) ~cost ~quiet:false
+               ~cleanups:(cleanups ()) r site);
           check_state (where ^ " after evaluate") m;
           true
       | mode ->

@@ -272,11 +272,13 @@ let summarize (case : Suite.case) =
   | exception e -> Error (Printexc.to_string e)
 
 (* Two flows at once, one per domain, released together.  The serial
-   runs go first, which also fills the process-wide certificate cache
-   the concurrent runs then only read. *)
-let concurrent_flows_match_serial () =
+   runs go first, which also fills the process-wide certificate cache.
+   With [cold], the cache is emptied before the release, so both flows
+   certify and insert into it at the same time. *)
+let concurrent_flows_match_serial ~cold () =
   let a = Suite.design1 () and b = Suite.design4 () in
   let serial = (summarize a, summarize b) in
+  if cold then Milo_absint.Certify.(reset_cache shared_cache);
   let ready = Atomic.make 0 in
   let released case () =
     Atomic.incr ready;
@@ -287,19 +289,24 @@ let concurrent_flows_match_serial () =
   in
   let da = Domain.spawn (released a) and db = Domain.spawn (released b) in
   let concurrent = (Domain.join da, Domain.join db) in
+  let what = if cold then "cold cache" else "warm cache" in
   match (serial, concurrent) with
   | (Ok sa, Ok sb), (Ok ca, Ok cb) ->
       if sa <> ca || sb <> cb then
-        fail "isolation: concurrent flows differ from the same flows in series"
-      else Printf.printf "ok   two concurrent flows == the same flows in series\n"
-  | _ -> fail "isolation: a flow did not complete"
+        fail "isolation (%s): concurrent flows differ from the same flows in series"
+          what
+      else
+        Printf.printf "ok   two concurrent flows == the same flows in series (%s)\n"
+          what
+  | _ -> fail "isolation (%s): a flow did not complete" what
 
 let () =
   Pool.fail_spawn_for_testing := false;
   let cases = List.filteri (fun i _ -> i < 3) (Suite.all ()) in
   List.iter check_case cases;
   quarantine_is_per_session ();
-  concurrent_flows_match_serial ();
+  concurrent_flows_match_serial ~cold:false ();
+  concurrent_flows_match_serial ~cold:true ();
   if !failures > 0 then begin
     Printf.printf "parallel_suite: %d failure(s)\n" !failures;
     exit 1

@@ -187,6 +187,208 @@ let test_hierarchical_optimizer () =
   let baseline, _ = Milo.Flow.human_baseline ~technology:Milo.Flow.Ecl design in
   Util.check_equiv ~seq:true (Util.env_ecl ()) baseline (Util.env_ecl ()) optimized
 
+(* --- Focused cleanups and the hoisted baseline ------------------------- *)
+
+module Engine = Milo_rules.Engine
+module Table_map = Milo_techmap.Table_map
+
+let cleanups = Milo_critic.Critic.cleanup
+let ctx_of (target : Table_map.target) d = R.make_context target.Table_map.tech target.Table_map.set d
+
+let level_cost target =
+  Milo_optimizer.Logic_optimizer.level_cost target (Milo_compilers.Database.create ())
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Mapped inputs of the per-level pass: designs 1-8 under ECL and CMOS,
+   and 150-gate random logic under ECL. *)
+let mapped_cases () =
+  List.concat_map
+    (fun (case : Milo_designs.Suite.case) ->
+      List.map
+        (fun tech ->
+          ( case.Milo_designs.Suite.case_name ^ "/" ^ Milo.Flow.technology_name tech,
+            Milo.Flow.target_of tech,
+            fst
+              (Milo.Flow.human_baseline ~technology:tech
+                 case.Milo_designs.Suite.case_design) ))
+        [ Milo.Flow.Ecl; Milo.Flow.Cmos ])
+    (Milo_designs.Suite.all ())
+  @ [
+      ( "random_logic_150/ecl",
+        Table_map.ecl_target (),
+        snd (mapped_design ~gates:150 ~seed:7) );
+    ]
+
+(* Every candidate of the rules the greedy passes score (logic, area,
+   power), or of [rules]. *)
+let candidates ?(rules = Milo_critic.Critic.(logic @ area @ power)) ctx =
+  List.concat_map
+    (fun r -> List.map (fun s -> (r, s)) (Engine.guarded_find ctx r))
+    rules
+
+(* On a cleanup-quiet design, each candidate applied with focused
+   cleanups and with whole-design cleanups (on two copies) must reach
+   the same design and the same level cost.  Returns the number of
+   candidates compared (0 when the design is not quiet) and how many of
+   them made a cleanup fire. *)
+let check_locality what target d =
+  let ctx = ctx_of target d in
+  if not (Engine.cleanup_quiet ctx cleanups) then (0, 0)
+  else
+    List.fold_left
+      (fun (n, fired) ((r : R.t), (site : R.site)) ->
+        let run cleanup_pass =
+          let c = ctx_of target (D.copy d) in
+          let log = D.new_log () in
+          let applied = Engine.guarded_apply c r site log in
+          let edits = List.length !log in
+          if applied then cleanup_pass c cleanups log;
+          (c, List.length !log > edits)
+        in
+        let near, _ = run Engine.run_cleanups_near in
+        let full, cleaned = run Engine.run_cleanups in
+        let label = Printf.sprintf "%s: %s at %s" what r.R.rule_name site.R.descr in
+        Alcotest.(check bool) (label ^ ": same design") true
+          (D.equal_structure near.R.design full.R.design);
+        Alcotest.(check bool) (label ^ ": same level cost") true
+          (same_float (level_cost target near ()) (level_cost target full ()));
+        (n + 1, if cleaned then fired + 1 else fired))
+      (0, 0) (candidates ctx)
+
+let test_cleanup_locality () =
+  let compared = ref 0 and fired = ref 0 in
+  let quiet_states = ref 0 and states = ref 0 in
+  List.iter
+    (fun (name, target, d) ->
+      let check when_ =
+        incr states;
+        let n, f = check_locality (name ^ " " ^ when_) target d in
+        if n > 0 then incr quiet_states;
+        compared := !compared + n;
+        fired := !fired + f
+      in
+      check "first step";
+      let ctx = ctx_of target d in
+      let apps =
+        Engine.greedy_pass ~max_steps:3 ~cost_factory:(level_cost target) ctx
+          ~cleanups Milo_critic.Critic.logic
+      in
+      if List.length apps = 3 then check "after 3 steps")
+    (mapped_cases ());
+  Printf.printf
+    "locality: %d candidates compared (%d fired cleanups) over %d/%d quiet states\n"
+    !compared !fired !quiet_states !states;
+  Alcotest.(check bool) "most states quiet" true (2 * !quiet_states > !states);
+  Alcotest.(check bool) "candidates compared" true (!compared > 100);
+  Alcotest.(check bool) "cleanups fired" true (!fired > 10)
+
+(* Insert INV-INV between the driver of some internal net and one of its
+   gate consumers: a double-inverter site far from most candidates. *)
+let plant_double_inverter d =
+  let inv = "E_INV" in
+  let target_net =
+    List.find
+      (fun (n : D.net) ->
+        n.D.nport = None
+        && List.exists (fun (_, pin) -> pin = "Y") n.D.npins
+        && List.exists (fun (_, pin) -> String.starts_with ~prefix:"A" pin) n.D.npins)
+      (D.nets d)
+  in
+  let sink, pin =
+    List.find (fun (_, pin) -> String.starts_with ~prefix:"A" pin) target_net.D.npins
+  in
+  let n1 = D.new_net d and n2 = D.new_net d in
+  let i1 = D.add_comp d (T.Macro inv) and i2 = D.add_comp d (T.Macro inv) in
+  D.connect d i1 "A0" target_net.D.nid;
+  D.connect d i1 "Y" n1;
+  D.connect d i2 "A0" n1;
+  D.connect d i2 "Y" n2;
+  D.connect d sink pin n2
+
+let test_planted_debris_takes_full_path () =
+  (* A greedy step focuses its candidates' cleanups only on a
+     cleanup-quiet design.  The cleanup rules are wrapped to count
+     focused and whole-design [find]s: one step on the quiet design
+     makes focused finds; the same step after planting a double
+     inverter makes none. *)
+  let target = Table_map.ecl_target () in
+  let _, quiet_d = mapped_design ~gates:150 ~seed:7 in
+  Engine.run_cleanups (ctx_of target quiet_d) cleanups (D.new_log ());
+  let planted_d = D.copy quiet_d in
+  plant_double_inverter planted_d;
+  let focused = ref 0 in
+  let watched =
+    List.map
+      (fun (r : R.t) ->
+        {
+          r with
+          R.find =
+            (fun ctx ->
+              if Option.is_some !(ctx.R.focus) then incr focused;
+              r.R.find ctx);
+        })
+      cleanups
+  in
+  let step d =
+    let ctx = ctx_of target d in
+    let quiet = Engine.cleanup_quiet ctx cleanups in
+    focused := 0;
+    (match
+       Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
+         ~cost_factory:(level_cost target) ctx ~cleanups:watched
+         Milo_critic.Critic.logic
+     with
+    | Some _ -> ()
+    | None -> Alcotest.fail "no greedy step");
+    (quiet, !focused)
+  in
+  let quiet, n = step quiet_d in
+  Alcotest.(check bool) "mapped design is quiet after cleanups" true quiet;
+  Alcotest.(check bool) "quiet design: focused finds" true (n > 0);
+  let quiet, n = step planted_d in
+  Alcotest.(check bool) "planted pair breaks quietness" false quiet;
+  Alcotest.(check int) "planted design: no focused find" 0 n
+
+let test_hoisted_baseline_exact () =
+  (* A task measures its fork once; every evaluation undoes itself
+     exactly, so after each one the cost is bit-identical to that
+     baseline — for the per-level cost and for the area cost on a fork
+     without a measurer. *)
+  List.iter
+    (fun (name, target, d) ->
+      let ctx = ctx_of target d in
+      let quiet = Engine.cleanup_quiet ctx cleanups in
+      let rules =
+        Milo_critic.Critic.logic @ Milo_critic.Critic.area @ Milo_critic.Critic.power
+      in
+      List.iter
+        (fun (cname, cost_factory) ->
+          let w = R.fork_context ctx in
+          Alcotest.(check bool) "fork has no measurer" true
+            (Option.is_none !(w.R.measurer));
+          let cost = cost_factory w in
+          let before = cost () in
+          List.iter
+            (fun (r : R.t) ->
+              List.iter
+                (fun site ->
+                  ignore (Engine.evaluate w ~before ~cost ~quiet ~cleanups r site);
+                  if not (same_float (cost ()) before) then
+                    Alcotest.failf "%s %s: cost drifted after %s at %s" name cname
+                      r.R.rule_name site.R.descr)
+                (Engine.guarded_find w r))
+            rules)
+        [
+          ("level_cost", level_cost target);
+          (* a tight constraint, so the delay penalty is part of the cost *)
+          ("area cost", Milo_optimizer.Area_opt.cost_fn ~required:0.0 ~input_arrivals:[]);
+        ])
+    (List.filter
+       (fun (name, _, _) ->
+         List.mem name [ "design1/ecl"; "design6/cmos"; "random_logic_150/ecl" ])
+       (mapped_cases ()))
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -205,6 +407,14 @@ let () =
         [ Alcotest.test_case "respects timing" `Quick test_area_opt_respects_timing ]
       );
       ("power-opt", [ Alcotest.test_case "recovers power" `Quick test_power_opt ]);
+      ( "focused-cleanups",
+        [
+          Alcotest.test_case "locality: focused = full" `Slow test_cleanup_locality;
+          Alcotest.test_case "planted debris takes the full path" `Quick
+            test_planted_debris_takes_full_path;
+          Alcotest.test_case "hoisted baseline is exact" `Quick
+            test_hoisted_baseline_exact;
+        ] );
       ( "hierarchical",
         [ Alcotest.test_case "figure 18 process" `Slow test_hierarchical_optimizer ]
       );

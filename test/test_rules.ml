@@ -229,6 +229,52 @@ let test_ops_incremental_matches_naive () =
     (abs (D.num_comps naive - D.num_comps incr)
      <= max 3 (D.num_comps naive / 5))
 
+let test_focused_find_order () =
+  (* A focus covering every component lists exactly the sites of an
+     unfocused scan, in the same order, for every built-in rule: the
+     focused scan visits components in id order. *)
+  let find ctx (r : R.t) =
+    match r.R.find ctx with
+    | sites -> Ok sites
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let check what ctx rules =
+    let all = Hashtbl.create 64 in
+    List.iter (fun (c : D.comp) -> Hashtbl.replace all c.D.id ()) (D.comps ctx.R.design);
+    List.iter
+      (fun (r : R.t) ->
+        ctx.R.focus := None;
+        let full = find ctx r in
+        ctx.R.focus := Some all;
+        let focused = find ctx r in
+        ctx.R.focus := None;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: focused %s = full scan" what r.R.rule_name)
+          true (full = focused))
+      rules
+  in
+  List.iter
+    (fun (case : Milo_designs.Suite.case) ->
+      let name = case.Milo_designs.Suite.case_name in
+      List.iter
+        (fun tech ->
+          let target = Milo.Flow.target_of tech in
+          let mapped, _ =
+            Milo.Flow.human_baseline ~technology:tech case.Milo_designs.Suite.case_design
+          in
+          check
+            (name ^ "/" ^ Milo.Flow.technology_name tech)
+            (R.make_context target.Milo_techmap.Table_map.tech
+               target.Milo_techmap.Table_map.set mapped)
+            (all_rules ()))
+        [ Milo.Flow.Ecl; Milo.Flow.Cmos ];
+      check (name ^ "/micro")
+        (R.make_context (Util.generic ())
+           (Milo_compilers.Gate_comp.generic_set (Util.generic ()))
+           (D.copy case.Milo_designs.Suite.case_design))
+        Milo_critic.Critic.micro)
+    (Milo_designs.Suite.all ())
+
 let test_ops_determinism () =
   (* Conflict-set ties (same recency, same specificity) break by the
      rule's position in the supplied list — stable across runs and
@@ -440,8 +486,8 @@ let test_neighbourhood () =
   let ctx = Util.ctx_for (Util.ecl ()) d in
   match D.comps d with
   | c :: _ ->
-      let n0 = Milo_rules.Search.neighbourhood ctx [ c.D.id ] 0 in
-      let n2 = Milo_rules.Search.neighbourhood ctx [ c.D.id ] 2 in
+      let n0 = Milo_rules.Engine.neighbourhood ctx [ c.D.id ] 0 in
+      let n2 = Milo_rules.Engine.neighbourhood ctx [ c.D.id ] 2 in
       Alcotest.(check int) "radius 0 = self" 1 (Hashtbl.length n0);
       Alcotest.(check bool) "radius 2 grows" true
         (Hashtbl.length n2 >= Hashtbl.length n0)
@@ -481,6 +527,8 @@ let () =
             test_ops_incremental_matches_naive;
           Alcotest.test_case "ops tie-break determinism" `Quick
             test_ops_determinism;
+          Alcotest.test_case "focused find keeps scan order" `Quick
+            test_focused_find_order;
           Alcotest.test_case "cleanup budget accounting" `Quick
             test_cleanup_budget_accounting;
           Alcotest.test_case "greedy improves" `Quick test_greedy_improves_cost;
