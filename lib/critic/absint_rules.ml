@@ -20,10 +20,22 @@ module Macro = Milo_library.Macro
 module Gate_comp = Milo_compilers.Gate_comp
 module Absint = Milo_absint.Absint
 
+type R.analysis += Facts of Absint.t
+
+(* One analysis per design state, shared through the session by both
+   rules' [find]s and prune's [apply]: a greedy step matches every rule
+   on the same state. *)
 let analyze ctx =
-  Absint.analyze ~resolve:ctx.R.resolve
-    (fun n -> R.find_macro ctx n)
-    ctx.R.design
+  match R.analysis ctx with
+  | Some (Facts st) -> st
+  | Some _ | None ->
+      let st =
+        Absint.analyze ~resolve:ctx.R.resolve
+          (fun n -> R.find_macro ctx n)
+          ctx.R.design
+      in
+      R.set_analysis ctx (Facts st);
+      st
 
 (* Single-output combinational macro components only: removing one
    keeps every other net's driver intact. *)

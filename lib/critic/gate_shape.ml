@@ -27,9 +27,6 @@ let of_macro (m : Macro.t) : shape option =
 let is_inv m =
   match of_macro m with Some { fn = T.Inv; _ } -> true | Some _ | None -> false
 
-let is_buf m =
-  match of_macro m with Some { fn = T.Buf; _ } -> true | Some _ | None -> false
-
 let is_const (m : Macro.t) : bool option =
   match Macro.single_output_tt m with
   | Some tt when Truth_table.vars tt = 0 -> Truth_table.is_const tt

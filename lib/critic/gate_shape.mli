@@ -8,7 +8,6 @@ type shape = { fn : T.gate_fn; arity : int }
 
 val of_macro : Macro.t -> shape option
 val is_inv : Macro.t -> bool
-val is_buf : Macro.t -> bool
 val is_const : Macro.t -> bool option
 (** [Some b] when the macro is the constant [b]. *)
 

@@ -70,19 +70,19 @@ type record =
 
 (* --- CRC-32 (IEEE 802.3, table-driven) -------------------------------- *)
 
+(* Built when the module initialises: a cold [lazy] forced by two
+   journaling domains at once raises on one of them. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let t = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
@@ -90,7 +90,7 @@ let crc32 s =
         Int32.to_int
           (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
       in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
+      c := Int32.logxor crc_table.(i) (Int32.shift_right_logical !c 8))
     s;
   Int32.logxor !c 0xFFFFFFFFl
 

@@ -131,5 +131,4 @@ let registers =
   ]
 
 let macros = nands @ nors @ ands_ors @ misc @ complex @ msi @ registers
-let library = lazy (Technology.create "cmos" macros)
-let get () = Lazy.force library
+let get = Technology.once (fun () -> Technology.create "cmos" macros)

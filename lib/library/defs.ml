@@ -19,7 +19,31 @@ let gate_semantics (fn : T.gate_fn) (input : bool array) =
   | T.Inv -> not input.(0)
   | T.Buf -> input.(0)
 
-let gate_tt fn n = Truth_table.of_fun n (gate_semantics fn)
+(* Gate functions are classified by comparing a macro's table against
+   these, once per component per scan, so every table over arities
+   1..max_vars is built once here.  They are immutable, so every domain
+   shares them; other arities are enumerated on demand. *)
+let gate_fn_index : T.gate_fn -> int = function
+  | T.And -> 0
+  | T.Or -> 1
+  | T.Nand -> 2
+  | T.Nor -> 3
+  | T.Xor -> 4
+  | T.Xnor -> 5
+  | T.Inv -> 6
+  | T.Buf -> 7
+
+let gate_tables =
+  Array.map
+    (fun fn ->
+      Array.init Truth_table.max_vars (fun i ->
+          Truth_table.of_fun (i + 1) (gate_semantics fn)))
+    [| T.And; T.Or; T.Nand; T.Nor; T.Xor; T.Xnor; T.Inv; T.Buf |]
+
+let gate_tt fn n =
+  if n >= 1 && n <= Truth_table.max_vars then
+    gate_tables.(gate_fn_index fn).(n - 1)
+  else Truth_table.of_fun n (gate_semantics fn)
 
 let gate ?power_level ?base_name ?drive ?load ~delay ~area ~power ~gates name
     fn n =
@@ -33,7 +57,7 @@ let mux_pins n =
   let s = T.clog2 n in
   T.range_pins "D" n T.Input @ T.range_pins "S" s T.Input @ [ ("Y", T.Output) ]
 
-let mux_tt n =
+let mux_fun n =
   let s = T.clog2 n in
   Truth_table.of_fun (n + s) (fun a ->
       let sel = ref 0 in
@@ -41,6 +65,11 @@ let mux_tt n =
         if a.(n + i) then sel := !sel lor (1 lsl i)
       done;
       if !sel < n then a.(!sel) else false)
+
+(* The 2:1 and 4:1 tables are what mux recognition compares against. *)
+let mux2_tt = mux_fun 2
+let mux4_tt = mux_fun 4
+let mux_tt n = match n with 2 -> mux2_tt | 4 -> mux4_tt | _ -> mux_fun n
 
 let mux ~delay ~area ~power ~gates name n =
   Macro.make ~delay ~area ~power ~gates name (mux_pins n)

@@ -157,5 +157,4 @@ let registers =
   ]
 
 let macros = or_nor @ and_nand @ misc_gates @ complex @ msi @ registers
-let library = lazy (Technology.create "ecl" macros)
-let get () = Lazy.force library
+let get = Technology.once (fun () -> Technology.create "ecl" macros)

@@ -96,5 +96,4 @@ let registers =
   ]
 
 let macros = simple_gates @ msi @ registers
-let library = lazy (Technology.create "generic" macros)
-let get () = Lazy.force library
+let get = Technology.once (fun () -> Technology.create "generic" macros)

@@ -15,6 +15,10 @@ type t = {
       (* canonical key32 -> single-output combinational macros *)
   variants : (string, string list) Hashtbl.t;
       (* base family name -> members ordered by power level *)
+  matches : (int * int64, (Macro.t * int list) list) Hashtbl.t;
+      (* memo of [matches_for] by target table (vars, bits); the macros
+         never change, so an entry never goes stale *)
+  matches_lock : Mutex.t;  (* pool domains share a technology *)
 }
 
 let create tech_name macro_list =
@@ -44,6 +48,8 @@ let create tech_name macro_list =
     order = List.map Macro.name macro_list;
     func_index;
     variants;
+    matches = Hashtbl.create 64;
+    matches_lock = Mutex.create ();
   }
 
 let name t = t.tech_name
@@ -79,28 +85,43 @@ let resolver ?instance t : D.resolver =
 
 (* All macros matching a target function, with the input permutation
    that realizes it: [perm] maps macro input index -> target variable. *)
+let search_matches t tt =
+  let key = Truth_table.canonical_key tt in
+  let candidates = Option.value ~default:[] (Hashtbl.find_opt t.func_index key) in
+  List.filter_map
+    (fun mname ->
+      let m = find t mname in
+      match Macro.single_output_tt m with
+      | None -> None
+      | Some mtt ->
+          if Truth_table.vars mtt <> Truth_table.vars tt then None
+          else
+            let nv = Truth_table.vars tt in
+            let perms = Truth_table.permutations (List.init nv (fun i -> i)) in
+            let found =
+              List.find_opt
+                (fun p -> Truth_table.equal (Truth_table.permute tt p) mtt)
+                perms
+            in
+            Option.map (fun p -> (m, p)) found)
+    candidates
+
+(* The search canonizes over every input permutation, and the matchers
+   ask about the same few functions again and again, so each answer is
+   kept.  A miss is computed outside the lock; two domains racing on
+   one key compute equal lists. *)
 let matches_for t tt =
   if Truth_table.vars tt > 5 then []
   else
-    let key = Truth_table.canonical_key tt in
-    let candidates = Option.value ~default:[] (Hashtbl.find_opt t.func_index key) in
-    List.filter_map
-      (fun mname ->
-        let m = find t mname in
-        match Macro.single_output_tt m with
-        | None -> None
-        | Some mtt ->
-            if Truth_table.vars mtt <> Truth_table.vars tt then None
-            else
-              let nv = Truth_table.vars tt in
-              let perms = Truth_table.permutations (List.init nv (fun i -> i)) in
-              let found =
-                List.find_opt
-                  (fun p -> Truth_table.equal (Truth_table.permute tt p) mtt)
-                  perms
-              in
-              Option.map (fun p -> (m, p)) found)
-      candidates
+    let key = (Truth_table.vars tt, Truth_table.bits tt) in
+    match
+      Mutex.protect t.matches_lock (fun () -> Hashtbl.find_opt t.matches key)
+    with
+    | Some ms -> ms
+    | None ->
+        let ms = search_matches t tt in
+        Mutex.protect t.matches_lock (fun () -> Hashtbl.replace t.matches key ms);
+        ms
 
 let power_variants t base =
   Option.value ~default:[] (Hashtbl.find_opt t.variants base)
@@ -148,3 +169,18 @@ let gate_arities t prefix =
 
 let macro_gates t mname =
   match find_opt t mname with Some m -> m.Macro.gates | None -> 1.0
+
+let once f =
+  let cell = Atomic.make None in
+  let lock = Mutex.create () in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get cell with
+            | Some v -> v
+            | None ->
+                let v = f () in
+                Atomic.set cell (Some v);
+                v)

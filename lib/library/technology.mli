@@ -23,7 +23,9 @@ val resolver :
 val matches_for : t -> Truth_table.t -> (Macro.t * int list) list
 (** Macros realizing the function (≤ 5 vars), each with the permutation
     [perm] such that [permute tt perm] equals the macro's table —
-    i.e. macro input [i] must receive target variable [List.nth perm i]. *)
+    i.e. macro input [i] must receive target variable [List.nth perm i].
+    Answers are memoised in the technology by table; safe to call from
+    several domains. *)
 
 val power_variants : t -> string -> string list
 val high_power_variant : t -> string -> Macro.t option
@@ -36,3 +38,9 @@ val gate_arities : t -> string -> int list
 
 val macro_gates : t -> string -> float
 (** Two-input-equivalent complexity of a macro (1.0 if unknown). *)
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] runs [f] on its first call and returns that value ever
+    after, even when several domains make the first call at once (a
+    cold [Lazy.force] from two domains raises instead).  The built-in
+    libraries are process-wide singletons made this way. *)

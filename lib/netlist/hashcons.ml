@@ -57,8 +57,8 @@ let kind_spec kind = snd (intern kind)
 
 (* --- Design digests ---------------------------------------------------- *)
 
-let hits = ref 0
-let misses = ref 0
+let hits = Atomic.make 0
+let misses = Atomic.make 0
 
 let compute_digest d =
   let buf = Buffer.create 1024 in
@@ -84,21 +84,26 @@ module Cache = Ephemeron.K1.Make (struct
   let hash d = Hashtbl.hash (D.name d)
 end)
 
+(* Concurrent flows on several domains (journaled or recording
+   provenance) hash their designs through this one table, so lookups
+   and inserts are serialized; the digest itself is computed outside
+   the lock. *)
 let digest_cache : (int * string) Cache.t = Cache.create 64
+let digest_mutex = Mutex.create ()
 
 let design_digest d =
-  match Cache.find_opt digest_cache d with
-  | Some (g, dg) when g = D.generation d ->
-      incr hits;
+  let g = D.generation d in
+  match Mutex.protect digest_mutex (fun () -> Cache.find_opt digest_cache d) with
+  | Some (g', dg) when g' = g ->
+      Atomic.incr hits;
       dg
   | Some _ | None ->
-      incr misses;
-      (* Read the generation before serializing: if a concurrent
+      Atomic.incr misses;
+      (* The generation was read before serializing: if a concurrent
          mutation raced the traversal the cached entry is already
          stale and will miss next time. *)
-      let g = D.generation d in
       let dg = compute_digest d in
-      Cache.replace digest_cache d (g, dg);
+      Mutex.protect digest_mutex (fun () -> Cache.replace digest_cache d (g, dg));
       dg
 
 let equal_structure a b = a == b || design_digest a = design_digest b
@@ -107,7 +112,7 @@ type stats = { digest_hits : int; digest_misses : int; interned_kinds : int }
 
 let stats () =
   {
-    digest_hits = !hits;
-    digest_misses = !misses;
+    digest_hits = Atomic.get hits;
+    digest_misses = Atomic.get misses;
     interned_kinds = Hashtbl.length kind_table;
   }

@@ -47,6 +47,19 @@ type rule_guard = {
   rg_tv : (string, int array) Hashtbl.t;  (* cone digest -> truth vector *)
 }
 
+type analysis = ..
+
+(* A whole-design analysis and the state it was computed on.  Every
+   design mutator bumps the generation (undo included), so equal keys
+   mean the facts still hold. *)
+type analysis_slot = {
+  an_design : D.t;
+  an_generation : int;
+  an_tech : Technology.t;
+  an_resolve : D.resolver;
+  an_value : analysis;
+}
+
 type session = {
   quarantine : (string, int * string * reason) Hashtbl.t;
   trapped : (string * string * reason) list ref option;
@@ -54,6 +67,7 @@ type session = {
   mutable certified : string list;
   mutable last_verdict : Milo_provenance.Provenance.verdict;
   mutable debug_lint : bool;
+  mutable analysis : analysis_slot option;
 }
 
 let new_session () =
@@ -64,6 +78,7 @@ let new_session () =
     certified = [];
     last_verdict = Milo_provenance.Provenance.Unguarded;
     debug_lint = false;
+    analysis = None;
   }
 
 (* A worker's session reads its parent's quarantine and collects its
@@ -126,6 +141,28 @@ let fork_context ctx =
   }
 
 let find_macro ctx name = Technology.find_opt ctx.tech name
+
+(* The shared-analysis slot: whoever finds it empty or out of date
+   computes and stores a fresh analysis. *)
+let analysis ctx =
+  match ctx.session.analysis with
+  | Some a
+    when a.an_design == ctx.design
+         && a.an_generation = D.generation ctx.design
+         && a.an_tech == ctx.tech && a.an_resolve == ctx.resolve ->
+      Some a.an_value
+  | Some _ | None -> None
+
+let set_analysis ctx v =
+  ctx.session.analysis <-
+    Some
+      {
+        an_design = ctx.design;
+        an_generation = D.generation ctx.design;
+        an_tech = ctx.tech;
+        an_resolve = ctx.resolve;
+        an_value = v;
+      }
 
 let macro_of ctx (c : D.comp) =
   match c.D.kind with

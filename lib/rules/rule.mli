@@ -31,6 +31,14 @@ type rule_guard = {
       (** truth vectors of structurally identical cones, by digest *)
 }
 
+type analysis = ..
+(** A whole-design analysis that rule [find]s share (the absint rules
+    add theirs).  Defined here because this library cannot name the
+    analyses, which depend on it. *)
+
+type analysis_slot
+(** An analysis with the state it describes. *)
+
 type session = {
   quarantine : (string, int * string * reason) Hashtbl.t;
       (** per rule: failure count, first failure message and why *)
@@ -43,10 +51,14 @@ type session = {
   mutable last_verdict : Milo_provenance.Provenance.verdict;
       (** guard verdict of the latest guarded apply *)
   mutable debug_lint : bool;
+  mutable analysis : analysis_slot option;
+      (** the latest shared analysis (see {!val-analysis}); a worker
+          fork starts without one *)
 }
 
 val new_session : unit -> session
-(** Empty quarantine, no guard, no certificates, debug-lint off. *)
+(** Empty quarantine, no guard, no certificates, debug-lint off, no
+    analysis. *)
 
 type context = {
   design : D.t;
@@ -96,6 +108,16 @@ val scan_comps : context -> D.comp list
 
 val find_macro : context -> string -> Milo_library.Macro.t option
 val macro_of : context -> D.comp -> Milo_library.Macro.t option
+
+val analysis : context -> analysis option
+(** The session's shared analysis, if it was computed on the context's
+    current state: same physical design and {!D.generation}, same
+    technology and resolver.  Every design mutator (undo included)
+    bumps the generation, so a returned analysis is never stale. *)
+
+val set_analysis : context -> analysis -> unit
+(** Keep an analysis of the context's current state in its session,
+    replacing the previous one. *)
 
 type site = { site_comps : int list; site_data : int list; descr : string }
 

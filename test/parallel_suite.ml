@@ -13,7 +13,9 @@
 
    Engine state is per run: a rule quarantined through one session is
    not quarantined in another, and two flows on two domains at once
-   return exactly what the same two flows return in series. *)
+   return exactly what the same two flows return in series — also when
+   both journal and record provenance, so both hash designs through the
+   shared digest cache. *)
 
 module D = Milo_netlist.Design
 module Flow = Milo.Flow
@@ -255,41 +257,69 @@ type run_summary = {
   rs_quarantined : (string * int) list;
 }
 
+let summary_of res =
+  {
+    rs_hash = J.design_hash res.Flow.optimized;
+    rs_stats = res.Flow.final;
+    rs_guard = guard_counters res.Flow.guard_stats;
+    rs_quarantined = res.Flow.quarantined;
+  }
+
 let summarize (case : Suite.case) =
   match
     Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
       ~guard:Guard.Sampled case.Suite.case_design
   with
-  | Flow.Complete res ->
-      Ok
-        {
-          rs_hash = J.design_hash res.Flow.optimized;
-          rs_stats = res.Flow.final;
-          rs_guard = guard_counters res.Flow.guard_stats;
-          rs_quarantined = res.Flow.quarantined;
-        }
+  | Flow.Complete res -> Ok (summary_of res)
   | Flow.Partial p -> Error (Flow.stage_name p.Flow.failed_stage)
   | exception e -> Error (Printexc.to_string e)
 
-(* Two flows at once, one per domain, released together.  The serial
-   runs go first, which also fills the process-wide certificate cache.
-   With [cold], the cache is emptied before the release, so both flows
-   certify and insert into it at the same time. *)
-let concurrent_flows_match_serial ~cold () =
+(* The same flow, journaled to a scratch file and recording provenance:
+   its summary, ledger rows and trajectory (wall-clock field masked),
+   and the journal's record and delta counts.  Its journal must replay
+   clean. *)
+let summarize_recorded (case : Suite.case) =
+  let journal = Filename.temp_file "milo_parallel_suite" ".mjl" in
+  let p = P.create () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      match
+        Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+          ~guard:Guard.Sampled ~journal ~provenance:p case.Suite.case_design
+      with
+      | Flow.Complete res ->
+          let rep = Flow.replay journal in
+          if rep.Flow.rep_finished && rep.Flow.rep_divergences = [] then
+            Ok
+              ( summary_of res,
+                P.ledger p,
+                List.map
+                  (fun ev -> strip_field "budget_elapsed" (Trajectory.line_of_event ev))
+                  (P.events p),
+                (rep.Flow.rep_records, rep.Flow.rep_deltas) )
+          else Error "journal replay diverged"
+      | Flow.Partial p -> Error (Flow.stage_name p.Flow.failed_stage)
+      | exception e -> Error (Printexc.to_string e))
+
+(* Two flows at once, one per domain, released together, must return
+   what the same flows return in series (which run first).  [prepare]
+   runs between the two, e.g. to empty the process-wide certificate
+   cache so both flows certify and insert into it at the same time. *)
+let concurrent_flows_match_serial ~what ?(prepare = ignore) run =
   let a = Suite.design1 () and b = Suite.design4 () in
-  let serial = (summarize a, summarize b) in
-  if cold then Milo_absint.Certify.(reset_cache shared_cache);
+  let serial = (run a, run b) in
+  prepare ();
   let ready = Atomic.make 0 in
   let released case () =
     Atomic.incr ready;
     while Atomic.get ready < 2 do
       Domain.cpu_relax ()
     done;
-    summarize case
+    run case
   in
   let da = Domain.spawn (released a) and db = Domain.spawn (released b) in
   let concurrent = (Domain.join da, Domain.join db) in
-  let what = if cold then "cold cache" else "warm cache" in
   match (serial, concurrent) with
   | (Ok sa, Ok sb), (Ok ca, Ok cb) ->
       if sa <> ca || sb <> cb then
@@ -305,8 +335,12 @@ let () =
   let cases = List.filteri (fun i _ -> i < 3) (Suite.all ()) in
   List.iter check_case cases;
   quarantine_is_per_session ();
-  concurrent_flows_match_serial ~cold:false ();
-  concurrent_flows_match_serial ~cold:true ();
+  concurrent_flows_match_serial ~what:"warm cache" summarize;
+  concurrent_flows_match_serial ~what:"cold cache"
+    ~prepare:(fun () -> Milo_absint.Certify.(reset_cache shared_cache))
+    summarize;
+  concurrent_flows_match_serial ~what:"journaled, with provenance"
+    summarize_recorded;
   if !failures > 0 then begin
     Printf.printf "parallel_suite: %d failure(s)\n" !failures;
     exit 1

@@ -1,9 +1,12 @@
 (* Macro library tests: well-formedness of all three libraries, the
-   truth-table function index, power variants. *)
+   truth-table function index and its memo, the prebuilt gate tables
+   and gate classification, power variants, once-only singletons. *)
 
 module T = Milo_netlist.Types
 module Macro = Milo_library.Macro
 module Tech = Milo_library.Technology
+module Defs = Milo_library.Defs
+module Gate_shape = Milo_critic.Gate_shape
 open Milo_boolfunc
 
 let libs () = [ Util.generic (); Util.ecl (); Util.cmos () ]
@@ -133,6 +136,211 @@ let test_matches_for () =
         (Truth_table.equal (Truth_table.permute oa perm) mtt)
   | None -> Alcotest.fail "OA21 not matched")
 
+(* --- Match memo ------------------------------------------------------ *)
+
+(* The uncached search [matches_for] memoises: the macros whose table
+   has the target's canonical key, in library order, each with the
+   first permutation (in [Truth_table.permutations] order) that turns
+   the target into the macro's table. *)
+let reference_matches tech =
+  let indexed =
+    List.filter_map
+      (fun (m : Macro.t) ->
+        match Macro.single_output_tt m with
+        | Some mtt when Truth_table.vars mtt <= 5 ->
+            Some (m, mtt, Truth_table.canonical_key mtt)
+        | Some _ | None -> None)
+      (Tech.all tech)
+  in
+  fun tt ->
+    if Truth_table.vars tt > 5 then []
+    else
+      let key = Truth_table.canonical_key tt in
+      List.filter_map
+        (fun (m, mtt, mkey) ->
+          if mkey <> key || Truth_table.vars mtt <> Truth_table.vars tt then None
+          else
+            let nv = Truth_table.vars tt in
+            List.find_opt
+              (fun p -> Truth_table.equal (Truth_table.permute tt p) mtt)
+              (Truth_table.permutations (List.init nv (fun i -> i)))
+            |> Option.map (fun p -> (m, p)))
+        indexed
+
+(* Every single-output macro function of the libraries, then random
+   tables of at most 5 inputs. *)
+let match_targets () =
+  let rng = Random.State.make [| 31 |] in
+  List.concat_map
+    (fun tech -> List.filter_map Macro.single_output_tt (Tech.all tech))
+    (libs ())
+  @ List.init 300 (fun _ ->
+        let vars = 1 + Random.State.int rng 5 in
+        Truth_table.create vars (Random.State.int64 rng Int64.max_int))
+
+let same_matches a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (m, p) (m', p') -> m == m' && p = p') a b
+
+let test_match_memo_exact () =
+  let targets = match_targets () in
+  List.iter
+    (fun lib ->
+      (* a fresh technology, so the first pass runs on a cold memo *)
+      let tech = Tech.create (Tech.name lib) (Tech.all lib) in
+      let expected = List.map (reference_matches tech) targets in
+      List.iter
+        (fun pass ->
+          List.iter2
+            (fun tt want ->
+              if not (same_matches (Tech.matches_for tech tt) want) then
+                Alcotest.failf "%s %s: %s matches differ from the search"
+                  (Tech.name tech) pass (Truth_table.to_string tt))
+            targets expected)
+        [ "cold"; "warm" ];
+      Alcotest.(check bool)
+        (Tech.name tech ^ ": some targets match")
+        true
+        (List.exists (fun ms -> ms <> []) expected))
+    (libs ())
+
+let test_match_memo_two_domains () =
+  let targets = match_targets () in
+  List.iter
+    (fun lib ->
+      let tech = Tech.create (Tech.name lib) (Tech.all lib) in
+      let ready = Atomic.make 0 in
+      let query () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        List.map (Tech.matches_for tech) targets
+      in
+      let a = Domain.spawn query and b = Domain.spawn query in
+      let ra = Domain.join a and rb = Domain.join b in
+      let expected = List.map (reference_matches tech) targets in
+      Alcotest.(check bool)
+        (Tech.name tech ^ ": both domains get the search's lists")
+        true
+        (List.for_all2 same_matches ra expected
+        && List.for_all2 same_matches rb expected))
+    (libs ())
+
+(* --- Gate tables and classification ---------------------------------- *)
+
+let gate_fns = [ T.And; T.Or; T.Nand; T.Nor; T.Xor; T.Xnor; T.Inv; T.Buf ]
+
+(* The classifier as it was before the tables: it enumerates each
+   candidate function's minterms on every call. *)
+let enumerated_gate_tt fn n = Truth_table.of_fun n (Defs.gate_semantics fn)
+
+let enumerated_mux_tt n =
+  let s = T.clog2 n in
+  Truth_table.of_fun (n + s) (fun a ->
+      let sel = ref 0 in
+      for i = 0 to s - 1 do
+        if a.(n + i) then sel := !sel lor (1 lsl i)
+      done;
+      if !sel < n then a.(!sel) else false)
+
+let reference_of_macro (m : Macro.t) =
+  match Macro.single_output_tt m with
+  | None -> None
+  | Some tt ->
+      let arity = List.length m.Macro.inputs in
+      if arity < 1 || arity > Truth_table.max_vars then None
+      else
+        List.find_map
+          (fun fn ->
+            if Truth_table.equal tt (enumerated_gate_tt fn arity) then
+              Some { Gate_shape.fn; arity }
+            else None)
+          (if arity = 1 then [ T.Inv; T.Buf ]
+           else [ T.And; T.Or; T.Nand; T.Nor; T.Xor; T.Xnor ])
+
+let reference_mux_inputs (m : Macro.t) =
+  match Macro.single_output_tt m with
+  | None -> None
+  | Some tt ->
+      let check n =
+        List.length m.Macro.inputs = n + T.clog2 n
+        && List.for_all
+             (fun i -> List.mem (Printf.sprintf "D%d" i) m.Macro.inputs)
+             (List.init n (fun i -> i))
+        && Truth_table.equal tt (enumerated_mux_tt n)
+      in
+      if check 2 then Some 2 else if check 4 then Some 4 else None
+
+let test_gate_tables () =
+  List.iter
+    (fun fn ->
+      for n = 1 to Truth_table.max_vars do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s%d table" (T.gate_fn_name fn) n)
+          true
+          (Truth_table.equal (Defs.gate_tt fn n) (enumerated_gate_tt fn n))
+      done)
+    gate_fns;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "mux%d table" n) true
+        (Truth_table.equal (Defs.mux_tt n) (enumerated_mux_tt n)))
+    [ 2; 4 ]
+
+let test_classification_unchanged () =
+  List.iter
+    (fun tech ->
+      List.iter
+        (fun (m : Macro.t) ->
+          let name = Tech.name tech ^ "/" ^ m.Macro.mname in
+          Alcotest.(check bool) (name ^ " shape") true
+            (Gate_shape.of_macro m = reference_of_macro m);
+          Alcotest.(check bool) (name ^ " is_inv") true
+            (Gate_shape.is_inv m
+            = (match reference_of_macro m with
+              | Some { Gate_shape.fn = T.Inv; _ } -> true
+              | Some _ | None -> false));
+          Alcotest.(check (option int)) (name ^ " mux inputs")
+            (reference_mux_inputs m) (Gate_shape.mux_inputs m))
+        (Tech.all tech))
+    (libs ());
+  (* the comparison is not vacuous *)
+  let ecl = Util.ecl () in
+  Alcotest.(check bool) "E_NOR3 is a NOR3" true
+    (Gate_shape.of_macro (Tech.find ecl "E_NOR3")
+    = Some { Gate_shape.fn = T.Nor; arity = 3 })
+
+(* --- Once-only singletons --------------------------------------------- *)
+
+let test_once_two_domains () =
+  (* Two domains make the first call of a slow initializer at once: it
+     runs once, and both get its value. *)
+  let runs = Atomic.make 0 in
+  let get =
+    Tech.once (fun () ->
+        Atomic.incr runs;
+        let t0 = Sys.time () in
+        while Sys.time () -. t0 < 0.05 do
+          Domain.cpu_relax ()
+        done;
+        ref 0)
+  in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    get ()
+  in
+  let a = Domain.spawn force and b = Domain.spawn force in
+  let va = Domain.join a and vb = Domain.join b in
+  Alcotest.(check int) "initializer ran once" 1 (Atomic.get runs);
+  Alcotest.(check bool) "both domains got its value" true (va == vb);
+  Alcotest.(check bool) "later calls too" true (get () == va);
+  Alcotest.(check int) "still once" 1 (Atomic.get runs)
+
 let test_gate_arities () =
   let ecl = Util.ecl () in
   Alcotest.(check (list int)) "E_OR arities" [ 2; 3; 4; 5 ]
@@ -176,5 +384,17 @@ let () =
         [
           Alcotest.test_case "matches_for" `Quick test_matches_for;
           Alcotest.test_case "gate arities" `Quick test_gate_arities;
+          Alcotest.test_case "memo equals the search" `Quick test_match_memo_exact;
+          Alcotest.test_case "memo from two domains" `Quick
+            test_match_memo_two_domains;
         ] );
+      ( "gate-shape",
+        [
+          Alcotest.test_case "prebuilt tables" `Quick test_gate_tables;
+          Alcotest.test_case "classification unchanged" `Quick
+            test_classification_unchanged;
+        ] );
+      ( "singletons",
+        [ Alcotest.test_case "once from two domains" `Quick test_once_two_domains ]
+      );
     ]

@@ -389,6 +389,145 @@ let test_hoisted_baseline_exact () =
          List.mem name [ "design1/ecl"; "design6/cmos"; "random_logic_150/ecl" ])
        (mapped_cases ()))
 
+(* --- Shared absint analysis --------------------------------------------- *)
+
+module Absint_rules = Milo_critic.Absint_rules
+module Gate_shape = Milo_critic.Gate_shape
+module Macro = Milo_library.Macro
+
+(* The analysis [ctx]'s session holds for its current state, if any. *)
+let shared_facts ctx =
+  match R.analysis ctx with
+  | Some (Absint_rules.Facts st) -> Some st
+  | Some _ | None -> None
+
+(* Each absint rule's [find] through [ctx]'s session, twice (the second
+   time on the analysis the first one left), lists the sites a fresh
+   session finds.  Returns how many sites there were. *)
+let check_absint_sites what ctx =
+  List.fold_left
+    (fun n (r : R.t) ->
+      let fresh = r.R.find { ctx with R.session = R.new_session () } in
+      let first = r.R.find ctx in
+      let facts = shared_facts ctx in
+      let second = r.R.find ctx in
+      let label = Printf.sprintf "%s: %s" what r.R.rule_name in
+      Alcotest.(check bool) (label ^ ": analysis kept") true (Option.is_some facts);
+      Alcotest.(check bool) (label ^ ": analysis reused") true
+        (Option.equal ( == ) facts (shared_facts ctx));
+      Alcotest.(check bool) (label ^ ": first find = fresh session") true
+        (first = fresh);
+      Alcotest.(check bool) (label ^ ": second find = fresh session") true
+        (second = fresh);
+      n + List.length fresh)
+    0 Absint_rules.rules
+
+(* Tie the first input of the lowest-id AND/NAND/OR/NOR gate that
+   drives a consumer, and that absint-const-collapse does not list yet,
+   to the gate's controlling value: its output becomes a proved constant
+   and its other inputs are masked.  Returns the gate. *)
+let plant_constant ctx target =
+  let d = ctx.R.design in
+  let sited =
+    Absint_rules.const_collapse.R.find { ctx with R.session = R.new_session () }
+  in
+  let controlling (m : Macro.t) =
+    match Gate_shape.of_macro m with
+    | Some { Gate_shape.fn = T.And | T.Nand; arity } when arity >= 2 -> Some T.Vss
+    | Some { Gate_shape.fn = T.Or | T.Nor; arity } when arity >= 2 -> Some T.Vdd
+    | Some _ | None -> None
+  in
+  let victim, m, lvl =
+    List.find_map
+      (fun (c : D.comp) ->
+        match R.macro_of ctx c with
+        | None -> None
+        | Some m -> (
+            match (controlling m, m.Macro.outputs) with
+            | Some lvl, [ o ]
+              when not (List.exists (fun s -> s.R.site_comps = [ c.D.id ]) sited) -> (
+                match D.connection d c.D.id o with
+                | Some nid when R.fanout ctx nid > 0 -> Some (c.D.id, m, lvl)
+                | Some _ | None -> None)
+            | _ -> None))
+      (D.comps d)
+    |> Option.get
+  in
+  let cnet = Milo_compilers.Gate_comp.add_const d target.Table_map.set lvl in
+  D.connect d victim (List.hd m.Macro.inputs) cnet;
+  victim
+
+let test_shared_absint_never_stale () =
+  (* Per design: check at the first greedy step, plant a constant, check
+     again, run up to 3 greedy steps, check after them. *)
+  let stepped = ref 0 and sites = ref 0 and changed = ref 0 in
+  List.iter
+    (fun (name, target, d) ->
+      let ctx = ctx_of target (D.copy d) in
+      ignore (check_absint_sites (name ^ " first step") ctx);
+      ignore (plant_constant ctx target);
+      let planted = check_absint_sites (name ^ " planted") ctx in
+      let apps =
+        Engine.greedy_pass ~max_steps:3 ~cost_factory:(level_cost target) ctx
+          ~cleanups Milo_critic.Critic.logic
+      in
+      let after = check_absint_sites (name ^ " after the steps") ctx in
+      if apps <> [] then incr stepped;
+      sites := !sites + planted + after;
+      if after <> planted then incr changed)
+    (List.filter
+       (fun (name, _, _) -> String.ends_with ~suffix:"/ecl" name)
+       (mapped_cases ()));
+  Printf.printf "%d designs stepped, %d absint sites, %d site counts changed\n"
+    !stepped !sites !changed;
+  Alcotest.(check bool) "greedy steps committed" true (!stepped > 6);
+  Alcotest.(check bool) "absint sites compared" true (!sites > 9);
+  Alcotest.(check bool) "site lists changed between the checks" true (!changed > 3)
+
+let test_shared_absint_invalidation () =
+  (* The session's analysis is reused on an unchanged state and
+     replaced after a design edit, an undo and a committed greedy step;
+     a constant planted between two finds shows up in the second. *)
+  let target = Table_map.ecl_target () in
+  let _, d = mapped_design ~gates:150 ~seed:7 in
+  let ctx = ctx_of target d in
+  let collapse = Absint_rules.const_collapse in
+  let find what =
+    ignore (collapse.R.find ctx);
+    match shared_facts ctx with
+    | Some st -> st
+    | None -> Alcotest.failf "%s: find left no analysis" what
+  in
+  let stale what =
+    Alcotest.(check bool) (what ^ ": analysis out of date") true
+      (Option.is_none (R.analysis ctx))
+  in
+  let a0 = find "start" in
+  Alcotest.(check bool) "unchanged state: analysis reused" true (find "again" == a0);
+  Alcotest.(check bool) "a worker fork starts without one" true
+    (Option.is_none (R.fork_context ctx).R.session.R.analysis);
+  let log = D.new_log () in
+  ignore (D.new_net ~log d);
+  stale "edit";
+  let a1 = find "edit" in
+  Alcotest.(check bool) "edit: re-analysed" true (a1 != a0);
+  D.undo d log;
+  stale "undo";
+  let a2 = find "undo" in
+  Alcotest.(check bool) "undo: re-analysed" true (a2 != a1);
+  (match
+     Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
+       ~cost_factory:(level_cost target) ctx ~cleanups Milo_critic.Critic.logic
+   with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no greedy step to commit");
+  stale "commit";
+  let a3 = find "commit" in
+  Alcotest.(check bool) "commit: re-analysed" true (a3 != a2);
+  let victim = plant_constant ctx target in
+  Alcotest.(check bool) "planted constant is found" true
+    (List.exists (fun s -> s.R.site_comps = [ victim ]) (collapse.R.find ctx))
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -414,6 +553,13 @@ let () =
             test_planted_debris_takes_full_path;
           Alcotest.test_case "hoisted baseline is exact" `Quick
             test_hoisted_baseline_exact;
+        ] );
+      ( "shared-analysis",
+        [
+          Alcotest.test_case "never stale over greedy steps" `Slow
+            test_shared_absint_never_stale;
+          Alcotest.test_case "edit, undo and commit re-analyse" `Quick
+            test_shared_absint_invalidation;
         ] );
       ( "hierarchical",
         [ Alcotest.test_case "figure 18 process" `Slow test_hierarchical_optimizer ]
