@@ -67,11 +67,46 @@ let collect f =
 
 (* --- structural graph consistency ------------------------------------ *)
 
-(* Connections reference live nets, and the comp-pin / net-pin indexes
-   agree in both directions (the invariants the undo log relies on). *)
+(* [D.driver] and [D.fanout] answer from memos; recompute both from
+   lint's own endpoint walk.  [None] when the walk cannot give the whole
+   answer (an endpoint did not resolve). *)
+let walked_driver_and_fanout ctx (n : D.net) =
+  let drivers, sinks, unresolved = net_endpoints ctx n in
+  if unresolved then None
+  else
+    let driver =
+      (* [net_endpoints] lists drivers last pin first *)
+      match List.rev drivers with
+      | (c, pin) :: _ -> D.Src_comp (c.D.id, pin)
+      | [] -> (
+          match n.D.nport with
+          | Some (p, T.Input) -> D.Src_port p
+          | Some (_, T.Output) | None -> D.Src_none)
+    in
+    let port_load = match n.D.nport with Some (_, T.Output) -> 1 | _ -> 0 in
+    Some (driver, List.length sinks + port_load)
+
+let source_to_string d = function
+  | D.Src_comp (cid, pin) -> (
+      match D.comp_opt d cid with
+      | Some c -> c.D.cname ^ "." ^ pin
+      | None -> Printf.sprintf "comp %d.%s" cid pin)
+  | D.Src_port p -> "port " ^ p
+  | D.Src_none -> "none"
+
+(* Connections reference live nets, the comp-pin / net-pin indexes
+   agree in both directions (the invariants the undo log relies on),
+   and the netlist's driver index agrees with the pins.  The index is
+   compared only on nets with no other finding here, every endpoint
+   resolved and a resolver given, where the walk is the whole truth. *)
 let run_net_consistency ctx =
   let d = ctx.design in
+  let flagged = Hashtbl.create 8 in
   collect (fun add ->
+      let add_net (n : D.net) diag =
+        Hashtbl.replace flagged n.D.nid ();
+        add diag
+      in
       List.iter
         (fun (c : D.comp) ->
           List.iter
@@ -84,7 +119,7 @@ let run_net_consistency ctx =
                        "connected to dangling net %d" nid)
               | Some n ->
                   if not (List.mem (c.D.id, pin) n.D.npins) then
-                    add
+                    add_net n
                       (Diagnostic.make ~rule:"net-consistency"
                          ~severity:Diagnostic.Error ~loc:(net_loc n)
                          "missing back-reference to %s.%s" c.D.cname pin))
@@ -96,18 +131,47 @@ let run_net_consistency ctx =
             (fun (cid, pin) ->
               match D.comp_opt d cid with
               | None ->
-                  add
+                  add_net n
                     (Diagnostic.make ~rule:"net-consistency"
                        ~severity:Diagnostic.Error ~loc:(net_loc n)
                        "pin of removed comp %d.%s" cid pin)
               | Some c ->
                   if D.connection d cid pin <> Some n.D.nid then
-                    add
+                    add_net n
                       (Diagnostic.make ~rule:"net-consistency"
                          ~severity:Diagnostic.Error ~loc:(net_loc n)
                          "stale pin %s.%s" c.D.cname pin))
             n.D.npins)
-        (D.nets d))
+        (D.nets d);
+      match ctx.resolve with
+      | None -> ()
+      | Some resolve ->
+          List.iter
+            (fun (n : D.net) ->
+              if not (Hashtbl.mem flagged n.D.nid) then
+                match walked_driver_and_fanout ctx n with
+                | None -> ()
+                | Some (driver, fanout) ->
+                    let indexed =
+                      try
+                        Ok
+                          ( D.driver ~resolve d n.D.nid,
+                            D.fanout ~resolve d n.D.nid )
+                      with D.Error e -> Error (D.error_to_string e)
+                    in
+                    if indexed <> Ok (driver, fanout) then
+                      add
+                        (Diagnostic.make ~rule:"net-consistency"
+                           ~severity:Diagnostic.Error ~loc:(net_loc n)
+                           "stale driver index: %s; the pins give driver \
+                            %s, fanout %d"
+                           (match indexed with
+                           | Ok (s, f) ->
+                               Printf.sprintf "driver %s, fanout %d"
+                                 (source_to_string d s) f
+                           | Error e -> e)
+                           (source_to_string d driver) fanout))
+            (D.nets d))
 
 (* Port list and net port-bindings agree. *)
 let run_port_consistency ctx =
@@ -472,7 +536,9 @@ let run_const_input ctx =
 let all : pass list =
   [
     { pass_name = "net-consistency";
-      pass_doc = "comp/net connectivity indexes agree; no dangling references";
+      pass_doc =
+        "comp/net connectivity indexes agree; no dangling references; the \
+         driver index matches the pins";
       pass_run = run_net_consistency };
     { pass_name = "port-consistency";
       pass_doc = "port list and net port-bindings agree";

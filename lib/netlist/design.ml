@@ -7,19 +7,52 @@
 
 type resolver = Types.kind -> string -> (string * Types.dir) list
 
+type source = Src_comp of int * string | Src_port of string | Src_none
+
+(* Pin directions depend only on a component's kind, so they are
+   resolved once and memoised next to the data they derive from (the
+   paper's "re-test only when a change occurs upon which the attribute
+   is dependent", Section 2.2.1).  Each memo is one mutable field
+   holding an immutable record and validated by physical identity with
+   its key, so a reader in another domain can only race into a
+   recompute; the shared sentinels below stand for "unknown". *)
 type comp = {
   id : int;
   mutable cname : string;
   mutable kind : Types.kind;
   conns : (string, int) Hashtbl.t;
+  mutable iface : iface;
 }
+
+(* The resolved pin list of [if_kind]; valid while [kind == if_kind]. *)
+and iface = { if_kind : Types.kind; if_pins : (string * Types.dir) list }
 
 type net = {
   nid : int;
   mutable nname : string;
   mutable npins : (int * string) list;
   mutable nport : (string * Types.dir) option;
+  mutable drive : drive;
 }
+
+(* The first output pin of [dr_pins] ([Src_none] if none) and the number
+   of its input pins; valid while [npins == dr_pins].  The port binding
+   is read live. *)
+and drive = { dr_pins : (int * string) list; dr_comp : source; dr_sinks : int }
+
+(* [if_kind] is a constant private to this module, so no component's
+   kind is ever physically equal to it. *)
+let no_iface = { if_kind = Types.Macro ""; if_pins = [] }
+
+(* Keyed on [], which every empty net shares: the answer it holds is
+   exactly the empty net's. *)
+let no_drive = { dr_pins = []; dr_comp = Src_none; dr_sinks = 0 }
+
+let make_comp id cname kind =
+  { id; cname; kind; conns = Hashtbl.create 8; iface = no_iface }
+
+let make_net nid nname nport =
+  { nid; nname; npins = []; nport; drive = no_drive }
 
 type entry =
   | E_add_comp of int * string * Types.kind
@@ -141,7 +174,7 @@ let fresh_net_raw t nname =
   let nid = t.next_net in
   t.next_net <- nid + 1;
   let nname = if nname = "" then Printf.sprintf "n%d" nid else nname in
-  let n = { nid; nname; npins = []; nport = None } in
+  let n = make_net nid nname None in
   Hashtbl.replace t.nets nid n;
   nid
 
@@ -177,7 +210,7 @@ let add_comp ?log ?(name = "") t kind =
   let id = t.next_comp in
   t.next_comp <- id + 1;
   let cname = if name = "" then Printf.sprintf "u%d" id else name in
-  let c = { id; cname; kind; conns = Hashtbl.create 8 } in
+  let c = make_comp id cname kind in
   Hashtbl.replace t.comps id c;
   record log (E_add_comp (id, cname, kind));
   id
@@ -240,11 +273,23 @@ let remove_net ?log t nid =
   Hashtbl.remove t.nets nid;
   record log (E_remove_net (nid, n.nname, n.nport))
 
+(* A new kind can give a pin the other direction while every net's
+   [npins] stays the same, so the nets it is connected to forget their
+   drive memo.  The component's own memo is keyed on the kind. *)
+let change_kind t c kind =
+  c.kind <- kind;
+  Hashtbl.iter
+    (fun _ nid ->
+      match Hashtbl.find_opt t.nets nid with
+      | Some n -> n.drive <- no_drive
+      | None -> ())
+    c.conns
+
 let set_kind ?log t cid kind =
   touch t;
   let c = Hashtbl.find t.comps cid in
   let old = c.kind in
-  c.kind <- kind;
+  change_kind t c kind;
   record log (E_set_kind (cid, old, kind))
 
 let undo_entry t =
@@ -256,18 +301,15 @@ let undo_entry t =
       List.iter (fun pin -> ignore (detach_pin t cid pin)) pins;
       Hashtbl.remove t.comps cid
   | E_remove_comp (cid, cname, kind, saved) ->
-      let c = { id = cid; cname; kind; conns = Hashtbl.create 8 } in
-      Hashtbl.replace t.comps cid c;
+      Hashtbl.replace t.comps cid (make_comp cid cname kind);
       List.iter (fun (pin, nid) -> attach_pin t cid pin nid) saved
   | E_connect (cid, pin, prev, _) -> (
       ignore (detach_pin t cid pin);
       match prev with None -> () | Some nid -> attach_pin t cid pin nid)
   | E_add_net (nid, _) -> Hashtbl.remove t.nets nid
   | E_remove_net (nid, nname, nport) ->
-      Hashtbl.replace t.nets nid { nid; nname; npins = []; nport }
-  | E_set_kind (cid, old, _) ->
-      let c = Hashtbl.find t.comps cid in
-      c.kind <- old
+      Hashtbl.replace t.nets nid (make_net nid nname nport)
+  | E_set_kind (cid, old, _) -> change_kind t (Hashtbl.find t.comps cid) old
 
 let undo t (log : log) =
   List.iter (undo_entry t) !log;
@@ -296,8 +338,7 @@ let redo_entry t =
   touch t;
   function
   | E_add_comp (cid, cname, kind) ->
-      Hashtbl.replace t.comps cid
-        { id = cid; cname; kind; conns = Hashtbl.create 8 };
+      Hashtbl.replace t.comps cid (make_comp cid cname kind);
       if cid >= t.next_comp then t.next_comp <- cid + 1
   | E_remove_comp (cid, _, _, saved) ->
       List.iter (fun (pin, _) -> ignore (detach_pin t cid pin)) saved;
@@ -306,10 +347,10 @@ let redo_entry t =
       ignore (detach_pin t cid pin);
       match now with None -> () | Some nid -> attach_pin t cid pin nid)
   | E_add_net (nid, nname) ->
-      Hashtbl.replace t.nets nid { nid; nname; npins = []; nport = None };
+      Hashtbl.replace t.nets nid (make_net nid nname None);
       if nid >= t.next_net then t.next_net <- nid + 1
   | E_remove_net (nid, _, _) -> Hashtbl.remove t.nets nid
-  | E_set_kind (cid, _, knew) -> (Hashtbl.find t.comps cid).kind <- knew
+  | E_set_kind (cid, _, knew) -> change_kind t (Hashtbl.find t.comps cid) knew
 
 let redo t es = List.iter (redo_entry t) es
 
@@ -322,7 +363,7 @@ let restore_net t ~id ~name:nname =
   if Hashtbl.mem t.nets id then
     design_error ~op:"restore_net" ~design:t.dname ~net:nname
       "net id %d already present" id;
-  Hashtbl.replace t.nets id { nid = id; nname; npins = []; nport = None };
+  Hashtbl.replace t.nets id (make_net id nname None);
   if id >= t.next_net then t.next_net <- id + 1
 
 let restore_comp t ~id ~name:cname kind =
@@ -330,7 +371,7 @@ let restore_comp t ~id ~name:cname kind =
   if Hashtbl.mem t.comps id then
     design_error ~op:"restore_comp" ~design:t.dname ~comp:cname
       "comp id %d already present" id;
-  Hashtbl.replace t.comps id { id; cname; kind; conns = Hashtbl.create 8 };
+  Hashtbl.replace t.comps id (make_comp id cname kind);
   if id >= t.next_comp then t.next_comp <- id + 1
 
 let set_counters t ~next_comp ~next_net =
@@ -341,39 +382,50 @@ let counters t = (t.next_comp, t.next_net)
 
 (* --- Queries -------------------------------------------------------- *)
 
+(* The pin list of [c]'s kind, resolved on a memo miss only. *)
+let iface ?resolve c =
+  let kind = c.kind in
+  let m = c.iface in
+  if m.if_kind == kind then m.if_pins
+  else
+    let pins = Types.pins_of_kind ?resolve kind in
+    c.iface <- { if_kind = kind; if_pins = pins };
+    pins
+
 let pin_dir ?resolve t cid pin =
   let c = comp t cid in
-  let pins = Types.pins_of_kind ?resolve c.kind in
-  match List.assoc_opt pin pins with
-  | Some d -> d
-  | None ->
+  match List.assoc pin (iface ?resolve c) with
+  | d -> d
+  | exception Not_found ->
       design_error ~op:"pin_dir" ~design:t.dname ~comp:c.cname ~pin
         "%s has no pin %s" (Types.kind_name c.kind) pin
 
-type source = Src_comp of int * string | Src_port of string | Src_none
+let drive ?resolve t n =
+  let pins = n.npins in
+  let m = n.drive in
+  if m.dr_pins == pins then m
+  else
+    let rec walk drv sinks = function
+      | [] -> { dr_pins = pins; dr_comp = drv; dr_sinks = sinks }
+      | (cid, pin) :: rest -> (
+          match pin_dir ?resolve t cid pin with
+          | Types.Output ->
+              walk (if drv == Src_none then Src_comp (cid, pin) else drv)
+                sinks rest
+          | Types.Input -> walk drv (sinks + 1) rest)
+    in
+    let m = walk Src_none 0 pins in
+    n.drive <- m;
+    m
 
 let driver ?resolve t nid =
   let n = net t nid in
-  let from_port =
-    match n.nport with
-    | Some (p, Types.Input) -> Some (Src_port p)
-    | Some (_, Types.Output) | None -> None
-  in
-  let from_comp =
-    List.fold_left
-      (fun acc (cid, pin) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if pin_dir ?resolve t cid pin = Types.Output then
-              Some (Src_comp (cid, pin))
-            else None)
-      None n.npins
-  in
-  match (from_comp, from_port) with
-  | Some s, _ -> s
-  | None, Some s -> s
-  | None, None -> Src_none
+  match (drive ?resolve t n).dr_comp with
+  | Src_comp _ as s -> s
+  | Src_port _ | Src_none -> (
+      match n.nport with
+      | Some (p, Types.Input) -> Src_port p
+      | Some (_, Types.Output) | None -> Src_none)
 
 let sinks ?resolve t nid =
   let n = net t nid in
@@ -385,8 +437,10 @@ let fanout ?resolve t nid =
   let port_load =
     match n.nport with Some (_, Types.Output) -> 1 | _ -> 0
   in
-  List.length (sinks ?resolve t nid) + port_load
+  (drive ?resolve t n).dr_sinks + port_load
 
+(* The copy shares each kind value and [npins] list with the original,
+   so the memos keyed on them carry over as they are. *)
 let copy t =
   let t' = create t.dname in
   t'.next_comp <- t.next_comp;
@@ -394,12 +448,17 @@ let copy t =
   Hashtbl.iter
     (fun nid n ->
       Hashtbl.replace t'.nets nid
-        { nid; nname = n.nname; npins = n.npins; nport = n.nport })
+        {
+          nid;
+          nname = n.nname;
+          npins = n.npins;
+          nport = n.nport;
+          drive = n.drive;
+        })
     t.nets;
   Hashtbl.iter
     (fun cid c ->
-      Hashtbl.replace t'.comps cid
-        { id = cid; cname = c.cname; kind = c.kind; conns = Hashtbl.copy c.conns })
+      Hashtbl.replace t'.comps cid { c with conns = Hashtbl.copy c.conns })
     t.comps;
   t'.ports <- t.ports;
   t'

@@ -7,14 +7,21 @@
     lookahead (paper Section 2.2.2). *)
 
 type resolver = Types.kind -> string -> (string * Types.dir) list
-(** Resolves the pin interface of [Macro]/[Instance] references. *)
+(** Resolves the pin interface of [Macro]/[Instance] references.  Every
+    resolver a design is queried with must give a kind the same pin
+    list; see {!pin_dir}. *)
 
 type comp = {
   id : int;
   mutable cname : string;
   mutable kind : Types.kind;
+      (** change it through {!set_kind}; a direct assignment must keep
+          the direction of every pin (see {!pin_dir}) *)
   conns : (string, int) Hashtbl.t;  (** pin name -> net id *)
+  mutable iface : iface;  (** memo of {!pin_dir}; private to this module *)
 }
+
+and iface
 
 type net = {
   nid : int;
@@ -22,7 +29,11 @@ type net = {
   mutable npins : (int * string) list;  (** attached (comp, pin) pairs *)
   mutable nport : (string * Types.dir) option;
       (** design port bound to this net, if any *)
+  mutable drive : drive;
+      (** memo of {!driver} and {!fanout}; private to this module *)
 }
+
+and drive
 
 (** One edit, carrying both the inverse information needed to revert it
     ({!undo}) and the forward information needed to re-apply it
@@ -153,17 +164,60 @@ val set_counters : t -> next_comp:int -> next_net:int -> unit
 val counters : t -> int * int
 (** Current [(next_comp, next_net)] fresh-id counters. *)
 
+(** {2 Pin directions, drivers and loads}
+
+    Two facts are memoised next to the data they derive from, so a
+    repeated {!driver} or {!fanout} costs O(1) instead of resolving
+    every pin on the net:
+
+    - a component's resolved pin list, valid while its [kind] is
+      physically the value it was resolved for;
+    - a net's first driving pin and its number of input pins, valid
+      while its [npins] list is physically the one they were computed
+      from.  The port binding is read live.
+
+    Every attach and detach replaces [npins], and {!set_kind} (with its
+    {!undo} and {!redo}) resets the memos of the nets its component is
+    connected to, so edits made through the mutators never leave a
+    stale answer.  A direct assignment to [kind] is safe only when
+    every pin keeps its direction (as an inverter turned into a
+    buffer does); the [net-consistency] lint pass reports a stale
+    driver index otherwise.
+
+    The memos are keyed on the kind alone, not on the resolver: the
+    resolver is consulted only on a miss.  This rests on every resolver
+    a design is queried with giving a kind the same pin list, which
+    holds for every resolver in the tree: they return the named
+    macro's [Macro.pins]; library macro names do not overlap (generic
+    names carry no prefix, ECL's start with [E_], CMOS's with [C_]);
+    and instance pins are the sub-design's ports, which cannot be
+    undone.  A design holds no closure, so designs still compare with
+    [=].  Two domains reading one design can race only into a
+    recompute. *)
+
 (** Where a net's value comes from. *)
 type source = Src_comp of int * string | Src_port of string | Src_none
 
 val pin_dir : ?resolve:resolver -> t -> int -> string -> Types.dir
+(** Direction of a component's pin.  [resolve] is needed for
+    [Macro]/[Instance] kinds on a memo miss.
+    @raise Error if the component has no such pin. *)
+
 val driver : ?resolve:resolver -> t -> int -> source
+(** The net's first output pin in [npins] order; failing that, the input
+    port bound to it; failing that, [Src_none].  Resolves every pin of
+    the net on a memo miss, so a pin its component does not have raises
+    {!Error} even after a driver. *)
+
 val sinks : ?resolve:resolver -> t -> int -> (int * string) list
+(** The net's input pins, in [npins] order. *)
+
 val fanout : ?resolve:resolver -> t -> int -> int
 (** Number of input pins plus output ports fed by the net. *)
 
 val copy : t -> t
-(** Deep structural copy. *)
+(** Deep structural copy.  The memos carry over: the copy shares the
+    kind values and pin lists they are keyed on. *)
 
 val check : ?resolve:resolver -> t -> (unit, string list) result
 (** Structural validation: all input pins connected, single driver per

@@ -109,13 +109,17 @@ type context = {
 
 let make_context ?session ?(extra_resolve : D.resolver option) tech set design =
   let resolve kind nm =
+    let unresolved () =
+      match extra_resolve with
+      | Some f -> f kind nm
+      | None -> invalid_arg (Printf.sprintf "Rule.context: unresolved %s" nm)
+    in
     match kind with
-    | T.Macro _ when Technology.mem tech nm -> (Technology.find tech nm).Macro.pins
-    | T.Macro _ | T.Instance _ -> (
-        match extra_resolve with
-        | Some f -> f kind nm
-        | None ->
-            invalid_arg (Printf.sprintf "Rule.context: unresolved %s" nm))
+    | T.Macro _ -> (
+        match Technology.find_opt tech nm with
+        | Some m -> m.Macro.pins
+        | None -> unresolved ())
+    | T.Instance _ -> unresolved ()
     | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _
     | T.Logic_unit _ | T.Arith_unit _ | T.Register _ | T.Counter _
     | T.Constant _ ->
@@ -214,7 +218,7 @@ let macro_comps ctx pred =
       | Some _ | None -> None)
     (scan_comps ctx)
 
-(* The single driver component of a net, if combinational macro. *)
+(* The component driving a net, of any kind, with its output pin. *)
 let driver_comp ctx nid =
   match D.driver ~resolve:ctx.resolve ctx.design nid with
   | D.Src_comp (cid, pin) -> Some (D.comp ctx.design cid, pin)

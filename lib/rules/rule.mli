@@ -143,7 +143,13 @@ val macro_comps :
   context -> (D.comp -> Milo_library.Macro.t -> bool) -> D.comp list
 
 val driver_comp : context -> int -> (D.comp * string) option
+(** The component driving a net and its output pin, whatever the
+    component's kind (combinational, sequential, constant);
+    [None] when an input port or nothing drives it.  [D.driver] under
+    the context's resolver. *)
+
 val fanout : context -> int -> int
+(** [D.fanout] under the context's resolver. *)
 
 val replace_macro :
   context -> D.log -> int -> string -> (string -> string option) -> unit

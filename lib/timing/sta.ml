@@ -25,6 +25,7 @@ type endpoint = Ep_port of string | Ep_seq_pin of int * string
 type t = {
   design : D.t;
   env : env;
+  resolve : D.resolver;  (* [env]'s pin interfaces, for [D.driver] *)
   input_arrivals : (string * float) list;
   net_arrival : (int, float) Hashtbl.t;
   net_from : (int, int * string * string) Hashtbl.t;
@@ -107,6 +108,15 @@ let arr_default t nid =
 
 (* --- Evaluation ------------------------------------------------------- *)
 
+let resolver env : D.resolver =
+ fun kind nm ->
+  match kind with
+  | T.Macro _ -> (env nm).M.pins
+  | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _ | T.Logic_unit _
+  | T.Arith_unit _ | T.Register _ | T.Counter _ | T.Constant _ | T.Instance _
+    ->
+      T.pins_of_kind kind
+
 (* Combinational macro driving [nid] (if any), or the seed class of the
    net's driver.  Undriven nets arrive at time 0 (absent from the
    table), as do unconnected pins. *)
@@ -117,25 +127,12 @@ type drv =
   | Drv_none
 
 let driver_of t nid =
-  match D.net_opt t.design nid with
-  | None -> Drv_none
-  | Some n ->
-      List.fold_left
-        (fun acc (cid, pin) ->
-          match acc with
-          | Drv_comb _ | Drv_seq _ | Drv_const -> acc
-          | Drv_none -> (
-              match D.comp_opt t.design cid with
-              | None -> Drv_none
-              | Some c -> (
-                  match macro_of t.env c with
-                  | None -> if pin = "Y" then Drv_const else Drv_none
-                  | Some m ->
-                      if List.mem pin m.M.outputs then
-                        if M.is_sequential m then Drv_seq (m, pin)
-                        else Drv_comb cid
-                      else Drv_none)))
-        Drv_none n.D.npins
+  match D.driver ~resolve:t.resolve t.design nid with
+  | D.Src_comp (cid, pin) -> (
+      match macro_of t.env (D.comp t.design cid) with
+      | None -> Drv_const
+      | Some m -> if M.is_sequential m then Drv_seq (m, pin) else Drv_comb cid)
+  | D.Src_port _ | D.Src_none -> Drv_none
 
 let seq_launch t m pin nid =
   let d =
@@ -289,6 +286,7 @@ let analyze ?(input_arrivals = []) env design =
     {
       design;
       env;
+      resolve = resolver env;
       input_arrivals;
       net_arrival = Hashtbl.create 64;
       net_from = Hashtbl.create 64;

@@ -15,7 +15,8 @@
    not quarantined in another, and two flows on two domains at once
    return exactly what the same two flows return in series — also when
    both journal and record provenance, so both hash designs through the
-   shared digest cache. *)
+   shared digest cache.  Two domains reading one design at once get
+   the drivers and fanouts a serial pass gets. *)
 
 module D = Milo_netlist.Design
 module Flow = Milo.Flow
@@ -330,6 +331,51 @@ let concurrent_flows_match_serial ~what ?(prepare = ignore) run =
           what
   | _ -> fail "isolation (%s): a flow did not complete" what
 
+(* Two domains query every net of one shared cold design at once, so
+   each fills the netlist's pin-direction and driver memos while the
+   other may be reading them; both must answer exactly as a serial pass
+   over another cold copy does. *)
+let concurrent_readers_match_serial () =
+  let case = Suite.design7 () in
+  let res =
+    Flow.run_exn ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+      case.Suite.case_design
+  in
+  let text = Milo_netlist.Writer.to_string res.Flow.optimized in
+  let cold () = Milo_netlist.Parser.of_string text in
+  let resolve = Milo_library.Technology.resolver (Milo_library.Ecl.get ()) in
+  let answers d =
+    List.map
+      (fun (n : D.net) ->
+        (D.driver ~resolve d n.D.nid, D.fanout ~resolve d n.D.nid))
+      (D.nets d)
+  in
+  let serial = answers (cold ()) in
+  let rounds = 20 in
+  let mismatches = ref 0 in
+  for _ = 1 to rounds do
+    let shared = cold () in
+    let ready = Atomic.make 0 in
+    let reader () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      answers shared
+    in
+    let da = Domain.spawn reader and db = Domain.spawn reader in
+    let a = Domain.join da and b = Domain.join db in
+    if a <> serial || b <> serial then incr mismatches
+  done;
+  if !mismatches > 0 then
+    fail "concurrent readers: %d of %d rounds differ from a serial pass"
+      !mismatches rounds
+  else
+    Printf.printf
+      "ok   two domains reading one cold design == a serial pass (%d nets, \
+       %d rounds)\n"
+      (List.length serial) rounds
+
 let () =
   Pool.fail_spawn_for_testing := false;
   let cases = List.filteri (fun i _ -> i < 3) (Suite.all ()) in
@@ -341,6 +387,7 @@ let () =
     summarize;
   concurrent_flows_match_serial ~what:"journaled, with provenance"
     summarize_recorded;
+  concurrent_readers_match_serial ();
   if !failures > 0 then begin
     Printf.printf "parallel_suite: %d failure(s)\n" !failures;
     exit 1

@@ -148,6 +148,84 @@ let test_abadd_flow () =
     (res.Milo.Flow.final.Milo.Flow.area
      < (Milo.Flow.baseline_stats ~technology:Milo.Flow.Ecl design).Milo.Flow.area)
 
+(* The netlist memoises pin directions keyed on the kind alone, which
+   is sound only while every resolver a design is queried with gives a
+   kind the same pin list.  At the techmap and optimize checkpoints,
+   every net's driver, sinks and fanout agree under the rule context's,
+   the simulator's and the technology's resolver: on a cold design, and
+   on one whose memos another resolver filled first. *)
+let test_resolvers_agree () =
+  let answers resolve d =
+    List.map
+      (fun (n : D.net) ->
+        let nid = n.D.nid in
+        ( D.driver ~resolve d nid,
+          D.sinks ~resolve d nid,
+          D.fanout ~resolve d nid ))
+      (D.nets d)
+  in
+  let check label technology d =
+    let target = Milo.Flow.target_of technology in
+    let tech = target.Milo_techmap.Table_map.tech in
+    (* a re-parsed design starts with every memo empty *)
+    let text = Milo_netlist.Writer.to_string d in
+    let cold () = Milo_netlist.Parser.of_string text in
+    let resolvers =
+      [
+        ( "rule context",
+          (Milo_rules.Rule.make_context tech target.Milo_techmap.Table_map.set
+             (cold ()))
+            .Milo_rules.Rule.resolve );
+        ( "simulator",
+          Milo_sim.Simulator.(resolver_of_env (env_of_techs [ tech ])) );
+        ("technology", Milo_library.Technology.resolver tech);
+      ]
+    in
+    let reference = answers (snd (List.hd resolvers)) (cold ()) in
+    List.iter
+      (fun (name, resolve) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s resolver, cold" label name)
+          true
+          (answers resolve (cold ()) = reference);
+        List.iter
+          (fun (filler, fill) ->
+            let d = cold () in
+            ignore (answers fill d);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s resolver after %s" label name filler)
+              true
+              (answers resolve d = reference))
+          resolvers)
+      resolvers
+  in
+  let flow name technology constraints design =
+    let res = Milo.Flow.run_exn ~technology ~constraints design in
+    List.iter
+      (fun (ck : Milo.Flow.checkpoint) ->
+        match ck.Milo.Flow.ck_stage with
+        | Milo.Flow.Techmap | Milo.Flow.Optimize ->
+            check
+              (Printf.sprintf "%s %s/%s" name
+                 (Milo.Flow.technology_name technology)
+                 (Milo.Flow.stage_name ck.Milo.Flow.ck_stage))
+              technology ck.Milo.Flow.ck_design
+        | Milo.Flow.Capture | Milo.Flow.Micro | Milo.Flow.Compile -> ())
+      res.Milo.Flow.checkpoints
+  in
+  List.iter
+    (fun technology ->
+      List.iter
+        (fun (case : Milo_designs.Suite.case) ->
+          flow case.Milo_designs.Suite.case_name technology
+            case.Milo_designs.Suite.constraints
+            case.Milo_designs.Suite.case_design)
+        (Milo_designs.Suite.all ()))
+    [ Milo.Flow.Ecl; Milo.Flow.Cmos ];
+  flow "random logic" Milo.Flow.Ecl Milo.Constraints.none
+    (Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates:150
+       ~seed:7 ())
+
 let () =
   Alcotest.run "flow"
     [
@@ -167,4 +245,6 @@ let () =
           Alcotest.test_case "report" `Quick test_report;
         ] );
       ("abadd", [ Alcotest.test_case "walkthrough" `Quick test_abadd_flow ]);
+      ( "netlist",
+        [ Alcotest.test_case "resolvers agree" `Slow test_resolvers_agree ] );
     ]

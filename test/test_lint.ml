@@ -150,6 +150,62 @@ let test_net_consistency () =
   Alcotest.(check bool) "dangling net ref" true
     (has "net-consistency" (run d))
 
+(* FWD and REV have the same pins in opposite directions. *)
+let flip_resolve : D.resolver =
+ fun _ nm ->
+  match nm with
+  | "FWD" -> [ ("A", T.Input); ("Y", T.Output) ]
+  | "REV" -> [ ("A", T.Output); ("Y", T.Input) ]
+  | _ -> invalid_arg nm
+
+(* a -> FWD -> n -> FWD -> y, with every driver and fanout queried. *)
+let queried_chain () =
+  let d = D.create "chain" in
+  let a = D.add_port d "a" T.Input in
+  let y = D.add_port d "y" T.Output in
+  let n = D.new_net d in
+  let g1 = D.add_comp d (T.Macro "FWD") in
+  let g2 = D.add_comp d (T.Macro "FWD") in
+  D.connect d g1 "A" a;
+  D.connect d g1 "Y" n;
+  D.connect d g2 "A" n;
+  D.connect d g2 "Y" y;
+  List.iter
+    (fun (n : D.net) ->
+      ignore (D.driver ~resolve:flip_resolve d n.D.nid);
+      ignore (D.fanout ~resolve:flip_resolve d n.D.nid))
+    (D.nets d);
+  (d, g2)
+
+let stale_index diags =
+  List.exists
+    (fun g ->
+      g.Diag.rule = "net-consistency"
+      && contains ~sub:"stale driver index" g.Diag.message)
+    diags
+
+(* A kind assigned past [D.set_kind] that flips a pin's direction leaves
+   the netlist's driver index stale; lint's own walk reports it. *)
+let test_stale_driver_index () =
+  let lint d = Lint.run ~resolve:flip_resolve ~rules:[ "net-consistency" ] d in
+  let d, g2 = queried_chain () in
+  Alcotest.(check int) "clean before" 0 (List.length (lint d));
+  D.set_kind d g2 (T.Macro "REV");
+  Alcotest.(check bool) "set_kind keeps the index fresh" false
+    (stale_index (lint d));
+  let d, g2 = queried_chain () in
+  (D.comp d g2).D.kind <- T.Macro "REV";
+  let diag =
+    List.find_opt
+      (fun g -> g.Diag.rule = "net-consistency")
+      (lint d)
+  in
+  match diag with
+  | Some g ->
+      Alcotest.(check bool) "reported as stale" true (stale_index [ g ]);
+      Alcotest.(check bool) "error" true (g.Diag.severity = Diag.Error)
+  | None -> Alcotest.fail "direct kind assignment not reported"
+
 (* --- the rebased Design.check ----------------------------------------- *)
 
 let test_design_check () =
@@ -261,6 +317,7 @@ let () =
             test_undriven_and_dangling;
           Alcotest.test_case "const input" `Quick test_const_input;
           Alcotest.test_case "net consistency" `Quick test_net_consistency;
+          Alcotest.test_case "stale driver index" `Quick test_stale_driver_index;
         ] );
       ( "integration",
         [

@@ -139,6 +139,188 @@ let prop_undo_random =
       D.undo d log;
       D.equal_structure snap d)
 
+(* The memoised pin directions, drivers and loads equal a fresh walk
+   after every edit.  Every kind has the pins A and Y; FWD and REV give
+   them opposite directions, so [set_kind] between them flips a
+   driver without changing any net's pin list. *)
+let memo_kinds =
+  [|
+    T.Macro "FWD"; T.Macro "REV"; T.Macro "SINK2"; T.Macro "SRC2";
+    T.Instance "SUB";
+  |]
+
+let memo_resolve : D.resolver =
+ fun _ nm ->
+  match nm with
+  | "FWD" | "SUB" -> [ ("A", T.Input); ("Y", T.Output) ]
+  | "REV" -> [ ("A", T.Output); ("Y", T.Input) ]
+  | "SINK2" -> [ ("A", T.Input); ("Y", T.Input) ]
+  | "SRC2" -> [ ("A", T.Output); ("Y", T.Output) ]
+  | _ -> invalid_arg nm
+
+(* The reference: every pin resolved afresh, no memo involved. *)
+let fresh_dir d (cid, pin) =
+  List.assoc pin
+    (T.pins_of_kind ~resolve:memo_resolve (D.comp d cid).D.kind)
+
+let check_memos what d =
+  let resolve = memo_resolve in
+  List.iter
+    (fun (n : D.net) ->
+      let nid = n.D.nid in
+      let pins = n.D.npins in
+      let driver =
+        match List.find_opt (fun p -> fresh_dir d p = T.Output) pins with
+        | Some (cid, pin) -> D.Src_comp (cid, pin)
+        | None -> (
+            match n.D.nport with
+            | Some (p, T.Input) -> D.Src_port p
+            | Some (_, T.Output) | None -> D.Src_none)
+      in
+      let sinks = List.filter (fun p -> fresh_dir d p = T.Input) pins in
+      let fanout =
+        List.length sinks
+        + match n.D.nport with Some (_, T.Output) -> 1 | _ -> 0
+      in
+      let fail field =
+        Alcotest.failf "%s: net %s: %s differs from a fresh walk" what
+          n.D.nname field
+      in
+      List.iter
+        (fun ((cid, pin) as p) ->
+          if D.pin_dir ~resolve d cid pin <> fresh_dir d p then fail "pin_dir")
+        pins;
+      if D.driver ~resolve d nid <> driver then fail "driver";
+      if D.sinks ~resolve d nid <> sinks then fail "sinks";
+      if D.fanout ~resolve d nid <> fanout then fail "fanout")
+    (D.nets d)
+
+let prop_memos_match_fresh_walk =
+  let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 60)) in
+  Util.qtest ~count:150 "memos equal a fresh walk under every edit" gen
+    (fun (seed, steps) ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let pick_list l =
+        match l with
+        | [] -> None
+        | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+      in
+      let d = ref (D.create "memo") in
+      let a = D.add_port !d "a" T.Input in
+      let y = D.add_port !d "y" T.Output in
+      let g = D.add_comp !d (T.Macro "FWD") in
+      D.connect !d g "A" a;
+      D.connect !d g "Y" y;
+      let log = ref (D.new_log ()) in
+      let undone = ref None in
+      let removed_comps = ref [] and removed_nets = ref [] in
+      let ports = ref 0 in
+      (* unlogged edits may not interleave with a pending log *)
+      let settle () = D.commit !log in
+      for step = 1 to steps do
+        let redo = !undone in
+        undone := None;
+        let log_ = !log in
+        let op =
+          match redo with
+          | Some _ when Random.State.bool rng -> 10
+          | Some _ | None -> Random.State.int rng 14
+        in
+        (match op with
+        | 0 -> ignore (D.add_comp ~log:log_ !d (pick memo_kinds))
+        | 1 -> ignore (D.new_net ~log:log_ !d)
+        | 2 | 3 -> (
+            match (pick_list (D.comps !d), pick_list (D.nets !d)) with
+            | Some c, Some n ->
+                D.connect ~log:log_ !d c.D.id (pick [| "A"; "Y" |]) n.D.nid
+            | _ -> ())
+        | 4 -> (
+            match pick_list (D.comps !d) with
+            | Some c -> D.disconnect ~log:log_ !d c.D.id (pick [| "A"; "Y" |])
+            | None -> ())
+        | 5 -> (
+            match pick_list (D.comps !d) with
+            | Some c ->
+                D.remove_comp ~log:log_ !d c.D.id;
+                removed_comps := c.D.id :: !removed_comps
+            | None -> ())
+        | 6 -> (
+            match
+              pick_list
+                (List.filter
+                   (fun (n : D.net) -> n.D.npins = [] && n.D.nport = None)
+                   (D.nets !d))
+            with
+            | Some n ->
+                D.remove_net ~log:log_ !d n.D.nid;
+                removed_nets := n.D.nid :: !removed_nets
+            | None -> ())
+        | 7 | 8 -> (
+            match pick_list (D.comps !d) with
+            | Some c -> D.set_kind ~log:log_ !d c.D.id (pick memo_kinds)
+            | None -> ())
+        | 9 ->
+            let es = D.entries log_ in
+            D.undo !d log_;
+            undone := Some es
+        | 10 -> (
+            (* redo right after an undo; otherwise keep the edits *)
+            match redo with Some es -> D.redo !d es | None -> settle ())
+        | 11 ->
+            settle ();
+            incr ports;
+            let reuse =
+              List.find_opt
+                (fun (n : D.net) -> n.D.nport = None)
+                (D.nets !d)
+            in
+            ignore
+              (D.add_port
+                 ?net:(Option.map (fun (n : D.net) -> n.D.nid) reuse)
+                 !d
+                 (Printf.sprintf "p%d" !ports)
+                 (pick [| T.Input; T.Output |]))
+        | 12 ->
+            (* continue on a copy; the original must keep its answers *)
+            let orig = !d in
+            settle ();
+            d := D.copy orig;
+            log := D.new_log ();
+            (match pick_list (D.comps !d) with
+            | Some c -> D.set_kind !d c.D.id (pick memo_kinds)
+            | None -> ());
+            check_memos "original after copy" orig
+        | _ -> (
+            settle ();
+            let next_comp, next_net = D.counters !d in
+            let live_comp id = D.comp_opt !d id <> None in
+            let live_net id = D.net_opt !d id <> None in
+            match Random.State.int rng 2 with
+            | 0 ->
+                let id =
+                  match
+                    List.find_opt (fun id -> not (live_comp id)) !removed_comps
+                  with
+                  | Some id -> id
+                  | None -> next_comp + 1
+                in
+                D.restore_comp !d ~id ~name:(Printf.sprintf "r%d" id)
+                  (pick memo_kinds)
+            | _ ->
+                let id =
+                  match
+                    List.find_opt (fun id -> not (live_net id)) !removed_nets
+                  with
+                  | Some id -> id
+                  | None -> next_net + 1
+                in
+                D.restore_net !d ~id ~name:(Printf.sprintf "rn%d" id)));
+        check_memos (Printf.sprintf "seed %d step %d" seed step) !d
+      done;
+      (* a design holds no closure, so it still compares with [=] *)
+      D.copy !d = D.copy !d)
+
 let test_roundtrip () =
   let case = Milo_designs.Suite.design6 () in
   let d = case.Milo_designs.Suite.case_design in
@@ -217,6 +399,7 @@ let () =
       ( "undo",
         [ Alcotest.test_case "scripted" `Quick test_undo_simple; prop_undo_random ]
       );
+      ("memos", [ prop_memos_match_fresh_walk ]);
       ( "text-format",
         [
           Alcotest.test_case "design round-trip" `Quick test_roundtrip;
