@@ -8,12 +8,10 @@
      milo resume   JOURNAL [-o OUT]           continue an interrupted
                                               --journal run from its
                                               last committed checkpoint
-     milo replay   JOURNAL [--json] [--trajectory TRAJ]
-                                              re-execute a journal's
+     milo replay   JOURNAL [--json]           re-execute a journal's
                                               trajectory under the full
                                               guard (exit 7 on
-                                              divergence), cross-checking
-                                              a recorded trajectory file
+                                              divergence)
      milo profile  DESIGN.mil [-t ecl] [--json]
                                               flow under a tracer ->
                                               span-tree profile
@@ -188,13 +186,6 @@ let max_steps_arg =
          ~doc:"Maximum committed rule applications across all \
                optimization passes.")
 
-let full_measure_arg =
-  Arg.(value & flag
-         & info [ "full-measure" ]
-             ~doc:"Disable the incremental measurement engine: every \
-                   candidate evaluation recomputes timing, area and \
-                   power from scratch (slow; for cross-checking).")
-
 let check_measure_arg =
   Arg.(value & flag
          & info [ "check-measure" ]
@@ -280,8 +271,8 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Compile and map onto a technology library (no optimization).")
     Term.(ret (const run $ design_arg $ tech_arg $ out_arg))
 
-let optimize_run path tech delay area power timeout max_steps full_measure
-    check_measure trace_file trace_format guard journal domains out =
+let optimize_run path tech delay area power timeout max_steps check_measure
+    trace_file trace_format guard journal domains out =
   protect ~file:path @@ fun () ->
   install_interrupt_handlers ~journal ();
   let design = read_design path in
@@ -331,8 +322,8 @@ let optimize_run path tech delay area power timeout max_steps full_measure
   Printf.printf "baseline: delay %.2f ns, area %.1f cells, power %.1f mW\n"
     human.Milo.Flow.delay human.Milo.Flow.area human.Milo.Flow.power;
   match
-    Milo.Flow.run ~technology ~constraints ~incremental:(not full_measure)
-      ?budget ?trace ~guard ?journal ~domains design
+    Milo.Flow.run ~technology ~constraints ?budget ?trace ~guard ?journal
+      ~domains design
   with
   | Milo.Flow.Complete res ->
       finish_trace ();
@@ -353,9 +344,9 @@ let optimize_run path tech delay area power timeout max_steps full_measure
 
 let optimize_term =
   Term.(ret (const optimize_run $ design_arg $ tech_arg $ delay_arg $ area_arg
-             $ power_arg $ timeout_arg $ max_steps_arg $ full_measure_arg
-             $ check_measure_arg $ trace_arg $ trace_format_arg $ guard_arg
-             $ journal_arg $ domains_arg $ out_arg))
+             $ power_arg $ timeout_arg $ max_steps_arg $ check_measure_arg
+             $ trace_arg $ trace_format_arg $ guard_arg $ journal_arg
+             $ domains_arg $ out_arg))
 
 let optimize_cmd =
   Cmd.v
@@ -408,24 +399,10 @@ let replay_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
-  let traj_arg =
-    Arg.(value & opt (some file) None
-         & info [ "trajectory" ] ~docv:"TRAJ"
-             ~doc:"Also cross-check this recorded trajectory (JSONL, \
-                   from $(b,milo trajectory record)) against the \
-                   journal, record for record.  Any mismatch exits 7.")
-  in
   let quote = json_quote in
-  let run path traj json =
+  let run path json =
     protect ~file:path @@ fun () ->
     let rep = Milo.Flow.replay path in
-    let traj_mismatches =
-      match traj with
-      | None -> []
-      | Some tf ->
-          Milo_provenance.Trajectory.crosscheck ~journal:path
-            (Milo_provenance.Trajectory.load tf)
-    in
     let divergence_line (d : Milo.Flow.divergence) =
       Printf.sprintf "record %d [%s/%s]%s: %s" d.Milo.Flow.div_record
         d.Milo.Flow.div_stage d.Milo.Flow.div_kind
@@ -438,7 +415,7 @@ let replay_cmd =
       Printf.printf
         "{\"journal\": %s, \"records\": %d, \"truncated_bytes\": %d, \
          \"deltas\": %d, \"checks\": %d, \"finished\": %b, \
-         \"divergences\": [%s]%s}\n"
+         \"divergences\": [%s]}\n"
         (quote path) rep.Milo.Flow.rep_records
         rep.Milo.Flow.rep_truncated_bytes rep.Milo.Flow.rep_deltas
         rep.Milo.Flow.rep_checks rep.Milo.Flow.rep_finished
@@ -454,18 +431,6 @@ let replay_cmd =
                   | Some l -> quote l)
                   (quote d.Milo.Flow.div_kind) (quote d.Milo.Flow.div_detail))
               rep.Milo.Flow.rep_divergences))
-        (match traj with
-        | None -> ""
-        | Some tf ->
-            Printf.sprintf ", \"trajectory\": %s, \"trajectory_mismatches\": [%s]"
-              (quote tf)
-              (String.concat ", "
-                 (List.map
-                    (fun (m : Milo_provenance.Trajectory.mismatch) ->
-                      Printf.sprintf "{\"record\": %d, \"detail\": %s}"
-                        m.Milo_provenance.Trajectory.mis_index
-                        (quote m.Milo_provenance.Trajectory.mis_detail))
-                    traj_mismatches)))
     else begin
       Printf.printf
         "replay %s: %d records (%d bytes torn), %d rule applications \
@@ -478,22 +443,9 @@ let replay_cmd =
         (fun d -> print_endline ("  divergence: " ^ divergence_line d))
         rep.Milo.Flow.rep_divergences;
       if rep.Milo.Flow.rep_divergences = [] then
-        print_endline "no divergences: the trajectory re-executes exactly";
-      (match traj with
-      | None -> ()
-      | Some tf ->
-          List.iter
-            (fun (m : Milo_provenance.Trajectory.mismatch) ->
-              Printf.printf "  trajectory mismatch at record %d: %s\n"
-                m.Milo_provenance.Trajectory.mis_index
-                m.Milo_provenance.Trajectory.mis_detail)
-            traj_mismatches;
-          if traj_mismatches = [] then
-            Printf.printf
-              "trajectory %s cross-checks against the journal exactly\n" tf)
+        print_endline "no divergences: the trajectory re-executes exactly"
     end;
-    if rep.Milo.Flow.rep_divergences <> [] || traj_mismatches <> [] then exit 7
-    else `Ok ()
+    if rep.Milo.Flow.rep_divergences <> [] then exit 7 else `Ok ()
   in
   Cmd.v
     (Cmd.info "replay"
@@ -502,7 +454,7 @@ let replay_cmd =
              every recorded rule application, and equivalence-check \
              each one with the semantic guard in full mode.  Exits 7 \
              when the trajectory diverges from the record.")
-    Term.(ret (const run $ journal_pos $ traj_arg $ json_arg))
+    Term.(ret (const run $ journal_pos $ json_arg))
 
 (* Finite JSON number (JSON has no inf/nan; the quantities here are
    finite on any sane run, so clamping the escape hatch to 0 beats
@@ -811,9 +763,6 @@ let trajectory_cmd =
     | "dump" ->
         let p = Milo_provenance.Trajectory.of_journal path in
         let events = Milo_provenance.Provenance.events p in
-        if events = [] then
-          runtime_fail ~file:path ~code:5
-            "journal has no recoverable records to dump";
         with_out (fun oc ->
             List.iter
               (fun e ->
@@ -866,11 +815,11 @@ let trajectory_cmd =
   Cmd.v
     (Cmd.info "trajectory"
        ~doc:"Record an optimization trajectory (the provenance event \
-             stream, one JSON object per line, mirroring the journal \
-             record for record) or dump one reconstructed offline from \
-             a journal — including a journal stitched across resume.  \
-             Cross-check a recorded trajectory against its journal with \
-             $(b,milo replay --trajectory).")
+             stream, one JSON object per journal record) or dump one \
+             reconstructed offline from a journal — including a journal \
+             stitched across resume.  Both fold the same records, so \
+             $(b,record --journal J) and $(b,dump J) write the same \
+             file.")
     Term.(ret (const run $ mode_arg $ path_pos $ tech_arg $ delay_arg
                $ timeout_arg $ max_steps_arg $ guard_arg $ journal_arg
                $ traj_out_arg))

@@ -228,12 +228,7 @@ let micro_pass ?(max_steps = 16) ?budget ?deadline ~session db lib target
 
 (* --- Journal integration ---------------------------------------------- *)
 
-exception Journal_error of string
-
-let () =
-  Printexc.register_printer (function
-    | Journal_error msg -> Some ("journal error: " ^ msg)
-    | _ -> None)
+exception Journal_error = J.Journal_error
 
 let stage_index = function
   | Capture -> 0
@@ -315,20 +310,14 @@ let reason_of_name = function
 
 (* --- Full MILO flow --------------------------------------------------- *)
 
-let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
-    ~guard ~certify ~journal ~journal_fault ~provenance ~domains ~force_domains
-    ~resume design =
+let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
+    ~certify ~journal ~journal_fault ~provenance ~domains ~force_domains ~resume
+    design =
   (* Install the tracer (if any) as the ambient one for the whole run,
      so every layer's probes report into it; restored on exit. *)
   (match trace with
   | None -> (fun f -> f ())
   | Some t -> Milo_trace.Trace.with_tracer t)
-  @@ fun () ->
-  (* Same ambient discipline for the provenance recorder: the engine's
-     attribution probes find it without any layer threading it down. *)
-  (match provenance with
-  | None -> (fun f -> f ())
-  | Some p -> P.with_recorder p)
   @@ fun () ->
   let budget =
     match budget with Some b -> b | None -> Milo_rules.Budget.unlimited ()
@@ -368,51 +357,51 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
      equivalence checks below. *)
   let gstats = Guard.fresh_stats () in
   Milo_rules.Engine.set_rule_guard session ~budget ~stats:gstats guard;
-  (* Journal writer: the header carries everything [resume] needs to
-     re-issue this call.  Created before the first checkpoint — and, on
-     a resume, after recovery has already read the previous image, so
-     truncating here is safe. *)
+  (* The run's record stream: each record is built once and handed to
+     the journal writer (durable) and the provenance recorder (in
+     memory).  The writer is created before the first checkpoint —
+     and, on a resume, after recovery has already read the previous
+     image, so truncating here is safe. *)
   let jw =
-    match journal with
-    | None -> None
-    | Some path ->
-        let timeout, max_steps, max_evals = Milo_rules.Budget.limits budget in
-        Some
-          (J.create ?fault:journal_fault path
-             {
-               J.h_design = D.name design;
-               h_hash = J.design_hash design;
-               h_tech = technology_name technology;
-               h_required =
-                 Option.value ~default:infinity
-                   constraints.Constraints.required_delay;
-               h_arrivals = constraints.Constraints.input_arrivals;
-               h_lint = Milo_lint.Lint.level_name lint;
-               h_incremental = incremental;
-               h_guard = Guard.policy_name guard;
-               h_certify = certify;
-               h_timeout = timeout;
-               h_max_steps = max_steps;
-               h_max_evals = max_evals;
-               h_domains = domains;
-             })
+    Option.map (fun path -> J.create ?fault:journal_fault path) journal
   in
-  (* The recorder's run record mirrors the journal header, and its
-     budget probe snapshots consumption onto every step record.  The
-     probe is a closure so the provenance library stays below the
-     rules layer. *)
-  (match provenance with
-  | None -> ()
-  | Some p ->
-      P.set_run p ~design:(D.name design)
-        ~tech:(technology_name technology) ~hash:(J.design_hash design);
-      P.set_budget_probe p
-        (Some
-           (fun () ->
-             let st = Milo_rules.Budget.status budget in
-             ( st.Milo_rules.Budget.steps_used,
-               st.Milo_rules.Budget.evals_used,
-               st.Milo_rules.Budget.elapsed ))));
+  let recorded = Option.is_some jw || Option.is_some provenance in
+  let emit r =
+    (match (jw, r) with
+    | Some w, (J.Checkpoint _ | J.Finish _) -> J.commit w r
+    | Some w, (J.Header _ | J.Stage _ | J.Delta _) -> J.append w r
+    | None, _ -> ());
+    match provenance with Some p -> P.observe p r | None -> ()
+  in
+  (* The header carries everything [resume] needs to re-issue this
+     call. *)
+  if recorded then begin
+    let timeout, max_steps, max_evals = Milo_rules.Budget.limits budget in
+    emit
+      (J.Header
+         {
+           J.h_design = D.name design;
+           h_hash = J.design_hash design;
+           h_tech = technology_name technology;
+           h_required =
+             Option.value ~default:infinity
+               constraints.Constraints.required_delay;
+           h_arrivals = constraints.Constraints.input_arrivals;
+           h_lint = Milo_lint.Lint.level_name lint;
+           h_guard = Guard.policy_name guard;
+           h_certify = certify;
+           h_timeout = timeout;
+           h_max_steps = max_steps;
+           h_max_evals = max_evals;
+           h_domains = domains;
+         })
+  end;
+  let budget_used () =
+    let st = Milo_rules.Budget.status budget in
+    ( st.Milo_rules.Budget.steps_used,
+      st.Milo_rules.Budget.evals_used,
+      st.Milo_rules.Budget.elapsed )
+  in
   let micro_applications = ref [] in
   let levels_ref = ref [] in
   let timing_ref = ref None in
@@ -482,53 +471,49 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
   let checkpoint stage d =
     let ck = { ck_stage = stage; ck_design = D.copy d } in
     checkpoints := ck :: !checkpoints;
-    (* Journal commit: the snapshot plus every counter a resume must
-       re-arm, written with the tmp+rename discipline so the file always
+    (* The snapshot plus every counter a resume must re-arm; the journal
+       commits it with the tmp+rename discipline, so the file always
        holds a whole checkpoint or none of it. *)
-    (match jw with
-    | None -> ()
-    | Some w ->
-        let st = Milo_rules.Budget.status budget in
-        let tick, seen =
-          match Milo_rules.Engine.guard_sample_state session with
-          | Some s -> s
-          | None -> (0, [])
-        in
-        J.commit w
-          (J.Checkpoint
-             {
-               J.ck_stage = stage_name stage;
-               ck_steps = st.Milo_rules.Budget.steps_used;
-               ck_evals = st.Milo_rules.Budget.evals_used;
-               ck_elapsed = st.Milo_rules.Budget.elapsed;
-               ck_guard =
-                 [|
-                   gstats.Guard.stage_checks;
-                   gstats.Guard.stage_mismatches;
-                   gstats.Guard.rule_checks;
-                   gstats.Guard.rule_mismatches;
-                   gstats.Guard.rule_skipped;
-                   gstats.Guard.rule_certified;
-                 |];
-               ck_tick = tick;
-               ck_seen = seen;
-               ck_trace =
-                 (match trace with
-                 | Some t -> Milo_trace.Trace.event_count t
-                 | None -> 0);
-               ck_quarantine =
-                 List.map
-                   (fun (r, c, m, reason) ->
-                     (r, c, m, Milo_rules.Engine.reason_name reason))
-                   (Milo_rules.Engine.quarantine_dump session);
-               ck_micro = !micro_applications;
-               ck_levels = levels_to_journal !levels_ref;
-               ck_timing = Option.map timing_to_journal !timing_ref;
-               ck_design = ck.ck_design;
-             }));
-    (match provenance with
-    | Some p -> P.observe_checkpoint p ~stage:(stage_name stage) d
-    | None -> ());
+    if recorded then begin
+      let steps, evals, elapsed = budget_used () in
+      let tick, seen =
+        match Milo_rules.Engine.guard_sample_state session with
+        | Some s -> s
+        | None -> (0, [])
+      in
+      emit
+        (J.Checkpoint
+           {
+             J.ck_stage = stage_name stage;
+             ck_steps = steps;
+             ck_evals = evals;
+             ck_elapsed = elapsed;
+             ck_guard =
+               [|
+                 gstats.Guard.stage_checks;
+                 gstats.Guard.stage_mismatches;
+                 gstats.Guard.rule_checks;
+                 gstats.Guard.rule_mismatches;
+                 gstats.Guard.rule_skipped;
+                 gstats.Guard.rule_certified;
+               |];
+             ck_tick = tick;
+             ck_seen = seen;
+             ck_trace =
+               (match trace with
+               | Some t -> Milo_trace.Trace.event_count t
+               | None -> 0);
+             ck_quarantine =
+               List.map
+                 (fun (r, c, m, reason) ->
+                   (r, c, m, Milo_rules.Engine.reason_name reason))
+                 (Milo_rules.Engine.quarantine_dump session);
+             ck_micro = !micro_applications;
+             ck_levels = levels_to_journal !levels_ref;
+             ck_timing = Option.map timing_to_journal !timing_ref;
+             ck_design = ck.ck_design;
+           })
+    end;
     if Milo_trace.Trace.enabled () then
       Milo_trace.Trace.emit
         (Milo_trace.Trace.Checkpoint
@@ -575,55 +560,39 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
       Milo_trace.Trace.open_span ("stage:" ^ stage_name stage)
     end;
     current := stage;
-    (match jw with
-    | Some w -> J.append w (J.Stage (stage_name stage))
-    | None -> ());
-    (match provenance with
-    | Some p -> P.observe_stage p (stage_name stage)
-    | None -> ());
+    emit (J.Stage (stage_name stage));
     hooks.before_stage stage d
   in
   (* Delta tracking: the design the current stage transforms in place
      gets a commit hook, so every committed change-log batch (rule and
-     strategy applications, electric cleanups) is appended to the
-     journal as it lands, tagged with the post-commit design hash.
-     Scratch copies (lookahead, the critic's inner evaluations) have no
-     hook and stay silent. *)
+     strategy applications, electric cleanups) becomes a delta record
+     as it lands, with the committer's attribution, the budget used and
+     the post-commit design hash and shape.  Scratch copies (lookahead,
+     worker forks, the critic's inner evaluations) have no hook and
+     stay silent. *)
   let tracked = ref None in
   let untrack () =
     (match !tracked with Some d -> D.set_commit_hook d None | None -> ());
     tracked := None
   in
   let track d =
-    if Option.is_some jw || Option.is_some provenance then begin
-      (* Switching the tracked design switches id spaces (micro netlist
-         vs. flattened mapped design): the recorder's object tags from
-         the old space would silently mislabel objects in the new. *)
-      (match (!tracked, provenance) with
-      | Some prev, Some p when prev != d -> P.retarget p
-      | _ -> ());
+    if recorded then begin
       untrack ();
       tracked := Some d;
       D.set_commit_hook d
         (Some
-           (fun label entries ->
-             let hash = J.design_hash d in
-             (match jw with
-             | Some w ->
-                 J.append w
-                   (J.Delta
-                      {
-                        d_stage = stage_name !current;
-                        d_label = label;
-                        d_hash = Some hash;
-                        d_entries = entries;
-                      })
-             | None -> ());
-             match provenance with
-             | Some p ->
-                 P.observe_commit p ~stage:(stage_name !current) ~label ~hash
-                   d entries
-             | None -> ()))
+           (fun label attr entries ->
+             emit
+               (J.Delta
+                  {
+                    d_stage = stage_name !current;
+                    d_label = label;
+                    d_hash = Some (J.design_hash d);
+                    d_entries = entries;
+                    d_attr = attr;
+                    d_budget = Some (budget_used ());
+                    d_shape = Some (D.num_comps d, D.num_nets d);
+                  })))
     end
   in
   (* Static rule certification (the [lib/absint] replacement for
@@ -709,7 +678,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
           enter Techmap expanded;
           let optimized, report =
             Milo_optimizer.Logic_optimizer.optimize ~exec ~session ~required
-              ~input_arrivals ~incremental
+              ~input_arrivals
               ~on_mapped:(fun d levels ->
                 levels_ref := levels;
                 lint_stage ~techs:mapped "techmap" d;
@@ -747,7 +716,7 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
             track tm;
             let optimized, report =
               Milo_optimizer.Logic_optimizer.optimize_flat ~exec ~session ~required
-                ~input_arrivals ~incremental ~budget target tm
+                ~input_arrivals ~budget target tm
             in
             timing_ref := report.Milo_optimizer.Logic_optimizer.timing;
             optimized
@@ -789,29 +758,17 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
          the trace is complete before the caller sees the result. *)
       untrack ();
       shutdown_pool ();
-      (match jw with
-      | Some w ->
-          J.commit w
-            (J.Finish
-               {
-                 f_outcome = "complete";
-                 f_delay = final.delay;
-                 f_area = final.area;
-                 f_power = final.power;
-                 f_gates = final.gates;
-                 f_comps = final.comps;
-               });
-          J.close w
-      | None -> ());
-      (match provenance with
-      | Some p ->
-          P.observe_finish p ~outcome:"complete"
-            {
-              Milo_trace.Trace.delay = final.delay;
-              area = final.area;
-              power = final.power;
-            }
-      | None -> ());
+      emit
+        (J.Finish
+           {
+             f_outcome = "complete";
+             f_delay = final.delay;
+             f_area = final.area;
+             f_power = final.power;
+             f_gates = final.gates;
+             f_comps = final.comps;
+           });
+      Option.iter J.close jw;
       (match trace with Some t -> Milo_trace.Trace.flush t | None -> ());
       Complete
         {
@@ -849,27 +806,19 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
          streaming sinks see a well-formed trace up to the failure. *)
       untrack ();
       shutdown_pool ();
-      (match jw with
-      | Some w -> (
-          try
-            J.commit w
-              (J.Finish
-                 {
-                   f_outcome = "partial";
-                   f_delay = 0.0;
-                   f_area = 0.0;
-                   f_power = 0.0;
-                   f_gates = 0;
-                   f_comps = 0;
-                 });
-            J.close w
-          with Sys_error _ -> ())
-      | None -> ());
-      (match provenance with
-      | Some p ->
-          P.observe_finish p ~outcome:"partial"
-            { Milo_trace.Trace.delay = 0.0; area = 0.0; power = 0.0 }
-      | None -> ());
+      (try
+         emit
+           (J.Finish
+              {
+                f_outcome = "partial";
+                f_delay = 0.0;
+                f_area = 0.0;
+                f_power = 0.0;
+                f_gates = 0;
+                f_comps = 0;
+              });
+         Option.iter J.close jw
+       with Sys_error _ -> ());
       (match trace with Some t -> Milo_trace.Trace.flush t | None -> ());
       Partial
         {
@@ -893,18 +842,18 @@ let run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
         }
 
 let run ?(technology = Ecl) ?(constraints = Constraints.none)
-    ?(lint = Milo_lint.Lint.Off) ?(incremental = true) ?budget
-    ?(hooks = no_hooks) ?trace ?(guard = Guard.Off) ?(certify = true) ?journal
-    ?journal_fault ?provenance ?(domains = 1) ?(force_domains = false) design =
-  run_impl ~technology ~constraints ~lint ~incremental ~budget ~hooks ~trace
-    ~guard ~certify ~journal ~journal_fault ~provenance ~domains ~force_domains
-    ~resume:None design
+    ?(lint = Milo_lint.Lint.Off) ?budget ?(hooks = no_hooks) ?trace
+    ?(guard = Guard.Off) ?(certify = true) ?journal ?journal_fault ?provenance
+    ?(domains = 1) ?(force_domains = false) design =
+  run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard ~certify
+    ~journal ~journal_fault ~provenance ~domains ~force_domains ~resume:None
+    design
 
-let run_exn ?technology ?constraints ?lint ?incremental ?budget ?hooks ?trace
-    ?guard ?certify ?journal ?provenance ?domains ?force_domains design =
+let run_exn ?technology ?constraints ?lint ?budget ?hooks ?trace ?guard
+    ?certify ?journal ?provenance ?domains ?force_domains design =
   match
-    run ?technology ?constraints ?lint ?incremental ?budget ?hooks ?trace
-      ?guard ?certify ?journal ?provenance ?domains ?force_domains design
+    run ?technology ?constraints ?lint ?budget ?hooks ?trace ?guard ?certify
+      ?journal ?provenance ?domains ?force_domains design
   with
   | Complete r -> r
   | Partial p -> raise p.failure.err_exn
@@ -1011,10 +960,10 @@ let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
      so the merged trajectory continues bit-identically (degrading to
      inline if the pool no longer comes up changes nothing
      observable). *)
-  run_impl ~technology ~constraints ~lint ~incremental:header.J.h_incremental
-    ~budget:(Some budget) ~hooks ~trace ~guard ~certify:header.J.h_certify
-    ~journal:(Some path) ~journal_fault:None ~provenance
-    ~domains:header.J.h_domains ~force_domains ~resume:(Some rp) capture
+  run_impl ~technology ~constraints ~lint ~budget:(Some budget) ~hooks ~trace
+    ~guard ~certify:header.J.h_certify ~journal:(Some path) ~journal_fault:None
+    ~provenance ~domains:header.J.h_domains ~force_domains ~resume:(Some rp)
+    capture
 
 (* --- Replay ------------------------------------------------------------ *)
 
@@ -1090,7 +1039,7 @@ let replay path =
     (fun idx record ->
       match record with
       | J.Header _ | J.Stage _ -> ()
-      | J.Delta { d_stage; d_label; d_hash; d_entries } -> (
+      | J.Delta { d_stage; d_label; d_hash; d_entries; _ } -> (
           match !cur with
           | Some d when in_place d_stage -> (
               incr deltas;

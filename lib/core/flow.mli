@@ -137,7 +137,6 @@ val run :
   ?technology:technology ->
   ?constraints:Constraints.t ->
   ?lint:Milo_lint.Lint.level ->
-  ?incremental:bool ->
   ?budget:Milo_rules.Budget.t ->
   ?hooks:hooks ->
   ?trace:Milo_trace.Trace.t ->
@@ -156,12 +155,6 @@ val run :
     technology mapping and after the logic optimizer.  [Warn] reports to
     stderr; [Strict] raises [Milo_lint.Lint.Lint_error] on any
     Error-severity finding.
-
-    [incremental] (default [true]) has the optimize stage construct one
-    incremental measurer ([Milo_measure.Measure]) and evaluate
-    candidates by delta-STA and streaming area/power; [false] forces
-    full recomputation per evaluation (the pre-measurement behaviour,
-    useful for cross-checking).
 
     [budget] (default unlimited) bounds the optimization searches: on
     exhaustion the rule passes stop cleanly with the best design so far
@@ -214,14 +207,14 @@ val run :
     as-is and the exception propagates — no [Partial] degradation, no
     Finish record).
 
-    [provenance] (default none — zero-overhead) installs the given
-    recorder as the ambient one for the run
-    ({!Milo_provenance.Provenance}): every committed change-log batch
-    on the tracked design becomes a step record carrying the engine's
-    exact cost attribution, object tags are maintained for
-    critical-path blame, and the event stream mirrors the journal
-    record for record so {!Milo_provenance.Trajectory.crosscheck} can
-    verify one against the other.
+    [provenance] (default none — zero-overhead) hands the given
+    recorder every record the journal would receive
+    ({!Milo_provenance.Provenance.observe}), journaled or not: every
+    committed change-log batch on the tracked design becomes a step
+    carrying the committer's exact cost attribution, and object tags
+    are maintained for critical-path blame.  Its events therefore
+    equal {!Milo_provenance.Trajectory.of_journal}'s over the run's
+    journal.
 
     [domains] (default 1) runs the optimizer's fan-out sites
     (timing-strategy dispatch, per-rule candidate evaluation, lookahead
@@ -250,7 +243,6 @@ val run_exn :
   ?technology:technology ->
   ?constraints:Constraints.t ->
   ?lint:Milo_lint.Lint.level ->
-  ?incremental:bool ->
   ?budget:Milo_rules.Budget.t ->
   ?hooks:hooks ->
   ?trace:Milo_trace.Trace.t ->
@@ -269,10 +261,7 @@ val run_exn :
 (** {2 Journal resume and replay} *)
 
 exception Journal_error of string
-(** A recovered journal cannot support the requested operation (no
-    header survived, no committed checkpoint, unknown technology/stage
-    names).  Distinct from recovery itself, which never refuses a
-    journal. *)
+(** {!Milo_journal.Journal.Journal_error}, re-exported. *)
 
 val resume :
   ?hooks:hooks ->

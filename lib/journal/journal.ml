@@ -14,7 +14,6 @@ type header = {
   h_required : float;
   h_arrivals : (string * float) list;
   h_lint : string;
-  h_incremental : bool;
   h_guard : string;
   h_certify : bool;
   h_timeout : float option;
@@ -47,6 +46,13 @@ type checkpoint = {
   ck_design : D.t;
 }
 
+exception Journal_error of string
+
+let () =
+  Printexc.register_printer (function
+    | Journal_error msg -> Some ("journal error: " ^ msg)
+    | _ -> None)
+
 exception Crash of int
 
 type record =
@@ -57,6 +63,9 @@ type record =
       d_label : string option;
       d_hash : string option;
       d_entries : D.entry list;
+      d_attr : D.attribution;
+      d_budget : (int * int * float) option;
+      d_shape : (int * int) option;
     }
   | Checkpoint of checkpoint
   | Finish of {
@@ -319,7 +328,6 @@ let header_payload h =
   line "required %s" (fl h.h_required);
   List.iter (fun (p, a) -> line "arrival %s %s" (q p) (fl a)) h.h_arrivals;
   line "lint %s" (q h.h_lint);
-  line "incremental %d" (if h.h_incremental then 1 else 0);
   line "guard %s" (q h.h_guard);
   line "certify %d" (if h.h_certify then 1 else 0);
   line "timeout %s" (opt_str fl h.h_timeout);
@@ -338,7 +346,6 @@ let header_of_lines lines =
         h_required = infinity;
         h_arrivals = [];
         h_lint = "off";
-        h_incremental = true;
         h_guard = "off";
         h_certify = true;
         h_timeout = None;
@@ -359,7 +366,9 @@ let header_of_lines lines =
       | [ "arrival"; p; a ] ->
           h := { !h with h_arrivals = !h.h_arrivals @ [ (p, float_tok a) ] }
       | [ "lint"; s ] -> h := { !h with h_lint = s }
-      | [ "incremental"; s ] -> h := { !h with h_incremental = bool_tok s }
+      (* Written by journals from before measurement was always
+         incremental; nothing reads it any more. *)
+      | [ "incremental"; _ ] -> ()
       | [ "guard"; s ] -> h := { !h with h_guard = s }
       | [ "certify"; s ] -> h := { !h with h_certify = bool_tok s }
       | [ "timeout"; s ] -> h := { !h with h_timeout = opt_tok float_tok s }
@@ -370,26 +379,55 @@ let header_of_lines lines =
     lines;
   !h
 
-let delta_payload ~stage ~label ~hash entries =
+(* Attribution, budget and shape are one optional line each, so a
+   delta without them (written before they existed) still decodes. *)
+let delta_payload ~stage ~label ~hash ~(attr : D.attribution) ~budget ~shape
+    entries =
   let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "stage %s\n" stage);
-  (match label with
-  | Some l -> Buffer.add_string b (Printf.sprintf "label %s\n" (q l))
-  | None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "hash %s\n" (match hash with Some h -> h | None -> "-"));
-  List.iter (fun e -> Buffer.add_string b (entry_to_line e ^ "\n")) entries;
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let cost name (c : Milo_trace.Trace.cost) =
+    line "%s %s %s %s" name (fl c.delay) (fl c.area) (fl c.power)
+  in
+  line "stage %s" stage;
+  Option.iter (fun l -> line "label %s" (q l)) label;
+  line "hash %s" (opt_str Fun.id hash);
+  Option.iter (fun s -> line "site %s" (q s)) attr.at_site;
+  Option.iter (fun v -> line "verdict %s" (D.verdict_name v)) attr.at_verdict;
+  Option.iter (cost "before") attr.at_before;
+  Option.iter (cost "after") attr.at_after;
+  Option.iter (fun (s, e, el) -> line "budget %d %d %s" s e (fl el)) budget;
+  Option.iter (fun (c, n) -> line "shape %d %d" c n) shape;
+  List.iter (fun e -> line "%s" (entry_to_line e)) entries;
   Buffer.contents b
 
 let delta_of_lines lines =
   let stage = ref "" and label = ref None and hash = ref None in
+  let attr = ref D.no_attribution and budget = ref None and shape = ref None in
   let entries = ref [] in
+  let cost d a p =
+    Some
+      {
+        Milo_trace.Trace.delay = float_tok d;
+        area = float_tok a;
+        power = float_tok p;
+      }
+  in
   List.iter
     (fun toks ->
       match toks with
       | [ "stage"; s ] -> stage := s
       | [ "label"; l ] -> label := Some l
-      | [ "hash"; h ] -> hash := (match h with "-" -> None | h -> Some h)
+      | [ "hash"; h ] -> hash := opt_tok Fun.id h
+      | [ "site"; s ] -> attr := { !attr with at_site = Some s }
+      | [ "verdict"; v ] -> (
+          match D.verdict_of_name v with
+          | Some _ as v -> attr := { !attr with at_verdict = v }
+          | None -> corrupt "unknown verdict %s" v)
+      | [ "before"; d; a; p ] -> attr := { !attr with at_before = cost d a p }
+      | [ "after"; d; a; p ] -> attr := { !attr with at_after = cost d a p }
+      | [ "budget"; s; e; el ] ->
+          budget := Some (int_tok s, int_tok e, float_tok el)
+      | [ "shape"; c; n ] -> shape := Some (int_tok c, int_tok n)
       | t -> entries := entry_of_tokens t :: !entries)
     lines;
   Delta
@@ -398,6 +436,9 @@ let delta_of_lines lines =
       d_label = !label;
       d_hash = !hash;
       d_entries = List.rev !entries;
+      d_attr = !attr;
+      d_budget = !budget;
+      d_shape = !shape;
     }
 
 let checkpoint_payload ck =
@@ -497,8 +538,9 @@ let record_type = function
 let record_payload = function
   | Header h -> header_payload h
   | Stage s -> Printf.sprintf "stage %s\n" s
-  | Delta { d_stage; d_label; d_hash; d_entries } ->
-      delta_payload ~stage:d_stage ~label:d_label ~hash:d_hash d_entries
+  | Delta { d_stage; d_label; d_hash; d_entries; d_attr; d_budget; d_shape } ->
+      delta_payload ~stage:d_stage ~label:d_label ~hash:d_hash ~attr:d_attr
+        ~budget:d_budget ~shape:d_shape d_entries
   | Checkpoint ck -> checkpoint_payload ck
   | Finish { f_outcome; f_delay; f_area; f_power; f_gates; f_comps } ->
       Printf.sprintf "outcome %s\nstats %s %s %s %d %d\n" f_outcome
@@ -613,7 +655,7 @@ let close w =
       w.w_oc <- None
   | None -> ()
 
-let create ?(sync = `Commit) ?fault path header =
+let create ?(sync = `Commit) ?fault path =
   let w =
     {
       w_path = path;
@@ -624,10 +666,7 @@ let create ?(sync = `Commit) ?fault path header =
       w_fault = fault;
     }
   in
-  Buffer.add_string w.w_buf (frame (Header header));
   commit_image w;
-  w.w_count <- 1;
-  fire w;
   w
 
 (* --- Recovery ----------------------------------------------------------- *)

@@ -31,7 +31,6 @@ type header = {
   h_required : float;  (** required delay; [infinity] if unconstrained *)
   h_arrivals : (string * float) list;  (** input-port arrival times *)
   h_lint : string;  (** lint level name *)
-  h_incremental : bool;
   h_guard : string;  (** guard policy name *)
   h_certify : bool;
   h_timeout : float option;  (** original budget limits, if any *)
@@ -86,6 +85,14 @@ type record =
           (** {!design_hash} after the commit, when the journaling
               flow could attribute the delta to a tracked design *)
       d_entries : D.entry list;
+      d_attr : D.attribution;
+          (** what the committer knew; each field is one optional
+              payload line, so a delta written before these lines
+              existed decodes with {!D.no_attribution} and [None]s *)
+      d_budget : (int * int * float) option;
+          (** budget consumption at the commit: steps, evals, elapsed *)
+      d_shape : (int * int) option;
+          (** component and net counts after the commit *)
     }
   | Checkpoint of checkpoint
   | Finish of {
@@ -96,6 +103,12 @@ type record =
       f_gates : int;
       f_comps : int;
     }
+
+exception Journal_error of string
+(** A recovered journal cannot support the requested operation (no
+    header survived, no committed checkpoint, unknown technology/stage
+    names).  Distinct from recovery itself, which never refuses a
+    journal. *)
 
 exception Crash of int
 (** The canonical simulated-kill exception for the fault harness: a
@@ -114,10 +127,9 @@ val design_hash : D.t -> string
 type writer
 
 val create :
-  ?sync:[ `Always | `Commit ] -> ?fault:(int -> unit) -> string ->
-  header -> writer
-(** [create path header] truncates [path] (atomically, via the
-    tmp+rename commit) and writes the header record.  [sync] selects
+  ?sync:[ `Always | `Commit ] -> ?fault:(int -> unit) -> string -> writer
+(** [create path] truncates [path] (atomically, via the tmp+rename
+    commit); the caller appends the {!Header} record first.  [sync] selects
     fsync per record ([`Always]) or only at checkpoint commits and
     close ([`Commit], the default — appended records still reach the
     OS immediately).  [fault] is the crash-injection hook: called with

@@ -108,6 +108,28 @@ let design_error ~op ~design ?comp ?net ?pin fmt =
            }))
     fmt
 
+type verdict = Certified | Checked | Skipped | Unguarded
+
+let verdict_name = function
+  | Certified -> "certified"
+  | Checked -> "checked"
+  | Skipped -> "skipped"
+  | Unguarded -> "unguarded"
+
+let verdict_of_name = function
+  | "certified" -> Some Certified
+  | "checked" -> Some Checked
+  | "skipped" -> Some Skipped
+  | "unguarded" -> Some Unguarded
+  | _ -> None
+
+type attribution = {
+  at_site : string option;
+  at_verdict : verdict option;
+  at_before : Milo_trace.Trace.cost option;
+  at_after : Milo_trace.Trace.cost option;
+}
+
 type t = {
   dname : string;
   comps : (int, comp) Hashtbl.t;
@@ -120,7 +142,8 @@ type t = {
          Hashcons digests) cache per-design derived data and detect
          staleness in O(1).  Over-bumping is harmless — it only costs a
          recompute — so every low-level mutator touches it. *)
-  mutable on_commit : (string option -> entry list -> unit) option;
+  mutable on_commit :
+    (string option -> attribution -> entry list -> unit) option;
       (* observer fired by [commit ~design] with the committed entries;
          deliberately per-design (scratch copies stay silent) and not
          propagated by [copy]. *)
@@ -317,16 +340,20 @@ let undo t (log : log) =
 
 let entries (log : log) = List.rev !log
 
-let commit ?label ?design (log : log) =
+let no_attribution =
+  { at_site = None; at_verdict = None; at_before = None; at_after = None }
+
+let commit ?label ?(attr = no_attribution) ?design (log : log) =
   (match design with
   | Some t when !log <> [] -> (
       match t.on_commit with
-      | Some f -> f label (entries log)
+      | Some f -> f label attr (entries log)
       | None -> ())
   | Some _ | None -> ());
   log := []
 
 let set_commit_hook t h = t.on_commit <- h
+let has_commit_hook t = Option.is_some t.on_commit
 
 (* Forward replay of committed entries: every entry carries enough
    information to re-apply it (the redo half of the change log), so a

@@ -122,19 +122,48 @@ val set_kind : ?log:log -> t -> int -> Types.kind -> unit
 val undo : t -> log -> unit
 (** Undo every recorded edit (most recent first) and clear the log. *)
 
-val commit : ?label:string -> ?design:t -> log -> unit
+(** Semantic-guard verdict on one committed rule application. *)
+type verdict =
+  | Certified  (** rule statically certified; cone check skipped *)
+  | Checked  (** cone check ran and passed *)
+  | Skipped  (** sampled out or unverifiable site *)
+  | Unguarded  (** guard off for this stage *)
+
+val verdict_name : verdict -> string
+val verdict_of_name : string -> verdict option
+
+type attribution = {
+  at_site : string option;  (** site digest; engine commits only *)
+  at_verdict : verdict option;  (** engine commits only *)
+  at_before : Milo_trace.Trace.cost option;
+      (** measurer totals around the commit; [None] outside a measured
+          window *)
+  at_after : Milo_trace.Trace.cost option;
+}
+(** What the committer knows about a commit beyond its entries: the
+    flow writes it into the commit's journal record. *)
+
+val no_attribution : attribution
+
+val commit : ?label:string -> ?attr:attribution -> ?design:t -> log -> unit
 (** Drop the recorded edits, keeping the changes.  When [design] is
     given and it has a commit hook installed ({!set_commit_hook}), the
     hook observes the committed entries (in application order) first,
-    tagged with [label] (e.g. the rule or strategy that produced them).
-    Without [design] the commit is silent — scratch copies and
-    evaluation-only logs never reach the hook. *)
+    tagged with [label] (e.g. the rule or strategy that produced them)
+    and [attr] (default {!no_attribution}).  Without [design] the
+    commit is silent — scratch copies and evaluation-only logs never
+    reach the hook. *)
 
 val set_commit_hook :
-  t -> (string option -> entry list -> unit) option -> unit
+  t -> (string option -> attribution -> entry list -> unit) option -> unit
 (** Install (or clear, with [None]) this design's commit observer.
-    Used by the flow journal to persist every committed change-log
-    delta.  Not propagated by {!copy}. *)
+    Used by the flow to record every committed change-log delta.  Not
+    propagated by {!copy}, so nothing committed on a copy is
+    recorded. *)
+
+val has_commit_hook : t -> bool
+(** Whether commits on this design are observed: a committer builds
+    its {!attribution} only when they are. *)
 
 val redo : t -> entry list -> unit
 (** Re-apply committed entries forward (application order) — the

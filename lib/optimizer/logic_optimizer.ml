@@ -112,8 +112,8 @@ let optimize_level ?budget ~exec ~session tech_db target design =
    area recovery off the critical paths — everything that happens on the
    flat technology-mapped design.  Split out so a journal resume can
    re-enter here with a restored Techmap snapshot. *)
-let flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
-    tech_db target d =
+let flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db
+    target d =
   let ctx = make_ctx ~session tech_db target d in
   let electric () =
     Milo_trace.Trace.with_span "electric" (fun () ->
@@ -126,9 +126,8 @@ let flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
      the timing and area passes below share it through the context, so
      candidate evaluation costs a cone re-propagation instead of a
      full-design STA + estimate fold. *)
-  if incremental then
-    ctx.R.measurer :=
-      Some (Milo_measure.Measure.create ~input_arrivals target.Table_map.tech d);
+  ctx.R.measurer :=
+    Some (Milo_measure.Measure.create ~input_arrivals target.Table_map.tech d);
   let timing =
     if required < infinity then
       Some
@@ -151,7 +150,7 @@ let flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
    paths. *)
 let optimize ?(exec = Milo_parallel.Exec.inline ())
     ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
-    ?(incremental = true) ?on_mapped ?budget db target design =
+    ?on_mapped ?budget db target design =
   let tech_db = Database.create () in
   let entries = ref [] in
   (* 1. Map and optimize every sub-design, deepest first. *)
@@ -187,8 +186,8 @@ let optimize ?(exec = Milo_parallel.Exec.inline ())
      inspect it (the flow lints here) before timing/area optimization. *)
   (match on_mapped with Some f -> f !top (List.rev !entries) | None -> ());
   let timing =
-    flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
-      tech_db target !top
+    flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db target
+      !top
   in
   (!top, { entries = List.rev !entries; timing })
 
@@ -198,9 +197,9 @@ let optimize ?(exec = Milo_parallel.Exec.inline ())
    resolves every kind it can contain. *)
 let optimize_flat ?(exec = Milo_parallel.Exec.inline ())
     ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
-    ?(incremental = true) ?budget target d =
+    ?budget target d =
   let timing =
-    flat_passes ~exec ~session ~required ~input_arrivals ~incremental ?budget
+    flat_passes ~exec ~session ~required ~input_arrivals ?budget
       (Database.create ()) target d
   in
   (d, { entries = []; timing })

@@ -34,7 +34,6 @@ val optimize :
   ?session:Milo_rules.Rule.session ->
   ?required:float ->
   ?input_arrivals:(string * float) list ->
-  ?incremental:bool ->
   ?on_mapped:(D.t -> report_entry list -> unit) ->
   ?budget:Milo_rules.Budget.t ->
   Milo_compilers.Database.t ->
@@ -51,11 +50,9 @@ val optimize :
     bounds every optimization pass (per-level greedy, timing strategies,
     area recovery); mapping and flattening always complete, so an
     exhausted budget degrades to the mapped-but-unoptimized design.
-    [incremental] (default [true]) installs one [Milo_measure.Measure]
-    per flat optimization stage in the rule context, so the timing and
-    area passes evaluate candidates by delta-STA and streaming totals
-    instead of full recomputes; pass [false] to force the full
-    measurement path.
+    One [Milo_measure.Measure] per flat optimization stage sits in the
+    rule context, so the timing and area passes evaluate candidates by
+    delta-STA and streaming totals instead of full recomputes.
 
     [exec] (default [Exec.inline ()]) is the execution plan of every
     pass: per-level greedy, strategy fan-out and per-rule candidate
@@ -68,7 +65,6 @@ val optimize_flat :
   ?session:Milo_rules.Rule.session ->
   ?required:float ->
   ?input_arrivals:(string * float) list ->
-  ?incremental:bool ->
   ?budget:Milo_rules.Budget.t ->
   Milo_techmap.Table_map.target ->
   D.t ->

@@ -38,7 +38,7 @@ let area ctx =
       let env name = Milo_library.Technology.find ctx.R.tech name in
       Milo_estimate.Estimate.area env ctx.R.design
 
-(* The measurer's running totals as a trace/provenance cost; [None]
+(* The measurer's running totals as a trace/attribution cost; [None]
    outside a measured window. *)
 let cost_of ctx =
   match !(ctx.R.measurer) with
@@ -65,10 +65,11 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
   | Some path -> (
       let before = Sta.worst_delay sta in
       let area_before = area ctx in
-      let observed =
-        Milo_trace.Trace.enabled () || Milo_provenance.Provenance.enabled ()
+      (* Attribution is built only when the commit is recorded. *)
+      let attributed = D.has_commit_hook ctx.R.design in
+      let before_cost =
+        if attributed || Milo_trace.Trace.enabled () then cost_of ctx else None
       in
-      let before_cost = if observed then cost_of ctx else None in
       let log = D.new_log () in
       match s.Strategies.run ctx sta path log with
       | Strategies.Not_applicable ->
@@ -104,12 +105,17 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
                    the totals attached to the commit below are the
                    resynced — final — ones, so attribution telescopes. *)
                 Milo_rules.Engine.measure_keep ctx step;
-                if Milo_provenance.Provenance.enabled () then
-                  Milo_provenance.Provenance.pending ~design:ctx.R.design
-                    ~label:s.Strategies.strat_name ?before:before_cost
-                    ?after:(cost_of ctx) ();
-                D.commit ~label:s.Strategies.strat_name ~design:ctx.R.design
-                  log;
+                let attr =
+                  if attributed then
+                    {
+                      D.no_attribution with
+                      at_before = before_cost;
+                      at_after = cost_of ctx;
+                    }
+                  else D.no_attribution
+                in
+                D.commit ~label:s.Strategies.strat_name ~attr
+                  ~design:ctx.R.design log;
                 (match budget with
                 | Some b -> Milo_rules.Budget.step b
                 | None -> ());

@@ -1,23 +1,8 @@
 module D = Milo_netlist.Design
-module H = Milo_netlist.Hashcons
+module J = Milo_journal.Journal
 module Sta = Milo_timing.Sta
 
 type cost = Milo_trace.Trace.cost
-
-type verdict = Certified | Checked | Skipped | Unguarded
-
-let verdict_name = function
-  | Certified -> "certified"
-  | Checked -> "checked"
-  | Skipped -> "skipped"
-  | Unguarded -> "unguarded"
-
-let verdict_of_name = function
-  | "certified" -> Some Certified
-  | "checked" -> Some Checked
-  | "skipped" -> Some Skipped
-  | "unguarded" -> Some Unguarded
-  | _ -> None
 
 type tag = { tag_stage : string; tag_label : string option; tag_step : int }
 
@@ -26,7 +11,7 @@ type step = {
   st_stage : string;
   st_label : string option;
   st_site : string option;
-  st_verdict : verdict option;
+  st_verdict : D.verdict option;
   st_entries : int;
   st_hash : string;
   st_before : cost option;
@@ -36,120 +21,35 @@ type step = {
   st_budget : (int * int * float) option;
 }
 
-type debit = { de_stage : string; de_kind : string; de_rule : string }
-
 type event =
   | Run of { run_design : string; run_tech : string; run_hash : string }
   | Stage of string
   | Step of step
-  | Debit of debit
   | Check of { ck_stage : string; ck_hash : string; ck_comps : int; ck_nets : int }
   | Finish of { fin_outcome : string; fin_cost : cost }
 
-(* The engine's deposit: attribution detail for the commit about to
-   happen on [p_design].  Matching is by physical design identity plus
-   label, so a commit on any other design object cannot consume it. *)
-type note = {
-  p_design : D.t;
-  p_label : string;
-  p_site : string option;
-  p_verdict : verdict option;
-  p_before : cost option;
-  p_after : cost option;
-}
-
 type t = {
   mutable events_rev : event list;
-  mutable n_events : int;
   mutable next_step : int;
-  mutable stage : string;
-  mutable note : note option;
   comp_tags : (int, tag) Hashtbl.t;
   net_tags : (int, tag) Hashtbl.t;
-  mutable budget_probe : (unit -> int * int * float) option;
   mutable sinks : (event -> unit) list;  (* reverse install order *)
 }
 
 let create () =
   {
     events_rev = [];
-    n_events = 0;
     next_step = 0;
-    stage = "";
-    note = None;
     comp_tags = Hashtbl.create 256;
     net_tags = Hashtbl.create 256;
-    budget_probe = None;
     sinks = [];
   }
-
-(* Domain-local, mirroring [Trace]: the recorder lives on the
-   coordinating domain only, so worker-domain scratch evaluations
-   leave no provenance and the merged ledger is exactly the
-   coordinator's — bit-identical across domain counts. *)
-let cur_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let cur () = Domain.DLS.get cur_key
-
-let set_current o = cur () := o
-let current () = !(cur ())
-let enabled () = !(cur ()) != None
-
-let with_recorder t f =
-  let cur = cur () in
-  let saved = !cur in
-  cur := Some t;
-  Fun.protect ~finally:(fun () -> cur := saved) f
-
-(* Suppress recording on this domain for the callback: the inline
-   execution mode's oracle-worker discipline. *)
-let without f =
-  let cur = cur () in
-  let saved = !cur in
-  cur := None;
-  Fun.protect ~finally:(fun () -> cur := saved) f
 
 let add_sink t f = t.sinks <- f :: t.sinks
 
 let record t ev =
   t.events_rev <- ev :: t.events_rev;
-  t.n_events <- t.n_events + 1;
   List.iter (fun f -> f ev) (List.rev t.sinks)
-
-(* --- engine-side probes -------------------------------------------- *)
-
-let pending ~design ~label ?site ?verdict ?before ?after () =
-  match !(cur ()) with
-  | None -> ()
-  | Some t ->
-      t.note <-
-        Some
-          {
-            p_design = design;
-            p_label = label;
-            p_site = site;
-            p_verdict = verdict;
-            p_before = before;
-            p_after = after;
-          }
-
-let debit ~kind ~rule =
-  match !(cur ()) with
-  | None -> ()
-  | Some t ->
-      record t (Debit { de_stage = t.stage; de_kind = kind; de_rule = rule })
-
-(* --- flow-side observers ------------------------------------------- *)
-
-let set_run t ~design ~tech ~hash =
-  record t (Run { run_design = design; run_tech = tech; run_hash = hash })
-
-let set_budget_probe t p = t.budget_probe <- p
-
-let observe_stage t stage =
-  t.stage <- stage;
-  record t (Stage stage)
 
 let fold_entry tags comp_tags net_tags = function
   | D.E_add_comp (cid, _, _) | D.E_set_kind (cid, _, _) ->
@@ -168,56 +68,61 @@ let fold_entry tags comp_tags net_tags = function
   | D.E_add_net (nid, _) -> Hashtbl.replace net_tags nid tags
   | D.E_remove_net (nid, _, _) -> Hashtbl.remove net_tags nid
 
-let observe_commit t ~stage ~label ?hash d entries =
-  let step = t.next_step in
-  t.next_step <- step + 1;
-  t.stage <- stage;
-  let note =
-    match (t.note, label) with
-    | Some n, Some l when n.p_design == d && n.p_label = l ->
-        t.note <- None;
-        Some n
-    | _ -> None
-  in
-  let tag = { tag_stage = stage; tag_label = label; tag_step = step } in
-  List.iter (fold_entry tag t.comp_tags t.net_tags) entries;
-  let hash = match hash with Some h -> h | None -> H.design_digest d in
-  record t
-    (Step
-       {
-         st_step = step;
-         st_stage = stage;
-         st_label = label;
-         st_site = (match note with Some n -> n.p_site | None -> None);
-         st_verdict = (match note with Some n -> n.p_verdict | None -> None);
-         st_entries = List.length entries;
-         st_hash = hash;
-         st_before = (match note with Some n -> n.p_before | None -> None);
-         st_after = (match note with Some n -> n.p_after | None -> None);
-         st_comps = D.num_comps d;
-         st_nets = D.num_nets d;
-         st_budget =
-           (match t.budget_probe with Some p -> Some (p ()) | None -> None);
-       })
-
-let observe_checkpoint t ~stage d =
-  t.stage <- stage;
-  record t
-    (Check
-       {
-         ck_stage = stage;
-         ck_hash = H.design_digest d;
-         ck_comps = D.num_comps d;
-         ck_nets = D.num_nets d;
-       })
-
-let observe_finish t ~outcome cost =
-  record t (Finish { fin_outcome = outcome; fin_cost = cost })
-
-let retarget t =
-  Hashtbl.reset t.comp_tags;
-  Hashtbl.reset t.net_tags;
-  t.note <- None
+let observe t (r : J.record) =
+  match r with
+  | J.Header h ->
+      record t
+        (Run
+           {
+             run_design = h.J.h_design;
+             run_tech = h.J.h_tech;
+             run_hash = h.J.h_hash;
+           })
+  | J.Stage s ->
+      Hashtbl.reset t.comp_tags;
+      Hashtbl.reset t.net_tags;
+      record t (Stage s)
+  | J.Delta d ->
+      let step = t.next_step in
+      t.next_step <- step + 1;
+      let tag =
+        { tag_stage = d.d_stage; tag_label = d.d_label; tag_step = step }
+      in
+      List.iter (fold_entry tag t.comp_tags t.net_tags) d.d_entries;
+      let comps, nets = Option.value d.d_shape ~default:(0, 0) in
+      record t
+        (Step
+           {
+             st_step = step;
+             st_stage = d.d_stage;
+             st_label = d.d_label;
+             st_site = d.d_attr.D.at_site;
+             st_verdict = d.d_attr.D.at_verdict;
+             st_entries = List.length d.d_entries;
+             st_hash = Option.value d.d_hash ~default:"";
+             st_before = d.d_attr.D.at_before;
+             st_after = d.d_attr.D.at_after;
+             st_comps = comps;
+             st_nets = nets;
+             st_budget = d.d_budget;
+           })
+  | J.Checkpoint ck ->
+      record t
+        (Check
+           {
+             ck_stage = ck.J.ck_stage;
+             ck_hash = J.design_hash ck.J.ck_design;
+             ck_comps = D.num_comps ck.J.ck_design;
+             ck_nets = D.num_nets ck.J.ck_design;
+           })
+  | J.Finish f ->
+      record t
+        (Finish
+           {
+             fin_outcome = f.f_outcome;
+             fin_cost =
+               { delay = f.f_delay; area = f.f_area; power = f.f_power };
+           })
 
 (* --- queries ------------------------------------------------------- *)
 

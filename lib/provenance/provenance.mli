@@ -1,20 +1,22 @@
 (** Optimization provenance: object lineage tags, exact per-rule cost
-    attribution, and a trajectory event stream mirroring the journal.
+    attribution and a trajectory event stream, all folded from the
+    run's journal records.
 
-    Like the tracer, the recorder is ambient: the flow installs one
-    with {!with_recorder}, the engine deposits a {!pending} note just
-    before each design commit, and the flow's commit observer consumes
-    it into a {!step} record.  Every hook is a no-op when no recorder
-    is installed, so the disabled default costs one ref read per probe.
+    {!observe} is the only way a recorder learns anything.  The flow
+    hands it each record as it hands the same record to the journal
+    writer, and {!Trajectory.of_journal} runs the same fold over
+    recovered records, so a live recording and an offline one of the
+    same journal are equal by construction.
 
     {2 The three ledgers}
 
     {b Object provenance.}  Every component and net carries a compact
     {!tag} — the stage, rule label and step ordinal of the commit that
     last touched it.  Tags are folded from {e committed} change-log
-    entries only, so a rolled-back application leaves no fingerprints,
-    and the same fold applied to recovered journal deltas rebuilds the
-    identical tags offline ({!Trajectory.of_journal}).
+    entries only, so a rolled-back application leaves no fingerprints.
+    Tags restart at every stage record: a stage may switch the tracked
+    design to a different id space (micro netlist vs. flattened mapped
+    design).
 
     {b Cost attribution.}  Steps that fall inside a measured window
     carry the measurer's exact before/after totals.  Because each kept
@@ -23,28 +25,15 @@
     the records telescope ([after]{_ k} is bitwise [before]{_ k+1})
     and the attributed deltas sum to the stage's end-to-end cost
     change ({!conservation}).  Rollbacks and quarantines revert the
-    design before any commit, so they net to zero by construction and
-    appear only as {!type-event}[.Debit] markers.
+    design before any commit, so they never reach the stream.
 
-    {b Trajectory.}  The event stream mirrors the journal record for
-    record — [Run]/[Header], [Stage]/[Stage], [Step]/[Delta],
-    [Check]/[Checkpoint], [Finish]/[Finish] — with [Debit] as the only
-    extra, which is what makes the offline cross-check
-    ({!Trajectory.crosscheck}) a plain zip. *)
+    {b Trajectory.}  One event per record — [Run]/[Header],
+    [Stage]/[Stage], [Step]/[Delta], [Check]/[Checkpoint],
+    [Finish]/[Finish]. *)
 
 module D = Milo_netlist.Design
 
 type cost = Milo_trace.Trace.cost
-
-(** Semantic-guard verdict for one kept application. *)
-type verdict =
-  | Certified  (** rule statically certified; cone check skipped *)
-  | Checked  (** cone check ran and passed *)
-  | Skipped  (** sampled out or unverifiable site *)
-  | Unguarded  (** guard off for this stage *)
-
-val verdict_name : verdict -> string
-val verdict_of_name : string -> verdict option
 
 type tag = {
   tag_stage : string;  (** flow stage of the commit *)
@@ -53,108 +42,42 @@ type tag = {
 }
 
 type step = {
-  st_step : int;  (** ordinal; equals the journal delta ordinal *)
+  st_step : int;  (** ordinal of the delta among the stream's deltas *)
   st_stage : string;
-  st_label : string option;  (** mirrors the journal delta's label *)
+  st_label : string option;  (** the delta's label *)
   st_site : string option;  (** site digest, engine commits only *)
-  st_verdict : verdict option;
+  st_verdict : D.verdict option;
   st_entries : int;  (** change-log entries in the commit *)
   st_hash : string;  (** design digest after the commit *)
   st_before : cost option;  (** measurer totals around the commit; *)
   st_after : cost option;  (** [None] outside a measured window *)
-  st_comps : int;  (** design features after the commit *)
-  st_nets : int;
+  st_comps : int;  (** design features after the commit; 0 when the *)
+  st_nets : int;  (** delta predates recorded shapes *)
   st_budget : (int * int * float) option;  (** steps, evals, elapsed *)
 }
-
-type debit = {
-  de_stage : string;
-  de_kind : string;  (** ["rollback"], ["miscompile"], ["quarantine"] *)
-  de_rule : string;
-}
-(** A reverted application: the design was restored exactly, so the
-    cost impact is zero — recorded so the trajectory still shows the
-    work (and {!conservation} can assert the zero). *)
 
 type event =
   | Run of { run_design : string; run_tech : string; run_hash : string }
   | Stage of string
   | Step of step
-  | Debit of debit
   | Check of { ck_stage : string; ck_hash : string; ck_comps : int; ck_nets : int }
   | Finish of { fin_outcome : string; fin_cost : cost }
 
-(** {1 Recorder lifecycle} *)
+(** {1 Recorder} *)
 
 type t
 
 val create : unit -> t
-val set_current : t option -> unit
-val current : unit -> t option
-val enabled : unit -> bool
 
-val with_recorder : t -> (unit -> 'a) -> 'a
-(** Install [t] for the duration of the callback, restoring the
-    previous recorder even on exceptions.  The ambient slot is
-    domain-local: a recorder installed on the coordinating domain is
-    invisible to worker domains. *)
-
-val without : (unit -> 'a) -> 'a
-(** Run the callback with recording suppressed on this domain,
-    restoring the previous recorder even on exceptions.  Used by the
-    parallel runtime's inline execution mode so a worker task leaves
-    no provenance whether it runs on the coordinator or on a pool
-    domain. *)
+val observe : t -> Milo_journal.Journal.record -> unit
+(** Fold one journal record into the recorder: a header becomes
+    [Run], a stage resets the object tags, a delta is numbered, tags
+    the objects its entries touch and becomes a [Step], a checkpoint
+    becomes a [Check] carrying its snapshot's digest, and a finish
+    closes the stream. *)
 
 val add_sink : t -> (event -> unit) -> unit
 (** Streaming sink, called once per recorded event in order. *)
-
-(** {1 Engine-side probes (ambient; no-ops when disabled)} *)
-
-val pending :
-  design:D.t ->
-  label:string ->
-  ?site:string ->
-  ?verdict:verdict ->
-  ?before:cost ->
-  ?after:cost ->
-  unit ->
-  unit
-(** Deposit attribution detail for the commit the engine is about to
-    make on [design].  Consumed by the next {!observe_commit} whose
-    design is physically the same object and whose label matches;
-    a commit on any other design (scratch copies, sub-designs) leaves
-    the note in place, and a second [pending] overwrites the first, so
-    stale notes can never attach to the wrong step. *)
-
-val debit : kind:string -> rule:string -> unit
-(** Record a reverted application (rollback/miscompile/quarantine). *)
-
-(** {1 Flow-side observers (explicit recorder)} *)
-
-val set_run : t -> design:string -> tech:string -> hash:string -> unit
-val set_budget_probe : t -> (unit -> int * int * float) option -> unit
-(** Budget consumption snapshot attached to each step; a closure so
-    this library needs no dependency on the budget's home. *)
-
-val observe_stage : t -> string -> unit
-
-val observe_commit :
-  t -> stage:string -> label:string option -> ?hash:string ->
-  D.t -> D.entry list -> unit
-(** Record one committed change-log batch: assign the step ordinal,
-    fold the entries into the tag tables, consume a matching pending
-    note, and emit a [Step] event.  [hash] is the post-commit design
-    digest when the caller already computed one (the journaling flow
-    does); otherwise it is derived here. *)
-
-val observe_checkpoint : t -> stage:string -> D.t -> unit
-val observe_finish : t -> outcome:string -> cost -> unit
-
-val retarget : t -> unit
-(** Forget all object tags: the flow switched the tracked design to a
-    different id space (micro netlist vs. flattened mapped design).
-    Step numbering and the event stream continue. *)
 
 (** {1 Queries} *)
 

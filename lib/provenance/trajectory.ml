@@ -55,7 +55,7 @@ let line_of_event (ev : P.event) =
         @ opt (fun l -> [ ("label", quote l) ]) s.P.st_label
         @ opt (fun d -> [ ("site", quote d) ]) s.P.st_site
         @ opt
-            (fun v -> [ ("verdict", quote (P.verdict_name v)) ])
+            (fun v -> [ ("verdict", quote (D.verdict_name v)) ])
             s.P.st_verdict
         @ opt (cost_fields "before_") s.P.st_before
         @ opt (cost_fields "after_") s.P.st_after
@@ -67,14 +67,6 @@ let line_of_event (ev : P.event) =
                 ("budget_elapsed", num elapsed);
               ])
             s.P.st_budget)
-  | P.Debit d ->
-      obj
-        [
-          ("t", quote "debit");
-          ("stage", quote d.P.de_stage);
-          ("kind", quote d.P.de_kind);
-          ("rule", quote d.P.de_rule);
-        ]
   | P.Check c ->
       obj
         [
@@ -247,7 +239,7 @@ let event_of_line ln =
           st_verdict =
             (match str_opt "verdict" with
             | Some v -> (
-                match P.verdict_of_name v with
+                match D.verdict_of_name v with
                 | Some _ as r -> r
                 | None -> failwith ("unknown verdict " ^ v))
             | None -> None);
@@ -264,9 +256,6 @@ let event_of_line ln =
                 Some
                   (int "budget_steps", int "budget_evals", fnum "budget_elapsed"));
         }
-  | "debit" ->
-      P.Debit
-        { de_stage = str "stage"; de_kind = str "kind"; de_rule = str "rule" }
   | "checkpoint" ->
       P.Check
         {
@@ -307,142 +296,10 @@ let load path =
 
 (* --- offline reconstruction from a journal ------------------------- *)
 
-let in_place stage = stage = "micro" || stage = "optimize"
-
 let of_journal path =
   let rc = J.recover path in
+  if J.header rc = None then
+    raise (J.Journal_error "no run header survived recovery");
   let t = P.create () in
-  (match J.header rc with
-  | None -> failwith (path ^ ": no run header survived recovery")
-  | Some h -> P.set_run t ~design:h.J.h_design ~tech:h.J.h_tech ~hash:h.J.h_hash);
-  let cur = ref None in
-  List.iter
-    (fun record ->
-      match record with
-      | J.Header _ -> ()
-      | J.Stage s ->
-          (* Stage boundaries are where the live flow re-tracks (and so
-             re-targets) a different design; mirroring that here keeps
-             the final-stage tags identical to the live recording. *)
-          P.retarget t;
-          P.observe_stage t s
-      | J.Delta { d_stage; d_label; d_hash; d_entries } ->
-          (match !cur with
-          | Some d when in_place d_stage -> (
-              try D.redo d d_entries
-              with (Out_of_memory | Stack_overflow) as e -> raise e | _ -> ())
-          | Some _ | None -> ());
-          let d, hash =
-            match !cur with
-            | Some d when in_place d_stage ->
-                (d, match d_hash with Some h -> Some h | None -> None)
-            | _ -> (D.create "offline", Some (Option.value d_hash ~default:""))
-          in
-          P.observe_commit t ~stage:d_stage ~label:d_label ?hash d d_entries
-      | J.Checkpoint ck ->
-          P.observe_checkpoint t ~stage:ck.J.ck_stage ck.J.ck_design;
-          cur := Some (D.copy ck.J.ck_design)
-      | J.Finish f ->
-          P.observe_finish t ~outcome:f.f_outcome
-            {
-              Milo_trace.Trace.delay = f.f_delay;
-              area = f.f_area;
-              power = f.f_power;
-            })
-    rc.J.r_records;
+  List.iter (P.observe t) rc.J.r_records;
   t
-
-(* --- cross-check --------------------------------------------------- *)
-
-type mismatch = { mis_index : int; mis_detail : string }
-
-let crosscheck ~journal events =
-  let rc = J.recover journal in
-  let events =
-    List.filter (function P.Debit _ -> false | _ -> true) events
-  in
-  let mismatches = ref [] in
-  let bad idx fmt =
-    Printf.ksprintf
-      (fun detail -> mismatches := { mis_index = idx; mis_detail = detail } :: !mismatches)
-      fmt
-  in
-  let near a b = a = b || abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b) in
-  let rec zip idx records events =
-    match (records, events) with
-    | [], [] -> ()
-    | [], ev :: _ ->
-        bad idx "journal exhausted before trajectory (next: %s)"
-          (match ev with
-          | P.Run _ -> "run"
-          | P.Stage _ -> "stage"
-          | P.Step _ -> "step"
-          | P.Debit _ -> "debit"
-          | P.Check _ -> "checkpoint"
-          | P.Finish _ -> "finish")
-    | _ :: _, [] -> bad idx "trajectory exhausted before journal"
-    | record :: records, ev :: events ->
-        (match (record, ev) with
-        | J.Header h, P.Run r ->
-            if h.J.h_design <> r.run_design then
-              bad idx "design %S vs journal %S" r.run_design h.J.h_design;
-            if h.J.h_tech <> r.run_tech then
-              bad idx "technology %S vs journal %S" r.run_tech h.J.h_tech;
-            if h.J.h_hash <> r.run_hash then
-              bad idx "input hash %s vs journal %s" r.run_hash h.J.h_hash
-        | J.Stage s, P.Stage s' ->
-            if s <> s' then bad idx "stage %S vs journal %S" s' s
-        | J.Delta d, P.Step s ->
-            if d.d_stage <> s.P.st_stage then
-              bad idx "step %d stage %S vs journal %S" s.P.st_step s.P.st_stage
-                d.d_stage;
-            if d.d_label <> s.P.st_label then
-              bad idx "step %d label %S vs journal %S" s.P.st_step
-                (Option.value s.P.st_label ~default:"")
-                (Option.value d.d_label ~default:"");
-            if List.length d.d_entries <> s.P.st_entries then
-              bad idx "step %d has %d entries vs journal %d" s.P.st_step
-                s.P.st_entries
-                (List.length d.d_entries);
-            (match d.d_hash with
-            | Some h when h <> s.P.st_hash ->
-                bad idx "step %d hash %s vs journal %s" s.P.st_step s.P.st_hash h
-            | Some _ | None -> ())
-        | J.Checkpoint ck, P.Check c ->
-            if ck.J.ck_stage <> c.ck_stage then
-              bad idx "checkpoint stage %S vs journal %S" c.ck_stage
-                ck.J.ck_stage;
-            if J.design_hash ck.J.ck_design <> c.ck_hash then
-              bad idx "checkpoint hash %s vs journal snapshot" c.ck_hash;
-            if D.num_comps ck.J.ck_design <> c.ck_comps
-               || D.num_nets ck.J.ck_design <> c.ck_nets
-            then
-              bad idx "checkpoint features %d/%d vs journal %d/%d" c.ck_comps
-                c.ck_nets
-                (D.num_comps ck.J.ck_design)
-                (D.num_nets ck.J.ck_design)
-        | J.Finish f, P.Finish e ->
-            if f.f_outcome <> e.fin_outcome then
-              bad idx "outcome %S vs journal %S" e.fin_outcome f.f_outcome;
-            if
-              not
-                (near e.fin_cost.Milo_trace.Trace.delay f.f_delay
-                && near e.fin_cost.Milo_trace.Trace.area f.f_area
-                && near e.fin_cost.Milo_trace.Trace.power f.f_power)
-            then
-              bad idx "final cost %.6g/%.6g/%.6g vs journal %.6g/%.6g/%.6g"
-                e.fin_cost.Milo_trace.Trace.delay e.fin_cost.Milo_trace.Trace.area
-                e.fin_cost.Milo_trace.Trace.power f.f_delay f.f_area f.f_power
-        | _, _ ->
-            bad idx "record kind mismatch (trajectory %s)"
-              (match ev with
-              | P.Run _ -> "run"
-              | P.Stage _ -> "stage"
-              | P.Step _ -> "step"
-              | P.Debit _ -> "debit"
-              | P.Check _ -> "checkpoint"
-              | P.Finish _ -> "finish"));
-        zip (idx + 1) records events
-  in
-  zip 0 rc.J.r_records events;
-  List.rev !mismatches

@@ -2,21 +2,17 @@
     one event per line (JSONL), keys sorted, floats printed so they
     round-trip bit-exactly through {!load}.
 
-    Record types ([t] key): ["run"], ["stage"], ["step"], ["debit"],
-    ["checkpoint"], ["finish"] — mirroring the journal's record stream
-    one-for-one (debit excepted), which is what lets {!crosscheck}
-    verify a recorded trajectory against the journal of the same run
-    by a plain zip.
+    Record types ([t] key): ["run"], ["stage"], ["step"],
+    ["checkpoint"], ["finish"] — one per journal record.
 
-    A trajectory can be captured two ways, producing alignable
-    streams: live, by installing {!sink} on the run's recorder; or
-    offline, by {!of_journal} over the run's journal — including a
-    journal stitched across kill/resume cycles, since {!Flow.resume}
-    rewrites one coherent record stream.  Offline steps lack the
-    live-only detail (measured costs, guard verdicts, site digests,
-    budget snapshots), and construction-stage steps (compile, techmap)
-    report zero feature counts — their deltas describe a design the
-    offline fold does not rebuild. *)
+    A trajectory can be captured two ways, which give the same events:
+    live, by installing {!sink} on the run's recorder; or offline, by
+    {!of_journal} over the run's journal — including a journal
+    stitched across kill/resume cycles, since {!Flow.resume} rewrites
+    one coherent record stream.  Both run {!Provenance.observe} over
+    the same records.  Steps of a journal written before deltas
+    carried attribution, budget and shape lines have no site, verdict,
+    costs or budget, and zero feature counts. *)
 
 val line_of_event : Provenance.event -> string
 (** One JSON object, no trailing newline. *)
@@ -34,20 +30,7 @@ val load : string -> Provenance.event list
     malformed input. *)
 
 val of_journal : string -> Provenance.t
-(** Rebuild a trajectory offline from a journal: fold the recovered
-    records through a fresh recorder, replaying deltas onto checkpoint
-    snapshots for the in-place stages (micro, optimize) exactly like
-    [Flow.replay], so step ordinals, hashes and object tags match the
-    live recording.  Raises [Failure] when no run header survived
+(** Rebuild a recorder offline: {!Provenance.observe} over the
+    journal's recovered records.  Raises
+    {!Milo_journal.Journal.Journal_error} when no run header survived
     recovery. *)
-
-type mismatch = {
-  mis_index : int;  (** journal record index *)
-  mis_detail : string;
-}
-
-val crosscheck : journal:string -> Provenance.event list -> mismatch list
-(** Verify a trajectory against the journal of the same run: zip the
-    recovered records with the events (debits skipped) and compare
-    stage names, labels, design hashes, features and final stats.
-    Empty list = zero divergences. *)

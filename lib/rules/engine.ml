@@ -17,7 +17,6 @@
 
 module D = Milo_netlist.Design
 module Trace = Milo_trace.Trace
-module Prov = Milo_provenance.Provenance
 module Pool = Milo_parallel.Pool
 module Exec = Milo_parallel.Exec
 
@@ -164,14 +163,14 @@ let note_failure_msg ctx ~reason (r : Rule.t) msg =
 let note_failure ctx (r : Rule.t) exn =
   note_failure_msg ctx ~reason:Raised r (Printexc.to_string exn)
 
-(* Run [f] as an oracle worker on a fork of [ctx]: tracing and
-   provenance are suppressed on this domain, so a task behaves
-   identically whether it runs inline on the coordinator or on a pool
-   domain.  Returns [f]'s value and the failures the fork trapped,
-   oldest first. *)
+(* Run [f] as an oracle worker on a fork of [ctx]: tracing is
+   suppressed on this domain, so a task behaves identically whether it
+   runs inline on the coordinator or on a pool domain.  (Its fork has
+   no commit hook, so nothing it commits is recorded.)  Returns [f]'s
+   value and the failures the fork trapped, oldest first. *)
 let worker_task ctx f =
   let wctx = Rule.fork_context ctx in
-  let v = Trace.without (fun () -> Prov.without (fun () -> f wctx)) in
+  let v = Trace.without (fun () -> f wctx) in
   ( v,
     match wctx.Rule.session.Rule.trapped with
     | Some t -> List.rev !t
@@ -463,9 +462,8 @@ let check_snapshot ctx snaps =
 (* Snapshot decision for one application: [None] when no check should
    run (guard off, sampled out, or nothing verifiable at the site).
    The verdict is left in the session's [last_verdict] for the
-   provenance recorder, which reads it right after the winning
-   commit-time apply — before cleanups run their own applies and
-   overwrite it.
+   commit's attribution, read right after the winning commit-time
+   apply — before cleanups run their own applies and overwrite it.
 
    Oracle workers never guard (a fork's session has no guard armed):
    their applications are scratch evaluations on forked snapshots
@@ -478,29 +476,29 @@ let guard_snapshot ctx r site =
   let verdict v = s.Rule.last_verdict <- v in
   match s.Rule.rule_guard with
   | None ->
-      verdict Prov.Unguarded;
+      verdict D.Unguarded;
       None
   | Some g ->
       let st = g.rg_stats in
       if List.mem r.Rule.rule_name s.Rule.certified then begin
         st.Guard.rule_certified <- st.Guard.rule_certified + 1;
-        verdict Prov.Certified;
+        verdict D.Certified;
         None
       end
       else if not (should_check g r) then begin
         st.Guard.rule_skipped <- st.Guard.rule_skipped + 1;
-        verdict Prov.Skipped;
+        verdict D.Skipped;
         None
       end
       else begin
         match snapshot_cones g ctx (site_out_nets ctx site) with
         | [] ->
             st.Guard.rule_skipped <- st.Guard.rule_skipped + 1;
-            verdict Prov.Skipped;
+            verdict D.Skipped;
             None
         | snaps ->
             st.Guard.rule_checks <- st.Guard.rule_checks + 1;
-            verdict Prov.Checked;
+            verdict D.Checked;
             Some (st, snaps)
       end
 
@@ -556,8 +554,6 @@ let guarded_apply ctx (r : Rule.t) site log =
                 st.Guard.rule_mismatches <- st.Guard.rule_mismatches + 1
             | None -> ());
             note_failure_msg ctx ~reason:Miscompiled r ("miscompile: " ^ detail);
-            if Prov.enabled () then
-              Prov.debit ~kind:"miscompile" ~rule:r.Rule.rule_name;
             if Trace.enabled () then
               Trace.emit
                 (Trace.Rule_miscompiled
@@ -573,8 +569,6 @@ let guarded_apply ctx (r : Rule.t) site log =
     | exception e ->
         D.undo ctx.Rule.design local;
         note_failure ctx r e;
-        if Prov.enabled () then
-          Prov.debit ~kind:"quarantine" ~rule:r.Rule.rule_name;
         false
 
 (* Component ids within [n] hops of the seed components, a hop being a
@@ -754,7 +748,7 @@ type application = {
 }
 
 (* Snapshot the incremental measurer's totals as a trace cost — only
-   meaningful (and only called) when tracing is on. *)
+   called when tracing is on or the commit is attributed. *)
 let trace_cost ctx =
   match !(ctx.Rule.measurer) with
   | None -> None
@@ -762,7 +756,7 @@ let trace_cost ctx =
       let c = Milo_measure.Measure.current m in
       Some { Trace.delay = c.delay; area = c.area; power = c.power }
 
-(* Compact site identity for the provenance recorder, computed before
+(* Compact site identity for a commit's attribution, computed before
    the apply rewrites the site: the matched description plus the
    hash-consed kind spec of every live site component.  Two structurally
    identical sites reached through different histories digest equal. *)
@@ -843,30 +837,37 @@ let record_eval (r : Rule.t) (site : Rule.site) ev =
   end
 
 (* Authoritative commit of a winning candidate: re-apply on the real
-   design (under the rule guard), run cleanups, keep the measurer step,
-   deposit the provenance note and commit.  This is the only place the
-   winner touches the coordinator's design, so every observable side
-   effect (trace, ledger, guard stats, journal entries) flows from the
-   same code regardless of domain count. *)
+   design (under the rule guard), run cleanups, keep the measurer step
+   and commit with the application's attribution.  This is the only
+   place the winner touches the coordinator's design, so every
+   observable side effect (trace, ledger, guard stats, journal entries)
+   flows from the same code regardless of domain count. *)
 let commit_app ?budget ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
-  let prov = Prov.enabled () in
+  (* Attribution is built only when the commit is recorded. *)
+  let attributed = D.has_commit_hook ctx.Rule.design in
   let t0 = if traced then Unix.gettimeofday () else 0.0 in
-  let before = if traced || prov then trace_cost ctx else None in
-  let site = if prov then Some (site_digest ctx app.site) else None in
+  let before = if traced || attributed then trace_cost ctx else None in
+  let site = if attributed then Some (site_digest ctx app.site) else None in
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
     let verdict = ctx.Rule.session.Rule.last_verdict in
     run_cleanups ctx cleanups log;
     measure_keep ctx (measure_step ctx log);
-    (* Attribution note for the commit below: the measurer's totals
-       are final here (cleanups measured, step kept), so [after] is
-       exactly what the next kept application will see as [before]
-       — the conservation invariant. *)
-    if prov then
-      Prov.pending ~design:ctx.Rule.design ~label:app.rule.Rule.rule_name
-        ?site ~verdict ?before ?after:(trace_cost ctx) ();
-    D.commit ~label:app.rule.Rule.rule_name ~design:ctx.Rule.design log;
+    (* The measurer's totals are final here (cleanups measured, step
+       kept), so [after] is exactly what the next kept application
+       will see as [before] — the conservation invariant. *)
+    let attr =
+      if attributed then
+        {
+          D.at_site = site;
+          at_verdict = Some verdict;
+          at_before = before;
+          at_after = trace_cost ctx;
+        }
+      else D.no_attribution
+    in
+    D.commit ~label:app.rule.Rule.rule_name ~attr ~design:ctx.Rule.design log;
     (match budget with Some b -> Budget.step b | None -> ());
     if traced then begin
       Trace.note_rule ~rule:app.rule.Rule.rule_name
@@ -888,7 +889,6 @@ let commit_app ?budget ctx ~cleanups (app : application) =
     (* The winning rule failed on commit (it was just quarantined);
        everything it recorded is already rolled back. *)
     D.undo ctx.Rule.design log;
-    if prov then Prov.debit ~kind:"rollback" ~rule:app.rule.Rule.rule_name;
     if traced then begin
       Trace.note_rule ~rule:app.rule.Rule.rule_name
         ~dt:(Unix.gettimeofday () -. t0)

@@ -86,8 +86,9 @@ val note_failure_named :
 
     The fan-out sites run candidate evaluations as supervised tasks on
     forked contexts ({!Rule.fork_context}).  Inside {!worker_task} the
-    engine's observable machinery is suspended: tracing and provenance
-    are suppressed on the domain, the fork's session has no rule guard
+    engine's observable machinery is suspended: tracing is suppressed
+    on the domain, the fork's design has no commit hook (so nothing it
+    commits is recorded), the fork's session has no rule guard
     (verdict [Unguarded], no stats ticks), and its failures are
     collected and handed back for the coordinator to import in task
     order.  Only the merged winner is then re-applied authoritatively

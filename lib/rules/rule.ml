@@ -65,7 +65,7 @@ type session = {
   trapped : (string * string * reason) list ref option;
   mutable rule_guard : rule_guard option;
   mutable certified : string list;
-  mutable last_verdict : Milo_provenance.Provenance.verdict;
+  mutable last_verdict : Milo_netlist.Design.verdict;
   mutable debug_lint : bool;
   mutable analysis : analysis_slot option;
 }
@@ -76,7 +76,7 @@ let new_session () =
     trapped = None;
     rule_guard = None;
     certified = [];
-    last_verdict = Milo_provenance.Provenance.Unguarded;
+    last_verdict = Milo_netlist.Design.Unguarded;
     debug_lint = false;
     analysis = None;
   }

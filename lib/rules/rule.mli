@@ -48,7 +48,7 @@ type session = {
           the (then read-only) [quarantine] *)
   mutable rule_guard : rule_guard option;  (** armed semantic rule guard *)
   mutable certified : string list;  (** rules whose guard check is proved *)
-  mutable last_verdict : Milo_provenance.Provenance.verdict;
+  mutable last_verdict : Milo_netlist.Design.verdict;
       (** guard verdict of the latest guarded apply *)
   mutable debug_lint : bool;
   mutable analysis : analysis_slot option;

@@ -12,8 +12,11 @@
    - resume refusal: a journal without a committed checkpoint raises
      [Flow.Journal_error] instead of fabricating state;
    - legacy header: a journal whose header predates the always-written
-     [domains] line reads as one domain and resumes to the
-     uninterrupted run's result. *)
+     [domains] line, and still carries the retired [incremental] line,
+     reads as one domain and resumes to the uninterrupted run's result;
+   - legacy deltas: a journal whose deltas predate the attribution,
+     budget and shape lines decodes with those fields absent, replays
+     cleanly and resumes to the uninterrupted run's result. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -69,7 +72,6 @@ let round_trip () =
       h_required = 5.5;
       h_arrivals = [ ("a", 0.5); ("b", 1.25) ];
       h_lint = "warn";
-      h_incremental = true;
       h_guard = "sampled";
       h_certify = false;
       h_timeout = Some 12.5;
@@ -96,6 +98,38 @@ let round_trip () =
               D.E_set_kind (9, T.Gate (T.Nand, 3), T.Gate (T.Nor, 3));
               D.E_remove_comp (9, "c", T.Gate (T.Nor, 3), [ ("I1", 2) ]);
             ];
+          d_attr =
+            {
+              D.at_site = Some "site \"digest\"";
+              at_verdict = Some D.Checked;
+              (* %.12g would not round-trip these; the journal's %h must *)
+              at_before =
+                Some
+                  {
+                    Milo_trace.Trace.delay = 0.1 +. 0.2;
+                    area = 1.0 /. 3.0;
+                    power = 17.2;
+                  };
+              at_after =
+                Some
+                  {
+                    Milo_trace.Trace.delay = infinity;
+                    area = 0.0;
+                    power = -2.5e-300;
+                  };
+            };
+          d_budget = Some (3, 41, 0.1 +. 0.2);
+          d_shape = Some (11, 14);
+        };
+      J.Delta
+        {
+          d_stage = "optimize";
+          d_label = None;
+          d_hash = None;
+          d_entries = [ D.E_add_net (14, "n14") ];
+          d_attr = D.no_attribution;
+          d_budget = None;
+          d_shape = None;
         };
       J.Checkpoint
         {
@@ -130,7 +164,8 @@ let round_trip () =
         };
     ]
   in
-  let w = J.create path header in
+  let w = J.create path in
+  J.append w (J.Header header);
   List.iter
     (fun r -> match r with J.Checkpoint _ -> J.commit w r | r -> J.append w r)
     records;
@@ -353,20 +388,17 @@ let replay_tampered () =
     |> snd
   in
   (match (last_delta, J.header rc) with
-  | Some di, Some header ->
-      let w = J.create path header in
+  | Some di, Some _ ->
+      let w = J.create path in
       List.iteri
         (fun i r ->
           match r with
-          | J.Header _ -> ()
-          | J.Delta { d_stage; d_label; d_hash; d_entries } when i = di ->
+          | J.Delta dl when i = di ->
               J.append w
                 (J.Delta
                    {
-                     d_stage;
-                     d_label;
-                     d_hash;
-                     d_entries = List.rev (List.tl (List.rev d_entries));
+                     dl with
+                     d_entries = List.rev (List.tl (List.rev dl.d_entries));
                    })
           | J.Checkpoint _ | J.Finish _ -> J.commit w r
           | r -> J.append w r)
@@ -453,27 +485,57 @@ let crc32 s =
     s;
   !c lxor 0xFFFFFFFF
 
-(* Rewrite the journal's header frame without its [domains] line, as
-   every journal of a default run was written before the line became
-   unconditional.  Returns whether the line was there to drop. *)
-let strip_domains_line path =
+(* Re-frame every [rtype] record of the journal at [path] with its
+   payload lines passed through [f], as older code would have written
+   it.  Returns how many payload lines [f] dropped plus how many it
+   added. *)
+let reframe path rtype f =
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let nl = String.index text '\n' in
-  let len = Scanf.sscanf (String.sub text 0 nl) "MILOJ1 header %d %_s" Fun.id in
-  let payload = String.sub text (nl + 1) len in
-  let rest = String.sub text (nl + len + 2) (String.length text - nl - len - 2) in
-  let lines = String.split_on_char '\n' payload in
-  let kept =
-    List.filter (fun l -> not (String.starts_with ~prefix:"domains " l)) lines
+  let b = Buffer.create (String.length text) and changed = ref 0 in
+  let rec frames pos =
+    if pos < String.length text then begin
+      let nl = String.index_from text pos '\n' in
+      let ty, len =
+        Scanf.sscanf (String.sub text pos (nl - pos)) "MILOJ1 %s %d %_s"
+          (fun ty len -> (ty, len))
+      in
+      let payload = String.sub text (nl + 1) len in
+      (if ty = rtype then begin
+         let lines = String.split_on_char '\n' payload in
+         let lines' = f lines in
+         let missing xs ys = List.filter (fun l -> not (List.mem l ys)) xs in
+         changed :=
+           !changed + List.length (missing lines lines')
+           + List.length (missing lines' lines);
+         let payload = String.concat "\n" lines' in
+         Printf.bprintf b "MILOJ1 %s %d %08x\n%s\n" ty (String.length payload)
+           (crc32 payload) payload
+       end
+       else Buffer.add_string b (String.sub text pos (nl + len + 2 - pos)));
+      frames (nl + len + 2)
+    end
   in
-  let payload' = String.concat "\n" kept in
+  frames 0;
   let oc = open_out_bin path in
-  Printf.fprintf oc "MILOJ1 header %d %08x\n%s\n%s" (String.length payload')
-    (crc32 payload') payload' rest;
+  Buffer.output_buffer oc b;
   close_out oc;
-  List.length kept < List.length lines
+  !changed
+
+let has_prefix prefixes l =
+  List.exists (fun p -> String.starts_with ~prefix:p l) prefixes
+
+(* The header as every journal of a default run was written before the
+   [domains] line became unconditional, while the flow still recorded
+   whether measurement was incremental. *)
+let legacy_header lines =
+  List.concat_map
+    (fun l ->
+      if has_prefix [ "domains " ] l then []
+      else if has_prefix [ "lint " ] l then [ l; "incremental 0" ]
+      else [ l ])
+    lines
 
 let legacy_header_resumes () =
   let case = List.hd (Suite.all ()) in
@@ -498,7 +560,7 @@ let legacy_header_resumes () =
       match run_to ~kill:(total / 2) () with
       | _ -> fail "legacy: the kill did not fire"
       | exception Exit -> (
-          if not (strip_domains_line path) then
+          if reframe path "header" legacy_header <> 2 then
             fail "legacy: header carried no domains line to drop";
           (match J.header (J.recover path) with
           | Some h when h.J.h_domains = 1 -> ()
@@ -508,12 +570,80 @@ let legacy_header_resumes () =
           | Flow.Complete r ->
               compare_results "legacy header resume" reference r;
               if !failures = 0 then
-                Printf.printf "ok   legacy header (no domains line) resumes\n"
+                Printf.printf
+                  "ok   legacy header (no domains line, incremental 0) \
+                   resumes\n"
           | Flow.Partial p ->
               fail "legacy: resume degraded at %s"
                 (Flow.stage_name p.Flow.failed_stage)
           | exception e -> fail "legacy: resume raised %s" (Printexc.to_string e)))
   | Flow.Partial _ | (exception _) -> fail "legacy: reference run failed");
+  cleanup path
+
+(* A delta as written before attribution, budget and shape lines
+   existed: it decodes with those fields absent, and its journal still
+   replays and resumes. *)
+let legacy_deltas () =
+  let case = List.hd (Suite.all ()) in
+  let path = temp_journal "legacy_delta" in
+  (match
+     Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+       ~guard:Guard.Sampled ~journal:path case.Suite.case_design
+   with
+  | Flow.Complete reference -> (
+      let before = (J.recover path).J.r_records in
+      let dropped =
+        reframe path "delta"
+          (List.filter
+             (fun l ->
+               not
+                 (has_prefix
+                    [
+                      "site "; "verdict "; "before "; "after "; "budget ";
+                      "shape ";
+                    ]
+                    l)))
+      in
+      if dropped = 0 then fail "legacy deltas: no new delta line to drop";
+      let rc = J.recover path in
+      if List.length rc.J.r_records <> List.length before then
+        fail "legacy deltas: %d of %d records recovered"
+          (List.length rc.J.r_records) (List.length before);
+      List.iter2
+        (fun old r ->
+          match (old, r) with
+          | J.Delta o, J.Delta n ->
+              if
+                n.d_attr <> D.no_attribution || n.d_budget <> None
+                || n.d_shape <> None
+              then fail "legacy deltas: a stripped field decoded as present";
+              if
+                (n.d_stage, n.d_label, n.d_hash, n.d_entries)
+                <> (o.d_stage, o.d_label, o.d_hash, o.d_entries)
+              then fail "legacy deltas: a delta changed"
+          | _ -> ())
+        before rc.J.r_records;
+      (match Flow.replay path with
+      | rep ->
+          if rep.Flow.rep_divergences <> [] || not rep.Flow.rep_finished then
+            fail "legacy deltas: replay found %d divergence(s)"
+              (List.length rep.Flow.rep_divergences)
+      | exception e ->
+          fail "legacy deltas: replay raised %s" (Printexc.to_string e));
+      match Flow.resume path with
+      | Flow.Complete r ->
+          compare_results "legacy deltas resume" reference r;
+          if !failures = 0 then
+            Printf.printf
+              "ok   legacy deltas (%d lines dropped) replay and resume\n"
+              dropped
+      | Flow.Partial p ->
+          fail "legacy deltas: resume degraded at %s"
+            (Flow.stage_name p.Flow.failed_stage)
+      | exception e ->
+          fail "legacy deltas: resume raised %s" (Printexc.to_string e))
+  | Flow.Partial _ | (exception _) ->
+      fail "legacy deltas: reference run failed");
   cleanup path
 
 (* --- Resume refusal ------------------------------------------------------ *)
@@ -523,24 +653,23 @@ let resume_refusal () =
      committed) has nothing to resume. *)
   let path = temp_journal "refusal" in
   let d = sample_design () in
-  let w =
-    J.create path
-      {
-        J.h_design = "rt";
-        h_hash = J.design_hash d;
-        h_tech = "ecl";
-        h_required = infinity;
-        h_arrivals = [];
-        h_lint = "off";
-        h_incremental = true;
-        h_guard = "off";
-        h_certify = true;
-        h_timeout = None;
-        h_max_steps = None;
-        h_max_evals = None;
-        h_domains = 1;
-      }
-  in
+  let w = J.create path in
+  J.append w
+    (J.Header
+       {
+         J.h_design = "rt";
+         h_hash = J.design_hash d;
+         h_tech = "ecl";
+         h_required = infinity;
+         h_arrivals = [];
+         h_lint = "off";
+         h_guard = "off";
+         h_certify = true;
+         h_timeout = None;
+         h_max_steps = None;
+         h_max_evals = None;
+         h_domains = 1;
+       });
   J.close w;
   (match Flow.resume path with
   | _ -> fail "refusal: resumed a journal without a checkpoint"
@@ -578,6 +707,7 @@ let () =
   replay_tampered ();
   trace_seq_resume ();
   legacy_header_resumes ();
+  legacy_deltas ();
   resume_refusal ();
   if !failures > 0 then begin
     Printf.printf "journal_suite: %d failure(s)\n" !failures;

@@ -357,12 +357,11 @@ let kill_after n count =
 (* Run a journaled flow, killing it after exactly [n] journal records.
    Returns [Some outcome] when the flow finished before writing [n]
    records (no kill happened), [None] when the kill fired. *)
-let run_journaled_killed ?technology ?constraints ?lint ?incremental ?budget
-    ?guard ?certify ?domains ?force_domains ~journal n design =
+let run_journaled_killed ?technology ?constraints ?lint ?budget ?guard ?certify
+    ?domains ?force_domains ~journal n design =
   match
-    Flow.run ?technology ?constraints ?lint ?incremental ?budget ?guard
-      ?certify ~journal ~journal_fault:(kill_after n) ?domains ?force_domains
-      design
+    Flow.run ?technology ?constraints ?lint ?budget ?guard ?certify ~journal
+      ~journal_fault:(kill_after n) ?domains ?force_domains design
   with
   | outcome -> Some outcome
   | exception Milo_journal.Journal.Crash _ -> None

@@ -7,16 +7,19 @@
      change;
    - object lineage: committed applications tag the objects they touch
      with the committing stage/rule/step; rolled-back and miscompiled
-     applications leave no tags (only debit markers);
-   - pending-note hygiene: attribution detail deposited for one design
-     can never attach to a commit on a different design;
-   - trajectory round-trip: a journaled run's live trajectory, its
-     save/load image and its offline [of_journal] reconstruction all
-     cross-check against the journal with zero mismatches — including
-     a journal stitched across a kill + resume. *)
+     applications leave no tags and no steps;
+   - attribution travels with its commit: an attributed commit on a
+     hook-less copy records nothing, and each step carries only its own
+     commit's attribution;
+   - one fold, two readers: a journaled run's live recorder and
+     [Trajectory.of_journal] over the journal it wrote give equal
+     events, ledgers and conservation rows, and the offline stream
+     conserves on its own — including a journal stitched across a
+     kill + resume; the JSONL save/load is an identity. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
+module J = Milo_journal.Journal
 module P = Milo_provenance.Provenance
 module Traj = Milo_provenance.Trajectory
 module Flow = Milo.Flow
@@ -84,7 +87,7 @@ let conservation_fuzz (case : Suite.case) =
           (fun acc (co : P.conservation) -> acc + co.P.co_measured)
           0 (P.conservation p)
       in
-      (* The budget probe was installed, so every step snapshots it. *)
+      (* Every delta carries the budget used at its commit. *)
       List.iter
         (function
           | P.Step s when s.P.st_budget = None ->
@@ -132,14 +135,30 @@ let conservation_fuzz (case : Suite.case) =
 
 (* --- Object lineage ------------------------------------------------------ *)
 
+(* The flow's commit hook reduced to what the recorder reads: each
+   commit on [d] becomes a delta record of [stage]. *)
+let record_commits p d =
+  D.set_commit_hook d
+    (Some
+       (fun label attr entries ->
+         P.observe p
+           (J.Delta
+              {
+                d_stage = "test";
+                d_label = label;
+                d_hash = None;
+                d_entries = entries;
+                d_attr = attr;
+                d_budget = None;
+                d_shape = None;
+              })))
+
 (* Committed entries tag objects; undone logs leave none; removal drops
-   the tag.  Driven directly through a commit hook wired the way the
-   flow wires it. *)
+   the tag. *)
 let lineage_mechanics () =
   let p = P.create () in
   let d = D.create "lineage" in
-  D.set_commit_hook d
-    (Some (fun label entries -> P.observe_commit p ~stage:"test" ~label d entries));
+  record_commits p d;
   (* A committed add tags the component and its nets. *)
   let log = D.new_log () in
   let n = D.new_net ~log d in
@@ -171,47 +190,48 @@ let lineage_mechanics () =
   | Some _ -> fail "lineage: removed component kept its tag");
   if !failures = 0 then Printf.printf "ok   lineage mechanics\n"
 
-(* Pending notes are keyed by physical design identity: detail
-   deposited for one design can never attach to a commit on another
-   (the engine evaluates candidates on scratch copies). *)
-let pending_hygiene () =
+(* Attribution travels as an argument of the commit it describes, so
+   it cannot attach to any other commit; and copies (scratch designs,
+   worker forks) have no commit hook, so nothing committed on one is
+   recorded. *)
+let attribution_travels () =
   let p = P.create () in
   let d = D.create "real" in
-  let scratch = D.create "scratch" in
-  D.set_commit_hook d
-    (Some (fun label entries -> P.observe_commit p ~stage:"test" ~label d entries));
-  P.with_recorder p (fun () ->
-      (* A stale note for the scratch design... *)
-      P.pending ~design:scratch ~label:"opt" ~site:"stale" ();
-      let log = D.new_log () in
-      ignore (D.add_comp ~log d (T.Gate (T.And, 2)));
-      D.commit ~label:"opt" ~design:d log;
-      (* ...must not attach to the real design's commit. *)
-      (match P.events p with
-      | [ P.Step s ] ->
-          if s.P.st_site <> None then
-            fail "pending: stale note attached across designs"
-      | evs -> fail "pending: expected 1 step, got %d events" (List.length evs));
-      (* A matching note is consumed exactly once. *)
-      P.pending ~design:d ~label:"opt" ~site:"fresh" ();
-      let log = D.new_log () in
-      ignore (D.add_comp ~log d (T.Gate (T.Inv, 1)));
-      D.commit ~label:"opt" ~design:d log;
-      let log = D.new_log () in
-      ignore (D.add_comp ~log d (T.Gate (T.Inv, 1)));
-      D.commit ~label:"opt" ~design:d log;
-      match P.events p with
-      | [ P.Step _; P.Step s2; P.Step s3 ] ->
-          if s2.P.st_site <> Some "fresh" then
-            fail "pending: matching note not consumed";
-          if s3.P.st_site <> None then
-            fail "pending: note consumed twice"
-      | evs -> fail "pending: expected 3 steps, got %d events" (List.length evs));
-  if !failures = 0 then Printf.printf "ok   pending-note hygiene\n"
+  record_commits p d;
+  let lib = Milo_library.Generic.get () in
+  let ctx =
+    Rule.make_context lib (Milo_compilers.Gate_comp.generic_set lib) d
+  in
+  let scratch = D.copy d in
+  if D.has_commit_hook scratch then
+    fail "attribution: a copy has a commit hook";
+  if D.has_commit_hook (Rule.fork_context ctx).Rule.design then
+    fail "attribution: a worker fork has a commit hook";
+  let commit ?site design kind =
+    let log = D.new_log () in
+    ignore (D.add_comp ~log design kind);
+    let attr = { D.no_attribution with D.at_site = site } in
+    D.commit ~label:"opt" ~attr ~design log
+  in
+  commit ~site:"scratch" scratch (T.Gate (T.And, 2));
+  if P.events p <> [] then fail "attribution: a commit on a copy was recorded";
+  commit ~site:"first" d (T.Gate (T.And, 2));
+  commit d (T.Gate (T.Inv, 1));
+  commit ~site:"third" d (T.Gate (T.Inv, 1));
+  (match P.events p with
+  | [ P.Step s1; P.Step s2; P.Step s3 ] ->
+      if
+        List.map (fun s -> s.P.st_site) [ s1; s2; s3 ]
+        <> [ Some "first"; None; Some "third" ]
+      then fail "attribution: a step carries another commit's site"
+  | evs ->
+      fail "attribution: expected 3 steps, got %d events" (List.length evs));
+  if !failures = 0 then
+    Printf.printf "ok   attribution travels with its commit\n"
 
 (* A fully-guarded miscompiling rule rewarded by the cost function:
-   nothing commits, no tags appear, and the reverted work surfaces as
-   debit markers — netting to zero by construction. *)
+   nothing commits, no tags appear, and the rule is quarantined as a
+   miscompile — netting to zero by construction. *)
 let miscompile_nets_to_zero () =
   let p = P.create () in
   let d = D.create "inv2" in
@@ -227,53 +247,63 @@ let miscompile_nets_to_zero () =
   let before = D.copy d in
   let lib = Milo_library.Generic.get () in
   let ctx = Rule.make_context lib (Milo_compilers.Gate_comp.generic_set lib) d in
-  D.set_commit_hook d
-    (Some (fun label entries -> P.observe_commit p ~stage:"test" ~label d entries));
+  record_commits p d;
   Engine.set_rule_guard ctx.Rule.session Guard.Full;
-  P.with_recorder p (fun () ->
-      let cost_factory (wctx : Rule.context) () =
-        List.fold_left
-          (fun acc (c : D.comp) ->
-            acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
-          0.0 (D.comps wctx.Rule.design)
-      in
-      let apps =
-        Engine.greedy_pass ~cost_factory ctx ~cleanups:[]
-          [ Faults.polarity_rule () ]
-      in
-      if apps <> [] then fail "netting: miscompiling rule committed");
+  let rule = Faults.polarity_rule () in
+  let cost_factory (wctx : Rule.context) () =
+    List.fold_left
+      (fun acc (c : D.comp) ->
+        acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
+      0.0 (D.comps wctx.Rule.design)
+  in
+  let apps = Engine.greedy_pass ~cost_factory ctx ~cleanups:[] [ rule ] in
+  if apps <> [] then fail "netting: miscompiling rule committed";
   if not (D.equal_structure before d) then
     fail "netting: design not restored exactly";
   if P.tag_count p <> (0, 0) then begin
     let c, n = P.tag_count p in
     fail "netting: reverted work left %d comp / %d net tags" c n
   end;
-  let steps, debits =
-    List.fold_left
-      (fun (s, db') ev ->
-        match ev with
-        | P.Step _ -> (s + 1, db')
-        | P.Debit de when de.P.de_kind = "miscompile" -> (s, db' + 1)
-        | _ -> (s, db'))
-      (0, 0) (P.events p)
+  let steps =
+    List.length
+      (List.filter (function P.Step _ -> true | _ -> false) (P.events p))
   in
   if steps <> 0 then fail "netting: %d step record(s) for reverted work" steps;
-  if debits = 0 then fail "netting: no miscompile debit recorded";
+  (match
+     List.assoc_opt rule.Rule.rule_name
+       (Engine.quarantined_reasons ctx.Rule.session)
+   with
+  | Some Engine.Miscompiled -> ()
+  | Some Engine.Raised ->
+      fail "netting: rule quarantined as raised, not miscompiled"
+  | None -> fail "netting: miscompiling rule not quarantined");
   check_conservation "netting" p;
-  if !failures = 0 then
-    Printf.printf "ok   miscompile nets to zero (%d debit(s))\n" debits
+  if !failures = 0 then Printf.printf "ok   miscompile nets to zero\n"
 
-(* --- Trajectory round-trip ----------------------------------------------- *)
+(* --- One fold, two readers ----------------------------------------------- *)
 
-let crosscheck_empty what ~journal events =
-  match Traj.crosscheck ~journal events with
-  | [] -> ()
-  | ms ->
-      fail "%s: %d cross-check mismatch(es)" what (List.length ms);
-      List.iter
-        (fun (m : Traj.mismatch) ->
-          Printf.printf "     record %d: %s\n" m.Traj.mis_index m.Traj.mis_detail)
-        ms
+(* The live recorder saw the records its run journaled; the offline
+   fold over that journal must give the same events, ledger and
+   conservation rows, and conserve on its own. *)
+let same_fold what live ~journal =
+  let off = Traj.of_journal journal in
+  let le = P.events live and oe = P.events off in
+  if oe <> le then begin
+    fail "%s: of_journal's %d events differ from the live recorder's %d" what
+      (List.length oe) (List.length le);
+    match List.find_opt (fun (a, b) -> a <> b) (List.combine le oe) with
+    | Some (a, b) ->
+        Printf.printf "     live:    %s\n     offline: %s\n"
+          (Traj.line_of_event a) (Traj.line_of_event b)
+    | None | (exception Invalid_argument _) -> ()
+  end;
+  if P.ledger off <> P.ledger live then fail "%s: offline ledger differs" what;
+  if P.conservation off <> P.conservation live then
+    fail "%s: offline conservation differs" what;
+  if P.tag_count off <> P.tag_count live then
+    fail "%s: offline tags differ" what;
+  check_conservation (what ^ " offline") off;
+  off
 
 let trajectory_roundtrip (case : Suite.case) =
   let name = case.Suite.case_name in
@@ -285,20 +315,13 @@ let trajectory_roundtrip (case : Suite.case) =
        ~guard:Guard.Sampled ~journal:path ~provenance:p case.Suite.case_design
    with
   | Flow.Complete _ ->
-      (* Live events vs the journal they were recorded beside. *)
-      crosscheck_empty (name ^ " live") ~journal:path (P.events p);
-      (* Through the serialized form: save, load, cross-check again —
-         and the loaded stream must equal the live one exactly (floats
-         round-trip bit-exactly). *)
+      ignore (same_fold name p ~journal:path);
+      (* Through the serialized form: the loaded stream must equal the
+         live one exactly (floats round-trip bit-exactly). *)
       Traj.save tfile (P.events p);
-      let loaded = Traj.load tfile in
-      if loaded <> P.events p then
+      if Traj.load tfile <> P.events p then
         fail "%s: trajectory save/load not an identity" name;
-      crosscheck_empty (name ^ " loaded") ~journal:path loaded;
-      (* Offline reconstruction from the journal alone. *)
-      let off = Traj.of_journal path in
-      crosscheck_empty (name ^ " of_journal") ~journal:path (P.events off);
-      Printf.printf "ok   trajectory %-8s round-trips (%d events)\n" name
+      Printf.printf "ok   trajectory %-8s live = of_journal (%d events)\n" name
         (List.length (P.events p))
   | Flow.Partial pp ->
       fail "%s: flow degraded at %s" name (Flow.stage_name pp.Flow.failed_stage)
@@ -306,9 +329,9 @@ let trajectory_roundtrip (case : Suite.case) =
   cleanup path;
   if Sys.file_exists tfile then Sys.remove tfile
 
-(* Kill + resume: the rewritten journal is one coherent stream, so its
-   offline trajectory is the stitched record of the whole run and must
-   cross-check (and replay) with zero divergences. *)
+(* Kill + resume: the rewritten journal is one coherent stream, so the
+   resumed run's recorder and the offline fold of that journal agree,
+   and the journal replays with zero divergences. *)
 let trajectory_stitched () =
   let case = List.hd (Suite.all ()) in
   let path = temp_journal "stitch" in
@@ -330,17 +353,12 @@ let trajectory_stitched () =
     let p = P.create () in
     match Flow.resume ~provenance:p path with
     | Flow.Complete _ ->
-        (* The resumed run's live stream mirrors the rewritten journal. *)
-        crosscheck_empty "stitch live" ~journal:path (P.events p);
-        (* The stitched offline trajectory covers the whole run. *)
-        let off = Traj.of_journal path in
-        crosscheck_empty "stitch of_journal" ~journal:path (P.events off);
+        let off = same_fold "stitch" p ~journal:path in
         (match List.rev (P.events off) with
         | P.Finish { fin_outcome; _ } :: _ ->
             if fin_outcome <> "complete" then
               fail "stitch: stitched trajectory ends %S" fin_outcome
         | _ -> fail "stitch: stitched trajectory lacks a finish record");
-        (* And the same journal replays divergence-free. *)
         (match Flow.replay path with
         | rep ->
             if rep.Flow.rep_divergences <> [] then
@@ -361,7 +379,7 @@ let () =
   let cases = Suite.all () in
   List.iter conservation_fuzz cases;
   lineage_mechanics ();
-  pending_hygiene ();
+  attribution_travels ();
   miscompile_nets_to_zero ();
   List.iter trajectory_roundtrip cases;
   trajectory_stitched ();
