@@ -217,8 +217,9 @@ let micro_pass ?(max_steps = 16) ?budget ?deadline ~session db lib target
        which registers sub-designs into the shared [db]. *)
     Milo_rules.Engine.greedy_pass ~max_steps ?budget
       ~exec:(Milo_parallel.Exec.inline ?deadline ())
-      ~cost_factory:(fun wctx ->
-        micro_cost db lib target constraints wctx.R.design)
+      ~cost:
+        (Milo_rules.Engine.Measured
+           (fun wctx -> micro_cost db lib target constraints wctx.R.design))
       ctx ~cleanups:[] Milo_critic.Critic.micro
   in
   List.map

@@ -10,7 +10,12 @@
    the rewrite changes the local function of its cone (it is sound
    only because the cone is masked on every path to an output), so the
    engine's cone-local rule guard must not compare it — the stage
-   guards and the whole-design certification tier cover it instead. *)
+   guards and the whole-design certification tier cover it instead.
+
+   Neither rule is local (see [Rule.t]): their [find] reads a
+   whole-design analysis and [still_const] extracts cones up to 10
+   leaves deep, so the greedy step re-evaluates their candidates every
+   step. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -122,7 +127,7 @@ let const_collapse =
             true
           end
           else false
-      | _ -> false)
+      | _ -> false) ()
 
 (* Remove a live component whose every output is masked on every path
    to an output port; its output net is tied low so the design stays
@@ -164,6 +169,6 @@ let prune_unobservable =
               end
               else false
           | Some _ | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ const_collapse; prune_unobservable ]

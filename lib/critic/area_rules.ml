@@ -35,7 +35,7 @@ let adder_ripple_swap =
                   true
               | Some _ | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Common-subexpression sharing: two combinational components with the
    same kind and the same input connections merge into one. *)
@@ -109,7 +109,7 @@ let share_duplicate =
                   end
               | None -> false)
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Cone resynthesis: replace a small single-output cone by one library
    macro of the same function when that macro is smaller — the
@@ -166,7 +166,7 @@ let cone_resynth =
                   | _ -> false)
               | None -> false)
           | Some _ | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* ECL dual-output sharing: an OR and a NOR over the same inputs fuse
    into one E_ORNOR macro (both collector phases of a single current
@@ -260,6 +260,6 @@ let ornor_share =
                     true
                 | _, _, _ -> false)
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ adder_ripple_swap; share_duplicate; cone_resynth; ornor_share ]

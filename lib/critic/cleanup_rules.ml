@@ -24,7 +24,7 @@ let output_net ctx (c : D.comp) =
 
 (* Dead logic: a combinational component whose outputs drive nothing. *)
 let dead_logic =
-  R.make ~name:"dead-logic" ~cls:R.Cleanup
+  R.make ~local:true ~name:"dead-logic" ~cls:R.Cleanup
     ~find:(fun ctx ->
       R.macro_comps ctx (fun c m ->
           (not (Milo_library.Macro.is_sequential m))
@@ -43,11 +43,11 @@ let dead_logic =
       | [ cid ] when D.comp_opt ctx.R.design cid <> None ->
           R.remove_comp_and_dangling ctx log cid;
           true
-      | _ -> false)
+      | _ -> false) ()
 
 (* Double inverter: INV(INV(x)) with a single consumer chain. *)
 let double_inverter =
-  R.make ~name:"double-inverter" ~cls:R.Cleanup
+  R.make ~local:true ~name:"double-inverter" ~cls:R.Cleanup
     ~find:(fun ctx ->
       gate_comps ctx (fun s -> s.Gate_shape.fn = T.Inv)
       |> List.filter_map (fun (c2 : D.comp) ->
@@ -90,11 +90,11 @@ let double_inverter =
               | Some _ | None -> ());
               true
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Buffer elimination. *)
 let buffer_elim =
-  R.make ~name:"buffer-elim" ~cls:R.Cleanup
+  R.make ~local:true ~name:"buffer-elim" ~cls:R.Cleanup
     ~find:(fun ctx ->
       gate_comps ctx (fun s -> s.Gate_shape.fn = T.Buf)
       |> List.filter_map (fun (c : D.comp) ->
@@ -114,7 +114,7 @@ let buffer_elim =
               | None -> ());
               true
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Constant propagation through simple gates. *)
 let constant_prop =
@@ -251,7 +251,7 @@ let constant_prop =
                     | T.Inv | T.Buf -> false)))
     | _ -> false
   in
-  R.make ~name:"constant-prop" ~cls:R.Cleanup ~find ~apply
+  R.make ~local:true ~name:"constant-prop" ~cls:R.Cleanup ~find ~apply ()
 
 (* Single-input reduction: rebuilding NAND/NOR over one live input needs
    an inverter; Gate_comp.build already handles that (NAND1 = INV). *)

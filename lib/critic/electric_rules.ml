@@ -42,7 +42,7 @@ let fanout_buffer =
               moved;
             true
           end
-      | _ -> false)
+      | _ -> false) ()
 
 (* Violations currently present (for reporting). *)
 let violations ctx =

@@ -37,7 +37,7 @@ let invert_root =
     | T.Xnor -> Some T.Xor
     | T.Inv | T.Buf -> None
   in
-  R.make ~name:"invert-root" ~cls:R.Logic
+  R.make ~local:true ~name:"invert-root" ~cls:R.Logic
     ~find:(fun ctx ->
       List.filter_map
         (fun (inv : D.comp) ->
@@ -99,7 +99,7 @@ let invert_root =
                   | Some _ | None -> D.connect ~log ctx.R.design gid "Y" onet);
                   true)
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Associative gate collapse: AND(AND(a,b),c) -> AND3(a,b,c) when the
    inner gate has fanout 1 and the wider macro exists. *)
@@ -108,7 +108,7 @@ let gate_merge =
     | T.And | T.Or | T.Xor -> true
     | T.Nand | T.Nor | T.Xnor | T.Inv | T.Buf -> false
   in
-  R.make ~name:"gate-merge" ~cls:R.Logic
+  R.make ~local:true ~name:"gate-merge" ~cls:R.Logic
     ~find:(fun ctx ->
       List.concat_map
         (fun (outer : D.comp) ->
@@ -175,12 +175,12 @@ let gate_merge =
                 true
               end
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Mux + flip-flop merge: an n:1 mux feeding the D of a plain DFF with
    fanout 1 becomes a MUXFF macro — the Figure 18 REG4 optimization. *)
 let mux_ff_merge =
-  R.make ~name:"mux-ff-merge" ~cls:R.Logic
+  R.make ~local:true ~name:"mux-ff-merge" ~cls:R.Logic
     ~find:(fun ctx ->
       List.filter_map
         (fun (ff : D.comp) ->
@@ -273,11 +273,11 @@ let mux_ff_merge =
                   end
               | _ -> false)
           | _ -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Mux with constant select collapses to a wire. *)
 let const_select_mux =
-  R.make ~name:"const-select-mux" ~cls:R.Logic
+  R.make ~local:true ~name:"const-select-mux" ~cls:R.Logic
     ~find:(fun ctx ->
       List.filter_map
         (fun (mx : D.comp) ->
@@ -355,6 +355,6 @@ let const_select_mux =
                   | _ -> false)
               | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ invert_root; gate_merge; mux_ff_merge; const_select_mux ]

@@ -193,7 +193,7 @@ let adder_register_to_counter =
               | T.Macro _ | T.Instance _ ->
                   false)
           | Some _ | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Adder with a constant-one operand simplifies to an incrementer. *)
 let add_one_to_inc =
@@ -235,7 +235,7 @@ let add_one_to_inc =
           | T.Comparator _ | T.Logic_unit _ | T.Register _ | T.Counter _
           | T.Constant _ | T.Macro _ | T.Instance _ ->
               false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Carry-mode tradeoffs: the Figure 16 example's "changing the
    parameters of the adder to instantiate a carry-lookahead model". *)
@@ -265,7 +265,7 @@ let carry_mode_swap ~to_mode ~name =
           | T.Comparator _ | T.Logic_unit _ | T.Register _ | T.Counter _
           | T.Constant _ | T.Macro _ | T.Instance _ ->
               false)
-      | _ -> false)
+      | _ -> false) ()
 
 let ripple_to_cla = carry_mode_swap ~to_mode:T.Lookahead ~name:"ripple-to-cla"
 let cla_to_ripple = carry_mode_swap ~to_mode:T.Ripple ~name:"cla-to-ripple"
@@ -369,7 +369,7 @@ let hold_mux_to_enable =
                 new_data;
               true
           | Some _ | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Comparator outputs nobody reads disappear from the function list. *)
 let comparator_prune =
@@ -426,7 +426,7 @@ let comparator_prune =
           | T.Arith_unit _ | T.Register _ | T.Counter _ | T.Constant _
           | T.Macro _ | T.Instance _ ->
               false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules =
   [

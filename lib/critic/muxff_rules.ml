@@ -42,7 +42,7 @@ let mux2_driver ctx nid =
     | None -> None
 
 let mux_into_muxff =
-  R.make ~name:"mux-into-muxff" ~cls:R.Logic
+  R.make ~local:true ~name:"mux-into-muxff" ~cls:R.Logic
     ~find:(fun ctx ->
       List.concat_map
         (fun (ff : D.comp) ->
@@ -128,6 +128,6 @@ let mux_into_muxff =
                     true
                 | _ -> false
               end)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ mux_into_muxff ]

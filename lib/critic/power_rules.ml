@@ -27,6 +27,6 @@ let standard_power_swap =
                   true
               | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ standard_power_swap ]

@@ -31,7 +31,7 @@ let high_power_swap =
                   true
               | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Swap a ripple adder slice for its carry-lookahead variant (the
    microarchitecture-level tradeoff of Figure 16, available at the
@@ -62,7 +62,7 @@ let adder_cla_swap =
                   true
               | Some _ | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Strategy 5: duplicate a multi-fanout gate so one sink gets a private
    driver (removing the shared-load penalty on that path). *)
@@ -123,7 +123,7 @@ let duplicate_driver =
                       true)
               | None -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 (* Strategy 3 (local form): split one late input out of a wide
    associative gate — AND4(a,b,c,d) -> AND2(AND3(a,b,c), d) — shortening
@@ -189,6 +189,6 @@ let isolate_input =
                   | None -> false)
               | _ -> false)
           | None -> false)
-      | _ -> false)
+      | _ -> false) ()
 
 let rules = [ high_power_swap; adder_cla_swap; duplicate_driver; isolate_input ]

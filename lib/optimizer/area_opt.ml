@@ -26,8 +26,8 @@ let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
   (* Worker forks carry no measurer, so on a fork each cost is a full
      STA + estimate fold: once per task for the baseline shared by the
      task's sites, then once per candidate that applies. *)
-  let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
-  Engine.greedy_pass ~max_steps ?budget ?exec ~cost_factory ctx ~cleanups rules
+  let cost = Engine.Measured (cost_fn ~required ~input_arrivals) in
+  Engine.greedy_pass ~max_steps ?budget ?exec ~cost ctx ~cleanups rules
 
 (* Area recovery with lookahead (used by the metarules experiment). *)
 let optimize_lookahead ?exec ?(required = infinity) ?(input_arrivals = [])

@@ -57,55 +57,76 @@ let make_ctx ~session tech_db target design =
     target.Table_map.tech target.Table_map.set design
 
 (* Greedy area/quality pass over one level of the hierarchy.  Uses a
-   structural cost (area + gate count) so it applies to sub-designs with
-   instances, where full STA is not yet meaningful. *)
-let level_cost target tech_db ctx () =
-  let area (c : D.comp) =
-    match c.D.kind with
-    | T.Macro m -> (Milo_library.Technology.find target.Table_map.tech m).Milo_library.Macro.area
-    | T.Instance i ->
-        (* Optimized sub-designs were measured when they were done. *)
-        List.fold_left
-          (fun acc (sc : D.comp) ->
-            acc
-            +.
-            match sc.D.kind with
-            | T.Macro m ->
-                (Milo_library.Technology.find target.Table_map.tech m)
-                  .Milo_library.Macro.area
-            | T.Instance _ | T.Gate _ | T.Multiplexor _ | T.Decoder _
-            | T.Comparator _ | T.Logic_unit _ | T.Arith_unit _ | T.Register _
-            | T.Counter _ | T.Constant _ ->
-                0.0)
-          0.0
-          (D.comps (Database.get tech_db i))
+   structural cost (macro area) so it applies to sub-designs with
+   instances, where full STA is not yet meaningful: each component
+   weighs its macro's area, or its already-optimized sub-design's.  An
+   instance's weight is memoised, which is safe while [tech_db] is
+   frozen: nothing registers into it while a level is optimized. *)
+let level_weight target tech_db =
+  let macro_area m =
+    (Milo_library.Technology.find target.Table_map.tech m).Milo_library.Macro.area
+  in
+  let instances = Hashtbl.create 8 in
+  fun (kind : T.kind) ->
+    match kind with
+    | T.Macro m -> macro_area m
+    | T.Instance i -> (
+        match Hashtbl.find_opt instances i with
+        | Some w -> w
+        | None ->
+            (* Optimized sub-designs were measured when they were done. *)
+            let w =
+              List.fold_left
+                (fun acc (sc : D.comp) ->
+                  acc
+                  +.
+                  match sc.D.kind with
+                  | T.Macro m -> macro_area m
+                  | T.Instance _ | T.Gate _ | T.Multiplexor _ | T.Decoder _
+                  | T.Comparator _ | T.Logic_unit _ | T.Arith_unit _
+                  | T.Register _ | T.Counter _ | T.Constant _ ->
+                      0.0)
+                0.0
+                (D.comps (Database.get tech_db i))
+            in
+            Hashtbl.replace instances i w;
+            w)
     | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _
     | T.Logic_unit _ | T.Arith_unit _ | T.Register _ | T.Counter _
     | T.Constant _ ->
         0.0
-  in
-  List.fold_left (fun acc c -> acc +. area c) 0.0 (D.comps ctx.R.design)
+
+let fold_weight weight design =
+  List.fold_left (fun acc (c : D.comp) -> acc +. weight c.D.kind) 0.0 (D.comps design)
+
+(* The fold the greedy pass's [Per_comp] cost replays.  Each context
+   gets its own memo, so forks on other domains never share one. *)
+let level_cost target tech_db ctx =
+  let weight = level_weight target tech_db in
+  fun () -> fold_weight weight ctx.R.design
 
 let optimize_level ?budget ~exec ~session tech_db target design =
   Milo_trace.Trace.with_span ("level:" ^ D.name design) @@ fun () ->
   let ctx = make_ctx ~session tech_db target design in
-  (* [level_cost] only reads [tech_db], and nothing registers into it
-     while a level is optimized, so the run's plan may fan out here. *)
-  let cost_factory = level_cost target tech_db in
-  let before = cost_factory ctx () in
+  (* Nothing registers into [tech_db] while a level is optimized, so the
+     run's plan may fan out here; the weight is read on this domain
+     only. *)
+  let weight = level_weight target tech_db in
+  let before = fold_weight weight design in
   (* Per-level passes use only the logic critic's always-good rules
      ("for the most part a cleanup of the technology mapper's design");
      timing-sensitive area recovery happens on the flat design where the
      constraint can be enforced. *)
   let apps =
-    Milo_rules.Engine.greedy_pass ?budget ~exec ~cost_factory ctx
+    Milo_rules.Engine.greedy_pass ?budget ~exec
+      ~cost:(Milo_rules.Engine.Per_comp weight) ctx
       ~cleanups:Milo_critic.Critic.cleanup Milo_critic.Critic.logic
   in
   {
     level_design = D.name design;
     applications = List.length apps;
     area_before = before;
-    area_after = cost_factory ctx ();
+    area_after = fold_weight weight design;
   }
 
 (* 3. Electric correctness, then timing against the constraint, then

@@ -19,15 +19,29 @@ type report = {
 val instance_order : Milo_compilers.Database.t -> D.t -> string list
 (** Sub-design names reachable from a design, deepest first. *)
 
+val level_weight :
+  Milo_techmap.Table_map.target ->
+  Milo_compilers.Database.t ->
+  Milo_netlist.Types.kind ->
+  float
+(** The per-level passes' weight of one component: its macro's area,
+    an instance's already-optimized sub-design in the technology
+    database, 0 for any other kind.  The pass scores candidates with it
+    as an [Engine.Per_comp] cost.  Each application keeps its own memo
+    of instance weights, valid while no sub-design is registered into
+    the database; call the resulting function from one domain. *)
+
 val level_cost :
   Milo_techmap.Table_map.target ->
   Milo_compilers.Database.t ->
   Milo_rules.Rule.context ->
   unit ->
   float
-(** The per-level passes' structural cost: total macro area, with each
-    instance costed as its already-optimized sub-design in the
-    technology database. *)
+(** The per-level passes' structural cost: the left fold of
+    {!level_weight} over the components in id order, from [0.0] —
+    total macro area, with each instance costed as its
+    already-optimized sub-design.  The greedy pass's [Per_comp] replay
+    computes exactly this float. *)
 
 val optimize :
   ?exec:Milo_parallel.Exec.t ->

@@ -20,5 +20,5 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
 let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
     ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
   Milo_trace.Trace.with_span "power-opt" @@ fun () ->
-  let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
-  Engine.greedy_pass ~max_steps ?budget ?exec ~cost_factory ctx ~cleanups rules
+  let cost = Engine.Measured (cost_fn ~required ~input_arrivals) in
+  Engine.greedy_pass ~max_steps ?budget ?exec ~cost ctx ~cleanups rules

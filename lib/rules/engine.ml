@@ -9,7 +9,9 @@
    - [greedy_pass]: measure-the-gain control — apply a candidate,
      run cleanup rules, measure the cost function, undo, and commit the
      best candidate (Logic Consultant's gain evaluation with its
-     one-rule cleanup lookahead).
+     one-rule cleanup lookahead).  Under a per-component cost a
+     candidate's evaluation is not redone until a commit changes what
+     it read (the Rete discipline of Section 2.2.1).
    - deeper lookahead lives in [Search] (SOCRATES).
 
    The run's state — quarantine, rule guard, certificates — lives in
@@ -606,32 +608,56 @@ let neighbourhood ctx seeds n =
   expand seeds 0;
   visited
 
-(* Components whose cleanup match can differ after the edits in [log],
-   given the cleanup locality contract (see [Rule.scan_comps]): every
-   component the edits add, reconnect or re-kind, every component on a
-   net they touch, and every component sharing a net with one of
-   those. *)
-let edit_neighbourhood ctx log =
-  let design = ctx.Rule.design in
-  let core = ref [] in
-  let add_net nid =
-    match D.net_opt design nid with
-    | Some n -> List.iter (fun (cid, _) -> core := cid :: !core) n.D.npins
-    | None -> ()
-  in
+(* The extent of some edits: the components whose radius-1 view (kind,
+   connections, and for each of its nets the pins, the port binding
+   and the kinds on it) the edits can have changed, and the nets they
+   touch.  Its components are every component the entries add, remove,
+   reconnect or re-kind, every component on a touched net, and every
+   component on a net of a re-kinded component — the last clause
+   because a kind is part of its neighbours' views.  Nets are read on
+   [design] as it is now. *)
+let extent design entries =
+  let comps = Hashtbl.create 16 and nets = Hashtbl.create 8 in
+  let rekinded = ref [] in
+  let comp cid = Hashtbl.replace comps cid () in
+  let net nid = Hashtbl.replace nets nid () in
   List.iter
     (function
-      | D.E_add_comp (cid, _, _) | D.E_set_kind (cid, _, _) ->
-          core := cid :: !core
+      | D.E_add_comp (cid, _, _) -> comp cid
+      | D.E_set_kind (cid, _, _) ->
+          comp cid;
+          rekinded := cid :: !rekinded
       | D.E_connect (cid, _, prev, next) ->
-          core := cid :: !core;
-          Option.iter add_net prev;
-          Option.iter add_net next
-      | D.E_remove_comp (_, _, _, conns) ->
-          List.iter (fun (_, nid) -> add_net nid) conns
-      | D.E_add_net (nid, _) | D.E_remove_net (nid, _, _) -> add_net nid)
-    !log;
-  neighbourhood ctx !core 1
+          comp cid;
+          Option.iter net prev;
+          Option.iter net next
+      | D.E_remove_comp (cid, _, _, conns) ->
+          comp cid;
+          List.iter (fun (_, nid) -> net nid) conns
+      | D.E_add_net (nid, _) | D.E_remove_net (nid, _, _) -> net nid)
+    entries;
+  let on_net nid =
+    match D.net_opt design nid with
+    | Some n -> List.iter (fun (cid, _) -> comp cid) n.D.npins
+    | None -> ()
+  in
+  Hashtbl.iter (fun nid () -> on_net nid) nets;
+  List.iter
+    (fun cid ->
+      match D.comp_opt design cid with
+      | Some c -> Hashtbl.iter (fun _ nid -> on_net nid) c.D.conns
+      | None -> ())
+    !rekinded;
+  (comps, nets)
+
+let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl []
+
+(* Components whose cleanup match can differ after the edits in [log],
+   given the cleanup locality contract (see [Rule.scan_comps]): the
+   edits' extent and every component sharing a net with one of its
+   components. *)
+let edit_neighbourhood ctx log =
+  neighbourhood ctx (keys (fst (extent ctx.Rule.design !log))) 1
 
 (* A design is cleanup-quiet when no live cleanup rule matches anywhere.
    A [find] that raises counts as a match (the design is not known to be
@@ -658,7 +684,8 @@ let cleanup_quiet ctx cleanups =
    so every cleanup site lies in their neighbourhood: each [find] scans
    only that, recomputed whenever the log has grown so cascades follow
    their own edits.  Under the locality contract both modes fire the
-   same sites in the same order. *)
+   same sites in the same order.  Returns the budget left: 0 when it
+   ran out. *)
 let cleanups_to_fixpoint ~near ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
   let hood = ref None in
@@ -697,10 +724,14 @@ let cleanups_to_fixpoint ~near ctx cleanups log =
     in
     if fired && !budget > 0 then pass ()
   in
-  pass ()
+  pass ();
+  !budget
 
-let run_cleanups = cleanups_to_fixpoint ~near:false
-let run_cleanups_near = cleanups_to_fixpoint ~near:true
+let run_cleanups ctx cleanups log =
+  ignore (cleanups_to_fixpoint ~near:false ctx cleanups log)
+
+let run_cleanups_near ctx cleanups log =
+  ignore (cleanups_to_fixpoint ~near:true ctx cleanups log)
 
 (* --- Measurer lock-step ------------------------------------------------ *)
 
@@ -714,7 +745,7 @@ let run_cleanups_near = cleanups_to_fixpoint ~near:true
 
 type mstep =
   | No_measurer
-  | Measured of Milo_measure.Measure.token
+  | Advanced of Milo_measure.Measure.token
   | Measure_failed
 
 let measure_step ctx log =
@@ -722,7 +753,7 @@ let measure_step ctx log =
   | None -> No_measurer
   | Some m -> (
       match Milo_measure.Measure.advance m (D.entries log) with
-      | tok -> Measured tok
+      | tok -> Advanced tok
       | exception
           (( Out_of_memory | Stack_overflow
            | Milo_measure.Measure.Divergence _ ) as e) ->
@@ -731,15 +762,15 @@ let measure_step ctx log =
 
 let measure_drop ctx step =
   match (step, !(ctx.Rule.measurer)) with
-  | Measured tok, Some m -> Milo_measure.Measure.retreat m tok
-  | (No_measurer | Measure_failed | Measured _), _ -> ()
+  | Advanced tok, Some m -> Milo_measure.Measure.retreat m tok
+  | (No_measurer | Measure_failed | Advanced _), _ -> ()
 
 let measure_keep ctx step =
   match (step, !(ctx.Rule.measurer)) with
-  | Measured tok, Some m -> Milo_measure.Measure.commit m tok
+  | Advanced tok, Some m -> Milo_measure.Measure.commit m tok
   | Measure_failed, Some m ->
       Milo_measure.Measure.resync ~reason:"failed-advance-committed" m
-  | (No_measurer | Measure_failed | Measured _), _ -> ()
+  | (No_measurer | Measure_failed | Advanced _), _ -> ()
 
 type application = {
   rule : Rule.t;
@@ -773,7 +804,66 @@ let site_digest ctx (site : Rule.site) =
     site.Rule.site_comps;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Candidate evaluation: apply rule + cleanups, measure, undo.  A cost
+(* --- Candidate evaluation ---------------------------------------------- *)
+
+(* The greedy step scores candidates under one of two kinds of cost.  A
+   [Measured] cost is a function of the whole design state, built per
+   forked context: a candidate's gain is measured on its fork.  A
+   [Per_comp] cost is the left fold, over the components in id order, of
+   a weight of each component's kind ([Logic_optimizer.level_cost]):
+   a candidate's gain follows from which components it removes, re-kinds
+   and adds, so the coordinator can keep that effect across commits and
+   replay the fold over each new state. *)
+type cost =
+  | Measured of (Rule.context -> unit -> float)
+  | Per_comp of (Milo_netlist.Types.kind -> float)
+
+(* A candidate's net effect on the components, after its cleanups: the
+   existing components it removes ([None]) or re-kinds ([Some kind]), in
+   id order, and the kinds of the components it adds, in creation
+   order. *)
+type effect = {
+  changed : (int * Milo_netlist.Types.kind option) list;
+  added : Milo_netlist.Types.kind list;
+}
+
+(* Read off the candidate state, before the undo. *)
+let effect_of design entries =
+  let added = Hashtbl.create 4 and changed = ref [] in
+  List.iter
+    (function
+      | D.E_add_comp (cid, _, _) -> Hashtbl.replace added cid ()
+      | D.E_remove_comp (cid, _, _, _) | D.E_set_kind (cid, _, _) ->
+          if not (Hashtbl.mem added cid) then changed := cid :: !changed
+      | D.E_connect _ | D.E_add_net _ | D.E_remove_net _ -> ())
+    entries;
+  let kind cid = Option.map (fun c -> c.D.kind) (D.comp_opt design cid) in
+  {
+    changed = List.map (fun cid -> (cid, kind cid)) (List.sort_uniq compare !changed);
+    added =
+      List.filter_map
+        (fun cid -> kind cid)
+        (List.sort compare (keys added));
+  }
+
+(* Apply rule + cleanups, look at the candidate state, undo.  [look log
+   left] runs on the candidate state with the cleanup budget [left] and
+   must undo [log] itself; a failed apply is undone here.  Returns the
+   verdict and the wall time. *)
+let trial ctx ~quiet ~cleanups (r : Rule.t) site look =
+  Pool.poll ();
+  let t0 = Unix.gettimeofday () in
+  let log = D.new_log () in
+  let verdict =
+    if not (guarded_apply ctx r site log) then begin
+      D.undo ctx.Rule.design log;
+      Error "apply-failed"
+    end
+    else look log (cleanups_to_fixpoint ~near:quiet ctx cleanups log)
+  in
+  (verdict, Unix.gettimeofday () -. t0)
+
+(* [Measured] evaluation: apply rule + cleanups, measure, undo.  A cost
    function that fails on the candidate state (an unmappable or
    unmeasurable intermediate) rejects the candidate rather than
    aborting the pass — the design is restored first.
@@ -791,35 +881,119 @@ let site_digest ctx (site : Rule.site) =
 type eval = { result : (float, string) result; dt : float }
 
 let evaluate ctx ~before ~cost ~quiet ~cleanups (r : Rule.t) site =
-  Pool.poll ();
-  let t0 = Unix.gettimeofday () in
-  let finish result = { result; dt = Unix.gettimeofday () -. t0 } in
-  let log = D.new_log () in
-  if not (guarded_apply ctx r site log) then begin
-    D.undo ctx.Rule.design log;
-    finish (Error "apply-failed")
-  end
-  else begin
-    cleanups_to_fixpoint ~near:quiet ctx cleanups log;
-    match measure_step ctx log with
-    | Measure_failed ->
-        (* The candidate state is unmeasurable incrementally (e.g.
-           unmapped): reject it, nothing to retreat. *)
-        D.undo ctx.Rule.design log;
-        finish (Error "unmeasurable")
-    | step -> (
-        match cost () with
-        | after ->
+  let result, dt =
+    trial ctx ~quiet ~cleanups r site (fun log _left ->
+        match measure_step ctx log with
+        | Measure_failed ->
+            (* The candidate state is unmeasurable incrementally (e.g.
+               unmapped): reject it, nothing to retreat. *)
             D.undo ctx.Rule.design log;
-            measure_drop ctx step;
-            finish (Ok (before -. after))
-        | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
-            raise e
-        | exception _ ->
-            D.undo ctx.Rule.design log;
-            measure_drop ctx step;
-            finish (Error "cost-failed"))
-  end
+            Error "unmeasurable"
+        | step -> (
+            match cost () with
+            | after ->
+                D.undo ctx.Rule.design log;
+                measure_drop ctx step;
+                Ok (before -. after)
+            | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e)
+              ->
+                raise e
+            | exception _ ->
+                D.undo ctx.Rule.design log;
+                measure_drop ctx step;
+                Error "cost-failed"))
+  in
+  { result; dt }
+
+(* One evaluation as a worker hands it back: a measured gain or a
+   [Per_comp] effect (the coordinator turns it into a gain), its wall
+   time, and for the candidate table what it read and how much cleanup
+   budget it needed.  [reads] is the extent of its edits, computed
+   after the undo, plus its site's components.  [floor]: the cleanup
+   cascade stays inside its budget, 4 × (1 + components), exactly while
+   [4 * D.num_comps design > floor]. *)
+type verdict = Gain of float | Effect of effect
+
+type evaluation = {
+  verdict : (verdict, string) result;
+  took : float;
+  reads : int list * int list;
+  floor : int;
+}
+
+(* [Per_comp] evaluation on a fork: apply rule + cleanups, read the
+   effect, undo. *)
+let evaluate_effect ctx ~quiet ~cleanups (r : Rule.t) (site : Rule.site) =
+  let design = ctx.Rule.design in
+  let n = D.num_comps design in
+  let entries = ref [] and floor = ref min_int in
+  let verdict, took =
+    trial ctx ~quiet ~cleanups r site (fun log left ->
+        entries := D.entries log;
+        floor := (4 * n) - left;
+        let e = effect_of design !entries in
+        D.undo design log;
+        Ok (Effect e))
+  in
+  let comps, nets = extent design !entries in
+  List.iter (fun cid -> Hashtbl.replace comps cid ()) site.Rule.site_comps;
+  { verdict; took; reads = (keys comps, keys nets); floor = !floor }
+
+(* The current design's weights in id order, with [level_cost]'s
+   running totals: [sums.(i)] is the fold's accumulator before
+   component [i], [sums.(n)] the whole cost. *)
+type base = { ids : int array; weights : float array; sums : float array }
+
+let base_of weight design =
+  let comps = Array.of_list (D.comps design) in
+  let n = Array.length comps in
+  let weights = Array.map (fun c -> weight c.D.kind) comps in
+  let sums = Array.make (n + 1) 0.0 in
+  for i = 0 to n - 1 do
+    sums.(i + 1) <- sums.(i) +. weights.(i)
+  done;
+  { ids = Array.map (fun c -> c.D.id) comps; weights; sums }
+
+(* Gain of an effect: replay the fold over the candidate state — the
+   totals up to the first component the effect changes, then the rest
+   of the current components with the effect applied, then the added
+   components, which have the highest ids, in creation order.  This is
+   the float sequence a fold over the candidate state computes, so the
+   gain is bit-identical to [before -. cost ()] on it.  Summing the
+   effect's deltas instead would round differently and flip
+   near-ties.  A weight that raises rejects the candidate; an effect
+   naming a component the design no longer has is a table the commits
+   failed to invalidate, and raises. *)
+let replay weight base e =
+  let n = Array.length base.ids in
+  let index cid =
+    let rec go lo hi =
+      if lo >= hi then invalid_arg "Engine.replay: stale candidate effect"
+      else
+        let mid = (lo + hi) / 2 in
+        if base.ids.(mid) = cid then mid
+        else if base.ids.(mid) < cid then go (mid + 1) hi
+        else go lo mid
+    in
+    go 0 n
+  in
+  let changed = List.map (fun (cid, k) -> (index cid, k)) e.changed in
+  let start = match changed with (i, _) :: _ -> i | [] -> n in
+  let fold () =
+    let acc = ref base.sums.(start) and pending = ref changed in
+    for j = start to n - 1 do
+      match !pending with
+      | (i, k) :: rest when i = j ->
+          pending := rest;
+          Option.iter (fun k -> acc := !acc +. weight k) k
+      | _ -> acc := !acc +. base.weights.(j)
+    done;
+    List.fold_left (fun acc k -> acc +. weight k) !acc e.added
+  in
+  match fold () with
+  | after -> Ok (base.sums.(n) -. after)
+  | exception ((Out_of_memory | Stack_overflow) as x) -> raise x
+  | exception _ -> Error "cost-failed"
 
 (* When a tracer is installed, each evaluation is timed into the
    per-rule attribution table and the eval-latency histogram, and a
@@ -841,7 +1015,8 @@ let record_eval (r : Rule.t) (site : Rule.site) ev =
    and commit with the application's attribution.  This is the only
    place the winner touches the coordinator's design, so every
    observable side effect (trace, ledger, guard stats, journal entries)
-   flows from the same code regardless of domain count. *)
+   flows from the same code regardless of domain count.  Returns the
+   committed entries, or [None] when the commit was refused. *)
 let commit_app ?budget ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   (* Attribution is built only when the commit is recorded. *)
@@ -867,6 +1042,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
         }
       else D.no_attribution
     in
+    let entries = D.entries log in
     D.commit ~label:app.rule.Rule.rule_name ~attr ~design:ctx.Rule.design log;
     (match budget with Some b -> Budget.step b | None -> ());
     if traced then begin
@@ -883,7 +1059,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
              gain = app.gain;
            })
     end;
-    Some app
+    Some entries
   end
   else begin
     (* The winning rule failed on commit (it was just quarantined);
@@ -900,90 +1076,261 @@ let commit_app ?budget ctx ~cleanups (app : application) =
     None
   end
 
-(* One greedy step.  The fan-out unit is the rule: candidates are found
-   on the coordinator (including find-failure quarantine), then each
-   rule's site list is evaluated by one supervised task on a forked
+(* --- Greedy control ------------------------------------------------------ *)
+
+(* The candidate table of one greedy pass: each local candidate's last
+   [Per_comp] evaluation, keyed by (rule name, site components, site
+   data), valid while nothing it read has changed.  [quarantined] is
+   the quarantine size it was filled under: a newly quarantined rule
+   can change any cleanup cascade, so the table starts over. *)
+type table = {
+  entries : (string * int list * int list, evaluation) Hashtbl.t;
+  mutable quarantined : int;
+}
+
+let new_table () = { entries = Hashtbl.create 256; quarantined = 0 }
+
+(* After a commit, drop every entry whose reads meet the commit's
+   extent, computed on the committed design.  An entry that survives
+   read nothing the commit changed, so evaluating it again would repeat
+   it exactly. *)
+let invalidate table design entries =
+  if Hashtbl.length table.entries > 0 then begin
+    let comps, nets = extent design entries in
+    Hashtbl.filter_map_inplace
+      (fun _ s ->
+        let cs, ns = s.reads in
+        if List.exists (Hashtbl.mem comps) cs || List.exists (Hashtbl.mem nets) ns
+        then None
+        else Some s)
+      table.entries
+  end
+
+(* Where a candidate's evaluation came from: the table, or made this
+   step. *)
+type outcome = Kept of evaluation | Made of evaluation
+
+(* Fork side: the evaluation of one of [r]'s sites.  A [Measured] cost
+   is built over the fork and measured once as the baseline of all the
+   sites. *)
+let evaluator cost wctx ~quiet ~cleanups r =
+  match cost with
+  | Measured factory ->
+      let cost = factory wctx in
+      let before = cost () in
+      fun site ->
+        let ev = evaluate wctx ~before ~cost ~quiet ~cleanups r site in
+        {
+          verdict = Result.map (fun g -> Gain g) ev.result;
+          took = ev.dt;
+          reads = ([], []);
+          floor = 0;
+        }
+  | Per_comp _ -> evaluate_effect wctx ~quiet ~cleanups r
+
+(* Coordinator side: a verdict's gain.  An effect is replayed over the
+   current design's weights, read once per step and only here. *)
+let gain_of cost design =
+  let replay_effect =
+    match cost with
+    | Per_comp weight -> (
+        let base = lazy (base_of weight design) in
+        fun e ->
+          match Lazy.force base with
+          | b -> replay weight b e
+          | exception ((Out_of_memory | Stack_overflow) as x) -> raise x
+          | exception _ -> Error "cost-failed")
+    | Measured _ -> fun _ -> invalid_arg "Engine.gain_of: an effect under a measured cost"
+  in
+  function
+  | Ok (Gain g) -> Ok g
+  | Ok (Effect e) -> replay_effect e
+  | Error reason -> Error reason
+
+(* Score every candidate on the current state, in merge order: (rule
+   index, site ordinal), each with its gain or rejection reason.  The
+   fan-out unit is the rule: candidates are found on the coordinator
+   (including find-failure quarantine), then each rule's sites that the
+   table cannot answer are evaluated by one supervised task on a forked
    snapshot of the design.  Grouping by rule — never by domain count —
    is what keeps the merge deterministic: a rule that fails mid-task
-   skips its own remaining sites, and the (rule index, site ordinal)
-   merge order with its tie-break (earlier candidate wins ties) picks
-   the same winner whatever ran where.
+   skips its own remaining sites (from then on the task evaluates even
+   the sites the table holds, as a task without a table would), and
+   [greedy_step]'s merge picks the same winner whatever ran where.
 
    Workers are pure oracles: no trace, no provenance, no guard, no
-   budget mutation.  The coordinator charges the budget (one eval per
-   candidate, deterministically), records the evaluations and imports
-   the trapped failures in task order, and re-applies only the merged
-   winner through [commit_app].
+   budget mutation.  The coordinator records the evaluations made,
+   imports the trapped failures in task order, charges the budget one
+   eval per evaluation made, and keeps the table: cleared when the
+   state is not cleanup-quiet or the quarantine grew, filled with the
+   fresh evaluations of local rules (when every cleanup is local too)
+   whose cleanup budget held.
 
    The coordinator also probes once whether the design is
    cleanup-quiet; if so every evaluation re-matches cleanups only
    around its own edits.  [commit_app] keeps whole-design cleanups,
-   which is what leaves the next step's design quiet.  Each task
-   measures its fork's cost once, as the baseline of all its sites. *)
-let greedy_step ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx ~cleanups
-    rules =
-  match budget with
-  | Some b when Budget.exhausted b -> None
-  | _ ->
-      let groups =
-        List.filter_map
-          (fun (r : Rule.t) ->
-            match guarded_find ctx r with
-            | [] -> None
-            | sites -> Some (r, sites))
-          rules
-      in
-      if groups = [] then None
-      else begin
-        (match budget with
-        | Some b ->
-            List.iter
-              (fun (_, sites) -> List.iter (fun _ -> Budget.eval b) sites)
-              groups
-        | None -> ());
-        let quiet = cleanup_quiet ctx cleanups in
-        let tasks =
-          List.map
-            (fun ((r : Rule.t), sites) () ->
-              worker_task ctx (fun wctx ->
-                  let cost = cost_factory wctx in
-                  let before = cost () in
-                  List.map
-                    (fun site -> evaluate wctx ~before ~cost ~quiet ~cleanups r site)
-                    sites))
-            groups
+   which is what leaves the next step's design quiet. *)
+let score ?budget table ~exec ~cost ctx ~cleanups rules =
+  let groups =
+    List.filter_map
+      (fun (r : Rule.t) ->
+        match guarded_find ctx r with [] -> None | sites -> Some (r, sites))
+      rules
+  in
+  let session = ctx.Rule.session and design = ctx.Rule.design in
+  let quiet = groups <> [] && cleanup_quiet ctx cleanups in
+  let known = Hashtbl.length session.Rule.quarantine in
+  if (not quiet) || known <> table.quarantined then begin
+    Hashtbl.reset table.entries;
+    table.quarantined <- known
+  end;
+  let n = D.num_comps design in
+  let keeping =
+    quiet
+    && (match cost with Per_comp _ -> true | Measured _ -> false)
+    && List.for_all (fun (c : Rule.t) -> c.Rule.local) cleanups
+  in
+  let keeps (r : Rule.t) = keeping && r.Rule.local in
+  let lookup (r : Rule.t) (site : Rule.site) =
+    if not (keeps r) then None
+    else
+      match
+        Hashtbl.find_opt table.entries
+          (r.Rule.rule_name, site.Rule.site_comps, site.Rule.site_data)
+      with
+      | Some s when 4 * n > s.floor -> Some s
+      | Some _ | None -> None
+  in
+  (* Per rule: each site with its kept evaluation, if any, and how many
+     sites the table cannot answer. *)
+  let plans =
+    List.map
+      (fun (r, sites) ->
+        let items = List.map (fun site -> (site, lookup r site)) sites in
+        (r, items, List.length (List.filter (fun (_, s) -> Option.is_none s) items)))
+      groups
+  in
+  let task ((r : Rule.t), items, _) () =
+    worker_task ctx (fun wctx ->
+        let fresh = evaluator cost wctx ~quiet ~cleanups r in
+        let trapped () =
+          match wctx.Rule.session.Rule.trapped with
+          | Some t -> !t <> []
+          | None -> false
         in
-        let outcomes = Exec.map exec tasks in
-        let best = ref None in
-        List.iteri
-          (fun ti ((r : Rule.t), sites) ->
-            match outcomes.(ti) with
-            | Pool.Done (evals, fails) ->
-                List.iter2
-                  (fun site ev ->
-                    record_eval r site ev;
-                    match (ev.result, !best) with
-                    | Error _, _ -> ()
-                    | Ok gain, Some { gain = g; _ } when g >= gain -> ()
-                    | Ok gain, _ -> best := Some { rule = r; site; gain })
-                  sites evals;
-                import_failures ctx.Rule.session fails
-            | Pool.Task_failed fault ->
-                (* The whole task is written off and its rule
-                   quarantined: a raising rule, a deadline overrun or a
-                   stall are all contained here, never escalated. *)
-                note_failure_named ctx.Rule.session ~reason:Raised
-                  r.Rule.rule_name
-                  ("parallel task: " ^ Pool.fault_message fault))
-          groups;
-        match !best with
-        | Some app when app.gain > min_gain ->
-            commit_app ?budget ctx ~cleanups app
-        | Some _ | None -> None
-      end
+        List.map
+          (fun (site, kept) ->
+            match kept with
+            | Some s when not (trapped ()) -> Kept s
+            | Some _ | None -> Made (fresh site))
+          items)
+  in
+  let outcomes =
+    Exec.map exec
+      (List.filter_map
+         (fun ((_, _, misses) as plan) -> if misses > 0 then Some (task plan) else None)
+         plans)
+  in
+  let gain = gain_of cost design in
+  let made = ref 0 and fresh = ref [] and next = ref 0 in
+  let scored =
+    List.concat_map
+      (fun ((r : Rule.t), items, misses) ->
+        let outcome =
+          if misses = 0 then
+            Pool.Done (List.map (fun (_, s) -> Kept (Option.get s)) items, [])
+          else begin
+            let o = outcomes.(!next) in
+            incr next;
+            o
+          end
+        in
+        match outcome with
+        | Pool.Done (results, fails) ->
+            let scored =
+              List.map2
+                (fun (site, _) result ->
+                  match result with
+                  | Kept s -> (r, site, gain s.verdict)
+                  | Made s ->
+                      let g = gain s.verdict in
+                      incr made;
+                      record_eval r site { result = g; dt = s.took };
+                      if keeps r && 4 * n > s.floor then
+                        fresh := ((r, site), s) :: !fresh;
+                      (r, site, g))
+                items results
+            in
+            import_failures session fails;
+            scored
+        | Pool.Task_failed fault ->
+            (* The whole task is written off and its rule quarantined:
+               a raising rule, a deadline overrun or a stall are all
+               contained here, never escalated. *)
+            made := !made + misses;
+            note_failure_named session ~reason:Raised r.Rule.rule_name
+              ("parallel task: " ^ Pool.fault_message fault);
+            [])
+      plans
+  in
+  if Hashtbl.length session.Rule.quarantine <> known then
+    Hashtbl.reset table.entries
+  else
+    List.iter
+      (fun (((r : Rule.t), (site : Rule.site)), s) ->
+        Hashtbl.replace table.entries
+          (r.Rule.rule_name, site.Rule.site_comps, site.Rule.site_data)
+          s)
+      !fresh;
+  (match budget with
+  | Some b ->
+      for _ = 1 to !made do
+        Budget.eval b
+      done
+  | None -> ());
+  scored
 
-let greedy_pass ?(max_steps = 1000) ?budget ?(exec = Exec.inline ())
-    ~cost_factory ctx ~cleanups rules =
+let candidate_gains ?(table = new_table ()) ~exec ~cost ctx ~cleanups rules =
+  score table ~exec ~cost ctx ~cleanups rules
+
+type step = Committed of application | Refused | Quiescent
+
+(* One greedy step: score the candidates, merge — (rule index, site
+   ordinal) order, the earlier candidate wins ties — and re-apply the
+   winner through [commit_app] if it improves the cost by more than
+   [min_gain].  A commit drops the table entries it can have changed;
+   a refused commit that quarantined the winner's rule is [Refused], so
+   a pass goes on without that rule. *)
+let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
+    ctx ~cleanups rules =
+  match budget with
+  | Some b when Budget.exhausted b -> Quiescent
+  | _ -> (
+      let best =
+        List.fold_left
+          (fun best ((r : Rule.t), site, g) ->
+            match (g, best) with
+            | Error _, _ -> best
+            | Ok gain, Some { gain = g; _ } when g >= gain -> best
+            | Ok gain, _ -> Some { rule = r; site; gain })
+          None
+          (score ?budget table ~exec ~cost ctx ~cleanups rules)
+      in
+      match best with
+      | Some app when app.gain > min_gain -> (
+          match commit_app ?budget ctx ~cleanups app with
+          | Some entries ->
+              invalidate table ctx.Rule.design entries;
+              Committed app
+          | None ->
+              if is_quarantined ctx.Rule.session app.rule.Rule.rule_name then
+                Refused
+              else Quiescent)
+      | Some _ | None -> Quiescent)
+
+let greedy_pass ?(max_steps = 1000) ?budget ?(exec = Exec.inline ()) ~cost ctx
+    ~cleanups rules =
+  let table = new_table () in
   let stop n =
     n >= max_steps
     || match budget with Some b -> Budget.exhausted b | None -> false
@@ -991,9 +1338,10 @@ let greedy_pass ?(max_steps = 1000) ?budget ?(exec = Exec.inline ())
   let rec go n acc =
     if stop n then List.rev acc
     else
-      match greedy_step ?budget ~exec ~cost_factory ctx ~cleanups rules with
-      | Some app -> go (n + 1) (app :: acc)
-      | None -> List.rev acc
+      match greedy_step ?budget ~table ~exec ~cost ctx ~cleanups rules with
+      | Committed app -> go (n + 1) (app :: acc)
+      | Refused -> go (n + 1) acc
+      | Quiescent -> List.rev acc
   in
   go 0 []
 

@@ -169,6 +169,19 @@ val neighbourhood : Rule.context -> int list -> int -> (int, unit) Hashtbl.t
     Used by incremental recognize-act, focused cleanups and the
     lookahead's N metarule. *)
 
+val extent :
+  D.t -> D.entry list -> (int, unit) Hashtbl.t * (int, unit) Hashtbl.t
+(** [extent design entries]: the components and the nets of some
+    edits' extent — what they can have changed in any component's
+    radius-1 view (its kind and connections, and for each of its nets
+    the pins, the port binding and the kinds on it).  The components
+    are every component the entries add, remove, reconnect or re-kind,
+    every component on a net they touch and every component on a net
+    of a re-kinded component; the nets are the touched nets.  Nets are
+    read on [design] as it is now.  {!greedy_step} invalidates its
+    table with it, and {!run_cleanups_near} focuses on its radius-1
+    neighbourhood. *)
+
 val cleanup_quiet : Rule.context -> Rule.t list -> bool
 (** No non-quarantined cleanup rule matches anywhere in the design.  A
     [find] that raises makes the answer [false]; the probe never
@@ -177,9 +190,8 @@ val cleanup_quiet : Rule.context -> Rule.t list -> bool
 val run_cleanups_near : Rule.context -> Rule.t list -> D.log -> unit
 (** {!run_cleanups} for a design that was {!cleanup_quiet} before the
     edits in the log: each [find] is focused ([Rule.focus]) on the
-    edits' neighbourhood — every component they add, reconnect or
-    re-kind, every component on a net they touch, and every component
-    sharing a net with one of those — recomputed as the log grows.
+    edits' neighbourhood — their {!extent} and every component sharing
+    a net with one of its components — recomputed as the log grows.
     Under the cleanup locality contract ({!Rule.scan_comps}) it fires
     exactly the sites {!run_cleanups} would, in the same order. *)
 
@@ -192,7 +204,7 @@ val run_cleanups_near : Rule.context -> Rule.t list -> D.log -> unit
 
 type mstep =
   | No_measurer  (** context carries no measurer: nothing to sync *)
-  | Measured of Milo_measure.Measure.token
+  | Advanced of Milo_measure.Measure.token
   | Measure_failed
       (** the advance raised (unmeasurable candidate state); dropping
           is free, keeping forces a full resync *)
@@ -212,6 +224,22 @@ val measure_keep : Rule.context -> mstep -> unit
 
 type application = { rule : Rule.t; site : Rule.site; gain : float }
 
+(** {2 Greedy control} *)
+
+(** The cost a greedy pass lowers. *)
+type cost =
+  | Measured of (Rule.context -> unit -> float)
+      (** a cost of the whole design state; the function builds it over
+          a (forked) context.  A candidate's gain is measured on its
+          fork, and nothing is kept across a commit. *)
+  | Per_comp of (Milo_netlist.Types.kind -> float)
+      (** the left fold of a per-component weight, [acc +. weight kind],
+          over the components in id order from [0.0] (the per-level
+          [Logic_optimizer.level_cost]).  The weight is read only on
+          the coordinator; one that raises rejects the candidate
+          (["cost-failed"]).  A pass keeps each local candidate's
+          effect in its table across commits (see {!greedy_step}). *)
+
 type eval = {
   result : (float, string) result;
       (** [Ok gain] (cost decrease including cleanups), or [Error
@@ -229,55 +257,107 @@ val evaluate :
   Rule.t ->
   Rule.site ->
   eval
-(** Gain of applying the rule (with cleanups) at the site: apply,
-    measure, undo.  [before] is [cost ()] of the current state — the
-    undo is exact, so one baseline serves every candidate scored from
-    the same state.  [quiet] asserts the state is {!cleanup_quiet}: the
-    cleanups then run as {!run_cleanups_near}, otherwise as
-    {!run_cleanups}.  Nothing is traced here — evaluations run in worker
-    tasks — so the outcome comes back as a value for {!record_eval}. *)
+(** A {!Measured} evaluation: gain of applying the rule (with cleanups)
+    at the site — apply, measure, undo.  [before] is [cost ()] of the
+    current state — the undo is exact, so one baseline serves every
+    candidate scored from the same state.  [quiet] asserts the state is
+    {!cleanup_quiet}: the cleanups then run as {!run_cleanups_near},
+    otherwise as {!run_cleanups}.  Nothing is traced here — evaluations
+    run in worker tasks — so the outcome comes back as a value for
+    {!record_eval}.  (A {!Per_comp} evaluation runs the same apply and
+    cleanups but hands back the candidate's effect — the components it
+    removes, re-kinds and adds — and what it read, for the coordinator
+    to score and keep.) *)
 
 val record_eval : Rule.t -> Rule.site -> eval -> unit
 (** Report one evaluation to the ambient tracer, if any: the
     [engine.eval_us] histogram, the per-rule attribution table and, for
     a rejected candidate, a [Rule_refused] event.  The coordinator
-    calls it in task order. *)
+    calls it in task order, for the evaluations made (not for the
+    outcomes a pass's table answers). *)
+
+type table
+(** A greedy pass's candidate table: each local candidate's last
+    {!Per_comp} evaluation — its effect (or rejection reason) and its
+    extent, the components and nets it read — keyed by rule name, site
+    components and site data. *)
+
+val new_table : unit -> table
+
+val candidate_gains :
+  ?table:table ->
+  exec:Milo_parallel.Exec.t ->
+  cost:cost ->
+  Rule.context ->
+  cleanups:Rule.t list ->
+  Rule.t list ->
+  (Rule.t * Rule.site * (float, string) result) list
+(** Every candidate of the current state with its gain or rejection
+    reason, in merge order (rule index, site ordinal), exactly as
+    {!greedy_step} scores them; commits nothing.  [table] (default: a
+    fresh one) answers what it can and keeps the new evaluations. *)
+
+(** What one greedy step did. *)
+type step =
+  | Committed of application
+  | Refused
+      (** the winner's guarded commit was rolled back and its rule
+          quarantined; other candidates may still improve *)
+  | Quiescent
+      (** no candidate improves the cost by more than [min_gain], the
+          budget is exhausted, or a refused commit quarantined nothing *)
 
 val greedy_step :
   ?min_gain:float ->
   ?budget:Budget.t ->
+  ?table:table ->
   exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
+  cost:cost ->
   Rule.context ->
   cleanups:Rule.t list ->
   Rule.t list ->
-  application option
-(** One greedy step (the Logic Consultant's measure-the-gain control):
-    candidates are found on the coordinator, each rule's sites are
-    evaluated by one supervised task on a forked snapshot
-    ([cost_factory] builds the cost function over the fork, measured
-    once per task for the baseline and once per candidate).  When the
+  step
+(** One greedy step (the Logic Consultant's measure-the-gain control).
+    Every rule's sites are found on the coordinator each step.  The
+    sites [table] cannot answer are evaluated by one supervised task
+    per rule on a forked snapshot: a {!Measured} cost is measured on
+    the fork (once per task for the baseline, once per candidate); a
+    {!Per_comp} candidate hands back its effect, and the coordinator
+    replays the cost's fold over the current design with that effect
+    applied, so every gain is bit-identical to a measurement.  When the
     design is {!cleanup_quiet}, the candidates' cleanups are focused on
     their own edits; the winner's commit always runs whole-design
-    cleanups.  The
-    merged winner — (rule index, site ordinal) order, earlier candidate
-    wins ties — is re-applied authoritatively if it improves the cost
-    by more than [min_gain].  A faulting task quarantines its rule; the
-    step never raises from a task and never hangs on one. *)
+    cleanups.  The merged winner — (rule index, site ordinal) order,
+    earlier candidate wins ties — is re-applied authoritatively if it
+    improves the cost by more than [min_gain].
+
+    The table (default: a fresh one, so nothing is reused) keeps the
+    {!Per_comp} evaluations of rules declared [local] ({!Rule.t}) when
+    every cleanup is local too, on a cleanup-quiet state, when the
+    cleanup cascade stayed inside its budget.  A commit drops every
+    entry whose extent meets the commit's: the components the committed
+    edits add, remove, reconnect or re-kind, the components on the nets
+    they touch and on the nets of the re-kinded components, and those
+    nets.  A state that is not cleanup-quiet, or a grown quarantine,
+    empties it.  The budget is charged one eval per evaluation made.
+    A faulting task quarantines its rule; the step never raises from a
+    task and never hangs on one. *)
 
 val greedy_pass :
   ?max_steps:int ->
   ?budget:Budget.t ->
   ?exec:Milo_parallel.Exec.t ->
-  cost_factory:(Rule.context -> unit -> float) ->
+  cost:cost ->
   Rule.context ->
   cleanups:Rule.t list ->
   Rule.t list ->
   application list
-(** Greedy steps until quiescence, [max_steps], or the budget is
-    exhausted — in the last case the pass stops cleanly with the
-    applications committed so far.  [exec] defaults to
-    [Exec.inline ()]; every plan gives identical results. *)
+(** Greedy steps over one table until quiescence, [max_steps] steps
+    (refused commits count), or the budget is exhausted — in the last
+    case the pass stops cleanly with the applications committed so far.
+    A refused commit that quarantined the winner's rule does not end
+    the pass.  [exec] defaults to [Exec.inline ()]; every plan gives
+    identical results. *)
 
 type ops_state
 

@@ -187,10 +187,11 @@ type t = {
   find : context -> site list;
   apply : context -> site -> D.log -> bool;
       (** returns false if the site is stale (no longer matches) *)
+  local : bool;  (** keeps the locality contract (see rule.mli) *)
 }
 
-let make ~name ~cls ~find ~apply =
-  { rule_name = name; rule_class = cls; find; apply }
+let make ?(local = false) ~name ~cls ~find ~apply () =
+  { rule_name = name; rule_class = cls; find; apply; local }
 
 (* --- Helpers shared by rule implementations -------------------------- *)
 

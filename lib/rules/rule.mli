@@ -103,8 +103,9 @@ val scan_comps : context -> D.comp list
     component matches may depend only on its radius-1 neighbourhood:
     its own kind and connections, and for each net it touches the
     net's port binding, its pins and the kinds of the components on
-    it.  [Engine.evaluate] relies on this to re-match cleanups only
-    around a candidate's edits once the design is cleanup-quiet. *)
+    it.  The engine relies on this to re-match cleanups only around a
+    candidate's edits once the design is cleanup-quiet, and a rule
+    declared [local] keeps it too (see {!t}). *)
 
 val find_macro : context -> string -> Milo_library.Macro.t option
 val macro_of : context -> D.comp -> Milo_library.Macro.t option
@@ -128,14 +129,28 @@ type t = {
   rule_class : rule_class;
   find : context -> site list;
   apply : context -> site -> D.log -> bool;
+  local : bool;
+      (** The rule keeps the {b locality contract}.  Its [find] anchors
+          each site at one scanned component and reads only that
+          component's radius-1 neighbourhood (the cleanup locality
+          contract of {!scan_comps}).  Its [apply] reads only the site
+          components' kinds and connections, their nets' pins and port
+          bindings, and the kinds of the components on those nets.
+          The greedy step then keeps a candidate's evaluation across
+          commits that do not touch what it read
+          ([Engine.greedy_step]); a rule that is not local is
+          re-evaluated every step. *)
 }
 
 val make :
+  ?local:bool ->
   name:string ->
   cls:rule_class ->
   find:(context -> site list) ->
   apply:(context -> site -> D.log -> bool) ->
+  unit ->
   t
+(** [local] defaults to [false]. *)
 
 (** {2 Helpers for rule implementations} *)
 

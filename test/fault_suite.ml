@@ -151,7 +151,7 @@ let engine_rollback () =
   let before = D.copy d in
   let ctx = ctx_for d in
   let apps =
-    Engine.greedy_pass ~cost_factory:comp_count ctx ~cleanups:[]
+    Engine.greedy_pass ~cost:(Engine.Measured comp_count) ctx ~cleanups:[]
       [ Faults.sabotage_rule () ]
   in
   let session = ctx.Milo_rules.Rule.session in
@@ -171,7 +171,7 @@ let engine_raising () =
   let before = D.copy d in
   let ctx = ctx_for d in
   let apps =
-    Engine.greedy_pass ~cost_factory:comp_count ctx ~cleanups:[]
+    Engine.greedy_pass ~cost:(Engine.Measured comp_count) ctx ~cleanups:[]
       [ Faults.raising_rule () ]
   in
   if apps <> [] then fail "engine raising: raising rule committed";
@@ -287,8 +287,8 @@ let engine_parallel_faults () =
     let before = D.copy d in
     let ctx = ctx_for d in
     match
-      Engine.greedy_pass ~exec ~cost_factory:comp_count ctx ~cleanups:[]
-        [ rule ]
+      Engine.greedy_pass ~exec ~cost:(Engine.Measured comp_count) ctx
+        ~cleanups:[] [ rule ]
     with
     | apps ->
         if apps <> [] then fail "%s: faulty rule committed" what;

@@ -8,6 +8,8 @@
      never quarantined (no false positives);
    - a greedy pass whose cost function rewards the miscompile still
      ends with the design untouched and equivalent to its snapshot;
+   - a refused winner does not end the pass: a sound rule's site is
+     still committed after the rewarded miscompile is quarantined;
    - the [Sampled] tier checks the first application of each rule, and
      skips checking entirely once the budget is exhausted;
    - off-the-books semantic corruption injected before the compile,
@@ -145,7 +147,7 @@ let sound_swap_rule () =
                   true
               | None -> false)
           | None -> false)
-      | [] -> false)
+      | [] -> false) ()
 
 let reason_str = function
   | Some r -> Milo_rules.Engine.reason_name r
@@ -225,7 +227,7 @@ let pass_blocks_miscompile () =
   let ctx = generic_ctx d in
   Engine.set_rule_guard ctx.Rule.session Guard.Full;
   let apps =
-    Engine.greedy_pass ~cost_factory:inv_cost ctx ~cleanups:[]
+    Engine.greedy_pass ~cost:(Engine.Measured inv_cost) ctx ~cleanups:[]
       [ Faults.polarity_rule () ]
   in
   if apps <> [] then fail "greedy pass: miscompiling rule committed";
@@ -262,25 +264,18 @@ let workload_cost (ctx : Rule.context) () =
 (* All three planted rules loose on one workload, each rewarded by the
    cost: nothing lands, the design stays equivalent to its snapshot,
    all three quarantined.  Candidate evaluations are unguarded oracles,
-   so each pass's winner is caught at its guarded commit, which ends
-   that pass; passes repeat until one quarantines nothing new. *)
+   so each step's winner is caught at its guarded commit; the pass goes
+   on without the quarantined rule, so one pass catches all three. *)
 let workload_stays_equivalent () =
   let d = workload_design () in
   let before = D.copy d in
   let ctx = generic_ctx d in
   let session = ctx.Rule.session in
   Engine.set_rule_guard session Guard.Full;
-  let rec passes acc =
-    let known = List.length (Engine.quarantined session) in
-    let apps =
-      Engine.greedy_pass ~cost_factory:workload_cost ctx ~cleanups:[]
-        (Faults.miscompiling_rules ())
-    in
-    if List.length (Engine.quarantined session) > known then
-      passes (acc @ apps)
-    else acc @ apps
+  let apps =
+    Engine.greedy_pass ~cost:(Engine.Measured workload_cost) ctx ~cleanups:[]
+      (Faults.miscompiling_rules ())
   in
-  let apps = passes [] in
   if apps <> [] then
     fail "workload: %d miscompiling application(s) committed" (List.length apps);
   List.iter
@@ -296,6 +291,53 @@ let workload_stays_equivalent () =
   with
   | None -> Printf.printf "ok   workload equivalent after faulted pass\n"
   | Some div -> fail "workload: diverged from snapshot (%s)"
+                  (Guard.describe div)
+
+(* Inverters cost 4 (so the polarity fault, INV -> BUF, gains 3) and an
+   AND2 whose first input's net id is below its second's costs 1 more
+   (so the sound swap gains 1). *)
+let swap_cost (ctx : Rule.context) () =
+  let dsn = ctx.Rule.design in
+  List.fold_left
+    (fun acc (c : D.comp) ->
+      acc
+      +. (match c.D.kind with T.Macro "INV" -> 4.0 | _ -> 1.0)
+      +.
+      match (c.D.kind, D.connection dsn c.D.id "A0", D.connection dsn c.D.id "A1") with
+      | T.Macro "AND2", Some n0, Some n1 when n0 < n1 -> 1.0
+      | _ -> 0.0)
+    0.0 (D.comps dsn)
+
+(* A refused winner does not end the pass: the rewarded miscompile wins
+   the first step and is caught at its commit, then the sound rule's
+   site is committed in the same pass. *)
+let pass_continues_past_refused_winner () =
+  let d = workload_design () in
+  let before = D.copy d in
+  let ctx = generic_ctx d in
+  let session = ctx.Rule.session in
+  Engine.set_rule_guard session Guard.Full;
+  let apps =
+    Engine.greedy_pass ~cost:(Engine.Measured swap_cost) ctx ~cleanups:[]
+      [ Faults.polarity_rule (); sound_swap_rule () ]
+  in
+  (match List.map (fun (a : Engine.application) -> a.Engine.rule.Rule.rule_name) apps with
+  | [ "sound-swap" ] -> ()
+  | names ->
+      fail "refused winner: committed [%s], expected the sound swap once"
+        (String.concat "; " names));
+  (match List.assoc_opt "fault-polarity" (Engine.quarantined_reasons session) with
+  | Some Engine.Miscompiled -> ()
+  | other -> fail "refused winner: polarity reason %s, expected miscompiled"
+               (reason_str other));
+  if Engine.is_quarantined session "sound-swap" then
+    fail "refused winner: sound swap quarantined";
+  match
+    Guard.check ~is_seq:generic_is_seq (generic_env ()) before
+      (generic_env ()) d
+  with
+  | None -> Printf.printf "ok   a refused winner does not end the pass\n"
+  | Some div -> fail "refused winner: diverged from snapshot (%s)"
                   (Guard.describe div)
 
 (* --- Sampled tier ------------------------------------------------------- *)
@@ -469,6 +511,7 @@ let () =
   sound_rule_passes ();
   pass_blocks_miscompile ();
   workload_stays_equivalent ();
+  pass_continues_past_refused_winner ();
   sampled_first_application_checked ();
   sampled_respects_budget ();
   let cases = Suite.all () in

@@ -58,7 +58,7 @@ let raising_rule ?(exn = Injected "injected rule failure") () =
       List.map
         (fun (c : D.comp) -> Rule.site ~comps:[ c.D.id ] "raising fault")
         (Rule.scan_comps ctx))
-    ~apply:(fun _ _ _ -> raise exn)
+    ~apply:(fun _ _ _ -> raise exn) ()
 
 (* Matches every component; [apply] records real edits (disconnecting
    the component's pins) into the log, then raises.  Exercises the
@@ -79,7 +79,7 @@ let sabotage_rule ?(exn = Injected "injected mid-edit failure") () =
           let pins = Hashtbl.fold (fun pin _ acc -> pin :: acc) c.D.conns [] in
           List.iter (fun pin -> D.disconnect ~log ctx.Rule.design cid pin) pins;
           raise exn
-      | [] -> false)
+      | [] -> false) ()
 
 (* --- Miscompiling rules ----------------------------------------------- *)
 
@@ -131,7 +131,7 @@ let polarity_rule () =
                   true
               | None -> false)
           | None -> false)
-      | [] -> false)
+      | [] -> false) ()
 
 (* Dropped fanin: rewires the second input of a multi-input gate onto
    the first input's net, as if the rewrite forgot one operand. *)
@@ -169,7 +169,7 @@ let drop_fanin_rule () =
                   true
               | None -> false)
           | None -> false)
-      | [] -> false)
+      | [] -> false) ()
 
 (* Swapped mux arms: exchanges the D0/D1 connections of a 2-way
    multiplexor, inverting its select semantics. *)
@@ -205,7 +205,7 @@ let swap_mux_rule () =
                   true
               | None -> false)
           | None -> false)
-      | [] -> false)
+      | [] -> false) ()
 
 let miscompiling_rules () =
   [ polarity_rule (); drop_fanin_rule (); swap_mux_rule () ]
@@ -333,7 +333,7 @@ let looping_rule () =
       while true do
         Pool.poll ()
       done;
-      false)
+      false) ()
 
 (* [apply] wedges without polling: only the watchdog can contain it. *)
 let stalling_rule ?(seconds = 1.2) () =
@@ -341,7 +341,7 @@ let stalling_rule ?(seconds = 1.2) () =
     ~find:(every_comp_sites "stalling fault")
     ~apply:(fun _ _ _ ->
       Unix.sleepf seconds;
-      false)
+      false) ()
 
 (* --- Journal crash injection ------------------------------------------ *)
 

@@ -256,7 +256,10 @@ let miscompile_nets_to_zero () =
         acc +. (match c.D.kind with T.Macro "INV" -> 2.0 | _ -> 1.0))
       0.0 (D.comps wctx.Rule.design)
   in
-  let apps = Engine.greedy_pass ~cost_factory ctx ~cleanups:[] [ rule ] in
+  let apps =
+    Engine.greedy_pass ~cost:(Engine.Measured cost_factory) ctx ~cleanups:[]
+      [ rule ]
+  in
   if apps <> [] then fail "netting: miscompiling rule committed";
   if not (D.equal_structure before d) then
     fail "netting: design not restored exactly";

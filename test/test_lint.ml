@@ -245,7 +245,7 @@ let corrupt_rule =
           let c = D.comp ctx.Rule.design cid in
           Hashtbl.replace c.D.conns "Y" 9999;
           true
-      | [] -> false)
+      | [] -> false) ()
 
 let test_debug_lint () =
   let ctx () = Util.ctx_for (Util.generic ()) (clean_design ()) in

@@ -6,10 +6,7 @@ module T = Milo_netlist.Types
 module R = Milo_rules.Rule
 module Cone = Milo_rules.Cone
 
-let mapped_design ~gates ~seed =
-  let src = Milo_designs.Workload.random_logic ~gates ~seed () in
-  let target = Milo_techmap.Table_map.ecl_target () in
-  (src, Milo_techmap.Table_map.map_design target src)
+let mapped_design = Mapped_cases.mapped_design
 
 let test_cone_extract_eval () =
   let _, d = mapped_design ~gates:30 ~seed:9 in
@@ -202,23 +199,7 @@ let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Mapped inputs of the per-level pass: designs 1-8 under ECL and CMOS,
    and 150-gate random logic under ECL. *)
-let mapped_cases () =
-  List.concat_map
-    (fun (case : Milo_designs.Suite.case) ->
-      List.map
-        (fun tech ->
-          ( case.Milo_designs.Suite.case_name ^ "/" ^ Milo.Flow.technology_name tech,
-            Milo.Flow.target_of tech,
-            fst
-              (Milo.Flow.human_baseline ~technology:tech
-                 case.Milo_designs.Suite.case_design) ))
-        [ Milo.Flow.Ecl; Milo.Flow.Cmos ])
-    (Milo_designs.Suite.all ())
-  @ [
-      ( "random_logic_150/ecl",
-        Table_map.ecl_target (),
-        snd (mapped_design ~gates:150 ~seed:7) );
-    ]
+let mapped_cases () = Mapped_cases.designs () @ [ Mapped_cases.random_logic 150 ]
 
 (* Every candidate of the rules the greedy passes score (logic, area,
    power), or of [rules]. *)
@@ -271,8 +252,9 @@ let test_cleanup_locality () =
       check "first step";
       let ctx = ctx_of target d in
       let apps =
-        Engine.greedy_pass ~max_steps:3 ~cost_factory:(level_cost target) ctx
-          ~cleanups Milo_critic.Critic.logic
+        Engine.greedy_pass ~max_steps:3
+          ~cost:(Engine.Measured (level_cost target))
+          ctx ~cleanups Milo_critic.Critic.logic
       in
       if List.length apps = 3 then check "after 3 steps")
     (mapped_cases ());
@@ -336,11 +318,11 @@ let test_planted_debris_takes_full_path () =
     focused := 0;
     (match
        Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
-         ~cost_factory:(level_cost target) ctx ~cleanups:watched
-         Milo_critic.Critic.logic
+         ~cost:(Engine.Measured (level_cost target))
+         ctx ~cleanups:watched Milo_critic.Critic.logic
      with
-    | Some _ -> ()
-    | None -> Alcotest.fail "no greedy step");
+    | Engine.Committed _ -> ()
+    | Engine.Refused | Engine.Quiescent -> Alcotest.fail "no greedy step");
     (quiet, !focused)
   in
   let quiet, n = step quiet_d in
@@ -468,8 +450,9 @@ let test_shared_absint_never_stale () =
       ignore (plant_constant ctx target);
       let planted = check_absint_sites (name ^ " planted") ctx in
       let apps =
-        Engine.greedy_pass ~max_steps:3 ~cost_factory:(level_cost target) ctx
-          ~cleanups Milo_critic.Critic.logic
+        Engine.greedy_pass ~max_steps:3
+          ~cost:(Engine.Measured (level_cost target))
+          ctx ~cleanups Milo_critic.Critic.logic
       in
       let after = check_absint_sites (name ^ " after the steps") ctx in
       if apps <> [] then incr stepped;
@@ -517,10 +500,12 @@ let test_shared_absint_invalidation () =
   Alcotest.(check bool) "undo: re-analysed" true (a2 != a1);
   (match
      Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
-       ~cost_factory:(level_cost target) ctx ~cleanups Milo_critic.Critic.logic
+       ~cost:(Engine.Measured (level_cost target))
+       ctx ~cleanups Milo_critic.Critic.logic
    with
-  | Some _ -> ()
-  | None -> Alcotest.fail "no greedy step to commit");
+  | Engine.Committed _ -> ()
+  | Engine.Refused | Engine.Quiescent ->
+      Alcotest.fail "no greedy step to commit");
   stale "commit";
   let a3 = find "commit" in
   Alcotest.(check bool) "commit: re-analysed" true (a3 != a2);

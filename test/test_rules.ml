@@ -288,7 +288,7 @@ let test_ops_determinism () =
           (R.scan_comps ctx))
       ~apply:(fun _ _ _ ->
         fired := name :: !fired;
-        true)
+        true) ()
   in
   let ra = mk "det-a" and rb = mk "det-b" and rc = mk "det-c" in
   let base = D.create "det" in
@@ -333,21 +333,21 @@ let test_cleanup_budget_accounting () =
       ~find:(fun _ -> List.init 50 (fun i -> R.site ~comps:[ 1000 + i ] "dead"))
       ~apply:(fun _ _ _ ->
         incr dead_calls;
-        false)
+        false) ()
   in
   let refuse =
     R.make ~name:"bud-refuse" ~cls:R.Cleanup
       ~find:(fun _ -> [ R.site ~comps:[ c ] "refuse" ])
       ~apply:(fun _ _ _ ->
         incr refusals;
-        false)
+        false) ()
   in
   let count =
     R.make ~name:"bud-count" ~cls:R.Cleanup
       ~find:(fun _ -> [ R.site ~comps:[ c ] "count" ])
       ~apply:(fun _ _ _ ->
         incr applies;
-        true)
+        true) ()
   in
   let ctx = Util.ctx_for (Util.ecl ()) d in
   let log = D.new_log () in
@@ -393,7 +393,7 @@ let test_search_exec_abort () =
                (List.hd site.R.site_comps)
                (T.Macro "E_BUF");
              true
-           end)
+           end) ()
   in
   let step2 =
     R.make ~name:"stale-step2" ~cls:R.Logic
@@ -406,7 +406,7 @@ let test_search_exec_abort () =
             step2_stale := true;
             failwith "stale-step2 executed on a stale state");
         D.remove_comp ~log ctx.R.design cid;
-        true)
+        true) ()
   in
   let cost_factory (ctx : R.context) () =
     let d = ctx.R.design in
@@ -446,8 +446,9 @@ let test_greedy_improves_cost () =
   in
   let before = cost_factory ctx () in
   let apps =
-    Milo_rules.Engine.greedy_pass ~cost_factory ctx
-      ~cleanups:Milo_critic.Critic.cleanup
+    Milo_rules.Engine.greedy_pass
+      ~cost:(Milo_rules.Engine.Measured cost_factory)
+      ctx ~cleanups:Milo_critic.Critic.cleanup
       (Milo_critic.Critic.logic @ Milo_critic.Critic.area)
   in
   let after = cost_factory ctx () in
