@@ -29,7 +29,9 @@ type R.analysis += Facts of Absint.t
 
 (* One analysis per design state, shared through the session by both
    rules' [find]s and prune's [apply]: a greedy step matches every rule
-   on the same state. *)
+   on the same state, and a committed step advances it over its log
+   ([Engine.commit_app]) instead of leaving the next find to start
+   over. *)
 let analyze ctx =
   match R.analysis ctx with
   | Some (Facts st) -> st
@@ -39,7 +41,7 @@ let analyze ctx =
           (fun n -> R.find_macro ctx n)
           ctx.R.design
       in
-      R.set_analysis ctx (Facts st);
+      R.set_analysis ctx (Facts st) ~advance:(Absint.advance st);
       st
 
 (* Single-output combinational macro components only: removing one

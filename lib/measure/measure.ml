@@ -10,7 +10,9 @@
    entries' kind deltas), [retreat] restores the exact previous state
    after the design itself has been undone, and [commit] keeps it.
    Macro lookups are memoized, so the per-candidate [Technology.find]
-   traffic collapses onto a hit-counted cache.
+   traffic collapses onto a hit-counted cache.  [fork] copies a
+   measurer onto a copy of its design, so an oracle worker measures by
+   delta too.
 
    Correctness is enforced by a differential oracle ([set_debug_check],
    the measurement twin of the engine's debug lint): every advance and
@@ -48,6 +50,8 @@ type counters = {
 
 type t = {
   design : D.t;
+  tech : Technology.t;
+  memo : (string, M.t) Hashtbl.t;  (* [env]'s macros, by name *)
   env : Sta.env;  (* memoized technology lookup *)
   input_arrivals : (string * float) list;
   mutable sta : Sta.t;
@@ -72,37 +76,56 @@ let debug_check_enabled () = !debug_check
 (* Relative tolerance of the oracle (and of the equivalence suite). *)
 let tolerance = 1e-9
 
+let new_counters () =
+  {
+    c_advances = 0;
+    c_retreats = 0;
+    c_commits = 0;
+    c_resyncs = 0;
+    c_env_hits = 0;
+    c_env_misses = 0;
+    c_oracle_checks = 0;
+  }
+
+(* The hit-counted lookup through [memo]. *)
+let memo_env tech memo ct name =
+  match Hashtbl.find_opt memo name with
+  | Some m ->
+      ct.c_env_hits <- ct.c_env_hits + 1;
+      m
+  | None ->
+      let m = Technology.find tech name in
+      ct.c_env_misses <- ct.c_env_misses + 1;
+      Hashtbl.replace memo name m;
+      m
+
 let create ?(input_arrivals = []) tech design =
-  let ct =
-    {
-      c_advances = 0;
-      c_retreats = 0;
-      c_commits = 0;
-      c_resyncs = 0;
-      c_env_hits = 0;
-      c_env_misses = 0;
-      c_oracle_checks = 0;
-    }
-  in
-  let cache : (string, M.t) Hashtbl.t = Hashtbl.create 64 in
-  let env name =
-    match Hashtbl.find_opt cache name with
-    | Some m ->
-        ct.c_env_hits <- ct.c_env_hits + 1;
-        m
-    | None ->
-        let m = Technology.find tech name in
-        ct.c_env_misses <- ct.c_env_misses + 1;
-        Hashtbl.replace cache name m;
-        m
-  in
+  let ct = new_counters () and memo = Hashtbl.create 64 in
+  let env = memo_env tech memo ct in
   {
     design;
+    tech;
+    memo;
     env;
     input_arrivals;
     sta = Sta.analyze ~input_arrivals env design;
     area = Estimate.area env design;
     power = Estimate.power env design;
+    ct;
+  }
+
+(* The memo is an unlocked [Hashtbl], so a fork that may run on another
+   domain gets its own, seeded with a copy of the parent's.  Forking
+   only reads the parent. *)
+let fork t design =
+  let ct = new_counters () and memo = Hashtbl.copy t.memo in
+  let env = memo_env t.tech memo ct in
+  {
+    t with
+    design;
+    memo;
+    env;
+    sta = Sta.copy t.sta ~design ~env;
     ct;
   }
 

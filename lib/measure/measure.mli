@@ -49,6 +49,15 @@ val create :
     [Invalid_argument] on unmapped components or combinational loops,
     like [Sta.analyze]. *)
 
+val fork : t -> D.t -> t
+(** [fork t design] measures [design], an id-preserving copy of [t]'s
+    design in the same state ([D.copy]), from a copy of [t]'s state:
+    timing ({!Milo_timing.Sta.copy}), running totals and input
+    arrivals, with fresh counters and its own macro memo seeded from
+    [t]'s.  No full analysis runs.  Forking only reads [t], and nothing
+    done through the fork reaches [t], so forks of one measurer may run
+    on other domains while [t] is left alone. *)
+
 val design : t -> D.t
 val env : t -> Milo_timing.Sta.env
 (** The memoized macro environment (also usable for estimates). *)

@@ -6,13 +6,13 @@
 module R = Milo_rules.Rule
 module Engine = Milo_rules.Engine
 
-let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
-  (* With a measurer in the context the totals are already current —
-     O(1) instead of a full STA + estimate fold per evaluation. *)
+(* The measurer's totals are current in O(1): the flat stage installs
+   it, and each worker fork carries a fork of it. *)
+let cost_fn ?(required = infinity) ctx () =
   let m =
     match !(ctx.R.measurer) with
     | Some ms -> Milo_measure.Measure.current ms
-    | None -> Engine.measure_fn ctx ~input_arrivals ()
+    | None -> invalid_arg "Area_opt.cost_fn: the context has no measurer"
   in
   let penalty =
     if m.Engine.delay > required then 1000.0 *. (m.Engine.delay -. required)
@@ -20,19 +20,16 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
   in
   m.Engine.area +. (0.05 *. m.Engine.power) +. penalty
 
-let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
-    ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
+let optimize ?exec ?(required = infinity) ?(max_steps = 200) ?budget ~rules
+    ~cleanups ctx =
   Milo_trace.Trace.with_span "area-opt" @@ fun () ->
-  (* Worker forks carry no measurer, so on a fork each cost is a full
-     STA + estimate fold: once per task for the baseline shared by the
-     task's sites, then once per candidate that applies. *)
-  let cost = Engine.Measured (cost_fn ~required ~input_arrivals) in
+  let cost = Engine.Measured (cost_fn ~required) in
   Engine.greedy_pass ~max_steps ?budget ?exec ~cost ctx ~cleanups rules
 
 (* Area recovery with lookahead (used by the metarules experiment). *)
-let optimize_lookahead ?exec ?(required = infinity) ?(input_arrivals = [])
+let optimize_lookahead ?exec ?(required = infinity)
     ?(params = Milo_rules.Search.default_params) ?stats ?budget ~rules
     ~cleanups ctx =
-  let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
+  let cost_factory wctx = cost_fn ~required wctx in
   Milo_rules.Search.run ~params ?stats ?budget ?exec ~cost_factory ctx
     ~cleanups rules

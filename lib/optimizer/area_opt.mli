@@ -3,17 +3,14 @@
 
 module R = Milo_rules.Rule
 
-val cost_fn :
-  ?required:float ->
-  ?input_arrivals:(string * float) list ->
-  R.context ->
-  unit ->
-  float
+val cost_fn : ?required:float -> R.context -> unit -> float
+(** Area plus a power share plus a penalty past [required], read off
+    the context's measurer.  Raises [Invalid_argument] when the
+    context has none. *)
 
 val optimize :
   ?exec:Milo_parallel.Exec.t ->
   ?required:float ->
-  ?input_arrivals:(string * float) list ->
   ?max_steps:int ->
   ?budget:Milo_rules.Budget.t ->
   rules:R.t list ->
@@ -21,13 +18,13 @@ val optimize :
   R.context ->
   Milo_rules.Engine.application list
 (** Candidate evaluation fans out per rule onto supervised tasks
-    ({!Milo_rules.Engine.greedy_pass}); [exec] defaults to
-    [Exec.inline ()]. *)
+    ({!Milo_rules.Engine.greedy_pass}), each measuring by delta on a
+    fork of the context's measurer, which must be installed; [exec]
+    defaults to [Exec.inline ()]. *)
 
 val optimize_lookahead :
   ?exec:Milo_parallel.Exec.t ->
   ?required:float ->
-  ?input_arrivals:(string * float) list ->
   ?params:Milo_rules.Search.params ->
   ?stats:Milo_rules.Search.stats ->
   ?budget:Milo_rules.Budget.t ->

@@ -144,20 +144,20 @@ let flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db
   in
   electric ();
   (* One incremental measurer for the whole flat optimization stage:
-     the timing and area passes below share it through the context, so
-     candidate evaluation costs a cone re-propagation instead of a
-     full-design STA + estimate fold. *)
+     the timing and area passes below share it through the context, and
+     their oracle workers fork it, so candidate evaluation costs a cone
+     re-propagation instead of a full-design STA + estimate fold. *)
   ctx.R.measurer :=
     Some (Milo_measure.Measure.create ~input_arrivals target.Table_map.tech d);
   let timing =
     if required < infinity then
       Some
-        (Time_opt.optimize ~exec ~required ~input_arrivals ?budget
+        (Time_opt.optimize ~exec ~required ?budget
            ~cleanups:Milo_critic.Critic.cleanup ctx)
     else None
   in
   let _ =
-    Area_opt.optimize ~exec ~required ~input_arrivals ?budget
+    Area_opt.optimize ~exec ~required ?budget
       ~rules:(Milo_critic.Critic.area @ Milo_critic.Critic.logic @ Milo_critic.Critic.power)
       ~cleanups:Milo_critic.Critic.cleanup ctx
   in

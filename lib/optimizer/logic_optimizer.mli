@@ -65,14 +65,15 @@ val optimize :
     area recovery); mapping and flattening always complete, so an
     exhausted budget degrades to the mapped-but-unoptimized design.
     One [Milo_measure.Measure] per flat optimization stage sits in the
-    rule context, so the timing and area passes evaluate candidates by
-    delta-STA and streaming totals instead of full recomputes.
+    rule context, and every worker fork carries a fork of it, so the
+    timing and area passes evaluate candidates by delta-STA and
+    streaming totals instead of full recomputes.
 
     [exec] (default [Exec.inline ()]) is the execution plan of every
-    pass: per-level greedy, strategy fan-out and per-rule candidate
-    fan-out.  Every context the optimizer builds carries [session]
-    (default: a fresh one), so quarantine, rule guard and certificates
-    span the whole optimization. *)
+    pass: per-level greedy, the strategy oracles (one at a time) and
+    per-rule candidate fan-out.  Every context the optimizer builds
+    carries [session] (default: a fresh one), so quarantine, rule guard
+    and certificates span the whole optimization. *)
 
 val optimize_flat :
   ?exec:Milo_parallel.Exec.t ->

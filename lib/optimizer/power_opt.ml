@@ -4,12 +4,12 @@
 module R = Milo_rules.Rule
 module Engine = Milo_rules.Engine
 
-let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
+let cost_fn ?(required = infinity) ctx () =
   (* Measurer-aware, like [Area_opt.cost_fn]. *)
   let m =
     match !(ctx.R.measurer) with
     | Some ms -> Milo_measure.Measure.current ms
-    | None -> Engine.measure_fn ctx ~input_arrivals ()
+    | None -> invalid_arg "Power_opt.cost_fn: the context has no measurer"
   in
   let penalty =
     if m.Engine.delay > required then 1000.0 *. (m.Engine.delay -. required)
@@ -17,8 +17,8 @@ let cost_fn ?(required = infinity) ?(input_arrivals = []) ctx () =
   in
   m.Engine.power +. (0.05 *. m.Engine.area) +. penalty
 
-let optimize ?exec ?(required = infinity) ?(input_arrivals = [])
-    ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
+let optimize ?exec ?(required = infinity) ?(max_steps = 200) ?budget ~rules
+    ~cleanups ctx =
   Milo_trace.Trace.with_span "power-opt" @@ fun () ->
-  let cost = Engine.Measured (cost_fn ~required ~input_arrivals) in
+  let cost = Engine.Measured (cost_fn ~required) in
   Engine.greedy_pass ~max_steps ?budget ?exec ~cost ctx ~cleanups rules

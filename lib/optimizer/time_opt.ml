@@ -18,48 +18,39 @@ type step = {
 
 type outcome = { met : bool; final_delay : float; steps : step list }
 
-(* With a measurer in the context, its live Sta view replaces a
-   from-scratch analysis (the measurer is kept in lock-step with every
-   committed edit, so the view is always current). *)
-let analyze ctx ~input_arrivals =
+(* The context's measurer is kept in lock-step with every committed
+   edit, so its live Sta view and running totals are always current
+   (and carry the input arrivals it was created with).  Every context
+   the optimizer runs on has one: the flat stage installs it, and
+   [Rule.fork_context] forks it for the oracles. *)
+let measurer ctx =
   match !(ctx.R.measurer) with
-  | Some m -> Milo_measure.Measure.sta m
-  | None ->
-      let env name = Milo_library.Technology.find ctx.R.tech name in
-      Sta.analyze ~input_arrivals env ctx.R.design
+  | Some m -> m
+  | None -> invalid_arg "Time_opt: the context has no measurer"
+
+let analyze ctx = Milo_measure.Measure.sta (measurer ctx)
 
 (* The worst arrival among endpoints (what the constraint binds). *)
-let worst ctx ~input_arrivals = Sta.worst_delay (analyze ctx ~input_arrivals)
-
+let worst ctx = Sta.worst_delay (analyze ctx)
 let area ctx =
-  match !(ctx.R.measurer) with
-  | Some m -> (Milo_measure.Measure.current m).Milo_measure.Measure.area
-  | None ->
-      let env name = Milo_library.Technology.find ctx.R.tech name in
-      Milo_estimate.Estimate.area env ctx.R.design
+  (Milo_measure.Measure.current (measurer ctx)).Milo_measure.Measure.area
 
-(* The measurer's running totals as a trace/attribution cost; [None]
-   outside a measured window. *)
+(* The measurer's running totals as a trace/attribution cost. *)
 let cost_of ctx =
-  match !(ctx.R.measurer) with
-  | None -> None
-  | Some m ->
-      let c = Milo_measure.Measure.current m in
-      Some
-        {
-          Milo_trace.Trace.delay = c.Milo_measure.Measure.delay;
-          area = c.Milo_measure.Measure.area;
-          power = c.Milo_measure.Measure.power;
-        }
+  let c = Milo_measure.Measure.current (measurer ctx) in
+  {
+    Milo_trace.Trace.delay = c.Milo_measure.Measure.delay;
+    area = c.Milo_measure.Measure.area;
+    power = c.Milo_measure.Measure.power;
+  }
 
 (* Try one strategy on the most critical path; keep the edit only if the
    worst delay strictly improves without a runaway area cost (the
    two-level collapse of an XOR-rich cone can explode, as the paper
    notes about the Logic Consultant's minimizer). *)
-let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
-    =
+let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
   (match budget with Some b -> Milo_rules.Budget.eval b | None -> ());
-  let sta = analyze ctx ~input_arrivals in
+  let sta = analyze ctx in
   match Milo_timing.Paths.most_critical sta with
   | None -> None
   | Some path -> (
@@ -68,7 +59,8 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
       (* Attribution is built only when the commit is recorded. *)
       let attributed = D.has_commit_hook ctx.R.design in
       let before_cost =
-        if attributed || Milo_trace.Trace.enabled () then cost_of ctx else None
+        if attributed || Milo_trace.Trace.enabled () then Some (cost_of ctx)
+        else None
       in
       let log = D.new_log () in
       match s.Strategies.run ctx sta path log with
@@ -82,15 +74,14 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
               D.undo ctx.R.design log;
               None
           | step ->
-              let after = worst ctx ~input_arrivals in
+              let after = worst ctx in
               let area_after = area ctx in
               let area_ok =
                 area_after <= Float.max (area_before *. 1.25) (area_before +. 4.0)
               in
               let kept = after < before -. 1e-9 && area_ok in
               if Milo_trace.Trace.enabled () then
-                Milo_trace.Trace.emit ?before:before_cost
-                  ?after:(cost_of ctx)
+                Milo_trace.Trace.emit ?before:before_cost ~after:(cost_of ctx)
                   (Milo_trace.Trace.Strategy_step
                      {
                        strategy = s.Strategies.strat_name;
@@ -110,7 +101,7 @@ let try_strategy ?budget ctx ~input_arrivals ~cleanups (s : Strategies.strategy)
                     {
                       D.no_attribution with
                       at_before = before_cost;
-                      at_after = cost_of ctx;
+                      at_after = Some (cost_of ctx);
                     }
                   else D.no_attribution
                 in
@@ -141,83 +132,63 @@ module Exec = Milo_parallel.Exec
    reserved name the rule tables cannot collide with. *)
 let strategy_key name = "strategy:" ^ name
 
-(* Strategy fan-out for one optimizer iteration: every non-quarantined
-   strategy in [order] is tried speculatively by one supervised task on
-   a forked snapshot (a pure would-this-help oracle), then the first
-   success in strategy order is re-run authoritatively on the real
-   context — so trace, provenance, the measurer and the budget see
-   exactly one strategy application, the one a scan of the oracle
-   verdicts in order picks.  A faulting task quarantines its strategy
-   for the rest of the run. *)
-let try_all ?budget ~exec ctx ~input_arrivals ~cleanups order =
+(* One optimizer iteration (Figure 8's "try strategies in slack
+   order"): each non-quarantined strategy in [order], in turn, is tried
+   by one supervised task on a forked snapshot (a pure would-this-help
+   oracle that measures by delta on its forked measurer); the first one
+   the oracle says helps is re-run authoritatively on the real context,
+   and the first that the re-run confirms ends the iteration — so
+   trace, provenance, the measurer and the budget see exactly one
+   strategy application.  The strategies after it are never tried.
+   Each oracle's trapped failures are imported, or a faulting oracle
+   quarantines its strategy for the rest of the run, before the next
+   oracle's fork is made.  The dispatch is sequential because the
+   strategies are tried in order and the first success wins; it is the
+   same for every [exec]. *)
+let try_all ?budget ~exec ctx ~cleanups order =
   let session = ctx.R.session in
-  let strategies =
-    List.filter_map
-      (fun id ->
-        let s = Strategies.by_id id in
-        if
-          Milo_rules.Engine.is_quarantined session
-            (strategy_key s.Strategies.strat_name)
-        then None
-        else Some s)
-      order
+  let oracle (s : Strategies.strategy) =
+    (match budget with Some b -> Milo_rules.Budget.eval b | None -> ());
+    let task () =
+      Milo_rules.Engine.worker_task ctx (fun wctx ->
+          try_strategy wctx ~cleanups s <> None)
+    in
+    match (Exec.map exec [ task ]).(0) with
+    | Pool.Done (helps, fails) ->
+        Milo_rules.Engine.import_failures session fails;
+        helps
+    | Pool.Task_failed fault ->
+        Milo_rules.Engine.note_failure_named session
+          ~reason:Milo_rules.Engine.Raised
+          (strategy_key s.Strategies.strat_name)
+          ("parallel task: " ^ Pool.fault_message fault);
+        false
   in
-  if strategies = [] then None
-  else begin
-    (match budget with
-    | Some b -> List.iter (fun _ -> Milo_rules.Budget.eval b) strategies
-    | None -> ());
-    let tasks =
-      List.map
-        (fun (s : Strategies.strategy) () ->
-          Milo_rules.Engine.worker_task ctx (fun wctx ->
-              try_strategy wctx ~input_arrivals ~cleanups s <> None))
-        strategies
-    in
-    let outcomes = Exec.map exec tasks in
-    let sarr = Array.of_list strategies in
-    Array.iteri
-      (fun i outcome ->
-        match outcome with
-        | Pool.Done (_, fails) -> Milo_rules.Engine.import_failures session fails
-        | Pool.Task_failed fault ->
-            Milo_rules.Engine.note_failure_named session
-              ~reason:Milo_rules.Engine.Raised
-              (strategy_key sarr.(i).Strategies.strat_name)
-              ("parallel task: " ^ Pool.fault_message fault))
-      outcomes;
-    let rec pick i =
-      if i >= Array.length sarr then None
-      else
-        match outcomes.(i) with
-        | Pool.Done (true, _) -> (
-            (* The oracle said this strategy improves; the
-               authoritative run re-verifies on the real context.  A
-               divergence (rare: the oracle measured from scratch, the
-               context may measure incrementally) just falls through
-               to the next candidate. *)
-            match try_strategy ?budget ctx ~input_arrivals ~cleanups sarr.(i) with
-            | Some step -> Some step
-            | None -> pick (i + 1))
-        | Pool.Done (false, _) | Pool.Task_failed _ -> pick (i + 1)
-    in
-    pick 0
-  end
+  List.find_map
+    (fun id ->
+      let s = Strategies.by_id id in
+      if
+        Milo_rules.Engine.is_quarantined session
+          (strategy_key s.Strategies.strat_name)
+        || not (oracle s)
+      then None
+      else try_strategy ?budget ctx ~cleanups s)
+    order
 
-let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(input_arrivals = [])
-    ?(max_steps = 64) ?budget ~cleanups ctx =
+let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(max_steps = 64)
+    ?budget ~cleanups ctx =
   Milo_trace.Trace.with_span "time-opt" @@ fun () ->
   let steps = ref [] in
   let exhausted () =
     match budget with Some b -> Milo_rules.Budget.exhausted b | None -> false
   in
   let rec loop n =
-    let current = worst ctx ~input_arrivals in
+    let current = worst ctx in
     if current <= required || n >= max_steps || exhausted () then current
     else begin
       let deficit = current -. required in
       let order = Strategies.order_for ~deficit ~required:(Float.max required current) in
-      match try_all ?budget ~exec ctx ~input_arrivals ~cleanups order with
+      match try_all ?budget ~exec ctx ~cleanups order with
       | Some step ->
           steps := step :: !steps;
           loop (n + 1)
@@ -229,6 +200,5 @@ let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(input_arrivals = [])
 
 (* Unconstrained "make it as fast as possible": iterate until no
    strategy improves. *)
-let minimize_delay ?exec ?(input_arrivals = []) ?(max_steps = 64) ?budget
-    ~cleanups ctx =
-  optimize ?exec ~required:0.0 ~input_arrivals ~max_steps ?budget ~cleanups ctx
+let minimize_delay ?exec ?(max_steps = 64) ?budget ~cleanups ctx =
+  optimize ?exec ~required:0.0 ~max_steps ?budget ~cleanups ctx

@@ -1015,8 +1015,10 @@ let record_eval (r : Rule.t) (site : Rule.site) ev =
    and commit with the application's attribution.  This is the only
    place the winner touches the coordinator's design, so every
    observable side effect (trace, ledger, guard stats, journal entries)
-   flows from the same code regardless of domain count.  Returns the
-   committed entries, or [None] when the commit was refused. *)
+   flows from the same code regardless of domain count.  A shared
+   analysis of the state the winner was applied to is advanced over
+   the committed entries.  Returns the committed entries, or [None]
+   when the commit was refused. *)
 let commit_app ?budget ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   (* Attribution is built only when the commit is recorded. *)
@@ -1024,6 +1026,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
   let t0 = if traced then Unix.gettimeofday () else 0.0 in
   let before = if traced || attributed then trace_cost ctx else None in
   let site = if attributed then Some (site_digest ctx app.site) else None in
+  let generation = D.generation ctx.Rule.design in
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
     let verdict = ctx.Rule.session.Rule.last_verdict in
@@ -1044,6 +1047,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
     in
     let entries = D.entries log in
     D.commit ~label:app.rule.Rule.rule_name ~attr ~design:ctx.Rule.design log;
+    Rule.advance_analysis ctx ~generation entries;
     (match budget with Some b -> Budget.step b | None -> ());
     if traced then begin
       Trace.note_rule ~rule:app.rule.Rule.rule_name

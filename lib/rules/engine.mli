@@ -88,7 +88,8 @@ val note_failure_named :
     forked contexts ({!Rule.fork_context}).  Inside {!worker_task} the
     engine's observable machinery is suspended: tracing is suppressed
     on the domain, the fork's design has no commit hook (so nothing it
-    commits is recorded), the fork's session has no rule guard
+    commits is recorded), its measurer (if any) is a fork of the
+    coordinator's, the fork's session has no rule guard
     (verdict [Unguarded], no stats ticks), and its failures are
     collected and handed back for the coordinator to import in task
     order.  Only the merged winner is then re-applied authoritatively
@@ -321,7 +322,9 @@ val greedy_step :
     Every rule's sites are found on the coordinator each step.  The
     sites [table] cannot answer are evaluated by one supervised task
     per rule on a forked snapshot: a {!Measured} cost is measured on
-    the fork (once per task for the baseline, once per candidate); a
+    the fork (once per task for the baseline, once per candidate; by
+    delta when the context carries a measurer, which the fork
+    inherits); a
     {!Per_comp} candidate hands back its effect, and the coordinator
     replays the cost's fold over the current design with that effect
     applied, so every gain is bit-identical to a measurement.  When the
@@ -329,7 +332,10 @@ val greedy_step :
     their own edits; the winner's commit always runs whole-design
     cleanups.  The merged winner — (rule index, site ordinal) order,
     earlier candidate wins ties — is re-applied authoritatively if it
-    improves the cost by more than [min_gain].
+    improves the cost by more than [min_gain].  The commit advances the
+    session's shared analysis over its entries
+    ({!Rule.advance_analysis}) when the analysis describes the state
+    the winner was applied to.
 
     The table (default: a fresh one, so nothing is reused) keeps the
     {!Per_comp} evaluations of rules declared [local] ({!Rule.t}) when

@@ -49,15 +49,17 @@ type rule_guard = {
 
 type analysis = ..
 
-(* A whole-design analysis and the state it was computed on.  Every
-   design mutator bumps the generation (undo included), so equal keys
-   mean the facts still hold. *)
+(* A whole-design analysis, the state it was computed on, and how to
+   carry it over committed edits.  Every design mutator bumps the
+   generation (undo included), so equal keys mean the facts still
+   hold. *)
 type analysis_slot = {
   an_design : D.t;
   an_generation : int;
   an_tech : Technology.t;
   an_resolve : D.resolver;
   an_value : analysis;
+  an_advance : D.entry list -> unit;
 }
 
 type session = {
@@ -131,16 +133,21 @@ let make_context ?session ?(extra_resolve : D.resolver option) tech set design =
 (* Fork for a parallel oracle worker: an id-preserving snapshot of the
    design (so sites — bare component/net ids — found on the original
    resolve identically on the fork), sharing the immutable technology,
-   gate set and resolver, with fresh focus and measurer slots and a
-   forked session.  The worker evaluates candidates on the copy and
-   throws it away; nothing it does is visible through the original
-   context. *)
+   gate set and resolver, with a fresh focus slot, a fork of the
+   measurer if there is one, and a forked session.  The worker
+   evaluates candidates on the copy and throws it away; nothing it does
+   is visible through the original context. *)
 let fork_context ctx =
+  let design = D.copy ctx.design in
   {
     ctx with
-    design = D.copy ctx.design;
+    design;
     focus = ref None;
-    measurer = ref None;
+    measurer =
+      ref
+        (Option.map
+           (fun m -> Milo_measure.Measure.fork m design)
+           !(ctx.measurer));
     session = fork_session ctx.session;
   }
 
@@ -148,16 +155,18 @@ let find_macro ctx name = Technology.find_opt ctx.tech name
 
 (* The shared-analysis slot: whoever finds it empty or out of date
    computes and stores a fresh analysis. *)
+let keyed ctx ~generation a =
+  a.an_design == ctx.design
+  && a.an_generation = generation
+  && a.an_tech == ctx.tech && a.an_resolve == ctx.resolve
+
 let analysis ctx =
   match ctx.session.analysis with
-  | Some a
-    when a.an_design == ctx.design
-         && a.an_generation = D.generation ctx.design
-         && a.an_tech == ctx.tech && a.an_resolve == ctx.resolve ->
+  | Some a when keyed ctx ~generation:(D.generation ctx.design) a ->
       Some a.an_value
   | Some _ | None -> None
 
-let set_analysis ctx v =
+let set_analysis ctx v ~advance =
   ctx.session.analysis <-
     Some
       {
@@ -166,7 +175,19 @@ let set_analysis ctx v =
         an_tech = ctx.tech;
         an_resolve = ctx.resolve;
         an_value = v;
+        an_advance = advance;
       }
+
+(* Carry an analysis of the state at [generation] over the entries
+   committed since, so it describes the current state again.  Any
+   other slot is left to go stale. *)
+let advance_analysis ctx ~generation entries =
+  match ctx.session.analysis with
+  | Some a when keyed ctx ~generation a ->
+      a.an_advance entries;
+      ctx.session.analysis <-
+        Some { a with an_generation = D.generation ctx.design }
+  | Some _ | None -> ()
 
 let macro_of ctx (c : D.comp) =
   match c.D.kind with

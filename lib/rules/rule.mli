@@ -37,7 +37,7 @@ type analysis = ..
     analyses, which depend on it. *)
 
 type analysis_slot
-(** An analysis with the state it describes. *)
+(** An analysis with the state it describes and its advance function. *)
 
 type session = {
   quarantine : (string, int * string * reason) Hashtbl.t;
@@ -88,10 +88,13 @@ val make_context :
 val fork_context : context -> context
 (** An oracle-worker fork: id-preserving copy of the design (sites
     found on the original resolve identically on the fork), shared
-    immutable technology/set/resolver, fresh focus and measurer slots,
-    and a session that reads the parent's quarantine, collects its own
-    failures in [trapped] and never guards.  Nothing done through the
-    fork is visible through the original. *)
+    immutable technology/set/resolver, a fresh focus slot, a fork of
+    the parent's measurer ([Measure.fork] onto the copy) when the
+    parent has one, and a session that reads the parent's quarantine,
+    collects its own failures in [trapped], never guards and starts
+    without a shared analysis.  A measured fork therefore scores by
+    delta, as the parent does.  Forking only reads the parent, and
+    nothing done through the fork is visible through the original. *)
 
 val scan_comps : context -> D.comp list
 (** Components eligible for matching, in id order: every component, or
@@ -116,9 +119,19 @@ val analysis : context -> analysis option
     technology and resolver.  Every design mutator (undo included)
     bumps the generation, so a returned analysis is never stale. *)
 
-val set_analysis : context -> analysis -> unit
+val set_analysis :
+  context -> analysis -> advance:(D.entry list -> unit) -> unit
 (** Keep an analysis of the context's current state in its session,
-    replacing the previous one. *)
+    replacing the previous one.  [advance entries] must bring the
+    analysis up to date with committed edits (the entries of a
+    [D.log], in application order); see {!advance_analysis}. *)
+
+val advance_analysis : context -> generation:int -> D.entry list -> unit
+(** [advance_analysis ctx ~generation entries]: if the session's
+    analysis describes [ctx]'s design at [generation], feed it the
+    [entries] that took the design from there to its current state and
+    key it on the current generation.  Any other analysis is left
+    alone, so the next {!analysis} reports it out of date. *)
 
 type site = { site_comps : int list; site_data : int list; descr : string }
 

@@ -340,6 +340,22 @@ let analyze ?(input_arrivals = []) env design =
     (D.comps design);
   t
 
+(* An independent copy over [design], a [D.copy] of [t]'s design (ids
+   are preserved, so every table key still names the same net or
+   endpoint).  [Hashtbl.copy] keeps each table's iteration order, so
+   endpoint ties break on the copy as they do on [t]. *)
+let copy t ~design ~env =
+  {
+    design;
+    env;
+    resolve = resolver env;
+    input_arrivals = t.input_arrivals;
+    net_arrival = Hashtbl.copy t.net_arrival;
+    net_from = Hashtbl.copy t.net_from;
+    ep_arrival = Hashtbl.copy t.ep_arrival;
+    worst_cache = t.worst_cache;
+  }
+
 let worst_delay t =
   match t.worst_cache with
   | Some w -> w

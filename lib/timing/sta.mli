@@ -18,6 +18,14 @@ val analyze : ?input_arrivals:(string * float) list -> env -> D.t -> t
 (** Raises [Invalid_argument] on unmapped components or combinational
     loops. *)
 
+val copy : t -> design:D.t -> env:env -> t
+(** [copy t ~design ~env] is an independent analysis of [design], an
+    id-preserving copy of [t]'s design in the same state ([D.copy]),
+    read through [env]: the arrivals, endpoints and worst-delay cache
+    are copied, not recomputed.  Endpoints that tie on arrival are
+    listed in the same order as on [t].  Updating either leaves the
+    other as it was. *)
+
 val worst_delay : t -> float
 val endpoints : t -> (endpoint * float) list
 (** Sorted by arrival, latest first. *)

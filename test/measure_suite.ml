@@ -13,8 +13,15 @@
    totals against a from-scratch [Sta.analyze] + estimate fold, within
    1e-9 relative.  [Measure.set_debug_check true] additionally makes
    the measurer itself raise [Divergence] on any advance/retreat that
-   disagrees with a full recompute — the suite requires zero.  The
-   random stream is a fixed LCG, so failures reproduce exactly. *)
+   disagrees with a full recompute — the suite requires zero.
+
+   At three points of each case the context is forked the way an
+   oracle worker forks it ([Rule.fork_context], which forks the
+   measurer): the fork's copied timing must equal a fresh analysis of
+   the copied design bit for bit, the fork is driven through random
+   steps of its own under the same oracle, and the parent must come
+   out of it unchanged.  The random stream is a fixed LCG, so failures
+   reproduce exactly. *)
 
 module D = Milo_netlist.Design
 module R = Milo_rules.Rule
@@ -127,6 +134,60 @@ let step name i ctx m =
             check_state (where ^ " after failed apply") m;
             true))
 
+let bits = Int64.bits_of_float
+let same_float a b = Int64.equal (bits a) (bits b)
+
+(* A timing view as bits: the worst delay, every net's arrival and the
+   endpoints (sorted by endpoint, since ties may list in any order). *)
+let sta_image design sta =
+  ( bits (Sta.worst_delay sta),
+    List.map
+      (fun (n : D.net) -> (n.D.nid, Option.map bits (Sta.net_arrival sta n.D.nid)))
+      (D.nets design),
+    List.sort compare (List.map (fun (ep, a) -> (ep, bits a)) (Sta.endpoints sta)) )
+
+let fork_steps = 10
+let forks = ref 0
+
+(* Fork the measured context as an oracle worker does, check the
+   fork's copied timing against a fresh analysis, drive [fork_steps]
+   random steps on the fork, and check that the parent did not move. *)
+let fork_check name i ctx m =
+  let where = Printf.sprintf "%s fork at step %d" name i in
+  let totals = Measure.current m and sta = Measure.sta m in
+  let worst = Sta.worst_delay sta and endpoints = Sta.endpoints sta in
+  let fctx = R.fork_context ctx in
+  (match !(fctx.R.measurer) with
+  | None -> fail "%s: the fork has no measurer" where
+  | Some fm ->
+      incr forks;
+      let fresh =
+        Sta.analyze ~input_arrivals:[] (Measure.env fm) fctx.R.design
+      in
+      if sta_image fctx.R.design (Measure.sta fm) <> sta_image fctx.R.design fresh
+      then fail "%s: the copied timing differs from a fresh analysis" where;
+      let j = ref 0 in
+      while !j < fork_steps && step where !j fctx fm do
+        incr j
+      done);
+  let now = Measure.current m in
+  if
+    not
+      (same_float totals.Measure.delay now.Measure.delay
+      && same_float totals.Measure.area now.Measure.area
+      && same_float totals.Measure.power now.Measure.power)
+  then fail "%s: the parent's totals moved" where;
+  if not (same_float worst (Sta.worst_delay (Measure.sta m))) then
+    fail "%s: the parent's worst delay moved" where;
+  if
+    not
+      (List.equal
+         (fun (e, a) (e', a') -> e = e' && same_float a a')
+         endpoints
+         (Sta.endpoints (Measure.sta m)))
+  then fail "%s: the parent's endpoints moved" where;
+  check_state (where ^ ": parent") m
+
 let drive name design ~steps =
   let ctx = ctx_for design in
   match Measure.create ~input_arrivals:[] (Lazy.force ecl) design with
@@ -136,8 +197,15 @@ let drive name design ~steps =
       ctx.R.measurer := Some m;
       check_state (name ^ " initial") m;
       try
+        let fork_at = [ 0; steps / 3; 2 * steps / 3 ] in
         let i = ref 0 in
-        while !i < steps && step name !i ctx m do
+        while
+          !i < steps
+          && begin
+               if List.mem !i fork_at then fork_check name !i ctx m;
+               step name !i ctx m
+             end
+        do
           incr i
         done;
         let s = Measure.stats m in
@@ -174,6 +242,8 @@ let () =
       drive name mapped ~steps:30)
     [ Suite.design1 (); Suite.design4 (); Suite.design7 () ];
   Measure.set_debug_check false;
+  Printf.printf "%d forked measurers driven %d steps each\n" !forks fork_steps;
+  if !forks = 0 then fail "no measurer was forked";
   if !failures > 0 then (
     Printf.printf "%d failure(s)\n" !failures;
     exit 1)

@@ -93,11 +93,17 @@ let test_strategy_order () =
   Alcotest.(check bool) "small slack excludes strategy 7" true
     (not (List.mem 7 small))
 
+(* The time, area and power optimizers read a measurer. *)
+let measured_ctx tech d =
+  let ctx = Util.ctx_for tech d in
+  ctx.R.measurer := Some (Milo_measure.Measure.create tech d);
+  ctx
+
 let test_time_opt_reduces_delay () =
   let _, d = mapped_design ~gates:60 ~seed:41 in
   let reference = D.copy d in
-  let ctx = Util.ctx_for (Util.ecl ()) d in
-  let before = Milo_optimizer.Time_opt.worst ctx ~input_arrivals:[] in
+  let ctx = measured_ctx (Util.ecl ()) d in
+  let before = Milo_optimizer.Time_opt.worst ctx in
   let outcome =
     Milo_optimizer.Time_opt.optimize ~required:(before *. 0.75)
       ~cleanups:Milo_critic.Critic.cleanup ctx
@@ -115,14 +121,17 @@ let test_time_opt_reduces_delay () =
 
 let test_area_opt_respects_timing () =
   let _, d = mapped_design ~gates:50 ~seed:55 in
-  let ctx = Util.ctx_for (Util.ecl ()) d in
-  let before_delay = Milo_optimizer.Time_opt.worst ctx ~input_arrivals:[] in
+  let ctx = measured_ctx (Util.ecl ()) d in
+  let before_delay = Milo_optimizer.Time_opt.worst ctx in
   let required = before_delay +. 0.1 in
   ignore
     (Milo_optimizer.Area_opt.optimize ~required
        ~rules:(Milo_critic.Critic.area @ Milo_critic.Critic.logic)
        ~cleanups:Milo_critic.Critic.cleanup ctx);
-  let after_delay = Milo_optimizer.Time_opt.worst ctx ~input_arrivals:[] in
+  (* measured from scratch, not read off the measurer *)
+  let after_delay =
+    (Milo_rules.Engine.measure_fn ctx ~input_arrivals:[] ()).Milo_rules.Engine.delay
+  in
   Alcotest.(check bool) "constraint held" true (after_delay <= required +. 1e-6)
 
 let test_power_opt () =
@@ -142,6 +151,7 @@ let test_power_opt () =
           | None -> ())
       | None -> ())
     (D.comps d);
+  ctx.R.measurer := Some (Milo_measure.Measure.create (Util.ecl ()) d);
   let env name = Milo_library.Technology.find (Util.ecl ()) name in
   let before = Milo_estimate.Estimate.power env d in
   let apps =
@@ -335,8 +345,9 @@ let test_planted_debris_takes_full_path () =
 let test_hoisted_baseline_exact () =
   (* A task measures its fork once; every evaluation undoes itself
      exactly, so after each one the cost is bit-identical to that
-     baseline — for the per-level cost and for the area cost on a fork
-     without a measurer. *)
+     baseline — for the per-level cost on a fork without a measurer,
+     and for the area cost on the fork of a measured context, whose
+     forked measurer must retreat exactly. *)
   List.iter
     (fun (name, target, d) ->
       let ctx = ctx_of target d in
@@ -345,10 +356,14 @@ let test_hoisted_baseline_exact () =
         Milo_critic.Critic.logic @ Milo_critic.Critic.area @ Milo_critic.Critic.power
       in
       List.iter
-        (fun (cname, cost_factory) ->
+        (fun (cname, measured, cost_factory) ->
+          ctx.R.measurer :=
+            if measured then
+              Some (Milo_measure.Measure.create target.Table_map.tech d)
+            else None;
           let w = R.fork_context ctx in
-          Alcotest.(check bool) "fork has no measurer" true
-            (Option.is_none !(w.R.measurer));
+          Alcotest.(check bool) (cname ^ ": fork carries a measurer") measured
+            (Option.is_some !(w.R.measurer));
           let cost = cost_factory w in
           let before = cost () in
           List.iter
@@ -362,9 +377,9 @@ let test_hoisted_baseline_exact () =
                 (Engine.guarded_find w r))
             rules)
         [
-          ("level_cost", level_cost target);
+          ("level_cost", false, level_cost target);
           (* a tight constraint, so the delay penalty is part of the cost *)
-          ("area cost", Milo_optimizer.Area_opt.cost_fn ~required:0.0 ~input_arrivals:[]);
+          ("area cost", true, Milo_optimizer.Area_opt.cost_fn ~required:0.0);
         ])
     (List.filter
        (fun (name, _, _) ->
@@ -441,8 +456,11 @@ let plant_constant ctx target =
 
 let test_shared_absint_never_stale () =
   (* Per design: check at the first greedy step, plant a constant, check
-     again, run up to 3 greedy steps, check after them. *)
+     again, run up to 3 greedy steps, check after them.  The steps'
+     commits advance the shared analysis, so the check after them runs
+     on an advanced one. *)
   let stepped = ref 0 and sites = ref 0 and changed = ref 0 in
+  let incremental = ref 0 in
   List.iter
     (fun (name, target, d) ->
       let ctx = ctx_of target (D.copy d) in
@@ -455,22 +473,43 @@ let test_shared_absint_never_stale () =
           ctx ~cleanups Milo_critic.Critic.logic
       in
       let after = check_absint_sites (name ^ " after the steps") ctx in
+      Option.iter
+        (fun st ->
+          let stats = Milo_absint.Absint.stats st in
+          incremental := !incremental + stats.Milo_absint.Absint.incremental_runs)
+        (shared_facts ctx);
       if apps <> [] then incr stepped;
       sites := !sites + planted + after;
       if after <> planted then incr changed)
     (List.filter
        (fun (name, _, _) -> String.ends_with ~suffix:"/ecl" name)
        (mapped_cases ()));
-  Printf.printf "%d designs stepped, %d absint sites, %d site counts changed\n"
-    !stepped !sites !changed;
+  Printf.printf
+    "%d designs stepped, %d absint sites, %d site counts changed, %d incremental \
+     absint runs\n"
+    !stepped !sites !changed !incremental;
   Alcotest.(check bool) "greedy steps committed" true (!stepped > 6);
+  Alcotest.(check bool) "commits advanced the analysis" true (!incremental > 0);
   Alcotest.(check bool) "absint sites compared" true (!sites > 9);
   Alcotest.(check bool) "site lists changed between the checks" true (!changed > 3)
 
+(* An analysis's facts against a fresh analysis of the same state. *)
+let check_facts what ctx st =
+  let module A = Milo_absint.Absint in
+  let fresh = A.analyze ~resolve:ctx.R.resolve (R.find_macro ctx) ctx.R.design in
+  Alcotest.(check (list (pair int bool)))
+    (what ^ ": const nets") (A.const_nets fresh) (A.const_nets st);
+  Alcotest.(check (list int))
+    (what ^ ": dead comps") (A.dead_comps fresh) (A.dead_comps st);
+  Alcotest.(check (list int))
+    (what ^ ": unobservable comps")
+    (A.unobservable_comps fresh) (A.unobservable_comps st)
+
 let test_shared_absint_invalidation () =
-  (* The session's analysis is reused on an unchanged state and
-     replaced after a design edit, an undo and a committed greedy step;
-     a constant planted between two finds shows up in the second. *)
+  (* The session's analysis is reused on an unchanged state, replaced
+     after a design edit or an undo, and advanced by a committed greedy
+     step; a constant planted between two finds shows up in the
+     second. *)
   let target = Table_map.ecl_target () in
   let _, d = mapped_design ~gates:150 ~seed:7 in
   let ctx = ctx_of target d in
@@ -506,12 +545,114 @@ let test_shared_absint_invalidation () =
   | Engine.Committed _ -> ()
   | Engine.Refused | Engine.Quiescent ->
       Alcotest.fail "no greedy step to commit");
-  stale "commit";
-  let a3 = find "commit" in
-  Alcotest.(check bool) "commit: re-analysed" true (a3 != a2);
+  Alcotest.(check bool) "commit: the same analysis, advanced" true
+    (match shared_facts ctx with Some st -> st == a2 | None -> false);
+  check_facts "commit" ctx a2;
   let victim = plant_constant ctx target in
+  stale "plant";
   Alcotest.(check bool) "planted constant is found" true
     (List.exists (fun s -> s.R.site_comps = [ victim ]) (collapse.R.find ctx))
+
+(* --- In-order strategy dispatch ---------------------------------------- *)
+
+module Time_opt = Milo_optimizer.Time_opt
+module Strategies = Milo_optimizer.Strategies
+
+(* The speculative dispatch that in-order dispatch replaced, kept as
+   the reference: each iteration runs every eligible strategy's oracle
+   on its own fork, then re-runs the first success on the real context.
+   Returns the steps and how many oracles ran. *)
+let speculative_optimize ~required ctx =
+  let oracles = ref 0 in
+  let rec loop n acc =
+    let current = Time_opt.worst ctx in
+    if current <= required || n >= 64 then List.rev acc
+    else
+      let order =
+        Strategies.order_for ~deficit:(current -. required)
+          ~required:(Float.max required current)
+      in
+      let helps =
+        List.filter
+          (fun id ->
+            incr oracles;
+            Time_opt.try_strategy (R.fork_context ctx) ~cleanups (Strategies.by_id id)
+            <> None)
+          order
+      in
+      match
+        List.find_map
+          (fun id -> Time_opt.try_strategy ctx ~cleanups (Strategies.by_id id))
+          helps
+      with
+      | Some step -> loop (n + 1) (step :: acc)
+      | None -> List.rev acc
+  in
+  let steps = loop 0 [] in
+  (steps, !oracles)
+
+let step_image (s : Time_opt.step) =
+  Printf.sprintf "%s | %s | %h -> %h" s.Time_opt.step_strategy s.Time_opt.step_detail
+    s.Time_opt.delay_before s.Time_opt.delay_after
+
+let test_in_order_dispatch () =
+  (* Designs 1-8 under ECL and CMOS with the paper's constraints, and
+     150-gate random logic at half its delay: in-order dispatch takes
+     the steps the speculative reference takes, to the bit, and on
+     random logic it runs fewer oracles. *)
+  let suite =
+    List.concat_map
+      (fun (case : Milo_designs.Suite.case) ->
+        let c = case.Milo_designs.Suite.constraints in
+        List.map
+          (fun tech ->
+            let mapped, _ =
+              Milo.Flow.human_baseline ~technology:tech
+                case.Milo_designs.Suite.case_design
+            in
+            ( case.Milo_designs.Suite.case_name ^ "/" ^ Milo.Flow.technology_name tech,
+              Milo.Flow.target_of tech,
+              mapped,
+              c.Milo.Constraints.required_delay,
+              c.Milo.Constraints.input_arrivals ))
+          [ Milo.Flow.Ecl; Milo.Flow.Cmos ])
+      (Milo_designs.Suite.all ())
+  in
+  let rl_name, rl_target, rl = Mapped_cases.random_logic 150 in
+  let total = ref 0 in
+  List.iter
+    (fun (name, (target : Table_map.target), d, required, input_arrivals) ->
+      let measured () =
+        let d = D.copy d in
+        let ctx = ctx_of target d in
+        ctx.R.measurer :=
+          Some (Milo_measure.Measure.create ~input_arrivals target.Table_map.tech d);
+        ctx
+      in
+      let reference = measured () and ctx = measured () in
+      let required =
+        match required with Some r -> r | None -> 0.5 *. Time_opt.worst ctx
+      in
+      let steps, oracles = speculative_optimize ~required reference in
+      let budget = Milo_rules.Budget.unlimited () in
+      let outcome = Time_opt.optimize ~required ~budget ~cleanups ctx in
+      total := !total + List.length steps;
+      Alcotest.(check (list string)) (name ^ ": same steps")
+        (List.map step_image steps)
+        (List.map step_image outcome.Time_opt.steps);
+      Alcotest.(check bool) (name ^ ": same design") true
+        (D.equal_structure reference.R.design ctx.R.design);
+      if name = rl_name then begin
+        let evals = (Milo_rules.Budget.status budget).Milo_rules.Budget.evals_used in
+        Printf.printf "%s: %d steps, %d budget evals, %d reference oracles\n" name
+          (List.length steps) evals oracles;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: budget evals < reference oracles" name)
+          true (evals < oracles)
+      end)
+    (suite @ [ (rl_name, rl_target, rl, None, []) ]);
+  Printf.printf "%d strategy steps compared\n" !total;
+  Alcotest.(check bool) "strategy steps compared" true (!total > 10)
 
 let () =
   Alcotest.run "optimizer"
@@ -525,8 +666,11 @@ let () =
           Alcotest.test_case "slack ordering" `Quick test_strategy_order;
         ] );
       ( "time-opt",
-        [ Alcotest.test_case "reduces delay" `Quick test_time_opt_reduces_delay ]
-      );
+        [
+          Alcotest.test_case "reduces delay" `Quick test_time_opt_reduces_delay;
+          Alcotest.test_case "in-order = speculative dispatch" `Slow
+            test_in_order_dispatch;
+        ] );
       ( "area-opt",
         [ Alcotest.test_case "respects timing" `Quick test_area_opt_respects_timing ]
       );
@@ -543,7 +687,7 @@ let () =
         [
           Alcotest.test_case "never stale over greedy steps" `Slow
             test_shared_absint_never_stale;
-          Alcotest.test_case "edit, undo and commit re-analyse" `Quick
+          Alcotest.test_case "edit, undo drop; commit advances" `Quick
             test_shared_absint_invalidation;
         ] );
       ( "hierarchical",
