@@ -22,7 +22,16 @@
    liveness (structural reachability from output ports) and
    observability (can toggling a net change an observable output,
    with proved-constant side inputs held at their constants).
-   Observability marks only grow, so that pass terminates too. *)
+   Observability marks only grow, so that pass terminates too.
+
+   After committed edits ([advance]) a refresh pays for what the edits
+   changed (the Rete discipline of the paper's Section 2.2.1).
+   Constants are reset only where an old fact can depend on an edit,
+   then re-derived from there.  Liveness and observability re-decide
+   only the facts whose inputs changed, with grow-then-shrink
+   worklists; on a cyclic component graph that would keep a
+   self-supporting loop the full passes drop, so there they run in
+   full. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -55,8 +64,10 @@ let env_of_techs techs =
 type stats = {
   mutable full_runs : int;
   mutable incremental_runs : int;
+  mutable fallback_runs : int;
   mutable transfers : int;
 }
+
 
 type t = {
   ai_design : D.t;
@@ -66,9 +77,14 @@ type t = {
   poisoned : (int, unit) Hashtbl.t;  (* pinned ⊤: multi-driven / conflict *)
   multi : (int, unit) Hashtbl.t;  (* multi-driven nets *)
   obs_nets : (int, unit) Hashtbl.t;
+  live_nets : (int, unit) Hashtbl.t;
   live_comps : (int, unit) Hashtbl.t;
   dirty_nets : (int, unit) Hashtbl.t;
   dirty_comps : (int, unit) Hashtbl.t;
+  mutable order : (int, float) Hashtbl.t option;
+      (* a topological index of the component graph (every edge
+         climbs), for the change-driven backward passes; [None] before
+         it is built and while the graph has a cycle *)
   mutable fresh : bool;  (* facts match the design *)
   mutable full_needed : bool;
   ai_stats : stats;
@@ -120,6 +136,33 @@ let output_conns st (c : D.comp) =
       | T.Input -> acc
       | exception _ -> acc)
     c.D.conns []
+
+(* How the backward passes and the ordering read a pin: a pin that
+   fails to resolve counts both ways. *)
+let is_input st cid pin =
+  match D.pin_dir ~resolve:st.ai_resolve st.ai_design cid pin with
+  | T.Input -> true
+  | T.Output -> false
+  | exception _ -> true
+
+let is_output st cid pin =
+  match D.pin_dir ~resolve:st.ai_resolve st.ai_design cid pin with
+  | T.Output -> true
+  | T.Input -> false
+  | exception _ -> true
+
+(* The nets [c] reads. *)
+let iter_input_nets st (c : D.comp) f =
+  Hashtbl.iter (fun pin nid -> if is_input st c.D.id pin then f nid) c.D.conns
+
+(* Is [cid] the driver ([D.driver]) of [nid]? *)
+let drives st cid nid =
+  match D.driver ~resolve:st.ai_resolve st.ai_design nid with
+  | D.Src_comp (c, _) -> c = cid
+  | D.Src_port _ | D.Src_none -> false
+
+let port_output (n : D.net) =
+  match n.D.nport with Some (_, T.Output) -> true | Some (_, T.Input) | None -> false
 
 (* --- Net initialization ------------------------------------------------ *)
 
@@ -221,7 +264,9 @@ let transfer st (c : D.comp) : (int * value) list =
 
 (* --- Constant fixpoint ------------------------------------------------- *)
 
-let run_const st seeds =
+(* [note nid v] is told each net's value [v] before the net is
+   refined. *)
+let run_const ?(note = fun _ _ -> ()) st seeds =
   let queue = Queue.create () in
   let queued = Hashtbl.create 64 in
   let push cid =
@@ -249,6 +294,7 @@ let run_const st seeds =
               match refined with
               | None -> ()
               | Some nv ->
+                  note nid (net_value_raw st nid);
                   Hashtbl.replace st.values nid nv;
                   if nv = Top then Hashtbl.replace st.poisoned nid ();
                   List.iter
@@ -260,12 +306,14 @@ let run_const st seeds =
 
 (* --- Liveness ----------------------------------------------------------- *)
 
+(* A net is live when an output port reads it or a live component
+   does; a component is live when it drives ([D.driver]) a live net. *)
 let run_liveness st =
+  Hashtbl.reset st.live_nets;
   Hashtbl.reset st.live_comps;
-  let seen = Hashtbl.create 64 in
   let rec net nid =
-    if not (Hashtbl.mem seen nid) then begin
-      Hashtbl.replace seen nid ();
+    if not (Hashtbl.mem st.live_nets nid) then begin
+      Hashtbl.replace st.live_nets nid ();
       match D.driver ~resolve:st.ai_resolve st.ai_design nid with
       | D.Src_comp (cid, _) -> comp cid
       | D.Src_port _ | D.Src_none -> ()
@@ -275,16 +323,7 @@ let run_liveness st =
       Hashtbl.replace st.live_comps cid ();
       match D.comp_opt st.ai_design cid with
       | None -> ()
-      | Some c ->
-          Hashtbl.iter
-            (fun pin nid ->
-              match
-                D.pin_dir ~resolve:st.ai_resolve st.ai_design cid pin
-              with
-              | T.Input -> net nid
-              | T.Output -> ()
-              | exception _ -> net nid)
-            c.D.conns
+      | Some c -> iter_input_nets st c net
     end
   in
   List.iter
@@ -338,6 +377,17 @@ let pin_propagates st (c : D.comp) inputs obs p =
       !differs
     with _ -> true
 
+(* The output pins through which [c] makes its inputs observable: those
+   on an observable net it drives.  (The pass below reaches a component
+   only through a net it drives, so counting its other outputs would
+   make the result depend on the visiting order.) *)
+let observed_outputs st (c : D.comp) =
+  List.filter_map
+    (fun (pin, nid) ->
+      if Hashtbl.mem st.obs_nets nid && drives st c.D.id nid then Some pin
+      else None)
+    (output_conns st c)
+
 let run_observability st =
   Hashtbl.reset st.obs_nets;
   let queue = Queue.create () in
@@ -365,24 +415,9 @@ let run_observability st =
     match D.comp_opt st.ai_design cid with
     | None -> ()
     | Some c ->
-        let obs_outs =
-          List.filter_map
-            (fun (pin, nid) ->
-              if Hashtbl.mem st.obs_nets nid then Some pin else None)
-            (output_conns st c)
-        in
+        let obs_outs = observed_outputs st c in
         if obs_outs <> [] then begin
-          let conservative () =
-            Hashtbl.iter
-              (fun pin nid ->
-                match
-                  D.pin_dir ~resolve:st.ai_resolve st.ai_design cid pin
-                with
-                | T.Input -> mark nid
-                | T.Output -> ()
-                | exception _ -> mark nid)
-              c.D.conns
-          in
+          let conservative () = iter_input_nets st c mark in
           if comp_is_opaque st c then conservative ()
           else
             match comb_input_pins st c with
@@ -411,63 +446,354 @@ let run_full st =
   run_const st (List.map (fun (c : D.comp) -> c.D.id) (D.comps st.ai_design));
   st.ai_stats.full_runs <- st.ai_stats.full_runs + 1
 
-(* Forward closure of the touched nets: everything whose value may
-   depend on them, collected as (nets to re-initialize, components to
-   re-evaluate). *)
-let run_incremental st =
-  let cl_nets = Hashtbl.create 64 and cl_comps = Hashtbl.create 64 in
-  let rec net nid =
-    if not (Hashtbl.mem cl_nets nid) then begin
-      Hashtbl.replace cl_nets nid ();
-      match D.net_opt st.ai_design nid with
-      | None -> ()
-      | Some _ ->
-          List.iter
-            (fun (cid, _) -> comp cid)
-            (D.sinks ~resolve:st.ai_resolve st.ai_design nid)
-    end
-  and comp cid =
-    if not (Hashtbl.mem cl_comps cid) then begin
-      Hashtbl.replace cl_comps cid ();
-      match D.comp_opt st.ai_design cid with
-      | None -> ()
-      | Some c -> List.iter (fun (_, nid) -> net nid) (output_conns st c)
-    end
-  in
-  Hashtbl.iter (fun nid () -> net nid) st.dirty_nets;
+(* Was [nid]'s value derived, so that its readers' outputs may have been
+   derived from it?  A constant, or a conflict poison (a constant came
+   first); a multi-driver poison is ⊤ from the start. *)
+let is_fact st nid =
+  match net_value_raw st nid with
+  | Zero | One -> true
+  | Top -> Hashtbl.mem st.poisoned nid && not (Hashtbl.mem st.multi nid)
+
+(* The nets the pending edits touch: the dirty nets and every net of a
+   dirty component. *)
+let touched_nets st =
+  let touched = Hashtbl.copy st.dirty_nets in
   Hashtbl.iter
     (fun cid () ->
-      (* every net a dirty component touches, not just its outputs:
-         a reconnected output pin changes the driver census of the
-         net it now drives *)
-      comp cid;
       match D.comp_opt st.ai_design cid with
-      | None -> ()
-      | Some c -> Hashtbl.iter (fun _ nid -> net nid) c.D.conns)
+      | Some c -> Hashtbl.iter (fun _ nid -> Hashtbl.replace touched nid ()) c.D.conns
+      | None -> ())
     st.dirty_comps;
-  let seeds = Hashtbl.copy cl_comps in
+  touched
+
+(* Change-driven constants.  The reset region is the touched nets,
+   closed forward through every net whose old value was a fact, to the
+   outputs of its readers.  A constant outside the region was derived
+   without any net of it, so it still holds; re-deriving the region
+   from its re-initialised values therefore reaches the fixpoint a fresh
+   [analyze] reaches.  The fixpoint restarts from the dirty components,
+   the drivers of the reset nets, and the readers of every reset net
+   that was a fact or is not ⊤ after re-initialising (new nets
+   included).  Returns the nets whose value moved. *)
+let run_incremental st touched =
+  let design = st.ai_design and resolve = st.ai_resolve in
+  let before = Hashtbl.create 64 in
+  let rec reset nid =
+    if not (Hashtbl.mem before nid) then begin
+      Hashtbl.replace before nid (net_value_raw st nid);
+      if is_fact st nid && D.net_opt design nid <> None then
+        List.iter
+          (fun (cid, _) ->
+            match D.comp_opt design cid with
+            | Some c -> List.iter (fun (_, out) -> reset out) (output_conns st c)
+            | None -> ())
+          (D.sinks ~resolve design nid)
+    end
+  in
+  Hashtbl.iter (fun nid () -> reset nid) touched;
+  let seeds = Hashtbl.copy st.dirty_comps in
+  let seed cid = Hashtbl.replace seeds cid () in
   Hashtbl.iter
-    (fun nid () ->
-      match D.net_opt st.ai_design nid with
+    (fun nid _ ->
+      match D.net_opt design nid with
       | None ->
           Hashtbl.remove st.values nid;
           Hashtbl.remove st.poisoned nid;
           Hashtbl.remove st.multi nid
-      | Some n -> (
+      | Some n ->
+          let fact = is_fact st nid in
           init_net st n;
-          (* the (possibly unchanged) driver recomputes the value *)
-          match D.driver ~resolve:st.ai_resolve st.ai_design nid with
-          | D.Src_comp (cid, _) -> Hashtbl.replace seeds cid ()
-          | D.Src_port _ | D.Src_none -> ()))
-    cl_nets;
-  run_const st (Hashtbl.fold (fun cid () acc -> cid :: acc) seeds []);
-  st.ai_stats.incremental_runs <- st.ai_stats.incremental_runs + 1
+          (match D.driver ~resolve design nid with
+          | D.Src_comp (cid, _) -> seed cid
+          | D.Src_port _ | D.Src_none -> ());
+          if fact || net_value_raw st nid <> Top then
+            List.iter (fun (cid, _) -> seed cid) (D.sinks ~resolve design nid))
+    before;
+  let note nid v = if not (Hashtbl.mem before nid) then Hashtbl.replace before nid v in
+  run_const ~note st (Hashtbl.fold (fun cid () acc -> cid :: acc) seeds []);
+  st.ai_stats.incremental_runs <- st.ai_stats.incremental_runs + 1;
+  Hashtbl.fold
+    (fun nid v acc ->
+      if D.net_opt design nid <> None && net_value_raw st nid <> v then nid :: acc
+      else acc)
+    before []
 
+(* --- Component order ---------------------------------------------------- *)
+
+(* [f] on each component an edge of the component graph leads to from
+   [c] ([`Succ]: [c]'s readers) or from which one leads to [c]
+   ([`Pred]: its drivers). *)
+let iter_neighbours st (c : D.comp) side f =
+  let mine, theirs =
+    match side with `Succ -> (is_output, is_input) | `Pred -> (is_input, is_output)
+  in
+  Hashtbl.iter
+    (fun pin nid ->
+      if mine st c.D.id pin then
+        match D.net_opt st.ai_design nid with
+        | Some n -> List.iter (fun (cid, p) -> if theirs st cid p then f cid) n.D.npins
+        | None -> ())
+    c.D.conns
+
+exception Cycle
+
+(* One depth-first search over the component graph: a topological
+   index, or [None] on a cycle. *)
+let build_order st =
+  let design = st.ai_design in
+  let open_ = Hashtbl.create (D.num_comps design) in
+  let finished = ref [] in
+  let rec visit cid =
+    match Hashtbl.find_opt open_ cid with
+    | Some false -> ()
+    | Some true -> raise Cycle
+    | None ->
+        Hashtbl.replace open_ cid true;
+        (match D.comp_opt design cid with
+        | Some c -> iter_neighbours st c `Succ visit
+        | None -> ());
+        Hashtbl.replace open_ cid false;
+        finished := cid :: !finished
+  in
+  match List.iter (fun (c : D.comp) -> visit c.D.id) (D.comps design) with
+  | () ->
+      let idx = Hashtbl.create (D.num_comps design) in
+      List.iteri (fun i cid -> Hashtbl.replace idx cid (float_of_int i)) !finished;
+      Some idx
+  | exception Cycle -> None
+
+(* Keep [idx] topological over the dirty components' edits.  Each dirty
+   component keeps its index while every edge it has still climbs
+   through it, and otherwise moves between its drivers and its readers.
+   Every new edge has a dirty end, so this checks them all.  [false]
+   when a component has no room: a cycle, or the floats between its
+   neighbours ran out. *)
+let place st idx =
+  let fits = ref true in
+  Hashtbl.iter
+    (fun cid () ->
+      match D.comp_opt st.ai_design cid with
+      | None -> Hashtbl.remove idx cid
+      | Some c when !fits -> (
+          let lo = ref neg_infinity and hi = ref infinity in
+          let bound side f =
+            iter_neighbours st c side (fun o ->
+                if o = cid then fits := false
+                else Option.iter f (Hashtbl.find_opt idx o))
+          in
+          bound `Pred (fun i -> lo := Float.max !lo i);
+          bound `Succ (fun i -> hi := Float.min !hi i);
+          let lo = !lo and hi = !hi in
+          match Hashtbl.find_opt idx cid with
+          | Some i when lo < i && i < hi -> ()
+          | Some _ | None ->
+              let at =
+                if lo = neg_infinity && hi = infinity then 0.0
+                else if lo = neg_infinity then hi -. 1.0
+                else if hi = infinity then lo +. 1.0
+                else (lo +. hi) /. 2.0
+              in
+              if lo < at && at < hi then Hashtbl.replace idx cid at
+              else fits := false)
+      | Some _ -> ())
+    st.dirty_comps;
+  !fits
+
+(* Is the component graph acyclic?  Brings the index up to date with the
+   dirty components first, rebuilding it when they do not fit (or it
+   is missing: a cycle is searched for again at every refresh until a
+   rebuild finds none). *)
+let acyclic st =
+  (match st.order with
+  | Some idx when place st idx -> ()
+  | Some _ | None -> st.order <- build_order st);
+  Option.is_some st.order
+
+(* --- Change-driven liveness and observability --------------------------- *)
+
+(* Re-decide a monotone fact after an edit, starting from the fixpoint
+   of before it.  [holds x] recomputes [x]'s fact from its neighbours
+   with the full pass's rule; [depends x f] calls [f] on every item
+   whose fact reads [x]'s.  [seeds] must hold every item whose rule, or
+   whose inputs other than these facts, the edit changed.
+
+   Two phases: the first applies only off→on flips, the second only
+   on→off ones.  After the first, every fact that is on outside the
+   seeds still holds, so the second only withdraws support and ends on
+   a fixpoint.  On an acyclic graph the fixpoint is unique, so it is
+   the one the full pass computes; on a cyclic one the second phase
+   keeps a self-supporting loop, which the full pass's least fixpoint
+   drops.  A single mixed worklist is also exact on an acyclic graph,
+   but it switches a new reader's inputs off before the reader is
+   switched on, and the switch-off cascades up the fan-in. *)
+let settle ~mem ~set ~holds ~depends seeds =
+  let phase on =
+    let queue = Queue.create () and queued = Hashtbl.create 64 in
+    let push x =
+      if not (Hashtbl.mem queued x) then begin
+        Hashtbl.replace queued x ();
+        Queue.add x queue
+      end
+    in
+    List.iter push seeds;
+    while not (Queue.is_empty queue) do
+      let x = Queue.pop queue in
+      Hashtbl.remove queued x;
+      if mem x <> on && holds x = on then begin
+        set x on;
+        depends x push
+      end
+    done
+  in
+  phase true;
+  phase false
+
+let set_in tbl k on = if on then Hashtbl.replace tbl k () else Hashtbl.remove tbl k
+
+type item = Net of int | Comp of int
+
+(* [run_liveness]'s rules, one fact at a time. *)
+let live_holds st = function
+  | Net nid -> (
+      match D.net_opt st.ai_design nid with
+      | None -> false
+      | Some n ->
+          port_output n
+          || List.exists
+               (fun (cid, pin) -> Hashtbl.mem st.live_comps cid && is_input st cid pin)
+               n.D.npins)
+  | Comp cid -> (
+      match D.comp_opt st.ai_design cid with
+      | None -> false
+      | Some c ->
+          Hashtbl.fold
+            (fun _ nid found ->
+              found || (Hashtbl.mem st.live_nets nid && drives st cid nid))
+            c.D.conns false)
+
+let live_depends st x push =
+  match x with
+  | Net nid -> (
+      match D.driver ~resolve:st.ai_resolve st.ai_design nid with
+      | D.Src_comp (cid, _) -> push (Comp cid)
+      | D.Src_port _ | D.Src_none -> ())
+  | Comp cid -> (
+      match D.comp_opt st.ai_design cid with
+      | Some c -> iter_input_nets st c (fun nid -> push (Net nid))
+      | None -> ())
+
+(* [run_observability]'s rule: does [c] make its input pin [pin]
+   observable? *)
+let supports st (c : D.comp) pin =
+  match observed_outputs st c with
+  | [] -> false
+  | obs -> (
+      if comp_is_opaque st c then is_input st c.D.id pin
+      else
+        match comb_input_pins st c with
+        | exception _ -> is_input st c.D.id pin
+        | inputs -> List.mem_assoc pin inputs && pin_propagates st c inputs obs pin)
+
+let obs_holds st nid =
+  match D.net_opt st.ai_design nid with
+  | None -> false
+  | Some n ->
+      port_output n
+      || List.exists
+           (fun (cid, pin) ->
+             match D.comp_opt st.ai_design cid with
+             | Some c -> supports st c pin
+             | None -> false)
+           n.D.npins
+
+let obs_depends st nid push =
+  match D.driver ~resolve:st.ai_resolve st.ai_design nid with
+  | D.Src_comp (cid, _) -> (
+      match D.comp_opt st.ai_design cid with
+      | Some c -> iter_input_nets st c push
+      | None -> ())
+  | D.Src_port _ | D.Src_none -> ()
+
+(* Liveness re-decides the touched nets, the dirty components and every
+   driver of a touched net (it may have stopped being the net's
+   [D.driver]).  Observability re-decides the touched nets, the inputs
+   of every driver of a touched net, and the inputs of every reader of a
+   moved net: a moved side input can mask or unmask a pin. *)
+let run_backward st touched moved =
+  let design = st.ai_design in
+  Hashtbl.iter
+    (fun cid () ->
+      if D.comp_opt design cid = None then Hashtbl.remove st.live_comps cid)
+    st.dirty_comps;
+  let live = ref [] and obs = ref [] in
+  let inputs_of cid =
+    match D.comp_opt design cid with
+    | Some c -> iter_input_nets st c (fun m -> obs := m :: !obs)
+    | None -> ()
+  in
+  Hashtbl.iter (fun cid () -> live := Comp cid :: !live) st.dirty_comps;
+  Hashtbl.iter
+    (fun nid () ->
+      live := Net nid :: !live;
+      obs := nid :: !obs;
+      match D.net_opt design nid with
+      | Some n ->
+          List.iter
+            (fun (cid, pin) ->
+              if is_output st cid pin then begin
+                live := Comp cid :: !live;
+                inputs_of cid
+              end)
+            n.D.npins
+      | None ->
+          Hashtbl.remove st.live_nets nid;
+          Hashtbl.remove st.obs_nets nid)
+    touched;
+  List.iter
+    (fun nid ->
+      List.iter
+        (fun (cid, pin) -> if is_input st cid pin then inputs_of cid)
+        (D.net design nid).D.npins)
+    moved;
+  settle
+    ~mem:(function
+      | Net nid -> Hashtbl.mem st.live_nets nid
+      | Comp cid -> Hashtbl.mem st.live_comps cid)
+    ~set:(fun x on ->
+      match x with
+      | Net nid -> set_in st.live_nets nid on
+      | Comp cid -> set_in st.live_comps cid on)
+    ~holds:(live_holds st) ~depends:(live_depends st) !live;
+  settle ~mem:(Hashtbl.mem st.obs_nets) ~set:(set_in st.obs_nets)
+    ~holds:(obs_holds st) ~depends:(obs_depends st) !obs
+
+let refresh_stale st =
+  if st.full_needed then begin
+    run_full st;
+    st.order <- None;
+    run_liveness st;
+    run_observability st
+  end
+  else begin
+    let touched = touched_nets st in
+    let moved = run_incremental st touched in
+    if acyclic st then run_backward st touched moved
+    else begin
+      st.ai_stats.fallback_runs <- st.ai_stats.fallback_runs + 1;
+      run_liveness st;
+      run_observability st
+    end
+  end
+
+(* A refresh that raises leaves half-updated facts: the next one starts
+   over. *)
 let refresh st =
   if not st.fresh then begin
-    if st.full_needed then run_full st else run_incremental st;
-    run_liveness st;
-    run_observability st;
+    (match refresh_stale st with
+    | () -> ()
+    | exception e ->
+        st.full_needed <- true;
+        raise e);
     Hashtbl.reset st.dirty_nets;
     Hashtbl.reset st.dirty_comps;
     st.full_needed <- false;
@@ -497,12 +823,15 @@ let analyze ?resolve env design =
       poisoned = Hashtbl.create 16;
       multi = Hashtbl.create 16;
       obs_nets = Hashtbl.create 256;
+      live_nets = Hashtbl.create 256;
       live_comps = Hashtbl.create 256;
       dirty_nets = Hashtbl.create 16;
       dirty_comps = Hashtbl.create 16;
+      order = None;
       fresh = false;
       full_needed = true;
-      ai_stats = { full_runs = 0; incremental_runs = 0; transfers = 0 };
+      ai_stats =
+        { full_runs = 0; incremental_runs = 0; fallback_runs = 0; transfers = 0 };
     }
   in
   refresh st;

@@ -17,8 +17,8 @@
 
     The analysis is incremental in the same shape as
     [Milo_measure.Measure]: feed the change-log entries of committed
-    edits to {!advance} and queries re-run the fixpoint only over the
-    forward closure of the touched nets. *)
+    edits to {!advance}, and the next query re-derives only the facts
+    the edits can have changed (see {!advance}). *)
 
 module D = Milo_netlist.Design
 
@@ -45,10 +45,18 @@ val design : t -> D.t
 
 val advance : t -> D.entry list -> unit
 (** Note committed design edits (the entries of a [D.log], in
-    application order).  Facts are refreshed lazily at the next
-    query: constants re-run from the forward closure of the touched
-    nets, liveness/observability rebuild (they are cheap, near-linear
-    passes). *)
+    application order).  Facts are refreshed lazily at the next query,
+    in time proportional to what the edits changed, and equal to a
+    fresh {!analyze} of the edited design:
+    - constants are reset from the touched nets (the edited nets and
+      every net of an edited component) forward through the nets whose
+      value was a derived fact, and re-derived from there;
+    - liveness and observability re-decide only the touched facts and
+      the facts that depend on them, or on a net whose value moved.
+      This needs an acyclic component graph (a topological index is
+      built at the first such refresh and kept up to date); while the
+      graph has a cycle, for instance sequential feedback, both run as
+      full passes ({!stats}[.fallback_runs]). *)
 
 val invalidate : t -> unit
 (** Force the next query to re-run the full fixpoint. *)
@@ -94,8 +102,11 @@ val multi_driven : t -> int list
 (** {2 Summary} *)
 
 type stats = {
-  mutable full_runs : int;
-  mutable incremental_runs : int;
+  mutable full_runs : int;  (** full fixpoints: {!analyze}, {!invalidate} *)
+  mutable incremental_runs : int;  (** refreshes after an {!advance} *)
+  mutable fallback_runs : int;
+      (** of those, the ones whose liveness and observability ran as full
+          passes because the component graph had a cycle *)
   mutable transfers : int;  (** component transfer-function evaluations *)
 }
 

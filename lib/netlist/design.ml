@@ -147,7 +147,14 @@ type t = {
       (* observer fired by [commit ~design] with the committed entries;
          deliberately per-design (scratch copies stay silent) and not
          propagated by [copy]. *)
+  mutable comp_list : int * comp list;
+  mutable net_list : int * net list;
+      (* [comps] and [nets] as of the generation they were listed at
+         ([unlisted] before the first call) *)
 }
+
+(* Generations start at 0, so no design is ever at this one. *)
+let unlisted = -1
 
 let new_log () : log = ref []
 let record log e = match log with None -> () | Some l -> l := e :: !l
@@ -162,6 +169,8 @@ let create dname =
     next_net = 0;
     generation = 0;
     on_commit = None;
+    comp_list = (unlisted, []);
+    net_list = (unlisted, []);
   }
 
 let name t = t.dname
@@ -173,13 +182,32 @@ let net t id = Hashtbl.find t.nets id
 let net_opt t id = Hashtbl.find_opt t.nets id
 let ports t = List.rev t.ports
 
+(* Every mutation of the tables bumps the generation, so a listing is
+   valid exactly while the generation is the one it was made at.  Like
+   the pin-direction memos below, each is one mutable field holding an
+   immutable pair: two domains reading one design race only into a
+   recompute. *)
 let comps t =
-  Hashtbl.fold (fun _ c acc -> c :: acc) t.comps []
-  |> List.sort (fun a b -> compare a.id b.id)
+  match t.comp_list with
+  | g, l when g = t.generation -> l
+  | _ ->
+      let l =
+        Hashtbl.fold (fun _ c acc -> c :: acc) t.comps []
+        |> List.sort (fun a b -> compare a.id b.id)
+      in
+      t.comp_list <- (t.generation, l);
+      l
 
 let nets t =
-  Hashtbl.fold (fun _ n acc -> n :: acc) t.nets []
-  |> List.sort (fun a b -> compare a.nid b.nid)
+  match t.net_list with
+  | g, l when g = t.generation -> l
+  | _ ->
+      let l =
+        Hashtbl.fold (fun _ n acc -> n :: acc) t.nets []
+        |> List.sort (fun a b -> compare a.nid b.nid)
+      in
+      t.net_list <- (t.generation, l);
+      l
 
 let num_comps t = Hashtbl.length t.comps
 let num_nets t = Hashtbl.length t.nets

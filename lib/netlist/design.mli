@@ -89,7 +89,12 @@ val net : t -> int -> net
 val net_opt : t -> int -> net option
 val ports : t -> (string * Types.dir * int) list
 val comps : t -> comp list
+(** Every component, in id order.  The list is memoised until the next
+    mutation (keyed on {!generation}); a {!copy} lists afresh. *)
+
 val nets : t -> net list
+(** Every net, in id order; memoised like {!comps}. *)
+
 val num_comps : t -> int
 val num_nets : t -> int
 

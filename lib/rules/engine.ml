@@ -684,8 +684,12 @@ let cleanup_quiet ctx cleanups =
    so every cleanup site lies in their neighbourhood: each [find] scans
    only that, recomputed whenever the log has grown so cascades follow
    their own edits.  Under the locality contract both modes fire the
-   same sites in the same order.  Returns the budget left: 0 when it
-   ran out. *)
+   same sites in the same order.  Returns the budget left (0 when it
+   ran out) and whether the last pass found no site at all — stronger
+   than firing nothing, since a site can match and then refuse.  With
+   [near], a last pass that found nothing leaves the design
+   cleanup-quiet.  (A value, not a global: workers run this
+   concurrently.) *)
 let cleanups_to_fixpoint ~near ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
   let hood = ref None in
@@ -708,12 +712,14 @@ let cleanups_to_fixpoint ~near ctx cleanups log =
     end
   in
   let rec pass () =
+    let found = ref false in
     let fired =
       List.exists
         (fun (r : Rule.t) ->
           !budget > 0
           && List.exists
                (fun site ->
+                 found := true;
                  !budget > 0
                  && Rule.site_alive ctx site
                  && guarded_apply ctx r site log
@@ -722,10 +728,10 @@ let cleanups_to_fixpoint ~near ctx cleanups log =
                (find r))
         cleanups
     in
-    if fired && !budget > 0 then pass ()
+    if fired && !budget > 0 then pass () else not !found
   in
-  pass ();
-  !budget
+  let settled = pass () in
+  (!budget, settled)
 
 let run_cleanups ctx cleanups log =
   ignore (cleanups_to_fixpoint ~near:false ctx cleanups log)
@@ -859,7 +865,7 @@ let trial ctx ~quiet ~cleanups (r : Rule.t) site look =
       D.undo ctx.Rule.design log;
       Error "apply-failed"
     end
-    else look log (cleanups_to_fixpoint ~near:quiet ctx cleanups log)
+    else look log (fst (cleanups_to_fixpoint ~near:quiet ctx cleanups log))
   in
   (verdict, Unix.gettimeofday () -. t0)
 
@@ -1017,9 +1023,13 @@ let record_eval (r : Rule.t) (site : Rule.site) ev =
    observable side effect (trace, ledger, guard stats, journal entries)
    flows from the same code regardless of domain count.  A shared
    analysis of the state the winner was applied to is advanced over
-   the committed entries.  Returns the committed entries, or [None]
-   when the commit was refused. *)
-let commit_app ?budget ctx ~cleanups (app : application) =
+   the committed entries.  [near] says that state was cleanup-quiet:
+   the cleanups then re-match only around the commit's own edits, as a
+   candidate's evaluation does.  Returns the committed entries and
+   whether the committed state is cleanup-quiet (the cleanups' last
+   pass found no site and their budget held), or [None] when the
+   commit was refused. *)
+let commit_app ?budget ~near ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   (* Attribution is built only when the commit is recorded. *)
   let attributed = D.has_commit_hook ctx.Rule.design in
@@ -1030,7 +1040,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
     let verdict = ctx.Rule.session.Rule.last_verdict in
-    run_cleanups ctx cleanups log;
+    let left, settled = cleanups_to_fixpoint ~near ctx cleanups log in
     measure_keep ctx (measure_step ctx log);
     (* The measurer's totals are final here (cleanups measured, step
        kept), so [after] is exactly what the next kept application
@@ -1063,7 +1073,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
              gain = app.gain;
            })
     end;
-    Some entries
+    Some (entries, settled && left > 0)
   end
   else begin
     (* The winning rule failed on commit (it was just quarantined);
@@ -1086,13 +1096,31 @@ let commit_app ?budget ctx ~cleanups (app : application) =
    [Per_comp] evaluation, keyed by (rule name, site components, site
    data), valid while nothing it read has changed.  [quarantined] is
    the quarantine size it was filled under: a newly quarantined rule
-   can change any cleanup cascade, so the table starts over. *)
+   can change any cleanup cascade, so the table starts over.
+   [quiet_at] is a state its last commit left known cleanup-quiet: the
+   design (by physical identity), its generation and the quarantine
+   size. *)
 type table = {
   entries : (string * int list * int list, evaluation) Hashtbl.t;
   mutable quarantined : int;
+  mutable quiet_at : (D.t * int * int) option;
 }
 
-let new_table () = { entries = Hashtbl.create 256; quarantined = 0 }
+let new_table () =
+  { entries = Hashtbl.create 256; quarantined = 0; quiet_at = None }
+
+(* Is the current state cleanup-quiet?  The state the last commit left
+   known quiet is; any other is probed. *)
+let known_quiet table ctx cleanups =
+  match table.quiet_at with
+  | Some (d, g, q)
+    when d == ctx.Rule.design
+         && g = D.generation d
+         && q = Hashtbl.length ctx.Rule.session.Rule.quarantine ->
+      true
+  | Some _ | None -> cleanup_quiet ctx cleanups
+
+let all_local cleanups = List.for_all (fun (c : Rule.t) -> c.Rule.local) cleanups
 
 (* After a commit, drop every entry whose reads meet the commit's
    extent, computed on the committed design.  An entry that survives
@@ -1170,10 +1198,10 @@ let gain_of cost design =
    fresh evaluations of local rules (when every cleanup is local too)
    whose cleanup budget held.
 
-   The coordinator also probes once whether the design is
-   cleanup-quiet; if so every evaluation re-matches cleanups only
-   around its own edits.  [commit_app] keeps whole-design cleanups,
-   which is what leaves the next step's design quiet. *)
+   The coordinator also knows once whether the design is cleanup-quiet
+   — the state the table's last commit left known quiet, or a probe —
+   and if so every evaluation re-matches cleanups only around its own
+   edits.  Returns the scores and that answer. *)
 let score ?budget table ~exec ~cost ctx ~cleanups rules =
   let groups =
     List.filter_map
@@ -1182,7 +1210,7 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
       rules
   in
   let session = ctx.Rule.session and design = ctx.Rule.design in
-  let quiet = groups <> [] && cleanup_quiet ctx cleanups in
+  let quiet = groups <> [] && known_quiet table ctx cleanups in
   let known = Hashtbl.length session.Rule.quarantine in
   if (not quiet) || known <> table.quarantined then begin
     Hashtbl.reset table.entries;
@@ -1192,7 +1220,7 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
   let keeping =
     quiet
     && (match cost with Per_comp _ -> true | Measured _ -> false)
-    && List.for_all (fun (c : Rule.t) -> c.Rule.local) cleanups
+    && all_local cleanups
   in
   let keeps (r : Rule.t) = keeping && r.Rule.local in
   let lookup (r : Rule.t) (site : Rule.site) =
@@ -1292,24 +1320,28 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
         Budget.eval b
       done
   | None -> ());
-  scored
+  (scored, quiet)
 
 let candidate_gains ?(table = new_table ()) ~exec ~cost ctx ~cleanups rules =
-  score table ~exec ~cost ctx ~cleanups rules
+  fst (score table ~exec ~cost ctx ~cleanups rules)
 
 type step = Committed of application | Refused | Quiescent
 
 (* One greedy step: score the candidates, merge — (rule index, site
    ordinal) order, the earlier candidate wins ties — and re-apply the
    winner through [commit_app] if it improves the cost by more than
-   [min_gain].  A commit drops the table entries it can have changed;
-   a refused commit that quarantined the winner's rule is [Refused], so
-   a pass goes on without that rule. *)
+   [min_gain].  A commit drops the table entries it can have changed.
+   When every cleanup is local, a commit from a cleanup-quiet state
+   runs its cleanups near its own edits, and a commit that leaves its
+   state cleanup-quiet says so in the table, so the next step need not
+   probe.  A refused commit that quarantined the winner's rule is
+   [Refused], so a pass goes on without that rule. *)
 let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
     ctx ~cleanups rules =
   match budget with
   | Some b when Budget.exhausted b -> Quiescent
   | _ -> (
+      let scored, quiet = score ?budget table ~exec ~cost ctx ~cleanups rules in
       let best =
         List.fold_left
           (fun best ((r : Rule.t), site, g) ->
@@ -1317,14 +1349,22 @@ let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
             | Error _, _ -> best
             | Ok gain, Some { gain = g; _ } when g >= gain -> best
             | Ok gain, _ -> Some { rule = r; site; gain })
-          None
-          (score ?budget table ~exec ~cost ctx ~cleanups rules)
+          None scored
       in
+      table.quiet_at <- None;
       match best with
       | Some app when app.gain > min_gain -> (
-          match commit_app ?budget ctx ~cleanups app with
-          | Some entries ->
-              invalidate table ctx.Rule.design entries;
+          let local = all_local cleanups in
+          match commit_app ?budget ~near:(quiet && local) ctx ~cleanups app with
+          | Some (entries, settled) ->
+              let design = ctx.Rule.design in
+              invalidate table design entries;
+              if settled && local then
+                table.quiet_at <-
+                  Some
+                    ( design,
+                      D.generation design,
+                      Hashtbl.length ctx.Rule.session.Rule.quarantine );
               Committed app
           | None ->
               if is_quarantined ctx.Rule.session app.rule.Rule.rule_name then

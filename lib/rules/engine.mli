@@ -281,7 +281,8 @@ type table
 (** A greedy pass's candidate table: each local candidate's last
     {!Per_comp} evaluation — its effect (or rejection reason) and its
     extent, the components and nets it read — keyed by rule name, site
-    components and site data. *)
+    components and site data; and the state its last commit left known
+    cleanup-quiet, if any (see {!greedy_step}). *)
 
 val new_table : unit -> table
 
@@ -329,13 +330,23 @@ val greedy_step :
     replays the cost's fold over the current design with that effect
     applied, so every gain is bit-identical to a measurement.  When the
     design is {!cleanup_quiet}, the candidates' cleanups are focused on
-    their own edits; the winner's commit always runs whole-design
-    cleanups.  The merged winner — (rule index, site ordinal) order,
-    earlier candidate wins ties — is re-applied authoritatively if it
-    improves the cost by more than [min_gain].  The commit advances the
-    session's shared analysis over its entries
+    their own edits.  The merged winner — (rule index, site ordinal)
+    order, earlier candidate wins ties — is re-applied authoritatively
+    if it improves the cost by more than [min_gain].  The commit
+    advances the session's shared analysis over its entries
     ({!Rule.advance_analysis}) when the analysis describes the state
     the winner was applied to.
+
+    When every cleanup is local, a commit made from a cleanup-quiet
+    state runs its cleanups as {!run_cleanups_near}, as the candidates
+    did (under the cleanup locality contract they fire the sites
+    {!run_cleanups} would, in the same order); from any other state it
+    runs {!run_cleanups}.  If the cleanups' last pass found no site at
+    all and their budget held, the committed state is cleanup-quiet, and
+    the table records it (the design, its generation and the quarantine
+    size), so the next step on that state does not probe.  With a
+    non-local cleanup, every commit runs {!run_cleanups} and every step
+    probes.
 
     The table (default: a fresh one, so nothing is reused) keeps the
     {!Per_comp} evaluations of rules declared [local] ({!Rule.t}) when

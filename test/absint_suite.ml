@@ -8,6 +8,16 @@
      flow (invariance under guard-approved rewrites);
    - incremental oracle: feeding committed change-log entries to
      [advance] yields exactly the facts of a from-scratch analysis;
+   - change-driven refresh: after every commit of the per-level greedy
+     pass (designs 1-8 under ECL and CMOS, random logic at 150, 300 and
+     600 gates) the session's advanced analysis equals a fresh one, net
+     by net and component by component, and random logic never falls
+     back to the full backward passes; hand-built edits (a register
+     loop losing its reader, a NAND latch, a second driver added and
+     removed, an undriven net, a removed component and net, a side input
+     masking then unmasking a pin, a cycle closed and opened) each
+     equal a fresh analysis after one advance, and fall back exactly
+     while a cycle stands;
    - certification: every built-in critic rule obtains a Certified or
      Probabilistic certificate over the witness corpus, and every
      planted miscompiling rule from [Milo_faults] is Refused;
@@ -171,6 +181,294 @@ let test_incremental () =
   (* the tied gate's output must be proved constant low *)
   check "constant chain proved" (Absint.net_const st tied = Some false)
 
+(* --- Change-driven refresh: differential against a fresh analysis ------- *)
+
+module Engine = Milo_rules.Engine
+module Absint_rules = Milo_critic.Absint_rules
+module Level = Milo_optimizer.Logic_optimizer
+
+(* Where the advanced analysis [st] and a fresh analysis of the same
+   design disagree: every net's value and observability, every
+   component's liveness, the multi-driven nets.  At most [limit]
+   descriptions. *)
+let mismatches ?(limit = 5) st fresh =
+  let d = Absint.design st in
+  let found = ref [] in
+  let note fmt =
+    Printf.ksprintf
+      (fun s -> if List.length !found < limit then found := s :: !found)
+      fmt
+  in
+  List.iter
+    (fun (n : D.net) ->
+      let nid = n.D.nid in
+      let a = Absint.net_value st nid and b = Absint.net_value fresh nid in
+      if a <> b then
+        note "net %s: value %s, fresh %s" n.D.nname (Absint.value_name a)
+          (Absint.value_name b);
+      let a = Absint.net_observable st nid
+      and b = Absint.net_observable fresh nid in
+      if a <> b then note "net %s: observable %b, fresh %b" n.D.nname a b)
+    (D.nets d);
+  List.iter
+    (fun (c : D.comp) ->
+      let a = Absint.comp_live st c.D.id and b = Absint.comp_live fresh c.D.id in
+      if a <> b then note "comp %s: live %b, fresh %b" c.D.cname a b)
+    (D.comps d);
+  if Absint.multi_driven st <> Absint.multi_driven fresh then
+    note "multi-driven nets differ";
+  List.rev !found
+
+(* Refresh [st] (it has been advanced) and compare it with a fresh
+   analysis built like it; [fresh] builds that one.  Returns whether
+   the refresh ran the change-driven backward passes. *)
+let compare_refresh what st fresh =
+  let stats = Absint.stats st in
+  let runs = stats.Absint.incremental_runs
+  and fallbacks = stats.Absint.fallback_runs in
+  ignore (Absint.net_value st 0);
+  let bad = mismatches st (fresh (Absint.design st)) in
+  List.iter (fun m -> check (Printf.sprintf "%s: %s" what m) false) bad;
+  stats.Absint.incremental_runs > runs && stats.Absint.fallback_runs = fallbacks
+
+(* Greedy steps of the per-level pass, which runs both absint rules:
+   after every commit the session's analysis has been advanced over the
+   commit's entries and must equal a fresh one.  Returns (commits,
+   refreshes compared, change-driven ones, fallbacks). *)
+let greedy_differential (name, (target : Table_map.target), d) =
+  let ctx =
+    Rule.make_context target.Table_map.tech target.Table_map.set (D.copy d)
+  in
+  let cost =
+    Engine.Per_comp
+      (Level.level_weight target (Milo_compilers.Database.create ()))
+  in
+  let table = Engine.new_table () and exec = Milo_parallel.Exec.inline () in
+  let fresh design =
+    Absint.analyze ~resolve:ctx.Rule.resolve (Rule.find_macro ctx) design
+  in
+  let commits = ref 0 and compared = ref 0 and driven = ref 0 in
+  let fallbacks = ref 0 in
+  let rec go steps =
+    if steps < 400 then
+      match
+        Engine.greedy_step ~table ~exec ~cost ctx
+          ~cleanups:Milo_critic.Critic.cleanup Milo_critic.Critic.logic
+      with
+      | Engine.Committed _ ->
+          incr commits;
+          (match Rule.analysis ctx with
+          | Some (Absint_rules.Facts st) ->
+              let before = (Absint.stats st).Absint.fallback_runs in
+              incr compared;
+              if
+                compare_refresh
+                  (Printf.sprintf "%s commit %d" name !commits)
+                  st fresh
+              then incr driven;
+              fallbacks :=
+                !fallbacks + (Absint.stats st).Absint.fallback_runs - before
+          | Some _ | None -> ());
+          go (steps + 1)
+      | Engine.Refused -> go (steps + 1)
+      | Engine.Quiescent -> ()
+  in
+  go 0;
+  if Engine.quarantined ctx.Rule.session <> [] then
+    check (name ^ ": no rule quarantined") false;
+  (!commits, !compared, !driven, !fallbacks)
+
+let test_change_driven_workloads () =
+  let total = ref (0, 0, 0) in
+  List.iter
+    (fun ((name, _, _) as case) ->
+      let commits, compared, driven, fallbacks = greedy_differential case in
+      let c, n, dr = !total in
+      total := (c + compared, n + driven, dr + fallbacks);
+      check (name ^ ": commits advanced the analysis") (compared = commits);
+      if String.starts_with ~prefix:"random_logic" name then begin
+        check (name ^ ": never falls back") (fallbacks = 0);
+        check (name ^ ": refreshes are change-driven")
+          (driven = compared && driven > 10)
+      end)
+    (Mapped_cases.designs ()
+    @ List.map Mapped_cases.random_logic [ 150; 300; 600 ]);
+  let compared, driven, fallbacks = !total in
+  Printf.printf
+    "change-driven absint: %d refreshes compared with a fresh analysis, %d \
+     change-driven, %d fell back\n%!"
+    compared driven fallbacks;
+  check "refreshes compared" (compared > 200)
+
+(* Hand-built edits: one committed edit, one advance, then the facts
+   against a fresh analysis.  [expect_fallback]: whether the refresh
+   must run the full backward passes (a cycle) or the change-driven
+   ones. *)
+let edit_case what ~expect_fallback st edit =
+  let log = D.new_log () in
+  edit log;
+  let entries = D.entries log in
+  D.commit log;
+  Absint.advance st entries;
+  let driven =
+    compare_refresh what st (fun d -> Absint.analyze (absint_env ()) d)
+  in
+  check
+    (Printf.sprintf "%s: %s" what
+       (if expect_fallback then "falls back to the full passes"
+        else "change-driven"))
+    (driven = not expect_fallback)
+
+let comp d name kind = D.add_comp ~name d (T.Macro kind)
+
+let test_change_driven_edits () =
+  (* 1. A register whose Q feeds its own D through an inverter loses
+     its last outside reader: the loop supports itself, and only the
+     full pass drops it. *)
+  let d = D.create "regloop" in
+  let a = D.add_port d "a" T.Input and clk = D.add_port d "clk" T.Input in
+  let y = D.add_port d "y" T.Output in
+  let q = D.new_net ~name:"q" d and fb = D.new_net ~name:"fb" d in
+  let r = comp d "r" "E_DFF" and i = comp d "i" "E_INV" and b = comp d "b" "E_BUF" in
+  D.connect d r "D" fb;
+  D.connect d r "CLK" clk;
+  D.connect d r "Q" q;
+  D.connect d i "A0" q;
+  D.connect d i "Y" fb;
+  D.connect d b "A0" q;
+  D.connect d b "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  check "register loop: live before" (Absint.comp_live st r);
+  edit_case "register loop loses its reader" ~expect_fallback:true st
+    (fun log -> D.connect ~log d b "A0" a);
+  check "register loop: dead after" (not (Absint.comp_live st r));
+  (* 2. A cross-coupled NAND latch whose set input is tied low: the
+     constant enters the loop. *)
+  let d = D.create "nandloop" in
+  let s = D.add_port d "s" T.Input and rn = D.add_port d "r" T.Input in
+  let q = D.add_port d "q" T.Output and qn = D.add_port d "qn" T.Output in
+  let n1 = comp d "n1" "E_NAND2" and n2 = comp d "n2" "E_NAND2" in
+  D.connect d n1 "A0" s;
+  D.connect d n1 "A1" qn;
+  D.connect d n1 "Y" q;
+  D.connect d n2 "A0" rn;
+  D.connect d n2 "A1" q;
+  D.connect d n2 "Y" qn;
+  let st = Absint.analyze (absint_env ()) d in
+  edit_case "NAND loop: set tied low" ~expect_fallback:true st (fun log ->
+      let lo = D.new_net ~log d in
+      let z = D.add_comp ~log d (T.Macro "E_VSS") in
+      D.connect ~log d z "Y" lo;
+      D.connect ~log d n1 "A0" lo);
+  check "NAND loop: q proved high" (Absint.net_const st q = Some true);
+  (* 3. A net gains a second driver, then loses it: poisoned, then
+     constant again, and its first driver is dead while it is not the
+     net's driver. *)
+  let d = D.create "twodrivers" in
+  let a = D.add_port d "a" T.Input and y = D.add_port d "y" T.Output in
+  let lo = D.new_net ~name:"lo" d and n = D.new_net ~name:"n" d in
+  let z = comp d "z" "E_VSS" and i1 = comp d "i1" "E_INV" in
+  let i2 = comp d "i2" "E_INV" and b = comp d "b" "E_BUF" in
+  D.connect d z "Y" lo;
+  D.connect d i1 "A0" lo;
+  D.connect d i1 "Y" n;
+  D.connect d i2 "A0" a;
+  D.connect d b "A0" n;
+  D.connect d b "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  edit_case "second driver added" ~expect_fallback:false st (fun log ->
+      D.connect ~log d i2 "Y" n);
+  check "second driver: poisoned" (Absint.multi_driven st = [ n ]);
+  check "second driver: the first driver is dead" (not (Absint.comp_live st i1));
+  edit_case "second driver removed" ~expect_fallback:false st (fun log ->
+      D.disconnect ~log d i2 "Y");
+  check "second driver removed: constant again" (Absint.net_const st n = Some true);
+  (* 4. A net becomes undriven: it reads low, masks the AND's other
+     input, and its old driver goes dead. *)
+  let d = D.create "undriven" in
+  let a = D.add_port d "a" T.Input and bi = D.add_port d "b" T.Input in
+  let y = D.add_port d "y" T.Output in
+  let n = D.new_net ~name:"n" d in
+  let i = comp d "i" "E_INV" and g = comp d "g" "E_AND2" in
+  D.connect d i "A0" a;
+  D.connect d i "Y" n;
+  D.connect d g "A0" n;
+  D.connect d g "A1" bi;
+  D.connect d g "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  edit_case "net becomes undriven" ~expect_fallback:false st (fun log ->
+      D.disconnect ~log d i "Y");
+  check "undriven: output proved low" (Absint.net_const st y = Some false);
+  check "undriven: side input masked" (not (Absint.net_observable st bi));
+  check "undriven: old driver dead" (not (Absint.comp_live st i));
+  (* 5. A component and its output net are removed; the reader takes
+     the primary input instead. *)
+  let d = D.create "removed" in
+  let a = D.add_port d "a" T.Input and bi = D.add_port d "b" T.Input in
+  let y = D.add_port d "y" T.Output in
+  let lo = D.new_net ~name:"lo" d and n = D.new_net ~name:"n" d in
+  let z = comp d "z" "E_VSS" and i = comp d "i" "E_AND2" in
+  let g = comp d "g" "E_OR2" in
+  D.connect d z "Y" lo;
+  D.connect d i "A0" a;
+  D.connect d i "A1" lo;
+  D.connect d i "Y" n;
+  D.connect d g "A0" n;
+  D.connect d g "A1" bi;
+  D.connect d g "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  check "removed: constant before" (Absint.net_const st n = Some false);
+  edit_case "component and net removed" ~expect_fallback:false st (fun log ->
+      D.remove_comp ~log d i;
+      D.connect ~log d g "A0" a;
+      D.remove_net ~log d n);
+  check "removed: the constant source is dead" (not (Absint.comp_live st z));
+  (* 6. A side input turns constant through an edit upstream of it, so
+     the AND's other pin is masked; then it turns back and the pin is
+     unmasked.  The AND itself is never edited. *)
+  let d = D.create "masked" in
+  let a = D.add_port d "a" T.Input and bi = D.add_port d "b" T.Input in
+  let y = D.add_port d "y" T.Output in
+  let lo = D.new_net ~name:"lo" d and s = D.new_net ~name:"s" d in
+  let z = comp d "z" "E_VSS" and f = comp d "f" "E_BUF" in
+  let g = comp d "g" "E_AND2" in
+  D.connect d z "Y" lo;
+  D.connect d f "A0" bi;
+  D.connect d f "Y" s;
+  D.connect d g "A0" a;
+  D.connect d g "A1" s;
+  D.connect d g "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  check "masked: observable before" (Absint.net_observable st a);
+  edit_case "side input turns constant" ~expect_fallback:false st (fun log ->
+      D.connect ~log d f "A0" lo);
+  check "masked: pin masked" (not (Absint.net_observable st a));
+  check "masked: output proved low" (Absint.net_const st y = Some false);
+  edit_case "side input turns back" ~expect_fallback:false st (fun log ->
+      D.connect ~log d f "A0" bi);
+  check "masked: pin unmasked" (Absint.net_observable st a);
+  check "masked: output unknown again" (Absint.net_const st y = None);
+  (* 7. An edit closes a combinational cycle, and a later one opens it
+     again: full passes while the cycle stands, change-driven after. *)
+  let d = D.create "closing" in
+  let a = D.add_port d "a" T.Input and y = D.add_port d "y" T.Output in
+  let n1 = D.new_net ~name:"n1" d in
+  let i1 = comp d "i1" "E_INV" and i2 = comp d "i2" "E_INV" in
+  D.connect d i1 "A0" a;
+  D.connect d i1 "Y" n1;
+  D.connect d i2 "A0" n1;
+  D.connect d i2 "Y" y;
+  let st = Absint.analyze (absint_env ()) d in
+  edit_case "warm-up edit" ~expect_fallback:false st (fun log ->
+      ignore (D.new_net ~log d));
+  edit_case "edit closes a cycle" ~expect_fallback:true st (fun log ->
+      D.connect ~log d i1 "A0" y);
+  edit_case "unrelated edit while the cycle stands" ~expect_fallback:true st
+    (fun log -> ignore (D.new_net ~log d));
+  edit_case "edit opens the cycle" ~expect_fallback:false st (fun log ->
+      D.connect ~log d i1 "A0" a);
+  check "cycle: live again" (Absint.comp_live st i1)
+
 (* --- Certification ------------------------------------------------------- *)
 
 let test_certification () =
@@ -329,6 +627,8 @@ let () =
   test_soundness ();
   test_guarded_flow_soundness ();
   test_incremental ();
+  test_change_driven_edits ();
+  test_change_driven_workloads ();
   test_certification ();
   test_lint_facts ();
   test_json_escaping ();

@@ -14,6 +14,13 @@
    - Invalidation is load-bearing: a hand-built design where a commit
      changes a cached candidate's cleanup cascade without touching its
      site.
+   - A commit from a cleanup-quiet state cleans up near its own edits
+     and spares the next step's probe: the same passes with the
+     cleanups rebuilt non-local (probe every step, clean the whole
+     design on every commit) commit the same sequence and end equal,
+     on designs 1-8 and random logic at 150 and 300 gates, and the
+     known-quiet passes make fewer whole-design cleanup finds than one
+     probe per commit.
    - The extent meets a neighbour's re-kind with no net edit, and a
      net-only pin change. *)
 
@@ -54,20 +61,25 @@ let gain_line = function
   | Error reason -> "refused " ^ reason
 
 (* Run [greedy_pass] on two copies of [d] ([mk] makes their contexts),
-   with [per] and with [measured]: the commits must agree line for line
-   and the designs must end equal.  Returns the number of commits. *)
-let differential ?(rules = rules) name mk d ~per ~measured =
+   with [per] and with [measured] (each with its cleanups): the commits
+   must agree line for line and the designs must end equal.  Returns
+   the number of commits. *)
+let differential ?(rules = rules) ?(per_cleanups = cleanups)
+    ?(measured_cleanups = cleanups) ?(labels = ("per_comp", "measured")) name mk
+    d ~per ~measured =
   let a = mk (D.copy d) and b = mk (D.copy d) in
-  let apps_p = Engine.greedy_pass ~cost:per a ~cleanups rules in
-  let apps_m = Engine.greedy_pass ~cost:measured b ~cleanups rules in
+  let apps_p = Engine.greedy_pass ~cost:per a ~cleanups:per_cleanups rules in
+  let apps_m =
+    Engine.greedy_pass ~cost:measured b ~cleanups:measured_cleanups rules
+  in
   let lp = List.map app_line apps_p and lm = List.map app_line apps_m in
+  let la, lb = labels in
   if List.length lp <> List.length lm then
-    fail "%s: %d commits with Per_comp, %d measured" name (List.length lp)
-      (List.length lm);
+    fail "%s: %d commits %s, %d %s" name (List.length lp) la (List.length lm) lb;
   let rec pairs i = function
     | p :: ps, m :: ms ->
         if p <> m then
-          fail "%s: commit %d differs:\n  per_comp %s\n  measured %s" name i p m;
+          fail "%s: commit %d differs:\n  %s %s\n  %s %s" name i la p lb m;
         pairs (i + 1) (ps, ms)
     | _ -> ()
   in
@@ -238,7 +250,41 @@ let invalidation_load_bearing () =
       fail "cascade: committed [%s], expected tap 99 then cut 29"
         (String.concat "; " (List.map (fun (r, g) -> Printf.sprintf "%s %g" r g) apps))
 
-(* --- 4. The extent ------------------------------------------------------- *)
+(* --- 4. Known-quiet commits ----------------------------------------------- *)
+
+(* A commit from a cleanup-quiet state runs its cleanups near its own
+   edits and leaves its state known quiet, so the next step skips the
+   probe — but only when every cleanup is local.  The same cleanups
+   rebuilt non-local take the path that probes every step and cleans
+   the whole design on every commit; both must commit the same sequence
+   and end equal.  Returns the number of commits and the whole-design
+   cleanup [find]s each side made. *)
+let known_quiet_differential (name, target, d) =
+  let per, _ = level_costs target in
+  let counted ~local count =
+    List.map
+      (fun (r : R.t) ->
+        {
+          r with
+          R.local;
+          R.find =
+            (fun ctx ->
+              if Option.is_none !(ctx.R.focus) then incr count;
+              r.R.find ctx);
+        })
+      cleanups
+  in
+  let near = ref 0 and probing = ref 0 in
+  let n =
+    differential
+      ~per_cleanups:(counted ~local:true near)
+      ~measured_cleanups:(counted ~local:false probing)
+      ~labels:("known-quiet", "probing") name (ctx_of target) d ~per
+      ~measured:per
+  in
+  (n, !near, !probing)
+
+(* --- 5. The extent ------------------------------------------------------- *)
 
 (* x drives m, which u reads; w shares no net with x.  The extent of an
    edit must contain x when it re-kinds u in place, and when it only
@@ -281,6 +327,23 @@ let () =
     @ List.map Mapped_cases.random_logic [ 150; 300; 600 ]
   in
   List.iter workload_differential cases;
+  let commits, near, probing =
+    List.fold_left
+      (fun (c, n, p) ((name, _, _) as case) ->
+        if String.starts_with ~prefix:"random_logic_600" name then (c, n, p)
+        else
+          let c', n', p' = known_quiet_differential case in
+          (c + c', n + n', p + p'))
+      (0, 0, 0) cases
+  in
+  Printf.printf
+    "ok   known-quiet: %d commits identical to the probing path; \
+     whole-design cleanup finds %d (probing: %d)\n"
+    commits near probing;
+  (* probing every step would take one find per cleanup per commit *)
+  if near >= List.length cleanups * commits then
+    fail "known-quiet: %d whole-design cleanup finds over %d commits" near
+      commits;
   (* The replay is pinned up to 300 gates: at 600, measuring every
      candidate twice would cost more than the rest of the suite. *)
   let first, later =

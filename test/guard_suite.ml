@@ -15,8 +15,9 @@
    - off-the-books semantic corruption injected before the compile,
      techmap and optimize stages degrades a [Full]-guarded flow to
      [Partial] with a [Guard.Miscompile] error at that stage;
-   - a [Full]-guarded flow over every suite design and every parseable
-     examples/ input completes with zero stage or rule mismatches. *)
+   - a [Full]-guarded flow over every suite design, 150-gate random
+     logic and every parseable examples/ input completes with zero
+     stage or rule mismatches and no rule quarantined. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -526,6 +527,16 @@ let () =
         ("design " ^ c.Suite.case_name)
         c.Suite.constraints c.Suite.case_design)
     cases;
+  (* Random logic, the family the change-driven absint refresh mainly
+     serves: a refresh that raised inside a find would quarantine both
+     absint rules without moving QoR. *)
+  let rl =
+    Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates:150 ~seed:7 ()
+  in
+  let human = Flow.baseline_stats ~technology:Flow.Ecl rl in
+  clean_full_flow "random logic 150"
+    (Milo.Constraints.delay (0.5 *. human.Flow.delay))
+    rl;
   sweep_examples ();
   if !failures > 0 then begin
     Printf.printf "guard_suite: %d failure(s)\n" !failures;

@@ -195,6 +195,57 @@ let check_memos what d =
       if D.fanout ~resolve d nid <> fanout then fail "fanout")
     (D.nets d)
 
+(* [D.comps] and [D.nets] against an enumeration of every id below the
+   fresh-id counters, which reads no listing. *)
+let check_listing what d =
+  let next_comp, next_net = D.counters d in
+  let ids l = List.map string_of_int l |> String.concat "," in
+  let want_comps = List.filter_map (D.comp_opt d) (List.init next_comp Fun.id)
+  and want_nets = List.filter_map (D.net_opt d) (List.init next_net Fun.id) in
+  if not (List.equal ( == ) (D.comps d) want_comps) then
+    Alcotest.failf "%s: comps [%s], want [%s]" what
+      (ids (List.map (fun (c : D.comp) -> c.D.id) (D.comps d)))
+      (ids (List.map (fun (c : D.comp) -> c.D.id) want_comps));
+  if not (List.equal ( == ) (D.nets d) want_nets) then
+    Alcotest.failf "%s: nets [%s], want [%s]" what
+      (ids (List.map (fun (n : D.net) -> n.D.nid) (D.nets d)))
+      (ids (List.map (fun (n : D.net) -> n.D.nid) want_nets))
+
+let test_listings_follow_edits () =
+  let d = D.create "listing" in
+  let a = D.add_port d "a" T.Input in
+  let g = D.add_comp d (T.Macro "FWD") in
+  D.connect d g "A" a;
+  check_listing "built" d;
+  (* listed twice at one generation: the same list *)
+  Alcotest.(check bool) "memo hit" true (D.comps d == D.comps d);
+  let n = D.new_net d in
+  let h = D.add_comp d (T.Macro "REV") in
+  D.connect d h "A" n;
+  check_listing "after add" d;
+  let log = D.new_log () in
+  D.disconnect ~log d h "A";
+  D.remove_comp ~log d h;
+  D.remove_net ~log d n;
+  check_listing "after remove" d;
+  Alcotest.(check int) "removed comp unlisted" 1 (List.length (D.comps d));
+  D.undo d log;
+  check_listing "after undo" d;
+  Alcotest.(check int) "undo lists the removed comp again" 2
+    (List.length (D.comps d));
+  let c = D.copy d in
+  check_listing "copy" c;
+  ignore (D.add_comp c (T.Macro "SINK2"));
+  ignore (D.new_net c);
+  check_listing "copy after add" c;
+  check_listing "original after the copy's add" d;
+  Alcotest.(check int) "original keeps its comps" 2 (List.length (D.comps d));
+  D.remove_comp d g;
+  check_listing "original after remove" d;
+  check_listing "copy after the original's remove" c;
+  D.restore_comp d ~id:g ~name:"g" (T.Macro "FWD");
+  check_listing "after restore" d
+
 let prop_memos_match_fresh_walk =
   let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 60)) in
   Util.qtest ~count:150 "memos equal a fresh walk under every edit" gen
@@ -316,7 +367,8 @@ let prop_memos_match_fresh_walk =
                   | None -> next_net + 1
                 in
                 D.restore_net !d ~id ~name:(Printf.sprintf "rn%d" id)));
-        check_memos (Printf.sprintf "seed %d step %d" seed step) !d
+        check_memos (Printf.sprintf "seed %d step %d" seed step) !d;
+        check_listing (Printf.sprintf "seed %d step %d" seed step) !d
       done;
       (* a design holds no closure, so it still compares with [=] *)
       D.copy !d = D.copy !d)
@@ -399,7 +451,12 @@ let () =
       ( "undo",
         [ Alcotest.test_case "scripted" `Quick test_undo_simple; prop_undo_random ]
       );
-      ("memos", [ prop_memos_match_fresh_walk ]);
+      ( "memos",
+        [
+          prop_memos_match_fresh_walk;
+          Alcotest.test_case "listings follow every edit" `Quick
+            test_listings_follow_edits;
+        ] );
       ( "text-format",
         [
           Alcotest.test_case "design round-trip" `Quick test_roundtrip;

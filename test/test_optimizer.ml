@@ -303,13 +303,15 @@ let test_planted_debris_takes_full_path () =
      cleanup-quiet design.  The cleanup rules are wrapped to count
      focused and whole-design [find]s: one step on the quiet design
      makes focused finds; the same step after planting a double
-     inverter makes none. *)
+     inverter makes none.  A commit from a quiet design cleans up near
+     its own edits and leaves its state known quiet, so the pass's next
+     step makes no whole-design find at all. *)
   let target = Table_map.ecl_target () in
   let _, quiet_d = mapped_design ~gates:150 ~seed:7 in
   Engine.run_cleanups (ctx_of target quiet_d) cleanups (D.new_log ());
   let planted_d = D.copy quiet_d in
   plant_double_inverter planted_d;
-  let focused = ref 0 in
+  let focused = ref 0 and unfocused = ref 0 in
   let watched =
     List.map
       (fun (r : R.t) ->
@@ -317,28 +319,35 @@ let test_planted_debris_takes_full_path () =
           r with
           R.find =
             (fun ctx ->
-              if Option.is_some !(ctx.R.focus) then incr focused;
+              if Option.is_some !(ctx.R.focus) then incr focused
+              else incr unfocused;
               r.R.find ctx);
         })
       cleanups
   in
-  let step d =
-    let ctx = ctx_of target d in
+  let step ?(table = Engine.new_table ()) ctx =
     let quiet = Engine.cleanup_quiet ctx cleanups in
     focused := 0;
+    unfocused := 0;
     (match
-       Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
+       Engine.greedy_step ~table ~exec:(Milo_parallel.Exec.inline ())
          ~cost:(Engine.Measured (level_cost target))
          ctx ~cleanups:watched Milo_critic.Critic.logic
      with
     | Engine.Committed _ -> ()
     | Engine.Refused | Engine.Quiescent -> Alcotest.fail "no greedy step");
-    (quiet, !focused)
+    (quiet, !focused, !unfocused)
   in
-  let quiet, n = step quiet_d in
+  let ctx = ctx_of target quiet_d and table = Engine.new_table () in
+  let quiet, n, u = step ~table ctx in
   Alcotest.(check bool) "mapped design is quiet after cleanups" true quiet;
   Alcotest.(check bool) "quiet design: focused finds" true (n > 0);
-  let quiet, n = step planted_d in
+  Alcotest.(check int) "quiet design: one probe per cleanup" (List.length cleanups) u;
+  let quiet, n, u = step ~table ctx in
+  Alcotest.(check bool) "still quiet after the commit" true quiet;
+  Alcotest.(check bool) "after a quiet commit: focused finds" true (n > 0);
+  Alcotest.(check int) "after a quiet commit: no whole-design find" 0 u;
+  let quiet, n, _ = step (ctx_of target planted_d) in
   Alcotest.(check bool) "planted pair breaks quietness" false quiet;
   Alcotest.(check int) "planted design: no focused find" 0 n
 
