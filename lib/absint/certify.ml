@@ -1,11 +1,13 @@
 (* Static rule certification.
 
-   The engine's dynamic rule guard (PR 5) re-proves every sampled
-   application by cone re-simulation.  Most rules are sound in every
-   context, so the proof is hoisted offline: apply the rule at every
-   site it matches over a small witness corpus and compare functions
-   before/after — exhaustively over the cone leaves where the cones
-   are small, by whole-design equivalence checking where they are not.
+   The engine's dynamic rule guard re-proves every sampled application
+   by cone re-simulation.  Most rules are sound in every context, so
+   the proof is hoisted offline: apply the rule at every site it
+   matches over a small witness corpus and compare functions
+   before/after with the same cone check ([Cone.sweep] then
+   [Cone.recheck]) — exhaustively over the cone leaves where the cones
+   are small, over seeded random vectors where they are larger, by
+   whole-design equivalence checking where neither applies.
    The result is a signed, cached certificate per (rule, technology);
    Certified rules skip the dynamic check entirely
    (Engine.set_certified), leaving the flow's stage-boundary guards as
@@ -21,7 +23,6 @@ module Gate_comp = Milo_compilers.Gate_comp
 module Table_map = Milo_techmap.Table_map
 module Guard = Milo_guard.Guard
 module Simulator = Milo_sim.Simulator
-module Eval = Milo_sim.Eval
 
 type verdict = Certified | Probabilistic | Uncertified | Refused
 
@@ -95,120 +96,30 @@ let lookup ?(cache = shared_cache) ~tech rule =
   | Some c when valid c -> Some c
   | Some _ | None -> None
 
-(* --- Site outputs and cone snapshots ------------------------------------ *)
-
-let site_out_nets ctx (site : R.site) =
-  List.concat_map
-    (fun cid ->
-      match D.comp_opt ctx.R.design cid with
-      | None -> []
-      | Some c ->
-          Hashtbl.fold
-            (fun pin nid acc ->
-              match D.pin_dir ~resolve:ctx.R.resolve ctx.R.design cid pin with
-              | T.Output -> nid :: acc
-              | T.Input -> acc
-              | exception _ -> acc)
-            c.D.conns [])
-    site.R.site_comps
-  |> List.sort_uniq compare
+(* --- Cone snapshots ------------------------------------------------------ *)
 
 type witness = Ex | Rand
-
-(* Packed sweeps: minterm masks are processed in groups of up to
-   [Eval.Packed.lanes], one lane per mask, so a 2^12 exhaustive sweep
-   is ~65 word-level cone evaluations. *)
-let lanes = Eval.Packed.lanes
-let group_mask n = if n >= lanes then -1 else (1 lsl n) - 1
-
-let rec chunk_list n = function
-  | [] -> []
-  | l ->
-      let rec take k acc = function
-        | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let g, rest = take n [] l in
-      g :: chunk_list n rest
-
-(* Leaf input words for one group: bit [l] of leaf [i]'s word is bit
-   [i] of the group's [l]-th mask. *)
-let group_words leaves group =
-  List.mapi
-    (fun i leaf ->
-      let w = ref 0 in
-      List.iteri
-        (fun l m -> if m lsr i land 1 <> 0 then w := !w lor (1 lsl l))
-        group;
-      (leaf, !w))
-    leaves
 
 (* Pre-apply truth vectors of a net over its cone leaves: all 2^n
    assignments up to [exhaustive_leaves], seeded random vectors up to
    [random_leaves], nothing past that. *)
 let snapshot ctx rng nid =
   match Cone.extract ctx ~max_leaves:random_leaves nid with
-  | Some cone when cone.Cone.comps <> [] ->
+  | Some cone when cone.Cone.comps <> [] -> (
       let leaves = cone.Cone.leaves in
       let n = List.length leaves in
-      let masks =
-        if n <= exhaustive_leaves then (Ex, List.init (1 lsl n) Fun.id)
+      let kind, vectors =
+        if n <= exhaustive_leaves then (Ex, Cone.exhaustive leaves)
         else
           ( Rand,
-            List.init random_vectors (fun _ ->
-                Random.State.int rng (1 lsl min n 30)) )
+            Cone.of_masks leaves
+              (List.init random_vectors (fun _ ->
+                   Random.State.int rng (1 lsl min n 30))) )
       in
-      let kind, masks = masks in
-      let groups = chunk_list lanes masks in
-      let pre =
-        try
-          Some
-            (List.map
-               (fun g -> Cone.eval_packed ctx cone (group_words leaves g))
-               groups)
-        with _ -> None
-      in
-      Option.map (fun pre -> (kind, nid, leaves, groups, pre)) pre
+      match Cone.sweep ctx vectors nid with
+      | pre -> Some (kind, nid, vectors, pre)
+      | exception _ -> None)
   | Some _ | None -> None
-
-exception Unverifiable
-
-(* Post-apply value word of [nid0] under a packed leaf assignment,
-   expanding through combinational macro drivers (mirror of the
-   engine's [eval_after]). *)
-let eval_after ctx assignment nid0 =
-  let memo = Hashtbl.create 16 in
-  let visiting = Hashtbl.create 16 in
-  let rec value nid =
-    match Hashtbl.find_opt memo nid with
-    | Some v -> v
-    | None ->
-        if Hashtbl.mem visiting nid then raise Unverifiable;
-        Hashtbl.replace visiting nid ();
-        let v =
-          match List.assoc_opt nid assignment with
-          | Some v -> v
-          | None -> (
-              match Cone.expandable ctx nid with
-              | Some (c, m) ->
-                  let pvs =
-                    List.map
-                      (fun pin ->
-                        ( pin,
-                          match D.connection ctx.R.design c.D.id pin with
-                          | Some n -> value n
-                          | None -> 0 ))
-                      m.Macro.inputs
-                  in
-                  let outs = Eval.Packed.macro_comb_outputs m pvs in
-                  List.assoc (List.nth m.Macro.outputs 0) outs
-              | None -> raise Unverifiable)
-        in
-        Hashtbl.remove visiting nid;
-        Hashtbl.replace memo nid v;
-        v
-  in
-  value nid0
 
 (* --- Per-site verification ---------------------------------------------- *)
 
@@ -234,23 +145,13 @@ let compare_snapshots ctx snaps =
   let verified_ex = ref 0 and verified_rand = ref 0 and skipped = ref 0 in
   let mismatch = ref None in
   List.iter
-    (fun (kind, nid, leaves, groups, pre) ->
-      if !mismatch = None && D.net_opt ctx.R.design nid <> None then begin
-        match
-          List.iter2
-            (fun g expect ->
-              let v = eval_after ctx (group_words leaves g) nid in
-              if (v lxor expect) land group_mask (List.length g) <> 0 then
-                raise (Failure (Printf.sprintf "net %d diverges" nid)))
-            groups pre
-        with
-        | () -> (
-            match kind with
-            | Ex -> incr verified_ex
-            | Rand -> incr verified_rand)
-        | exception Unverifiable -> incr skipped
-        | exception Failure d -> mismatch := Some d
-      end)
+    (fun (kind, nid, vectors, pre) ->
+      if !mismatch = None && D.net_opt ctx.R.design nid <> None then
+        match Cone.recheck ctx vectors pre nid with
+        | None ->
+            incr (match kind with Ex -> verified_ex | Rand -> verified_rand)
+        | Some _ -> mismatch := Some (Printf.sprintf "net %d diverges" nid)
+        | exception Cone.Unverifiable -> incr skipped)
     snaps;
   (!verified_ex, !verified_rand, !skipped, !mismatch)
 
@@ -272,7 +173,7 @@ let whole_design_check ctx pre_copy =
   | exception _ -> Site_nothing
 
 let check_site ctx rng (rule : R.t) site =
-  let outs = site_out_nets ctx site in
+  let outs = Cone.site_outputs ctx site in
   let snaps = List.filter_map (snapshot ctx rng) outs in
   let pre_copy =
     if D.num_comps ctx.R.design <= max_diff_comps then

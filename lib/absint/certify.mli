@@ -6,10 +6,11 @@
     site the rule matches is applied transactionally and its effect
     checked two ways, strongest first:
 
-    - {e cone-local}: the truth vectors of the site's output nets over
-      their fan-in cone leaves, before vs after, enumerated
-      exhaustively up to {!exhaustive_leaves} leaves (seeded random
-      vectors up to {!random_leaves});
+    - {e cone-local}: the rule guard's own cone check
+      ([Milo_rules.Cone.sweep] before, [Milo_rules.Cone.recheck]
+      after) on the site's output nets over their fan-in cone leaves,
+      exhaustive up to {!exhaustive_leaves} leaves and over 128 seeded
+      random vectors up to {!random_leaves};
     - {e whole-design}: when no cone is verifiable (sequential sites,
       vanished nets), the pre-apply design is compared against the
       post-apply one with [Milo_guard.Guard.check].

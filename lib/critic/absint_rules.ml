@@ -67,24 +67,15 @@ let eligible ctx =
   List.iter (fun (c : D.comp) -> Hashtbl.replace tbl c.D.id ()) (R.scan_comps ctx);
   fun cid -> Hashtbl.mem tbl cid
 
-(* Cone-local re-proof that [nid] is constant [v]: exhaustive over the
-   cone leaves when the cone is small, full re-analysis otherwise. *)
+(* Cone-local re-proof that [nid] is constant [v]: one exhaustive
+   sweep over the cone leaves when the cone is small, checked lane by
+   lane against the constant; full re-analysis otherwise. *)
 let still_const ctx nid v =
   match Cone.extract ctx ~max_leaves:10 nid with
   | Some cone when cone.Cone.comps <> [] -> (
-      let n = List.length cone.Cone.leaves in
-      try
-        let ok = ref true in
-        for m = 0 to (1 lsl n) - 1 do
-          let assignment =
-            List.mapi
-              (fun i leaf -> (leaf, m land (1 lsl i) <> 0))
-              cone.Cone.leaves
-          in
-          if Cone.eval ctx cone assignment <> v then ok := false
-        done;
-        !ok
-      with _ -> false)
+      let vectors = Cone.exhaustive cone.Cone.leaves in
+      let const = Array.make (Cone.chunks vectors) (if v then -1 else 0) in
+      try Cone.recheck ctx vectors const nid = None with _ -> false)
   | Some _ | None -> Absint.net_const (analyze ctx) nid = Some v
 
 (* Replace the driver of a proved-constant net with the technology's

@@ -9,33 +9,12 @@ module Tech = Milo_library.Technology
 
 (* Carry-lookahead adder back to the smaller ripple slice. *)
 let adder_ripple_swap =
-  let target_of mname =
-    let l = String.length mname in
-    if l > 3 && String.sub mname (l - 3) 3 = "CLA" then
-      Some (String.sub mname 0 (l - 3))
-    else None
-  in
-  R.make ~name:"adder-ripple-swap" ~cls:R.Area
-    ~find:(fun ctx ->
-      R.macro_comps ctx (fun _c m ->
-          match target_of m.Macro.mname with
-          | Some t -> Tech.mem ctx.R.tech t
-          | None -> false)
-      |> List.map (fun (c : D.comp) ->
-             R.site ~comps:[ c.D.id ] ("CLA->ripple " ^ c.D.cname)))
-    ~apply:(fun ctx site log ->
-      match site.R.site_comps with
-      | [ cid ] when D.comp_opt ctx.R.design cid <> None -> (
-          let c = D.comp ctx.R.design cid in
-          match R.macro_of ctx c with
-          | Some m -> (
-              match target_of m.Macro.mname with
-              | Some t when Tech.mem ctx.R.tech t ->
-                  D.set_kind ~log ctx.R.design cid (T.Macro t);
-                  true
-              | Some _ | None -> false)
-          | None -> false)
-      | _ -> false) ()
+  R.retarget ~name:"adder-ripple-swap" ~cls:R.Area ~verb:"CLA->ripple"
+    (fun _ mname ->
+      let l = String.length mname in
+      if l > 3 && String.ends_with ~suffix:"CLA" mname then
+        Some (String.sub mname 0 (l - 3))
+      else None)
 
 (* Common-subexpression sharing: two combinational components with the
    same kind and the same input connections merge into one. *)

@@ -12,57 +12,20 @@ module Tech = Milo_library.Technology
    higher-speed variant (ECL only — other libraries simply have no
    variants, so the rule never matches). *)
 let high_power_swap =
-  R.make ~name:"high-power-swap" ~cls:R.Timing
-    ~find:(fun ctx ->
-      R.macro_comps ctx (fun _c m ->
-          m.Macro.power_level = Macro.Standard
-          && Tech.high_power_variant ctx.R.tech m.Macro.mname <> None)
-      |> List.map (fun (c : D.comp) ->
-             { R.site_comps = [ c.D.id ]; site_data = []; descr = "power up " ^ c.D.cname }))
-    ~apply:(fun ctx site log ->
-      match site.R.site_comps with
-      | [ cid ] when D.comp_opt ctx.R.design cid <> None -> (
-          let c = D.comp ctx.R.design cid in
-          match R.macro_of ctx c with
-          | Some m -> (
-              match Tech.high_power_variant ctx.R.tech m.Macro.mname with
-              | Some hv ->
-                  D.set_kind ~log ctx.R.design cid (T.Macro hv.Macro.mname);
-                  true
-              | None -> false)
-          | None -> false)
-      | _ -> false) ()
+  R.retarget ~name:"high-power-swap" ~cls:R.Timing ~verb:"power up"
+    (fun tech mname ->
+      Option.map
+        (fun (v : Macro.t) -> v.Macro.mname)
+        (Tech.high_power_variant tech mname))
 
 (* Swap a ripple adder slice for its carry-lookahead variant (the
    microarchitecture-level tradeoff of Figure 16, available at the
    macro level too since the pin interfaces coincide). *)
 let adder_cla_swap =
-  let target_of mname =
-    if String.length mname >= 4 && String.sub mname (String.length mname - 4) 4 = "ADD4"
-    then Some (mname ^ "CLA")
-    else None
-  in
-  R.make ~name:"adder-cla-swap" ~cls:R.Timing
-    ~find:(fun ctx ->
-      R.macro_comps ctx (fun _c m ->
-          match target_of m.Macro.mname with
-          | Some t -> Tech.mem ctx.R.tech t
-          | None -> false)
-      |> List.map (fun (c : D.comp) ->
-             { R.site_comps = [ c.D.id ]; site_data = []; descr = "ripple->CLA " ^ c.D.cname }))
-    ~apply:(fun ctx site log ->
-      match site.R.site_comps with
-      | [ cid ] when D.comp_opt ctx.R.design cid <> None -> (
-          let c = D.comp ctx.R.design cid in
-          match R.macro_of ctx c with
-          | Some m -> (
-              match target_of m.Macro.mname with
-              | Some t when Tech.mem ctx.R.tech t ->
-                  D.set_kind ~log ctx.R.design cid (T.Macro t);
-                  true
-              | Some _ | None -> false)
-          | None -> false)
-      | _ -> false) ()
+  R.retarget ~name:"adder-cla-swap" ~cls:R.Timing ~verb:"ripple->CLA"
+    (fun _ mname ->
+      if String.ends_with ~suffix:"ADD4" mname then Some (mname ^ "CLA")
+      else None)
 
 (* Strategy 5: duplicate a multi-fanout gate so one sink gets a private
    driver (removing the shared-load penalty on that path). *)

@@ -603,8 +603,6 @@ type writer = {
 }
 
 let path w = w.w_path
-let records_written w = w.w_count
-let set_fault_hook w f = w.w_fault <- f
 
 let fsync_oc oc =
   flush oc;

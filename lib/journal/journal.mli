@@ -148,8 +148,6 @@ val close : writer -> unit
 (** Flush, fsync and close.  The writer is unusable afterwards. *)
 
 val path : writer -> string
-val records_written : writer -> int
-val set_fault_hook : writer -> (int -> unit) option -> unit
 
 (** {1 Recovery} *)
 

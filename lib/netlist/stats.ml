@@ -53,19 +53,7 @@ let two_input_equiv ?macro_gates d =
     0.0 (Design.comps d)
   |> Float.round |> int_of_float
 
-let fanout_histogram ?resolve d =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (n : Design.net) ->
-      let f = Design.fanout ?resolve d n.Design.nid in
-      Hashtbl.replace tbl f (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f)))
-    (Design.nets d);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
 let max_fanout ?resolve d =
   List.fold_left
     (fun acc (n : Design.net) -> max acc (Design.fanout ?resolve d n.Design.nid))
     0 (Design.nets d)
-
-let count_kind d pred =
-  List.length (List.filter (fun (c : Design.comp) -> pred c.Design.kind) (Design.comps d))

@@ -1,4 +1,4 @@
-(** Structural statistics: kind histograms, fanout profile, and the
+(** Structural statistics: kind histograms, maximum fanout, and the
     two-input-equivalent gate count used for Figure 19's "Complexity"
     column. *)
 
@@ -11,6 +11,4 @@ val kind_gates : ?macro_gates:(string -> float) -> Types.kind -> float
     rates library macros (defaults to 1 gate each). *)
 
 val two_input_equiv : ?macro_gates:(string -> float) -> Design.t -> int
-val fanout_histogram : ?resolve:Design.resolver -> Design.t -> (int * int) list
 val max_fanout : ?resolve:Design.resolver -> Design.t -> int
-val count_kind : Design.t -> (Types.kind -> bool) -> int

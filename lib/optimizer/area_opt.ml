@@ -25,11 +25,3 @@ let optimize ?exec ?(required = infinity) ?(max_steps = 200) ?budget ~rules
   Milo_trace.Trace.with_span "area-opt" @@ fun () ->
   let cost = Engine.Measured (cost_fn ~required) in
   Engine.greedy_pass ~max_steps ?budget ?exec ~cost ctx ~cleanups rules
-
-(* Area recovery with lookahead (used by the metarules experiment). *)
-let optimize_lookahead ?exec ?(required = infinity)
-    ?(params = Milo_rules.Search.default_params) ?stats ?budget ~rules
-    ~cleanups ctx =
-  let cost_factory wctx = cost_fn ~required wctx in
-  Milo_rules.Search.run ~params ?stats ?budget ?exec ~cost_factory ctx
-    ~cleanups rules

@@ -1,5 +1,5 @@
-(** The area optimizer: gain-measured greedy (or lookahead) application
-    of area rules under a timing-constraint penalty. *)
+(** The area optimizer: gain-measured greedy application of area rules
+    under a timing-constraint penalty. *)
 
 module R = Milo_rules.Rule
 
@@ -21,14 +21,3 @@ val optimize :
     ({!Milo_rules.Engine.greedy_pass}), each measuring by delta on a
     fork of the context's measurer, which must be installed; [exec]
     defaults to [Exec.inline ()]. *)
-
-val optimize_lookahead :
-  ?exec:Milo_parallel.Exec.t ->
-  ?required:float ->
-  ?params:Milo_rules.Search.params ->
-  ?stats:Milo_rules.Search.stats ->
-  ?budget:Milo_rules.Budget.t ->
-  rules:R.t list ->
-  cleanups:R.t list ->
-  R.context ->
-  float

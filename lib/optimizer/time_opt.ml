@@ -197,8 +197,3 @@ let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(max_steps = 64)
   in
   let final_delay = loop 0 in
   { met = final_delay <= required; final_delay; steps = List.rev !steps }
-
-(* Unconstrained "make it as fast as possible": iterate until no
-   strategy improves. *)
-let minimize_delay ?exec ?(max_steps = 64) ?budget ~cleanups ctx =
-  optimize ?exec ~required:0.0 ~max_steps ?budget ~cleanups ctx

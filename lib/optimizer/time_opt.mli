@@ -51,11 +51,3 @@ val optimize :
     rest of the run, before the next strategy's oracle is forked.
     [exec] defaults to [Exec.inline ()]; the dispatch is the same for
     every [exec]. *)
-
-val minimize_delay :
-  ?exec:Milo_parallel.Exec.t ->
-  ?max_steps:int ->
-  ?budget:Milo_rules.Budget.t ->
-  cleanups:R.t list ->
-  R.context ->
-  outcome

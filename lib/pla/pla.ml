@@ -44,6 +44,11 @@ let parse_cube line ni text =
     text;
   Cube.of_literals ni !lits
 
+let count line directive n =
+  match int_of_string_opt n with
+  | Some k when k >= 0 -> k
+  | Some _ | None -> fail line "bad %s count %s" directive n
+
 let of_string src =
   let lines = String.split_on_char '\n' src in
   let ni = ref 0 and no = ref 0 in
@@ -66,8 +71,8 @@ let of_string src =
       match fields with
       | [] -> ()
       | _ when !ended -> ()
-      | ".i" :: n :: _ -> ni := int_of_string n
-      | ".o" :: n :: _ -> no := int_of_string n
+      | ".i" :: n :: _ -> ni := count lineno ".i" n
+      | ".o" :: n :: _ -> no := count lineno ".o" n
       | ".p" :: _ -> ()
       | ".ilb" :: names -> ilb := names
       | ".ob" :: names -> ob := names

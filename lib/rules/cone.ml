@@ -4,8 +4,8 @@
 
    A cone is the transitive combinational fanin of a net, cut off at
    ports, sequential outputs, multi-output macros and the leaf budget.
-   Its function is computed by local evaluation, as a truth table
-   (≤ 6 leaves) or a minterm cover (≤ [max_enum] leaves). *)
+   Its function is computed by packed local evaluation, as a truth
+   table (≤ 6 leaves) or a minterm cover. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -123,54 +123,43 @@ let digest ctx cone =
   go cone.out_net;
   Buffer.contents buf
 
-(* Evaluate the cone output under a leaf assignment. *)
-let eval ctx cone assignment =
+(* --- The cone check ------------------------------------------------------
+
+   One packed evaluator serves every consumer of a cone's function: the
+   engine's rule guard and the offline certifier (snapshot before an
+   edit, re-check after it), the truth tables and minterms of
+   strategies 4-8, and the constant re-proof of [absint-const-collapse].
+   A vector set is an array of chunks, each a word per leaf (lane [l]
+   of every word is one leaf assignment) with the mask of its live
+   lanes. *)
+
+exception Unverifiable
+
+module P = Milo_sim.Eval.Packed
+
+let lanes = P.lanes
+
+(* Packed value of [nid0] under a leaf assignment, expanding through
+   [expandable] drivers.  A net that is neither assigned nor expandable
+   — or a combinational cycle — has no cone-local meaning:
+   [Unverifiable].  Over a cone [extract] built, every net reached is a
+   leaf or driven by a cone component, so before an edit this is the
+   cone's function; after one, it is whatever now drives the net. *)
+let eval ctx assignment nid0 =
   let memo = Hashtbl.create 16 in
+  let visiting = Hashtbl.create 16 in
   let rec value nid =
     match Hashtbl.find_opt memo nid with
     | Some v -> v
     | None ->
+        if Hashtbl.mem visiting nid then raise Unverifiable;
+        Hashtbl.replace visiting nid ();
         let v =
           match List.assoc_opt nid assignment with
           | Some v -> v
           | None -> (
               match expandable ctx nid with
-              | Some (c, m) when List.mem c.D.id cone.comps ->
-                  let pvs =
-                    List.map
-                      (fun pin ->
-                        ( pin,
-                          match D.connection ctx.R.design c.D.id pin with
-                          | Some n -> value n
-                          | None -> false ))
-                      m.Macro.inputs
-                  in
-                  let outs = Milo_sim.Eval.macro_comb_outputs m pvs in
-                  List.assoc (List.nth m.Macro.outputs 0) outs
-              | Some _ | None -> false)
-        in
-        Hashtbl.replace memo nid v;
-        v
-  in
-  value cone.out_net
-
-(* Bit-parallel cone evaluation: leaf assignments and the result are
-   words carrying [Eval.Packed.lanes] vectors, one per bit position.
-   Cone components are single-output [Combinational] macros (that is
-   what [expandable] admits), so every step is a word-level
-   truth-table evaluation. *)
-let eval_packed ctx cone assignment =
-  let memo = Hashtbl.create 16 in
-  let rec value nid =
-    match Hashtbl.find_opt memo nid with
-    | Some w -> w
-    | None ->
-        let w =
-          match List.assoc_opt nid assignment with
-          | Some w -> w
-          | None -> (
-              match expandable ctx nid with
-              | Some (c, m) when List.mem c.D.id cone.comps ->
+              | Some (c, m) ->
                   let ws =
                     List.map
                       (fun pin ->
@@ -180,34 +169,106 @@ let eval_packed ctx cone assignment =
                           | None -> 0 ))
                       m.Macro.inputs
                   in
-                  let outs = Milo_sim.Eval.Packed.macro_comb_outputs m ws in
+                  let outs = P.macro_comb_outputs m ws in
                   List.assoc (List.nth m.Macro.outputs 0) outs
-              | Some _ | None -> 0)
+              | None -> raise Unverifiable)
         in
-        Hashtbl.replace memo nid w;
-        w
+        Hashtbl.remove visiting nid;
+        Hashtbl.replace memo nid v;
+        v
   in
-  value cone.out_net
+  value nid0
+
+type vectors = ((int * int) list * int) array
+
+(* Minterm [c*lanes + l] sits in lane [l] of chunk [c]. *)
+let exhaustive leaves =
+  let total = 1 lsl List.length leaves in
+  Array.init
+    ((total + lanes - 1) / lanes)
+    (fun c ->
+      let base = c * lanes in
+      (P.minterm_words leaves base, P.lane_mask (total - base)))
+
+(* Mask [k] sits in lane [k mod lanes] of chunk [k / lanes]; leaf [i]
+   takes bit [i] of its mask. *)
+let of_masks leaves masks =
+  let masks = Array.of_list masks in
+  let n = Array.length masks in
+  Array.init
+    ((n + lanes - 1) / lanes)
+    (fun c ->
+      let base = c * lanes in
+      let live = min lanes (n - base) in
+      ( List.mapi
+          (fun i leaf ->
+            let w = ref 0 in
+            for l = 0 to live - 1 do
+              if masks.(base + l) lsr i land 1 <> 0 then w := !w lor (1 lsl l)
+            done;
+            (leaf, !w))
+          leaves,
+        P.lane_mask live ))
+
+let chunks (v : vectors) = Array.length v
+let sweep ctx (v : vectors) nid = Array.map (fun (ws, _) -> eval ctx ws nid) v
+
+(* The first live lane where [nid] no longer computes [before], as a
+   leaf assignment. *)
+let recheck ctx (v : vectors) before nid =
+  let rec go c =
+    if c >= Array.length v then None
+    else
+      let ws, live = v.(c) in
+      let diff = (eval ctx ws nid lxor before.(c)) land live in
+      if diff = 0 then go (c + 1)
+      else
+        let l = P.first_lane diff in
+        Some (List.map (fun (leaf, w) -> (leaf, w lsr l land 1 <> 0)) ws)
+  in
+  go 0
+
+(* Output nets of the site's components: the signals whose function
+   a rule may restructure but must not change. *)
+let site_outputs ctx (site : R.site) =
+  List.concat_map
+    (fun cid ->
+      match D.comp_opt ctx.R.design cid with
+      | None -> []
+      | Some c ->
+          Hashtbl.fold
+            (fun pin nid acc ->
+              match D.pin_dir ~resolve:ctx.R.resolve ctx.R.design cid pin with
+              | T.Output -> nid :: acc
+              | T.Input -> acc
+              | exception _ -> acc)
+            c.D.conns [])
+    site.R.site_comps
+  |> List.sort_uniq compare
+
+(* Whether the cone output is 1 under minterm [m], read off one
+   exhaustive sweep. *)
+let on_set ctx cone =
+  let words = sweep ctx (exhaustive cone.leaves) cone.out_net in
+  fun m -> words.(m / lanes) lsr (m mod lanes) land 1 <> 0
 
 let truth_table ctx cone =
   let n = List.length cone.leaves in
   if n > Truth_table.max_vars then None
-  else
-    Some
-      (Truth_table.of_fun n (fun a ->
-           eval ctx cone (List.mapi (fun i nid -> (nid, a.(i))) cone.leaves)))
+  else begin
+    let on = on_set ctx cone in
+    let bits = ref 0L in
+    for m = 0 to (1 lsl n) - 1 do
+      if on m then bits := Int64.logor !bits (Int64.shift_left 1L m)
+    done;
+    Some (Truth_table.create n !bits)
+  end
 
-(* On-set minterms by enumeration (strategy 7's collapse). *)
+(* On-set minterms, highest first (strategy 7's collapse). *)
 let minterms ctx cone =
-  let n = List.length cone.leaves in
-  let on = ref [] in
-  for m = 0 to (1 lsl n) - 1 do
-    let assignment =
-      List.mapi (fun i nid -> (nid, m land (1 lsl i) <> 0)) cone.leaves
-    in
-    if eval ctx cone assignment then on := m :: !on
-  done;
-  !on
+  let on = on_set ctx cone in
+  let top = (1 lsl List.length cone.leaves) - 1 in
+  List.filter on (List.init (top + 1) (fun i -> top - i))
 
 (* Replace the cone's logic: disconnect the old driver from [out_net]
    and let [build] produce the replacement net from the leaves; dead old

@@ -283,45 +283,6 @@ let should_check (g : Rule.rule_guard) (r : Rule.t) =
 
 let guard_max_leaves = 8
 
-(* Output nets of the site's components: the signals whose function
-   the rule may legitimately restructure but must not change. *)
-let site_out_nets ctx (site : Rule.site) =
-  List.concat_map
-    (fun cid ->
-      match D.comp_opt ctx.Rule.design cid with
-      | None -> []
-      | Some c ->
-          Hashtbl.fold
-            (fun pin nid acc ->
-              match
-                D.pin_dir ~resolve:ctx.Rule.resolve ctx.Rule.design cid pin
-              with
-              | Milo_netlist.Types.Output -> nid :: acc
-              | Milo_netlist.Types.Input -> acc
-              | exception _ -> acc)
-            c.D.conns [])
-    site.Rule.site_comps
-  |> List.sort_uniq compare
-
-(* Packed truth vectors: chunk [c] of the array holds minterms
-   [c*lanes .. c*lanes+lanes-1], lane [l] in bit position [l].  Leaf
-   [i]'s input word for chunk [c] therefore has bit [l] equal to bit
-   [i] of minterm [c*lanes + l]. *)
-let lanes = Milo_sim.Eval.Packed.lanes
-
-let leaf_words leaves c =
-  let base = c * lanes in
-  List.mapi
-    (fun i leaf ->
-      let w = ref 0 in
-      for l = 0 to lanes - 1 do
-        if (base + l) lsr i land 1 <> 0 then w := !w lor (1 lsl l)
-      done;
-      (leaf, !w))
-    leaves
-
-let chunks_for n = ((1 lsl n) + lanes - 1) / lanes
-
 (* Truth vectors are a function of the cone's structure alone, so
    structurally identical cones — ubiquitous in mapped datapaths —
    share one packed sweep through a digest-keyed cache.  Keys include
@@ -330,136 +291,59 @@ let chunks_for n = ((1 lsl n) + lanes - 1) / lanes
    so it lives and dies with the run's session. *)
 let tv_cache_bound = 4096
 
-let cone_truth_vector (g : Rule.rule_guard) ctx cone =
+let cone_truth_vector (g : Rule.rule_guard) ctx cone vectors =
   let key =
     Milo_library.Technology.name ctx.Rule.tech ^ ":" ^ Cone.digest ctx cone
   in
   match Hashtbl.find_opt g.rg_tv key with
   | Some tv -> tv
   | None ->
-      let n = List.length cone.Cone.leaves in
-      let tv =
-        Array.init (chunks_for n) (fun c ->
-            Cone.eval_packed ctx cone (leaf_words cone.Cone.leaves c))
-      in
+      let tv = Cone.sweep ctx vectors cone.Cone.out_net in
       if Hashtbl.length g.rg_tv >= tv_cache_bound then Hashtbl.reset g.rg_tv;
       Hashtbl.replace g.rg_tv key tv;
       tv
 
-(* Truth vectors of the verifiable site outputs over their cone
-   leaves.  Cones with no components (the driver is not an expandable
-   combinational macro — e.g. micro-level kinds) are unverifiable
-   here and left to the stage guard. *)
+(* Exhaustive truth vectors of the verifiable site outputs over their
+   cone leaves.  Cones with no components (the driver is not an
+   expandable combinational macro — e.g. micro-level kinds) are
+   unverifiable here and left to the stage guard. *)
 let snapshot_cones g ctx nets =
   List.filter_map
     (fun nid ->
       match Cone.extract ctx ~max_leaves:guard_max_leaves nid with
-      | Some cone when cone.Cone.comps <> [] ->
-          Some (nid, cone.Cone.leaves, cone_truth_vector g ctx cone)
+      | Some cone when cone.Cone.comps <> [] -> (
+          let vectors = Cone.exhaustive cone.Cone.leaves in
+          match cone_truth_vector g ctx cone vectors with
+          | tv -> Some (nid, vectors, tv)
+          | exception Cone.Unverifiable -> None)
       | Some _ | None -> None)
     nets
 
-exception Unverifiable
-
-(* Evaluate [nid]'s post-apply function under a packed leaf
-   assignment (one word = [lanes] vectors), expanding through
-   combinational macro drivers.  A net that is neither assigned nor
-   expandable — or a combinational cycle — makes the comparison
-   meaningless: [Unverifiable]. *)
-let eval_after ctx assignment nid0 =
-  let memo = Hashtbl.create 16 in
-  let visiting = Hashtbl.create 16 in
-  let rec value nid =
-    match Hashtbl.find_opt memo nid with
-    | Some v -> v
-    | None ->
-        if Hashtbl.mem visiting nid then raise Unverifiable;
-        Hashtbl.replace visiting nid ();
-        let v =
-          match List.assoc_opt nid assignment with
-          | Some v -> v
-          | None -> (
-              match Cone.expandable ctx nid with
-              | Some (c, m) ->
-                  let pvs =
-                    List.map
-                      (fun pin ->
-                        ( pin,
-                          match D.connection ctx.Rule.design c.D.id pin with
-                          | Some n -> value n
-                          | None -> 0 ))
-                      m.Milo_library.Macro.inputs
-                  in
-                  let outs = Milo_sim.Eval.Packed.macro_comb_outputs m pvs in
-                  List.assoc (List.nth m.Milo_library.Macro.outputs 0) outs
-              | None -> raise Unverifiable)
-        in
-        Hashtbl.remove visiting nid;
-        Hashtbl.replace memo nid v;
-        v
-  in
-  value nid0
-
-(* Compare the snapshot against the post-apply design.  Returns a
+(* Re-check the snapshot against the post-apply design.  Returns a
    human-readable description of the first divergence, or [None] when
-   every verifiable net kept its function. *)
+   every verifiable net kept its function; a net that is gone or no
+   longer cone-local is skipped. *)
 let check_snapshot ctx snaps =
-  let describe nid assignment =
-    let net_name =
-      match D.net_opt ctx.Rule.design nid with
-      | Some n -> n.D.nname
-      | None -> string_of_int nid
-    in
-    let asg =
-      String.concat ", "
-        (List.map
-           (fun (l, v) ->
-             let nm =
-               match D.net_opt ctx.Rule.design l with
-               | Some n -> n.D.nname
-               | None -> string_of_int l
-             in
-             Printf.sprintf "%s=%d" nm (if v then 1 else 0))
-           assignment)
-    in
-    Printf.sprintf "net %s changed function under {%s}" net_name asg
+  let name nid =
+    match D.net_opt ctx.Rule.design nid with
+    | Some n -> n.D.nname
+    | None -> string_of_int nid
   in
-  let rec nets = function
-    | [] -> None
-    | (nid, leaves, tv) :: rest ->
-        if D.net_opt ctx.Rule.design nid = None then nets rest
-        else begin
-          let n = List.length leaves in
-          let total = 1 lsl n in
-          let rec vec c =
-            if c >= Array.length tv then None
-            else
-              let base = c * lanes in
-              let live = min lanes (total - base) in
-              let mask = if live >= lanes then -1 else (1 lsl live) - 1 in
-              let assignment = leaf_words leaves c in
-              match eval_after ctx assignment nid with
-              | v ->
-                  let diff = (v lxor tv.(c)) land mask in
-                  if diff = 0 then vec (c + 1)
-                  else
-                    (* First mismatching lane, as a scalar witness. *)
-                    let l = ref 0 in
-                    while diff land (1 lsl !l) = 0 do
-                      incr l
-                    done;
-                    let m = base + !l in
-                    Some
-                      (describe nid
-                         (List.mapi
-                            (fun i leaf -> (leaf, m lsr i land 1 <> 0))
-                            leaves))
-              | exception Unverifiable -> None
-          in
-          match vec 0 with Some d -> Some d | None -> nets rest
-        end
-  in
-  nets snaps
+  List.find_map
+    (fun (nid, vectors, tv) ->
+      if D.net_opt ctx.Rule.design nid = None then None
+      else
+        match Cone.recheck ctx vectors tv nid with
+        | None | (exception Cone.Unverifiable) -> None
+        | Some assignment ->
+            Some
+              (Printf.sprintf "net %s changed function under {%s}" (name nid)
+                 (String.concat ", "
+                    (List.map
+                       (fun (l, v) ->
+                         Printf.sprintf "%s=%d" (name l) (Bool.to_int v))
+                       assignment))))
+    snaps
 
 (* Snapshot decision for one application: [None] when no check should
    run (guard off, sampled out, or nothing verifiable at the site).
@@ -493,7 +377,7 @@ let guard_snapshot ctx r site =
         None
       end
       else begin
-        match snapshot_cones g ctx (site_out_nets ctx site) with
+        match snapshot_cones g ctx (Cone.site_outputs ctx site) with
         | [] ->
             st.Guard.rule_skipped <- st.Guard.rule_skipped + 1;
             verdict D.Skipped;

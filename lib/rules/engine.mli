@@ -112,12 +112,17 @@ val import_failures : Rule.session -> (string * string * reason) list -> unit
 (** {2 Semantic rule guard}
 
     When armed, every successful [guarded_apply] may be re-simulated
-    over the touched cone (truth vectors of the site's output nets
-    over their fan-in leaves, before vs after).  A divergence is
-    rolled back and the rule quarantined with reason {!Miscompiled}.
-    The check is conservative: sites whose new structure cannot be
-    evaluated over the old leaves are skipped (the flow's stage guards
-    backstop them), so a sound rule is never quarantined. *)
+    over the touched cone: {!Cone.sweep} snapshots the site's output
+    nets over their fan-in leaves (up to 8) before the apply, and
+    {!Cone.recheck} compares after it.  The engine owns only the
+    policy — when to check, a truth-vector cache keyed on
+    [technology:digest], and the witness text.  A divergence is rolled
+    back and the rule quarantined with reason {!Miscompiled} and the
+    message [miscompile: net X changed function under {...}].  The
+    check is conservative: nets whose new structure cannot be
+    evaluated over the old leaves ({!Cone.Unverifiable}) are skipped
+    (the flow's stage guards backstop them), so a sound rule is never
+    quarantined. *)
 
 val set_rule_guard :
   Rule.session ->

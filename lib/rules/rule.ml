@@ -240,6 +240,34 @@ let macro_comps ctx pred =
       | Some _ | None -> None)
     (scan_comps ctx)
 
+(* A rule that re-kinds one macro component to the variant [target]
+   names, when the technology has it: the power-level and adder
+   swaps.  [verb] starts each site's description. *)
+let retarget ~name ~cls ~verb target =
+  let variant ctx (m : Macro.t) =
+    match target ctx.tech m.Macro.mname with
+    | Some t when Technology.mem ctx.tech t -> Some t
+    | Some _ | None -> None
+  in
+  make ~name ~cls
+    ~find:(fun ctx ->
+      macro_comps ctx (fun _ m -> variant ctx m <> None)
+      |> List.map (fun (c : D.comp) ->
+             site ~comps:[ c.D.id ] (verb ^ " " ^ c.D.cname)))
+    ~apply:(fun ctx s log ->
+      match s.site_comps with
+      | [ cid ] -> (
+          match
+            Option.bind (D.comp_opt ctx.design cid) (fun c ->
+                Option.bind (macro_of ctx c) (variant ctx))
+          with
+          | Some t ->
+              D.set_kind ~log ctx.design cid (T.Macro t);
+              true
+          | None -> false)
+      | _ -> false)
+    ()
+
 (* The component driving a net, of any kind, with its output pin. *)
 let driver_comp ctx nid =
   match D.driver ~resolve:ctx.resolve ctx.design nid with

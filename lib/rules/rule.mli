@@ -170,6 +170,17 @@ val make :
 val macro_comps :
   context -> (D.comp -> Milo_library.Macro.t -> bool) -> D.comp list
 
+val retarget :
+  name:string ->
+  cls:rule_class ->
+  verb:string ->
+  (Milo_library.Technology.t -> string -> string option) ->
+  t
+(** [retarget ~name ~cls ~verb target]: a rule that re-kinds a macro
+    component to the macro [target tech name] names, wherever the
+    technology has that macro.  Sites are single components described
+    as [verb ^ " " ^ component name]. *)
+
 val driver_comp : context -> int -> (D.comp * string) option
 (** The component driving a net and its output pin, whatever the
     component's kind (combinational, sequential, constant);

@@ -42,12 +42,7 @@ let validate_ports fname d1 d2 =
   if List.sort compare (output_ports d1) <> List.sort compare (output_ports d2)
   then invalid_arg (fname ^ ": output port mismatch")
 
-let lanes = Simulator.lanes
-let lane_mask n = if n >= lanes then -1 else (1 lsl n) - 1
-
-let lowest_bit w =
-  let rec go i = if w land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
+module P = Eval.Packed
 
 (* Per-port difference words between two packed output assignments,
    restricted to [mask]'s lanes.  A port present on only one side
@@ -71,7 +66,7 @@ let packed_diffs o1 o2 mask =
 (* Extract the first mismatching lane as a scalar counterexample. *)
 let mismatch_of_diffs ~cycle in_words diffs =
   let all = List.fold_left (fun acc (_, d) -> acc lor d) 0 diffs in
-  let l = lowest_bit all in
+  let l = P.first_lane all in
   let bit w = w land (1 lsl l) <> 0 in
   Mismatch
     {
@@ -86,18 +81,6 @@ let check_chunk ~cycle s1 s2 in_words mask =
   match packed_diffs o1 o2 mask with
   | [] -> None
   | diffs -> Some (mismatch_of_diffs ~cycle in_words diffs)
-
-(* Input words for lanes [v0 .. v0+chunk-1] of the exhaustive order:
-   lane [l]'s value of input [i] is bit [i] of [v0 + l]. *)
-let exhaustive_words ins v0 chunk =
-  List.mapi
-    (fun i p ->
-      let w = ref 0 in
-      for l = 0 to chunk - 1 do
-        if (v0 + l) lsr i land 1 <> 0 then w := !w lor (1 lsl l)
-      done;
-      (p, !w))
-    ins
 
 (* Random input words drawn lane-major then input-minor, matching the
    draw order of one scalar vector per lane. *)
@@ -127,11 +110,11 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
     let rec sweep v0 =
       if v0 >= total then Equivalent
       else
-        let chunk = min lanes (total - v0) in
-        let in_words = exhaustive_words ins v0 chunk in
-        match check_chunk ~cycle:None s1 s2 in_words (lane_mask chunk) with
+        let in_words = P.minterm_words ins v0 in
+        let mask = P.lane_mask (total - v0) in
+        match check_chunk ~cycle:None s1 s2 in_words mask with
         | Some m -> m
-        | None -> sweep (v0 + lanes)
+        | None -> sweep (v0 + P.lanes)
     in
     sweep 0
   end
@@ -140,9 +123,9 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
     let rec sweep done_ =
       if done_ >= vectors then Equivalent
       else
-        let chunk = min lanes (vectors - done_) in
+        let chunk = min P.lanes (vectors - done_) in
         let in_words = random_words rng ins chunk in
-        match check_chunk ~cycle:None s1 s2 in_words (lane_mask chunk) with
+        match check_chunk ~cycle:None s1 s2 in_words (P.lane_mask chunk) with
         | Some m -> m
         | None -> sweep (done_ + chunk)
     in
@@ -160,8 +143,8 @@ let sequential ?(cycles = 256) ?(runs = 8) ?(seed = 0x5eed) env1 d1 env2 d2 =
   let rec run_chunk r0 =
     if r0 >= runs then Equivalent
     else begin
-      let chunk = min lanes (runs - r0) in
-      let mask = lane_mask chunk in
+      let chunk = min P.lanes (runs - r0) in
+      let mask = P.lane_mask chunk in
       let s1 = Simulator.create env1 d1 and s2 = Simulator.create env2 d2 in
       Simulator.reset s1;
       Simulator.reset s2;

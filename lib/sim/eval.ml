@@ -249,6 +249,24 @@ module Packed = struct
   let getw pins pin =
     match List.assoc_opt pin pins with Some w -> w | None -> 0
 
+  let lane_mask n = if n >= lanes then ones else (1 lsl n) - 1
+
+  let first_lane w =
+    let rec go l = if w land (1 lsl l) <> 0 then l else go (l + 1) in
+    go 0
+
+  (* Lane [l] of key [i]'s word is bit [i] of minterm [base + l], on
+     every lane: callers mask the lanes past the last minterm. *)
+  let minterm_words keys base =
+    List.mapi
+      (fun i k ->
+        let w = ref 0 in
+        for l = 0 to lanes - 1 do
+          if (base + l) lsr i land 1 <> 0 then w := !w lor (1 lsl l)
+        done;
+        (k, !w))
+      keys
+
   (* (c & a) | (~c & b): per-lane if-then-else. *)
   let mux2 c a b = c land a lor (lnot c land b)
 

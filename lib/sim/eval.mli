@@ -53,6 +53,19 @@ module Packed : sig
   type pin_words = (string * int) list
 
   val getw : pin_words -> string -> int
+
+  val lane_mask : int -> int
+  (** The word with the low [n] lanes set (all of them for [n >= lanes]). *)
+
+  val first_lane : int -> int
+  (** Index of the lowest set lane of a non-zero word. *)
+
+  val minterm_words : 'k list -> int -> ('k * int) list
+  (** [minterm_words keys base]: the exhaustive order from minterm
+      [base], one lane per minterm — lane [l] of the [i]-th key's word
+      is bit [i] of [base + l].  Every lane is filled; mask the lanes
+      past the last minterm with [lane_mask]. *)
+
   val mux2 : int -> int -> int -> int
   (** [mux2 c a b] is per-lane [if c then a else b]. *)
 

@@ -154,16 +154,6 @@ let jsonl_sink oc =
         flush oc);
   }
 
-let write_jsonl oc tr =
-  let line s =
-    output_string oc s;
-    output_char oc '\n'
-  in
-  List.iter (fun s -> line (span_line s)) (Trace.spans tr);
-  List.iter (fun e -> line (event_line e)) (Trace.events tr);
-  List.iter line (metric_lines tr);
-  flush oc
-
 (* --- Chrome trace_event ------------------------------------------- *)
 
 let usec s = num (s *. 1e6)
@@ -255,5 +245,4 @@ let save_atomic path write_body =
   close_out oc;
   Unix.rename tmp path
 
-let save_jsonl path tr = save_atomic path (fun oc -> write_jsonl oc tr)
 let save_chrome path tr = save_atomic path (fun oc -> write_chrome oc tr)

@@ -15,10 +15,6 @@ val jsonl_sink : out_channel -> Trace.sink
     followed by a channel flush.  Because lines stream as they happen,
     a run that dies mid-flight still leaves a well-formed prefix. *)
 
-val write_jsonl : out_channel -> Trace.t -> unit
-(** Dump a finished tracer in the same line format as {!jsonl_sink}
-    (spans in start order, surviving events, then metrics). *)
-
 val chrome_to_string : Trace.t -> string
 (** The whole trace as one Chrome [trace_event] JSON document:
     spans become ["X"] complete events (timestamps/durations in
@@ -27,13 +23,9 @@ val chrome_to_string : Trace.t -> string
 
 val write_chrome : out_channel -> Trace.t -> unit
 
-val save_jsonl : string -> Trace.t -> unit
-(** Atomically dump the trace in JSONL form to a file: written to
-    [path.tmp], flushed, fsynced and renamed over [path], so a crash
-    mid-export leaves either the previous complete file or the new one
-    — never a torn export.  For crash-survivable streaming instead,
-    attach {!jsonl_sink}. *)
-
 val save_chrome : string -> Trace.t -> unit
-(** Atomically write the Chrome [trace_event] document to a file, with
-    the same tmp + fsync + rename commit as {!save_jsonl}. *)
+(** Atomically write the Chrome [trace_event] document to a file:
+    written to [path.tmp], flushed, fsynced and renamed over [path], so
+    a crash mid-export leaves either the previous complete file or the
+    new one — never a torn export.  For crash-survivable streaming
+    instead, attach {!jsonl_sink}. *)

@@ -299,7 +299,6 @@ let event_count t = t.seq
 let restore_seq t n = if n > t.seq then t.seq <- n
 
 let spans t = List.rev t.all_spans
-let stage_of t = t.stage
 let metrics t = t.m
 
 let rule_stats t =

@@ -182,7 +182,6 @@ val restore_seq : t -> int -> unit
 val spans : t -> span list
 (** All spans, in creation (start) order. *)
 
-val stage_of : t -> string
 val rule_stats : t -> (string * rule_stat) list
 (** Sorted by descending total time. *)
 

@@ -92,7 +92,14 @@ let read_token t =
         while !e < String.length t.src && t.src.[!e] >= '0' && t.src.[!e] <= '9' do
           incr e
         done;
-        let n = int_of_string (String.sub t.src t.pos (!e - t.pos)) in
+        let digits = String.sub t.src t.pos (!e - t.pos) in
+        let n =
+          match int_of_string_opt digits with
+          | Some n -> n
+          | None ->
+              let msg = "integer literal " ^ digits ^ " out of range" in
+              raise (Lex_error (line, msg))
+        in
         t.pos <- !e;
         (Int n, line)
     | _ when is_ident_char c ->

@@ -23,6 +23,8 @@
      planted miscompiling rule from [Milo_faults] is Refused;
    - certificates are digest-signed: a tampered one fails [valid] and
      is not served from the cache;
+   - golden certificates: every signed field of every built-in and
+     planted rule's certificate, on ECL and CMOS, is pinned;
    - JSON regression: lint reports and analysis summaries stay
      well-formed JSON when design/net names contain quotes. *)
 
@@ -529,6 +531,115 @@ let test_certification () =
       | _ -> check ("certify " ^ rule.Rule.rule_name) false)
     (Milo_faults.miscompiling_rules ())
 
+(* Golden certificates: every field a certificate signs, digest
+   included, for every built-in rule and every planted miscompiler on
+   both targets.  A change to the cone check, the witness corpus or a
+   rule's matching shows here as the first certificate that moved. *)
+let golden_certificates =
+  [
+    ( "ecl",
+      Table_map.ecl_target,
+      [
+        ("invert-root", "certified", 1, 1, 0, "", "c76b37aec4db6042fb597ca7087426f3");
+        ("gate-merge", "certified", 2, 2, 0, "", "71191e322e192d4c3274122be70bf5ad");
+        ("mux-ff-merge", "probabilistic", 1, 0, 1, "", "0b4cd88d8276c76107acf7650cd02096");
+        ("const-select-mux", "certified", 1, 1, 0, "", "26f2d5fa266cec02c120b6b47dc9fa57");
+        ("mux-into-muxff", "probabilistic", 1, 0, 1, "", "52ced7a62502469373f30f5c5e64a2ca");
+        ("absint-const-collapse", "certified", 2, 2, 0, "", "a38c8fe2d88876d1dc623954d196ab31");
+        ("absint-prune-unobservable", "certified", 1, 1, 0, "", "b3303197775fbbc4caa93b338f75d43f");
+        ("high-power-swap", "certified", 4, 4, 0, "", "578d2925f1b04a19c28973d936d43311");
+        ("adder-cla-swap", "certified", 1, 1, 0, "", "6bffd9901208f8ac09a0a7b36097134d");
+        ("duplicate-driver", "certified", 4, 4, 0, "", "9359e64894f1bf710e14b110f5f3ae7b");
+        ("isolate-input", "certified", 4, 4, 0, "", "e4afe310a917484bcf8584b72358b92e");
+        ("adder-ripple-swap", "certified", 1, 1, 0, "", "110b4b7e8ba3c874afc1731a47420790");
+        ("share-duplicate", "certified", 4, 4, 0, "", "296a42b2fee0b7cab132c1fcfc279637");
+        ("cone-resynth", "certified", 1, 1, 0, "", "5917efbd57310f813734a83a3ddc4327");
+        ("ornor-share", "certified", 1, 1, 0, "", "7e7a135ddcb491ec150ee6d2512dbced");
+        ("standard-power-swap", "certified", 1, 1, 0, "", "f2b6e9c0ba7f2913921e48561fd8fbd8");
+        ("fanout-buffer", "certified", 1, 1, 0, "", "f856b5171267ada54d4f5d970933849c");
+        ("dead-logic", "certified", 1, 1, 0, "", "a8a7950fcaaed884248e23e313cc7950");
+        ("double-inverter", "certified", 1, 1, 0, "", "85979567e39666f4bc15836a6b3fc6c9");
+        ("buffer-elim", "certified", 1, 1, 0, "", "fdccc07e71469b79ccfcb2da001ac687");
+        ("constant-prop", "certified", 2, 2, 0, "", "3f04328825bc73a2e66ebc9fd99f207f");
+      ],
+      [
+        ("fault-polarity", "refused", 1, 0, 0, "polarity fault: net 8 diverges", "f564bc136db421f18016e07e5287a95d");
+        ("fault-drop-fanin", "refused", 1, 0, 0, "drop-fanin fault: net 7 diverges", "73ae93f1fcfd01843cbcc5328f39eb76");
+        ("fault-swap-mux", "refused", 1, 0, 0, "swap-mux fault: net 44 diverges", "421363bc7c40f12877128d37f0f0cd50");
+      ] );
+    ( "cmos",
+      Table_map.cmos_target,
+      [
+        ("invert-root", "certified", 1, 1, 0, "", "cb24499387bf37be32ef916751b885ce");
+        ("gate-merge", "certified", 1, 1, 0, "", "0f229c80aa9e4cd7a60c3de9523733e9");
+        ("mux-ff-merge", "probabilistic", 1, 0, 1, "", "a1f15c099e54a8605949d8cccee44701");
+        ("const-select-mux", "certified", 1, 1, 0, "", "d8444fc0d0b5a2e0941b5167aa0e8346");
+        ("mux-into-muxff", "probabilistic", 1, 0, 1, "", "01b07a239bcbdd1c1301646cc0ee843e");
+        ("absint-const-collapse", "certified", 2, 2, 0, "", "f4e80791ab5da2581ed18f98c9b82c2c");
+        ("absint-prune-unobservable", "certified", 1, 1, 0, "", "518870c9f19144c25ef9d31957b500a4");
+        ("high-power-swap", "uncertified", 0, 0, 0, "", "426a32cc3894c844abd2fa7e4c135d8c");
+        ("adder-cla-swap", "certified", 1, 1, 0, "", "bd69dd918dba89fb09d0eb065f94a912");
+        ("duplicate-driver", "certified", 4, 4, 0, "", "05a2c51bf7dbbaecf20fa3d76479b300");
+        ("isolate-input", "certified", 4, 4, 0, "", "d8723257aee9b74427e4b56ec708e76d");
+        ("adder-ripple-swap", "certified", 1, 1, 0, "", "68d249e66182793e35d153b27b3d9316");
+        ("share-duplicate", "certified", 4, 4, 0, "", "7f959da7058c2d58a0af6a51f66ae19e");
+        ("cone-resynth", "certified", 1, 1, 0, "", "764a166396851c6652edfacc890b096d");
+        ("ornor-share", "uncertified", 0, 0, 0, "", "cdd88da3d3428d4f2987b47759bda742");
+        ("standard-power-swap", "uncertified", 0, 0, 0, "", "dcb1e2dff383d78f33d58a571e425a90");
+        ("fanout-buffer", "certified", 1, 1, 0, "", "ae98934047e920e52a0a3dfb1a384b53");
+        ("dead-logic", "certified", 1, 1, 0, "", "ad9d2ef54c0b5ba5188dc85633543124");
+        ("double-inverter", "certified", 1, 1, 0, "", "68140fa08e60e5c0c04a6ba9498b7314");
+        ("buffer-elim", "certified", 1, 1, 0, "", "a01bf8926a64f3973a245544aac1fbac");
+        ("constant-prop", "certified", 2, 2, 0, "", "e6288b7daf2f3fd0f26efdeeab095f54");
+      ],
+      [
+        ("fault-polarity", "refused", 1, 0, 0, "polarity fault: net 8 diverges", "bf91a0f03ba0f37eb0a922fa0849281c");
+        ("fault-drop-fanin", "refused", 1, 0, 0, "drop-fanin fault: net 7 diverges", "3e3c552dd0b62160b771e4b83c2ede67");
+        ("fault-swap-mux", "refused", 1, 0, 0, "swap-mux fault: net 44 diverges", "50aba08c3d504ed17ad3126cd551d761");
+      ] );
+  ]
+
+let test_golden_certificates () =
+  let fields (c : Certify.certificate) =
+    ( c.Certify.cert_rule,
+      Certify.verdict_name c.Certify.cert_verdict,
+      c.Certify.cert_sites,
+      c.Certify.cert_exhaustive,
+      c.Certify.cert_random,
+      c.Certify.cert_detail,
+      c.Certify.cert_digest )
+  in
+  let show (r, v, s, e, x, d, g) =
+    Printf.sprintf "(%S, %S, %d, %d, %d, %S, %S)" r v s e x d g
+  in
+  List.iter
+    (fun (tech, tgt, builtin, faults) ->
+      List.iter
+        (fun (what, rules, expected) ->
+          let got =
+            List.map fields
+              (Certify.certify_rules ~cache:(Certify.create_cache ()) (tgt ())
+                 rules)
+          in
+          if List.length got <> List.length expected then
+            check
+              (Printf.sprintf "%s: %d certificates, want %d" what
+                 (List.length got) (List.length expected))
+              false
+          else
+            List.iter2
+              (fun g e ->
+                check
+                  (Printf.sprintf "golden %s certificate: got %s, want %s"
+                     tech (show g) (show e))
+                  (g = e))
+              got expected)
+        [
+          (tech ^ " built-in", Milo_critic.Critic.all_logic_level, builtin);
+          (tech ^ " planted", Milo_faults.miscompiling_rules (), faults);
+        ])
+    golden_certificates
+
 (* --- Analysis-powered lint ----------------------------------------------- *)
 
 let test_lint_facts () =
@@ -630,6 +741,7 @@ let () =
   test_change_driven_edits ();
   test_change_driven_workloads ();
   test_certification ();
+  test_golden_certificates ();
   test_lint_facts ();
   test_json_escaping ();
   if !failures > 0 then begin

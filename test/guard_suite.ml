@@ -6,6 +6,8 @@
      reason [Miscompiled] — never committed;
    - a sound rule (symmetric-input swap) passes the same check and is
      never quarantined (no false positives);
+   - each planted rule's quarantine message (the changed net and its
+     witness assignment) is pinned on the workload design;
    - a greedy pass whose cost function rewards the miscompile still
      ends with the design untouched and equivalent to its snapshot;
    - a refused winner does not end the pass: a sound rule's site is
@@ -241,6 +243,32 @@ let pass_blocks_miscompile () =
       Printf.printf "ok   greedy pass blocked the rewarded miscompile\n"
   | other -> fail "greedy pass: quarantine reason %s, expected miscompiled"
                (reason_str other)
+
+(* Golden quarantine messages: each planted miscompiler, applied at
+   every site it finds on the workload design under a [Full] guard, is
+   quarantined with exactly this witness — the net that changed and the
+   first leaf assignment (in exhaustive order) under which it did. *)
+let golden_messages () =
+  List.iter2
+    (fun (r : Rule.t) expected ->
+      let ctx = generic_ctx (workload_design ()) in
+      Engine.set_rule_guard ctx.Rule.session Guard.Full;
+      List.iter
+        (fun site -> ignore (Engine.guarded_apply ctx r site (D.new_log ())))
+        (r.Rule.find ctx);
+      match Engine.quarantined_errors ctx.Rule.session with
+      | [ (name, msg) ] when name = r.Rule.rule_name && msg = expected ->
+          Printf.printf "ok   %s: %s\n" name msg
+      | got ->
+          fail "%s: quarantine messages [%s], want [%s]" r.Rule.rule_name
+            (String.concat "; " (List.map (fun (n, m) -> n ^ ": " ^ m) got))
+            expected)
+    (Faults.miscompiling_rules ())
+    [
+      "miscompile: net t2 changed function under {A=0, B=0}";
+      "miscompile: net t1 changed function under {A=1, B=0}";
+      "miscompile: net Y changed function under {A=0, B=0, C=0, S=0}";
+    ]
 
 (* A cost every planted rule lowers, each by a different amount:
    inverters (polarity), gates whose first two inputs are distinct nets
@@ -511,6 +539,7 @@ let () =
   direct_catch "swap-mux fault" Faults.swap_mux_rule mux_design;
   sound_rule_passes ();
   pass_blocks_miscompile ();
+  golden_messages ();
   workload_stays_equivalent ();
   pass_continues_past_refused_winner ();
   sampled_first_application_checked ();

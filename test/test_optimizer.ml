@@ -48,6 +48,92 @@ let test_cone_extract_eval () =
                 done))
     (D.ports d)
 
+(* An AND of [n] input ports built from AND4/AND3/AND2 gates under one
+   root gate; returns the design, the root gate and the output net. *)
+let and_cone n =
+  let d = D.create (Printf.sprintf "and%d" n) in
+  let ins = List.init n (fun i -> D.add_port d (Printf.sprintf "I%d" i) T.Input) in
+  let gate ns =
+    let g = D.add_comp d (T.Macro (Printf.sprintf "AND%d" (List.length ns))) in
+    List.iteri (fun i nid -> D.connect d g (Printf.sprintf "A%d" i) nid) ns;
+    let y = D.new_net d in
+    D.connect d g "Y" y;
+    (g, y)
+  in
+  let rec groups = function
+    | a :: b :: c :: (_ :: _ :: _ as rest) -> [ a; b; c ] :: groups rest
+    | l -> [ l ]
+  in
+  let root, y = gate (List.map (fun ns -> snd (gate ns)) (groups ins)) in
+  ignore (D.add_port ~net:y d "Y" T.Output);
+  (d, root, y)
+
+(* Exhaustive sweeps whose minterm count is not a multiple of the lane
+   count end in a partial chunk: the live lanes there must be read, and
+   the dead ones never. *)
+let test_cone_partial_chunks () =
+  let lib = Util.generic () in
+  let ctx_of d =
+    R.make_context lib (Milo_compilers.Gate_comp.generic_set lib) d
+  in
+  let cone_of ctx n y =
+    match Cone.extract ctx ~max_leaves:n y with
+    | Some cone ->
+        Alcotest.(check int) "leaves" n (List.length cone.Cone.leaves);
+        cone
+    | None -> Alcotest.fail "no cone"
+  in
+  (* 6 leaves: 64 minterms, minterm 63 alone in chunk 1, lane 0 *)
+  let d, root, y = and_cone 6 in
+  let ctx = ctx_of d in
+  let cone = cone_of ctx 6 y in
+  (match Cone.truth_table ctx cone with
+  | Some tt ->
+      Alcotest.(check int64) "AND6 truth table" Int64.min_int
+        (Milo_boolfunc.Truth_table.bits tt)
+  | None -> Alcotest.fail "no truth table");
+  let vectors = Cone.exhaustive cone.Cone.leaves in
+  Alcotest.(check int) "AND6 chunks" 2 (Cone.chunks vectors);
+  let before = Cone.sweep ctx vectors y in
+  (* one explicit all-ones vector: lane 0 live, lanes 1-62 dead *)
+  let sampled = Cone.of_masks cone.Cone.leaves [ 63 ] in
+  let sampled_before = Cone.sweep ctx sampled y in
+  (* an input swap on the root keeps the function *)
+  let n0 = Option.get (D.connection d root "A0")
+  and n1 = Option.get (D.connection d root "A1") in
+  let log = D.new_log () in
+  D.disconnect ~log d root "A0";
+  D.disconnect ~log d root "A1";
+  D.connect ~log d root "A0" n1;
+  D.connect ~log d root "A1" n0;
+  Alcotest.(check bool) "input swap: no witness" true
+    (Cone.recheck ctx vectors before y = None);
+  D.undo d log;
+  (* re-driven by a constant 0: differs at minterm 63 only *)
+  D.disconnect d root "Y";
+  let z = D.add_comp d (T.Macro "VSS") in
+  D.connect d z "Y" y;
+  Alcotest.(check (option (list (pair int bool))))
+    "constant 0: the all-ones witness"
+    (Some (List.map (fun l -> (l, true)) cone.Cone.leaves))
+    (Cone.recheck ctx vectors before y);
+  (* re-driven by a constant 1: the all-zeros witness comes first, and
+     the explicit vector's dead lanes (all zero) are never compared *)
+  D.set_kind d z (T.Macro "VDD");
+  Alcotest.(check (option (list (pair int bool))))
+    "constant 1: the all-zeros witness"
+    (Some (List.map (fun l -> (l, false)) cone.Cone.leaves))
+    (Cone.recheck ctx vectors before y);
+  Alcotest.(check bool) "constant 1: dead lanes masked" true
+    (Cone.recheck ctx sampled sampled_before y = None);
+  (* 10 leaves: 1024 minterms, minterm 1023 in chunk 16, lane 15 of 16 *)
+  let d, _, y = and_cone 10 in
+  let ctx = ctx_of d in
+  let cone = cone_of ctx 10 y in
+  Alcotest.(check int) "AND10 chunks" 17
+    (Cone.chunks (Cone.exhaustive cone.Cone.leaves));
+  Alcotest.(check (list int)) "AND10 minterms" [ 1023 ] (Cone.minterms ctx cone)
+
 let strategies_preserve_function seed =
   let src, d = mapped_design ~gates:50 ~seed in
   ignore src;
@@ -667,7 +753,11 @@ let () =
   Alcotest.run "optimizer"
     [
       ( "cone",
-        [ Alcotest.test_case "extract/eval vs simulation" `Quick test_cone_extract_eval ]
+        [
+          Alcotest.test_case "extract/eval vs simulation" `Quick test_cone_extract_eval;
+          Alcotest.test_case "packed sweep partial chunks" `Quick
+            test_cone_partial_chunks;
+        ]
       );
       ( "strategies",
         [

@@ -61,7 +61,21 @@ let test_pla_errors () =
   Alcotest.(check bool) "missing .i" true (bad "10 1\n");
   Alcotest.(check bool) "bad width" true (bad ".i 2\n.o 1\n101 1\n");
   Alcotest.(check bool) "bad char" true (bad ".i 2\n.o 1\n1z 1\n");
-  Alcotest.(check bool) "bad directive" true (bad ".i 2\n.o 1\n.frob\n11 1\n")
+  Alcotest.(check bool) "bad directive" true (bad ".i 2\n.o 1\n.frob\n11 1\n");
+  let error_at src =
+    match Milo_pla.Pla.of_string src with
+    | _ -> None
+    | exception Milo_pla.Pla.Pla_error (line, msg) -> Some (line, msg)
+  in
+  Alcotest.(check (option (pair int string))) "non-numeric .i"
+    (Some (1, "bad .i count x"))
+    (error_at ".i x\n.o 2\n001 10\n.e\n");
+  Alcotest.(check (option (pair int string))) "negative .o"
+    (Some (2, "bad .o count -2"))
+    (error_at ".i 3\n.o -2\n001 10\n.e\n");
+  Alcotest.(check (option (pair int string))) ".o past max_int"
+    (Some (2, "bad .o count 99999999999999999999"))
+    (error_at ".i 3\n.o 99999999999999999999\n")
 
 let test_pla_through_flow () =
   (* PLA in, optimized ECL out, function preserved. *)

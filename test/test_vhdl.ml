@@ -184,7 +184,14 @@ let test_parse_errors () =
        "entity e is port (y : out bit); end e;\n\
         architecture r of e is begin y <= nothere; end r;"
      <> None);
-  Alcotest.(check bool) "bad char" true (bad "entity @ is" <> None)
+  Alcotest.(check bool) "bad char" true (bad "entity @ is" <> None);
+  Alcotest.(check (option string)) "integer literal past max_int"
+    (Some "lex:3:integer literal 99999999999999999999 out of range")
+    (bad
+       "entity e is port (a : in bit; y : out bit); end e;\n\
+        architecture r of e is begin\n\
+        u : counter generic map (bits => 99999999999999999999) port map (clk => a, q0 => y);\n\
+        end r;")
 
 let test_bit_string_msb_first () =
   let src =
