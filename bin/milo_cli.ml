@@ -45,7 +45,7 @@ module Diag = Milo_lint.Diagnostic
 (* The one JSON string quoter for every --json emitter.  (OCaml's [%S]
    is not JSON: it renders non-printable bytes as decimal [\ddd]
    escapes, which JSON parsers reject.) *)
-let json_quote s = "\"" ^ Diag.json_escape s ^ "\""
+let json_quote = Milo_trace.Export.quote
 
 (* All front-end failures funnel through the diagnostic type so every
    command reports "file:line: error: message" uniformly. *)
@@ -240,6 +240,34 @@ let guard_of ~file name =
       runtime_fail ~file ~code:5 "unknown guard tier %s (off|sampled|full)"
         name
 
+(* The flow settings every flow-running command takes from the same
+   flags.  The term yields a resolver that the command calls once it
+   has read its design, so a parse error still reports before a bad
+   technology (exit 1) or guard tier (exit 5). *)
+type settings = {
+  technology : Milo.Flow.technology;
+  constraints : Milo.Constraints.t;
+  budget : Milo_rules.Budget.t option;
+  guard : Milo_guard.Guard.policy;
+}
+
+let settings_term ?(limits = Term.const (None, None)) () =
+  let resolve tech delay (max_area, max_power) timeout max_steps guard ~file =
+    let technology = technology_of tech in
+    let guard = guard_of ~file guard in
+    let constraints =
+      Milo.Constraints.make ?required_delay:delay ?max_area ?max_power ()
+    in
+    let budget =
+      match (timeout, max_steps) with
+      | None, None -> None
+      | _ -> Some (Milo_rules.Budget.make ?timeout ?max_steps ())
+    in
+    { technology; constraints; budget; guard }
+  in
+  Term.(const resolve $ tech_arg $ delay_arg $ limits $ timeout_arg
+        $ max_steps_arg $ guard_arg)
+
 (* --- commands --------------------------------------------------------- *)
 
 let compile_cmd =
@@ -271,22 +299,12 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Compile and map onto a technology library (no optimization).")
     Term.(ret (const run $ design_arg $ tech_arg $ out_arg))
 
-let optimize_run path tech delay area power timeout max_steps check_measure
-    trace_file trace_format guard journal domains out =
+let optimize_run path settings check_measure trace_file trace_format journal
+    domains out =
   protect ~file:path @@ fun () ->
   install_interrupt_handlers ~journal ();
   let design = read_design path in
-  let technology = technology_of tech in
-  let guard = guard_of ~file:path guard in
-  let constraints =
-    Milo.Constraints.make ?required_delay:delay ?max_area:area
-      ?max_power:power ()
-  in
-  let budget =
-    match (timeout, max_steps) with
-    | None, None -> None
-    | _ -> Some (Milo_rules.Budget.make ?timeout ?max_steps ())
-  in
+  let { technology; constraints; budget; guard } = settings ~file:path in
   Milo_measure.Measure.set_debug_check check_measure;
   (* A JSONL trace streams into the file as the run progresses (so a
      crashed run keeps its prefix); the chrome format needs the whole
@@ -343,9 +361,11 @@ let optimize_run path tech delay area power timeout max_steps check_measure
       exit 6
 
 let optimize_term =
-  Term.(ret (const optimize_run $ design_arg $ tech_arg $ delay_arg $ area_arg
-             $ power_arg $ timeout_arg $ max_steps_arg $ check_measure_arg
-             $ trace_arg $ trace_format_arg $ guard_arg $ journal_arg
+  let limits =
+    Term.(const (fun area power -> (area, power)) $ area_arg $ power_arg)
+  in
+  Term.(ret (const optimize_run $ design_arg $ settings_term ~limits ()
+             $ check_measure_arg $ trace_arg $ trace_format_arg $ journal_arg
              $ domains_arg $ out_arg))
 
 let optimize_cmd =
@@ -504,17 +524,10 @@ let profile_cmd =
              ~doc:"Emit the profile as JSON (span tree, per-rule \
                    attribution, metric registry) instead of text.")
   in
-  let run path tech delay timeout max_steps guard json =
+  let run path settings json =
     protect ~file:path @@ fun () ->
     let design = read_design path in
-    let technology = technology_of tech in
-    let guard = guard_of ~file:path guard in
-    let constraints = Milo.Constraints.make ?required_delay:delay () in
-    let budget =
-      match (timeout, max_steps) with
-      | None, None -> None
-      | _ -> Some (Milo_rules.Budget.make ?timeout ?max_steps ())
-    in
+    let { technology; constraints; budget; guard } = settings ~file:path in
     let t = Milo_trace.Trace.create () in
     match
       Milo.Flow.run ~technology ~constraints ?budget ~trace:t ~guard design
@@ -540,8 +553,7 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Run the flow under a tracer and print the span-tree profile \
              with per-stage self-times and per-rule attribution.")
-    Term.(ret (const run $ design_arg $ tech_arg $ delay_arg $ timeout_arg
-               $ max_steps_arg $ guard_arg $ json_arg))
+    Term.(ret (const run $ design_arg $ settings_term () $ json_arg))
 
 let explain_cmd =
   let module P = Milo_provenance.Provenance in
@@ -550,17 +562,10 @@ let explain_cmd =
          & info [ "json" ]
              ~doc:"Emit the attribution report as JSON instead of text.")
   in
-  let run path tech delay timeout max_steps guard domains json =
+  let run path settings domains json =
     protect ~file:path @@ fun () ->
     let design = read_design path in
-    let technology = technology_of tech in
-    let guard = guard_of ~file:path guard in
-    let constraints = Milo.Constraints.make ?required_delay:delay () in
-    let budget =
-      match (timeout, max_steps) with
-      | None, None -> None
-      | _ -> Some (Milo_rules.Budget.make ?timeout ?max_steps ())
-    in
+    let { technology; constraints; budget; guard } = settings ~file:path in
     let t = Milo_trace.Trace.create () in
     let p = P.create () in
     match
@@ -728,8 +733,8 @@ let explain_cmd =
              blame (which rule last touched each hop of the final \
              critical path), and the rules with the best cost \
              improvement per millisecond spent.")
-    Term.(ret (const run $ design_arg $ tech_arg $ delay_arg $ timeout_arg
-               $ max_steps_arg $ guard_arg $ domains_arg $ json_arg))
+    Term.(ret (const run $ design_arg $ settings_term () $ domains_arg
+               $ json_arg))
 
 let trajectory_cmd =
   let mode_arg =
@@ -750,7 +755,7 @@ let trajectory_cmd =
          & info [ "o"; "output" ] ~docv:"TRAJ"
              ~doc:"Write the trajectory JSONL here (default stdout).")
   in
-  let run mode path tech delay timeout max_steps guard journal out =
+  let run mode path settings journal out =
     protect ~file:path @@ fun () ->
     let with_out f =
       match out with
@@ -761,33 +766,28 @@ let trajectory_cmd =
     in
     match mode with
     | "dump" ->
-        let p = Milo_provenance.Trajectory.of_journal path in
-        let events = Milo_provenance.Provenance.events p in
+        let lines =
+          Milo_provenance.Trajectory.lines
+            (Milo_provenance.Provenance.events
+               (Milo_provenance.Trajectory.of_journal path))
+        in
         with_out (fun oc ->
             List.iter
-              (fun e ->
-                output_string oc
-                  (Milo_provenance.Trajectory.line_of_event e);
+              (fun l ->
+                output_string oc l;
                 output_char oc '\n')
-              events;
+              lines;
             flush oc);
         (match out with
         | Some file ->
             Printf.eprintf "trajectory: wrote %d events to %s\n"
-              (List.length events) file
+              (List.length lines) file
         | None -> ());
         `Ok ()
     | "record" ->
         install_interrupt_handlers ~journal ();
         let design = read_design path in
-        let technology = technology_of tech in
-        let guard = guard_of ~file:path guard in
-        let constraints = Milo.Constraints.make ?required_delay:delay () in
-        let budget =
-          match (timeout, max_steps) with
-          | None, None -> None
-          | _ -> Some (Milo_rules.Budget.make ?timeout ?max_steps ())
-        in
+        let { technology; constraints; budget; guard } = settings ~file:path in
         let p = Milo_provenance.Provenance.create () in
         with_out (fun oc ->
             (* Streamed, not saved at the end: a crashed run keeps its
@@ -814,15 +814,14 @@ let trajectory_cmd =
   in
   Cmd.v
     (Cmd.info "trajectory"
-       ~doc:"Record an optimization trajectory (the provenance event \
-             stream, one JSON object per journal record) or dump one \
+       ~doc:"Record an optimization trajectory (the run's journal \
+             records, one JSON object per record) or dump one \
              reconstructed offline from a journal — including a journal \
-             stitched across resume.  Both fold the same records, so \
+             stitched across resume.  Both write the same records, so \
              $(b,record --journal J) and $(b,dump J) write the same \
              file.")
-    Term.(ret (const run $ mode_arg $ path_pos $ tech_arg $ delay_arg
-               $ timeout_arg $ max_steps_arg $ guard_arg $ journal_arg
-               $ traj_out_arg))
+    Term.(ret (const run $ mode_arg $ path_pos $ settings_term ()
+               $ journal_arg $ traj_out_arg))
 
 let verify_cmd =
   let design_a =

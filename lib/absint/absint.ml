@@ -1000,7 +1000,7 @@ let summary_to_json name s =
      \"const1\": %d, \"stuck_pins\": %d, \"dead_comps\": %d, \
      \"unobservable_comps\": %d, \"floating_inputs\": %d, \"multi_driven\": \
      %d, \"transfers\": %d}"
-    (Milo_lint.Diagnostic.json_escape name)
+    (Milo_trace.Export.json_escape name)
     s.sum_comps s.sum_nets s.sum_const0 s.sum_const1 s.sum_stuck_pins
     s.sum_dead_comps s.sum_unobservable_comps s.sum_floating_inputs
     s.sum_multi_driven s.sum_transfers

@@ -435,7 +435,7 @@ let certified_names certs =
 (* --- Rendering ---------------------------------------------------------- *)
 
 let cert_to_json c =
-  let esc = Milo_lint.Diagnostic.json_escape in
+  let esc = Milo_trace.Export.json_escape in
   Printf.sprintf
     "{\"rule\": \"%s\", \"class\": \"%s\", \"tech\": \"%s\", \"verdict\": \
      \"%s\", \"sites\": %d, \"exhaustive\": %d, \"random\": %d, \"detail\": \

@@ -420,8 +420,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
       Milo_rules.Engine.restore_guard_sample_state session rp.rp_tick rp.rp_seen;
       Milo_rules.Engine.quarantine_restore session rp.rp_quarantine;
       (* Tracer sequence numbers continue from the interrupted run, so
-         trace events (and trajectory records keyed to them) stay
-         aligned with the journal across the kill. *)
+         the resumed run's trace events number on from where the
+         interrupted run's stopped. *)
       (match trace with
       | Some t -> Milo_trace.Trace.restore_seq t rp.rp_trace
       | None -> ());

@@ -209,11 +209,13 @@ val run :
 
     [provenance] (default none — zero-overhead) hands the given
     recorder every record the journal would receive
-    ({!Milo_provenance.Provenance.observe}), journaled or not: every
-    committed change-log batch on the tracked design becomes a step
-    carrying the committer's exact cost attribution, and object tags
-    are maintained for critical-path blame.  Its events therefore
-    equal {!Milo_provenance.Trajectory.of_journal}'s over the run's
+    ({!Milo_provenance.Provenance.observe}), journaled or not, and the
+    recorder keeps them in memory.  Every committed change-log batch
+    on the tracked design is a [Delta] record carrying the committer's
+    exact cost attribution; the ledger, the conservation check and the
+    object tags behind critical-path blame are folds over those
+    records.  Its records therefore write the same trajectory as
+    {!Milo_provenance.Trajectory.of_journal}'s over the run's
     journal.
 
     [domains] (default 1) runs the optimizer's fan-out sites

@@ -43,7 +43,4 @@ val to_string : t -> string
 val compare_diag : t -> t -> int
 (** Orders by severity, then rule id, then location. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
 val to_json : t -> string

@@ -92,10 +92,10 @@ let report_to_string r =
 let report_to_json r =
   Printf.sprintf
     "{\"design\":%s,%s\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"diagnostics\":[%s]}"
-    (Printf.sprintf "\"%s\"" (Diagnostic.json_escape r.design_name))
+    (Milo_trace.Export.quote r.design_name)
     (match r.stage with
     | Some s ->
-        Printf.sprintf "\"stage\":\"%s\"," (Diagnostic.json_escape s)
+        Printf.sprintf "\"stage\":\"%s\"," (Milo_trace.Export.json_escape s)
     | None -> "")
     (severity_count Diagnostic.Error r.diags)
     (severity_count Diagnostic.Warning r.diags)

@@ -1,14 +1,18 @@
-(** Optimization provenance: object lineage tags, exact per-rule cost
-    attribution and a trajectory event stream, all folded from the
-    run's journal records.
+(** Optimization provenance: the run's journal records held in memory,
+    and the answers folded from them — object lineage tags and exact
+    per-rule cost attribution.
 
     {!observe} is the only way a recorder learns anything.  The flow
     hands it each record as it hands the same record to the journal
-    writer, and {!Trajectory.of_journal} runs the same fold over
-    recovered records, so a live recording and an offline one of the
-    same journal are equal by construction.
+    writer, and {!Trajectory.of_journal} hands it the records recovered
+    from a journal file, so a live recording and an offline one of the
+    same journal hold the same records.  Every query below is a fold
+    over them; nothing is kept on the side.
 
-    {2 The three ledgers}
+    Step ordinals number a stream's [Delta] records from 0, across
+    stages.
+
+    {2 The two ledgers}
 
     {b Object provenance.}  Every component and net carries a compact
     {!tag} — the stage, rule label and step ordinal of the commit that
@@ -18,50 +22,22 @@
     design to a different id space (micro netlist vs. flattened mapped
     design).
 
-    {b Cost attribution.}  Steps that fall inside a measured window
+    {b Cost attribution.}  Deltas that fall inside a measured window
     carry the measurer's exact before/after totals.  Because each kept
     application advances the same incremental measurer whose totals
     are snapshotted here, attribution {e conserves}: within a stage
     the records telescope ([after]{_ k} is bitwise [before]{_ k+1})
     and the attributed deltas sum to the stage's end-to-end cost
     change ({!conservation}).  Rollbacks and quarantines revert the
-    design before any commit, so they never reach the stream.
-
-    {b Trajectory.}  One event per record — [Run]/[Header],
-    [Stage]/[Stage], [Step]/[Delta], [Check]/[Checkpoint],
-    [Finish]/[Finish]. *)
-
-module D = Milo_netlist.Design
+    design before any commit, so they never reach the stream. *)
 
 type cost = Milo_trace.Trace.cost
 
 type tag = {
   tag_stage : string;  (** flow stage of the commit *)
   tag_label : string option;  (** rule/strategy label, when attributed *)
-  tag_step : int;  (** step ordinal of the commit ({!step}[.st_step]) *)
+  tag_step : int;  (** step ordinal of the commit *)
 }
-
-type step = {
-  st_step : int;  (** ordinal of the delta among the stream's deltas *)
-  st_stage : string;
-  st_label : string option;  (** the delta's label *)
-  st_site : string option;  (** site digest, engine commits only *)
-  st_verdict : D.verdict option;
-  st_entries : int;  (** change-log entries in the commit *)
-  st_hash : string;  (** design digest after the commit *)
-  st_before : cost option;  (** measurer totals around the commit; *)
-  st_after : cost option;  (** [None] outside a measured window *)
-  st_comps : int;  (** design features after the commit; 0 when the *)
-  st_nets : int;  (** delta predates recorded shapes *)
-  st_budget : (int * int * float) option;  (** steps, evals, elapsed *)
-}
-
-type event =
-  | Run of { run_design : string; run_tech : string; run_hash : string }
-  | Stage of string
-  | Step of step
-  | Check of { ck_stage : string; ck_hash : string; ck_comps : int; ck_nets : int }
-  | Finish of { fin_outcome : string; fin_cost : cost }
 
 (** {1 Recorder} *)
 
@@ -70,19 +46,15 @@ type t
 val create : unit -> t
 
 val observe : t -> Milo_journal.Journal.record -> unit
-(** Fold one journal record into the recorder: a header becomes
-    [Run], a stage resets the object tags, a delta is numbered, tags
-    the objects its entries touch and becomes a [Step], a checkpoint
-    becomes a [Check] carrying its snapshot's digest, and a finish
-    closes the stream. *)
+(** Append one record and hand it to every sink. *)
 
-val add_sink : t -> (event -> unit) -> unit
-(** Streaming sink, called once per recorded event in order. *)
+val add_sink : t -> (Milo_journal.Journal.record -> unit) -> unit
+(** Streaming sink, called once per observed record in order. *)
 
-(** {1 Queries} *)
+val events : t -> Milo_journal.Journal.record list
+(** All observed records, in order. *)
 
-val events : t -> event list
-(** All recorded events, in order. *)
+(** {1 Object tags} *)
 
 val comp_tag : t -> int -> tag option
 val net_tag : t -> int -> tag option
@@ -109,8 +81,8 @@ type conservation = {
   co_commits : int;
   co_measured : int;
   co_breaks : int;
-      (** telescoping violations: measured step k's [after] was not
-          bitwise-equal to measured step k+1's [before].  0 on any
+      (** telescoping violations: measured delta k's [after] was not
+          bitwise-equal to measured delta k+1's [before].  0 on any
           healthy run — the invariant the fuzz suite asserts. *)
   co_sum : cost;  (** sum of attributed deltas *)
   co_end : cost;  (** last [after] − first [before] *)
@@ -118,8 +90,8 @@ type conservation = {
 }
 
 val conservation : t -> conservation list
-(** Per-stage conservation check over the recorded steps, in stage
-    order of first appearance.  Stages with no measured steps report
+(** Per-stage conservation check over the recorded deltas, in stage
+    order of first appearance.  Stages with no measured deltas report
     zero sums and trivially conserve. *)
 
 (** {1 Critical-path blame} *)

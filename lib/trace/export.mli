@@ -8,6 +8,9 @@
 val json_escape : string -> string
 (** Escape for inclusion between double quotes in JSON. *)
 
+val quote : string -> string
+(** [s] escaped and between double quotes: a JSON string literal. *)
+
 val jsonl_sink : out_channel -> Trace.sink
 (** A streaming sink: one JSON object per line — [{"t":"span",...}]
     as each span closes, [{"t":"event",...}] as each event fires, and

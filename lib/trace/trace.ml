@@ -293,9 +293,9 @@ let event_count t = t.seq
 
 (* Resume re-arm: a journaled run records [event_count] at every
    checkpoint, and a resumed run's fresh tracer continues the sequence
-   from there, so journal deltas and trajectory records stay aligned
-   across a kill.  The ring stays empty below the restored position —
-   [events] skips the holes. *)
+   from there, so event numbering runs on across a kill.  The ring
+   stays empty below the restored position — [events] skips the
+   holes. *)
 let restore_seq t n = if n > t.seq then t.seq <- n
 
 let spans t = List.rev t.all_spans

@@ -175,9 +175,9 @@ val event_count : t -> int
 
 val restore_seq : t -> int -> unit
 (** Re-arm the event sequence counter at a recorded position (journal
-    resume): subsequent events are numbered from [n], so sequence
-    numbers stay aligned with the journal of the interrupted run they
-    continue.  Never moves the counter backwards. *)
+    resume): subsequent events are numbered from [n], so a resumed
+    run's events continue the numbering of the interrupted run.  Never
+    moves the counter backwards. *)
 
 val spans : t -> span list
 (** All spans, in creation (start) order. *)

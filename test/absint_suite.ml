@@ -730,7 +730,7 @@ let test_json_escaping () =
         (json_well_formed (Diagnostic.to_json g)))
     (Lint_facts.all st);
   check "json_escape escapes quotes"
-    (Diagnostic.json_escape "a\"b" = "a\\\"b")
+    (Milo_trace.Export.json_escape "a\"b" = "a\\\"b")
 
 (* --- Driver -------------------------------------------------------------- *)
 

@@ -418,10 +418,10 @@ let replay_tampered () =
 (* --- Tracer sequence continuity across resume --------------------------- *)
 
 (* Regression: a resumed run used to restart its tracer's event
-   numbering at zero, misaligning resumed events (and trajectory
-   records) from the journal they continue.  A checkpoint now records
-   the tracer position and resume re-arms the fresh tracer from it, so
-   the first resumed event continues the interrupted sequence. *)
+   numbering at zero, so resumed events repeated the interrupted run's
+   sequence numbers.  A checkpoint now records the tracer position and
+   resume re-arms the fresh tracer from it, so the first resumed event
+   continues the interrupted sequence. *)
 let trace_seq_resume () =
   let case = List.hd (Suite.all ()) in
   let path = temp_journal "traceseq" in

@@ -106,9 +106,8 @@ let snapshot_run ~what ~domains (case : Suite.case) =
           sn_quarantined = res.Flow.quarantined;
           sn_ledger = P.ledger p;
           sn_traj =
-            List.map
-              (fun ev -> strip_field "budget_elapsed" (Trajectory.line_of_event ev))
-              (P.events p);
+            List.map (strip_field "budget_elapsed")
+              (Trajectory.lines (P.events p));
           sn_trace =
             (* The degradation Note is the one event allowed to differ
                between a pooled and a degraded run; everything after it
@@ -315,9 +314,8 @@ let summarize_recorded (case : Suite.case) =
             Ok
               ( summary_of res,
                 P.ledger p,
-                List.map
-                  (fun ev -> strip_field "budget_elapsed" (Trajectory.line_of_event ev))
-                  (P.events p),
+                List.map (strip_field "budget_elapsed")
+                  (Trajectory.lines (P.events p)),
                 (rep.Flow.rep_records, rep.Flow.rep_deltas) )
           else Error "journal replay diverged"
       | Flow.Partial p -> Error (Flow.stage_name p.Flow.failed_stage)

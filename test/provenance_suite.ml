@@ -13,9 +13,9 @@
      commit's attribution;
    - one fold, two readers: a journaled run's live recorder and
      [Trajectory.of_journal] over the journal it wrote give equal
-     events, ledgers and conservation rows, and the offline stream
-     conserves on its own — including a journal stitched across a
-     kill + resume; the JSONL save/load is an identity. *)
+     trajectory lines, ledgers, conservation rows and tags, and the
+     offline stream conserves on its own — including a journal
+     stitched across a kill + resume. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -50,6 +50,8 @@ let cleanup path =
 
 let near a b = abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b)
 
+let is_delta = function J.Delta _ -> true | _ -> false
+
 let check_conservation name p =
   List.iter
     (fun (co : P.conservation) ->
@@ -78,22 +80,20 @@ let conservation_fuzz (case : Suite.case) =
   with
   | Flow.Complete res ->
       check_conservation name p;
-      let steps =
-        List.length
-          (List.filter (function P.Step _ -> true | _ -> false) (P.events p))
-      in
+      let steps = List.length (List.filter is_delta (P.events p)) in
       let measured =
         List.fold_left
           (fun acc (co : P.conservation) -> acc + co.P.co_measured)
           0 (P.conservation p)
       in
       (* Every delta carries the budget used at its commit. *)
-      List.iter
-        (function
-          | P.Step s when s.P.st_budget = None ->
-              fail "%s: step %d lacks a budget snapshot" name s.P.st_step
+      List.iteri
+        (fun step r ->
+          match r with
+          | J.Delta { d_budget = None; _ } ->
+              fail "%s: step %d lacks a budget snapshot" name step
           | _ -> ())
-        (P.events p);
+        (List.filter is_delta (P.events p));
       (* Ledger applies must account for every step record. *)
       let ledger_applies =
         List.fold_left (fun acc (r : P.row) -> acc + r.P.row_applies) 0
@@ -219,9 +219,11 @@ let attribution_travels () =
   commit d (T.Gate (T.Inv, 1));
   commit ~site:"third" d (T.Gate (T.Inv, 1));
   (match P.events p with
-  | [ P.Step s1; P.Step s2; P.Step s3 ] ->
+  | [ J.Delta d1; J.Delta d2; J.Delta d3 ] ->
       if
-        List.map (fun s -> s.P.st_site) [ s1; s2; s3 ]
+        List.map
+          (fun (a : D.attribution) -> a.D.at_site)
+          [ d1.d_attr; d2.d_attr; d3.d_attr ]
         <> [ Some "first"; None; Some "third" ]
       then fail "attribution: a step carries another commit's site"
   | evs ->
@@ -267,10 +269,7 @@ let miscompile_nets_to_zero () =
     let c, n = P.tag_count p in
     fail "netting: reverted work left %d comp / %d net tags" c n
   end;
-  let steps =
-    List.length
-      (List.filter (function P.Step _ -> true | _ -> false) (P.events p))
-  in
+  let steps = List.length (List.filter is_delta (P.events p)) in
   if steps <> 0 then fail "netting: %d step record(s) for reverted work" steps;
   (match
      List.assoc_opt rule.Rule.rule_name
@@ -286,18 +285,16 @@ let miscompile_nets_to_zero () =
 (* --- One fold, two readers ----------------------------------------------- *)
 
 (* The live recorder saw the records its run journaled; the offline
-   fold over that journal must give the same events, ledger and
-   conservation rows, and conserve on its own. *)
+   fold over that journal must give the same trajectory lines, ledger
+   and conservation rows, and conserve on its own. *)
 let same_fold what live ~journal =
   let off = Traj.of_journal journal in
-  let le = P.events live and oe = P.events off in
-  if oe <> le then begin
+  let ll = Traj.lines (P.events live) and ol = Traj.lines (P.events off) in
+  if ol <> ll then begin
     fail "%s: of_journal's %d events differ from the live recorder's %d" what
-      (List.length oe) (List.length le);
-    match List.find_opt (fun (a, b) -> a <> b) (List.combine le oe) with
-    | Some (a, b) ->
-        Printf.printf "     live:    %s\n     offline: %s\n"
-          (Traj.line_of_event a) (Traj.line_of_event b)
+      (List.length ol) (List.length ll);
+    match List.find_opt (fun (a, b) -> a <> b) (List.combine ll ol) with
+    | Some (a, b) -> Printf.printf "     live:    %s\n     offline: %s\n" a b
     | None | (exception Invalid_argument _) -> ()
   end;
   if P.ledger off <> P.ledger live then fail "%s: offline ledger differs" what;
@@ -308,10 +305,9 @@ let same_fold what live ~journal =
   check_conservation (what ^ " offline") off;
   off
 
-let trajectory_roundtrip (case : Suite.case) =
+let trajectory_one_fold (case : Suite.case) =
   let name = case.Suite.case_name in
   let path = temp_journal ("traj_" ^ name) in
-  let tfile = Filename.temp_file "milo_traj_" ".jsonl" in
   let p = P.create () in
   (match
      Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
@@ -319,18 +315,12 @@ let trajectory_roundtrip (case : Suite.case) =
    with
   | Flow.Complete _ ->
       ignore (same_fold name p ~journal:path);
-      (* Through the serialized form: the loaded stream must equal the
-         live one exactly (floats round-trip bit-exactly). *)
-      Traj.save tfile (P.events p);
-      if Traj.load tfile <> P.events p then
-        fail "%s: trajectory save/load not an identity" name;
       Printf.printf "ok   trajectory %-8s live = of_journal (%d events)\n" name
         (List.length (P.events p))
   | Flow.Partial pp ->
       fail "%s: flow degraded at %s" name (Flow.stage_name pp.Flow.failed_stage)
   | exception e -> fail "%s: flow raised %s" name (Printexc.to_string e));
-  cleanup path;
-  if Sys.file_exists tfile then Sys.remove tfile
+  cleanup path
 
 (* Kill + resume: the rewritten journal is one coherent stream, so the
    resumed run's recorder and the offline fold of that journal agree,
@@ -358,9 +348,9 @@ let trajectory_stitched () =
     | Flow.Complete _ ->
         let off = same_fold "stitch" p ~journal:path in
         (match List.rev (P.events off) with
-        | P.Finish { fin_outcome; _ } :: _ ->
-            if fin_outcome <> "complete" then
-              fail "stitch: stitched trajectory ends %S" fin_outcome
+        | J.Finish { f_outcome; _ } :: _ ->
+            if f_outcome <> "complete" then
+              fail "stitch: stitched trajectory ends %S" f_outcome
         | _ -> fail "stitch: stitched trajectory lacks a finish record");
         (match Flow.replay path with
         | rep ->
@@ -384,7 +374,7 @@ let () =
   lineage_mechanics ();
   attribution_travels ();
   miscompile_nets_to_zero ();
-  List.iter trajectory_roundtrip cases;
+  List.iter trajectory_one_fold cases;
   trajectory_stitched ();
   if !failures > 0 then begin
     Printf.printf "provenance_suite: %d failure(s)\n" !failures;
