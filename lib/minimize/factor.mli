@@ -9,9 +9,6 @@ type expr =
   | Not_e of expr
 
 val literal_count : expr -> int
-val depth : expr -> int
 val eval : (int -> bool) -> expr -> bool
-val expr_of_cube : Division.cube -> expr
-val factor : Division.alg -> expr
 val of_cover : Milo_boolfunc.Cover.t -> expr
 val to_string : (int -> string) -> expr -> string

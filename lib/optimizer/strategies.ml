@@ -446,67 +446,64 @@ let mux_duplicate ctx (sta : Sta.t) (path : Sta.path) log =
   match cone with
   | None -> Not_applicable
   | Some cone -> (
-      match Some cone with
+      match Milo_rules.Cone.truth_table ctx cone with
       | None -> Not_applicable
-      | Some cone -> (
-          match Milo_rules.Cone.truth_table ctx cone with
+      | Some tt -> (
+          (* The late leaf becomes the mux select. *)
+          let arrivals =
+            List.mapi
+              (fun i nid ->
+                (i, Option.value ~default:0.0 (Sta.net_arrival sta nid)))
+              cone.Milo_rules.Cone.leaves
+          in
+          let late =
+            List.fold_left
+              (fun acc (i, a) ->
+                match acc with
+                | Some (_, ba) when ba >= a -> acc
+                | _ -> Some (i, a))
+              None arrivals
+          in
+          match late with
           | None -> Not_applicable
-          | Some tt -> (
-              (* The late leaf becomes the mux select. *)
-              let arrivals =
-                List.mapi
-                  (fun i nid ->
-                    (i, Option.value ~default:0.0 (Sta.net_arrival sta nid)))
-                  cone.Milo_rules.Cone.leaves
+          | Some (li, _) ->
+              let tt0 = Truth_table.cofactor tt li false in
+              let tt1 = Truth_table.cofactor tt li true in
+              let expr_of t =
+                Milo_minimize.Factor.of_cover
+                  (Milo_minimize.Espresso.minimize_tt t)
               in
-              let late =
-                List.fold_left
-                  (fun acc (i, a) ->
-                    match acc with
-                    | Some (_, ba) when ba >= a -> acc
-                    | _ -> Some (i, a))
-                  None arrivals
+              let e0 = expr_of tt0 and e1 = expr_of tt1 in
+              let var_net v = List.nth cone.Milo_rules.Cone.leaves v in
+              let mux_name =
+                List.find_opt
+                  (fun n -> Tech.mem ctx.R.tech n)
+                  [ "MUX2"; "E_MUX2"; "C_MUX2" ]
               in
-              match late with
+              (match mux_name with
               | None -> Not_applicable
-              | Some (li, _) ->
-                  let tt0 = Truth_table.cofactor tt li false in
-                  let tt1 = Truth_table.cofactor tt li true in
-                  let expr_of t =
-                    Milo_minimize.Factor.of_cover
-                      (Milo_minimize.Espresso.minimize_tt t)
+              | Some mux_macro ->
+                  let ok =
+                    Milo_rules.Cone.replace ctx log cone ~build:(fun () ->
+                        let n0 =
+                          Milo_compilers.Gate_comp.build_expr ~log
+                            ctx.R.design ctx.R.set ~var_net e0
+                        in
+                        let n1 =
+                          Milo_compilers.Gate_comp.build_expr ~log
+                            ctx.R.design ctx.R.set ~var_net e1
+                        in
+                        let mid =
+                          D.add_comp ~log ctx.R.design (T.Macro mux_macro)
+                        in
+                        D.connect ~log ctx.R.design mid "D0" n0;
+                        D.connect ~log ctx.R.design mid "D1" n1;
+                        D.connect ~log ctx.R.design mid "S0" (var_net li);
+                        let out = D.new_net ~log ctx.R.design in
+                        D.connect ~log ctx.R.design mid "Y" out;
+                        out)
                   in
-                  let e0 = expr_of tt0 and e1 = expr_of tt1 in
-                  let var_net v = List.nth cone.Milo_rules.Cone.leaves v in
-                  let mux_name =
-                    List.find_opt
-                      (fun n -> Tech.mem ctx.R.tech n)
-                      [ "MUX2"; "E_MUX2"; "C_MUX2" ]
-                  in
-                  (match mux_name with
-                  | None -> Not_applicable
-                  | Some mux_macro ->
-                      let ok =
-                        Milo_rules.Cone.replace ctx log cone ~build:(fun () ->
-                            let n0 =
-                              Milo_compilers.Gate_comp.build_expr ~log
-                                ctx.R.design ctx.R.set ~var_net e0
-                            in
-                            let n1 =
-                              Milo_compilers.Gate_comp.build_expr ~log
-                                ctx.R.design ctx.R.set ~var_net e1
-                            in
-                            let mid =
-                              D.add_comp ~log ctx.R.design (T.Macro mux_macro)
-                            in
-                            D.connect ~log ctx.R.design mid "D0" n0;
-                            D.connect ~log ctx.R.design mid "D1" n1;
-                            D.connect ~log ctx.R.design mid "S0" (var_net li);
-                            let out = D.new_net ~log ctx.R.design in
-                            D.connect ~log ctx.R.design mid "Y" out;
-                            out)
-                      in
-                      if ok then Applied "mux-duplicate" else Not_applicable))))
+                  if ok then Applied "mux-duplicate" else Not_applicable)))
 
 (* --- The strategy table ------------------------------------------------ *)
 

@@ -33,9 +33,9 @@ let check_equiv ?(seq = false) ?(cycles = 64) ?(runs = 4) env1 d1 env2 d2 =
     true
     (Milo_sim.Equiv.is_equivalent r)
 
-let qtest ?(count = 100) name gen prop =
+let qtest ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Compile a kind fully flat over the generic library. *)
 let compile_flat kind =
