@@ -816,12 +816,12 @@ let trace_overhead ~smoke_mode () =
   (* warm-up: libraries, compiler memo tables, suite laziness *)
   run_flow ();
   let off_min = min_of (fun () -> run_flow ()) in
-  let last_events = ref 0 in
+  let last_spans = ref 0 in
   let mem_min =
     min_of (fun () ->
         let t = Milo_trace.Trace.create () in
         run_flow ~trace:t ();
-        last_events := Milo_trace.Trace.event_count t)
+        last_spans := List.length (Milo_trace.Trace.spans t))
   in
   let jsonl_min =
     min_of (fun () ->
@@ -835,18 +835,18 @@ let trace_overhead ~smoke_mode () =
   in
   let pct base v = (v -. base) /. base *. 100.0 in
   Printf.printf
-    "design %s, %d trials (min), %d events per traced run\n\
+    "design %s, %d trials (min), %d spans per traced run\n\
      off:       %8.2f ms\n\
      in-memory: %8.2f ms  (%+.1f%%)\n\
      jsonl:     %8.2f ms  (%+.1f%%)\n%!"
-    name trials !last_events (off_min *. 1e3) (mem_min *. 1e3)
+    name trials !last_spans (off_min *. 1e3) (mem_min *. 1e3)
     (pct off_min mem_min) (jsonl_min *. 1e3) (pct off_min jsonl_min);
   write_bench "BENCH_trace.json"
     [
       ("design", Printf.sprintf "%S" name);
       ("trials", string_of_int trials);
       ("smoke", string_of_bool smoke_mode);
-      ("events", string_of_int !last_events);
+      ("spans", string_of_int !last_spans);
       ("off_ms", Printf.sprintf "%.3f" (off_min *. 1e3));
       ("in_memory_ms", Printf.sprintf "%.3f" (mem_min *. 1e3));
       ("jsonl_ms", Printf.sprintf "%.3f" (jsonl_min *. 1e3));

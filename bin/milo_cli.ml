@@ -169,11 +169,15 @@ let delay_arg =
 
 let area_arg =
   Arg.(value & opt (some float) None & info [ "area" ] ~docv:"CELLS"
-         ~doc:"Area budget in cells.")
+         ~doc:"Area limit in cells.  The final design is checked against \
+               it and the result reported (met or NOT met); the \
+               optimizer does not optimize toward it.")
 
 let power_arg =
   Arg.(value & opt (some float) None & info [ "power" ] ~docv:"MW"
-         ~doc:"Power budget in milliwatts.")
+         ~doc:"Power limit in milliwatts.  The final design is checked \
+               against it and the result reported (met or NOT met); the \
+               optimizer does not optimize toward it.")
 
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -195,9 +199,10 @@ let check_measure_arg =
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:"Record a flow trace to $(docv): spans, rule/search \
-               events and metrics.  JSONL streams as the run \
-               progresses; the chrome format is written at the end.")
+         ~doc:"Record a flow trace to $(docv): spans, per-rule time \
+               attribution and metrics.  JSONL streams spans as the \
+               run progresses; the chrome format is written at the \
+               end.")
 
 let trace_format_arg =
   Arg.(value & opt string "json" & info [ "trace-format" ] ~docv:"FORMAT"
@@ -299,6 +304,32 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Compile and map onto a technology library (no optimization).")
     Term.(ret (const run $ design_arg $ tech_arg $ out_arg))
 
+(* One line per area or power limit given: the flow does not optimize
+   toward these limits, so the report is where they are checked. *)
+let report_limits (c : Milo.Constraints.t) (final : Milo.Flow.stats) =
+  let report name unit value limit only =
+    let met =
+      Milo.Constraints.meets only ~delay:final.Milo.Flow.delay
+        ~area:final.Milo.Flow.area ~power:final.Milo.Flow.power
+    in
+    Printf.printf "%s: %s (%.1f %s %.1f %s)\n" name
+      (if met then "met" else "NOT met")
+      value
+      (if met then "<=" else ">")
+      limit unit
+  in
+  let none = Milo.Constraints.none in
+  Option.iter
+    (fun l ->
+      report "area" "cells" final.Milo.Flow.area l
+        { none with Milo.Constraints.max_area = Some l })
+    c.Milo.Constraints.max_area;
+  Option.iter
+    (fun l ->
+      report "power" "mW" final.Milo.Flow.power l
+        { none with Milo.Constraints.max_power = Some l })
+    c.Milo.Constraints.max_power
+
 let optimize_run path settings check_measure trace_file trace_format journal
     domains out =
   protect ~file:path @@ fun () ->
@@ -346,6 +377,7 @@ let optimize_run path settings check_measure trace_file trace_format journal
   | Milo.Flow.Complete res ->
       finish_trace ();
       print_string (Milo.Report.summary res);
+      report_limits constraints res.Milo.Flow.final;
       (match out with
       | Some _ -> write_design out res.Milo.Flow.optimized
       | None -> ());

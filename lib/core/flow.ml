@@ -139,7 +139,7 @@ type result = {
   budget : Milo_rules.Budget.status;
   run_trace : Milo_trace.Trace.t option;
       (** the tracer passed to [run ?trace], flushed — queryable for
-          spans, events, metrics and the profile *)
+          spans, metrics and the profile *)
   certificates : Milo_absint.Certify.certificate list;
       (** static rule certificates established for the run (empty when
           the guard was [Off] or [certify] was [false]) *)
@@ -251,7 +251,6 @@ type resume_point = {
   rp_guard : int array;
   rp_tick : int;
   rp_seen : string list;
-  rp_trace : int;  (* tracer event count at the checkpoint *)
   rp_quarantine : (string * int * string * Milo_rules.Engine.reason) list;
 }
 
@@ -348,11 +347,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   (* The engine session of this run: quarantine, rule guard and
      certificates, handed to every context the flow builds. *)
   let session = R.new_session () in
-  if !run_notes <> [] && Milo_trace.Trace.enabled () then
-    Milo_trace.Trace.emit
-      (Milo_trace.Trace.Note
-         "Degraded_to_sequential: domain pool construction failed; \
-          continuing inline with identical results");
   (* Semantic guard: one stats record shared between the engine's
      rule-level cone checks (armed on the session) and the stage-level
      equivalence checks below. *)
@@ -419,12 +413,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
       gstats.Guard.rule_certified <- rp.rp_guard.(5);
       Milo_rules.Engine.restore_guard_sample_state session rp.rp_tick rp.rp_seen;
       Milo_rules.Engine.quarantine_restore session rp.rp_quarantine;
-      (* Tracer sequence numbers continue from the interrupted run, so
-         the resumed run's trace events number on from where the
-         interrupted run's stopped. *)
-      (match trace with
-      | Some t -> Milo_trace.Trace.restore_seq t rp.rp_trace
-      | None -> ());
       micro_applications := rp.rp_micro;
       levels_ref := rp.rp_levels;
       timing_ref := rp.rp_timing);
@@ -446,7 +434,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
           (Journal_error ("journal lacks the " ^ stage_name s ^ " checkpoint"))
   in
   Milo_trace.Trace.open_span ("flow:" ^ D.name design);
-  Milo_trace.Trace.set_stage (stage_name Capture);
   Milo_trace.Trace.open_span ("stage:" ^ stage_name Capture);
   let db = Database.create () in
   let lib = Milo_library.Generic.get () in
@@ -457,12 +444,14 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
      stages against the target technology too. *)
   let findings = ref [] in
   let lint_stage ~techs stage d =
-    let diags =
-      Milo_lint.Lint.check_stage
-        ~resolve:(Database.resolver db techs)
-        ~is_sequential:(seq_classifier techs) ~level:lint ~stage d
-    in
-    if diags <> [] then findings := (stage, diags) :: !findings
+    if lint <> Milo_lint.Lint.Off then
+      Milo_trace.Trace.with_span ("lint:" ^ stage) (fun () ->
+          let diags =
+            Milo_lint.Lint.check_stage
+              ~resolve:(Database.resolver db techs)
+              ~is_sequential:(seq_classifier techs) ~level:lint ~stage d
+          in
+          if diags <> [] then findings := (stage, diags) :: !findings)
   in
   let generic = [ lib ] in
   let mapped = [ target.Table_map.tech; lib ] in
@@ -470,85 +459,82 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
      later failure degrades to the last good design. *)
   let checkpoints = ref [] in
   let checkpoint stage d =
-    let ck = { ck_stage = stage; ck_design = D.copy d } in
-    checkpoints := ck :: !checkpoints;
-    (* The snapshot plus every counter a resume must re-arm; the journal
-       commits it with the tmp+rename discipline, so the file always
-       holds a whole checkpoint or none of it. *)
-    if recorded then begin
-      let steps, evals, elapsed = budget_used () in
-      let tick, seen =
-        match Milo_rules.Engine.guard_sample_state session with
-        | Some s -> s
-        | None -> (0, [])
-      in
-      emit
-        (J.Checkpoint
-           {
-             J.ck_stage = stage_name stage;
-             ck_steps = steps;
-             ck_evals = evals;
-             ck_elapsed = elapsed;
-             ck_guard =
-               [|
-                 gstats.Guard.stage_checks;
-                 gstats.Guard.stage_mismatches;
-                 gstats.Guard.rule_checks;
-                 gstats.Guard.rule_mismatches;
-                 gstats.Guard.rule_skipped;
-                 gstats.Guard.rule_certified;
-               |];
-             ck_tick = tick;
-             ck_seen = seen;
-             ck_trace =
-               (match trace with
-               | Some t -> Milo_trace.Trace.event_count t
-               | None -> 0);
-             ck_quarantine =
-               List.map
-                 (fun (r, c, m, reason) ->
-                   (r, c, m, Milo_rules.Engine.reason_name reason))
-                 (Milo_rules.Engine.quarantine_dump session);
-             ck_micro = !micro_applications;
-             ck_levels = levels_to_journal !levels_ref;
-             ck_timing = Option.map timing_to_journal !timing_ref;
-             ck_design = ck.ck_design;
-           })
-    end;
-    if Milo_trace.Trace.enabled () then
-      Milo_trace.Trace.emit
-        (Milo_trace.Trace.Checkpoint
-           {
-             stage = stage_name stage;
-             comps = D.num_comps d;
-             nets = D.num_nets d;
-           });
+    (* The hook runs once the checkpoint's span has closed, so an
+       observer that opens or closes spans from it sees the stage's. *)
+    let ck =
+      Milo_trace.Trace.with_span ("checkpoint:" ^ stage_name stage) @@ fun () ->
+      let ck = { ck_stage = stage; ck_design = D.copy d } in
+      checkpoints := ck :: !checkpoints;
+      (* The snapshot plus every counter a resume must re-arm; the
+         journal commits it with the tmp+rename discipline, so the file
+         always holds a whole checkpoint or none of it. *)
+      if recorded then begin
+        let steps, evals, elapsed = budget_used () in
+        let tick, seen =
+          match Milo_rules.Engine.guard_sample_state session with
+          | Some s -> s
+          | None -> (0, [])
+        in
+        emit
+          (J.Checkpoint
+             {
+               J.ck_stage = stage_name stage;
+               ck_steps = steps;
+               ck_evals = evals;
+               ck_elapsed = elapsed;
+               ck_guard =
+                 [|
+                   gstats.Guard.stage_checks;
+                   gstats.Guard.stage_mismatches;
+                   gstats.Guard.rule_checks;
+                   gstats.Guard.rule_mismatches;
+                   gstats.Guard.rule_skipped;
+                   gstats.Guard.rule_certified;
+                 |];
+               ck_tick = tick;
+               ck_seen = seen;
+               ck_quarantine =
+                 List.map
+                   (fun (r, c, m, reason) ->
+                     (r, c, m, Milo_rules.Engine.reason_name reason))
+                   (Milo_rules.Engine.quarantine_dump session);
+               ck_micro = !micro_applications;
+               ck_levels = levels_to_journal !levels_ref;
+               ck_timing = Option.map timing_to_journal !timing_ref;
+               ck_design = ck.ck_design;
+             })
+      end;
+      ck
+    in
     hooks.on_checkpoint ck
   in
   (* Stage guards: before a stage's checkpoint is taken, its output is
      equivalence-checked against the previous stage's (known-good)
      checkpoint.  A mismatch raises [Guard.Miscompile] — degrading the
      run to [Partial] with a shrunk counterexample — instead of letting
-     a functionally wrong design flow on. *)
+     a functionally wrong design flow on.  The (reference, candidate)
+     pair is built only when the guard is armed, inside its span, so
+     flattening a reference is charged to the guard. *)
   let ck_design stage =
     (List.find (fun c -> c.ck_stage = stage) !checkpoints).ck_design
   in
   let guard_params =
     if guard = Guard.Full then Guard.full_params else Guard.sampled_params
   in
-  let stage_guard label ~techs ref_d cand_d =
-    if guard <> Guard.Off then begin
-      gstats.Guard.stage_checks <- gstats.Guard.stage_checks + 1;
-      let env = Milo_sim.Simulator.env_of_techs techs in
-      match
-        Guard.check ~params:guard_params ~is_seq:(seq_classifier techs) env
-          ref_d env cand_d
-      with
-      | None -> ()
-      | Some divergence ->
-          gstats.Guard.stage_mismatches <- gstats.Guard.stage_mismatches + 1;
-          raise (Guard.Miscompile { guard_stage = label; divergence })
-    end
+  let stage_guard label ~techs designs =
+    if guard <> Guard.Off then
+      Milo_trace.Trace.with_span ("guard:" ^ label) (fun () ->
+          let ref_d, cand_d = designs () in
+          gstats.Guard.stage_checks <- gstats.Guard.stage_checks + 1;
+          let env = Milo_sim.Simulator.env_of_techs techs in
+          match
+            Guard.check ~params:guard_params ~is_seq:(seq_classifier techs) env
+              ref_d env cand_d
+          with
+          | None -> ()
+          | Some divergence ->
+              gstats.Guard.stage_mismatches <- gstats.Guard.stage_mismatches + 1;
+              raise (Guard.Miscompile { guard_stage = label; divergence }))
   in
   let current = ref Capture in
   let enter stage d =
@@ -557,7 +543,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
        next.  The terminal flush closes the last one. *)
     if Milo_trace.Trace.enabled () then begin
       Milo_trace.Trace.close_span ("stage:" ^ stage_name !current);
-      Milo_trace.Trace.set_stage (stage_name stage);
       Milo_trace.Trace.open_span ("stage:" ^ stage_name stage)
     end;
     current := stage;
@@ -605,8 +590,9 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   let certificates = ref [] in
   if guard <> Guard.Off && certify then begin
     certificates :=
-      Milo_absint.Certify.certify_rules target
-        Milo_critic.Critic.all_logic_level;
+      Milo_trace.Trace.with_span "certify" (fun () ->
+          Milo_absint.Certify.certify_rules target
+            Milo_critic.Critic.all_logic_level);
     Milo_rules.Engine.set_certified session
       (Milo_absint.Certify.certified_names !certificates)
   end;
@@ -662,8 +648,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
               (Database.names db);
           (* The compile check flattens a copy, so a flattening bug is
              also caught here rather than shipped into mapping. *)
-          stage_guard "compile" ~techs:generic (ck_design Micro)
-            (Database.flatten db (D.copy expanded))
+          stage_guard "compile" ~techs:generic (fun () ->
+              (ck_design Micro, Database.flatten db (D.copy expanded)))
         end;
         checkpoint Compile expanded;
         Some expanded
@@ -683,9 +669,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
               ~on_mapped:(fun d levels ->
                 levels_ref := levels;
                 lint_stage ~techs:mapped "techmap" d;
-                stage_guard "techmap" ~techs:mapped
-                  (Database.flatten db (D.copy (ck_design Compile)))
-                  d;
+                stage_guard "techmap" ~techs:mapped (fun () ->
+                    (Database.flatten db (D.copy (ck_design Compile)), d));
                 checkpoint Techmap d;
                 enter Optimize d;
                 track d)
@@ -725,7 +710,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
     in
     if not (resumed_past Optimize) then begin
       lint_stage ~techs:mapped "optimized" optimized;
-      stage_guard "optimize" ~techs:mapped (ck_design Techmap) optimized
+      stage_guard "optimize" ~techs:mapped (fun () ->
+          (ck_design Techmap, optimized))
     end;
     checkpoint Optimize optimized;
     (* Analysis stage: abstract-interpretation facts over the final
@@ -733,7 +719,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
        findings channel as the structural ones. *)
     let analysis =
       if lint = Milo_lint.Lint.Off then None
-      else begin
+      else
+        Milo_trace.Trace.with_span "lint:analysis" @@ fun () ->
         let st =
           Milo_absint.Absint.analyze
             ~resolve:(Database.resolver db mapped)
@@ -743,7 +730,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
         let diags = Milo_absint.Lint_facts.all st in
         if diags <> [] then findings := ("analysis", diags) :: !findings;
         Some (Milo_absint.Absint.summary st)
-      end
     in
     let final = stats_of ~input_arrivals target optimized in
     let optimizer_report =
@@ -949,7 +935,6 @@ let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
       rp_guard = guard_counters;
       rp_tick = last.J.ck_tick;
       rp_seen = last.J.ck_seen;
-      rp_trace = last.J.ck_trace;
       rp_quarantine =
         List.map
           (fun (r, c, m, reason) -> (r, c, m, reason_of_name reason))

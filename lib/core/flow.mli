@@ -91,8 +91,8 @@ type result = {
   budget : Milo_rules.Budget.status;
   run_trace : Milo_trace.Trace.t option;
       (** the tracer passed to [run ?trace], already flushed:
-          queryable for spans, events, metrics and the
-          [Milo_trace.Profile] attributions *)
+          queryable for spans, metrics and the [Milo_trace.Profile]
+          attributions *)
   certificates : Milo_absint.Certify.certificate list;
       (** static rule certificates established for the run — one per
           logic-level rule when [guard] was armed and [certify] left on,
@@ -164,10 +164,13 @@ val run :
 
     [trace] (default none — zero-overhead) installs the tracer as the
     ambient one for the duration of the run: every stage runs inside a
-    [stage:<name>] span under a [flow:<design>] root, checkpoints and
-    rule/search/measure activity appear in the event log, and the
-    tracer is flushed (sinks run, open spans force-closed) before the
-    outcome is returned.
+    [stage:<name>] span under a [flow:<design>] root, the flow's own
+    work in it gets a span each ([certify], [lint:<stage>],
+    [guard:<stage>], [checkpoint:<stage>]), rule evaluations and
+    commits feed the per-rule attribution table and the metrics, and
+    the tracer is flushed (sinks run, open spans force-closed) before
+    the outcome is returned.  What the run decided is in the record
+    stream ([journal], [provenance]), not in the trace.
 
     [guard] (default [Off]) arms the semantic guard: the compile,
     techmap and optimize stage outputs are equivalence-checked against
@@ -229,13 +232,14 @@ val run :
     budget deadline or stops heartbeating is quarantined as a typed
     fault without poisoning the run, and results merge in a
     deterministic submission order — so [~domains:1] and [~domains:n]
-    produce bit-identical designs, ledgers, journals and traces.  When
-    the pool cannot be constructed (single-core host without
-    [force_domains], domain spawn failure) the run degrades gracefully
-    to inline supervised execution — same results, no speedup — and
-    records ["Degraded_to_sequential"] in [result.notes] and as a
-    trace [Note].  [force_domains] lifts the two-core floor so tests
-    can exercise real multi-domain supervision anywhere.
+    produce bit-identical designs, ledgers and journals, and the same
+    spans, rule attribution counts and counters.  When the pool cannot
+    be constructed (single-core host without [force_domains], domain
+    spawn failure) the run degrades gracefully to inline supervised
+    execution — same results, no speedup — and records
+    ["Degraded_to_sequential"] in [result.notes].  [force_domains]
+    lifts the two-core floor so tests can exercise real multi-domain
+    supervision anywhere.
 
     Any other stage failure yields [Partial]: the last good checkpoint,
     the failing stage and a structured error.  [Out_of_memory] and
@@ -282,10 +286,8 @@ val resume :
     statistics are not double-counted).  The resumed run re-journals
     into [path], so a second kill can be resumed again.  The result is
     byte-for-byte the uninterrupted run's: same final design, same
-    guard statistics, same report cost.  A [trace] passed here has its
-    event sequence counter re-armed at the checkpoint's recorded
-    position, so resumed event numbering continues the interrupted
-    run's instead of restarting at zero.
+    guard statistics, same report cost.  A [trace] passed here times
+    the resumed run only.
 
     A journal recorded with [~domains:n] re-enters with the same
     domain count (the header carries it); [force_domains] is forwarded

@@ -38,7 +38,6 @@ type checkpoint = {
   ck_guard : int array;
   ck_tick : int;
   ck_seen : string list;
-  ck_trace : int;
   ck_quarantine : (string * int * string * string) list;
   ck_micro : (string * string) list;
   ck_levels : (string * int * float * float) list;
@@ -449,7 +448,6 @@ let checkpoint_payload ck =
   line "guard %s"
     (String.concat " " (Array.to_list (Array.map string_of_int ck.ck_guard)));
   line "tick %d" ck.ck_tick;
-  if ck.ck_trace <> 0 then line "trace %d" ck.ck_trace;
   List.iter (fun r -> line "seen %s" (q r)) ck.ck_seen;
   List.iter
     (fun (rule, count, msg, reason) ->
@@ -475,7 +473,7 @@ let checkpoint_of_lines lines =
   let stage = ref "" in
   let steps = ref 0 and evals = ref 0 and elapsed = ref 0.0 in
   let guard = ref (Array.make 6 0) in
-  let tick = ref 0 and seen = ref [] and trace = ref 0 in
+  let tick = ref 0 and seen = ref [] in
   let quarantine = ref [] and micro = ref [] and levels = ref [] in
   let timing = ref None and tsteps = ref [] in
   let snapshot = ref [] in
@@ -490,9 +488,11 @@ let checkpoint_of_lines lines =
       | "guard" :: counters ->
           guard := Array.of_list (List.map int_tok counters)
       | [ "tick"; t ] -> tick := int_tok t
-      (* Absent in journals written before the tracer re-arm existed:
-         default 0 keeps them recoverable. *)
-      | [ "trace"; t ] -> trace := int_tok t
+      (* Traced journals once recorded the tracer's event count here.
+         Nothing reads it any more, but an unknown line would make the
+         record corrupt and end recovery at that checkpoint, so the line
+         is still accepted and ignored. *)
+      | [ "trace"; _ ] -> ()
       | [ "seen"; r ] -> seen := r :: !seen
       | [ "quar"; rule; count; msg; reason ] ->
           quarantine := (rule, int_tok count, msg, reason) :: !quarantine
@@ -516,7 +516,6 @@ let checkpoint_of_lines lines =
       ck_guard = !guard;
       ck_tick = !tick;
       ck_seen = List.rev !seen;
-      ck_trace = !trace;
       ck_quarantine = List.rev !quarantine;
       ck_micro = List.rev !micro;
       ck_levels = List.rev !levels;

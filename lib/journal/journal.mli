@@ -59,11 +59,6 @@ type checkpoint = {
           checks/mismatches/skipped/certified *)
   ck_tick : int;  (** rule-guard sampling position *)
   ck_seen : string list;  (** rules the sampler has already seen *)
-  ck_trace : int;
-      (** tracer event count at the snapshot — a resumed run re-arms
-          its tracer's sequence counter here so event numbering
-          continues across the kill; 0 when the interrupted run was
-          untraced (or the journal predates the field) *)
   ck_quarantine : (string * int * string * string) list;
       (** rule, failure count, first error, reason name *)
   ck_micro : (string * string) list;  (** critic applications so far *)

@@ -147,10 +147,8 @@ let stats t =
     oracle_checks = t.ct.c_oracle_checks;
   }
 
-let resync ?(reason = "requested") t =
+let resync t =
   t.ct.c_resyncs <- t.ct.c_resyncs + 1;
-  if Milo_trace.Trace.enabled () then
-    Milo_trace.Trace.emit (Milo_trace.Trace.Measure_resync { reason });
   t.sta <- Sta.analyze ~input_arrivals:t.input_arrivals t.env t.design;
   t.area <- Estimate.area t.env t.design;
   t.power <- Estimate.power t.env t.design
@@ -254,8 +252,6 @@ let advance t entries =
     let cn = List.length touched_nets and cc = List.length touched_comps in
     Milo_trace.Trace.sample "measure.cone_nets" (float_of_int cn);
     Milo_trace.Trace.sample "measure.cone_comps" (float_of_int cc);
-    Milo_trace.Trace.emit
-      (Milo_trace.Trace.Measure_advance { cone_nets = cn; cone_comps = cc });
     let hits = t.ct.c_env_hits and misses = t.ct.c_env_misses in
     if hits + misses > 0 then
       Milo_trace.Trace.set_gauge "measure.env_hit_rate"
@@ -274,8 +270,6 @@ let advance t entries =
    delta back out, so a retreat is exact (no float drift accumulates
    across evaluate/undo cycles). *)
 let retreat t tok =
-  if Milo_trace.Trace.enabled () then
-    Milo_trace.Trace.emit Milo_trace.Trace.Measure_retreat;
   Sta.rollback t.sta tok.sta_tok;
   t.area <- tok.old_area;
   t.power <- tok.old_power;

@@ -82,10 +82,8 @@ val retreat : t -> token -> unit
 val commit : t -> token -> unit
 (** Keep the advanced state; the token is dead. *)
 
-val resync : ?reason:string -> t -> unit
+val resync : t -> unit
 (** Full recompute in place — the safety valve when the log for an edit
-    is unavailable (e.g. a failed advance on the commit path).
-    [reason] labels the [Measure_resync] trace event when a tracer is
-    installed. *)
+    is unavailable (e.g. a failed advance on the commit path). *)
 
 val stats : t -> stats

@@ -35,7 +35,7 @@ let worst ctx = Sta.worst_delay (analyze ctx)
 let area ctx =
   (Milo_measure.Measure.current (measurer ctx)).Milo_measure.Measure.area
 
-(* The measurer's running totals as a trace/attribution cost. *)
+(* The measurer's running totals as an attribution cost. *)
 let cost_of ctx =
   let c = Milo_measure.Measure.current (measurer ctx) in
   {
@@ -58,10 +58,7 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
       let area_before = area ctx in
       (* Attribution is built only when the commit is recorded. *)
       let attributed = D.has_commit_hook ctx.R.design in
-      let before_cost =
-        if attributed || Milo_trace.Trace.enabled () then Some (cost_of ctx)
-        else None
-      in
+      let before_cost = if attributed then Some (cost_of ctx) else None in
       let log = D.new_log () in
       match s.Strategies.run ctx sta path log with
       | Strategies.Not_applicable ->
@@ -79,18 +76,7 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
               let area_ok =
                 area_after <= Float.max (area_before *. 1.25) (area_before +. 4.0)
               in
-              let kept = after < before -. 1e-9 && area_ok in
-              if Milo_trace.Trace.enabled () then
-                Milo_trace.Trace.emit ?before:before_cost ~after:(cost_of ctx)
-                  (Milo_trace.Trace.Strategy_step
-                     {
-                       strategy = s.Strategies.strat_name;
-                       detail;
-                       kept;
-                       delay_before = before;
-                       delay_after = after;
-                     });
-              if kept then begin
+              if after < before -. 1e-9 && area_ok then begin
                 (* Keep the measurement before committing (mirroring
                    [Engine.greedy_step]'s commit): if keeping forces a resync,
                    the totals attached to the commit below are the

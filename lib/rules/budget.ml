@@ -70,18 +70,7 @@ let exhausted t =
          | Some d -> Unix.gettimeofday () >= d
          | None -> false
     in
-    if hit then begin
-      t.flagged <- true;
-      (* Exactly one event per budget, on the sticky transition. *)
-      if Milo_trace.Trace.enabled () then
-        Milo_trace.Trace.emit
-          (Milo_trace.Trace.Budget_exhausted
-             {
-               steps = t.steps;
-               evals = t.evals;
-               elapsed = Unix.gettimeofday () -. t.started;
-             })
-    end;
+    if hit then t.flagged <- true;
     hit
   end
 

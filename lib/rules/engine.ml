@@ -113,8 +113,8 @@ let reason_name = function Raised -> "raised" | Miscompiled -> "miscompiled"
    and why (why it first went wrong).  A worker fork reads its
    parent's table and keeps its own failures in [trapped]; the
    coordinator imports them in task (= submission) order after the
-   fan-out, so first-failure messages and quarantine trace events are
-   deterministic regardless of which domain trapped what when. *)
+   fan-out, so first-failure messages are deterministic regardless of
+   which domain trapped what when. *)
 let is_quarantined (s : Rule.session) name =
   Hashtbl.mem s.Rule.quarantine name
   ||
@@ -153,11 +153,7 @@ let note_failure_named (s : Rule.session) ~reason name msg =
   | None -> (
       match Hashtbl.find_opt s.Rule.quarantine name with
       | Some (n, m, rs) -> Hashtbl.replace s.Rule.quarantine name (n + 1, m, rs)
-      | None ->
-          Hashtbl.replace s.Rule.quarantine name (1, msg, reason);
-          if Trace.enabled () then
-            Trace.emit
-              (Trace.Rule_quarantined { rule = name; failures = 1; message = msg }))
+      | None -> Hashtbl.replace s.Rule.quarantine name (1, msg, reason))
 
 let note_failure_msg ctx ~reason (r : Rule.t) msg =
   note_failure_named ctx.Rule.session ~reason r.Rule.rule_name msg
@@ -440,10 +436,6 @@ let guarded_apply ctx (r : Rule.t) site log =
                 st.Guard.rule_mismatches <- st.Guard.rule_mismatches + 1
             | None -> ());
             note_failure_msg ctx ~reason:Miscompiled r ("miscompile: " ^ detail);
-            if Trace.enabled () then
-              Trace.emit
-                (Trace.Rule_miscompiled
-                   { rule = r.Rule.rule_name; site = site.Rule.descr; detail });
             false)
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception Pool.Cancelled ->
@@ -659,7 +651,7 @@ let measure_keep ctx step =
   match (step, !(ctx.Rule.measurer)) with
   | Advanced tok, Some m -> Milo_measure.Measure.commit m tok
   | Measure_failed, Some m ->
-      Milo_measure.Measure.resync ~reason:"failed-advance-committed" m
+      Milo_measure.Measure.resync m
   | (No_measurer | Measure_failed | Advanced _), _ -> ()
 
 type application = {
@@ -668,9 +660,9 @@ type application = {
   gain : float;  (** cost decrease including cleanups *)
 }
 
-(* Snapshot the incremental measurer's totals as a trace cost — only
-   called when tracing is on or the commit is attributed. *)
-let trace_cost ctx =
+(* Snapshot the incremental measurer's totals as an attribution cost —
+   only called when the commit is attributed. *)
+let attribution_cost ctx =
   match !(ctx.Rule.measurer) with
   | None -> None
   | Some m ->
@@ -886,18 +878,15 @@ let replay weight base e =
   | exception _ -> Error "cost-failed"
 
 (* When a tracer is installed, each evaluation is timed into the
-   per-rule attribution table and the eval-latency histogram, and a
-   rejected candidate emits a [Rule_refused] event naming the reason.
-   Wall time goes to metrics only, never into the event stream. *)
-let record_eval (r : Rule.t) (site : Rule.site) ev =
+   per-rule attribution table and the eval-latency histogram; a
+   rejected candidate counts as a refusal. *)
+let record_eval (r : Rule.t) ev =
   if Trace.enabled () then begin
     let rule = r.Rule.rule_name and dt = ev.dt in
     Trace.sample "engine.eval_us" (dt *. 1e6);
     match ev.result with
     | Ok gain -> Trace.note_rule ~rule ~dt ~gain ~outcome:`Eval
-    | Error reason ->
-        Trace.note_rule ~rule ~dt ~gain:0.0 ~outcome:`Refused;
-        Trace.emit (Trace.Rule_refused { rule; site = site.Rule.descr; reason })
+    | Error _ -> Trace.note_rule ~rule ~dt ~gain:0.0 ~outcome:`Refused
   end
 
 (* Authoritative commit of a winning candidate: re-apply on the real
@@ -918,7 +907,7 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
   (* Attribution is built only when the commit is recorded. *)
   let attributed = D.has_commit_hook ctx.Rule.design in
   let t0 = if traced then Unix.gettimeofday () else 0.0 in
-  let before = if traced || attributed then trace_cost ctx else None in
+  let before = if attributed then attribution_cost ctx else None in
   let site = if attributed then Some (site_digest ctx app.site) else None in
   let generation = D.generation ctx.Rule.design in
   let log = D.new_log () in
@@ -935,7 +924,7 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
           D.at_site = site;
           at_verdict = Some verdict;
           at_before = before;
-          at_after = trace_cost ctx;
+          at_after = attribution_cost ctx;
         }
       else D.no_attribution
     in
@@ -947,15 +936,7 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
       Trace.note_rule ~rule:app.rule.Rule.rule_name
         ~dt:(Unix.gettimeofday () -. t0)
         ~gain:app.gain ~outcome:`Applied;
-      Trace.count "engine.applies" 1;
-      Trace.emit ?before
-        ?after:(trace_cost ctx)
-        (Trace.Rule_applied
-           {
-             rule = app.rule.Rule.rule_name;
-             site = app.site.Rule.descr;
-             gain = app.gain;
-           })
+      Trace.count "engine.applies" 1
     end;
     Some (entries, settled && left > 0)
   end
@@ -963,14 +944,10 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
     (* The winning rule failed on commit (it was just quarantined);
        everything it recorded is already rolled back. *)
     D.undo ctx.Rule.design log;
-    if traced then begin
+    if traced then
       Trace.note_rule ~rule:app.rule.Rule.rule_name
         ~dt:(Unix.gettimeofday () -. t0)
         ~gain:0.0 ~outcome:`Rolled_back;
-      Trace.emit
-        (Trace.Rule_rolled_back
-           { rule = app.rule.Rule.rule_name; site = app.site.Rule.descr })
-    end;
     None
   end
 
@@ -1171,7 +1148,7 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
                   | Made s ->
                       let g = gain s.verdict in
                       incr made;
-                      record_eval r site { result = g; dt = s.took };
+                      record_eval r { result = g; dt = s.took };
                       if keeps r && 4 * n > s.floor then
                         fresh := ((r, site), s) :: !fresh;
                       (r, site, g))

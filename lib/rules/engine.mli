@@ -275,10 +275,10 @@ val evaluate :
     removes, re-kinds and adds — and what it read, for the coordinator
     to score and keep.) *)
 
-val record_eval : Rule.t -> Rule.site -> eval -> unit
+val record_eval : Rule.t -> eval -> unit
 (** Report one evaluation to the ambient tracer, if any: the
-    [engine.eval_us] histogram, the per-rule attribution table and, for
-    a rejected candidate, a [Rule_refused] event.  The coordinator
+    [engine.eval_us] histogram and the per-rule attribution table,
+    where a rejected candidate counts as a refusal.  The coordinator
     calls it in task order, for the evaluations made (not for the
     outcomes a pass's table answers). *)
 

@@ -62,7 +62,7 @@ let dfs ~params ctx ~cost ~cleanups rules st trail =
           let ev =
             Engine.evaluate ctx ~before ~cost ~quiet:false ~cleanups r site
           in
-          trail := (r, site, ev) :: !trail;
+          trail := (r, ev) :: !trail;
           match ev.Engine.result with
           | Error _ -> None
           | Ok gain ->
@@ -118,7 +118,7 @@ let dfs ~params ctx ~cost ~cleanups rules st trail =
 let settle ctx (r : Rule.t) outcome k =
   match outcome with
   | Pool.Done ((v, trail), fails) ->
-      List.iter (fun (r, site, ev) -> Engine.record_eval r site ev) (List.rev trail);
+      List.iter (fun (r, ev) -> Engine.record_eval r ev) (List.rev trail);
       Engine.import_failures ctx.Rule.session fails;
       k v
   | Pool.Task_failed fault ->
@@ -141,8 +141,8 @@ let settle ctx (r : Rule.t) outcome k =
       ties break identically.
 
    Only the winning sequence's first D_app moves are then re-applied
-   authoritatively on the coordinator — trace events, budget steps and
-   provenance all flow from that single path.  A faulting task
+   authoritatively on the coordinator — budget steps and provenance
+   both flow from that single path.  A faulting task
    quarantines its rule and costs exactly its own candidates. *)
 let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
     ~cost_factory ctx ~cleanups rules =
@@ -182,7 +182,7 @@ let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
                              Engine.evaluate wctx ~before ~cost:wcost
                                ~quiet:false ~cleanups r site
                            in
-                           trail := (r, site, ev) :: !trail;
+                           trail := (r, ev) :: !trail;
                            match ev.Engine.result with
                            | Error _ -> None
                            | Ok gain ->
@@ -282,15 +282,6 @@ let step ?(params = default_params) ?stats ?budget ?(exec = Exec.inline ())
                 Engine.measure_keep ctx (Engine.measure_step ctx log);
                 D.commit ~label:r.Rule.rule_name ~design:ctx.Rule.design log;
                 (match budget with Some b -> Budget.step b | None -> ());
-                if Milo_trace.Trace.enabled () then
-                  Milo_trace.Trace.emit
-                    (Milo_trace.Trace.Search_decision
-                       {
-                         rule = r.Rule.rule_name;
-                         site = site.Rule.descr;
-                         depth = k;
-                         gain = root_cost -. best_cost;
-                       });
                 exec_moves (k + 1) rest
               end
               else D.undo ctx.Rule.design log

@@ -23,97 +23,19 @@ let num f =
   else if f = neg_infinity then "-1e308"
   else Printf.sprintf "%.9g" f
 
-let value_json = function
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> num f
-  | Trace.Str s -> quote s
-  | Trace.Bool b -> if b then "true" else "false"
-
 let obj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ v) fields) ^ "}"
 
-let cost_fields prefix (c : Trace.cost) =
-  [
-    (prefix ^ "delay", num c.delay);
-    (prefix ^ "area", num c.area);
-    (prefix ^ "power", num c.power);
-  ]
-
-let kind_fields (k : Trace.event_kind) =
-  match k with
-  | Rule_applied { rule; site; gain } ->
-      [ ("rule", quote rule); ("site", quote site); ("gain", num gain) ]
-  | Rule_refused { rule; site; reason } ->
-      [ ("rule", quote rule); ("site", quote site); ("reason", quote reason) ]
-  | Rule_rolled_back { rule; site } -> [ ("rule", quote rule); ("site", quote site) ]
-  | Rule_quarantined { rule; failures; message } ->
-      [
-        ("rule", quote rule);
-        ("failures", string_of_int failures);
-        ("message", quote message);
-      ]
-  | Rule_miscompiled { rule; site; detail } ->
-      [ ("rule", quote rule); ("site", quote site); ("detail", quote detail) ]
-  | Search_decision { rule; site; depth; gain } ->
-      [
-        ("rule", quote rule);
-        ("site", quote site);
-        ("depth", string_of_int depth);
-        ("gain", num gain);
-      ]
-  | Strategy_step { strategy; detail; kept; delay_before; delay_after } ->
-      [
-        ("strategy", quote strategy);
-        ("detail", quote detail);
-        ("kept", (if kept then "true" else "false"));
-        ("delay_before", num delay_before);
-        ("delay_after", num delay_after);
-      ]
-  | Budget_exhausted { steps; evals; elapsed } ->
-      [
-        ("steps", string_of_int steps);
-        ("evals", string_of_int evals);
-        ("elapsed", num elapsed);
-      ]
-  | Checkpoint { stage; comps; nets } ->
-      [
-        ("stage", quote stage);
-        ("comps", string_of_int comps);
-        ("nets", string_of_int nets);
-      ]
-  | Measure_advance { cone_nets; cone_comps } ->
-      [ ("cone_nets", string_of_int cone_nets); ("cone_comps", string_of_int cone_comps) ]
-  | Measure_retreat -> []
-  | Measure_resync { reason } -> [ ("reason", quote reason) ]
-  | Note s -> [ ("text", quote s) ]
-
 let span_line (s : Trace.span) =
   obj
-    ([
-       ("t", quote "span");
-       ("id", string_of_int s.id);
-       ("parent", (match s.parent with None -> "null" | Some p -> string_of_int p));
-       ("name", quote s.name);
-       ("start", num s.start);
-       ("dur", num (Trace.span_dur s));
-     ]
-    @ match s.attrs with
-      | [] -> []
-      | attrs -> [ ("attrs", obj (List.map (fun (k, v) -> (k, value_json v)) attrs)) ])
-
-let event_line (e : Trace.event) =
-  obj
-    ([
-       ("t", quote "event");
-       ("kind", quote (Trace.kind_label e.kind));
-       ("seq", string_of_int e.seq);
-       ("at", num e.at);
-       ("stage", quote e.stage);
-       ("span", (match e.in_span with None -> "null" | Some i -> string_of_int i));
-     ]
-    @ (match e.before with None -> [] | Some c -> cost_fields "before_" c)
-    @ (match e.after with None -> [] | Some c -> cost_fields "after_" c)
-    @ kind_fields e.kind)
+    [
+      ("t", quote "span");
+      ("id", string_of_int s.id);
+      ("parent", (match s.parent with None -> "null" | Some p -> string_of_int p));
+      ("name", quote s.name);
+      ("start", num s.start);
+      ("dur", num (Trace.span_dur s));
+    ]
 
 let metric_lines tr =
   let m = Trace.metrics tr in
@@ -147,7 +69,6 @@ let jsonl_sink oc =
   in
   {
     Trace.sink_span = (fun s -> line (span_line s));
-    sink_event = (fun e -> line (event_line e));
     sink_flush =
       (fun tr ->
         List.iter line (metric_lines tr);
@@ -179,29 +100,8 @@ let chrome_to_string tr =
              ("dur", usec (Trace.span_dur s));
              ("pid", "1");
              ("tid", "1");
-             ("args", obj (List.map (fun (k, v) -> (k, value_json v)) s.attrs));
            ]))
     (Trace.spans tr);
-  List.iter
-    (fun (e : Trace.event) ->
-      item
-        (obj
-           [
-             ("name", quote (Trace.kind_label e.kind));
-             ("cat", quote "event");
-             ("ph", quote "i");
-             ("ts", usec e.at);
-             ("s", quote "t");
-             ("pid", "1");
-             ("tid", "1");
-             ( "args",
-               obj
-                 ([ ("seq", string_of_int e.seq); ("stage", quote e.stage) ]
-                 @ (match e.before with None -> [] | Some c -> cost_fields "before_" c)
-                 @ (match e.after with None -> [] | Some c -> cost_fields "after_" c)
-                 @ kind_fields e.kind) );
-           ]))
-    (Trace.events tr);
   let m = Trace.metrics tr in
   List.iter
     (fun (name, v) ->

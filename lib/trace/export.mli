@@ -1,5 +1,5 @@
-(** Trace serialization: a streaming JSONL sink, a whole-trace JSONL
-    dump, and a Chrome [trace_event] exporter loadable in Perfetto
+(** Trace serialization: a streaming JSONL sink and a Chrome
+    [trace_event] exporter loadable in Perfetto
     ({:https://ui.perfetto.dev}) or [chrome://tracing].
 
     All JSON is emitted by hand — the telemetry core stays
@@ -13,16 +13,15 @@ val quote : string -> string
 
 val jsonl_sink : out_channel -> Trace.sink
 (** A streaming sink: one JSON object per line — [{"t":"span",...}]
-    as each span closes, [{"t":"event",...}] as each event fires, and
-    on flush one [{"t":"counter"|"gauge"|"hist",...}] line per metric
-    followed by a channel flush.  Because lines stream as they happen,
-    a run that dies mid-flight still leaves a well-formed prefix. *)
+    as each span closes, and on each flush one
+    [{"t":"counter"|"gauge"|"hist",...}] line per metric followed by a
+    channel flush.  Because span lines stream as spans close, a run
+    that dies mid-flight still leaves a well-formed prefix. *)
 
 val chrome_to_string : Trace.t -> string
 (** The whole trace as one Chrome [trace_event] JSON document:
     spans become ["X"] complete events (timestamps/durations in
-    microseconds), log events become ["i"] instants, counters become a
-    trailing ["C"] sample. *)
+    microseconds), counters become a trailing ["C"] sample. *)
 
 val write_chrome : out_channel -> Trace.t -> unit
 

@@ -71,20 +71,6 @@ let render tr =
           s.refusals s.rollbacks (ms s.time_s) s.gain (gain_per_ms s))
       rules
   end;
-  let events = Trace.events tr in
-  let by_kind = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      let k = Trace.kind_label e.kind in
-      Hashtbl.replace by_kind k (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
-    events;
-  pf "\nevents: %d" (Trace.event_count tr);
-  let kinds =
-    Hashtbl.fold (fun k v l -> (k, v) :: l) by_kind []
-    |> List.sort (fun (_, a) (_, b) -> compare (b : int) a)
-  in
-  List.iter (fun (k, n) -> pf "\n  %-20s %6d" k n) kinds;
-  pf "\n";
   let m = Trace.metrics tr in
   let hists = Metrics.histograms m in
   if hists <> [] then begin

@@ -29,7 +29,7 @@ val hot_rules_by_gain_rate : Trace.t -> (string * Trace.rule_stat) list
 val render : Trace.t -> string
 (** The [milo profile] report: the span tree with total/self times,
     then per-rule attribution (applies, refusals, time, gain,
-    gain/ms), then event and metric headlines. *)
+    gain/ms), then histogram and gauge headlines. *)
 
 val hot_summary : ?top:int -> Trace.t -> string
 (** The compact "hot stages / hot rules" section appended to

@@ -1,5 +1,7 @@
-(** Flow telemetry: hierarchical spans, a typed event log, and a
-    metrics registry, with pluggable sinks.
+(** Flow telemetry: hierarchical spans, a metrics registry and per-rule
+    time attribution, with pluggable sinks.  The tracer answers "where
+    did the time go?"; what the run decided is the journal record
+    stream's to say.
 
     The tracer is ambient, like [Measure.set_debug_check]: the flow
     installs a tracer with {!with_tracer} and instrumented code
@@ -9,10 +11,6 @@
 
     Timestamps come from a per-tracer clock that is clamped to be
     monotone non-decreasing, in seconds since {!create}. *)
-
-(** {1 Attribute values and costs} *)
-
-type value = Int of int | Float of float | Str of string | Bool of bool
 
 type cost = { delay : float; area : float; power : float }
 (** A design cost snapshot, as reported by the measurement layer. *)
@@ -25,50 +23,11 @@ type span = {
   name : string;
   start : float;
   mutable stop : float;  (** negative while the span is open *)
-  mutable attrs : (string * value) list;
 }
 
 val span_closed : span -> bool
 val span_dur : span -> float
 (** Duration in seconds; 0 for a span that never closed. *)
-
-(** {1 Events} *)
-
-type event_kind =
-  | Rule_applied of { rule : string; site : string; gain : float }
-  | Rule_refused of { rule : string; site : string; reason : string }
-  | Rule_rolled_back of { rule : string; site : string }
-  | Rule_quarantined of { rule : string; failures : int; message : string }
-  | Rule_miscompiled of { rule : string; site : string; detail : string }
-      (** a semantic-guard cone check caught a miscompile; the
-          application was reverted and the rule quarantined *)
-  | Search_decision of { rule : string; site : string; depth : int; gain : float }
-  | Strategy_step of {
-      strategy : string;
-      detail : string;
-      kept : bool;
-      delay_before : float;
-      delay_after : float;
-    }
-  | Budget_exhausted of { steps : int; evals : int; elapsed : float }
-  | Checkpoint of { stage : string; comps : int; nets : int }
-  | Measure_advance of { cone_nets : int; cone_comps : int }
-  | Measure_retreat
-  | Measure_resync of { reason : string }
-  | Note of string
-
-type event = {
-  seq : int;  (** global step index, monotonically increasing *)
-  at : float;
-  stage : string;  (** flow stage current when the event fired *)
-  in_span : int option;  (** innermost open span *)
-  before : cost option;
-  after : cost option;
-  kind : event_kind;
-}
-
-val kind_label : event_kind -> string
-(** Short stable label ("rule-applied", "checkpoint", ...). *)
 
 (** {1 Per-rule attribution} *)
 
@@ -87,32 +46,25 @@ type t
 
 type sink = {
   sink_span : span -> unit;  (** called when a span closes *)
-  sink_event : event -> unit;
-  sink_flush : t -> unit;  (** called once by {!flush} *)
+  sink_flush : t -> unit;  (** called by every {!flush} *)
 }
 
 (** {1 Tracer lifecycle} *)
 
-val create : ?ring_size:int -> unit -> t
-(** A fresh tracer.  [ring_size] bounds the in-memory event ring
-    (default 65536); older events are overwritten but still reach
-    streaming sinks and the metrics registry. *)
-
+val create : unit -> t
 val add_sink : t -> sink -> unit
 
 val flush : t -> unit
 (** Force-close any spans still open (a faulted run unwinds through
-    here), derive end-of-run gauges, then run every sink's flush.
-    Idempotent per sink list. *)
+    here), derive end-of-run gauges, then run every sink's flush.  Not
+    idempotent: each call runs every sink's flush again, so a metric
+    dumping sink writes its lines once per call. *)
 
 (** {1 The ambient tracer} *)
 
-val set_current : t option -> unit
-val current : unit -> t option
-
 val enabled : unit -> bool
-(** True when a tracer is installed.  Guard event-payload allocation
-    on hot paths with this. *)
+(** True when a tracer is installed.  Guard payload allocation on hot
+    paths with this. *)
 
 val with_tracer : t -> (unit -> 'a) -> 'a
 (** Install [t] for the duration of the callback (restoring the
@@ -131,25 +83,17 @@ val without : (unit -> 'a) -> 'a
 
 (** {1 Recording (all no-ops without an installed tracer)} *)
 
-val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
+val with_span : string -> (unit -> 'a) -> 'a
 (** Run the callback inside a fresh child span of the innermost open
     span.  The span closes when the callback returns or raises. *)
 
-val open_span : ?attrs:(string * value) list -> string -> unit
+val open_span : string -> unit
 (** Open a span without scoping it to a callback — for stages whose
     end is a later program point.  Pair with {!close_span}. *)
 
 val close_span : string -> unit
 (** Close the innermost open span with the given name, force-closing
     any descendants still open below it.  No-op if no such span. *)
-
-val attr : string -> value -> unit
-(** Attach an attribute to the innermost open span. *)
-
-val emit : ?before:cost -> ?after:cost -> event_kind -> unit
-
-val set_stage : string -> unit
-(** Set the stage recorded on subsequent events. *)
 
 val count : string -> int -> unit
 val set_gauge : string -> float -> unit
@@ -167,17 +111,6 @@ val note_rule :
 (** {1 Queries} *)
 
 val now : t -> float
-val events : t -> event list
-(** Events surviving in the ring, oldest first. *)
-
-val event_count : t -> int
-(** Total events ever emitted (>= [List.length (events t)]). *)
-
-val restore_seq : t -> int -> unit
-(** Re-arm the event sequence counter at a recorded position (journal
-    resume): subsequent events are numbered from [n], so a resumed
-    run's events continue the numbering of the interrupted run.  Never
-    moves the counter backwards. *)
 
 val spans : t -> span list
 (** All spans, in creation (start) order. *)

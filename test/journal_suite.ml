@@ -16,7 +16,10 @@
      reads as one domain and resumes to the uninterrupted run's result;
    - legacy deltas: a journal whose deltas predate the attribution,
      budget and shape lines decodes with those fields absent, replays
-     cleanly and resumes to the uninterrupted run's result. *)
+     cleanly and resumes to the uninterrupted run's result;
+   - legacy traced journal: a checked-in journal whose checkpoints
+     still carry the retired [trace] line recovers every record and
+     replays to its Finish record with zero divergences. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -140,7 +143,6 @@ let round_trip () =
           ck_guard = [| 1; 0; 17; 2; 3; 4 |];
           ck_tick = 9;
           ck_seen = [ "r1"; "r2 with space" ];
-          ck_trace = 57;
           ck_quarantine = [ ("bad-rule", 2, "it raised: \"x\"", "raised") ];
           ck_micro = [ ("carry-select", "adder u1") ];
           ck_levels = [ ("sub", 4, 100.5, 90.25) ];
@@ -415,62 +417,6 @@ let replay_tampered () =
   | _ -> fail "tamper: reference journal had no non-empty delta");
   cleanup path
 
-(* --- Tracer sequence continuity across resume --------------------------- *)
-
-(* Regression: a resumed run used to restart its tracer's event
-   numbering at zero, so resumed events repeated the interrupted run's
-   sequence numbers.  A checkpoint now records the tracer position and
-   resume re-arms the fresh tracer from it, so the first resumed event
-   continues the interrupted sequence. *)
-let trace_seq_resume () =
-  let case = List.hd (Suite.all ()) in
-  let path = temp_journal "traceseq" in
-  (* Find a kill point whose last committed checkpoint recorded a
-     non-zero tracer position (the capture checkpoint commits before
-     any event fires, so the very first kills record zero). *)
-  let rec find n =
-    if n > 64 then None
-    else begin
-      cleanup path;
-      let t0 = Milo_trace.Trace.create () in
-      match
-        Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
-          ~trace:t0 ~journal:path
-          ~journal_fault:(Faults.kill_after n)
-          case.Suite.case_design
-      with
-      | _ -> None (* completed before the kill fired *)
-      | exception J.Crash _ -> (
-          match J.last_checkpoint (J.recover path) with
-          | Some ck when ck.J.ck_trace > 0 -> Some ck
-          | Some _ | None -> find (n + 1))
-    end
-  in
-  (match find 2 with
-  | None -> fail "traceseq: no kill point left a traced checkpoint"
-  | Some ck -> (
-      let t1 = Milo_trace.Trace.create () in
-      match Flow.resume ~trace:t1 path with
-      | Flow.Complete _ -> (
-          match Milo_trace.Trace.events t1 with
-          | [] -> fail "traceseq: resumed run emitted no events"
-          | e :: _ ->
-              if e.Milo_trace.Trace.seq <> ck.J.ck_trace then
-                fail
-                  "traceseq: resumed events start at seq %d, checkpoint \
-                   recorded %d"
-                  e.Milo_trace.Trace.seq ck.J.ck_trace
-              else
-                Printf.printf
-                  "ok   tracer seq continues at %d across resume\n"
-                  ck.J.ck_trace)
-      | Flow.Partial p ->
-          fail "traceseq: resume degraded at %s"
-            (Flow.stage_name p.Flow.failed_stage)
-      | exception e ->
-          fail "traceseq: resume raised %s" (Printexc.to_string e)));
-  cleanup path
-
 (* --- Legacy header -------------------------------------------------------- *)
 
 (* CRC-32 (IEEE 802.3), bitwise: enough to re-frame one record by hand. *)
@@ -646,6 +592,38 @@ let legacy_deltas () =
       fail "legacy deltas: reference run failed");
   cleanup path
 
+(* A traced journal written before the tracer stopped recording its
+   event count: four of its checkpoints carry a [trace N] line.  Every
+   record must still recover, with nothing truncated, and the journal
+   must replay to its Finish record without a divergence. *)
+let legacy_traced_journal () =
+  let what = "legacy traced journal" in
+  let fixture = "golden/acc4_traced.mjl" in
+  let bytes = In_channel.with_open_bin fixture In_channel.input_all in
+  let lines = String.split_on_char '\n' bytes in
+  let frames = List.length (List.filter (has_prefix [ "MILOJ1 " ]) lines) in
+  let traced = List.length (List.filter (has_prefix [ "trace " ]) lines) in
+  if traced = 0 then fail "%s: the fixture has no trace line to accept" what;
+  let rc = J.recover fixture in
+  if List.length rc.J.r_records <> frames then
+    fail "%s: %d of %d records recovered" what (List.length rc.J.r_records)
+      frames;
+  if rc.J.r_truncated_bytes <> 0 then
+    fail "%s: %d bytes truncated" what rc.J.r_truncated_bytes;
+  (match Flow.replay fixture with
+  | rep ->
+      if not rep.Flow.rep_finished then
+        fail "%s: replay did not reach the Finish record" what;
+      if rep.Flow.rep_divergences <> [] then
+        fail "%s: replay found %d divergence(s)" what
+          (List.length rep.Flow.rep_divergences)
+  | exception e -> fail "%s: replay raised %s" what (Printexc.to_string e));
+  if !failures = 0 then
+    Printf.printf
+      "ok   legacy traced journal: %d records (%d with a trace line) \
+       recover whole and replay clean\n"
+      frames traced
+
 (* --- Resume refusal ------------------------------------------------------ *)
 
 let resume_refusal () =
@@ -705,9 +683,9 @@ let () =
   (try crash_fuzz ~domains:4 (List.hd cases) with Exit -> ());
   List.iter replay_clean cases;
   replay_tampered ();
-  trace_seq_resume ();
   legacy_header_resumes ();
   legacy_deltas ();
+  legacy_traced_journal ();
   resume_refusal ();
   if !failures > 0 then begin
     Printf.printf "journal_suite: %d failure(s)\n" !failures;

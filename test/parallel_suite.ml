@@ -6,9 +6,10 @@
    show), and degraded back to inline by an injected pool-construction
    failure must all produce bit-identical final designs, costs,
    semantic-guard counters, quarantine sets, provenance ledger rows,
-   trajectory JSONL (wall-clock fields masked) and trace event
-   streams; every journal must replay with zero divergences; and the
-   degraded run — only that one — must carry the
+   trajectory JSONL (wall-clock fields masked) and traces (the span
+   name sequence, each rule's evaluation, apply, refusal and rollback
+   counts, and the counters); every journal must replay with zero
+   divergences; and the degraded run — only that one — must carry the
    Degraded_to_sequential note.
 
    Engine state is per run: a rule quarantined through one session is
@@ -26,6 +27,7 @@ module J = Milo_journal.Journal
 module P = Milo_provenance.Provenance
 module Trajectory = Milo_provenance.Trajectory
 module Trace = Milo_trace.Trace
+module Metrics = Milo_trace.Metrics
 module Pool = Milo_parallel.Pool
 module Rule = Milo_rules.Rule
 module Engine = Milo_rules.Engine
@@ -74,6 +76,28 @@ let strip_field name line =
         String.sub line 0 (i - 1) ^ String.sub line !j (n - !j)
       else String.sub line 0 i ^ String.sub line !j (n - !j)
 
+(* What a trace holds that does not depend on the wall clock. *)
+type trace = {
+  tr_spans : string list;  (** span names, in start order *)
+  tr_rules : (string * (int * int * int * int)) list;
+      (** per rule, by name: evals, applies, refusals, rollbacks *)
+  tr_counters : (string * int) list;
+}
+
+let trace_of t =
+  {
+    tr_spans = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans t);
+    tr_rules =
+      List.sort compare
+        (List.map
+           (fun (name, (s : Trace.rule_stat)) ->
+             ( name,
+               (s.Trace.evals, s.Trace.applies, s.Trace.refusals, s.Trace.rollbacks)
+             ))
+           (Trace.rule_stats t));
+    tr_counters = Metrics.counters (Trace.metrics t);
+  }
+
 type snapshot = {
   sn_design : D.t;
   sn_hash : string;
@@ -82,7 +106,7 @@ type snapshot = {
   sn_quarantined : (string * int) list;
   sn_ledger : P.row list;
   sn_traj : string list;
-  sn_trace : (string * Trace.event_kind) list;
+  sn_trace : trace;
   sn_notes : string list;
   sn_journal : string;
 }
@@ -108,28 +132,7 @@ let snapshot_run ~what ~domains (case : Suite.case) =
           sn_traj =
             List.map (strip_field "budget_elapsed")
               (Trajectory.lines (P.events p));
-          sn_trace =
-            (* The degradation Note is the one event allowed to differ
-               between a pooled and a degraded run; everything after it
-               must line up, so it is dropped before comparison (its
-               presence is asserted via [notes]).  Sequence numbers are
-               checked for contiguity here rather than compared — the
-               dropped note shifts them by one. *)
-            (let evs = Trace.events t in
-             List.iteri
-               (fun i (e : Trace.event) ->
-                 if e.Trace.seq <> i then
-                   fail "%s: trace seq %d at position %d" what e.Trace.seq i)
-               evs;
-             List.filter_map
-               (fun (e : Trace.event) ->
-                 match e.Trace.kind with
-                 | Trace.Note n
-                   when String.length n >= 22
-                        && String.sub n 0 22 = "Degraded_to_sequential" ->
-                     None
-                 | k -> Some (e.Trace.stage, k))
-               evs);
+          sn_trace = trace_of t;
           sn_notes = res.Flow.notes;
           sn_journal = journal;
         }
@@ -172,7 +175,14 @@ let compare_snapshots what (a : snapshot) (b : snapshot) =
         if la <> lb then
           fail "%s: trajectory line %d differs:\n  %s\n  %s" what i la lb)
       (List.combine a.sn_traj b.sn_traj);
-  if a.sn_trace <> b.sn_trace then fail "%s: trace event streams differ" what
+  if a.sn_trace.tr_spans <> b.sn_trace.tr_spans then
+    fail "%s: span name sequences differ (%d vs %d spans)" what
+      (List.length a.sn_trace.tr_spans)
+      (List.length b.sn_trace.tr_spans);
+  if a.sn_trace.tr_rules <> b.sn_trace.tr_rules then
+    fail "%s: per-rule attribution counts differ" what;
+  if a.sn_trace.tr_counters <> b.sn_trace.tr_counters then
+    fail "%s: trace counters differ" what
 
 let check_replay what (s : snapshot) =
   match Flow.replay s.sn_journal with
@@ -208,10 +218,12 @@ let check_case (case : Suite.case) =
       check_replay (name ^ " degraded replay") sdeg;
       if !failures = 0 then
         Printf.printf
-          "ok   %s: 1 == 4 == 4 == degraded (%d trace events, %d \
-           trajectory lines, replays clean)\n"
+          "ok   %s: 1 == 4 == 4 == degraded (%d spans, %d rules \
+           attributed, %d counters, %d trajectory lines, replays clean)\n"
           name
-          (List.length s4a.sn_trace)
+          (List.length s4a.sn_trace.tr_spans)
+          (List.length s4a.sn_trace.tr_rules)
+          (List.length s4a.sn_trace.tr_counters)
           (List.length s4a.sn_traj)
   | _ -> ());
   List.iter

@@ -3,10 +3,15 @@
    - a traced complete flow yields a balanced span tree: one flow root,
      a span per stage, every span closed and nested inside its parent's
      interval;
-   - the event log is consistent: sequence numbers strictly increase,
-     micro-stage rule-applied events reproduce the critic's application
-     list in order, and the per-rule attribution table agrees with the
-     event counts;
+   - the flow's own work has its spans where the time is spent:
+     certification under the capture stage, one guard and one
+     checkpoint span under each stage that has one, and none of them
+     inside an optimizer pass's span;
+   - the record stream of the same run agrees with the result and with
+     the per-rule attribution table: the micro-stage Delta labels
+     reproduce the critic's application list in order (on the
+     accumulator and on designs 1-8), and no rule has more attributed
+     commits than the table books applies;
    - the Chrome trace_event export round-trips through a from-scratch
      JSON parser with one "X" slice per span;
    - a fault injected mid-flow still flushes: the partial outcome's
@@ -15,6 +20,9 @@
 
 module D = Milo_netlist.Design
 module Flow = Milo.Flow
+module Guard = Milo_guard.Guard
+module J = Milo_journal.Journal
+module P = Milo_provenance.Provenance
 module Trace = Milo_trace.Trace
 module Export = Milo_trace.Export
 module Suite = Milo_designs.Suite
@@ -191,14 +199,17 @@ end
 (* --- A traced complete run --------------------------------------------- *)
 
 (* The Figure 14 accumulator: small, and the micro critic fires on it
-   (adder-register-to-counter), so the event-ordering check below has a
-   non-empty application list to reproduce. *)
+   (adder-register-to-counter), so the record-ordering check below has
+   a non-empty application list to reproduce.  The sampled guard gives
+   the run its certification and stage-guard work. *)
 let run_traced () =
   let t = Trace.create () in
+  let p = P.create () in
   match
-    Flow.run ~technology:Flow.Ecl ~trace:t (Suite.accumulator ~bits:4 ())
+    Flow.run ~technology:Flow.Ecl ~guard:Guard.Sampled ~trace:t ~provenance:p
+      (Suite.accumulator ~bits:4 ())
   with
-  | Flow.Complete res -> (t, res)
+  | Flow.Complete res -> (t, p, res)
   | Flow.Partial p ->
       fail "traced accumulator flow degraded at %s: %s"
         (Flow.stage_name p.Flow.failed_stage)
@@ -255,70 +266,143 @@ let check_spans t (res : Flow.result) =
     ok "%d spans: balanced, nested, one flow root, all 5 stages present"
       (List.length spans)
 
-(* --- 2. event-log consistency ------------------------------------------ *)
+(* --- 2. the flow's own work spans ---------------------------------------- *)
 
-let check_events t (res : Flow.result) =
-  let events = Trace.events t in
-  let what = "events" in
-  if List.length events <> Trace.event_count t then
-    fail "%s: ring dropped events on a small design (%d kept, %d emitted)"
-      what (List.length events) (Trace.event_count t);
-  ignore
-    (List.fold_left
-       (fun prev (e : Trace.event) ->
-         if e.Trace.seq <= prev then
-           fail "%s: seq not strictly increasing (%d after %d)" what
-             e.Trace.seq prev;
-         e.Trace.seq)
-       (-1) events);
+(* Each piece of flow-level work sits directly under the span of the
+   stage that does it, and never inside an optimizer pass's span, so
+   the passes' self-times stay what they measure. *)
+let check_work_spans t =
+  let what = "work spans" in
+  let spans = Trace.spans t in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (s : Trace.span) -> Hashtbl.replace by_id s.Trace.id s) spans;
+  let parent_name (s : Trace.span) =
+    match s.Trace.parent with
+    | Some pid -> (Hashtbl.find by_id pid).Trace.name
+    | None -> ""
+  in
+  let rec in_pass (s : Trace.span) =
+    match s.Trace.parent with
+    | None -> None
+    | Some pid ->
+        let p = Hashtbl.find by_id pid in
+        let n = p.Trace.name in
+        if
+          String.starts_with ~prefix:"level:" n
+          || List.mem n [ "time-opt"; "area-opt"; "electric" ]
+        then Some n
+        else in_pass p
+  in
+  let expect name ~under ~count =
+    let found =
+      List.filter (fun (s : Trace.span) -> s.Trace.name = name) spans
+    in
+    if List.length found <> count then
+      fail "%s: %d %s span(s), expected %d" what (List.length found) name count;
+    List.iter
+      (fun s ->
+        if parent_name s <> under then
+          fail "%s: %s sits under %S, expected %s" what name (parent_name s)
+            under;
+        match in_pass s with
+        | Some p -> fail "%s: %s sits inside the %s span" what name p
+        | None -> ())
+      found
+  in
+  expect "certify" ~under:"stage:capture" ~count:1;
   List.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.stage = "" then
-        fail "%s: event %s has an empty stage" what
-          (Trace.kind_label e.Trace.kind))
-    events;
-  (* the micro critic's applications, replayed from the event log, must
-     match the flow result's own record, in order *)
-  let micro_applied =
+    (fun st -> expect ("guard:" ^ st) ~under:("stage:" ^ st) ~count:1)
+    [ "compile"; "techmap"; "optimize" ];
+  List.iter
+    (fun st -> expect ("checkpoint:" ^ st) ~under:("stage:" ^ st) ~count:1)
+    [ "capture"; "micro"; "compile"; "techmap"; "optimize" ];
+  if !failures = 0 then
+    ok "work spans: certify under capture, a guard and a checkpoint span \
+        under each stage, none inside an optimizer pass"
+
+(* --- 3. the record stream against the result and the attribution ------- *)
+
+(* The micro-stage Delta labels reproduce the critic's application
+   list, in order; and every attributed commit (one with a site digest)
+   went through the engine's commit, which books an apply when traced —
+   untracked designs (the techmap levels) book applies without
+   records, so the table may hold more.  Returns the number of micro
+   applications and of attributed commits. *)
+let check_records what t p (res : Flow.result) =
+  let records = P.events p in
+  let labels =
     List.filter_map
-      (fun (e : Trace.event) ->
-        match e.Trace.kind with
-        | Trace.Rule_applied { rule; _ } when e.Trace.stage = "micro" ->
-            Some rule
-        | _ -> None)
-      events
+      (function
+        | J.Delta { d_stage = "micro"; d_label = Some l; _ } -> Some l
+        | J.Header _ | J.Stage _ | J.Delta _ | J.Checkpoint _ | J.Finish _ ->
+            None)
+      records
   in
   let recorded = List.map fst res.Flow.micro_applications in
-  if recorded = [] then
-    fail "%s: accumulator flow applied no micro rules — ordering check vacuous"
-      what;
-  if micro_applied <> recorded then
-    fail "%s: micro rule-applied events [%s] <> recorded applications [%s]"
-      what
-      (String.concat "; " micro_applied)
+  if labels <> recorded then
+    fail "%s: micro Delta labels [%s] <> recorded applications [%s]" what
+      (String.concat "; " labels)
       (String.concat "; " recorded);
-  (* attribution table vs event log *)
-  let applied_events =
-    List.length
-      (List.filter
-         (fun (e : Trace.event) ->
-           match e.Trace.kind with Trace.Rule_applied _ -> true | _ -> false)
-         events)
-  in
-  let applies_in_stats =
-    List.fold_left
-      (fun acc (_, (s : Trace.rule_stat)) -> acc + s.Trace.applies)
-      0 (Trace.rule_stats t)
-  in
-  if applied_events <> applies_in_stats then
-    fail "%s: %d rule-applied events but attribution table books %d applies"
-      what applied_events applies_in_stats;
-  if !failures = 0 then
-    ok "%d events: monotone seq, micro log matches %d applications, \
-        attribution agrees"
-      (List.length events) (List.length recorded)
+  let attributed = Hashtbl.create 16 in
+  List.iter
+    (function
+      | J.Delta { d_label = Some l; d_attr = { D.at_site = Some _; _ }; _ } ->
+          Hashtbl.replace attributed l
+            (1 + Option.value ~default:0 (Hashtbl.find_opt attributed l))
+      | J.Header _ | J.Stage _ | J.Delta _ | J.Checkpoint _ | J.Finish _ -> ())
+    records;
+  Hashtbl.iter
+    (fun rule commits ->
+      let applies =
+        match List.assoc_opt rule (Trace.rule_stats t) with
+        | Some s -> s.Trace.applies
+        | None -> 0
+      in
+      if commits > applies then
+        fail "%s: %d attributed commits of %s but the table books %d applies"
+          what commits rule applies)
+    attributed;
+  (List.length recorded, Hashtbl.fold (fun _ n acc -> acc + n) attributed 0)
 
-(* --- 3. Chrome export round-trip --------------------------------------- *)
+let check_acc4_records t p res =
+  let micro, attributed = check_records "records" t p res in
+  if micro = 0 then
+    fail "records: accumulator flow applied no micro rules — ordering check \
+          vacuous";
+  if attributed = 0 then
+    fail "records: no attributed commit — attribution check vacuous";
+  if !failures = 0 then
+    ok "%d records: micro Delta labels match %d applications, attribution \
+        books all %d attributed commits"
+      (List.length (P.events p)) micro attributed
+
+(* The same checks on the suite designs, each traced and recorded. *)
+let check_suite_records () =
+  let micro, attributed =
+    List.fold_left
+      (fun (m, a) (c : Suite.case) ->
+        let what = "records " ^ c.Suite.case_name in
+        let t = Trace.create () and p = P.create () in
+        match
+          Flow.run ~technology:Flow.Ecl ~constraints:c.Suite.constraints
+            ~trace:t ~provenance:p c.Suite.case_design
+        with
+        | Flow.Complete res ->
+            let m', a' = check_records what t p res in
+            (m + m', a + a')
+        | Flow.Partial pr ->
+            fail "%s: degraded at %s" what
+              (Flow.stage_name pr.Flow.failed_stage);
+            (m, a))
+      (0, 0) (Suite.all ())
+  in
+  if micro = 0 then fail "records: designs 1-8 applied no micro rules";
+  if !failures = 0 then
+    ok "designs 1-8: micro Delta labels match the critic's %d applications, \
+        attribution books all %d attributed commits"
+      micro attributed
+
+(* --- 4. Chrome export round-trip --------------------------------------- *)
 
 let check_chrome t =
   let what = "chrome" in
@@ -357,7 +441,7 @@ let check_chrome t =
           (List.length evs) !slices n_spans
   | _ -> fail "%s: no traceEvents array at top level" what
 
-(* --- 4. fault-injected partial run still flushes ----------------------- *)
+(* --- 5. fault-injected partial run still flushes ----------------------- *)
 
 let check_faulted () =
   let what = "faulted" in
@@ -387,7 +471,7 @@ let check_faulted () =
             (Trace.spans t')));
   close_out oc;
   let ic = open_in path in
-  let lines = ref 0 and spans = ref 0 and events = ref 0 in
+  let lines = ref 0 and spans = ref 0 and metrics = ref 0 in
   (try
      while true do
        let line = input_line ic in
@@ -396,8 +480,9 @@ let check_faulted () =
           let v = Json.parse line in
           match Json.member "t" v with
           | Some (Json.Str "span") -> incr spans
-          | Some (Json.Str "event") -> incr events
-          | Some (Json.Str _) -> ()
+          | Some (Json.Str ("counter" | "gauge" | "hist")) -> incr metrics
+          | Some (Json.Str tag) ->
+              fail "%s: jsonl line %d has unknown tag %S" what !lines tag
           | _ -> fail "%s: jsonl line %d has no \"t\" tag" what !lines
         with Json.Bad msg ->
           fail "%s: jsonl line %d does not parse: %s" what !lines msg)
@@ -407,11 +492,10 @@ let check_faulted () =
   Sys.remove path;
   if !lines = 0 then fail "%s: jsonl sink wrote nothing" what;
   if !spans = 0 then fail "%s: jsonl stream has no span lines" what;
-  if !events = 0 then fail "%s: jsonl stream has no event lines" what;
   if !failures = 0 then
     ok "faulted run: partial trace balanced, %d jsonl lines all parse \
-        (%d spans, %d events)"
-      !lines !spans !events
+        (%d spans, %d metrics)"
+      !lines !spans !metrics
 
 (* --- Metrics registry edges --------------------------------------------- *)
 
@@ -480,16 +564,15 @@ let check_metrics_edges () =
 let check_profile_tree () =
   let module Profile = Milo_trace.Profile in
   let t = Trace.create () in
-  Trace.set_current (Some t);
-  Trace.open_span "root";
-  Trace.open_span "child-a";
-  Trace.open_span "leaf";
-  Trace.close_span "leaf";
-  Trace.close_span "child-a";
-  Trace.open_span "child-b";
-  Trace.close_span "child-b";
-  Trace.close_span "root";
-  Trace.set_current None;
+  Trace.with_tracer t (fun () ->
+      Trace.open_span "root";
+      Trace.open_span "child-a";
+      Trace.open_span "leaf";
+      Trace.close_span "leaf";
+      Trace.close_span "child-a";
+      Trace.open_span "child-b";
+      Trace.close_span "child-b";
+      Trace.close_span "root");
   let shape n =
     let open Profile in
     let rec go n =
@@ -541,9 +624,11 @@ let check_profile_tree () =
   if !failures = 0 then ok "profile span tree golden (shape, self times, render)"
 
 let () =
-  let t, res = run_traced () in
+  let t, p, res = run_traced () in
   check_spans t res;
-  check_events t res;
+  check_work_spans t;
+  check_acc4_records t p res;
+  check_suite_records ();
   check_chrome t;
   check_faulted ();
   check_metrics_edges ();
