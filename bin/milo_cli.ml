@@ -437,11 +437,13 @@ let resume_cmd =
              journal's longest valid prefix, restore the last committed \
              checkpoint (design snapshot, remaining budget, semantic \
              guard state) and re-run only the stages after it.  The \
-             resumed run re-journals into the same file, so it can \
-             itself be interrupted and resumed again.  The result \
-             matches the uninterrupted run's exactly.  A journal \
-             without a committed checkpoint has nothing to resume \
-             (exit 5) — re-run the flow from the input design.")
+             resumed run continues the journal: the records up to the \
+             last committed checkpoint are kept and the resumed stages \
+             append theirs, so it can itself be interrupted and resumed \
+             again.  The result matches the uninterrupted run's \
+             exactly.  A journal without a committed checkpoint has \
+             nothing to resume (exit 5) — re-run the flow from the \
+             input design.")
     Term.(ret (const run $ journal_pos $ out_arg))
 
 let replay_cmd =
@@ -849,7 +851,7 @@ let trajectory_cmd =
        ~doc:"Record an optimization trajectory (the run's journal \
              records, one JSON object per record) or dump one \
              reconstructed offline from a journal — including a journal \
-             stitched across resume.  Both write the same records, so \
+             continued by resume.  Both write the same records, so \
              $(b,record --journal J) and $(b,dump J) write the same \
              file.")
     Term.(ret (const run $ mode_arg $ path_pos $ settings_term ()

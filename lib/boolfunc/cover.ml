@@ -33,8 +33,6 @@ let to_truth_table t =
     invalid_arg "Cover.to_truth_table: too many variables";
   Truth_table.of_fun t.n (eval t)
 
-let of_minterms n ms = { n; cubes = List.map (Cube.of_minterm n) ms }
-
 let minterms t =
   let seen = Hashtbl.create 64 in
   List.iter

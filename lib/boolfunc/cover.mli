@@ -14,7 +14,6 @@ val eval : t -> bool array -> bool
 val eval_index : t -> int -> bool
 val of_truth_table : Truth_table.t -> t
 val to_truth_table : t -> Truth_table.t
-val of_minterms : int -> int list -> t
 val minterms : t -> int list
 val cofactor : t -> int -> bool -> t
 val is_tautology : t -> bool

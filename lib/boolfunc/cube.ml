@@ -76,13 +76,6 @@ let remove_var t v =
   let bit = 1 lsl v in
   { t with pos = t.pos land lnot bit; neg = t.neg land lnot bit }
 
-let merge_distance a b =
-  (* Number of variables where a and b take opposite polarities; used by
-     Quine-McCluskey adjacency merging. *)
-  let opp = (a.pos land b.neg) lor (a.neg land b.pos) in
-  let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1) in
-  popcount opp
-
 let consensus_merge a b =
   (* If a and b differ in exactly one variable's polarity and agree on all
      other literals, merge into the cube dropping that variable. *)

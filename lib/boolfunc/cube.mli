@@ -20,7 +20,6 @@ val cofactor : t -> int -> bool -> t option
 val has_var : t -> int -> bool
 val polarity : t -> int -> bool option
 val remove_var : t -> int -> t
-val merge_distance : t -> t -> int
 val consensus_merge : t -> t -> t option
 (** Quine–McCluskey adjacency merge when the cubes differ in exactly one
     variable's polarity. *)

@@ -238,20 +238,15 @@ let stage_index = function
   | Techmap -> 3
   | Optimize -> 4
 
-(* Everything a resumed run re-arms from the last committed checkpoint:
-   the recovered per-stage snapshots, the report fragments accumulated
-   before the kill, and the guard/quarantine counters whose continuation
-   keeps the resumed statistics identical to an uninterrupted run's. *)
+(* Where a resumed run re-enters: the last committed checkpoint record
+   (its stage, counters and report fragments), the latest snapshot per
+   stage, and the committed prefix — the recovered records up to and
+   including that checkpoint, which the resumed run's journal keeps. *)
 type resume_point = {
-  rp_stage : stage;  (* last committed checkpoint *)
+  rp_stage : stage;
+  rp_last : J.checkpoint;
   rp_designs : (stage * D.t) list;
-  rp_micro : (string * string) list;
-  rp_levels : Milo_optimizer.Logic_optimizer.report_entry list;
-  rp_timing : Milo_optimizer.Time_opt.outcome option;
-  rp_guard : int array;
-  rp_tick : int;
-  rp_seen : string list;
-  rp_quarantine : (string * int * string * Milo_rules.Engine.reason) list;
+  rp_prefix : J.record list;
 }
 
 let timing_to_journal (o : Milo_optimizer.Time_opt.outcome) =
@@ -352,13 +347,33 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
      equivalence checks below. *)
   let gstats = Guard.fresh_stats () in
   Milo_rules.Engine.set_rule_guard session ~budget ~stats:gstats guard;
+  (* A stage at or before the resume point committed before the kill:
+     it adopts its snapshot, and nothing of it is checked or recorded
+     again. *)
+  let committed s =
+    match resume with
+    | Some rp -> stage_index rp.rp_stage >= stage_index s
+    | None -> false
+  in
+  let restored s =
+    match resume with
+    | Some rp when committed s -> Some (D.copy (List.assoc s rp.rp_designs))
+    | Some _ | None -> None
+  in
+  let required =
+    Option.value ~default:infinity constraints.Constraints.required_delay
+  in
+  let input_arrivals = constraints.Constraints.input_arrivals in
   (* The run's record stream: each record is built once and handed to
      the journal writer (durable) and the provenance recorder (in
-     memory).  The writer is created before the first checkpoint —
-     and, on a resume, after recovery has already read the previous
-     image, so truncating here is safe. *)
+     memory).  A resumed run continues the interrupted run's stream:
+     the recorder observes the committed prefix first, and the writer
+     starts from it — created after recovery has already read the
+     previous image, so replacing the file here is safe. *)
+  let prefix = match resume with Some rp -> rp.rp_prefix | None -> [] in
+  Option.iter (fun p -> List.iter (P.observe p) prefix) provenance;
   let jw =
-    Option.map (fun path -> J.create ?fault:journal_fault path) journal
+    Option.map (fun path -> J.create ?fault:journal_fault ~prefix path) journal
   in
   let recorded = Option.is_some jw || Option.is_some provenance in
   let emit r =
@@ -370,7 +385,7 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   in
   (* The header carries everything [resume] needs to re-issue this
      call. *)
-  if recorded then begin
+  if recorded && not (committed Capture) then begin
     let timeout, max_steps, max_evals = Milo_rules.Budget.limits budget in
     emit
       (J.Header
@@ -378,10 +393,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
            J.h_design = D.name design;
            h_hash = J.design_hash design;
            h_tech = technology_name technology;
-           h_required =
-             Option.value ~default:infinity
-               constraints.Constraints.required_delay;
-           h_arrivals = constraints.Constraints.input_arrivals;
+           h_required = required;
+           h_arrivals = input_arrivals;
            h_lint = Milo_lint.Lint.level_name lint;
            h_guard = Guard.policy_name guard;
            h_certify = certify;
@@ -400,44 +413,13 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   let micro_applications = ref [] in
   let levels_ref = ref [] in
   let timing_ref = ref None in
-  (* Re-arm recorded state before any stage runs, so a resumed run's
-     counters continue exactly where the interrupted run stopped. *)
-  (match resume with
-  | None -> ()
-  | Some rp ->
-      gstats.Guard.stage_checks <- rp.rp_guard.(0);
-      gstats.Guard.stage_mismatches <- rp.rp_guard.(1);
-      gstats.Guard.rule_checks <- rp.rp_guard.(2);
-      gstats.Guard.rule_mismatches <- rp.rp_guard.(3);
-      gstats.Guard.rule_skipped <- rp.rp_guard.(4);
-      gstats.Guard.rule_certified <- rp.rp_guard.(5);
-      Milo_rules.Engine.restore_guard_sample_state session rp.rp_tick rp.rp_seen;
-      Milo_rules.Engine.quarantine_restore session rp.rp_quarantine;
-      micro_applications := rp.rp_micro;
-      levels_ref := rp.rp_levels;
-      timing_ref := rp.rp_timing);
-  let resumed_past s =
-    match resume with
-    | Some rp -> stage_index rp.rp_stage >= stage_index s
-    | None -> false
-  in
-  let restored s =
-    match resume with
-    | Some rp -> Option.map D.copy (List.assoc_opt s rp.rp_designs)
-    | None -> None
-  in
-  let require_restored s =
-    match restored s with
-    | Some d -> d
-    | None ->
-        raise
-          (Journal_error ("journal lacks the " ^ stage_name s ^ " checkpoint"))
-  in
   Milo_trace.Trace.open_span ("flow:" ^ D.name design);
   Milo_trace.Trace.open_span ("stage:" ^ stage_name Capture);
   let db = Database.create () in
-  let lib = Milo_library.Generic.get () in
-  let target = target_of technology in
+  let lib, target =
+    Milo_trace.Trace.with_span "library" (fun () ->
+        (Milo_library.Generic.get (), target_of technology))
+  in
   (* Stage invariants: lint after the micro critic, after compilation,
      after technology mapping and after the optimizer.  Generic stages
      resolve against the design database and the generic library; mapped
@@ -456,7 +438,8 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   let generic = [ lib ] in
   let mapped = [ target.Table_map.tech; lib ] in
   (* Checkpointing: a deep copy after every completed stage, so any
-     later failure degrades to the last good design. *)
+     later failure degrades to the last good design.  A committed
+     stage's checkpoint is already in the journal. *)
   let checkpoints = ref [] in
   let checkpoint stage d =
     (* The hook runs once the checkpoint's span has closed, so an
@@ -468,7 +451,7 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
       (* The snapshot plus every counter a resume must re-arm; the
          journal commits it with the tmp+rename discipline, so the file
          always holds a whole checkpoint or none of it. *)
-      if recorded then begin
+      if recorded && not (committed stage) then begin
         let steps, evals, elapsed = budget_used () in
         let tick, seen =
           match Milo_rules.Engine.guard_sample_state session with
@@ -508,6 +491,31 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
     in
     hooks.on_checkpoint ck
   in
+  (* A resumed run re-arms from its last checkpoint record, the inverse
+     of the one built above, so its counters, sampler, quarantine and
+     report fragments continue exactly where the interrupted run's
+     stopped. *)
+  (match resume with
+  | None -> ()
+  | Some { rp_last = ck; _ } ->
+      let counter i =
+        if i < Array.length ck.J.ck_guard then ck.J.ck_guard.(i) else 0
+      in
+      gstats.Guard.stage_checks <- counter 0;
+      gstats.Guard.stage_mismatches <- counter 1;
+      gstats.Guard.rule_checks <- counter 2;
+      gstats.Guard.rule_mismatches <- counter 3;
+      gstats.Guard.rule_skipped <- counter 4;
+      gstats.Guard.rule_certified <- counter 5;
+      Milo_rules.Engine.restore_guard_sample_state session ck.J.ck_tick
+        ck.J.ck_seen;
+      Milo_rules.Engine.quarantine_restore session
+        (List.map
+           (fun (r, c, m, reason) -> (r, c, m, reason_of_name reason))
+           ck.J.ck_quarantine);
+      micro_applications := ck.J.ck_micro;
+      levels_ref := levels_of_journal ck.J.ck_levels;
+      timing_ref := Option.map timing_of_journal ck.J.ck_timing);
   (* Stage guards: before a stage's checkpoint is taken, its output is
      equivalence-checked against the previous stage's (known-good)
      checkpoint.  A mismatch raises [Guard.Miscompile] — degrading the
@@ -546,7 +554,7 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
       Milo_trace.Trace.open_span ("stage:" ^ stage_name stage)
     end;
     current := stage;
-    emit (J.Stage (stage_name stage));
+    if not (committed stage) then emit (J.Stage (stage_name stage));
     hooks.before_stage stage d
   in
   (* Delta tracking: the design the current stage transforms in place
@@ -597,118 +605,63 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
       (Milo_absint.Certify.certified_names !certificates)
   end;
   checkpoint Capture design;
+  (* One path per stage: a committed stage adopts its snapshot, any
+     other does its work, and only that work is linted, stage-guarded
+     and recorded. *)
   match
     let micro_design =
-      if resumed_past Micro then begin
-        (* The critic's applications are part of the committed
-           checkpoint: restore its product and counters, skip the
-           pass. *)
-        let d = require_restored Micro in
-        enter Micro d;
-        track d;
-        checkpoint Micro d;
-        d
-      end
-      else begin
-        let d = D.copy design in
-        enter Micro d;
-        track d;
-        micro_applications :=
-          micro_pass ~budget ?deadline ~session db lib target constraints d;
-        lint_stage ~techs:generic "micro-critic" d;
-        checkpoint Micro d;
-        d
-      end
+      match restored Micro with Some d -> d | None -> D.copy design
     in
+    enter Micro micro_design;
+    track micro_design;
+    if not (committed Micro) then begin
+      micro_applications :=
+        micro_pass ~budget ?deadline ~session db lib target constraints
+          micro_design;
+      lint_stage ~techs:generic "micro-critic" micro_design
+    end;
+    checkpoint Micro micro_design;
+    (* Compilation always runs: it is deterministic from the micro
+       design, and the database it fills cannot be journaled. *)
     enter Compile micro_design;
-    let expanded_for_techmap =
-      if resumed_past Techmap then begin
-        (* The compile product is only consumed by the mapper; with a
-           restored techmap snapshot the expansion is skipped entirely
-           and the recorded compile snapshot re-checkpointed for the
-           result's history. *)
-        (match restored Compile with
-        | Some d -> checkpoint Compile d
-        | None -> ());
-        None
-      end
-      else begin
-        (* Compilation is deterministic from the micro design, so a
-           resume at the compile checkpoint recomputes it (the database
-           cannot be journaled) but skips the already-counted stage
-           checks. *)
-        let expanded = Compile.expand_design db lib micro_design in
-        if not (resumed_past Compile) then begin
-          lint_stage ~techs:generic "compile" expanded;
-          if lint <> Milo_lint.Lint.Off then
-            List.iter
-              (fun name ->
-                lint_stage ~techs:generic ("compile:" ^ name)
-                  (Database.get db name))
-              (Database.names db);
-          (* The compile check flattens a copy, so a flattening bug is
-             also caught here rather than shipped into mapping. *)
-          stage_guard "compile" ~techs:generic (fun () ->
-              (ck_design Micro, Database.flatten db (D.copy expanded)))
-        end;
-        checkpoint Compile expanded;
-        Some expanded
-      end
-    in
-    let required =
-      Option.value ~default:infinity constraints.Constraints.required_delay
-    in
-    let input_arrivals = constraints.Constraints.input_arrivals in
-    let optimized =
-      match expanded_for_techmap with
-      | Some expanded ->
-          enter Techmap expanded;
-          let optimized, report =
-            Milo_optimizer.Logic_optimizer.optimize ~exec ~session ~required
-              ~input_arrivals
-              ~on_mapped:(fun d levels ->
-                levels_ref := levels;
-                lint_stage ~techs:mapped "techmap" d;
-                stage_guard "techmap" ~techs:mapped (fun () ->
-                    (Database.flatten db (D.copy (ck_design Compile)), d));
-                checkpoint Techmap d;
-                enter Optimize d;
-                track d)
-              ~budget db target expanded
-          in
-          levels_ref := report.Milo_optimizer.Logic_optimizer.entries;
-          timing_ref := report.Milo_optimizer.Logic_optimizer.timing;
-          optimized
+    let expanded = Compile.expand_design db lib micro_design in
+    if not (committed Compile) then begin
+      lint_stage ~techs:generic "compile" expanded;
+      if lint <> Milo_lint.Lint.Off then
+        List.iter
+          (fun name ->
+            lint_stage ~techs:generic ("compile:" ^ name)
+              (Database.get db name))
+          (Database.names db);
+      (* The compile check flattens (a copy), so a flattening bug is also
+         caught here rather than shipped into mapping. *)
+      stage_guard "compile" ~techs:generic (fun () ->
+          (ck_design Micro, Database.flatten db expanded))
+    end;
+    checkpoint Compile expanded;
+    enter Techmap expanded;
+    let mapped_design =
+      match restored Techmap with
+      | Some d -> d
       | None ->
-          if resumed_past Optimize then begin
-            (* Mapping and optimization both committed before the kill:
-               re-checkpoint the recorded snapshots; only the
-               downstream analysis and statistics are recomputed. *)
-            let tm = require_restored Techmap in
-            enter Techmap tm;
-            checkpoint Techmap tm;
-            let opt = require_restored Optimize in
-            enter Optimize opt;
-            track opt;
-            opt
-          end
-          else begin
-            (* Resume at the techmap checkpoint: re-enter the optimizer
-               at its flat phase on the restored snapshot. *)
-            let tm = require_restored Techmap in
-            enter Techmap tm;
-            checkpoint Techmap tm;
-            enter Optimize tm;
-            track tm;
-            let optimized, report =
-              Milo_optimizer.Logic_optimizer.optimize_flat ~exec ~session ~required
-                ~input_arrivals ~budget target tm
-            in
-            timing_ref := report.Milo_optimizer.Logic_optimizer.timing;
-            optimized
-          end
+          let d, levels =
+            Milo_optimizer.Logic_optimizer.map_levels ~exec ~session ~budget db
+              target expanded
+          in
+          levels_ref := levels;
+          lint_stage ~techs:mapped "techmap" d;
+          stage_guard "techmap" ~techs:mapped (fun () ->
+              (Database.flatten db (ck_design Compile), d));
+          d
     in
-    if not (resumed_past Optimize) then begin
+    checkpoint Techmap mapped_design;
+    let optimized = Option.value (restored Optimize) ~default:mapped_design in
+    enter Optimize optimized;
+    track optimized;
+    if not (committed Optimize) then begin
+      timing_ref :=
+        Milo_optimizer.Logic_optimizer.flat_passes ~exec ~session ~required
+          ~input_arrivals ~budget target optimized;
       lint_stage ~techs:mapped "optimized" optimized;
       stage_guard "optimize" ~techs:mapped (fun () ->
           (ck_design Techmap, optimized))
@@ -847,39 +800,41 @@ let run_exn ?technology ?constraints ?lint ?budget ?hooks ?trace ?guard
 
 (* --- Resume ------------------------------------------------------------ *)
 
-let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
-    path =
+(* Read one of the header's names, refusing one this build does not
+   know. *)
+let parse what of_string s =
+  match of_string s with
+  | Some v -> v
+  | None -> raise (Journal_error ("unknown " ^ what ^ " " ^ s))
+
+(* The preamble [resume] and [replay] share: the recovered journal, its
+   run header and the technology the header names. *)
+let recover_run path =
   let rc = J.recover path in
   let header =
     match J.header rc with
     | Some h -> h
     | None -> raise (Journal_error "no run header survived recovery")
   in
-  let last =
-    match J.last_checkpoint rc with
-    | Some ck -> ck
-    | None -> raise (Journal_error "no committed checkpoint survived recovery")
+  (rc, header, parse "technology" technology_of_string header.J.h_tech)
+
+let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
+    path =
+  let rc, header, technology = recover_run path in
+  (* The committed prefix: every record up to and including the last
+     checkpoint.  The resumed run keeps it; what followed is re-run, and
+     so recorded again. *)
+  let rec committed_prefix = function
+    | J.Checkpoint ck :: _ as rs -> (ck, List.rev rs)
+    | _ :: rs -> committed_prefix rs
+    | [] -> raise (Journal_error "no committed checkpoint survived recovery")
   in
-  let technology =
-    match technology_of_string header.J.h_tech with
-    | Some t -> t
-    | None -> raise (Journal_error ("unknown technology " ^ header.J.h_tech))
-  in
+  let last, prefix = committed_prefix (List.rev rc.J.r_records) in
   let lint =
-    match Milo_lint.Lint.level_of_string header.J.h_lint with
-    | Some l -> l
-    | None -> raise (Journal_error ("unknown lint level " ^ header.J.h_lint))
+    parse "lint level" Milo_lint.Lint.level_of_string header.J.h_lint
   in
-  let guard =
-    match Guard.policy_of_string header.J.h_guard with
-    | Some g -> g
-    | None -> raise (Journal_error ("unknown guard policy " ^ header.J.h_guard))
-  in
-  let rp_stage =
-    match stage_of_string last.J.ck_stage with
-    | Some s -> s
-    | None -> raise (Journal_error ("unknown stage " ^ last.J.ck_stage))
-  in
+  let guard = parse "guard policy" Guard.policy_of_string header.J.h_guard in
+  let rp_stage = parse "stage" stage_of_string last.J.ck_stage in
   let constraints =
     {
       Constraints.required_delay =
@@ -900,23 +855,15 @@ let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
         | None -> acc)
       [] (J.checkpoints rc)
   in
-  let need =
-    match rp_stage with
-    | Capture -> [ Capture ]
-    | Micro | Compile -> [ Capture; Micro ]
-    | Techmap -> [ Capture; Micro; Techmap ]
-    | Optimize -> [ Capture; Micro; Techmap; Optimize ]
-  in
+  (* Every committed stage adopts its snapshot, except compilation,
+     which always re-runs. *)
   List.iter
     (fun s ->
-      if not (List.mem_assoc s designs) then
+      if stage_index s <= stage_index rp_stage && not (List.mem_assoc s designs)
+      then
         raise
           (Journal_error ("journal lacks the " ^ stage_name s ^ " checkpoint")))
-    need;
-  let capture = D.copy (List.assoc Capture designs) in
-  let guard_counters = Array.make 6 0 in
-  Array.blit last.J.ck_guard 0 guard_counters 0
-    (min 6 (Array.length last.J.ck_guard));
+    [ Capture; Micro; Techmap; Optimize ];
   (* Budgets are re-armed with the remainder: original limits, counters
      pre-charged, wall clock back-dated by the recorded elapsed time. *)
   let budget =
@@ -925,22 +872,6 @@ let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
       ~steps:last.J.ck_steps ~evals:last.J.ck_evals ~elapsed:last.J.ck_elapsed
       ()
   in
-  let rp =
-    {
-      rp_stage;
-      rp_designs = designs;
-      rp_micro = last.J.ck_micro;
-      rp_levels = levels_of_journal last.J.ck_levels;
-      rp_timing = Option.map timing_of_journal last.J.ck_timing;
-      rp_guard = guard_counters;
-      rp_tick = last.J.ck_tick;
-      rp_seen = last.J.ck_seen;
-      rp_quarantine =
-        List.map
-          (fun (r, c, m, reason) -> (r, c, m, reason_of_name reason))
-          last.J.ck_quarantine;
-    }
-  in
   (* The recorded domain count is re-entered exactly: a run journaled
      at [--domains n] resumes under the same supervised-task semantics,
      so the merged trajectory continues bit-identically (degrading to
@@ -948,8 +879,16 @@ let resume ?(hooks = no_hooks) ?trace ?provenance ?(force_domains = false)
      observable). *)
   run_impl ~technology ~constraints ~lint ~budget:(Some budget) ~hooks ~trace
     ~guard ~certify:header.J.h_certify ~journal:(Some path) ~journal_fault:None
-    ~provenance ~domains:header.J.h_domains ~force_domains ~resume:(Some rp)
-    capture
+    ~provenance ~domains:header.J.h_domains ~force_domains
+    ~resume:
+      (Some
+         {
+           rp_stage;
+           rp_last = last;
+           rp_designs = designs;
+           rp_prefix = prefix;
+         })
+    (D.copy (List.assoc Capture designs))
 
 (* --- Replay ------------------------------------------------------------ *)
 
@@ -972,17 +911,7 @@ type replay_report = {
 }
 
 let replay path =
-  let rc = J.recover path in
-  let header =
-    match J.header rc with
-    | Some h -> h
-    | None -> raise (Journal_error "no run header survived recovery")
-  in
-  let technology =
-    match technology_of_string header.J.h_tech with
-    | Some t -> t
-    | None -> raise (Journal_error ("unknown technology " ^ header.J.h_tech))
-  in
+  let rc, header, technology = recover_run path in
   let target = target_of technology in
   let lib = Milo_library.Generic.get () in
   let generic = [ lib ] in

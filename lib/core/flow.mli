@@ -165,7 +165,7 @@ val run :
     [trace] (default none — zero-overhead) installs the tracer as the
     ambient one for the duration of the run: every stage runs inside a
     [stage:<name>] span under a [flow:<design>] root, the flow's own
-    work in it gets a span each ([certify], [lint:<stage>],
+    work in it gets a span each ([library], [certify], [lint:<stage>],
     [guard:<stage>], [checkpoint:<stage>]), rule evaluations and
     commits feed the per-rule attribution table and the metrics, and
     the tracer is flushed (sinks run, open spans force-closed) before
@@ -277,26 +277,33 @@ val resume :
   string ->
   outcome
 (** [resume path] recovers the journal's longest valid prefix and
-    re-enters the flow at the last committed checkpoint: the recorded
-    snapshot is restored id-exactly, the budget re-armed with the
-    remaining allowance ({!Milo_rules.Budget.resume}), the semantic
-    guard's counters, sampling position and quarantine image restored,
-    and only the stages after the checkpoint re-run (stages whose
-    checkpoints committed are restored, not recomputed, so their guard
-    statistics are not double-counted).  The resumed run re-journals
-    into [path], so a second kill can be resumed again.  The result is
-    byte-for-byte the uninterrupted run's: same final design, same
-    guard statistics, same report cost.  A [trace] passed here times
-    the resumed run only.
+    continues the run from its last committed checkpoint: the budget is
+    re-armed with the remaining allowance ({!Milo_rules.Budget.resume}),
+    and the semantic guard's counters, sampling position, quarantine
+    image and report fragments from that checkpoint's record.  Every
+    stage runs the fresh run's code.  A committed stage adopts its
+    snapshot id-exactly and is neither checked nor recorded again, so
+    nothing is double-counted; compilation always re-runs, to fill the
+    design database.
+
+    The resumed run continues the journal: the records up to the last
+    committed checkpoint are kept and the resumed stages append theirs.
+    So a killed resume can be resumed again, and a finished one leaves
+    the uninterrupted run's journal, wall-clock fields aside.  The
+    result is the uninterrupted run's: same final design, same guard
+    statistics, same report cost.  A [provenance] recorder observes the
+    kept records first, so it sees the whole run; a [trace] times the
+    resumed run only.
 
     A journal recorded with [~domains:n] re-enters with the same
     domain count (the header carries it); [force_domains] is forwarded
     to pool construction as in {!run}.  Degrading to inline execution
     on resume changes nothing observable.
 
-    Raises {!Journal_error} when the journal has no header or no
-    committed checkpoint (a run killed before its first commit has
-    nothing to resume — re-run the flow from the input design). *)
+    Raises {!Journal_error}, leaving the file untouched, when the
+    journal has no header, no committed checkpoint (a run killed before
+    its first commit has nothing to resume — re-run the flow from the
+    input design) or lacks a committed stage's snapshot. *)
 
 type divergence = {
   div_record : int;  (** record index in the journal *)

@@ -46,9 +46,6 @@ let out_pin b cid pname =
       D.connect b.design cid pname nid;
       nid
 
-let pin_bus b cid prefix nets =
-  List.iteri (fun i n -> pin b cid (Printf.sprintf "%s%d" prefix i) n) nets
-
 let out_bus b cid prefix width =
   List.init width (fun i -> out_pin b cid (Printf.sprintf "%s%d" prefix i))
 

@@ -21,7 +21,6 @@ val vss : t -> int
 val comp : t -> ?name:string -> T.kind -> int
 val pin : t -> int -> string -> int -> unit
 val out_pin : t -> int -> string -> int
-val pin_bus : t -> int -> string -> int list -> unit
 val out_bus : t -> int -> string -> int -> int list
 val expose : t -> int -> int -> unit
 val expose_bus : t -> int list -> int list -> unit

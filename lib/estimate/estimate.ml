@@ -60,7 +60,6 @@ type coefficients = {
 }
 
 let ecl_coefficients = { cells_per_gate = 0.62; ns_per_level = 0.62; mw_per_gate = 0.58 }
-let cmos_coefficients = { cells_per_gate = 0.68; ns_per_level = 0.55; mw_per_gate = 0.38 }
 let generic_coefficients = { cells_per_gate = 0.75; ns_per_level = 0.75; mw_per_gate = 0.50 }
 
 type micro_estimate = { est_area : float; est_delay : float; est_power : float }

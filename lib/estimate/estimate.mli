@@ -29,7 +29,6 @@ type coefficients = {
 }
 
 val ecl_coefficients : coefficients
-val cmos_coefficients : coefficients
 val generic_coefficients : coefficients
 
 type micro_estimate = { est_area : float; est_delay : float; est_power : float }

@@ -652,17 +652,18 @@ let close w =
       w.w_oc <- None
   | None -> ()
 
-let create ?(sync = `Commit) ?fault path =
+let create ?(sync = `Commit) ?fault ?(prefix = []) path =
   let w =
     {
       w_path = path;
       w_sync = sync;
       w_buf = Buffer.create 4096;
       w_oc = None;
-      w_count = 0;
+      w_count = List.length prefix;
       w_fault = fault;
     }
   in
+  List.iter (fun r -> Buffer.add_string w.w_buf (frame r)) prefix;
   commit_image w;
   w
 
@@ -727,9 +728,6 @@ let checkpoints r =
   List.filter_map
     (function Checkpoint ck -> Some ck | _ -> None)
     r.r_records
-
-let last_checkpoint r =
-  match List.rev (checkpoints r) with [] -> None | ck :: _ -> Some ck
 
 let finished r =
   match List.rev r.r_records with Finish _ :: _ -> true | _ -> false

@@ -121,14 +121,22 @@ val design_hash : D.t -> string
 type writer
 
 val create :
-  ?sync:[ `Always | `Commit ] -> ?fault:(int -> unit) -> string -> writer
-(** [create path] truncates [path] (atomically, via the tmp+rename
-    commit); the caller appends the {!Header} record first.  [sync] selects
-    fsync per record ([`Always]) or only at checkpoint commits and
-    close ([`Commit], the default — appended records still reach the
-    OS immediately).  [fault] is the crash-injection hook: called with
-    the running record count after each record is written; raising
-    from it simulates a kill at that point. *)
+  ?sync:[ `Always | `Commit ] ->
+  ?fault:(int -> unit) ->
+  ?prefix:record list ->
+  string ->
+  writer
+(** [create path] replaces [path] (atomically, via the tmp+rename
+    commit) with a journal holding [prefix] (default none), re-framed in
+    the current format; the record count starts at its length.  A fresh
+    run appends the {!Header} record first; a resumed run passes the
+    records up to its last committed checkpoint and continues after
+    them, so the file never holds less than that prefix.  [sync]
+    selects fsync per record ([`Always]) or only at checkpoint commits
+    and close ([`Commit], the default — appended records still reach
+    the OS immediately).  [fault] is the crash-injection hook: called
+    with the running record count after each record is written;
+    raising from it simulates a kill at that point. *)
 
 val append : writer -> record -> unit
 (** Append one framed record. *)
@@ -162,6 +170,5 @@ val header : recovered -> header option
 val checkpoints : recovered -> checkpoint list
 (** All recovered checkpoint records, in journal order. *)
 
-val last_checkpoint : recovered -> checkpoint option
 val finished : recovered -> bool
 (** True when the prefix ends with a [Finish] record (clean run). *)

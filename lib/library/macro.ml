@@ -144,6 +144,3 @@ let state_bits m =
   | Seq_dff _ -> 1
   | Seq_counter { bits; _ } -> bits
   | Seq_custom { state_bits; _ } -> state_bits
-
-let in_same_symmetry_group m a b =
-  List.exists (fun g -> List.mem a g && List.mem b g) m.symmetric

@@ -97,5 +97,3 @@ val state_only_outputs : t -> string list
 
 val state_bits : t -> int
 (** Width of the stored state; 0 for combinational macros. *)
-
-val in_same_symmetry_group : t -> string -> string -> bool

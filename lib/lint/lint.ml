@@ -18,8 +18,6 @@ let level_of_string = function
   | "strict" -> Some Strict
   | _ -> None
 
-let rule_names = List.map (fun p -> p.Passes.pass_name) Passes.all
-
 (* The purely structural invariants a rewrite engine must preserve at
    every step.  Floating pins and undriven nets are legitimately
    transient mid-rewrite (e.g. [Rule.replace_macro] leaves unmapped pins

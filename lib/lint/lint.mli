@@ -15,9 +15,6 @@ type level = Off | Warn | Strict
 val level_name : level -> string
 val level_of_string : string -> level option
 
-val rule_names : string list
-(** All registered pass names. *)
-
 val structural_rules : string list
 (** The invariant subset a rewrite engine must preserve after every rule
     application (connectivity consistency, single drivers, valid

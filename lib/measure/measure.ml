@@ -71,7 +71,6 @@ let () =
 
 let debug_check = ref false
 let set_debug_check v = debug_check := v
-let debug_check_enabled () = !debug_check
 
 (* Relative tolerance of the oracle (and of the equivalence suite). *)
 let tolerance = 1e-9

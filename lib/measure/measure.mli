@@ -38,8 +38,6 @@ val set_debug_check : bool -> unit
     full recompute per measurement — debugging only.  Global; off by
     default. *)
 
-val debug_check_enabled : unit -> bool
-
 val create :
   ?input_arrivals:(string * float) list ->
   Milo_library.Technology.t ->

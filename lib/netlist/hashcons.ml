@@ -57,9 +57,6 @@ let kind_spec kind = snd (intern kind)
 
 (* --- Design digests ---------------------------------------------------- *)
 
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-
 let compute_digest d =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -94,11 +91,8 @@ let digest_mutex = Mutex.create ()
 let design_digest d =
   let g = D.generation d in
   match Mutex.protect digest_mutex (fun () -> Cache.find_opt digest_cache d) with
-  | Some (g', dg) when g' = g ->
-      Atomic.incr hits;
-      dg
+  | Some (g', dg) when g' = g -> dg
   | Some _ | None ->
-      Atomic.incr misses;
       (* The generation was read before serializing: if a concurrent
          mutation raced the traversal the cached entry is already
          stale and will miss next time. *)
@@ -107,12 +101,3 @@ let design_digest d =
       dg
 
 let equal_structure a b = a == b || design_digest a = design_digest b
-
-type stats = { digest_hits : int; digest_misses : int; interned_kinds : int }
-
-let stats () =
-  {
-    digest_hits = Atomic.get hits;
-    digest_misses = Atomic.get misses;
-    interned_kinds = Hashtbl.length kind_table;
-  }

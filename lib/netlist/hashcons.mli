@@ -21,7 +21,3 @@ val design_digest : Design.t -> string
 val equal_structure : Design.t -> Design.t -> bool
 (** Digest-based structural equality; O(1) on repeated comparisons of
     unchanged designs. *)
-
-type stats = { digest_hits : int; digest_misses : int; interned_kinds : int }
-
-val stats : unit -> stats

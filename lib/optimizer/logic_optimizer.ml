@@ -129,13 +129,49 @@ let optimize_level ?budget ~exec ~session tech_db target design =
     area_after = fold_weight weight design;
   }
 
+(* 1-2. Map and optimize every sub-design, deepest first; then map the
+   top level and expand it one level at a time, optimizing after each
+   expansion.  The result is flat: every [Instance] has been inlined. *)
+let map_levels ~exec ~session ?budget db target design =
+  let tech_db = Database.create () in
+  let entries = ref [] in
+  let level d =
+    entries := optimize_level ?budget ~exec ~session tech_db target d :: !entries
+  in
+  List.iter
+    (fun name ->
+      let mapped =
+        Table_map.map_design ~keep_instances:true target (Database.get db name)
+      in
+      level mapped;
+      Database.register tech_db mapped)
+    (instance_order db design);
+  let top = ref (Table_map.map_design ~keep_instances:true target design) in
+  let has_instances d =
+    List.exists
+      (fun (c : D.comp) ->
+        match c.D.kind with
+        | T.Instance _ -> true
+        | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _
+        | T.Logic_unit _ | T.Arith_unit _ | T.Register _ | T.Counter _
+        | T.Constant _ | T.Macro _ ->
+            false)
+      (D.comps d)
+  in
+  level !top;
+  while has_instances !top do
+    top := Database.flatten_once tech_db !top;
+    level !top
+  done;
+  (!top, List.rev !entries)
+
 (* 3. Electric correctness, then timing against the constraint, then
    area recovery off the critical paths — everything that happens on the
-   flat technology-mapped design.  Split out so a journal resume can
-   re-enter here with a restored Techmap snapshot. *)
-let flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db
-    target d =
-  let ctx = make_ctx ~session tech_db target d in
+   flat technology-mapped design, in place.  A flat design has no
+   [Instance] kinds, so an empty technology database resolves every
+   kind it can contain. *)
+let flat_passes ~exec ~session ~required ~input_arrivals ?budget target d =
+  let ctx = make_ctx ~session (Database.create ()) target d in
   let electric () =
     Milo_trace.Trace.with_span "electric" (fun () ->
         let log = D.new_log () in
@@ -165,62 +201,13 @@ let flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db
   electric ();
   timing
 
-(* Optimize a hierarchical generic design bottom-up, producing one flat
-   technology-specific design (Figure 18's process), then run the time
-   optimizer against the constraint and recover area off the critical
-   paths. *)
+(* Figure 18's whole process under one session: the hierarchical
+   design mapped and optimized level by level, then the flat passes. *)
 let optimize ?(exec = Milo_parallel.Exec.inline ())
     ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
-    ?on_mapped ?budget db target design =
-  let tech_db = Database.create () in
-  let entries = ref [] in
-  (* 1. Map and optimize every sub-design, deepest first. *)
-  List.iter
-    (fun name ->
-      let sub = Database.get db name in
-      let mapped = Table_map.map_design ~keep_instances:true target sub in
-      let entry = optimize_level ?budget ~exec ~session tech_db target mapped in
-      entries := entry :: !entries;
-      Database.register tech_db mapped)
-    (instance_order db design);
-  (* 2. Map the top level, expand one level at a time, optimizing after
-     each expansion. *)
-  let top = ref (Table_map.map_design ~keep_instances:true target design) in
-  let has_instances d =
-    List.exists
-      (fun (c : D.comp) ->
-        match c.D.kind with
-        | T.Instance _ -> true
-        | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _
-        | T.Logic_unit _ | T.Arith_unit _ | T.Register _ | T.Counter _
-        | T.Constant _ | T.Macro _ ->
-            false)
-      (D.comps d)
-  in
-  let level d = optimize_level ?budget ~exec ~session tech_db target d in
-  entries := level !top :: !entries;
-  while has_instances !top do
-    top := Database.flatten_once tech_db !top;
-    entries := level !top :: !entries
-  done;
-  (* The design is now flat and fully technology-mapped; let the caller
-     inspect it (the flow lints here) before timing/area optimization. *)
-  (match on_mapped with Some f -> f !top (List.rev !entries) | None -> ());
+    ?budget db target design =
+  let flat, entries = map_levels ~exec ~session ?budget db target design in
   let timing =
-    flat_passes ~exec ~session ~required ~input_arrivals ?budget tech_db target
-      !top
+    flat_passes ~exec ~session ~required ~input_arrivals ?budget target flat
   in
-  (!top, { entries = List.rev !entries; timing })
-
-(* Re-enter the optimizer at the flat, technology-mapped design (step 3
-   only) — the journal-resume entry point: a restored Techmap snapshot
-   has no [Instance] kinds left, so an empty technology database
-   resolves every kind it can contain. *)
-let optimize_flat ?(exec = Milo_parallel.Exec.inline ())
-    ?(session = R.new_session ()) ?(required = infinity) ?(input_arrivals = [])
-    ?budget target d =
-  let timing =
-    flat_passes ~exec ~session ~required ~input_arrivals ?budget
-      (Database.create ()) target d
-  in
-  (d, { entries = []; timing })
+  (flat, { entries; timing })

@@ -43,50 +43,61 @@ val level_cost :
     already-optimized sub-design.  The greedy pass's [Per_comp] replay
     computes exactly this float. *)
 
+val map_levels :
+  exec:Milo_parallel.Exec.t ->
+  session:Milo_rules.Rule.session ->
+  ?budget:Milo_rules.Budget.t ->
+  Milo_compilers.Database.t ->
+  Milo_techmap.Table_map.target ->
+  D.t ->
+  D.t * report_entry list
+(** Figure 18's steps 1–2: [map_levels db target design] maps and
+    greedily optimizes every compiled sub-design of [design] (from
+    [Compile.expand_design]), deepest first, then maps the top level
+    and expands it one level at a time, optimizing after each
+    expansion.  Returns the flat technology-mapped design and the
+    per-level report entries, in the order the levels were optimized.
+    The flow checkpoints this design as its techmap stage. *)
+
+val flat_passes :
+  exec:Milo_parallel.Exec.t ->
+  session:Milo_rules.Rule.session ->
+  required:float ->
+  input_arrivals:(string * float) list ->
+  ?budget:Milo_rules.Budget.t ->
+  Milo_techmap.Table_map.target ->
+  D.t ->
+  Time_opt.outcome option
+(** Figure 18's step 3, in place on a flat technology-mapped design
+    (one {!map_levels} returned): electric cleanups, timing against
+    [required], area recovery off the critical paths, electric again.
+    Returns the timing outcome ([None] when [required] is [infinity]).
+    A flat design has no [Instance] kinds, so no technology database
+    is needed.  One [Milo_measure.Measure] sits in the rule context for
+    the whole call, and every worker fork carries a fork of it, so the
+    timing and area passes evaluate candidates by delta-STA and
+    streaming totals instead of full recomputes. *)
+
 val optimize :
   ?exec:Milo_parallel.Exec.t ->
   ?session:Milo_rules.Rule.session ->
   ?required:float ->
   ?input_arrivals:(string * float) list ->
-  ?on_mapped:(D.t -> report_entry list -> unit) ->
   ?budget:Milo_rules.Budget.t ->
   Milo_compilers.Database.t ->
   Milo_techmap.Table_map.target ->
   D.t ->
   D.t * report
-(** [optimize db target design] takes a hierarchical generic design
-    (from [Compile.expand_design]) and returns the flat, optimized,
-    technology-specific design with a per-level report.  [on_mapped] is
-    called on the flat technology-mapped design — together with the
-    per-level report entries accumulated so far, which the flow's
-    journal records at the techmap checkpoint — before the timing/area
-    optimization phase (the flow's post-techmap lint hook).  [budget]
-    bounds every optimization pass (per-level greedy, timing strategies,
-    area recovery); mapping and flattening always complete, so an
-    exhausted budget degrades to the mapped-but-unoptimized design.
-    One [Milo_measure.Measure] per flat optimization stage sits in the
-    rule context, and every worker fork carries a fork of it, so the
-    timing and area passes evaluate candidates by delta-STA and
-    streaming totals instead of full recomputes.
+(** [optimize db target design] is {!map_levels} then {!flat_passes}
+    under one session: it takes a hierarchical generic design and
+    returns the flat, optimized, technology-specific design with a
+    per-level report.  [budget] bounds every optimization pass
+    (per-level greedy, timing strategies, area recovery); mapping and
+    flattening always complete, so an exhausted budget degrades to the
+    mapped-but-unoptimized design.
 
     [exec] (default [Exec.inline ()]) is the execution plan of every
     pass: per-level greedy, the strategy oracles (one at a time) and
     per-rule candidate fan-out.  Every context the optimizer builds
     carries [session] (default: a fresh one), so quarantine, rule guard
     and certificates span the whole optimization. *)
-
-val optimize_flat :
-  ?exec:Milo_parallel.Exec.t ->
-  ?session:Milo_rules.Rule.session ->
-  ?required:float ->
-  ?input_arrivals:(string * float) list ->
-  ?budget:Milo_rules.Budget.t ->
-  Milo_techmap.Table_map.target ->
-  D.t ->
-  D.t * report
-(** Re-enter the optimizer at step 3 with an already flat,
-    technology-mapped design (a restored Techmap checkpoint): electric
-    cleanups, timing against the constraint, area recovery, electric
-    again.  The journal-resume entry point.  The report's [entries] are
-    empty — per-level history belongs to the interrupted run and is
-    restored from its checkpoint record. *)

@@ -8,9 +8,10 @@
 
     A trajectory can be captured two ways, which give the same lines:
     live, by installing {!sink} on the run's recorder; or offline, by
-    {!of_journal} over the run's journal — including a journal
-    stitched across kill/resume cycles, since {!Flow.resume} rewrites
-    one coherent record stream.  Steps of a journal written before
+    {!of_journal} over the run's journal.  Both hold the whole run
+    across kill/resume cycles: [Flow.resume] continues the journal
+    after its last committed checkpoint, and a recorder passed to it
+    observes the kept records before the resumed run's own.  Steps of a journal written before
     deltas carried attribution, budget and shape lines have no site,
     verdict, costs or budget, and zero feature counts. *)
 

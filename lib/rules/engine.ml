@@ -28,10 +28,6 @@ type measure = Milo_measure.Measure.totals = {
   power : float;
 }
 
-let pp_measure ppf m =
-  Format.fprintf ppf "delay=%.2fns area=%.1fcells power=%.1fmW" m.delay m.area
-    m.power
-
 (* Cost function over measurements; lower is better. *)
 type objective = measure -> float
 

@@ -10,8 +10,6 @@ type measure = Milo_measure.Measure.totals = {
   power : float;
 }
 
-val pp_measure : Format.formatter -> measure -> unit
-
 type objective = measure -> float
 
 val weighted :

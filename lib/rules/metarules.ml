@@ -7,11 +7,6 @@
 
 type phase = Meeting_timing | Recovering_area | Polishing
 
-let phase_name = function
-  | Meeting_timing -> "meeting-timing"
-  | Recovering_area -> "recovering-area"
-  | Polishing -> "polishing"
-
 (* Fixed "no metarules" configuration: full lookahead everywhere (the
    expensive baseline of [CoBa85]). *)
 let fixed_full = { Search.b = 3; d_max = 3; d_app = 1; n_hood = 0; delta_cost = 20.0 }
@@ -40,20 +35,3 @@ let params_for ~(cls : Rule.rule_class) ~(phase : phase) =
       { Search.b = 2; d_max = 2; d_app = 1; n_hood = 2; delta_cost = 6.0 }
   | (Rule.Electric | Rule.Micro), _ ->
       { Search.b = 1; d_max = 1; d_app = 1; n_hood = 0; delta_cost = 100.0 }
-
-(* Dominant class of a rule set (for parameter selection over a mixed
-   set: the most expensive class wins). *)
-let dominant_class rules =
-  let rank (c : Rule.rule_class) =
-    match c with
-    | Rule.Area -> 5
-    | Rule.Timing -> 4
-    | Rule.Power -> 3
-    | Rule.Micro -> 2
-    | Rule.Electric -> 1
-    | Rule.Logic | Rule.Cleanup -> 0
-  in
-  List.fold_left
-    (fun acc (r : Rule.t) ->
-      if rank r.Rule.rule_class > rank acc then r.Rule.rule_class else acc)
-    Rule.Logic rules

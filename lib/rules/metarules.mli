@@ -3,7 +3,6 @@
 
 type phase = Meeting_timing | Recovering_area | Polishing
 
-val phase_name : phase -> string
 val fixed_full : Search.params
 (** The no-metarules baseline: full lookahead for every rule class. *)
 
@@ -11,4 +10,3 @@ val fixed_greedy : Search.params
 (** The no-lookahead baseline. *)
 
 val params_for : cls:Rule.rule_class -> phase:phase -> Search.params
-val dominant_class : Rule.t list -> Rule.rule_class

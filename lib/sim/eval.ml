@@ -215,8 +215,6 @@ let state_only_outputs (kind : T.kind) : string list =
   | T.Arith_unit _ | T.Constant _ | T.Macro _ | T.Instance _ ->
       []
 
-let macro_state_only_outputs = Milo_library.Macro.state_only_outputs
-
 let state_bits (kind : T.kind) : int =
   match kind with
   | T.Register { bits; _ } | T.Counter { bits; _ } -> bits

@@ -36,7 +36,6 @@ val state_only_outputs : T.kind -> string list
     combinational kinds.  Replaces the old "pin starts with Q"
     heuristic. *)
 
-val macro_state_only_outputs : Milo_library.Macro.t -> string list
 val state_bits : T.kind -> int
 
 (** Bit-parallel mirror of the scalar semantics: every pin carries one

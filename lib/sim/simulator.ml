@@ -405,18 +405,6 @@ let set_state t cid v =
             (if v land (1 lsl b) <> 0 then Eval.Packed.ones else 0))
         planes
 
-let get_state t cid =
-  Option.map
-    (fun planes -> Eval.Packed.state_of_planes planes 0)
-    (Hashtbl.find_opt t.state cid)
-
-let set_state_planes t cid planes =
-  match Hashtbl.find_opt t.state cid with
-  | None -> ()
-  | Some dst -> Array.blit planes 0 dst 0 (min (Array.length planes) (Array.length dst))
-
-let get_state_planes t cid = Hashtbl.find_opt t.state cid
-
 (* --- Scalar engine ----------------------------------------------------- *)
 
 let scalar_state t cid =
@@ -544,9 +532,6 @@ let settle_packed t (inputs : (string * int) list) =
 let outputs_packed t inputs =
   settle_packed t inputs;
   List.map (fun (p, s) -> (p, t.packed_vals.(s))) t.out_ports
-
-let packed_net_value t nid =
-  Option.map (fun s -> t.packed_vals.(s)) (Hashtbl.find_opt t.slot_of_net nid)
 
 let step_packed t inputs =
   settle_packed t inputs;

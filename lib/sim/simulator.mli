@@ -31,9 +31,6 @@ val set_state : t -> int -> int -> unit
 (** Set a sequential component's state, broadcast to every packed
     lane, so scalar and packed runs observe the same initial state. *)
 
-val get_state : t -> int -> int option
-(** State as seen by the scalar engine (packed lane 0). *)
-
 exception Combinational_loop of string list
 (** Component names that never settled. *)
 
@@ -61,19 +58,10 @@ val lanes : int
 
 val settle_packed : t -> (string * int) list -> unit
 (** Packed combinational settle; absent input ports read as all-zero.
-    Results are read with [outputs_packed] / [packed_net_value]. *)
+    Results are read with [outputs_packed]. *)
 
 val outputs_packed : t -> (string * int) list -> (string * int) list
 (** Output-port words under the given packed inputs (no clock edge). *)
 
 val step_packed : t -> (string * int) list -> unit
 (** One synchronous clock edge on all lanes at once. *)
-
-val packed_net_value : t -> int -> int option
-(** Word value of a net after the most recent packed settle. *)
-
-val get_state_planes : t -> int -> int array option
-(** Raw per-lane state bit-planes of a sequential component: word [b]
-    holds bit [b] of every lane's state. *)
-
-val set_state_planes : t -> int -> int array -> unit

@@ -3,8 +3,6 @@
    criterion 1: the component the most critical paths pass through;
    criterion 2: among ties, the one closest to an external input. *)
 
-module D = Milo_netlist.Design
-
 (* Paths whose endpoint misses the constraint (or the single worst path
    when everything meets it). *)
 let critical_set ?required sta =
@@ -64,6 +62,3 @@ let most_critical ?required sta =
            (fun best q ->
              if q.Sta.path_delay > best.Sta.path_delay then q else best)
            p rest)
-
-let path_comp_names design (p : Sta.path) =
-  List.map (fun h -> (D.comp design h.Sta.comp).D.cname) p.Sta.hops

@@ -6,11 +6,17 @@
    - crash fuzz: for every Figure 19 suite design, a journaled flow
      killed after each journal record and resumed from the file yields
      the same final design, guard statistics, budget consumption and
-     report cost as the uninterrupted run;
+     report cost as the uninterrupted run, and leaves the uninterrupted
+     run's journal (wall-clock fields aside), which replays with zero
+     divergences;
+   - killed resume: a resumed run killed after any record leaves a
+     journal the next resume continues to the uninterrupted run's
+     result and records;
    - replay: a clean run's journal replays with zero divergences under
      the Full guard; a tampered trajectory is pinpointed;
    - resume refusal: a journal without a committed checkpoint raises
-     [Flow.Journal_error] instead of fabricating state;
+     [Flow.Journal_error] instead of fabricating state, and is left
+     untouched;
    - legacy header: a journal whose header predates the always-written
      [domains] line, and still carries the retired [incremental] line,
      reads as one domain and resumes to the uninterrupted run's result;
@@ -29,6 +35,7 @@ module Guard = Milo_guard.Guard
 module Budget = Milo_rules.Budget
 module Suite = Milo_designs.Suite
 module Faults = Milo_faults
+module P = Milo_provenance.Provenance
 
 let failures = ref 0
 
@@ -259,6 +266,49 @@ let compare_results what (ref_res : Flow.result) (res : Flow.result) =
       ref_res.Flow.budget.Budget.evals_used res.Flow.budget.Budget.steps_used
       res.Flow.budget.Budget.evals_used
 
+(* A record with its wall-clock fields zeroed and its snapshot set
+   aside, so two runs' records compare with [=]. *)
+let placeholder = D.create "snapshot"
+
+let timeless = function
+  | J.Delta d ->
+      J.Delta
+        { d with d_budget = Option.map (fun (s, e, _) -> (s, e, 0.0)) d.d_budget }
+  | J.Checkpoint ck ->
+      J.Checkpoint { ck with J.ck_elapsed = 0.0; ck_design = placeholder }
+  | r -> r
+
+(* The journal at [path] holds exactly the [expected] records, up to
+   wall-clock fields, with structurally equal snapshots. *)
+let same_records what expected path =
+  let got = (J.recover path).J.r_records in
+  if List.length got <> List.length expected then
+    fail "%s: the journal holds %d records, the uninterrupted run's %d" what
+      (List.length got) (List.length expected)
+  else
+    List.iteri
+      (fun i (a, b) ->
+        let same_snapshot =
+          match (a, b) with
+          | J.Checkpoint x, J.Checkpoint y ->
+              D.equal_structure x.J.ck_design y.J.ck_design
+          | _ -> true
+        in
+        if timeless a <> timeless b || not same_snapshot then
+          fail "%s: record %d differs from the uninterrupted run's" what (i + 1))
+      (List.combine expected got)
+
+let replays_clean what path =
+  match Flow.replay path with
+  | rep ->
+      List.iter
+        (fun d ->
+          fail "%s: replay diverges at record %d [%s/%s]: %s" what
+            d.Flow.div_record d.Flow.div_stage d.Flow.div_kind
+            d.Flow.div_detail)
+        rep.Flow.rep_divergences
+  | exception e -> fail "%s: replay raised %s" what (Printexc.to_string e)
+
 let crash_fuzz ?domains (case : Suite.case) =
   let name =
     match domains with
@@ -282,14 +332,15 @@ let crash_fuzz ?domains (case : Suite.case) =
         fail "%s: reference run raised %s" name (Printexc.to_string e);
         raise Exit
   in
-  let total =
+  let records =
     let rc = J.recover path in
     if rc.J.r_truncated_bytes <> 0 then
       fail "%s: clean journal reports a torn tail" name;
     if not (J.finished rc) then fail "%s: clean journal lacks Finish" name;
-    List.length rc.J.r_records
+    rc.J.r_records
   in
-  let kills = ref 0 in
+  let total = List.length records in
+  let kills = ref 0 and failed = !failures in
   for n = 1 to total do
     let what = Printf.sprintf "%s killed after record %d" name n in
     match
@@ -316,7 +367,13 @@ let crash_fuzz ?domains (case : Suite.case) =
             fail "%s: journal header lost the domain count" what
         | _ -> ());
         match Flow.resume ~force_domains:true path with
-        | Flow.Complete r -> compare_results what reference r
+        | Flow.Complete r ->
+            compare_results what reference r;
+            (* The resumed run continued the journal: it now holds the
+               uninterrupted run's records, and replays clean. *)
+            same_records what records path;
+            if n = total || case.Suite.case_name = "6" then
+              replays_clean what path
         | Flow.Partial p ->
             fail "%s: resume degraded at %s (%s)" what
               (Flow.stage_name p.Flow.failed_stage)
@@ -329,8 +386,83 @@ let crash_fuzz ?domains (case : Suite.case) =
         )
   done;
   cleanup path;
-  Printf.printf "ok   crash fuzz %-8s (%d records, %d kill points)\n" name
-    total !kills
+  if !failures = failed then
+    Printf.printf "ok   crash fuzz %-8s (%d records, %d kill points)\n" name
+      total !kills
+
+(* --- Killed resume -------------------------------------------------------- *)
+
+(* A resumed run continues the journal, so a kill during the resume
+   leaves a journal the next resume continues in turn.  Design 3's run
+   is killed right after each of its checkpoint records; the resume is
+   killed after each record it hands a provenance sink (the committed
+   prefix first, then its own), by raising [Journal.Crash] as a kill
+   does; then a clean resume must reach the uninterrupted run's final
+   design, guard counters, budget and journal records, and no journal
+   may be refused. *)
+let killed_resume () =
+  let case = Suite.design3 () in
+  let path = temp_journal "rekill" in
+  let reference =
+    match
+      Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+        ~guard:Guard.Sampled ~journal:path case.Suite.case_design
+    with
+    | Flow.Complete r -> r
+    | Flow.Partial _ | (exception _) ->
+        fail "killed resume: reference run failed";
+        raise Exit
+  in
+  let records = (J.recover path).J.r_records in
+  let total = List.length records in
+  let checkpoints =
+    List.concat
+      (List.mapi
+         (fun i r -> match r with J.Checkpoint _ -> [ i + 1 ] | _ -> [])
+         records)
+  in
+  let cases = ref 0 and failed = !failures in
+  List.iter
+    (fun first ->
+      for second = 1 to total do
+        let what =
+          Printf.sprintf "design 3 killed after record %d, its resume after %d"
+            first second
+        in
+        incr cases;
+        if
+          Faults.run_journaled_killed ~technology:Flow.Ecl
+            ~constraints:case.Suite.constraints ~guard:Guard.Sampled
+            ~journal:path first case.Suite.case_design
+          <> None
+        then fail "%s: the first kill did not fire" what;
+        let p = P.create () in
+        let seen = ref 0 in
+        P.add_sink p (fun _ ->
+            incr seen;
+            if !seen = second then raise (J.Crash second));
+        (match Flow.resume ~provenance:p path with
+        | _ -> fail "%s: the second kill did not fire" what
+        | exception J.Crash _ -> ()
+        | exception e ->
+            fail "%s: the killed resume raised %s" what (Printexc.to_string e));
+        match Flow.resume path with
+        | Flow.Complete r ->
+            compare_results what reference r;
+            same_records what records path
+        | Flow.Partial p ->
+            fail "%s: resume degraded at %s" what
+              (Flow.stage_name p.Flow.failed_stage)
+        | exception Flow.Journal_error msg ->
+            fail "%s: journal refused: %s" what msg
+        | exception e -> fail "%s: resume raised %s" what (Printexc.to_string e)
+      done)
+    checkpoints;
+  cleanup path;
+  if !failures = failed then
+    Printf.printf "ok   killed resume resumes (%d cases after checkpoints %s)\n"
+      !cases
+      (String.concat ", " (List.map string_of_int checkpoints))
 
 (* --- Replay ------------------------------------------------------------- *)
 
@@ -649,10 +781,14 @@ let resume_refusal () =
          h_domains = 1;
        });
   J.close w;
+  let bytes () = In_channel.with_open_bin path In_channel.input_all in
+  let before = bytes () in
   (match Flow.resume path with
   | _ -> fail "refusal: resumed a journal without a checkpoint"
   | exception Flow.Journal_error _ ->
-      Printf.printf "ok   resume refuses a checkpoint-free journal\n"
+      (* Refused before the writer exists, so the file is untouched. *)
+      if bytes () <> before then fail "refusal: the refused journal changed"
+      else Printf.printf "ok   resume refuses a checkpoint-free journal\n"
   | exception e -> fail "refusal: unexpected %s" (Printexc.to_string e));
   cleanup path;
   (* An empty file recovers to zero records and resume refuses it the
@@ -681,6 +817,7 @@ let () =
      trajectory must continue bit-identically to the uninterrupted
      parallel run's.  One case keeps the quadratic fuzz affordable. *)
   (try crash_fuzz ~domains:4 (List.hd cases) with Exit -> ());
+  (try killed_resume () with Exit -> ());
   List.iter replay_clean cases;
   replay_tampered ();
   legacy_header_resumes ();

@@ -15,7 +15,8 @@
      [Trajectory.of_journal] over the journal it wrote give equal
      trajectory lines, ledgers, conservation rows and tags, and the
      offline stream conserves on its own — including a journal
-     stitched across a kill + resume. *)
+     continued across a kill + resume, whose resumed recorder's ledger
+     and conservation rows equal the uninterrupted run's. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -322,12 +323,30 @@ let trajectory_one_fold (case : Suite.case) =
   | exception e -> fail "%s: flow raised %s" name (Printexc.to_string e));
   cleanup path
 
-(* Kill + resume: the rewritten journal is one coherent stream, so the
-   resumed run's recorder and the offline fold of that journal agree,
-   and the journal replays with zero divergences. *)
+(* Kill + resume: the resumed run continues the journal, and its
+   recorder observes the committed prefix before its own records, so it
+   sees the whole run — its ledger and conservation rows equal the
+   uninterrupted run's.  The offline fold of the journal agrees with it,
+   and the journal replays with zero divergences.  Killed late
+   (mid-optimize if possible), and right after the last checkpoint. *)
 let trajectory_stitched () =
   let case = List.hd (Suite.all ()) in
   let path = temp_journal "stitch" in
+  let uninterrupted = P.create () in
+  (match
+     Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+       ~guard:Guard.Sampled ~provenance:uninterrupted case.Suite.case_design
+   with
+  | Flow.Complete _ -> ()
+  | Flow.Partial _ | (exception _) -> fail "stitch: reference run failed");
+  let last_checkpoint =
+    List.fold_left
+      (fun (i, last) r ->
+        match r with J.Checkpoint _ -> (i + 1, i + 1) | _ -> (i + 1, last))
+      (0, 0)
+      (P.events uninterrupted)
+    |> snd
+  in
   let mid n =
     cleanup path;
     match
@@ -338,34 +357,44 @@ let trajectory_stitched () =
     | None -> true (* crashed: a resumable journal is on disk *)
     | Some _ -> false
   in
-  (* Kill late (mid-optimize if possible), then resume to completion
-     with a fresh recorder. *)
-  let killed = List.exists mid [ 12; 9; 6; 4; 3; 2 ] in
-  if not killed then fail "stitch: no kill point produced a crash"
-  else begin
-    let p = P.create () in
-    match Flow.resume ~provenance:p path with
-    | Flow.Complete _ ->
-        let off = same_fold "stitch" p ~journal:path in
-        (match List.rev (P.events off) with
-        | J.Finish { f_outcome; _ } :: _ ->
-            if f_outcome <> "complete" then
-              fail "stitch: stitched trajectory ends %S" f_outcome
-        | _ -> fail "stitch: stitched trajectory lacks a finish record");
-        (match Flow.replay path with
-        | rep ->
-            if rep.Flow.rep_divergences <> [] then
-              fail "stitch: replay found %d divergence(s)"
-                (List.length rep.Flow.rep_divergences)
-        | exception e ->
-            fail "stitch: replay raised %s" (Printexc.to_string e));
-        Printf.printf "ok   stitched trajectory across kill+resume (%d events)\n"
-          (List.length (P.events off))
-    | Flow.Partial pp ->
-        fail "stitch: resume degraded at %s"
-          (Flow.stage_name pp.Flow.failed_stage)
-    | exception e -> fail "stitch: resume raised %s" (Printexc.to_string e)
-  end;
+  let stitch what kill_points =
+    if not (List.exists mid kill_points) then
+      fail "%s: no kill point produced a crash" what
+    else begin
+      let p = P.create () and failed = !failures in
+      match Flow.resume ~provenance:p path with
+      | Flow.Complete _ ->
+          if P.ledger p <> P.ledger uninterrupted then
+            fail "%s: the resumed run's ledger differs from the uninterrupted \
+                  run's" what;
+          if P.conservation p <> P.conservation uninterrupted then
+            fail "%s: the resumed run's conservation differs from the \
+                  uninterrupted run's" what;
+          let off = same_fold what p ~journal:path in
+          (match List.rev (P.events off) with
+          | J.Finish { f_outcome; _ } :: _ ->
+              if f_outcome <> "complete" then
+                fail "%s: stitched trajectory ends %S" what f_outcome
+          | _ -> fail "%s: stitched trajectory lacks a finish record" what);
+          (match Flow.replay path with
+          | rep ->
+              if rep.Flow.rep_divergences <> [] then
+                fail "%s: replay found %d divergence(s)" what
+                  (List.length rep.Flow.rep_divergences)
+          | exception e ->
+              fail "%s: replay raised %s" what (Printexc.to_string e));
+          if !failures = failed then
+            Printf.printf "ok   %s (%d events)\n" what
+              (List.length (P.events off))
+      | Flow.Partial pp ->
+          fail "%s: resume degraded at %s" what
+            (Flow.stage_name pp.Flow.failed_stage)
+      | exception e -> fail "%s: resume raised %s" what (Printexc.to_string e)
+    end
+  in
+  stitch "stitched trajectory across kill+resume" [ 12; 9; 6; 4; 3; 2 ];
+  stitch "stitched trajectory killed after the last checkpoint"
+    [ last_checkpoint ];
   cleanup path
 
 let () =

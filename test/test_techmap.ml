@@ -116,7 +116,7 @@ let test_dagon_vs_table_on_msi () =
     true
     (area table < area dagon)
 
-let test_dagon_mapped_structure () =
+let test_dagon_structure () =
   let env name = Milo_library.Technology.find (Util.generic ()) name in
   let d = Milo_designs.Workload.random_logic ~gates:30 ~seed:5 () in
   let target = Milo_techmap.Table_map.cmos_target () in
@@ -147,6 +147,6 @@ let () =
             test_dagon_equiv_random;
           Alcotest.test_case "table beats dagon on MSI" `Quick
             test_dagon_vs_table_on_msi;
-          Alcotest.test_case "mapped structure" `Quick test_dagon_mapped_structure;
+          Alcotest.test_case "mapped structure" `Quick test_dagon_structure;
         ] );
     ]

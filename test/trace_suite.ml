@@ -310,6 +310,7 @@ let check_work_spans t =
       found
   in
   expect "certify" ~under:"stage:capture" ~count:1;
+  expect "library" ~under:"stage:capture" ~count:1;
   List.iter
     (fun st -> expect ("guard:" ^ st) ~under:("stage:" ^ st) ~count:1)
     [ "compile"; "techmap"; "optimize" ];
@@ -317,8 +318,8 @@ let check_work_spans t =
     (fun st -> expect ("checkpoint:" ^ st) ~under:("stage:" ^ st) ~count:1)
     [ "capture"; "micro"; "compile"; "techmap"; "optimize" ];
   if !failures = 0 then
-    ok "work spans: certify under capture, a guard and a checkpoint span \
-        under each stage, none inside an optimizer pass"
+    ok "work spans: certify and library under capture, a guard and a \
+        checkpoint span under each stage, none inside an optimizer pass"
 
 (* --- 3. the record stream against the result and the attribution ------- *)
 
