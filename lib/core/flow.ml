@@ -317,28 +317,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   let budget =
     match budget with Some b -> b | None -> Milo_rules.Budget.unlimited ()
   in
-  (* Parallel runtime: the fan-out sites run as supervised tasks —
-     pooled across [domains] domains when a pool comes up, inline on
-     this domain otherwise.  Inline and pooled merge identically, so
-     the degraded run is bit-identical to the parallel one; the
-     degradation is still recorded so operators can see the speedup was
-     lost. *)
-  let run_notes = ref [] in
-  let deadline = Milo_rules.Budget.deadline_time budget in
-  let pool, exec =
-    if domains <= 1 then (None, Milo_parallel.Exec.inline ?deadline ())
-    else
-      match
-        Milo_parallel.Pool.create ~force:force_domains ~domains ()
-      with
-      | Some p -> (Some p, Milo_parallel.Exec.pooled ?deadline p)
-      | None ->
-          run_notes := "Degraded_to_sequential" :: !run_notes;
-          (None, Milo_parallel.Exec.inline ?deadline ())
-  in
-  let shutdown_pool () =
-    match pool with Some p -> Milo_parallel.Pool.shutdown p | None -> ()
-  in
   (* The engine session of this run: quarantine, rule guard and
      certificates, handed to every context the flow builds. *)
   let session = R.new_session () in
@@ -375,6 +353,42 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
   let jw =
     Option.map (fun path -> J.create ?fault:journal_fault ~prefix path) journal
   in
+  (* Parallel runtime: the fan-out sites run as supervised tasks —
+     pooled across [domains] domains when a pool comes up, inline on
+     this domain otherwise.  Inline and pooled merge identically, so
+     the degraded run is bit-identical to the parallel one; the
+     degradation is still recorded so operators can see the speedup was
+     lost.  The pool comes up after the journal writer, and however the
+     run ends from here on, [release] shuts the one and closes the
+     other; it writes nothing, so a kill leaves the journal exactly as
+     it found it. *)
+  let run_notes = ref [] in
+  let deadline = Milo_rules.Budget.deadline_time budget in
+  let pool, exec =
+    if domains <= 1 then (None, Milo_parallel.Exec.inline ?deadline ())
+    else
+      match
+        Milo_parallel.Pool.create ~force:force_domains ~domains ()
+      with
+      | Some p -> (Some p, Milo_parallel.Exec.pooled ?deadline p)
+      | None ->
+          run_notes := "Degraded_to_sequential" :: !run_notes;
+          (None, Milo_parallel.Exec.inline ?deadline ())
+  in
+  let shutdown_pool () =
+    match pool with Some p -> Milo_parallel.Pool.shutdown p | None -> ()
+  in
+  let tracked = ref None in
+  let untrack () =
+    (match !tracked with Some d -> D.set_commit_hook d None | None -> ());
+    tracked := None
+  in
+  let release () =
+    untrack ();
+    shutdown_pool ();
+    match jw with Some w -> ( try J.close w with Sys_error _ -> ()) | None -> ()
+  in
+  Fun.protect ~finally:release @@ fun () ->
   let recorded = Option.is_some jw || Option.is_some provenance in
   let emit r =
     (match (jw, r) with
@@ -564,11 +578,6 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
      the post-commit design hash and shape.  Scratch copies (lookahead,
      worker forks, the critic's inner evaluations) have no hook and
      stay silent. *)
-  let tracked = ref None in
-  let untrack () =
-    (match !tracked with Some d -> D.set_commit_hook d None | None -> ());
-    tracked := None
-  in
   let track d =
     if recorded then begin
       untrack ();
@@ -730,16 +739,9 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
           analysis;
           notes = List.rev !run_notes;
         }
-  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-  | exception (J.Crash _ as e) ->
-      (* Simulated kill from the fault harness: the journal file stays
-         exactly as the crash left it — no Finish record, no Partial
-         degradation. *)
-      untrack ();
-      shutdown_pool ();
-      (match jw with
-      | Some w -> ( try J.close w with Sys_error _ -> ())
-      | None -> ());
+  | exception ((Out_of_memory | Stack_overflow | J.Crash _) as e) ->
+      (* A simulated kill from the fault harness ends the run where it
+         stands: no Finish record, no Partial degradation. *)
       raise e
   | exception e ->
       (* A faulted run still flushes: open spans are force-closed and

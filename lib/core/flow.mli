@@ -208,7 +208,8 @@ val run :
     reaches the file; raising {!Milo_journal.Journal.Crash} from it
     simulates a kill at exactly that point (the journal file is left
     as-is and the exception propagates — no [Partial] degradation, no
-    Finish record).
+    Finish record).  Whatever exception leaves the run, at any record,
+    the journal writer is closed and the domain pool shut first.
 
     [provenance] (default none — zero-overhead) hands the given
     recorder every record the journal would receive

@@ -153,6 +153,17 @@ let adder_eval w input =
   let sum = !a + !b + cin in
   Array.init (w + 1) (fun i -> sum land (1 lsl i) <> 0)
 
+(* The same adder on lane words: ripple addition over bit-planes, with
+   a word-wide carry. *)
+let adder_words w (ins : int array) (outs : int array) =
+  let c = ref ins.(2 * w) in
+  for i = 0 to w - 1 do
+    let a = ins.(i) and b = ins.(w + i) in
+    outs.(i) <- a lxor b lxor !c;
+    c := a land b lor (!c land (a lxor b))
+  done;
+  outs.(w) <- !c
+
 let adder ~ripple ~stage ~flat ~area ~power ~gates name w =
   let pins =
     T.range_pins "A" w T.Input @ T.range_pins "B" w T.Input
@@ -163,7 +174,7 @@ let adder ~ripple ~stage ~flat ~area ~power ~gates name w =
   Macro.make ~delay:flat ~area ~power ~gates
     ~arcs:(adder_arcs w ~stage ~flat ~ripple)
     name pins
-    (Macro.Comb_eval (adder_eval w))
+    (Macro.Comb_eval { eval = adder_eval w; eval_words = adder_words w })
 
 (* w-bit comparator: A0.. B0.. -> EQ LT GT (unsigned). *)
 let comparator_eval w input =
@@ -173,6 +184,20 @@ let comparator_eval w input =
     if input.(w + i) then b := !b lor (1 lsl i)
   done;
   [| !a = !b; !a < !b; !a > !b |]
+
+(* The same comparator on lane words: from the most significant bit
+   down, a lane is less-than at the first bit where it is still equal
+   and A has 0 against B's 1. *)
+let comparator_words w (ins : int array) (outs : int array) =
+  let eq = ref (-1) and lt = ref 0 in
+  for i = w - 1 downto 0 do
+    let a = ins.(i) and b = ins.(w + i) in
+    lt := !lt lor (!eq land lnot a land b);
+    eq := !eq land lnot (a lxor b)
+  done;
+  outs.(0) <- !eq;
+  outs.(1) <- !lt;
+  outs.(2) <- lnot (!lt lor !eq)
 
 let comparator ~delay ~area ~power ~gates name w =
   let pins =
@@ -186,7 +211,8 @@ let comparator ~delay ~area ~power ~gates name w =
       (Macro.Combinational [ ("EQ", tt 0); ("LT", tt 1); ("GT", tt 2) ])
   else
     Macro.make ~delay ~area ~power ~gates name pins
-      (Macro.Comb_eval (comparator_eval w))
+      (Macro.Comb_eval
+         { eval = comparator_eval w; eval_words = comparator_words w })
 
 (* Flip-flops and latches.  Pin order: data pins, selects, CLK, SET, RST,
    EN, Q. *)

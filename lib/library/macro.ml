@@ -15,8 +15,12 @@ type dff_data = Direct | Muxed of int
 type behavior =
   | Combinational of (string * Truth_table.t) list
       (** per output pin, truth table over the macro's inputs in order *)
-  | Comb_eval of (bool array -> bool array)
-      (** for macros too wide for a truth table (e.g. 4-bit adders) *)
+  | Comb_eval of {
+      eval : bool array -> bool array;
+      eval_words : int array -> int array -> unit;
+    }
+      (** for macros too wide for a truth table (e.g. 4-bit adders):
+          [eval] on one vector, [eval_words] on lane words *)
   | Seq_dff of {
       data : dff_data;
       latch : bool;
@@ -121,7 +125,7 @@ let eval_comb m input =
   | Combinational outs ->
       let arr = Array.of_list (List.map (fun (_, tt) -> Truth_table.eval tt input) outs) in
       arr
-  | Comb_eval f -> f input
+  | Comb_eval { eval; _ } -> eval input
   | Seq_dff _ | Seq_counter _ | Seq_custom _ ->
       invalid_arg (Printf.sprintf "Macro.eval_comb: %s is sequential" m.mname)
 

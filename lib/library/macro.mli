@@ -13,7 +13,16 @@ type dff_data = Direct | Muxed of int  (** flip-flop fed directly or through an 
 
 type behavior =
   | Combinational of (string * Truth_table.t) list
-  | Comb_eval of (bool array -> bool array)
+  | Comb_eval of {
+      eval : bool array -> bool array;
+          (** one vector: inputs in [inputs] order, outputs in
+              [outputs] order *)
+      eval_words : int array -> int array -> unit;
+          (** the same function on every lane at once:
+              [eval_words ins outs] reads input [i]'s word (bit [l] is
+              lane [l]'s value) from [ins.(i)] and writes output [j]'s
+              word to [outs.(j)] *)
+    }  (** for macros too wide for a truth table (e.g. 4-bit adders) *)
   | Seq_dff of {
       data : dff_data;
       latch : bool;

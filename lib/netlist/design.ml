@@ -447,9 +447,16 @@ let iface ?resolve c =
     c.iface <- { if_kind = kind; if_pins = pins };
     pins
 
+(* [List.assoc] with [String.equal] instead of the polymorphic
+   compare: a wide component's pins are resolved one by one, a scan
+   each. *)
+let rec pin_assoc pin = function
+  | [] -> raise Not_found
+  | (p, d) :: rest -> if String.equal p pin then d else pin_assoc pin rest
+
 let pin_dir ?resolve t cid pin =
   let c = comp t cid in
-  match List.assoc pin (iface ?resolve c) with
+  match pin_assoc pin (iface ?resolve c) with
   | d -> d
   | exception Not_found ->
       design_error ~op:"pin_dir" ~design:t.dname ~comp:c.cname ~pin

@@ -19,21 +19,14 @@ type t = {
   comps : int list;  (* cone components, any order *)
 }
 
-(* The driving comb single-output macro of a net, if expandable. *)
+(* The driving comb single-output macro of a net, if expandable, with
+   its truth table. *)
 let expandable ctx nid =
   match R.driver_comp ctx nid with
   | Some (c, _) -> (
       match R.macro_of ctx c with
-      | Some m
-        when (not (Macro.is_sequential m))
-             && List.length m.Macro.outputs = 1
-             && (match m.Macro.behavior with
-                | Macro.Combinational _ -> true
-                | Macro.Comb_eval _ | Macro.Seq_dff _ | Macro.Seq_counter _
-                | Macro.Seq_custom _ ->
-                    false) ->
-          Some (c, m)
-      | Some _ | None -> None)
+      | Some m -> Option.map (fun tt -> (c, m, tt)) (Macro.single_output_tt m)
+      | None -> None)
   | None -> None
 
 (* Extract a cone rooted at [out_net].  Expansion is breadth-first and
@@ -49,7 +42,7 @@ let extract ctx ~max_leaves out_net =
         | None ->
             if not (List.mem nid !leaves) then leaves := nid :: !leaves;
             grow rest
-        | Some (c, m) ->
+        | Some (c, m, _) ->
             if List.mem c.D.id !comps then grow rest
             else begin
               let ins =
@@ -106,7 +99,7 @@ let digest ctx cone =
         | Some i -> Buffer.add_string buf (Printf.sprintf "L%d" i)
         | None -> (
             match expandable ctx nid with
-            | Some (c, m) when List.mem c.D.id cone.comps ->
+            | Some (c, m, _) when List.mem c.D.id cone.comps ->
                 Buffer.add_string buf
                   (Printf.sprintf "(%d"
                      (Milo_netlist.Hashcons.kind_id c.D.kind));
@@ -159,18 +152,15 @@ let eval ctx assignment nid0 =
           | Some v -> v
           | None -> (
               match expandable ctx nid with
-              | Some (c, m) ->
-                  let ws =
-                    List.map
-                      (fun pin ->
-                        ( pin,
-                          match D.connection ctx.R.design c.D.id pin with
-                          | Some n -> value n
-                          | None -> 0 ))
-                      m.Macro.inputs
-                  in
-                  let outs = P.macro_comb_outputs m ws in
-                  List.assoc (List.nth m.Macro.outputs 0) outs
+              | Some (c, m, tt) ->
+                  P.eval_tt tt
+                    (Array.of_list
+                       (List.map
+                          (fun pin ->
+                            match D.connection ctx.R.design c.D.id pin with
+                            | Some n -> value n
+                            | None -> 0)
+                          m.Macro.inputs))
               | None -> raise Unverifiable)
         in
         Hashtbl.remove visiting nid;

@@ -10,7 +10,11 @@ open Milo_boolfunc
 
 type t = { out_net : int; leaves : int list; comps : int list }
 
-val expandable : R.context -> int -> (D.comp * Milo_library.Macro.t) option
+val expandable :
+  R.context -> int -> (D.comp * Milo_library.Macro.t * Truth_table.t) option
+(** The net's driver when it is a single-output truth-table macro, with
+    its table: the components a cone grows through. *)
+
 val extract : R.context -> max_leaves:int -> int -> t option
 
 val digest : R.context -> t -> string

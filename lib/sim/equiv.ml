@@ -44,43 +44,52 @@ let validate_ports fname d1 d2 =
 
 module P = Eval.Packed
 
-(* Per-port difference words between two packed output assignments,
-   restricted to [mask]'s lanes.  A port present on only one side
-   differs on every lane (unreachable after [validate_ports], but kept
-   symmetric for safety). *)
-let packed_diffs o1 o2 mask =
-  let ports =
-    List.sort_uniq compare (List.map fst o1 @ List.map fst o2)
+(* The two simulators' output words compared port by port, in sorted
+   port order: [index1.(k)]/[index2.(k)] is port [names.(k)]'s word in
+   each simulator's output array.  Built once per pair of simulators
+   ([validate_ports] guarantees both have the same ports, and port
+   names are unique). *)
+type alignment = {
+  names : string array;
+  index1 : int array;
+  index2 : int array;
+}
+
+let align s1 s2 =
+  let p1 = Simulator.output_ports s1 and p2 = Simulator.output_ports s2 in
+  let names = Array.copy p1 in
+  Array.sort compare names;
+  let index ports p =
+    let rec go i = if ports.(i) = p then i else go (i + 1) in
+    go 0
   in
-  List.filter_map
-    (fun p ->
-      let d =
-        match (List.assoc_opt p o1, List.assoc_opt p o2) with
-        | Some w1, Some w2 -> (w1 lxor w2) land mask
-        | Some _, None | None, Some _ -> mask
-        | None, None -> 0
-      in
-      if d = 0 then None else Some (p, d))
-    ports
+  {
+    names;
+    index1 = Array.map (index p1) names;
+    index2 = Array.map (index p2) names;
+  }
 
-(* Extract the first mismatching lane as a scalar counterexample. *)
-let mismatch_of_diffs ~cycle in_words diffs =
-  let all = List.fold_left (fun acc (_, d) -> acc lor d) 0 diffs in
-  let l = P.first_lane all in
-  let bit w = w land (1 lsl l) <> 0 in
-  Mismatch
-    {
-      inputs = List.map (fun (p, w) -> (p, bit w)) in_words;
-      ports = List.filter_map (fun (p, d) -> if bit d then Some p else None) diffs;
-      cycle;
-    }
-
-let check_chunk ~cycle s1 s2 in_words mask =
-  let o1 = Simulator.outputs_packed s1 in_words
-  and o2 = Simulator.outputs_packed s2 in_words in
-  match packed_diffs o1 o2 mask with
-  | [] -> None
-  | diffs -> Some (mismatch_of_diffs ~cycle in_words diffs)
+(* The first lane of [mask] where the output words differ, as a scalar
+   counterexample. *)
+let mismatch ~cycle al in_words o1 o2 mask =
+  let all = ref 0 in
+  for k = 0 to Array.length al.names - 1 do
+    all := !all lor (o1.(al.index1.(k)) lxor o2.(al.index2.(k)))
+  done;
+  if !all land mask = 0 then None
+  else
+    let l = P.first_lane (!all land mask) in
+    let bit w = w land (1 lsl l) <> 0 in
+    Some
+      (Mismatch
+         {
+           inputs = List.map (fun (p, w) -> (p, bit w)) in_words;
+           ports =
+             List.filteri
+               (fun k _ -> bit (o1.(al.index1.(k)) lxor o2.(al.index2.(k))))
+               (Array.to_list al.names);
+           cycle;
+         })
 
 (* Random input words drawn lane-major then input-minor, matching the
    draw order of one scalar vector per lane. *)
@@ -101,6 +110,13 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
   validate_ports "Equiv.combinational" d1 d2;
   let ins = input_ports d1 in
   let s1 = Simulator.create env1 d1 and s2 = Simulator.create env2 d2 in
+  let al = align s1 s2 in
+  let check_chunk in_words mask =
+    mismatch ~cycle:None al in_words
+      (Simulator.output_words s1 in_words)
+      (Simulator.output_words s2 in_words)
+      mask
+  in
   let n = List.length ins in
   (* [1 lsl n] must stay a positive [int]; beyond that an exhaustive
      sweep is unrepresentable, so fall through to random vectors. *)
@@ -112,7 +128,7 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
       else
         let in_words = P.minterm_words ins v0 in
         let mask = P.lane_mask (total - v0) in
-        match check_chunk ~cycle:None s1 s2 in_words mask with
+        match check_chunk in_words mask with
         | Some m -> m
         | None -> sweep (v0 + P.lanes)
     in
@@ -125,7 +141,7 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
       else
         let chunk = min P.lanes (vectors - done_) in
         let in_words = random_words rng ins chunk in
-        match check_chunk ~cycle:None s1 s2 in_words (P.lane_mask chunk) with
+        match check_chunk in_words (P.lane_mask chunk) with
         | Some m -> m
         | None -> sweep (done_ + chunk)
     in
@@ -135,7 +151,9 @@ let combinational ?(max_exhaustive = 12) ?(vectors = 512) ?(seed = 0x5eed)
 (* Sequential equivalence over [cycles] random input vectors applied in
    lock-step from reset, comparing outputs before each edge.  Runs are
    packed into lanes: one chunk of up to [lanes] independent runs
-   advances cycle by cycle in a single pair of simulators. *)
+   advances cycle by cycle in a single pair of simulators, one settle
+   per cycle (the edge after a mismatch is harmless: the simulators
+   are dropped). *)
 let sequential ?(cycles = 256) ?(runs = 8) ?(seed = 0x5eed) env1 d1 env2 d2 =
   validate_ports "Equiv.sequential" d1 d2;
   let ins = input_ports d1 in
@@ -148,16 +166,16 @@ let sequential ?(cycles = 256) ?(runs = 8) ?(seed = 0x5eed) env1 d1 env2 d2 =
       let s1 = Simulator.create env1 d1 and s2 = Simulator.create env2 d2 in
       Simulator.reset s1;
       Simulator.reset s2;
+      let al = align s1 s2 in
       let rec cycle c =
         if c >= cycles then None
         else
           let in_words = random_words rng ins chunk in
-          match check_chunk ~cycle:(Some c) s1 s2 in_words mask with
+          let o1 = Simulator.cycle_packed s1 in_words in
+          let o2 = Simulator.cycle_packed s2 in_words in
+          match mismatch ~cycle:(Some c) al in_words o1 o2 mask with
           | Some m -> Some m
-          | None ->
-              Simulator.step_packed s1 in_words;
-              Simulator.step_packed s2 in_words;
-              cycle (c + 1)
+          | None -> cycle (c + 1)
       in
       match cycle 0 with None -> run_chunk (r0 + chunk) | Some m -> m
     end

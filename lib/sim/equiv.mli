@@ -41,7 +41,9 @@ val sequential :
   Simulator.env ->
   D.t ->
   result
-(** Lock-step comparison from reset over random stimulus. *)
+(** Lock-step comparison from reset over random stimulus: [runs]
+    independent runs in the lanes of one pair of simulators, one packed
+    settle per cycle. *)
 
 val is_equivalent : result -> bool
 val pp_result : Format.formatter -> result -> unit

@@ -38,20 +38,18 @@ val state_only_outputs : T.kind -> string list
 
 val state_bits : T.kind -> int
 
-(** Bit-parallel mirror of the scalar semantics: every pin carries one
+(** Bit-parallel mirror of the scalar semantics: every net carries one
     native int word, bit [l] of which is the value of simulation lane
     [l].  Sequential state is stored as bit-planes (plane [b] = bit [b]
-    of every lane's register). *)
+    of every lane's register).  A component is compiled once into
+    closures over a value array, after which evaluating it is slot
+    reads and word operations. *)
 module Packed : sig
   val lanes : int
   (** Lanes per word = [Sys.int_size] (63 on 64-bit). *)
 
   val zero : int
   val ones : int
-
-  type pin_words = (string * int) list
-
-  val getw : pin_words -> string -> int
 
   val lane_mask : int -> int
   (** The word with the low [n] lanes set (all of them for [n >= lanes]). *)
@@ -73,17 +71,40 @@ module Packed : sig
       [ws.(i)]); compiled once per table into a sum of products and
       cached. *)
 
-  val lane_of_words : int array -> int -> bool array
   val state_of_planes : int array -> int -> int
   val planes_of_state : int -> int -> int array
 
-  val comb_outputs : T.kind -> pin_words -> pin_words
-  val seq_outputs : T.kind -> planes:int array -> pin_words -> pin_words
-  val next_planes : T.kind -> planes:int array -> pin_words -> int array
+  (** {2 Compiled components} *)
 
-  val macro_comb_outputs : Milo_library.Macro.t -> pin_words -> pin_words
-  val macro_seq_outputs :
-    Milo_library.Macro.t -> planes:int array -> pin_words -> pin_words
-  val macro_next_planes :
-    Milo_library.Macro.t -> planes:int array -> pin_words -> int array
+  type code = {
+    outputs : unit -> unit;
+        (** evaluate the component and write every output's word; the
+            outputs that depend on the stored state alone
+            ({!state_only_outputs}) read only the state planes *)
+    clock : unit -> unit;
+        (** one clock edge: replace the state planes by their next
+            value, read from the settled input words; nothing for
+            combinational kinds *)
+  }
+
+  val value_array : int -> int array
+  (** [value_array n]: the zeroed value array for [n] net slots, with
+      two more words past them, one that unconnected inputs read (it
+      stays 0 as long as the array is zero-filled before a pass) and
+      one that unconnected outputs write. *)
+
+  val compile :
+    int array -> slot:(string -> int) -> planes:int array -> T.kind -> code
+  (** Compile a micro component over a {!value_array}: [slot pin] is the
+      pin's net slot, or -1 when the pin is unconnected, and [planes]
+      its state (sequential kinds).  Raises on macros and instances. *)
+
+  val compile_macro :
+    int array ->
+    slot:(string -> int) ->
+    planes:int array ->
+    Milo_library.Macro.t ->
+    code
+  (** The same for a library macro.  [Seq_custom] behaviours run their
+      scalar closures lane by lane. *)
 end

@@ -17,10 +17,11 @@
 
    - the scalar path ([settle]/[outputs]/[step]) evaluates one vector
      per pass through the reference semantics in [Eval];
-   - the packed path ([settle_packed]/[outputs_packed]/[step_packed])
-     evaluates [lanes] (= [Sys.int_size]) vectors per pass through the
-     word-level semantics in [Eval.Packed], with each node compiled
-     once at [create] into a closure over the dense value array.
+   - the packed path ([settle_packed]/[outputs_packed]/[output_words]/
+     [cycle_packed]) evaluates [lanes] (= [Sys.int_size]) vectors per
+     pass through the word-level semantics in [Eval.Packed]: every node
+     is compiled once at [create], its pins resolved to slots of the
+     dense value array, so a pass is slot reads and word operations.
 
    Sequential state is stored as bit-planes (one word per state bit,
    lanes in bit positions); the scalar API reads and writes lane 0,
@@ -71,11 +72,12 @@ type node = {
   out_conns : (string * int) list;  (* output pins -> slot *)
   state_only_conns : (string * int) list;
       (* output pins whose value is a function of the stored state
-         alone (explicit [Eval.state_only_outputs] metadata): exactly
-         the set seeded before the schedule runs *)
-  wait_nids : int list;
-      (* deduplicated driven input nets: the node is ready once all of
-         them are solved (undriven inputs read as [false]) *)
+         alone (explicit [Eval.state_only_outputs] metadata): the
+         schedule's sources, known before any input is *)
+  wait_slots : int list;
+      (* deduplicated driven input net slots, ascending: the node is
+         ready once all of them are solved (undriven inputs read as
+         [false]) *)
 }
 
 type t = {
@@ -84,162 +86,87 @@ type t = {
   nodes : node array;
   schedule : int array;  (* node indices in dependency order *)
   cyclic : string list;  (* names of unschedulable components *)
-  slot_of_net : (int, int) Hashtbl.t;
+  slot_of_net : int array;  (* net id -> slot, or -1 *)
   net_of_slot : int array;
   n_slots : int;
   state : (int, int array) Hashtbl.t;  (* seq comp id -> state bit-planes *)
   mutable last_vals : bool array option;  (* last scalar settle, by slot *)
   in_ports : (string * int) list;  (* port -> slot *)
-  out_ports : (string * int) list;
-  packed_vals : int array;  (* packed net values, by slot; scratch *)
+  out_names : string array;  (* output ports, in the design's order *)
+  out_slots : int array;  (* their slots, aligned with [out_names] *)
+  packed_vals : int array;  (* [Eval.Packed.value_array], by slot; scratch *)
   packed_ops : (unit -> unit) array;  (* per node, aligned with [nodes] *)
-  packed_seed : (unit -> unit) array;  (* state-only seeding, seq nodes *)
-  packed_next : (unit -> int array) array;  (* per seq node: next planes *)
-  packed_next_ids : int array;  (* comp ids aligned with [packed_next] *)
+  packed_seed : (unit -> unit) array;  (* the seq nodes' [packed_ops] *)
+  packed_clock : (unit -> unit) array;  (* next state in place, seq nodes *)
 }
 
-let is_seq env (c : D.comp) =
+(* A component's library macro (for [T.Macro] kinds) and whether it
+   holds state. *)
+let classify env (c : D.comp) =
   match c.D.kind with
-  | T.Register _ | T.Counter _ -> true
-  | T.Macro m -> Macro.is_sequential (env.find_macro m)
+  | T.Register _ | T.Counter _ -> (None, true)
+  | T.Macro m ->
+      let mac = env.find_macro m in
+      (Some mac, Macro.is_sequential mac)
   | T.Instance i ->
       invalid_arg
         (Printf.sprintf "Simulator: hierarchical instance %s in design" i)
   | T.Gate _ | T.Multiplexor _ | T.Decoder _ | T.Comparator _ | T.Logic_unit _
   | T.Arith_unit _ | T.Constant _ ->
-      false
+      (None, false)
 
 exception Combinational_loop of string list
-
-(* --- Packed node compilation ------------------------------------------- *)
-
-(* Compile one node into a closure over the packed value array.
-   Combinational macros — the bulk of a mapped design — get a direct
-   slot-array fast path around the cached sum-of-products truth-table
-   plans; everything else goes through the generic word-level
-   evaluators on a pin association list. *)
-let compile_packed_op (vals : int array) planes_of (n : node) =
-  let read slot = vals.(slot) in
-  let write outs =
-    List.iter
-      (fun (pin, w) ->
-        match List.assoc_opt pin n.out_conns with
-        | Some slot -> vals.(slot) <- w
-        | None -> ())
-      outs
-  in
-  let pvs () = List.map (fun (pin, slot) -> (pin, read slot)) n.conns in
-  match (n.node_macro, n.comp.D.kind) with
-  | Some m, _ when not n.node_seq -> (
-      match m.Macro.behavior with
-      | Macro.Combinational outs ->
-          let in_slots =
-            Array.of_list
-              (List.map
-                 (fun pin ->
-                   match List.assoc_opt pin n.conns with
-                   | Some slot -> slot
-                   | None -> -1)
-                 m.Macro.inputs)
-          in
-          let ws = Array.make (Array.length in_slots) 0 in
-          let plans =
-            List.filter_map
-              (fun (pin, tt) ->
-                Option.map (fun slot -> (slot, tt))
-                  (List.assoc_opt pin n.out_conns))
-              outs
-          in
-          fun () ->
-            Array.iteri
-              (fun i slot -> ws.(i) <- (if slot >= 0 then vals.(slot) else 0))
-              in_slots;
-            List.iter
-              (fun (slot, tt) -> vals.(slot) <- Eval.Packed.eval_tt tt ws)
-              plans
-      | _ -> fun () -> write (Eval.Packed.macro_comb_outputs m (pvs ())))
-  | Some m, _ ->
-      let planes = planes_of n.comp.D.id in
-      fun () -> write (Eval.Packed.macro_seq_outputs m ~planes (pvs ()))
-  | None, ((T.Register _ | T.Counter _) as kind) ->
-      let planes = planes_of n.comp.D.id in
-      fun () -> write (Eval.Packed.seq_outputs kind ~planes (pvs ()))
-  | None, kind -> fun () -> write (Eval.Packed.comb_outputs kind (pvs ()))
-
-let compile_packed_seed (vals : int array) planes_of (n : node) =
-  let pvs () = List.map (fun (pin, slot) -> (pin, vals.(slot))) n.conns in
-  let planes = planes_of n.comp.D.id in
-  let outs () =
-    match (n.node_macro, n.comp.D.kind) with
-    | Some m, _ -> Eval.Packed.macro_seq_outputs m ~planes (pvs ())
-    | None, ((T.Register _ | T.Counter _) as kind) ->
-        Eval.Packed.seq_outputs kind ~planes (pvs ())
-    | None, _ -> assert false
-  in
-  fun () ->
-    let outs = outs () in
-    List.iter
-      (fun (pin, slot) ->
-        vals.(slot) <-
-          (match List.assoc_opt pin outs with Some w -> w | None -> 0))
-      n.state_only_conns
-
-let compile_packed_next (vals : int array) planes_of (n : node) =
-  let pvs () = List.map (fun (pin, slot) -> (pin, vals.(slot))) n.conns in
-  let planes = planes_of n.comp.D.id in
-  match (n.node_macro, n.comp.D.kind) with
-  | Some m, _ -> fun () -> Eval.Packed.macro_next_planes m ~planes (pvs ())
-  | None, ((T.Register _ | T.Counter _) as kind) ->
-      fun () -> Eval.Packed.next_planes kind ~planes (pvs ())
-  | None, _ -> assert false
 
 (* --- Construction ------------------------------------------------------ *)
 
 let create env design =
   let resolve = resolver_of_env env in
-  (* Nets with a driver: an input port, or some component output pin. *)
-  let driven : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (_, dir, nid) -> if dir = T.Input then Hashtbl.replace driven nid ())
-    (D.ports design);
+  (* Dense net numbering: slot [s] is the [s]-th net in id order. *)
+  let all_nets = D.nets design in
+  let n_slots = List.length all_nets in
+  let net_of_slot = Array.make (max 1 n_slots) (-1) in
+  List.iteri (fun i (n : D.net) -> net_of_slot.(i) <- n.D.nid) all_nets;
+  let slot_of_net =
+    Array.make (if n_slots = 0 then 0 else net_of_slot.(n_slots - 1) + 1) (-1)
+  in
+  for s = 0 to n_slots - 1 do
+    slot_of_net.(net_of_slot.(s)) <- s
+  done;
+  let slot nid =
+    if nid < 0 || nid >= Array.length slot_of_net || slot_of_net.(nid) < 0 then
+      raise Not_found
+    else slot_of_net.(nid)
+  in
+  let port_slots dir =
+    List.filter_map
+      (fun (p, d, nid) -> if d = dir then Some (p, slot nid) else None)
+      (D.ports design)
+  in
+  let in_ports = port_slots T.Input and out_ports = port_slots T.Output in
   let with_dirs =
     List.map
       (fun (c : D.comp) ->
         ( c,
           List.map
             (fun (pin, nid) ->
-              (pin, nid, D.pin_dir ~resolve design c.D.id pin))
+              (pin, slot nid, D.pin_dir ~resolve design c.D.id pin))
             (D.connections design c.D.id) ))
       (D.comps design)
   in
+  (* Slots with a driver: an input port, or some component output pin. *)
+  let driven = Array.make (max 1 n_slots) false in
+  List.iter (fun (_, s) -> driven.(s) <- true) in_ports;
   List.iter
     (fun (_, ds) ->
       List.iter
-        (fun (_, nid, dir) ->
-          if dir = T.Output then Hashtbl.replace driven nid ())
+        (fun (_, s, dir) -> if dir = T.Output then driven.(s) <- true)
         ds)
     with_dirs;
-  (* Dense net numbering. *)
-  let all_nets = D.nets design in
-  let n_slots = List.length all_nets in
-  let slot_of_net = Hashtbl.create (max 16 n_slots) in
-  let net_of_slot = Array.make (max 1 n_slots) (-1) in
-  List.iteri
-    (fun i (n : D.net) ->
-      Hashtbl.replace slot_of_net n.D.nid i;
-      net_of_slot.(i) <- n.D.nid)
-    all_nets;
-  let slot nid = Hashtbl.find slot_of_net nid in
   let nodes =
     Array.of_list
       (List.map
          (fun ((c : D.comp), ds) ->
-           let node_seq = is_seq env c in
-           let node_macro =
-             match c.D.kind with
-             | T.Macro m -> Some (env.find_macro m)
-             | _ -> None
-           in
+           let node_macro, node_seq = classify env c in
            let state_only =
              if not node_seq then []
              else
@@ -251,59 +178,48 @@ let create env design =
              comp = c;
              node_seq;
              node_macro;
-             conns = List.map (fun (pin, nid, _) -> (pin, slot nid)) ds;
+             conns = List.map (fun (pin, s, _) -> (pin, s)) ds;
              out_conns =
                List.filter_map
-                 (fun (pin, nid, dir) ->
-                   if dir = T.Output then Some (pin, slot nid) else None)
+                 (fun (pin, s, dir) ->
+                   if dir = T.Output then Some (pin, s) else None)
                  ds;
              state_only_conns =
                List.filter_map
-                 (fun (pin, nid, dir) ->
+                 (fun (pin, s, dir) ->
                    if dir = T.Output && List.mem pin state_only then
-                     Some (pin, slot nid)
+                     Some (pin, s)
                    else None)
                  ds;
-             wait_nids =
-               List.sort_uniq compare
+             wait_slots =
+               List.sort_uniq Int.compare
                  (List.filter_map
-                    (fun (_, nid, dir) ->
-                      if dir = T.Input && Hashtbl.mem driven nid then Some nid
-                      else None)
+                    (fun (_, s, dir) ->
+                      if dir = T.Input && driven.(s) then Some s else None)
                     ds);
            })
          with_dirs)
   in
   (* Levelized schedule: Kahn's order with input ports and sequential
      state-only outputs as sources. *)
-  let resolved : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (_, dir, nid) ->
-      if dir = T.Input then Hashtbl.replace resolved nid ())
-    (D.ports design);
+  let resolved = Array.make (max 1 n_slots) false in
+  List.iter (fun (_, s) -> resolved.(s) <- true) in_ports;
   Array.iter
-    (fun n ->
-      List.iter
-        (fun (pin, s) ->
-          ignore pin;
-          Hashtbl.replace resolved net_of_slot.(s) ())
-        n.state_only_conns)
+    (fun n -> List.iter (fun (_, s) -> resolved.(s) <- true) n.state_only_conns)
     nodes;
-  let waiters : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let waiters = Array.make (max 1 n_slots) [] in
   Array.iteri
     (fun i n ->
       List.iter
-        (fun nid ->
-          if not (Hashtbl.mem resolved nid) then
-            Hashtbl.replace waiters nid
-              (i :: Option.value ~default:[] (Hashtbl.find_opt waiters nid)))
-        n.wait_nids)
+        (fun s -> if not resolved.(s) then waiters.(s) <- i :: waiters.(s))
+        n.wait_slots)
     nodes;
   let remaining =
     Array.map
       (fun n ->
-        List.length
-          (List.filter (fun nid -> not (Hashtbl.mem resolved nid)) n.wait_nids))
+        List.fold_left
+          (fun k s -> if resolved.(s) then k else k + 1)
+          0 n.wait_slots)
       nodes
   in
   let queue = Queue.create () in
@@ -317,14 +233,13 @@ let create env design =
       schedule := i :: !schedule;
       List.iter
         (fun (_, s) ->
-          let nid = net_of_slot.(s) in
-          if not (Hashtbl.mem resolved nid) then begin
-            Hashtbl.replace resolved nid ();
+          if not resolved.(s) then begin
+            resolved.(s) <- true;
             List.iter
               (fun j ->
                 remaining.(j) <- remaining.(j) - 1;
                 if remaining.(j) = 0 then Queue.add j queue)
-              (Option.value ~default:[] (Hashtbl.find_opt waiters nid))
+              waiters.(s)
           end)
         nodes.(i).out_conns
     end
@@ -338,11 +253,6 @@ let create env design =
               if scheduled.(i) then None else Some nodes.(i).comp.D.cname)
             (Seq.init (Array.length nodes) Fun.id)))
   in
-  let port_slots dir =
-    List.filter_map
-      (fun (p, d, nid) -> if d = dir then Some (p, slot nid) else None)
-      (D.ports design)
-  in
   let state = Hashtbl.create 16 in
   Array.iter
     (fun n ->
@@ -354,21 +264,29 @@ let create env design =
         in
         Hashtbl.replace state n.comp.D.id (Array.make (max 1 bits) 0))
     nodes;
-  let packed_vals = Array.make (max 1 n_slots) 0 in
-  let planes_of cid = Hashtbl.find state cid in
-  let packed_ops =
-    Array.map (fun n -> compile_packed_op packed_vals planes_of n) nodes
+  (* Packed code: every node compiled once over the value array, its
+     pins resolved to slots through the node's connection table. *)
+  let packed_vals = Eval.Packed.value_array n_slots in
+  let code =
+    Array.map
+      (fun n ->
+        let slot pin =
+          match Hashtbl.find_opt n.comp.D.conns pin with
+          | Some nid -> slot nid
+          | None -> -1
+        in
+        let planes =
+          if n.node_seq then Hashtbl.find state n.comp.D.id else [||]
+        in
+        match n.node_macro with
+        | Some m -> Eval.Packed.compile_macro packed_vals ~slot ~planes m
+        | None -> Eval.Packed.compile packed_vals ~slot ~planes n.comp.D.kind)
+      nodes
   in
-  let seq_nodes =
-    Array.of_list (List.filter (fun n -> n.node_seq) (Array.to_list nodes))
+  let seq_code =
+    Array.of_list
+      (List.filteri (fun i _ -> nodes.(i).node_seq) (Array.to_list code))
   in
-  let packed_seed =
-    Array.map (fun n -> compile_packed_seed packed_vals planes_of n) seq_nodes
-  in
-  let packed_next =
-    Array.map (fun n -> compile_packed_next packed_vals planes_of n) seq_nodes
-  in
-  let packed_next_ids = Array.map (fun n -> n.comp.D.id) seq_nodes in
   {
     design;
     env;
@@ -380,13 +298,13 @@ let create env design =
     n_slots;
     state;
     last_vals = None;
-    in_ports = port_slots T.Input;
-    out_ports = port_slots T.Output;
+    in_ports;
+    out_names = Array.of_list (List.map fst out_ports);
+    out_slots = Array.of_list (List.map snd out_ports);
     packed_vals;
-    packed_ops;
-    packed_seed;
-    packed_next;
-    packed_next_ids;
+    packed_ops = Array.map (fun (k : Eval.Packed.code) -> k.outputs) code;
+    packed_seed = Array.map (fun (k : Eval.Packed.code) -> k.outputs) seq_code;
+    packed_clock = Array.map (fun (k : Eval.Packed.code) -> k.clock) seq_code;
   }
 
 (* --- State access ------------------------------------------------------ *)
@@ -473,7 +391,7 @@ let settle t inputs =
 
 let outputs t inputs =
   let vals = settle_values t inputs in
-  List.map (fun (p, s) -> (p, vals.(s))) t.out_ports
+  Array.to_list (Array.map2 (fun p s -> (p, vals.(s))) t.out_names t.out_slots)
 
 (* One clock edge: settle combinational logic, then update every
    sequential component synchronously (on lane 0; the packed lanes of
@@ -511,33 +429,57 @@ let step t inputs =
 let net_value t nid =
   match t.last_vals with
   | None -> None
-  | Some vals -> (
-      match Hashtbl.find_opt t.slot_of_net nid with
-      | Some s -> Some vals.(s)
-      | None -> None)
+  | Some vals ->
+      if nid < 0 || nid >= Array.length t.slot_of_net then None
+      else
+        let s = t.slot_of_net.(nid) in
+        if s < 0 then None else Some vals.(s)
 
 (* --- Packed engine ----------------------------------------------------- *)
 
+(* Each input port's word is its first binding in [inputs], absent
+   ports reading 0.  Callers usually list the ports in the design's
+   order, so each port is looked for first where the previous one was
+   found: every element before that point binds an earlier port, and
+   port names are unique. *)
+let load_inputs t inputs =
+  let rec go ports rest =
+    match (ports, rest) with
+    | [], _ -> ()
+    | (p, s) :: ports, (q, w) :: rest' when String.equal p q ->
+        t.packed_vals.(s) <- w;
+        go ports rest'
+    | (p, s) :: ports, _ ->
+        t.packed_vals.(s) <-
+          Option.value ~default:0 (List.assoc_opt p inputs);
+        go ports rest
+  in
+  go t.in_ports inputs
+
+(* Sequential nodes are seeded by running their whole op ahead of the
+   schedule.  Their state-only outputs read the planes alone, so they
+   are final; any other output they write (a bidirectional counter's
+   COUT reads its UP pin) is not a source, so every reader of its slot
+   is scheduled after the node itself, whose op rewrites it. *)
 let settle_packed t (inputs : (string * int) list) =
   if t.cyclic <> [] then raise (Combinational_loop t.cyclic);
   Array.fill t.packed_vals 0 (Array.length t.packed_vals) 0;
-  List.iter
-    (fun (p, s) ->
-      t.packed_vals.(s) <-
-        Option.value ~default:0 (List.assoc_opt p inputs))
-    t.in_ports;
+  load_inputs t inputs;
   Array.iter (fun seed -> seed ()) t.packed_seed;
   Array.iter (fun i -> t.packed_ops.(i) ()) t.schedule
 
-let outputs_packed t inputs =
-  settle_packed t inputs;
-  List.map (fun (p, s) -> (p, t.packed_vals.(s))) t.out_ports
+let output_ports t = t.out_names
 
-let step_packed t inputs =
+let output_words t inputs =
   settle_packed t inputs;
-  let nexts = Array.map (fun f -> f ()) t.packed_next in
-  Array.iteri
-    (fun i planes ->
-      let dst = Hashtbl.find t.state t.packed_next_ids.(i) in
-      Array.blit planes 0 dst 0 (min (Array.length planes) (Array.length dst)))
-    nexts
+  Array.map (fun s -> t.packed_vals.(s)) t.out_slots
+
+let outputs_packed t inputs =
+  Array.to_list (Array.map2 (fun p w -> (p, w)) t.out_names (output_words t inputs))
+
+(* Every sequential node reads only its own planes and the settled
+   values, so updating each in place is a synchronous edge. *)
+let cycle_packed t inputs =
+  let words = output_words t inputs in
+  Array.iter (fun clock -> clock ()) t.packed_clock;
+  words

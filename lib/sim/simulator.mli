@@ -6,10 +6,11 @@
 
     - the scalar path ([settle]/[outputs]/[step]) evaluates one input
       vector per pass through the reference semantics in {!Eval};
-    - the packed path ([settle_packed]/[outputs_packed]/[step_packed])
-      evaluates [lanes] vectors per pass, one per bit position of a
-      native [int] word, through the word-level semantics in
-      {!Eval.Packed}. *)
+    - the packed path ([settle_packed]/[outputs_packed]/[output_words]/
+      [cycle_packed]) evaluates [lanes] vectors per pass, one per bit
+      position of a native [int] word, through the word-level semantics
+      in {!Eval.Packed}, each component compiled to slot reads and word
+      operations at [create]. *)
 
 module D = Milo_netlist.Design
 
@@ -63,5 +64,13 @@ val settle_packed : t -> (string * int) list -> unit
 val outputs_packed : t -> (string * int) list -> (string * int) list
 (** Output-port words under the given packed inputs (no clock edge). *)
 
-val step_packed : t -> (string * int) list -> unit
-(** One synchronous clock edge on all lanes at once. *)
+val output_ports : t -> string array
+(** The design's output ports, in the order of the word arrays below. *)
+
+val output_words : t -> (string * int) list -> int array
+(** [outputs_packed] as one word per {!output_ports} entry. *)
+
+val cycle_packed : t -> (string * int) list -> int array
+(** One lock-step cycle on all lanes at once: the {!output_words} under
+    the given inputs, then a synchronous clock edge on the same
+    settle. *)

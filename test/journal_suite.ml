@@ -14,6 +14,8 @@
      result and records;
    - replay: a clean run's journal replays with zero divergences under
      the Full guard; a tampered trajectory is pinpointed;
+   - early kills: a run killed at its first or second record closes
+     its journal writer and shuts its domain pool;
    - resume refusal: a journal without a committed checkpoint raises
      [Flow.Journal_error] instead of fabricating state, and is left
      untouched;
@@ -464,6 +466,60 @@ let killed_resume () =
       !cases
       (String.concat ", " (List.map string_of_int checkpoints))
 
+(* --- Cleanup after an early kill ------------------------------------------ *)
+
+(* A run killed at its first records (the Header, then the capture
+   checkpoint) dies before any stage runs; it must still close its
+   journal writer and shut its domain pool, as a later kill does.  The
+   open descriptors and the threads of this process are counted around
+   each killed run. *)
+let entries dir = Array.length (Sys.readdir dir)
+
+let early_kill_cleanup () =
+  if not (Sys.file_exists "/proc/self/fd" && Sys.file_exists "/proc/self/task")
+  then print_endline "skip early-kill cleanup (no /proc/self)"
+  else begin
+    let case = Suite.design3 () in
+    let path = temp_journal "early" in
+    let failed = !failures in
+    let kill ?domains n =
+      if
+        Faults.run_journaled_killed ~technology:Flow.Ecl
+          ~constraints:case.Suite.constraints ~guard:Guard.Sampled ?domains
+          ~force_domains:true ~journal:path n case.Suite.case_design
+        <> None
+      then fail "early kill at record %d did not fire" n
+    in
+    List.iter
+      (fun n ->
+        let before = entries "/proc/self/fd" in
+        kill n;
+        let after = entries "/proc/self/fd" in
+        if after <> before then
+          fail "killed at record %d: %d open descriptors before the run, %d \
+                after" n before after)
+      [ 1; 2; 3 ];
+    let before = entries "/proc/self/task" in
+    kill ~domains:2 1;
+    (* A joined domain's thread may take a moment to leave the task
+       list. *)
+    let rec settle tries =
+      let now = entries "/proc/self/task" in
+      if now = before || tries = 0 then now
+      else (
+        Unix.sleepf 0.05;
+        settle (tries - 1))
+    in
+    let after = settle 40 in
+    if after <> before then
+      fail "2-domain run killed at record 1: %d threads before the run, %d \
+            after" before after;
+    cleanup path;
+    if !failures = failed then
+      print_endline
+        "ok   early kills close the journal and shut the pool (records 1-3)"
+  end
+
 (* --- Replay ------------------------------------------------------------- *)
 
 let replay_clean (case : Suite.case) =
@@ -818,6 +874,7 @@ let () =
      parallel run's.  One case keeps the quadratic fuzz affordable. *)
   (try crash_fuzz ~domains:4 (List.hd cases) with Exit -> ());
   (try killed_resume () with Exit -> ());
+  early_kill_cleanup ();
   List.iter replay_clean cases;
   replay_tampered ();
   legacy_header_resumes ();
