@@ -355,7 +355,10 @@ let default_corpus target =
 
 (* --- Certification ------------------------------------------------------ *)
 
-let certify_rule ~tech_name ~contexts ~max_sites (rule : R.t) =
+(* Sites exercised per rule, across the whole corpus. *)
+let max_sites = 12
+
+let certify_rule ~tech_name ~contexts (rule : R.t) =
   let rng =
     Random.State.make [| seed; Hashtbl.hash rule.R.rule_name |]
   in
@@ -403,16 +406,13 @@ let certify_rule ~tech_name ~contexts ~max_sites (rule : R.t) =
       cert_digest = "";
     }
 
-let certify_rules ?(cache = shared_cache) ?(witnesses = []) ?(max_sites = 12)
-    (target : Table_map.target) rules =
+let certify_rules ?(cache = shared_cache) (target : Table_map.target) rules =
   let tech_name = Technology.name target.Table_map.tech in
-  let corpus = lazy (default_corpus target @ witnesses) in
   let contexts =
     lazy
       (List.map
-         (fun d ->
-           R.make_context target.Table_map.tech target.Table_map.set (D.copy d))
-         (Lazy.force corpus))
+         (R.make_context target.Table_map.tech target.Table_map.set)
+         (default_corpus target))
   in
   List.map
     (fun (rule : R.t) ->
@@ -420,8 +420,7 @@ let certify_rules ?(cache = shared_cache) ?(witnesses = []) ?(max_sites = 12)
       | Some c -> c
       | None ->
           let c =
-            certify_rule ~tech_name ~contexts:(Lazy.force contexts) ~max_sites
-              rule
+            certify_rule ~tech_name ~contexts:(Lazy.force contexts) rule
           in
           locked (fun () -> Hashtbl.replace cache (rule.R.rule_name, tech_name) c);
           c)

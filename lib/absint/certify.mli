@@ -82,14 +82,12 @@ val default_corpus : Milo_techmap.Table_map.target -> D.t list
 
 val certify_rules :
   ?cache:cache ->
-  ?witnesses:D.t list ->
-  ?max_sites:int ->
   Milo_techmap.Table_map.target ->
   Milo_rules.Rule.t list ->
   certificate list
-(** Certify each rule over {!default_corpus} plus [witnesses] (already
-    mapped onto the same target), reusing cached certificates.
-    [max_sites] caps the sites exercised per rule (default 12). *)
+(** Certify each rule over {!default_corpus}, reusing cached
+    certificates.  At most 12 sites are exercised per rule, and at most
+    4 per witness design. *)
 
 val certified_names : certificate list -> string list
 (** Names of the [Certified] rules — what

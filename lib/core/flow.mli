@@ -223,9 +223,9 @@ val run :
     journal.
 
     [domains] (default 1) runs the optimizer's fan-out sites
-    (timing-strategy dispatch, per-rule candidate evaluation, lookahead
-    branch exploration) as supervised tasks — inline at 1, over a pool
-    of [domains] worker domains ({!Milo_parallel.Pool}) above.  The
+    (timing-strategy dispatch, per-rule candidate evaluation) as
+    supervised tasks — inline at 1, over a pool of [domains] worker
+    domains ({!Milo_parallel.Pool}) above.  The
     microarchitecture critic's pass always runs inline: measuring its
     candidates registers compiled sub-designs into the run's shared
     database.  Tasks evaluate on immutable

@@ -594,7 +594,6 @@ let frame r =
 
 type writer = {
   w_path : string;
-  w_sync : [ `Always | `Commit ];
   w_buf : Buffer.t;  (* every framed byte committed or appended so far *)
   mutable w_oc : out_channel option;
   mutable w_count : int;
@@ -631,9 +630,9 @@ let append w r =
   let s = frame r in
   Buffer.add_string w.w_buf s;
   (match w.w_oc with
-  | Some oc -> (
+  | Some oc ->
       output_string oc s;
-      match w.w_sync with `Always -> fsync_oc oc | `Commit -> flush oc)
+      flush oc
   | None -> ());
   w.w_count <- w.w_count + 1;
   fire w
@@ -652,11 +651,10 @@ let close w =
       w.w_oc <- None
   | None -> ()
 
-let create ?(sync = `Commit) ?fault ?(prefix = []) path =
+let create ?fault ?(prefix = []) path =
   let w =
     {
       w_path = path;
-      w_sync = sync;
       w_buf = Buffer.create 4096;
       w_oc = None;
       w_count = List.length prefix;

@@ -121,7 +121,6 @@ val design_hash : D.t -> string
 type writer
 
 val create :
-  ?sync:[ `Always | `Commit ] ->
   ?fault:(int -> unit) ->
   ?prefix:record list ->
   string ->
@@ -131,10 +130,9 @@ val create :
     the current format; the record count starts at its length.  A fresh
     run appends the {!Header} record first; a resumed run passes the
     records up to its last committed checkpoint and continues after
-    them, so the file never holds less than that prefix.  [sync]
-    selects fsync per record ([`Always]) or only at checkpoint commits
-    and close ([`Commit], the default — appended records still reach
-    the OS immediately).  [fault] is the crash-injection hook: called
+    them, so the file never holds less than that prefix.  Appended
+    records are flushed to the OS at once; only checkpoint commits and
+    {!close} fsync.  [fault] is the crash-injection hook: called
     with the running record count after each record is written;
     raising from it simulates a kill at that point. *)
 

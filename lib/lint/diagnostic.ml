@@ -3,7 +3,7 @@
    Every finding carries the rule that produced it, a severity, a
    location inside the design (or a source file position for parser
    diagnostics) and a human-readable message.  The flow, the CLI and
-   [Design.check] all speak this one type. *)
+   [Lint.check] all speak this one type. *)
 
 type severity = Error | Warning | Info
 

@@ -1,6 +1,6 @@
 (** Structured lint diagnostics: rule id, severity, design (or source
     file) location, message.  The common currency of the lint passes,
-    the flow's stage invariants, [Design.check] and the CLI. *)
+    the flow's stage invariants, [Lint.check] and the CLI. *)
 
 type severity = Error | Warning | Info
 

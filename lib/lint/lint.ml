@@ -1,9 +1,6 @@
-(* Lint driver: pass selection, severity accounting, reports, and the
-   stage-invariant entry point used by the flow.
-
-   Also installs itself as the implementation of [Design.check] (the
-   historical structural validator) so there is exactly one source of
-   truth for structural validity. *)
+(* Lint driver: pass selection, severity accounting, reports, the
+   stage-invariant entry point used by the flow, and [check], the
+   historical structural validator. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -28,7 +25,7 @@ let structural_rules =
     "multiple-drivers"; "comb-loop";
   ]
 
-(* The rule set [Design.check] has always enforced. *)
+(* The rule set the structural validator [check] has always enforced. *)
 let compat_rules =
   [
     "net-consistency"; "port-consistency"; "unknown-ref"; "unknown-pin";
@@ -130,11 +127,9 @@ let check_stage ?resolve ?is_sequential ~level ~stage design =
         prerr_string (report_to_string { r with diags = visible });
       diags
 
-(* --- Design.check ----------------------------------------------------- *)
+(* --- check -------------------------------------------------------------- *)
 
 let check ?resolve design =
   match run ?resolve ~rules:compat_rules design with
   | [] -> Ok ()
   | diags -> Error (List.map Diagnostic.to_string diags)
-
-let () = D.set_check_hook (fun resolve design -> check ?resolve design)

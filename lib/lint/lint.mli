@@ -1,8 +1,5 @@
 (** Lint driver: run the DRC passes over a design, build reports, and
-    enforce stage invariants in the flow.
-
-    Loading this module installs the one true implementation of
-    [Milo_netlist.Design.check]. *)
+    enforce stage invariants in the flow. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -21,7 +18,7 @@ val structural_rules : string list
     references, no combinational loops). *)
 
 val compat_rules : string list
-(** The subset [Design.check] historically enforced. *)
+(** The subset the structural validator {!check} enforces. *)
 
 val run :
   ?resolve:D.resolver ->
@@ -61,4 +58,6 @@ val check_stage :
 (** Lint one flow stage at the given strictness; see {!level}. *)
 
 val check : ?resolve:D.resolver -> D.t -> (unit, string list) result
-(** The [Design.check] semantics, rebased on {!compat_rules}. *)
+(** Structural validation: all input pins connected, a single driver
+    per net, connectivity indexes consistent — the {!compat_rules}
+    findings as strings. *)

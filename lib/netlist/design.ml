@@ -525,20 +525,6 @@ let copy t =
   t'.ports <- t.ports;
   t'
 
-(* The actual validation lives in Milo_lint.Lint (the single source of
-   truth for structural validity); it installs itself here at link time.
-   Milo_lint cannot be a direct dependency — it sits above the netlist
-   layer — hence the hook. *)
-let check_hook :
-    (resolver option -> t -> (unit, string list) result) ref =
-  ref (fun _ t ->
-      design_error ~op:"check" ~design:t.dname
-        "Milo_lint is not linked (link milo_lint to use structural \
-         validation)")
-
-let set_check_hook f = check_hook := f
-let check ?resolve t = !check_hook resolve t
-
 let signature t =
   let comp_sig c =
     (c.id, c.cname, Types.kind_name c.kind, connections t c.id)

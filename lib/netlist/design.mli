@@ -253,16 +253,5 @@ val copy : t -> t
 (** Deep structural copy.  The memos carry over: the copy shares the
     kind values and pin lists they are keyed on. *)
 
-val check : ?resolve:resolver -> t -> (unit, string list) result
-(** Structural validation: all input pins connected, single driver per
-    net, connectivity indexes consistent.  Implemented by
-    [Milo_lint.Lint] (which installs itself via {!set_check_hook} at
-    link time); calling it without milo_lint linked fails. *)
-
-val set_check_hook :
-  (resolver option -> t -> (unit, string list) result) -> unit
-(** Install the {!check} implementation.  Called by [Milo_lint.Lint] at
-    module initialization; not intended for other users. *)
-
 val equal_structure : t -> t -> bool
 (** Structural equality (used to property-test apply-then-undo). *)

@@ -110,7 +110,6 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
                 None
               end))
 
-module Pool = Milo_parallel.Pool
 module Exec = Milo_parallel.Exec
 
 (* Quarantine key for a whole strategy: strategies are not rules, but
@@ -120,7 +119,7 @@ let strategy_key name = "strategy:" ^ name
 
 (* One optimizer iteration (Figure 8's "try strategies in slack
    order"): each non-quarantined strategy in [order], in turn, is tried
-   by one supervised task on a forked snapshot (a pure would-this-help
+   by one [Engine.fan_out] task on a forked snapshot (a pure would-this-help
    oracle that measures by delta on its forked measurer); the first one
    the oracle says helps is re-run authoritatively on the real context,
    and the first that the re-run confirms ends the iteration — so
@@ -132,31 +131,19 @@ let strategy_key name = "strategy:" ^ name
    strategies are tried in order and the first success wins; it is the
    same for every [exec]. *)
 let try_all ?budget ~exec ctx ~cleanups order =
-  let session = ctx.R.session in
-  let oracle (s : Strategies.strategy) =
+  let oracle (s : Strategies.strategy) key =
     (match budget with Some b -> Milo_rules.Budget.eval b | None -> ());
-    let task () =
-      Milo_rules.Engine.worker_task ctx (fun wctx ->
-          try_strategy wctx ~cleanups s <> None)
-    in
-    match (Exec.map exec [ task ]).(0) with
-    | Pool.Done (helps, fails) ->
-        Milo_rules.Engine.import_failures session fails;
-        helps
-    | Pool.Task_failed fault ->
-        Milo_rules.Engine.note_failure_named session
-          ~reason:Milo_rules.Engine.Raised
-          (strategy_key s.Strategies.strat_name)
-          ("parallel task: " ^ Pool.fault_message fault);
-        false
+    (Milo_rules.Engine.fan_out ~exec ctx
+       [ (Some key, fun wctx -> try_strategy wctx ~cleanups s <> None) ]).(0)
+    = Some true
   in
   List.find_map
     (fun id ->
       let s = Strategies.by_id id in
+      let key = strategy_key s.Strategies.strat_name in
       if
-        Milo_rules.Engine.is_quarantined session
-          (strategy_key s.Strategies.strat_name)
-        || not (oracle s)
+        Milo_rules.Engine.is_quarantined ctx.R.session key
+        || not (oracle s key)
       then None
       else try_strategy ?budget ctx ~cleanups s)
     order

@@ -157,23 +157,40 @@ let note_failure_msg ctx ~reason (r : Rule.t) msg =
 let note_failure ctx (r : Rule.t) exn =
   note_failure_msg ctx ~reason:Raised r (Printexc.to_string exn)
 
-(* Run [f] as an oracle worker on a fork of [ctx]: tracing is
-   suppressed on this domain, so a task behaves identically whether it
-   runs inline on the coordinator or on a pool domain.  (Its fork has
-   no commit hook, so nothing it commits is recorded.)  Returns [f]'s
-   value and the failures the fork trapped, oldest first. *)
-let worker_task ctx f =
-  let wctx = Rule.fork_context ctx in
-  let v = Trace.without (fun () -> f wctx) in
-  ( v,
-    match wctx.Rule.session.Rule.trapped with
-    | Some t -> List.rev !t
-    | None -> [] )
-
-(* Coordinator side: fold a worker's failures into the session's
-   quarantine.  Call in task order. *)
-let import_failures s fails =
-  List.iter (fun (rule, msg, reason) -> note_failure_named s ~reason rule msg) fails
+(* The one fan-out protocol.  Each task runs as an oracle worker on its
+   own fork of [ctx], made inside the task so on the worker's domain,
+   with tracing suppressed there, so it behaves identically inline or
+   on a pool domain.  (Its fork has no commit hook, so nothing it
+   commits is recorded.)  Then, in task order, the coordinator imports
+   each task's trapped failures into the session's quarantine, or
+   quarantines the key of a faulting task — so first-failure messages
+   are the same whichever domain trapped what when. *)
+let fan_out ~exec ctx tasks =
+  let session = ctx.Rule.session in
+  let run f () =
+    let wctx = Rule.fork_context ctx in
+    let v = Trace.without (fun () -> f wctx) in
+    ( v,
+      match wctx.Rule.session.Rule.trapped with
+      | Some t -> List.rev !t
+      | None -> [] )
+  in
+  let keys = Array.of_list (List.map fst tasks) in
+  Array.mapi
+    (fun i -> function
+      | Pool.Done (v, fails) ->
+          List.iter
+            (fun (rule, msg, reason) -> note_failure_named session ~reason rule msg)
+            fails;
+          Some v
+      | Pool.Task_failed fault ->
+          Option.iter
+            (fun key ->
+              note_failure_named session ~reason:Raised key
+                ("parallel task: " ^ Pool.fault_message fault))
+            keys.(i);
+          None)
+    (Exec.map exec (List.map (fun (_, f) -> run f) tasks))
 
 (* --- Semantic rule guard ----------------------------------------------- *)
 
@@ -1040,7 +1057,7 @@ let gain_of cost design =
    index, site ordinal), each with its gain or rejection reason.  The
    fan-out unit is the rule: candidates are found on the coordinator
    (including find-failure quarantine), then each rule's sites that the
-   table cannot answer are evaluated by one supervised task on a forked
+   table cannot answer are evaluated by one [fan_out] task on a forked
    snapshot of the design.  Grouping by rule — never by domain count —
    is what keeps the merge deterministic: a rule that fails mid-task
    skips its own remaining sites (from then on the task evaluates even
@@ -1049,11 +1066,10 @@ let gain_of cost design =
 
    Workers are pure oracles: no trace, no provenance, no guard, no
    budget mutation.  The coordinator records the evaluations made,
-   imports the trapped failures in task order, charges the budget one
-   eval per evaluation made, and keeps the table: cleared when the
-   state is not cleanup-quiet or the quarantine grew, filled with the
-   fresh evaluations of local rules (when every cleanup is local too)
-   whose cleanup budget held.
+   charges the budget one eval per evaluation made, and keeps the
+   table: cleared when the state is not cleanup-quiet or the
+   quarantine grew, filled with the fresh evaluations of local rules
+   (when every cleanup is local too) whose cleanup budget held.
 
    The coordinator also knows once whether the design is cleanup-quiet
    — the state the table's last commit left known quiet, or a probe —
@@ -1099,8 +1115,9 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
         (r, items, List.length (List.filter (fun (_, s) -> Option.is_none s) items)))
       groups
   in
-  let task ((r : Rule.t), items, _) () =
-    worker_task ctx (fun wctx ->
+  let task ((r : Rule.t), items, _) =
+    ( Some r.Rule.rule_name,
+      fun wctx ->
         let fresh = evaluator cost wctx ~quiet ~cleanups r in
         let trapped () =
           match wctx.Rule.session.Rule.trapped with
@@ -1112,10 +1129,10 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
             match kept with
             | Some s when not (trapped ()) -> Kept s
             | Some _ | None -> Made (fresh site))
-          items)
+          items )
   in
   let outcomes =
-    Exec.map exec
+    fan_out ~exec ctx
       (List.filter_map
          (fun ((_, _, misses) as plan) -> if misses > 0 then Some (task plan) else None)
          plans)
@@ -1126,8 +1143,7 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
     List.concat_map
       (fun ((r : Rule.t), items, misses) ->
         let outcome =
-          if misses = 0 then
-            Pool.Done (List.map (fun (_, s) -> Kept (Option.get s)) items, [])
+          if misses = 0 then Some (List.map (fun (_, s) -> Kept (Option.get s)) items)
           else begin
             let o = outcomes.(!next) in
             incr next;
@@ -1135,30 +1151,24 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
           end
         in
         match outcome with
-        | Pool.Done (results, fails) ->
-            let scored =
-              List.map2
-                (fun (site, _) result ->
-                  match result with
-                  | Kept s -> (r, site, gain s.verdict)
-                  | Made s ->
-                      let g = gain s.verdict in
-                      incr made;
-                      record_eval r { result = g; dt = s.took };
-                      if keeps r && 4 * n > s.floor then
-                        fresh := ((r, site), s) :: !fresh;
-                      (r, site, g))
-                items results
-            in
-            import_failures session fails;
-            scored
-        | Pool.Task_failed fault ->
-            (* The whole task is written off and its rule quarantined:
+        | Some results ->
+            List.map2
+              (fun (site, _) result ->
+                match result with
+                | Kept s -> (r, site, gain s.verdict)
+                | Made s ->
+                    let g = gain s.verdict in
+                    incr made;
+                    record_eval r { result = g; dt = s.took };
+                    if keeps r && 4 * n > s.floor then
+                      fresh := ((r, site), s) :: !fresh;
+                    (r, site, g))
+              items results
+        | None ->
+            (* The whole task is written off (and its rule quarantined):
                a raising rule, a deadline overrun or a stall are all
-               contained here, never escalated. *)
+               contained, never escalated. *)
             made := !made + misses;
-            note_failure_named session ~reason:Raised r.Rule.rule_name
-              ("parallel task: " ^ Pool.fault_message fault);
             [])
       plans
   in

@@ -72,40 +72,35 @@ val quarantine_restore :
   Rule.session -> (string * int * string * reason) list -> unit
 (** Replace the quarantine with a recorded image (journal resume). *)
 
-val note_failure_named :
-  Rule.session -> reason:reason -> string -> string -> unit
-(** [note_failure_named s ~reason key msg] quarantines [key] directly —
-    used by the strategy layer to quarantine whole strategies
-    (["strategy:NAME"]) when their parallel task faults.  In a worker
-    fork's session the failure is collected for the coordinator like
-    any rule failure. *)
+(** {2 Supervised fan-out}
 
-(** {2 Parallel oracle workers}
-
-    The fan-out sites run candidate evaluations as supervised tasks on
-    forked contexts ({!Rule.fork_context}).  Inside {!worker_task} the
-    engine's observable machinery is suspended: tracing is suppressed
-    on the domain, the fork's design has no commit hook (so nothing it
-    commits is recorded), its measurer (if any) is a fork of the
-    coordinator's, the fork's session has no rule guard
-    (verdict [Unguarded], no stats ticks), and its failures are
-    collected and handed back for the coordinator to import in task
-    order.  Only the merged winner is then re-applied authoritatively
-    on the coordinator — which is what keeps every observable stream
+    Every oracle the optimizer runs — the greedy step's candidate
+    scoring, the time optimizer's strategy oracles and the lookahead's
+    search — is a task of {!fan_out}, on a forked context
+    ({!Rule.fork_context}).  Inside a task the engine's observable
+    machinery is suspended: tracing is suppressed on the domain, the
+    fork's design has no commit hook (so nothing it commits is
+    recorded), its measurer (if any) is a fork of the coordinator's,
+    the fork's session has no rule guard (verdict [Unguarded], no stats
+    ticks), and its failures are collected and handed back.  Only the
+    merged winner is then re-applied authoritatively on the
+    coordinator — which is what keeps every observable stream
     bit-identical across domain counts. *)
 
-val worker_task :
+val fan_out :
+  exec:Milo_parallel.Exec.t ->
   Rule.context ->
-  (Rule.context -> 'a) ->
-  'a * (string * string * reason) list
-(** [worker_task ctx f] runs [f] on a fresh fork of [ctx] in
-    oracle-worker mode; returns its value and the fork's trapped
-    failures (oldest first) as [(rule, message, reason)].  Call it
-    inside the task body, so the fork is made on the worker's domain. *)
-
-val import_failures : Rule.session -> (string * string * reason) list -> unit
-(** Fold a worker's failures into the session's quarantine.  Call on
-    the coordinator, in task-submission order. *)
+  (string option * (Rule.context -> 'a)) list ->
+  'a option array
+(** [fan_out ~exec ctx tasks] runs each [(key, f)] under [exec] as one
+    supervised task: [f] on a fresh fork of [ctx], made on the task's
+    domain.  Then, in task order, it imports each task's trapped
+    failures into [ctx]'s quarantine, or, for a task that faulted
+    (raised, overran its deadline or stalled), quarantines [key] — what
+    the task stands for, if anything: a rule, or a whole strategy as
+    ["strategy:NAME"] — with reason {!Raised} and the message
+    ["parallel task: <fault>"].  Slot [i] is task [i]'s value, [None]
+    if it faulted.  Never raises from a task and never hangs on one. *)
 
 (** {2 Semantic rule guard}
 
@@ -227,6 +222,23 @@ val measure_keep : Rule.context -> mstep -> unit
     (resyncing from scratch if the step had failed). *)
 
 type application = { rule : Rule.t; site : Rule.site; gain : float }
+
+val commit_app :
+  ?budget:Budget.t ->
+  near:bool ->
+  Rule.context ->
+  cleanups:Rule.t list ->
+  application ->
+  (D.entry list * bool) option
+(** The authoritative commit of a chosen application: re-apply it
+    through {!guarded_apply} (under the rule guard), run the cleanups
+    ({!run_cleanups_near} when [near], else {!run_cleanups}), keep the
+    measurer step, and commit with the application's attribution and
+    guard verdict; advance the session's shared analysis over the
+    committed entries, charge [budget] one step and note the apply to
+    the tracer.  Returns the committed entries and whether the cleanups
+    left the state cleanup-quiet, or [None] when the apply was refused
+    (everything it recorded rolled back). *)
 
 (** {2 Greedy control} *)
 

@@ -18,7 +18,6 @@ val step :
   ?params:params ->
   ?stats:stats ->
   ?budget:Budget.t ->
-  ?exec:Milo_parallel.Exec.t ->
   cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
   cleanups:Rule.t list ->
@@ -26,22 +25,26 @@ val step :
   float option
 (** One lookahead step: build the bounded search tree, execute the
     first D_app moves of the best sequence, return the realized gain.
-    Root moves are scored by one supervised task per rule on forked
-    snapshots ([cost_factory] builds each task's cost function, and
-    the root cost on the caller's context), the top-B branches are each
-    explored by their own task, and results merge in submission order
-    (stable rank, first-best tie-breaks) before the winning prefix is
-    re-applied on the caller's context.  An exhausted [budget] returns
-    [None]; faulting tasks quarantine their rule; the step never raises
-    from a task and never hangs on one.  [exec] defaults to
-    [Exec.inline ()]; every plan gives identical results. *)
+    The whole tree is searched depth-first by one supervised task
+    ({!Engine.fan_out}) on a fork of the context: [cost_factory] builds
+    the fork's cost function, and the root cost on the caller's
+    context.  Each node ranks its moves by gain with a stable sort and
+    explores the top B in rank order, so the first-best sequence wins
+    ties.  The coordinator records the task's evaluations in the order
+    they were made, charges them to [budget], and commits the winning
+    prefix through {!Engine.commit_app}, stopping at the first move
+    that no longer applies.  A quarantined rule matches nothing at any
+    depth, and a rule whose [find] raises is quarantined under its own
+    name.  An exhausted [budget] returns [None]; a task that faults
+    (past the budget's deadline) ends the step with [None]; the step
+    never raises from the task.  With [d_max = 0] the tree is the root
+    alone and the step returns [None]. *)
 
 val run :
   ?params:params ->
   ?max_steps:int ->
   ?stats:stats ->
   ?budget:Budget.t ->
-  ?exec:Milo_parallel.Exec.t ->
   cost_factory:(Rule.context -> unit -> float) ->
   Rule.context ->
   cleanups:Rule.t list ->

@@ -164,7 +164,7 @@ let test_compiled_design_checks () =
   List.iter
     (fun kind ->
       let d = Milo_compilers.Compile.compile_flat db lib kind in
-      match D.check ~resolve d with
+      match Milo_lint.Lint.check ~resolve d with
       | Ok () -> ()
       | Error msgs ->
           Alcotest.failf "%s: %s" (T.kind_name kind) (String.concat "; " msgs))

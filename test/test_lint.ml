@@ -1,5 +1,5 @@
 (* Lint/DRC subsystem tests: a positive and a negative fixture per
-   analysis pass, the rebased [Design.check] compatibility wrapper, the
+   analysis pass, the structural validator [Lint.check], the
    rule engine's debug-lint mode, and the Strict stage invariants over
    the Figure 19 suite. *)
 
@@ -206,12 +206,12 @@ let test_stale_driver_index () =
       Alcotest.(check bool) "error" true (g.Diag.severity = Diag.Error)
   | None -> Alcotest.fail "direct kind assignment not reported"
 
-(* --- the rebased Design.check ----------------------------------------- *)
+(* --- the structural validator ------------------------------------------ *)
 
-let test_design_check () =
+let test_lint_check () =
   let resolve = resolve () in
   Alcotest.(check bool) "clean ok" true
-    (D.check ~resolve (clean_design ()) = Ok ());
+    (Lint.check ~resolve (clean_design ()) = Ok ());
   let d = D.create "bad" in
   let a = D.add_port d "A" T.Input in
   let g1 = D.add_comp d (T.Macro "INV") in
@@ -221,7 +221,7 @@ let test_design_check () =
   D.connect d g2 "A0" a;
   D.connect d g1 "Y" n;
   D.connect d g2 "Y" n;
-  match D.check ~resolve d with
+  match Lint.check ~resolve d with
   | Ok () -> Alcotest.fail "double driver not caught"
   | Error msgs ->
       Alcotest.(check bool) "mentions multiple drivers" true
@@ -321,7 +321,7 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "Design.check wrapper" `Quick test_design_check;
+          Alcotest.test_case "Lint.check" `Quick test_lint_check;
           Alcotest.test_case "engine debug lint" `Quick test_debug_lint;
           Alcotest.test_case "strict flow over suite" `Slow test_flow_strict;
           Alcotest.test_case "level names" `Quick test_lint_level_names;

@@ -46,7 +46,8 @@ let test_design_basic () =
   Alcotest.(check int) "comps" 1 (D.num_comps d);
   Alcotest.(check int) "nets" 2 (D.num_nets d);
   let resolve = Milo_library.Technology.resolver (Util.generic ()) in
-  Alcotest.(check bool) "check ok" true (D.check ~resolve d = Ok ());
+  Alcotest.(check bool) "check ok" true
+    (Milo_lint.Lint.check ~resolve d = Ok ());
   (match D.driver ~resolve d y with
   | D.Src_comp (cid, "Y") -> Alcotest.(check int) "driver" g cid
   | D.Src_comp _ | D.Src_port _ | D.Src_none -> Alcotest.fail "wrong driver");
@@ -68,7 +69,7 @@ let test_check_catches_multiple_drivers () =
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
     go 0
   in
-  (match D.check ~resolve d with
+  (match Milo_lint.Lint.check ~resolve d with
   | Error msgs ->
       Alcotest.(check bool) "mentions drivers" true
         (List.exists (fun m -> contains m "multiple drivers") msgs)

@@ -480,6 +480,69 @@ let test_search_lookahead () =
   Alcotest.(check bool) "search explored nodes" true (stats.Milo_rules.Search.nodes > 0);
   Util.check_equiv (Util.env_ecl ()) reference (Util.env_ecl ()) d
 
+(* A rule whose [find] raises inside the search tree is quarantined
+   under its own name, and the search goes on without it: the raising
+   find matches nothing, whatever branch it was called in. *)
+let test_search_find_fault () =
+  let src = Milo_designs.Workload.random_logic ~gates:40 ~seed:33 () in
+  let target = Milo_techmap.Table_map.ecl_target () in
+  let d = Milo_techmap.Table_map.map_design target src in
+  let ctx = Util.ctx_for (Util.ecl ()) d in
+  let env name = Milo_library.Technology.find (Util.ecl ()) name in
+  let cost_factory (ctx : R.context) () =
+    Milo_estimate.Estimate.area env ctx.R.design
+  in
+  let calls = ref 0 in
+  let flaky =
+    R.make ~name:"flaky-find" ~cls:R.Area
+      ~find:(fun _ ->
+        incr calls;
+        if !calls = 1 then [] else failwith "boom")
+      ~apply:(fun _ _ _ -> false) ()
+  in
+  let gain =
+    Milo_rules.Search.step
+      ~params:{ Milo_rules.Search.b = 2; d_max = 2; d_app = 1; n_hood = 0; delta_cost = 5.0 }
+      ~cost_factory ctx ~cleanups:Milo_critic.Critic.cleanup
+      (Milo_critic.Critic.logic @ Milo_critic.Critic.area @ [ flaky ])
+  in
+  Alcotest.(check bool) "step still gains" true (gain <> None);
+  Alcotest.(check (list (pair string string)))
+    "only the raising rule, with its own failure"
+    [ ("flaky-find", {|Failure("boom")|}) ]
+    (Milo_rules.Engine.quarantined_errors ctx.R.session)
+
+(* A search past the budget's deadline is cancelled at its next poll
+   and ends the step with no gain.  The search task stands for no one
+   rule, so the deadline quarantines nothing, and the design is left
+   as it was. *)
+let test_search_deadline () =
+  let src = Milo_designs.Workload.random_logic ~gates:40 ~seed:33 () in
+  let target = Milo_techmap.Table_map.ecl_target () in
+  let d = Milo_techmap.Table_map.map_design target src in
+  let reference = D.copy d in
+  let ctx = Util.ctx_for (Util.ecl ()) d in
+  let looping =
+    R.make ~name:"looping" ~cls:R.Area
+      ~find:(fun ctx ->
+        List.map (fun (c : D.comp) -> R.site ~comps:[ c.D.id ] "loop")
+          (R.scan_comps ctx))
+      ~apply:(fun _ _ _ ->
+        while true do
+          Milo_parallel.Pool.poll ()
+        done;
+        false) ()
+  in
+  let gain =
+    Milo_rules.Search.step ~budget:(Milo_rules.Budget.make ~timeout:0.2 ())
+      ~cost_factory:(fun ctx () -> float_of_int (D.num_comps ctx.R.design))
+      ctx ~cleanups:[] [ looping ]
+  in
+  Alcotest.(check bool) "no gain" true (gain = None);
+  Alcotest.(check (list (pair string int))) "nothing quarantined" []
+    (Milo_rules.Engine.quarantined ctx.R.session);
+  Alcotest.(check bool) "design untouched" true (D.equal_structure reference d)
+
 let test_neighbourhood () =
   let src = Milo_designs.Workload.random_logic ~gates:30 ~seed:5 () in
   let target = Milo_techmap.Table_map.ecl_target () in
@@ -538,6 +601,10 @@ let () =
         [
           Alcotest.test_case "lookahead" `Quick test_search_lookahead;
           Alcotest.test_case "stale exec aborts" `Quick test_search_exec_abort;
+          Alcotest.test_case "raising find quarantines its rule" `Quick
+            test_search_find_fault;
+          Alcotest.test_case "deadline ends the step" `Quick
+            test_search_deadline;
           Alcotest.test_case "neighbourhood" `Quick test_neighbourhood;
           Alcotest.test_case "metarule params" `Quick test_metarule_params;
         ] );

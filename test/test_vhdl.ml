@@ -88,7 +88,7 @@ let test_elaborate_timer () =
         (Milo_library.Technology.find (Util.generic ()) nm).Milo_library.Macro.pins
     | _ -> T.pins_of_kind kind
   in
-  match D.check ~resolve d with
+  match Milo_lint.Lint.check ~resolve d with
   | Ok () -> ()
   | Error msgs -> Alcotest.failf "check: %s" (String.concat "; " msgs)
 
