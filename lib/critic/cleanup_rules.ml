@@ -37,7 +37,7 @@ let dead_logic =
                      && not (R.net_is_port ctx nid))
                m.Milo_library.Macro.outputs)
       |> List.map (fun (c : D.comp) ->
-             { R.site_comps = [ c.D.id ]; site_data = []; descr = "dead " ^ c.D.cname }))
+             R.site ~comps:[ c.D.id ] ("dead " ^ c.D.cname)))
     ~apply:(fun ctx site log ->
       match site.R.site_comps with
       | [ cid ] when D.comp_opt ctx.R.design cid <> None ->
@@ -64,11 +64,8 @@ let double_inverter =
                      match output_net ctx c2 with
                      | Some cnet when not (R.net_is_port ctx cnet) ->
                          Some
-                           {
-                             R.site_comps = [ c2.D.id; c1.D.id ];
-                             site_data = [];
-                             descr = "inv pair " ^ c1.D.cname;
-                           }
+                           (R.site ~comps:[ c2.D.id; c1.D.id ]
+                              ("inv pair " ^ c1.D.cname))
                      | Some _ | None -> None)
                  | Some _ | None -> None)
              | _ -> None))
@@ -100,7 +97,7 @@ let buffer_elim =
       |> List.filter_map (fun (c : D.comp) ->
              match (input_nets ctx c, output_net ctx c) with
              | [ _ ], Some out when not (R.net_is_port ctx out) ->
-                 Some { R.site_comps = [ c.D.id ]; site_data = []; descr = "buf " ^ c.D.cname }
+                 Some (R.site ~comps:[ c.D.id ] ("buf " ^ c.D.cname))
              | _ -> None))
     ~apply:(fun ctx site log ->
       match site.R.site_comps with
@@ -136,7 +133,7 @@ let constant_prop =
                (input_nets ctx c)
            in
            if has_const then
-             Some { R.site_comps = [ c.D.id ]; site_data = []; descr = "const in " ^ c.D.cname }
+             Some (R.site ~comps:[ c.D.id ] ("const in " ^ c.D.cname))
            else None)
   in
   let apply ctx site log =

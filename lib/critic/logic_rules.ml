@@ -55,13 +55,12 @@ let invert_root =
                             when ctx.R.set.Milo_compilers.Gate_comp.gate_macro
                                    fn' arity
                                  <> None ->
+                              (* anchored at the inverter, the
+                                 component scanned *)
                               Some
-                                {
-                                  R.site_comps = [ g.D.id; inv.D.id ];
-                                  site_data = [];
-                                  descr =
-                                    Printf.sprintf "%s+INV" (T.gate_fn_name fn);
-                                }
+                                (R.site ~anchor:inv.D.id
+                                   ~comps:[ g.D.id; inv.D.id ]
+                                   (Printf.sprintf "%s+INV" (T.gate_fn_name fn)))
                           | Some _ | None -> None)
                       | None -> None)
                   | None -> None)
@@ -132,13 +131,9 @@ let gate_merge =
                                       (arity + iar - 1)
                                     <> None ->
                               Some
-                                {
-                                  R.site_comps = [ outer.D.id; inner.D.id ];
-                                  site_data = [];
-                                  descr =
-                                    Printf.sprintf "merge %s%d+%d"
-                                      (T.gate_fn_name fn) arity iar;
-                                }
+                                (R.site ~comps:[ outer.D.id; inner.D.id ]
+                                   (Printf.sprintf "merge %s%d+%d"
+                                      (T.gate_fn_name fn) arity iar))
                           | Some _ | None -> None)
                       | None -> None)
                   | Some _ | None -> None)
@@ -217,11 +212,8 @@ let mux_ff_merge =
                               if Milo_library.Technology.mem ctx.R.tech target
                               then
                                 Some
-                                  {
-                                    R.site_comps = [ ff.D.id; mx.D.id ];
-                                    site_data = [];
-                                    descr = "mux+ff -> " ^ target;
-                                  }
+                                  (R.site ~comps:[ ff.D.id; mx.D.id ]
+                                     ("mux+ff -> " ^ target))
                               else None
                           | None -> None)
                       | None -> None)
@@ -303,8 +295,7 @@ let const_select_mux =
                       (List.init (T.clog2 n) (fun i -> i))
                   in
                   if sel_known then
-                    Some
-                      { R.site_comps = [ mx.D.id ]; site_data = []; descr = "const-sel mux" }
+                    Some (R.site ~comps:[ mx.D.id ] "const-sel mux")
                   else None
               | None -> None)
           | None -> None)

@@ -44,11 +44,8 @@ let duplicate_driver =
                   List.filteri (fun i _ -> i < 2)
                     (D.sinks ~resolve:ctx.R.resolve ctx.R.design onet)
                   |> List.map (fun (sink_cid, _) ->
-                         {
-                           R.site_comps = [ c.D.id; sink_cid ];
-                           site_data = [];
-                           descr = "duplicate " ^ c.D.cname;
-                         })
+                         R.site ~comps:[ c.D.id; sink_cid ]
+                           ("duplicate " ^ c.D.cname))
               | Some _ | None -> [])
           | Some _ | None -> [])
         (R.scan_comps ctx))
@@ -106,11 +103,8 @@ let isolate_input =
               | Some { Gate_shape.fn; arity } when assoc fn && arity >= 3 ->
                   List.map
                     (fun i ->
-                      {
-                        R.site_comps = [ c.D.id ];
-                        site_data = [ i ];
-                        descr = Printf.sprintf "isolate %s.A%d" c.D.cname i;
-                      })
+                      R.site ~comps:[ c.D.id ] ~data:[ i ]
+                        (Printf.sprintf "isolate %s.A%d" c.D.cname i))
                     (List.init arity (fun i -> i))
               | Some _ | None -> [])
           | None -> [])

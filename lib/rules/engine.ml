@@ -9,9 +9,10 @@
    - [greedy_pass]: measure-the-gain control — apply a candidate,
      run cleanup rules, measure the cost function, undo, and commit the
      best candidate (Logic Consultant's gain evaluation with its
-     one-rule cleanup lookahead).  Under a per-component cost a
-     candidate's evaluation is not redone until a commit changes what
-     it read (the Rete discipline of Section 2.2.1).
+     one-rule cleanup lookahead).  A local rule's sites are re-matched
+     only where a commit changed the design, and under a per-component
+     cost a candidate's evaluation is not redone until a commit changes
+     what it read (the Rete discipline of Section 2.2.1).
    - deeper lookahead lives in [Search] (SOCRATES).
 
    The run's state — quarantine, rule guard, certificates — lives in
@@ -541,12 +542,11 @@ let extent design entries =
 
 let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl []
 
-(* Components whose cleanup match can differ after the edits in [log],
-   given the cleanup locality contract (see [Rule.scan_comps]): the
-   edits' extent and every component sharing a net with one of its
-   components. *)
-let edit_neighbourhood ctx log =
-  neighbourhood ctx (keys (fst (extent ctx.Rule.design !log))) 1
+(* Run [f] with rule matching focused on [comps]. *)
+let with_focus ctx comps f =
+  let saved = !(ctx.Rule.focus) in
+  ctx.Rule.focus := Some comps;
+  Fun.protect ~finally:(fun () -> ctx.Rule.focus := saved) f
 
 (* A design is cleanup-quiet when no live cleanup rule matches anywhere.
    A [find] that raises counts as a match (the design is not known to be
@@ -570,34 +570,32 @@ let cleanup_quiet ctx cleanups =
    further site is scanned.
 
    With [near], the design was cleanup-quiet before the edits in [log],
-   so every cleanup site lies in their neighbourhood: each [find] scans
-   only that, recomputed whenever the log has grown so cascades follow
-   their own edits.  Under the locality contract both modes fire the
-   same sites in the same order.  Returns the budget left (0 when it
-   ran out) and whether the last pass found no site at all — stronger
-   than firing nothing, since a site can match and then refuse.  With
-   [near], a last pass that found nothing leaves the design
-   cleanup-quiet.  (A value, not a global: workers run this
+   so every cleanup site is anchored in their extent: the components
+   whose radius-1 view they changed, the only ones whose match can
+   differ from the quiet state's under the cleanup locality contract
+   (see [Rule.scan_comps]).  Each [find] scans only that, recomputed
+   whenever the log has grown so cascades follow their own edits.
+   Both modes fire the same sites in the same order.  Returns the
+   budget left (0 when it ran out) and whether the last pass found no
+   site at all — stronger than firing nothing, since a site can match
+   and then refuse.  With [near], a last pass that found nothing leaves
+   the design cleanup-quiet.  (A value, not a global: workers run this
    concurrently.) *)
 let cleanups_to_fixpoint ~near ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
-  let hood = ref None in
+  let focus = ref None in
   let find r =
     if not near then guarded_find ctx r
     else begin
-      let tbl =
-        match !hood with
-        | Some (seen, tbl) when seen == !log -> tbl
+      let comps =
+        match !focus with
+        | Some (seen, comps) when seen == !log -> comps
         | Some _ | None ->
-            let tbl = edit_neighbourhood ctx log in
-            hood := Some (!log, tbl);
-            tbl
+            let comps = fst (extent ctx.Rule.design !log) in
+            focus := Some (!log, comps);
+            comps
       in
-      let saved = !(ctx.Rule.focus) in
-      ctx.Rule.focus := Some tbl;
-      Fun.protect
-        ~finally:(fun () -> ctx.Rule.focus := saved)
-        (fun () -> guarded_find ctx r)
+      with_focus ctx comps (fun () -> guarded_find ctx r)
     end
   in
   let rec pass () =
@@ -973,15 +971,81 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
    can change any cleanup cascade, so the table starts over.
    [quiet_at] is a state its last commit left known cleanup-quiet: the
    design (by physical identity), its generation and the quarantine
-   size. *)
+   size.  [sites] is the pass's conflict set: each local rule's site
+   list on the state [sites_at] names (design and generation). *)
 type table = {
   entries : (string * int list * int list, evaluation) Hashtbl.t;
   mutable quarantined : int;
   mutable quiet_at : (D.t * int * int) option;
+  sites : (string, Rule.t * Rule.site list) Hashtbl.t;
+  mutable sites_at : (D.t * int) option;
 }
 
 let new_table () =
-  { entries = Hashtbl.create 256; quarantined = 0; quiet_at = None }
+  {
+    entries = Hashtbl.create 256;
+    quarantined = 0;
+    quiet_at = None;
+    sites = Hashtbl.create 8;
+    sites_at = None;
+  }
+
+(* A rule's sites on the current state: a local rule's kept list when
+   the table describes this state, else a full find, kept for a local
+   rule.  A quarantined rule matches nothing. *)
+let sites table ctx (r : Rule.t) =
+  if not r.Rule.local then guarded_find ctx r
+  else begin
+    let design = ctx.Rule.design in
+    (match table.sites_at with
+    | Some (d, g) when d == design && g = D.generation design -> ()
+    | Some _ | None ->
+        Hashtbl.reset table.sites;
+        table.sites_at <- Some (design, D.generation design));
+    match Hashtbl.find_opt table.sites r.Rule.rule_name with
+    | Some (_, kept) ->
+        if is_quarantined ctx.Rule.session r.Rule.rule_name then [] else kept
+    | None ->
+        let found = guarded_find ctx r in
+        Hashtbl.replace table.sites r.Rule.rule_name (r, found);
+        found
+  end
+
+(* Merge two site lists in anchor order; their anchors are disjoint. *)
+let splice kept found =
+  let rec go acc kept found =
+    match (kept, found) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | (k : Rule.site) :: ks, (f : Rule.site) :: fs ->
+        if f.Rule.anchor < k.Rule.anchor then go (f :: acc) kept fs
+        else go (k :: acc) ks found
+  in
+  go [] kept found
+
+(* After a commit from the state at [generation]: each kept list drops
+   its sites anchored in the commit's extent [comps] and splices in
+   what one find focused on the extent matches.  Under the locality
+   contract no other anchor's match can have changed, so every list
+   equals a full scan's, order included.  Lists of another state are
+   dropped. *)
+let refresh_sites table ctx ~generation comps =
+  let design = ctx.Rule.design in
+  match table.sites_at with
+  | Some (d, g) when d == design && g = generation ->
+      with_focus ctx comps (fun () ->
+          Hashtbl.filter_map_inplace
+            (fun _ ((r : Rule.t), kept) ->
+              let outside =
+                List.filter
+                  (fun (s : Rule.site) -> not (Hashtbl.mem comps s.Rule.anchor))
+                  kept
+              in
+              Some (r, splice outside (guarded_find ctx r)))
+            table.sites);
+      table.sites_at <- Some (design, D.generation design)
+  | Some _ | None ->
+      Hashtbl.reset table.sites;
+      table.sites_at <- None
 
 (* Is the current state cleanup-quiet?  The state the last commit left
    known quiet is; any other is probed. *)
@@ -997,12 +1061,11 @@ let known_quiet table ctx cleanups =
 let all_local cleanups = List.for_all (fun (c : Rule.t) -> c.Rule.local) cleanups
 
 (* After a commit, drop every entry whose reads meet the commit's
-   extent, computed on the committed design.  An entry that survives
-   read nothing the commit changed, so evaluating it again would repeat
-   it exactly. *)
-let invalidate table design entries =
+   extent ([comps], [nets]), computed on the committed design.  An
+   entry that survives read nothing the commit changed, so evaluating
+   it again would repeat it exactly. *)
+let invalidate table comps nets =
   if Hashtbl.length table.entries > 0 then begin
-    let comps, nets = extent design entries in
     Hashtbl.filter_map_inplace
       (fun _ s ->
         let cs, ns = s.reads in
@@ -1055,8 +1118,9 @@ let gain_of cost design =
 
 (* Score every candidate on the current state, in merge order: (rule
    index, site ordinal), each with its gain or rejection reason.  The
-   fan-out unit is the rule: candidates are found on the coordinator
-   (including find-failure quarantine), then each rule's sites that the
+   fan-out unit is the rule: candidates are read on the coordinator
+   ([sites]: a local rule's kept list, or a find with find-failure
+   quarantine), then each rule's sites that the
    table cannot answer are evaluated by one [fan_out] task on a forked
    snapshot of the design.  Grouping by rule — never by domain count —
    is what keeps the merge deterministic: a rule that fails mid-task
@@ -1079,7 +1143,7 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
   let groups =
     List.filter_map
       (fun (r : Rule.t) ->
-        match guarded_find ctx r with [] -> None | sites -> Some (r, sites))
+        match sites table ctx r with [] -> None | sites -> Some (r, sites))
       rules
   in
   let session = ctx.Rule.session and design = ctx.Rule.design in
@@ -1197,7 +1261,8 @@ type step = Committed of application | Refused | Quiescent
 (* One greedy step: score the candidates, merge — (rule index, site
    ordinal) order, the earlier candidate wins ties — and re-apply the
    winner through [commit_app] if it improves the cost by more than
-   [min_gain].  A commit drops the table entries it can have changed.
+   [min_gain].  A commit computes its extent once, drops the table
+   entries it can have changed and re-finds the kept site lists on it.
    When every cleanup is local, a commit from a cleanup-quiet state
    runs its cleanups near its own edits, and a commit that leaves its
    state cleanup-quiet says so in the table, so the next step need not
@@ -1222,10 +1287,13 @@ let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
       match best with
       | Some app when app.gain > min_gain -> (
           let local = all_local cleanups in
+          let design = ctx.Rule.design in
+          let generation = D.generation design in
           match commit_app ?budget ~near:(quiet && local) ctx ~cleanups app with
           | Some (entries, settled) ->
-              let design = ctx.Rule.design in
-              invalidate table design entries;
+              let comps, nets = extent design entries in
+              invalidate table comps nets;
+              refresh_sites table ctx ~generation comps;
               if settled && local then
                 table.quiet_at <-
                   Some

@@ -165,7 +165,7 @@ val run_cleanups : Rule.context -> Rule.t list -> D.log -> unit
 val neighbourhood : Rule.context -> int list -> int -> (int, unit) Hashtbl.t
 (** [neighbourhood ctx seeds n]: component ids within [n] hops of the
     seeds, a hop being a shared net (radius 0 is the seeds alone).
-    Used by incremental recognize-act, focused cleanups and the
+    Used by incremental recognize-act ({!ops_run_incremental}) and the
     lookahead's N metarule. *)
 
 val extent :
@@ -177,9 +177,11 @@ val extent :
     are every component the entries add, remove, reconnect or re-kind,
     every component on a net they touch and every component on a net
     of a re-kinded component; the nets are the touched nets.  Nets are
-    read on [design] as it is now.  {!greedy_step} invalidates its
-    table with it, and {!run_cleanups_near} focuses on its radius-1
-    neighbourhood. *)
+    read on [design] as it is now.  Under the locality contract
+    ({!Rule.scan_comps}) its components are exactly the anchors whose
+    match the edits can have changed: {!run_cleanups_near} focuses on
+    it, and after a commit {!greedy_step} invalidates its table and
+    re-finds its kept site lists on it. *)
 
 val cleanup_quiet : Rule.context -> Rule.t list -> bool
 (** No non-quarantined cleanup rule matches anywhere in the design.  A
@@ -189,10 +191,10 @@ val cleanup_quiet : Rule.context -> Rule.t list -> bool
 val run_cleanups_near : Rule.context -> Rule.t list -> D.log -> unit
 (** {!run_cleanups} for a design that was {!cleanup_quiet} before the
     edits in the log: each [find] is focused ([Rule.focus]) on the
-    edits' neighbourhood — their {!extent} and every component sharing
-    a net with one of its components — recomputed as the log grows.
-    Under the cleanup locality contract ({!Rule.scan_comps}) it fires
-    exactly the sites {!run_cleanups} would, in the same order. *)
+    edits' {!extent}, recomputed as the log grows.  Under the cleanup
+    locality contract ({!Rule.scan_comps}) only an anchor in the extent
+    can match, so it fires exactly the sites {!run_cleanups} would, in
+    the same order. *)
 
 (** {2 Incremental measurement lock-step}
 
@@ -247,7 +249,7 @@ type cost =
   | Measured of (Rule.context -> unit -> float)
       (** a cost of the whole design state; the function builds it over
           a (forked) context.  A candidate's gain is measured on its
-          fork, and nothing is kept across a commit. *)
+          fork, and no evaluation is kept across a commit. *)
   | Per_comp of (Milo_netlist.Types.kind -> float)
       (** the left fold of a per-component weight, [acc +. weight kind],
           over the components in id order from [0.0] (the per-level
@@ -296,10 +298,18 @@ type table
 (** A greedy pass's candidate table: each local candidate's last
     {!Per_comp} evaluation — its effect (or rejection reason) and its
     extent, the components and nets it read — keyed by rule name, site
-    components and site data; and the state its last commit left known
-    cleanup-quiet, if any (see {!greedy_step}). *)
+    components and site data; the state its last commit left known
+    cleanup-quiet, if any; and the pass's conflict set, each local
+    rule's site list on one state (see {!greedy_step}). *)
 
 val new_table : unit -> table
+
+val sites : table -> Rule.context -> Rule.t -> Rule.site list
+(** A rule's sites on the current state, as {!greedy_step} scores them.
+    For a rule declared [local], the list the table keeps when it
+    describes this state (same design, same {!D.generation}), else a
+    full {!guarded_find}, kept for the next call; a quarantined rule
+    matches nothing.  Any other rule is found in full every call. *)
 
 val candidate_gains :
   ?table:table ->
@@ -335,13 +345,15 @@ val greedy_step :
   Rule.t list ->
   step
 (** One greedy step (the Logic Consultant's measure-the-gain control).
-    Every rule's sites are found on the coordinator each step.  The
-    sites [table] cannot answer are evaluated by one supervised task
-    per rule on a forked snapshot: a {!Measured} cost is measured on
-    the fork (once per task for the baseline, once per candidate; by
-    delta when the context carries a measurer, which the fork
-    inherits); a
-    {!Per_comp} candidate hands back its effect, and the coordinator
+    Every rule's sites are read on the coordinator ({!sites}): a rule
+    declared [local] keeps its list in the table across the steps of a
+    pass (the OPS conflict set), and any other rule is found in full
+    each step.  The sites [table] cannot answer are evaluated by one
+    supervised task per rule on a forked snapshot: a {!Measured} cost
+    is measured on the fork (once per task for the baseline, once per
+    candidate; by delta when the context carries a measurer, which the
+    fork inherits); a {!Per_comp} candidate hands back its effect, and
+    the coordinator
     replays the cost's fold over the current design with that effect
     applied, so every gain is bit-identical to a measurement.  When the
     design is {!cleanup_quiet}, the candidates' cleanups are focused on
@@ -351,6 +363,14 @@ val greedy_step :
     advances the session's shared analysis over its entries
     ({!Rule.advance_analysis}) when the analysis describes the state
     the winner was applied to.
+
+    After a commit, the extent of its entries ({!extent}) is computed
+    once.  Each kept site list drops its sites anchored in it and
+    splices in, by anchor id, what one [find] focused on it matches, so
+    the list equals a full scan's, order included.  So no local rule
+    is found over the whole design again in the pass, unless a refused
+    commit (rolled back, so the design's generation moved) leaves the
+    lists describing another state.
 
     When every cleanup is local, a commit made from a cleanup-quiet
     state runs its cleanups as {!run_cleanups_near}, as the candidates

@@ -197,10 +197,21 @@ let macro_of ctx (c : D.comp) =
     ->
       None
 
-type site = { site_comps : int list; site_data : int list; descr : string }
+type site = {
+  site_comps : int list;
+  site_data : int list;
+  descr : string;
+  anchor : int;  (** the scanned component [find] matched the site at *)
+}
 
-let site ?(data = []) ~comps descr =
-  { site_comps = comps; site_data = data; descr }
+let site ?anchor ?(data = []) ~comps descr =
+  let anchor =
+    match (anchor, comps) with
+    | Some a, _ -> a
+    | None, first :: _ -> first
+    | None, [] -> -1
+  in
+  { site_comps = comps; site_data = data; descr; anchor }
 
 type t = {
   rule_name : string;

@@ -102,13 +102,16 @@ val scan_comps : context -> D.comp list
     lists the sites of a focus in the order a full scan would.
 
     {b Cleanup locality contract.}  A [Cleanup]-class rule's [find]
-    anchors each site at one scanned component, and whether that
-    component matches may depend only on its radius-1 neighbourhood:
-    its own kind and connections, and for each net it touches the
-    net's port binding, its pins and the kinds of the components on
-    it.  The engine relies on this to re-match cleanups only around a
-    candidate's edits once the design is cleanup-quiet, and a rule
-    declared [local] keeps it too (see {!t}). *)
+    anchors each site at one scanned component (recorded as the
+    site's [anchor]), and whether that component matches, and with
+    which sites, may depend only on its radius-1 neighbourhood: its own
+    kind and connections, and for each net it touches the net's port
+    binding, its pins and the kinds of the components on it.  So after
+    some edits only an anchor in their [Engine.extent] — the components
+    whose radius-1 view they changed — can match differently.  The
+    engine relies on this to re-match cleanups only on a candidate's
+    extent once the design is cleanup-quiet, and a rule declared
+    [local] keeps it too (see {!t}). *)
 
 val find_macro : context -> string -> Milo_library.Macro.t option
 val macro_of : context -> D.comp -> Milo_library.Macro.t option
@@ -133,9 +136,20 @@ val advance_analysis : context -> generation:int -> D.entry list -> unit
     key it on the current generation.  Any other analysis is left
     alone, so the next {!analysis} reports it out of date. *)
 
-type site = { site_comps : int list; site_data : int list; descr : string }
+type site = {
+  site_comps : int list;
+  site_data : int list;
+  descr : string;
+  anchor : int;
+      (** The scanned component ({!scan_comps}) the [find] matched the
+          site at.  A full scan lists a rule's sites in anchor order, so
+          a [local] rule's site list can be re-found around an edit and
+          spliced back by anchor ([Engine.greedy_step]). *)
+}
 
-val site : ?data:int list -> comps:int list -> string -> site
+val site : ?anchor:int -> ?data:int list -> comps:int list -> string -> site
+(** [anchor] defaults to the first of [comps] ([-1] when there is
+    none). *)
 
 type t = {
   rule_name : string;
@@ -149,10 +163,11 @@ type t = {
           contract of {!scan_comps}).  Its [apply] reads only the site
           components' kinds and connections, their nets' pins and port
           bindings, and the kinds of the components on those nets.
-          The greedy step then keeps a candidate's evaluation across
-          commits that do not touch what it read
-          ([Engine.greedy_step]); a rule that is not local is
-          re-evaluated every step. *)
+          The greedy step then keeps the rule's site list across the
+          steps of a pass, re-finding it only on each commit's extent,
+          and a candidate's evaluation across commits that do not
+          touch what it read ([Engine.greedy_step]); a rule that is
+          not local is found and re-evaluated every step. *)
 }
 
 val make :

@@ -9,10 +9,10 @@
    [analyze] evaluates every combinational macro exactly once, in
    levelized (Kahn) topological order — O(comps + arcs) instead of the
    restart-until-quiescent worklist it replaced.  [update] re-levelizes
-   and re-propagates only the forward cone of a set of touched nets and
-   components, recording every overwritten arrival in a {!token} so
-   [rollback] can restore the previous state exactly; tokens must be
-   rolled back in LIFO order. *)
+   only the forward cone of a set of touched nets and components and
+   re-evaluates only its members whose inputs moved, recording every
+   overwritten arrival in a {!token} so [rollback] can restore the
+   previous state exactly; tokens must be rolled back in LIFO order. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -142,9 +142,17 @@ let seq_launch t m pin nid =
   in
   d +. (m.M.drive *. net_load t nid)
 
+(* Does [nid] arrive at [v] from [from] already, to the bit? *)
+let arrives t nid v from =
+  (match Hashtbl.find_opt t.net_arrival nid with
+  | Some old -> Int64.equal (Int64.bits_of_float old) (Int64.bits_of_float v)
+  | None -> false)
+  && Hashtbl.find_opt t.net_from nid = from
+
 (* Evaluate one combinational macro: worst input arrival + arc delay,
-   plus drive × load, per output net. *)
-let eval_comp ?tok t (c : D.comp) (m : M.t) =
+   plus drive × load, per output net.  Each output net whose (arrival,
+   from) this changes is added to [moved]. *)
+let eval_comp ?tok ?moved t (c : D.comp) (m : M.t) =
   let in_arrs =
     List.map
       (fun pin ->
@@ -175,7 +183,11 @@ let eval_comp ?tok t (c : D.comp) (m : M.t) =
             | Some (v, pin) -> (v, Some (c.D.id, pin, out))
             | None -> (0.0, None)
           in
-          set ?tok t onid (v +. (m.M.drive *. net_load t onid)) from)
+          let v = v +. (m.M.drive *. net_load t onid) in
+          (match moved with
+          | Some mv when not (arrives t onid v from) -> Hashtbl.replace mv onid ()
+          | Some _ | None -> ());
+          set ?tok t onid v from)
     m.M.outputs
 
 (* Combinational macros reading [nid] through an input pin — the
@@ -196,10 +208,13 @@ let comb_readers t nid =
               | Some _ | None -> None))
         n.D.npins
 
-(* Kahn levelization over [members] (comp id -> ()): evaluate each
-   member exactly once in dependency order; any leftover means a
-   combinational loop. *)
-let propagate ?tok t members =
+(* Kahn levelization over [members] (comp id -> ()): visit each member
+   exactly once in dependency order; any leftover means a combinational
+   loop.  Every member is evaluated, or with [seeds] only the seeds and
+   the members reading a net whose (arrival, from) an evaluation
+   earlier in this call changed: any other member would recompute its
+   outputs from unchanged inputs, to the same bits. *)
+let propagate ?tok ?seeds t members =
   let indeg = Hashtbl.create (Hashtbl.length members * 2) in
   let consumers = Hashtbl.create (Hashtbl.length members * 2) in
   Hashtbl.iter
@@ -225,13 +240,26 @@ let propagate ?tok t members =
     members;
   let queue = Queue.create () in
   Hashtbl.iter (fun cid () -> if Hashtbl.find indeg cid = 0 then Queue.add cid queue) members;
-  let evaluated = ref 0 in
+  let moved = Option.map (fun _ -> Hashtbl.create 16) seeds in
+  let stale cid m =
+    match (seeds, moved) with
+    | Some sd, Some mv ->
+        Hashtbl.mem sd cid
+        || List.exists
+             (fun pin ->
+               match D.connection t.design cid pin with
+               | Some nid -> Hashtbl.mem mv nid
+               | None -> false)
+             m.M.inputs
+    | _ -> true
+  in
+  let visited = ref 0 in
   while not (Queue.is_empty queue) do
     let cid = Queue.pop queue in
-    incr evaluated;
+    incr visited;
     let c = D.comp t.design cid in
     let m = Option.get (macro_of t.env c) in
-    eval_comp ?tok t c m;
+    if stale cid m then eval_comp ?tok ?moved t c m;
     List.iter
       (fun out ->
         match D.connection t.design cid out with
@@ -245,7 +273,7 @@ let propagate ?tok t members =
               (Option.value ~default:[] (Hashtbl.find_opt consumers onid)))
       m.M.outputs
   done;
-  if !evaluated < Hashtbl.length members then
+  if !visited < Hashtbl.length members then
     let stuck =
       Hashtbl.fold
         (fun cid () acc ->
@@ -470,7 +498,7 @@ let update t ~touched_nets ~touched_comps =
       Milo_trace.Trace.sample "sta.update.cone"
         (float_of_int (Hashtbl.length members))
     end;
-    propagate ~tok t members;
+    propagate ~tok ~seeds t members;
     (* Endpoints: every net whose arrival was rewritten, every dirty
        net, and the endpoint pins of touched comps (which may have been
        added, removed or re-kinded). *)

@@ -42,8 +42,12 @@ val update : t -> touched_nets:int list -> touched_comps:int list -> token
     re-analyzing the whole design.  The touched sets must cover every
     net whose driver, load or existence changed and every component
     added, removed, re-kinded or re-connected since the last
-    [analyze]/[update].  Returns a token for {!rollback}; tokens must
-    be rolled back newest-first.  On [Invalid_argument] (unmapped
+    [analyze]/[update].  The whole cone is levelized, but a member is
+    re-evaluated only when it is touched, drives or reads a touched
+    net, or reads a net whose arrival (or the arc that set it) this
+    update changed; every other member would recompute the same bits.
+    Returns a token for {!rollback}; tokens must be rolled back
+    newest-first.  On [Invalid_argument] (unmapped
     component, combinational loop) the state is restored before the
     exception propagates. *)
 

@@ -347,13 +347,19 @@ let test_cleanup_locality () =
       in
       check "first step";
       let ctx = ctx_of target d in
-      let apps =
-        Engine.greedy_pass ~max_steps:3
-          ~cost:(Engine.Measured (level_cost target))
-          ctx ~cleanups Milo_critic.Critic.logic
+      let steps n =
+        List.length
+          (Engine.greedy_pass ~max_steps:n
+             ~cost:(Engine.Measured (level_cost target))
+             ctx ~cleanups Milo_critic.Critic.logic)
+        = n
       in
-      if List.length apps = 3 then check "after 3 steps")
-    (mapped_cases ());
+      if steps 3 then begin
+        check "after 3 steps";
+        if steps 7 then check "after 10 steps"
+      end)
+    (* and random logic at 300 gates, the benchmark's larger size *)
+    (mapped_cases () @ [ Mapped_cases.random_logic 300 ]);
   Printf.printf
     "locality: %d candidates compared (%d fired cleanups) over %d/%d quiet states\n"
     !compared !fired !quiet_states !states;
