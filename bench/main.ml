@@ -460,6 +460,15 @@ let bechamel () =
   let env name = Milo_library.Technology.find (Milo_library.Ecl.get ()) name in
   let genv name = Milo_library.Technology.find (Milo_library.Generic.get ()) name in
   let dagon_src = Milo_designs.Workload.random_logic ~gates:40 ~seed:72 () in
+  let tt5 = Milo_boolfunc.Truth_table.create 5 0x6a3c95f1L in
+  let design7, _ =
+    Milo.Flow.human_baseline
+      (Milo_designs.Suite.design7 ()).Milo_designs.Suite.case_design
+  in
+  let ecl_env =
+    Milo_absint.Absint.env_of_techs
+      [ Milo_library.Ecl.get (); Milo_library.Generic.get () ]
+  in
   let tests =
     [
       Test.make ~name:"E1-flow-design3"
@@ -499,6 +508,12 @@ let bechamel () =
                (Milo_techmap.Table_map.map_design
                   (Milo_techmap.Table_map.ecl_target ())
                   dagon_src)));
+      Test.make ~name:"canonical-key-5var"
+        (Staged.stage (fun () ->
+             ignore (Milo_boolfunc.Truth_table.canonical_key tt5)));
+      Test.make ~name:"absint-design7-cold"
+        (Staged.stage (fun () ->
+             ignore (Milo_absint.Absint.analyze ecl_env design7)));
     ]
   in
   let benchmark test =

@@ -68,11 +68,39 @@ type stats = {
   mutable transfers : int;
 }
 
+(* The two lifted kernels below ([transfer]'s constant outputs and
+   [pin_propagates]'s verdict) depend only on the component's semantics
+   and the abstract values of its inputs, and the verdict also on the
+   toggled pin and the observed outputs.  A memo keeps their answers by
+   that key, so re-deriving a fact, or reading another component of
+   the same kind under the same inputs, costs a lookup instead of up to
+   2^max_enum evaluations.  A macro's semantics is its [Macro.t], by
+   physical identity (a name can mean different functions in two
+   libraries, so keying by name would leak answers between them); any
+   other kind's is the kind itself ([Hashcons.kind_id]).  Each table
+   starts over when it reaches [memo_bound] entries. *)
+let memo_bound = 4096
+
+type memo = {
+  macro_ids : (string, (Macro.t * int) list) Hashtbl.t;
+      (* each macro met, by name, with its id in the keys *)
+  transfer_memo : (string, (string * value) list) Hashtbl.t;
+      (* constant output pins *)
+  propagates_memo : (string, bool) Hashtbl.t;
+}
+
+let new_memo () =
+  {
+    macro_ids = Hashtbl.create 8;
+    transfer_memo = Hashtbl.create 16;
+    propagates_memo = Hashtbl.create 16;
+  }
 
 type t = {
   ai_design : D.t;
   ai_env : env;
   ai_resolve : D.resolver;
+  ai_memo : memo;
   values : (int, value) Hashtbl.t;
   poisoned : (int, unit) Hashtbl.t;  (* pinned ⊤: multi-driven / conflict *)
   multi : (int, unit) Hashtbl.t;  (* multi-driven nets *)
@@ -92,6 +120,7 @@ type t = {
 
 let design st = st.ai_design
 let stats st = st.ai_stats
+let memo st = st.ai_memo
 
 (* --- Kind classification ----------------------------------------------- *)
 
@@ -196,11 +225,97 @@ let init_net st (n : D.net) =
 let net_value_raw st nid =
   match Hashtbl.find_opt st.values nid with Some v -> v | None -> Top
 
-(* --- The lifted transfer function -------------------------------------- *)
+(* --- The lifted kernels ---------------------------------------------------- *)
 
-(* Outputs of [c] under the current input facts: [None] per pin means
-   "stays ⊤".  Enumerates the ⊤ inputs; any evaluator exception makes
-   the whole component conservative. *)
+let input_value st = function None -> Zero | Some nid -> net_value_raw st nid
+
+(* [vals] (pin, value) with its ⊤ inputs set from the bits of [m], the
+   first ⊤ input from bit 0. *)
+let assignment vals m =
+  snd
+    (List.fold_left
+       (fun (i, acc) (p, v) ->
+         match v with
+         | Zero -> (i, (p, false) :: acc)
+         | One -> (i, (p, true) :: acc)
+         | Top -> (i + 1, (p, m land (1 lsl i) <> 0) :: acc))
+       (0, []) vals)
+
+let unknowns vals = List.length (List.filter (fun (_, v) -> v = Top) vals)
+
+(* The memo key of a kernel query on [c]: its semantics, then the value
+   of each input in pin order, the [toggled] one marked '*'. *)
+let query_key st (c : D.comp) vals ~toggled =
+  let b = Buffer.create 32 in
+  (match comp_macro st c with
+  | Some mac ->
+      let ids = st.ai_memo.macro_ids in
+      let met =
+        Option.value ~default:[] (Hashtbl.find_opt ids mac.Macro.mname)
+      in
+      let id =
+        match List.assq_opt mac met with
+        | Some id -> id
+        | None ->
+            let id = List.length met in
+            Hashtbl.replace ids mac.Macro.mname (met @ [ (mac, id) ]);
+            id
+      in
+      Buffer.add_char b 'm';
+      Buffer.add_string b mac.Macro.mname;
+      Buffer.add_char b '#';
+      Buffer.add_string b (string_of_int id)
+  | None ->
+      Buffer.add_char b 'k';
+      Buffer.add_string b
+        (string_of_int (Milo_netlist.Hashcons.kind_id c.D.kind)));
+  Buffer.add_char b ':';
+  List.iter
+    (fun (p, v) ->
+      Buffer.add_char b
+        (if toggled = Some p then '*'
+         else match v with Zero -> '0' | One -> '1' | Top -> 'x'))
+    vals;
+  b
+
+(* [compute ()] unless the table already holds [key]'s answer. *)
+let memoised tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some answer -> answer
+  | None ->
+      let answer = compute () in
+      if Hashtbl.length tbl >= memo_bound then Hashtbl.reset tbl;
+      Hashtbl.replace tbl key answer;
+      answer
+
+(* The output pins of [c] that are constant when its inputs have the
+   values [vals]: every assignment of the ⊤ inputs is evaluated and
+   the outputs joined across them.  Any evaluator exception leaves
+   every output ⊤. *)
+let lift_outputs st (c : D.comp) vals =
+  let results : (string, value) Hashtbl.t = Hashtbl.create 4 in
+  match
+    for m = 0 to (1 lsl unknowns vals) - 1 do
+      st.ai_stats.transfers <- st.ai_stats.transfers + 1;
+      List.iter
+        (fun (p, b) ->
+          let v = of_bool b in
+          match Hashtbl.find_opt results p with
+          | None -> Hashtbl.replace results p v
+          | Some v' when v' = v -> ()
+          | Some _ -> Hashtbl.replace results p Top)
+        (comb_eval st c (assignment vals m))
+    done
+  with
+  | () ->
+      Hashtbl.fold
+        (fun p v acc ->
+          match v with Zero | One -> (p, v) :: acc | Top -> acc)
+        results []
+  | exception _ -> []
+
+(* Outputs of [c] under the current input facts, as (net, constant);
+   an output missing from the list stays ⊤. *)
 let transfer st (c : D.comp) : (int * value) list =
   if comp_is_opaque st c then []
   else
@@ -210,57 +325,18 @@ let transfer st (c : D.comp) : (int * value) list =
         let outs = output_conns st c in
         if outs = [] then []
         else
-          let vals =
-            List.map
-              (fun (p, net) ->
-                let v =
-                  match net with
-                  | None -> Zero
-                  | Some nid -> net_value_raw st nid
-                in
-                (p, v))
-              inputs
-          in
-          let unknowns =
-            List.length (List.filter (fun (_, v) -> v = Top) vals)
-          in
-          if unknowns > max_enum then []
-          else begin
-            let results : (string, value) Hashtbl.t = Hashtbl.create 4 in
-            let ok =
-              try
-                for m = 0 to (1 lsl unknowns) - 1 do
-                  let _, pvs =
-                    List.fold_left
-                      (fun (i, acc) (p, v) ->
-                        match v with
-                        | Zero -> (i, (p, false) :: acc)
-                        | One -> (i, (p, true) :: acc)
-                        | Top -> (i + 1, (p, m land (1 lsl i) <> 0) :: acc))
-                      (0, []) vals
-                  in
-                  st.ai_stats.transfers <- st.ai_stats.transfers + 1;
-                  List.iter
-                    (fun (p, b) ->
-                      let v = of_bool b in
-                      match Hashtbl.find_opt results p with
-                      | None -> Hashtbl.replace results p v
-                      | Some v' when v' = v -> ()
-                      | Some _ -> Hashtbl.replace results p Top)
-                    (comb_eval st c pvs)
-                done;
-                true
-              with _ -> false
+          let vals = List.map (fun (p, net) -> (p, input_value st net)) inputs in
+          if unknowns vals > max_enum then []
+          else
+            let consts =
+              memoised st.ai_memo.transfer_memo
+                (Buffer.contents (query_key st c vals ~toggled:None))
+                (fun () -> lift_outputs st c vals)
             in
-            if not ok then []
-            else
-              List.filter_map
-                (fun (pin, nid) ->
-                  match Hashtbl.find_opt results pin with
-                  | Some ((Zero | One) as v) -> Some (nid, v)
-                  | Some Top | None -> None)
-                outs
-          end
+            List.filter_map
+              (fun (pin, nid) ->
+                Option.map (fun v -> (nid, v)) (List.assoc_opt pin consts))
+              outs
 
 (* --- Constant fixpoint ------------------------------------------------- *)
 
@@ -335,47 +411,36 @@ let run_liveness st =
 (* Does toggling input pin [p] of [c] ever change one of the
    observable outputs [obs]?  Proved-constant side inputs are held at
    their constants (that is where the don't-cares come from); the
-   remaining ⊤ side inputs are enumerated. *)
+   remaining ⊤ side inputs are enumerated.  An evaluator exception
+   answers [true]. *)
 let pin_propagates st (c : D.comp) inputs obs p =
-  let others = List.filter (fun (q, _) -> q <> p) inputs in
-  let vals =
-    List.map
-      (fun (q, net) ->
-        let v =
-          match net with None -> Zero | Some nid -> net_value_raw st nid
-        in
-        (q, v))
-      others
-  in
-  let unknowns = List.length (List.filter (fun (_, v) -> v = Top) vals) in
-  if unknowns > max_enum then true
+  let vals = List.map (fun (q, net) -> (q, input_value st net)) inputs in
+  let others = List.filter (fun (q, _) -> q <> p) vals in
+  let n = unknowns others in
+  if n > max_enum then true
   else
-    try
-      let differs = ref false in
-      let m = ref 0 in
-      while (not !differs) && !m < 1 lsl unknowns do
-        let _, pvs =
-          List.fold_left
-            (fun (i, acc) (q, v) ->
-              match v with
-              | Zero -> (i, (q, false) :: acc)
-              | One -> (i, (q, true) :: acc)
-              | Top -> (i + 1, (q, !m land (1 lsl i) <> 0) :: acc))
-            (0, []) vals
-        in
-        st.ai_stats.transfers <- st.ai_stats.transfers + 2;
-        let lo = comb_eval st c ((p, false) :: pvs)
-        and hi = comb_eval st c ((p, true) :: pvs) in
-        if
-          List.exists
-            (fun out ->
-              Eval.get lo out <> Eval.get hi out)
-            obs
-        then differs := true;
-        incr m
-      done;
-      !differs
-    with _ -> true
+    let key = query_key st c vals ~toggled:(Some p) in
+    Buffer.add_char key '/';
+    List.iter
+      (fun out ->
+        Buffer.add_string key out;
+        Buffer.add_char key ' ')
+      (List.sort_uniq String.compare obs);
+    memoised st.ai_memo.propagates_memo (Buffer.contents key) (fun () ->
+        try
+          let differs = ref false in
+          let m = ref 0 in
+          while (not !differs) && !m < 1 lsl n do
+            let pvs = assignment others !m in
+            st.ai_stats.transfers <- st.ai_stats.transfers + 2;
+            let lo = comb_eval st c ((p, false) :: pvs)
+            and hi = comb_eval st c ((p, true) :: pvs) in
+            if List.exists (fun out -> Eval.get lo out <> Eval.get hi out) obs
+            then differs := true;
+            incr m
+          done;
+          !differs
+        with _ -> true)
 
 (* The output pins through which [c] makes its inputs observable: those
    on an observable net it drives.  (The pass below reaches a component
@@ -802,7 +867,7 @@ let refresh st =
 
 (* --- Construction / invalidation --------------------------------------- *)
 
-let analyze ?resolve env design =
+let analyze ?memo ?resolve env design =
   let resolve =
     match resolve with
     | Some r -> r
@@ -819,6 +884,7 @@ let analyze ?resolve env design =
       ai_design = design;
       ai_env = env;
       ai_resolve = resolve;
+      ai_memo = (match memo with Some m -> m | None -> new_memo ());
       values = Hashtbl.create 256;
       poisoned = Hashtbl.create 16;
       multi = Hashtbl.create 16;

@@ -35,9 +35,30 @@ val env_of_techs : Milo_library.Technology.t list -> env
 
 type t
 
-val analyze : ?resolve:D.resolver -> env -> D.t -> t
+type memo
+(** The answers of the two lifted kernels: the constant outputs of a
+    component under some input facts, and whether toggling one of its
+    inputs can change some observed outputs.  Each is a pure function
+    of its key: the component's semantics (a macro's [Macro.t] by
+    physical identity, so one memo never confuses two libraries'
+    macros of one name; any other kind by [Hashcons.kind_id]), the
+    abstract values of its inputs in pin order, and for the second the
+    toggled pin and the observed outputs.  An evaluator exception is
+    answered conservatively (every output ⊤; the pin propagates), and
+    that answer is kept too.  Each table holds a bounded number of
+    answers and starts over when full.  Not synchronised: a memo
+    belongs to one domain. *)
+
+val analyze : ?memo:memo -> ?resolve:D.resolver -> env -> D.t -> t
 (** Run the full fixpoint.  [resolve] defaults to a resolver built from
-    [env] (sufficient for mapped designs without [Instance]s). *)
+    [env] (sufficient for mapped designs without [Instance]s).  The
+    analysis answers its kernel queries from [memo], and adds to it,
+    for as long as it lives; by default it starts an empty one.  A memo
+    carried from analysis to analysis changes no fact, only what they
+    cost. *)
+
+val memo : t -> memo
+(** The memo the analysis reads and fills, to carry to the next one. *)
 
 val design : t -> D.t
 
@@ -107,7 +128,9 @@ type stats = {
   mutable fallback_runs : int;
       (** of those, the ones whose liveness and observability ran as full
           passes because the component graph had a cycle *)
-  mutable transfers : int;  (** component transfer-function evaluations *)
+  mutable transfers : int;
+      (** evaluations of a component's concrete function made by the
+          lifted kernels; a query the memo answers makes none *)
 }
 
 val stats : t -> stats

@@ -95,22 +95,68 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         xs
 
+(* [sources vars perm]: the gather table of [permute t perm], entry [m]
+   being the minterm of [t] that minterm [m] of the result reads: new
+   variable [i] feeds original variable [List.nth perm i], the last
+   such [i] when two name the same variable, and an original variable
+   nothing feeds reads [false]. *)
+let sources vars perm =
+  let feeder = Array.make vars (-1) in
+  List.iteri
+    (fun i v ->
+      if i >= vars || v < 0 || v >= vars then
+        invalid_arg "Truth_table.permute: variable out of range";
+      feeder.(v) <- i)
+    perm;
+  Array.init (1 lsl vars) (fun m ->
+      let s = ref 0 in
+      Array.iteri
+        (fun v i -> if i >= 0 && m land (1 lsl i) <> 0 then s := !s lor (1 lsl v))
+        feeder;
+      !s)
+
+(* Bit [m] of the result is bit [src.(m)] of [bits]. *)
+let gather bits src =
+  let r = ref 0L in
+  for m = 0 to Array.length src - 1 do
+    if Int64.to_int (Int64.shift_right_logical bits src.(m)) land 1 = 1 then
+      r := Int64.logor !r (Int64.shift_left 1L m)
+  done;
+  !r
+
 let permute t perm =
   (* perm.(i) = which original variable feeds new position i *)
-  of_fun t.vars (fun a ->
-      let orig = Array.make t.vars false in
-      List.iteri (fun i v -> orig.(v) <- a.(i)) perm;
-      eval t orig)
+  { t with bits = gather t.bits (sources t.vars perm) }
+
+(* Every permutation of an [n]-variable table's variables (n <= 5), in
+   [permutations] order, with its gather table.  Built once, when the
+   module initialises, and only read after, so every domain shares
+   them. *)
+let arity_perms =
+  Array.init 6 (fun n ->
+      List.map (fun p -> (p, sources n p)) (permutations (List.init n Fun.id)))
 
 let canonical t =
   if t.vars > 5 then t
   else
-    let perms = permutations (List.init t.vars (fun i -> i)) in
-    List.fold_left
-      (fun best p ->
-        let cand = permute t p in
-        if compare cand best < 0 then cand else best)
-      t perms
+    let bits =
+      List.fold_left
+        (fun best (_, src) ->
+          let b = gather t.bits src in
+          if Int64.compare b best < 0 then b else best)
+        t.bits arity_perms.(t.vars)
+    in
+    { t with bits }
+
+let find_permutation t target =
+  if t.vars > 5 then
+    invalid_arg "Truth_table.find_permutation: more than 5 variables";
+  if target.vars <> t.vars then None
+  else
+    List.find_map
+      (fun (p, src) ->
+        if Int64.equal (gather t.bits src) target.bits then Some p else None)
+      arity_perms.(t.vars)
 
 let canonical_key t = key32 (canonical t)
 

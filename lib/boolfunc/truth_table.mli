@@ -39,8 +39,20 @@ val permutations : 'a list -> 'a list list
 (** All permutations of a small list. *)
 
 val permute : t -> int list -> t
+(** [permute t perm]: the table whose variable [i] feeds [t]'s variable
+    [List.nth perm i]; each minterm's bit is gathered from [t] by
+    index.  Raises [Invalid_argument] when [perm] is longer than the
+    arity or names a variable out of range. *)
+
 val canonical : t -> t
-(** Minimal table over all input permutations (identity for > 5 vars). *)
+(** Minimal table over all input permutations (identity for > 5 vars).
+    Each arity's permutations and their gather tables are built once. *)
+
+val find_permutation : t -> t -> int list option
+(** [find_permutation t target]: the first permutation [p], in
+    {!permutations} order, with [permute t p] equal to [target]; [None]
+    when there is none or the arities differ.  Reads the gather tables
+    {!canonical} reads.  Raises [Invalid_argument] past 5 variables. *)
 
 val canonical_key : t -> int
 val pp : Format.formatter -> t -> unit

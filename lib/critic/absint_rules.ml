@@ -31,13 +31,21 @@ type R.analysis += Facts of Absint.t
    rules' [find]s and prune's [apply]: a greedy step matches every rule
    on the same state, and a committed step advances it over its log
    ([Engine.commit_app]) instead of leaving the next find to start
-   over. *)
+   over.  An analysis of a new state (the next level design of a flow,
+   its flat passes) takes over the previous analysis's kernel memo
+   while the technology is the same, so one memo serves the run's
+   every design under it. *)
 let analyze ctx =
   match R.analysis ctx with
   | Some (Facts st) -> st
   | Some _ | None ->
+      let memo =
+        match R.previous_analysis ctx with
+        | Some (Facts prev) -> Some (Absint.memo prev)
+        | Some _ | None -> None
+      in
       let st =
-        Absint.analyze ~resolve:ctx.R.resolve
+        Absint.analyze ?memo ~resolve:ctx.R.resolve
           (fun n -> R.find_macro ctx n)
           ctx.R.design
       in

@@ -178,6 +178,19 @@ let float_tok s =
   | Some f -> f
   | None -> corrupt "expected float, got %s" s
 
+(* A budget's elapsed seconds are written at a fixed width, exactly:
+   'x' and the 16 hex digits of the IEEE bit pattern, so a journal's
+   size does not depend on how long its run took.  Journals written
+   before used %h, which [elapsed_tok] still reads. *)
+let elapsed_fl t = Printf.sprintf "x%016Lx" (Int64.bits_of_float t)
+
+let elapsed_tok s =
+  if String.length s = 17 && s.[0] = 'x' then
+    match Int64.of_string_opt ("0x" ^ String.sub s 1 16) with
+    | Some bits -> Int64.float_of_bits bits
+    | None -> corrupt "expected elapsed time, got %s" s
+  else float_tok s
+
 let bool_tok s = int_tok s <> 0
 
 let opt_tok of_tok = function "-" -> None | s -> Some (of_tok s)
@@ -394,7 +407,9 @@ let delta_payload ~stage ~label ~hash ~(attr : D.attribution) ~budget ~shape
   Option.iter (fun v -> line "verdict %s" (D.verdict_name v)) attr.at_verdict;
   Option.iter (cost "before") attr.at_before;
   Option.iter (cost "after") attr.at_after;
-  Option.iter (fun (s, e, el) -> line "budget %d %d %s" s e (fl el)) budget;
+  Option.iter
+    (fun (s, e, el) -> line "budget %d %d %s" s e (elapsed_fl el))
+    budget;
   Option.iter (fun (c, n) -> line "shape %d %d" c n) shape;
   List.iter (fun e -> line "%s" (entry_to_line e)) entries;
   Buffer.contents b
@@ -425,7 +440,7 @@ let delta_of_lines lines =
       | [ "before"; d; a; p ] -> attr := { !attr with at_before = cost d a p }
       | [ "after"; d; a; p ] -> attr := { !attr with at_after = cost d a p }
       | [ "budget"; s; e; el ] ->
-          budget := Some (int_tok s, int_tok e, float_tok el)
+          budget := Some (int_tok s, int_tok e, elapsed_tok el)
       | [ "shape"; c; n ] -> shape := Some (int_tok c, int_tok n)
       | t -> entries := entry_of_tokens t :: !entries)
     lines;
@@ -444,7 +459,7 @@ let checkpoint_payload ck =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "stage %s" ck.ck_stage;
-  line "budget %d %d %s" ck.ck_steps ck.ck_evals (fl ck.ck_elapsed);
+  line "budget %d %d %s" ck.ck_steps ck.ck_evals (elapsed_fl ck.ck_elapsed);
   line "guard %s"
     (String.concat " " (Array.to_list (Array.map string_of_int ck.ck_guard)));
   line "tick %d" ck.ck_tick;
@@ -484,7 +499,7 @@ let checkpoint_of_lines lines =
       | [ "budget"; s; e; el ] ->
           steps := int_tok s;
           evals := int_tok e;
-          elapsed := float_tok el
+          elapsed := elapsed_tok el
       | "guard" :: counters ->
           guard := Array.of_list (List.map int_tok counters)
       | [ "tick"; t ] -> tick := int_tok t

@@ -54,6 +54,8 @@ type checkpoint = {
   ck_steps : int;  (** budget consumption at the snapshot *)
   ck_evals : int;
   ck_elapsed : float;
+      (** written exactly at a fixed width (its IEEE bit pattern), so a
+          journal's size does not vary with timing *)
   ck_guard : int array;
       (** the six guard counters: stage checks/mismatches, rule
           checks/mismatches/skipped/certified *)
@@ -84,7 +86,8 @@ type record =
               payload line, so a delta written before these lines
               existed decodes with {!D.no_attribution} and [None]s *)
       d_budget : (int * int * float) option;
-          (** budget consumption at the commit: steps, evals, elapsed *)
+          (** budget consumption at the commit: steps, evals, elapsed
+              (written at a fixed width, like [ck_elapsed]) *)
       d_shape : (int * int) option;
           (** component and net counts after the commit *)
     }

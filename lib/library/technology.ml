@@ -84,7 +84,12 @@ let resolver ?instance t : D.resolver =
       T.pins_of_kind kind
 
 (* All macros matching a target function, with the input permutation
-   that realizes it: [perm] maps macro input index -> target variable. *)
+   that realizes it: [perm] maps macro input index -> target variable.
+   The canonical key narrows the library to the target's permutation
+   class; [Truth_table.find_permutation] then gathers the target's bits
+   under each permutation of its arity, in order, from the tables
+   [Truth_table.canonical] reads too, until one gives the macro's
+   table. *)
 let search_matches t tt =
   let key = Truth_table.canonical_key tt in
   let candidates = Option.value ~default:[] (Hashtbl.find_opt t.func_index key) in
@@ -94,16 +99,7 @@ let search_matches t tt =
       match Macro.single_output_tt m with
       | None -> None
       | Some mtt ->
-          if Truth_table.vars mtt <> Truth_table.vars tt then None
-          else
-            let nv = Truth_table.vars tt in
-            let perms = Truth_table.permutations (List.init nv (fun i -> i)) in
-            let found =
-              List.find_opt
-                (fun p -> Truth_table.equal (Truth_table.permute tt p) mtt)
-                perms
-            in
-            Option.map (fun p -> (m, p)) found)
+          Option.map (fun p -> (m, p)) (Truth_table.find_permutation tt mtt))
     candidates
 
 (* The search canonizes over every input permutation, and the matchers

@@ -122,6 +122,13 @@ val analysis : context -> analysis option
     technology and resolver.  Every design mutator (undo included)
     bumps the generation, so a returned analysis is never stale. *)
 
+val previous_analysis : context -> analysis option
+(** The session's latest analysis, whatever state it describes, when it
+    was computed under the context's technology (the same value,
+    physically): what is known about the library that an analysis of
+    another state may carry over (the absint rules carry their kernel
+    memo). *)
+
 val set_analysis :
   context -> analysis -> advance:(D.entry list -> unit) -> unit
 (** Keep an analysis of the context's current state in its session,

@@ -18,6 +18,11 @@
      masking then unmasking a pin, a cycle closed and opened) each
      equal a fresh analysis after one advance, and fall back exactly
      while a cycle stands;
+   - kernel memo: analyses of every mapped design under ECL and then
+     CMOS through one carried memo, and of one design under two
+     libraries that give a macro name different functions, equal cold
+     analyses; the per-level differential above carries the memo
+     through each technology's session, as a flow does;
    - certification: every built-in critic rule obtains a Certified or
      Probabilistic certificate over the witness corpus, and every
      planted miscompiling rule from [Milo_faults] is Refused;
@@ -237,9 +242,10 @@ let compare_refresh what st fresh =
    after every commit the session's analysis has been advanced over the
    commit's entries and must equal a fresh one.  Returns (commits,
    refreshes compared, change-driven ones, fallbacks). *)
-let greedy_differential (name, (target : Table_map.target), d) =
+let greedy_differential ~session (name, (target : Table_map.target), d) =
   let ctx =
-    Rule.make_context target.Table_map.tech target.Table_map.set (D.copy d)
+    Rule.make_context ~session target.Table_map.tech target.Table_map.set
+      (D.copy d)
   in
   let cost =
     Engine.Per_comp
@@ -278,13 +284,39 @@ let greedy_differential (name, (target : Table_map.target), d) =
   go 0;
   if Engine.quarantined ctx.Rule.session <> [] then
     check (name ^ ": no rule quarantined") false;
-  (!commits, !compared, !driven, !fallbacks)
+  let memo =
+    match Rule.analysis ctx with
+    | Some (Absint_rules.Facts st) -> Some (Absint.memo st)
+    | Some _ | None -> None
+  in
+  (!commits, !compared, !driven, !fallbacks, memo)
 
+(* The cases share one session per technology, as a flow's level
+   designs do, so each case's analyses start from the memo the previous
+   case of its technology left in the session (checked: the memos are
+   one). *)
 let test_change_driven_workloads () =
   let total = ref (0, 0, 0) in
+  let sessions = ref [] and carried = ref 0 in
   List.iter
-    (fun ((name, _, _) as case) ->
-      let commits, compared, driven, fallbacks = greedy_differential case in
+    (fun ((name, (target : Table_map.target), _) as case) ->
+      let tech = target.Table_map.tech in
+      let session, last_memo =
+        match List.assq_opt tech !sessions with
+        | Some s -> s
+        | None -> (Rule.new_session (), None)
+      in
+      let commits, compared, driven, fallbacks, memo =
+        greedy_differential ~session case
+      in
+      (match (last_memo, memo) with
+      | Some a, Some b ->
+          incr carried;
+          check (name ^ ": the session carried the memo") (a == b)
+      | Some _, None | None, _ -> ());
+      sessions :=
+        (tech, (session, if Option.is_none memo then last_memo else memo))
+        :: List.remove_assq tech !sessions;
       let c, n, dr = !total in
       total := (c + compared, n + driven, dr + fallbacks);
       check (name ^ ": commits advanced the analysis") (compared = commits);
@@ -300,7 +332,8 @@ let test_change_driven_workloads () =
     "change-driven absint: %d refreshes compared with a fresh analysis, %d \
      change-driven, %d fell back\n%!"
     compared driven fallbacks;
-  check "refreshes compared" (compared > 200)
+  check "refreshes compared" (compared > 200);
+  check "sessions carried their memo" (!carried > 10)
 
 (* Hand-built edits: one committed edit, one advance, then the facts
    against a fresh analysis.  [expect_fallback]: whether the refresh
@@ -470,6 +503,77 @@ let test_change_driven_edits () =
   edit_case "edit opens the cycle" ~expect_fallback:false st (fun log ->
       D.connect ~log d i1 "A0" a);
   check "cycle: live again" (Absint.comp_live st i1)
+
+(* --- The kernel memo ----------------------------------------------------- *)
+
+(* Every mapped design of the per-level pass under ECL, then every one
+   under CMOS, analysed through one carried memo: each analysis's facts
+   equal a cold analysis's, and the memo saves evaluations. *)
+let test_memo_carried () =
+  let cases = Mapped_cases.designs () in
+  let under suffix =
+    List.filter (fun (name, _, _) -> String.ends_with ~suffix name) cases
+  in
+  let memo = ref None and carried = ref 0 and cold = ref 0 in
+  List.iter
+    (fun (name, (target : Table_map.target), d) ->
+      let env = Absint.env_of_techs [ target.Table_map.tech ] in
+      let st = Absint.analyze ?memo:!memo env d in
+      memo := Some (Absint.memo st);
+      let fresh = Absint.analyze env d in
+      carried := !carried + (Absint.stats st).Absint.transfers;
+      cold := !cold + (Absint.stats fresh).Absint.transfers;
+      List.iter
+        (fun m -> check (Printf.sprintf "carried memo, %s: %s" name m) false)
+        (mismatches st fresh))
+    (under "/ecl" @ under "/cmos");
+  Printf.printf
+    "carried memo: %d evaluations over the mapped designs, %d cold\n%!"
+    !carried !cold;
+  check "the carried memo saves evaluations" (!carried < !cold)
+
+(* Two libraries give one macro name different functions (AND, then OR,
+   then AND again in a third library).  A memo carried from each to the
+   next must not answer for the other's macro: the facts equal a cold
+   analysis's. *)
+let test_memo_two_libraries () =
+  let library fn =
+    Milo_library.Technology.create "two"
+      [
+        Milo_library.Defs.gate ~delay:1.0 ~area:1.0 ~power:1.0 ~gates:1.0 "G"
+          fn 2;
+      ]
+  in
+  let design () =
+    let d = D.create "one_name" in
+    let a = D.add_port d "a" T.Input and b = D.add_port d "b" T.Input in
+    let y = D.add_port d "y" T.Output in
+    let n = D.new_net ~name:"n" d in
+    (* g1's A1 is left unconnected: it reads low *)
+    let g1 = comp d "g1" "G" and g2 = comp d "g2" "G" in
+    D.connect d g1 "A0" a;
+    D.connect d g1 "Y" n;
+    D.connect d g2 "A0" n;
+    D.connect d g2 "A1" b;
+    D.connect d g2 "Y" y;
+    (d, n)
+  in
+  let memo = ref None and consts = ref [] in
+  List.iter
+    (fun (what, fn) ->
+      let env = Absint.env_of_techs [ library fn ] in
+      let d, n = design () in
+      let st = Absint.analyze ?memo:!memo env d in
+      memo := Some (Absint.memo st);
+      let fresh = Absint.analyze env d in
+      consts := Absint.net_const fresh n :: !consts;
+      List.iter
+        (fun m ->
+          check (Printf.sprintf "memo across libraries, %s: %s" what m) false)
+        (mismatches st fresh))
+    [ ("AND", T.And); ("OR", T.Or); ("AND again", T.And) ];
+  check "the two functions give different facts"
+    (!consts = [ Some false; None; Some false ])
 
 (* --- Certification ------------------------------------------------------- *)
 
@@ -740,6 +844,8 @@ let () =
   test_incremental ();
   test_change_driven_edits ();
   test_change_driven_workloads ();
+  test_memo_carried ();
+  test_memo_two_libraries ();
   test_certification ();
   test_golden_certificates ();
   test_lint_facts ();

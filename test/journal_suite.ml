@@ -27,7 +27,10 @@
      cleanly and resumes to the uninterrupted run's result;
    - legacy traced journal: a checked-in journal whose checkpoints
      still carry the retired [trace] line recovers every record and
-     replays to its Finish record with zero divergences. *)
+     replays to its Finish record with zero divergences;
+   - size: a journal's size does not depend on its budget clock: one
+     run's records written with other elapsed times take the same
+     bytes, and every elapsed time reads back exactly. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -310,6 +313,69 @@ let replays_clean what path =
             d.Flow.div_detail)
         rep.Flow.rep_divergences
   | exception e -> fail "%s: replay raised %s" what (Printexc.to_string e)
+
+(* --- Journal size -------------------------------------------------------- *)
+
+let file_size path = In_channel.with_open_bin path In_channel.length
+
+(* One run's records, written again with each budget clock replaced:
+   all zero, and values whose %h form is long.  Each journal takes the
+   original's bytes and reads back every elapsed time it was given. *)
+let size_independent_of_time (case : Suite.case) =
+  let path = temp_journal "size" and failed = !failures in
+  (match
+     Flow.run ~technology:Flow.Ecl ~constraints:case.Suite.constraints
+       ~journal:path case.Suite.case_design
+   with
+  | Flow.Complete _ -> ()
+  | Flow.Partial _ -> fail "size: the journaled run degraded");
+  let records = (J.recover path).J.r_records in
+  let retimed f =
+    List.map
+      (function
+        | J.Delta d ->
+            J.Delta
+              {
+                d with
+                d_budget = Option.map (fun (s, e, el) -> (s, e, f el)) d.d_budget;
+              }
+        | J.Checkpoint ck ->
+            J.Checkpoint { ck with J.ck_elapsed = f ck.J.ck_elapsed }
+        | r -> r)
+      records
+  in
+  let clocks r =
+    List.concat_map
+      (function
+        | J.Delta { d_budget = Some (_, _, el); _ } -> [ el ]
+        | J.Checkpoint ck -> [ ck.J.ck_elapsed ]
+        | _ -> [])
+      r
+  in
+  let timed = List.length (clocks records) in
+  if timed < 4 then fail "size: only %d records carry an elapsed time" timed;
+  List.iter
+    (fun (tag, f) ->
+      let rs = retimed f in
+      let p = temp_journal ("size_" ^ tag) in
+      J.close (J.create ~prefix:rs p);
+      if file_size p <> file_size path then
+        fail "size: the journal with %s clocks takes %Ld bytes, the run's %Ld" tag
+          (file_size p) (file_size path);
+      let back = (J.recover p).J.r_records in
+      if List.map timeless back <> List.map timeless rs then
+        fail "size: the journal with %s clocks recovers other records" tag;
+      if clocks back <> clocks rs then
+        fail "size: the journal with %s clocks reads other elapsed times" tag;
+      cleanup p)
+    [
+      ("zero", fun _ -> 0.0);
+      ("long", fun el -> (el *. 3.7) +. (1.0 /. 3.0));
+      ("large", fun el -> 1e6 +. el);
+    ];
+  cleanup path;
+  if !failures = failed then
+    Printf.printf "ok   journal size independent of %d elapsed times\n" timed
 
 let crash_fuzz ?domains (case : Suite.case) =
   let name =
@@ -881,6 +947,7 @@ let () =
   legacy_deltas ();
   legacy_traced_journal ();
   resume_refusal ();
+  size_independent_of_time (List.hd cases);
   if !failures > 0 then begin
     Printf.printf "journal_suite: %d failure(s)\n" !failures;
     exit 1

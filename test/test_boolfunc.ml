@@ -75,6 +75,57 @@ let prop_canonical_idempotent =
       let c = Truth_table.canonical tt in
       Truth_table.equal c (Truth_table.canonical c))
 
+(* --- Bit gathers against the list-based reference ----------------------- *)
+
+module Ref = Match_reference
+
+let same_tables what a b =
+  if not (Truth_table.equal a b) then
+    Alcotest.failf "%s: %s, the reference %s" what (Truth_table.to_string a)
+      (Truth_table.to_string b)
+
+(* [permute], [canonical] and [canonical_key] on [tt] against the
+   reference, [permute] under each of [perms]; with [search], also
+   [find_permutation] toward the canonical table. *)
+let check_against_reference ?(search = false) tt perms =
+  let what = Truth_table.to_string tt in
+  List.iter
+    (fun p ->
+      same_tables (what ^ " permuted") (Truth_table.permute tt p)
+        (Ref.permute tt p))
+    perms;
+  let canon = Ref.canonical tt in
+  same_tables (what ^ " canonical") (Truth_table.canonical tt) canon;
+  Alcotest.(check int) (what ^ " canonical key") (Ref.canonical_key tt)
+    (Truth_table.canonical_key tt);
+  if search then
+    let first =
+      List.find_opt
+        (fun p -> Truth_table.equal (Ref.permute tt p) canon)
+        (Ref.permutations (List.init (Truth_table.vars tt) Fun.id))
+    in
+    if Truth_table.find_permutation tt canon <> first then
+      Alcotest.failf "%s: find_permutation differs from the reference" what
+
+let test_gathers_3var () =
+  let perms = Ref.permutations [ 0; 1; 2 ] in
+  for bits = 0 to 255 do
+    check_against_reference ~search:true
+      (Truth_table.create 3 (Int64.of_int bits))
+      perms
+  done
+
+let test_gathers_random () =
+  let rng = Random.State.make [| 28 |] in
+  let perms vars = Array.of_list (Ref.permutations (List.init vars Fun.id)) in
+  let perms = [| perms 4; perms 5 |] in
+  for i = 1 to 10_000 do
+    let vars = 4 + (i land 1) in
+    let tt = Truth_table.create vars (Random.State.int64 rng Int64.max_int) in
+    let ps = perms.(vars - 4) in
+    check_against_reference tt [ ps.(Random.State.int rng (Array.length ps)) ]
+  done
+
 let prop_cover_roundtrip =
   Util.qtest "cover of tt evaluates like tt" small_tt (fun tt ->
       let c = Cover.of_truth_table tt in
@@ -157,6 +208,10 @@ let () =
           Alcotest.test_case "cofactor/support" `Quick test_tt_cofactor;
           Alcotest.test_case "key32" `Quick test_key32;
           Alcotest.test_case "canonical" `Quick test_canonical;
+          Alcotest.test_case "gathers equal the reference, 3 vars" `Quick
+            test_gathers_3var;
+          Alcotest.test_case "gathers equal the reference, random 4-5 vars"
+            `Quick test_gathers_random;
           prop_permute_preserves;
           prop_canonical_idempotent;
         ] );

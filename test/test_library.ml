@@ -138,35 +138,6 @@ let test_matches_for () =
 
 (* --- Match memo ------------------------------------------------------ *)
 
-(* The uncached search [matches_for] memoises: the macros whose table
-   has the target's canonical key, in library order, each with the
-   first permutation (in [Truth_table.permutations] order) that turns
-   the target into the macro's table. *)
-let reference_matches tech =
-  let indexed =
-    List.filter_map
-      (fun (m : Macro.t) ->
-        match Macro.single_output_tt m with
-        | Some mtt when Truth_table.vars mtt <= 5 ->
-            Some (m, mtt, Truth_table.canonical_key mtt)
-        | Some _ | None -> None)
-      (Tech.all tech)
-  in
-  fun tt ->
-    if Truth_table.vars tt > 5 then []
-    else
-      let key = Truth_table.canonical_key tt in
-      List.filter_map
-        (fun (m, mtt, mkey) ->
-          if mkey <> key || Truth_table.vars mtt <> Truth_table.vars tt then None
-          else
-            let nv = Truth_table.vars tt in
-            List.find_opt
-              (fun p -> Truth_table.equal (Truth_table.permute tt p) mtt)
-              (Truth_table.permutations (List.init nv (fun i -> i)))
-            |> Option.map (fun p -> (m, p)))
-        indexed
-
 (* Every single-output macro function of the libraries, then random
    tables of at most 5 inputs. *)
 let match_targets () =
@@ -188,7 +159,7 @@ let test_match_memo_exact () =
     (fun lib ->
       (* a fresh technology, so the first pass runs on a cold memo *)
       let tech = Tech.create (Tech.name lib) (Tech.all lib) in
-      let expected = List.map (reference_matches tech) targets in
+      let expected = List.map (Match_reference.search_matches tech) targets in
       List.iter
         (fun pass ->
           List.iter2
@@ -202,6 +173,38 @@ let test_match_memo_exact () =
         (Tech.name tech ^ ": some targets match")
         true
         (List.exists (fun ms -> ms <> []) expected))
+    (libs ())
+
+(* Every single-output macro of the libraries under each permutation of
+   its inputs, on a cold technology: [matches_for] answers what the
+   list-based search answers. *)
+let test_matches_every_permutation () =
+  List.iter
+    (fun lib ->
+      let tech = Tech.create (Tech.name lib) (Tech.all lib) in
+      let reference = Match_reference.search_matches tech in
+      let queries = ref 0 in
+      List.iter
+        (fun (m : Macro.t) ->
+          match Macro.single_output_tt m with
+          | Some mtt when Truth_table.vars mtt <= 5 ->
+              List.iter
+                (fun p ->
+                  let tt = Match_reference.permute mtt p in
+                  incr queries;
+                  if not (same_matches (Tech.matches_for tech tt) (reference tt))
+                  then
+                    Alcotest.failf
+                      "%s %s under [%s]: matches differ from the search"
+                      (Tech.name tech) m.Macro.mname
+                      (String.concat ";" (List.map string_of_int p)))
+                (Match_reference.permutations
+                   (List.init (Truth_table.vars mtt) Fun.id))
+          | Some _ | None -> ())
+        (Tech.all tech);
+      Alcotest.(check bool)
+        (Tech.name tech ^ ": macros queried")
+        true (!queries > 0))
     (libs ())
 
 let test_match_memo_two_domains () =
@@ -219,7 +222,7 @@ let test_match_memo_two_domains () =
       in
       let a = Domain.spawn query and b = Domain.spawn query in
       let ra = Domain.join a and rb = Domain.join b in
-      let expected = List.map (reference_matches tech) targets in
+      let expected = List.map (Match_reference.search_matches tech) targets in
       Alcotest.(check bool)
         (Tech.name tech ^ ": both domains get the search's lists")
         true
@@ -385,6 +388,8 @@ let () =
           Alcotest.test_case "matches_for" `Quick test_matches_for;
           Alcotest.test_case "gate arities" `Quick test_gate_arities;
           Alcotest.test_case "memo equals the search" `Quick test_match_memo_exact;
+          Alcotest.test_case "every macro under every permutation" `Quick
+            test_matches_every_permutation;
           Alcotest.test_case "memo from two domains" `Quick
             test_match_memo_two_domains;
         ] );
