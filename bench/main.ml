@@ -186,8 +186,8 @@ let metarules () =
 
 let scaling () =
   section "E4 / [JoTr86]: local-transformation synthesis time vs size";
-  Printf.printf "%8s | %10s %10s | %10s %10s\n" "gates" "naive(s)" "gates/s"
-    "rete(s)" "gates/s";
+  Printf.printf "%8s | %10s %10s %7s %6s | %10s %10s %7s %6s\n" "gates" "naive(s)"
+    "gates/s" "firings" "comps" "rete(s)" "gates/s" "firings" "comps";
   List.iter
     (fun gates ->
       let src = Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates ~seed:7 () in
@@ -200,23 +200,26 @@ let scaling () =
                (Milo_library.Ecl.get ()))
             d
         in
-        let _, t = time (fun () -> engine ctx) in
-        t
+        let fired, t = time (fun () -> engine ctx) in
+        (t, fired, D.num_comps d)
       in
       let rules = Milo_critic.Critic.logic @ Milo_critic.Critic.cleanup in
+      let row (t, fired, comps) =
+        Printf.sprintf "%10.3f %10.0f %7d %6d" t
+          (float_of_int gates /. Float.max 1e-9 t)
+          fired comps
+      in
       let naive = run (fun ctx -> Milo_rules.Engine.ops_run ctx rules) in
       let rete =
         run (fun ctx -> Milo_rules.Engine.ops_run_incremental ctx rules)
       in
-      Printf.printf "%8d | %10.3f %10.0f | %10.3f %10.0f\n" gates naive
-        (float_of_int gates /. Float.max 1e-9 naive)
-        rete
-        (float_of_int gates /. Float.max 1e-9 rete))
+      Printf.printf "%8d | %s | %s\n%!" gates (row naive) (row rete))
     [ 200; 400; 800; 1200; 1600; 2000 ];
   Printf.printf
     "paper reference: LSS reports ~9 gates/s on an IBM 3081, roughly linear;\n\
      the naive matcher rescans every site per cycle (superlinear), the\n\
-     Rete-style incremental matcher restores near-linear behaviour.\n"
+     Rete-style incremental matcher keeps its conflict set across firings\n\
+     and fires the same sites.\n"
 
 (* --- E5: strategy profiles -------------------------------------------- *)
 

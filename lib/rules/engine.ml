@@ -3,9 +3,11 @@
    Three control disciplines from the paper's survey, all over the same
    rule representation:
 
-   - [ops_pass]: strictly rule-based control with OPS-style conflict
+   - [ops_run]: strictly rule-based control with OPS-style conflict
      resolution (refraction, recency, specificity) — the R1 / Logic
      Consultant discipline.  No measurement, no backtracking.
+     [ops_run_incremental] runs the same cycle over a conflict set kept
+     across firings, as a greedy pass keeps its own.
    - [greedy_pass]: measure-the-gain control — apply a candidate,
      run cleanup rules, measure the cost function, undo, and commit the
      best candidate (Logic Consultant's gain evaluation with its
@@ -548,39 +550,22 @@ let with_focus ctx comps f =
   ctx.Rule.focus := Some comps;
   Fun.protect ~finally:(fun () -> ctx.Rule.focus := saved) f
 
-(* A design is cleanup-quiet when no live cleanup rule matches anywhere.
-   A [find] that raises counts as a match (the design is not known to be
-   quiet) and quarantines nothing: this is a probe, not a pass. *)
-let cleanup_quiet ctx cleanups =
-  List.for_all
-    (fun (r : Rule.t) ->
-      is_quarantined ctx.Rule.session r.Rule.rule_name
-      ||
-      match r.Rule.find ctx with
-      | sites -> sites = []
-      | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
-          raise e
-      | exception _ -> false)
-    cleanups
-
 (* Apply every applicable cleanup rule until none fires (bounded).  The
    Logic Consultant examines its high-priority rules after each regular
    rule application.  The budget counts successful applications only —
    dead or non-applying sites cost nothing — and once exhausted no
    further site is scanned.
 
-   With [near], the design was cleanup-quiet before the edits in [log],
-   so every cleanup site is anchored in their extent: the components
-   whose radius-1 view they changed, the only ones whose match can
-   differ from the quiet state's under the cleanup locality contract
-   (see [Rule.scan_comps]).  Each [find] scans only that, recomputed
+   With [near], the design was cleanup-quiet (no live cleanup matched
+   anywhere) before the edits in [log], so every cleanup site is
+   anchored in their extent: the components whose radius-1 view they
+   changed, the only ones whose match can differ from the quiet
+   state's under the cleanup locality contract (see
+   [Rule.scan_comps]).  Each [find] scans only that, recomputed
    whenever the log has grown so cascades follow their own edits.
    Both modes fire the same sites in the same order.  Returns the
-   budget left (0 when it ran out) and whether the last pass found no
-   site at all — stronger than firing nothing, since a site can match
-   and then refuse.  With [near], a last pass that found nothing leaves
-   the design cleanup-quiet.  (A value, not a global: workers run this
-   concurrently.) *)
+   budget left (0 when it ran out).  (A value, not a global: workers
+   run this concurrently.) *)
 let cleanups_to_fixpoint ~near ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
   let focus = ref None in
@@ -599,14 +584,12 @@ let cleanups_to_fixpoint ~near ctx cleanups log =
     end
   in
   let rec pass () =
-    let found = ref false in
     let fired =
       List.exists
         (fun (r : Rule.t) ->
           !budget > 0
           && List.exists
                (fun site ->
-                 found := true;
                  !budget > 0
                  && Rule.site_alive ctx site
                  && guarded_apply ctx r site log
@@ -615,10 +598,10 @@ let cleanups_to_fixpoint ~near ctx cleanups log =
                (find r))
         cleanups
     in
-    if fired && !budget > 0 then pass () else not !found
+    if fired && !budget > 0 then pass ()
   in
-  let settled = pass () in
-  (!budget, settled)
+  pass ();
+  !budget
 
 let run_cleanups ctx cleanups log =
   ignore (cleanups_to_fixpoint ~near:false ctx cleanups log)
@@ -752,7 +735,7 @@ let trial ctx ~quiet ~cleanups (r : Rule.t) site look =
       D.undo ctx.Rule.design log;
       Error "apply-failed"
     end
-    else look log (fst (cleanups_to_fixpoint ~near:quiet ctx cleanups log))
+    else look log (cleanups_to_fixpoint ~near:quiet ctx cleanups log)
   in
   (verdict, Unix.gettimeofday () -. t0)
 
@@ -768,9 +751,9 @@ let trial ctx ~quiet ~cleanups (r : Rule.t) site look =
 
    [before] is the cost of the current state, supplied by the caller:
    every evaluation undoes itself exactly, so one baseline serves all
-   the candidates scored from the same state.  [quiet] says that state
-   is cleanup-quiet ([cleanup_quiet]), which lets the cleanups scan only
-   the candidate's neighbourhood. *)
+   the candidates scored from the same state.  [quiet] says no live
+   cleanup matches anywhere in that state, which lets the cleanups scan
+   only the candidate's neighbourhood. *)
 type eval = { result : (float, string) result; dt : float }
 
 let evaluate ctx ~before ~cost ~quiet ~cleanups (r : Rule.t) site =
@@ -855,8 +838,8 @@ let base_of weight design =
    gain is bit-identical to [before -. cost ()] on it.  Summing the
    effect's deltas instead would round differently and flip
    near-ties.  A weight that raises rejects the candidate; an effect
-   naming a component the design no longer has is a table the commits
-   failed to invalidate, and raises. *)
+   naming a component the design no longer has is a kept evaluation the
+   commits failed to forget, and raises. *)
 let replay weight base e =
   let n = Array.length base.ids in
   let index cid =
@@ -909,10 +892,8 @@ let record_eval (r : Rule.t) ev =
    analysis of the state the winner was applied to is advanced over
    the committed entries.  [near] says that state was cleanup-quiet:
    the cleanups then re-match only around the commit's own edits, as a
-   candidate's evaluation does.  Returns the committed entries and
-   whether the committed state is cleanup-quiet (the cleanups' last
-   pass found no site and their budget held), or [None] when the
-   commit was refused. *)
+   candidate's evaluation does.  Returns the committed entries, or
+   [None] when the commit was refused. *)
 let commit_app ?budget ~near ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   (* Attribution is built only when the commit is recorded. *)
@@ -924,7 +905,7 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
     let verdict = ctx.Rule.session.Rule.last_verdict in
-    let left, settled = cleanups_to_fixpoint ~near ctx cleanups log in
+    ignore (cleanups_to_fixpoint ~near ctx cleanups log);
     measure_keep ctx (measure_step ctx log);
     (* The measurer's totals are final here (cleanups measured, step
        kept), so [after] is exactly what the next kept application
@@ -949,7 +930,7 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
         ~gain:app.gain ~outcome:`Applied;
       Trace.count "engine.applies" 1
     end;
-    Some (entries, settled && left > 0)
+    Some entries
   end
   else begin
     (* The winning rule failed on commit (it was just quarantined);
@@ -962,118 +943,114 @@ let commit_app ?budget ~near ctx ~cleanups (app : application) =
     None
   end
 
-(* --- Greedy control ------------------------------------------------------ *)
+(* --- The conflict set ---------------------------------------------------- *)
 
-(* The candidate table of one greedy pass: each local candidate's last
-   [Per_comp] evaluation, keyed by (rule name, site components, site
-   data), valid while nothing it read has changed.  [quarantined] is
-   the quarantine size it was filled under: a newly quarantined rule
-   can change any cleanup cascade, so the table starts over.
-   [quiet_at] is a state its last commit left known cleanup-quiet: the
-   design (by physical identity), its generation and the quarantine
-   size.  [sites] is the pass's conflict set: each local rule's site
-   list on the state [sites_at] names (design and generation). *)
+(* The conflict set of a greedy pass or an incremental OPS run: each
+   local rule's site list on one state (design, generation), kept
+   across the steps (the Rete discipline of Section 2.2.1).  A kept
+   site also carries its last [Per_comp] evaluation, valid while
+   nothing it read has changed.  A [guarded] table (a greedy pass)
+   finds through [guarded_find] and reads a quarantined rule as
+   matching nothing; an OPS run's table finds through the raw [find],
+   whose failures stay loud.  [quarantined] is the quarantine size the
+   kept evaluations were made under: a newly quarantined rule can
+   change any cleanup cascade, so they are forgotten. *)
+type kept_site = { site : Rule.site; mutable eval : evaluation option }
+
 type table = {
-  entries : (string * int list * int list, evaluation) Hashtbl.t;
+  guarded : bool;
+  lists : (string, Rule.t * kept_site list) Hashtbl.t;
+  mutable at : (D.t * int) option;
   mutable quarantined : int;
-  mutable quiet_at : (D.t * int * int) option;
-  sites : (string, Rule.t * Rule.site list) Hashtbl.t;
-  mutable sites_at : (D.t * int) option;
 }
 
-let new_table () =
-  {
-    entries = Hashtbl.create 256;
-    quarantined = 0;
-    quiet_at = None;
-    sites = Hashtbl.create 8;
-    sites_at = None;
-  }
+let conflict_set ~guarded =
+  { guarded; lists = Hashtbl.create 8; at = None; quarantined = 0 }
 
-(* A rule's sites on the current state: a local rule's kept list when
-   the table describes this state, else a full find, kept for a local
-   rule.  A quarantined rule matches nothing. *)
-let sites table ctx (r : Rule.t) =
-  if not r.Rule.local then guarded_find ctx r
+let new_table () = conflict_set ~guarded:true
+let bare site = { site; eval = None }
+
+let find table ctx (r : Rule.t) =
+  if table.guarded then guarded_find ctx r else r.Rule.find ctx
+
+(* A rule's sites on the current state, as kept records: a local rule's
+   list when the table describes this state, else a full find, kept;
+   any other rule found in full, in records nothing keeps. *)
+let candidates table ctx (r : Rule.t) =
+  let design = ctx.Rule.design in
+  if table.guarded && is_quarantined ctx.Rule.session r.Rule.rule_name then []
+  else if not r.Rule.local then List.map bare (find table ctx r)
   else begin
-    let design = ctx.Rule.design in
-    (match table.sites_at with
+    (match table.at with
     | Some (d, g) when d == design && g = D.generation design -> ()
     | Some _ | None ->
-        Hashtbl.reset table.sites;
-        table.sites_at <- Some (design, D.generation design));
-    match Hashtbl.find_opt table.sites r.Rule.rule_name with
-    | Some (_, kept) ->
-        if is_quarantined ctx.Rule.session r.Rule.rule_name then [] else kept
+        Hashtbl.reset table.lists;
+        table.at <- Some (design, D.generation design));
+    match Hashtbl.find_opt table.lists r.Rule.rule_name with
+    | Some (_, kept) -> kept
     | None ->
-        let found = guarded_find ctx r in
-        Hashtbl.replace table.sites r.Rule.rule_name (r, found);
-        found
+        let kept = List.map bare (find table ctx r) in
+        Hashtbl.replace table.lists r.Rule.rule_name (r, kept);
+        kept
   end
+
+let sites table ctx r = List.map (fun k -> k.site) (candidates table ctx r)
+
+let forget table =
+  Hashtbl.iter (fun _ (_, kept) -> List.iter (fun k -> k.eval <- None) kept) table.lists
 
 (* Merge two site lists in anchor order; their anchors are disjoint. *)
 let splice kept found =
   let rec go acc kept found =
     match (kept, found) with
     | [], rest | rest, [] -> List.rev_append acc rest
-    | (k : Rule.site) :: ks, (f : Rule.site) :: fs ->
-        if f.Rule.anchor < k.Rule.anchor then go (f :: acc) kept fs
+    | k :: ks, f :: fs ->
+        if f.site.Rule.anchor < k.site.Rule.anchor then go (f :: acc) kept fs
         else go (k :: acc) ks found
   in
   go [] kept found
 
-(* After a commit from the state at [generation]: each kept list drops
-   its sites anchored in the commit's extent [comps] and splices in
-   what one find focused on the extent matches.  Under the locality
-   contract no other anchor's match can have changed, so every list
-   equals a full scan's, order included.  Lists of another state are
+(* After [entries] took the state at [generation] to the current one (a
+   commit or a firing): their extent is computed once; each kept list
+   drops its sites anchored in it and splices in what one find focused
+   on it matches, and each surviving site forgets an evaluation whose
+   reads meet it.  Under the locality contract no other anchor's match
+   can have changed, so every list equals a full scan's, order
+   included, and a kept evaluation would be repeated exactly.  (A site
+   anchored in the extent loses nothing: its anchor is one of its
+   components, which its evaluation read.)  Lists of another state are
    dropped. *)
-let refresh_sites table ctx ~generation comps =
+let refresh table ctx ~generation entries =
   let design = ctx.Rule.design in
-  match table.sites_at with
+  match table.at with
   | Some (d, g) when d == design && g = generation ->
+      let comps, nets = extent design entries in
+      let stale e =
+        let cs, ns = e.reads in
+        List.exists (Hashtbl.mem comps) cs || List.exists (Hashtbl.mem nets) ns
+      in
       with_focus ctx comps (fun () ->
           Hashtbl.filter_map_inplace
-            (fun _ ((r : Rule.t), kept) ->
+            (fun _ (r, kept) ->
               let outside =
-                List.filter
-                  (fun (s : Rule.site) -> not (Hashtbl.mem comps s.Rule.anchor))
-                  kept
+                List.filter (fun k -> not (Hashtbl.mem comps k.site.Rule.anchor)) kept
               in
-              Some (r, splice outside (guarded_find ctx r)))
-            table.sites);
-      table.sites_at <- Some (design, D.generation design)
+              List.iter
+                (fun k ->
+                  match k.eval with
+                  | Some e when stale e -> k.eval <- None
+                  | Some _ | None -> ())
+                outside;
+              Some (r, splice outside (List.map bare (find table ctx r))))
+            table.lists);
+      table.at <- Some (design, D.generation design)
   | Some _ | None ->
-      Hashtbl.reset table.sites;
-      table.sites_at <- None
+      Hashtbl.reset table.lists;
+      table.at <- None
 
-(* Is the current state cleanup-quiet?  The state the last commit left
-   known quiet is; any other is probed. *)
-let known_quiet table ctx cleanups =
-  match table.quiet_at with
-  | Some (d, g, q)
-    when d == ctx.Rule.design
-         && g = D.generation d
-         && q = Hashtbl.length ctx.Rule.session.Rule.quarantine ->
-      true
-  | Some _ | None -> cleanup_quiet ctx cleanups
+(* --- Greedy control ------------------------------------------------------ *)
 
 let all_local cleanups = List.for_all (fun (c : Rule.t) -> c.Rule.local) cleanups
-
-(* After a commit, drop every entry whose reads meet the commit's
-   extent ([comps], [nets]), computed on the committed design.  An
-   entry that survives read nothing the commit changed, so evaluating
-   it again would repeat it exactly. *)
-let invalidate table comps nets =
-  if Hashtbl.length table.entries > 0 then begin
-    Hashtbl.filter_map_inplace
-      (fun _ s ->
-        let cs, ns = s.reads in
-        if List.exists (Hashtbl.mem comps) cs || List.exists (Hashtbl.mem nets) ns
-        then None
-        else Some s)
-      table.entries
-  end
 
 (* Where a candidate's evaluation came from: the table, or made this
    step. *)
@@ -1119,38 +1096,41 @@ let gain_of cost design =
 (* Score every candidate on the current state, in merge order: (rule
    index, site ordinal), each with its gain or rejection reason.  The
    fan-out unit is the rule: candidates are read on the coordinator
-   ([sites]: a local rule's kept list, or a find with find-failure
-   quarantine), then each rule's sites that the
-   table cannot answer are evaluated by one [fan_out] task on a forked
-   snapshot of the design.  Grouping by rule — never by domain count —
-   is what keeps the merge deterministic: a rule that fails mid-task
-   skips its own remaining sites (from then on the task evaluates even
-   the sites the table holds, as a task without a table would), and
+   ([candidates]: a local rule's kept list, or a find with find-failure
+   quarantine), then each rule's sites that hold no kept evaluation
+   are evaluated by one [fan_out] task on a forked snapshot of the
+   design.  Grouping by rule — never by domain count — is what keeps
+   the merge deterministic: a rule that fails mid-task skips its own
+   remaining sites (from then on the task evaluates even the sites
+   that hold one, as a task without a table would), and
    [greedy_step]'s merge picks the same winner whatever ran where.
 
    Workers are pure oracles: no trace, no provenance, no guard, no
    budget mutation.  The coordinator records the evaluations made,
-   charges the budget one eval per evaluation made, and keeps the
-   table: cleared when the state is not cleanup-quiet or the
-   quarantine grew, filled with the fresh evaluations of local rules
-   (when every cleanup is local too) whose cleanup budget held.
+   charges the budget one eval per evaluation made, and keeps them on
+   their sites: every kept evaluation is forgotten when the state is
+   not cleanup-quiet or the quarantine grew, and the fresh ones are
+   kept for local rules (when every cleanup is local too) whose cleanup
+   budget held.
 
-   The coordinator also knows once whether the design is cleanup-quiet
-   — the state the table's last commit left known quiet, or a probe —
-   and if so every evaluation re-matches cleanups only around its own
-   edits.  Returns the scores and that answer. *)
+   The coordinator reads once whether the design is cleanup-quiet off
+   the same table (every cleanup's list is empty), and if so every
+   evaluation re-matches cleanups only around its own edits.  Returns
+   the scores and that answer. *)
 let score ?budget table ~exec ~cost ctx ~cleanups rules =
   let groups =
     List.filter_map
       (fun (r : Rule.t) ->
-        match sites table ctx r with [] -> None | sites -> Some (r, sites))
+        match candidates table ctx r with [] -> None | kept -> Some (r, kept))
       rules
   in
   let session = ctx.Rule.session and design = ctx.Rule.design in
-  let quiet = groups <> [] && known_quiet table ctx cleanups in
+  let quiet =
+    groups <> [] && List.for_all (fun c -> candidates table ctx c = []) cleanups
+  in
   let known = Hashtbl.length session.Rule.quarantine in
   if (not quiet) || known <> table.quarantined then begin
-    Hashtbl.reset table.entries;
+    forget table;
     table.quarantined <- known
   end;
   let n = D.num_comps design in
@@ -1160,22 +1140,17 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
     && all_local cleanups
   in
   let keeps (r : Rule.t) = keeping && r.Rule.local in
-  let lookup (r : Rule.t) (site : Rule.site) =
-    if not (keeps r) then None
-    else
-      match
-        Hashtbl.find_opt table.entries
-          (r.Rule.rule_name, site.Rule.site_comps, site.Rule.site_data)
-      with
-      | Some s when 4 * n > s.floor -> Some s
-      | Some _ | None -> None
+  let held r k =
+    match k.eval with
+    | Some s when keeps r && 4 * n > s.floor -> Some s
+    | Some _ | None -> None
   in
   (* Per rule: each site with its kept evaluation, if any, and how many
-     sites the table cannot answer. *)
+     sites hold none. *)
   let plans =
     List.map
-      (fun (r, sites) ->
-        let items = List.map (fun site -> (site, lookup r site)) sites in
+      (fun (r, kept) ->
+        let items = List.map (fun k -> (k, held r k)) kept in
         (r, items, List.length (List.filter (fun (_, s) -> Option.is_none s) items)))
       groups
   in
@@ -1189,10 +1164,10 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
           | None -> false
         in
         List.map
-          (fun (site, kept) ->
-            match kept with
+          (fun (k, held) ->
+            match held with
             | Some s when not (trapped ()) -> Kept s
-            | Some _ | None -> Made (fresh site))
+            | Some _ | None -> Made (fresh k.site))
           items )
   in
   let outcomes =
@@ -1217,16 +1192,15 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
         match outcome with
         | Some results ->
             List.map2
-              (fun (site, _) result ->
+              (fun (k, _) result ->
                 match result with
-                | Kept s -> (r, site, gain s.verdict)
+                | Kept s -> (r, k.site, gain s.verdict)
                 | Made s ->
                     let g = gain s.verdict in
                     incr made;
                     record_eval r { result = g; dt = s.took };
-                    if keeps r && 4 * n > s.floor then
-                      fresh := ((r, site), s) :: !fresh;
-                    (r, site, g))
+                    if keeps r && 4 * n > s.floor then fresh := (k, s) :: !fresh;
+                    (r, k.site, g))
               items results
         | None ->
             (* The whole task is written off (and its rule quarantined):
@@ -1236,15 +1210,8 @@ let score ?budget table ~exec ~cost ctx ~cleanups rules =
             [])
       plans
   in
-  if Hashtbl.length session.Rule.quarantine <> known then
-    Hashtbl.reset table.entries
-  else
-    List.iter
-      (fun (((r : Rule.t), (site : Rule.site)), s) ->
-        Hashtbl.replace table.entries
-          (r.Rule.rule_name, site.Rule.site_comps, site.Rule.site_data)
-          s)
-      !fresh;
+  if Hashtbl.length session.Rule.quarantine <> known then forget table
+  else List.iter (fun (k, s) -> k.eval <- Some s) !fresh;
   (match budget with
   | Some b ->
       for _ = 1 to !made do
@@ -1258,18 +1225,17 @@ let candidate_gains ?(table = new_table ()) ~exec ~cost ctx ~cleanups rules =
 
 type step = Committed of application | Refused | Quiescent
 
+(* The least gain a step commits. *)
+let min_gain = 1e-9
+
 (* One greedy step: score the candidates, merge — (rule index, site
    ordinal) order, the earlier candidate wins ties — and re-apply the
    winner through [commit_app] if it improves the cost by more than
-   [min_gain].  A commit computes its extent once, drops the table
-   entries it can have changed and re-finds the kept site lists on it.
-   When every cleanup is local, a commit from a cleanup-quiet state
-   runs its cleanups near its own edits, and a commit that leaves its
-   state cleanup-quiet says so in the table, so the next step need not
-   probe.  A refused commit that quarantined the winner's rule is
-   [Refused], so a pass goes on without that rule. *)
-let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
-    ctx ~cleanups rules =
+   [min_gain].  A commit refreshes the table on its entries.  When
+   every cleanup is local, a commit from a cleanup-quiet state runs its
+   cleanups near its own edits.  A refused commit that quarantined the
+   winner's rule is [Refused], so a pass goes on without that rule. *)
+let greedy_step ?budget ?(table = new_table ()) ~exec ~cost ctx ~cleanups rules =
   match budget with
   | Some b when Budget.exhausted b -> Quiescent
   | _ -> (
@@ -1283,23 +1249,13 @@ let greedy_step ?(min_gain = 1e-9) ?budget ?(table = new_table ()) ~exec ~cost
             | Ok gain, _ -> Some { rule = r; site; gain })
           None scored
       in
-      table.quiet_at <- None;
       match best with
       | Some app when app.gain > min_gain -> (
-          let local = all_local cleanups in
-          let design = ctx.Rule.design in
-          let generation = D.generation design in
-          match commit_app ?budget ~near:(quiet && local) ctx ~cleanups app with
-          | Some (entries, settled) ->
-              let comps, nets = extent design entries in
-              invalidate table comps nets;
-              refresh_sites table ctx ~generation comps;
-              if settled && local then
-                table.quiet_at <-
-                  Some
-                    ( design,
-                      D.generation design,
-                      Hashtbl.length ctx.Rule.session.Rule.quarantine );
+          let generation = D.generation ctx.Rule.design in
+          let near = quiet && all_local cleanups in
+          match commit_app ?budget ~near ctx ~cleanups app with
+          | Some entries ->
+              refresh table ctx ~generation entries;
               Committed app
           | None ->
               if is_quarantined ctx.Rule.session app.rule.Rule.rule_name then
@@ -1342,11 +1298,15 @@ let ops_touch st cids =
   st.clock <- st.clock + 1;
   List.iter (fun cid -> Hashtbl.replace st.recency cid st.clock) cids
 
-(* One recognize-act cycle: conflict set = all (rule, site) matches;
-   resolution: refraction, then recency of the matched components, then
-   specificity (site size), then rule order.  Returns false when the
-   conflict set is empty. *)
-let ops_cycle ctx st rules =
+(* One recognize-act cycle over the sites [matches] gives each rule:
+   conflict set = every (rule, site) match not yet fired; resolution:
+   refraction, then recency of the matched components, then
+   specificity (site size), then rule order.  The winner fires through
+   its raw [apply], and its edits are committed and fed to the
+   session's shared analysis.  Returns [None] when the conflict set is
+   empty, else whether the firing applied, the generation it fired
+   from and the entries it committed. *)
+let ops_fire ctx st rules ~matches =
   let conflict =
     List.concat_map
       (fun (r : Rule.t) ->
@@ -1354,7 +1314,7 @@ let ops_cycle ctx st rules =
           (fun (site : Rule.site) ->
             let key = (r.Rule.rule_name, site.Rule.site_comps) in
             if Hashtbl.mem st.fired key then None else Some (r, site))
-          (r.Rule.find ctx))
+          (matches r))
       rules
   in
   (* Third tie-break: rule order — the earlier a rule appears in the
@@ -1376,110 +1336,52 @@ let ops_cycle ctx st rules =
           (Hashtbl.find_opt rule_index r.Rule.rule_name)) )
   in
   match conflict with
-  | [] -> false
+  | [] -> None
   | first :: rest ->
       let r, site =
         List.fold_left
           (fun acc cand -> if score cand > score acc then cand else acc)
           first rest
       in
+      let generation = D.generation ctx.Rule.design in
       let log = D.new_log () in
       let applied = r.Rule.apply ctx site log in
+      let entries = D.entries log in
       D.commit ~label:r.Rule.rule_name ~design:ctx.Rule.design log;
+      Rule.advance_analysis ctx ~generation entries;
       if applied then lint_after ctx r.Rule.rule_name;
       Hashtbl.replace st.fired (r.Rule.rule_name, site.Rule.site_comps) ();
       if applied then ops_touch st site.Rule.site_comps;
-      true
+      Some (applied, generation, entries)
 
-let ops_run ?(max_cycles = 2000) ctx rules =
+let ops_cycle ctx st rules =
+  Option.is_some (ops_fire ctx st rules ~matches:(fun (r : Rule.t) -> r.Rule.find ctx))
+
+(* The naive matcher: every cycle finds every rule over the whole
+   design.  At most 2000 cycles; returns the cycle count. *)
+let ops_run ctx rules =
   let st = ops_create () in
-  let rec go n = if n >= max_cycles then n else if ops_cycle ctx st rules then go (n + 1) else n in
+  let rec go n = if n < 2000 && ops_cycle ctx st rules then go (n + 1) else n in
   go 0
 
 (* Incremental recognize-act, the Rete discipline of Section 2.2.1:
    "once a test has been performed on a tree node, it is not redone
    until a change in data occurs upon which the attribute is dependent".
-   The conflict set is computed once, then maintained incrementally:
-   after a firing, only sites in the neighbourhood of the touched
-   components are re-matched; stale sites are re-validated by [apply]
-   itself (which refuses sites that no longer match). *)
-let ops_run_incremental ?(max_cycles = 100000) ?(radius = 2) ctx rules =
-  let st = ops_create () in
-  let conflict :
-      (string * int list, Rule.t * Rule.site) Hashtbl.t =
-    Hashtbl.create 1024
+   The same cycle as [ops_run] reads its conflict set from a table:
+   each local rule's sites are kept across firings and re-matched only
+   on each firing's extent, so every cycle sees what a full scan would,
+   and [ops_run] fires exactly the same sites.  Any other rule is found
+   in full every cycle.  At most 100000 cycles; returns the firings
+   that applied. *)
+let ops_run_incremental ctx rules =
+  let st = ops_create () and table = conflict_set ~guarded:false in
+  let rec go cycles applied =
+    if cycles >= 100_000 then applied
+    else
+      match ops_fire ctx st rules ~matches:(sites table ctx) with
+      | None -> applied
+      | Some (ok, generation, entries) ->
+          refresh table ctx ~generation entries;
+          go (cycles + 1) (if ok then applied + 1 else applied)
   in
-  let add_sites () =
-    List.iter
-      (fun (r : Rule.t) ->
-        List.iter
-          (fun (site : Rule.site) ->
-            let key = (r.Rule.rule_name, site.Rule.site_comps) in
-            if not (Hashtbl.mem st.fired key) then
-              Hashtbl.replace conflict key (r, site))
-          (r.Rule.find ctx))
-      rules
-  in
-  (* Initial full match. *)
-  ctx.Rule.focus := None;
-  add_sites ();
-  let score (_, (site : Rule.site)) =
-    let rec_max =
-      List.fold_left (fun acc c -> max acc (ops_recency st c)) 0
-        site.Rule.site_comps
-    in
-    (rec_max, List.length site.Rule.site_comps)
-  in
-  let cycles = ref 0 in
-  let rec loop () =
-    if !cycles >= max_cycles || Hashtbl.length conflict = 0 then ()
-    else begin
-      (* Select the best live site. *)
-      let best = ref None in
-      Hashtbl.iter
-        (fun key entry ->
-          match !best with
-          | Some (_, bentry) when score bentry >= score entry -> ()
-          | _ -> best := Some (key, entry))
-        conflict;
-      match !best with
-      | None -> ()
-      | Some (key, (r, site)) ->
-          Hashtbl.remove conflict key;
-          Hashtbl.replace st.fired key ();
-          (* Re-test the pattern before firing (the Rete discipline): the
-             design may have changed since the site entered the conflict
-             set, and rule side conditions (fanout, connectivity) must
-             still hold. *)
-          let still_matches () =
-            let tbl = Hashtbl.create 4 in
-            List.iter (fun cid -> Hashtbl.replace tbl cid ()) site.Rule.site_comps;
-            ctx.Rule.focus := Some tbl;
-            let found = r.Rule.find ctx in
-            ctx.Rule.focus := None;
-            List.exists
-              (fun (s : Rule.site) ->
-                s.Rule.site_comps = site.Rule.site_comps
-                && s.Rule.site_data = site.Rule.site_data)
-              found
-          in
-          if Rule.site_alive ctx site && still_matches () then begin
-            let log = D.new_log () in
-            let applied = r.Rule.apply ctx site log in
-            D.commit ~label:r.Rule.rule_name ~design:ctx.Rule.design log;
-            if applied then begin
-              lint_after ctx r.Rule.rule_name;
-              incr cycles;
-              ops_touch st site.Rule.site_comps;
-              (* Re-match only around the touched components. *)
-              let hood = neighbourhood ctx site.Rule.site_comps radius in
-              ctx.Rule.focus := Some hood;
-              add_sites ();
-              ctx.Rule.focus := None
-            end
-          end;
-          loop ()
-    end
-  in
-  loop ();
-  !cycles
+  go 0 0

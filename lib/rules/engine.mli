@@ -165,8 +165,7 @@ val run_cleanups : Rule.context -> Rule.t list -> D.log -> unit
 val neighbourhood : Rule.context -> int list -> int -> (int, unit) Hashtbl.t
 (** [neighbourhood ctx seeds n]: component ids within [n] hops of the
     seeds, a hop being a shared net (radius 0 is the seeds alone).
-    Used by incremental recognize-act ({!ops_run_incremental}) and the
-    lookahead's N metarule. *)
+    Used by the lookahead's N metarule. *)
 
 val extent :
   D.t -> D.entry list -> (int, unit) Hashtbl.t * (int, unit) Hashtbl.t
@@ -180,16 +179,11 @@ val extent :
     read on [design] as it is now.  Under the locality contract
     ({!Rule.scan_comps}) its components are exactly the anchors whose
     match the edits can have changed: {!run_cleanups_near} focuses on
-    it, and after a commit {!greedy_step} invalidates its table and
-    re-finds its kept site lists on it. *)
-
-val cleanup_quiet : Rule.context -> Rule.t list -> bool
-(** No non-quarantined cleanup rule matches anywhere in the design.  A
-    [find] that raises makes the answer [false]; the probe never
-    quarantines. *)
+    it, and a {!table} is refreshed on it after each commit or firing. *)
 
 val run_cleanups_near : Rule.context -> Rule.t list -> D.log -> unit
-(** {!run_cleanups} for a design that was {!cleanup_quiet} before the
+(** {!run_cleanups} for a design that was cleanup-quiet (no live
+    cleanup rule matched anywhere) before the
     edits in the log: each [find] is focused ([Rule.focus]) on the
     edits' {!extent}, recomputed as the log grows.  Under the cleanup
     locality contract ({!Rule.scan_comps}) only an anchor in the extent
@@ -231,16 +225,15 @@ val commit_app :
   Rule.context ->
   cleanups:Rule.t list ->
   application ->
-  (D.entry list * bool) option
+  D.entry list option
 (** The authoritative commit of a chosen application: re-apply it
     through {!guarded_apply} (under the rule guard), run the cleanups
     ({!run_cleanups_near} when [near], else {!run_cleanups}), keep the
     measurer step, and commit with the application's attribution and
     guard verdict; advance the session's shared analysis over the
     committed entries, charge [budget] one step and note the apply to
-    the tracer.  Returns the committed entries and whether the cleanups
-    left the state cleanup-quiet, or [None] when the apply was refused
-    (everything it recorded rolled back). *)
+    the tracer.  Returns the committed entries, or [None] when the
+    apply was refused (everything it recorded rolled back). *)
 
 (** {2 Greedy control} *)
 
@@ -278,11 +271,11 @@ val evaluate :
 (** A {!Measured} evaluation: gain of applying the rule (with cleanups)
     at the site — apply, measure, undo.  [before] is [cost ()] of the
     current state — the undo is exact, so one baseline serves every
-    candidate scored from the same state.  [quiet] asserts the state is
-    {!cleanup_quiet}: the cleanups then run as {!run_cleanups_near},
-    otherwise as {!run_cleanups}.  Nothing is traced here — evaluations
-    run in worker tasks — so the outcome comes back as a value for
-    {!record_eval}.  (A {!Per_comp} evaluation runs the same apply and
+    candidate scored from the same state.  [quiet] asserts that no live
+    cleanup matches anywhere in the state: the cleanups then run as
+    {!run_cleanups_near}, otherwise as {!run_cleanups}.  Nothing is
+    traced here — evaluations run in worker tasks — so the outcome
+    comes back as a value for {!record_eval}.  (A {!Per_comp} evaluation runs the same apply and
     cleanups but hands back the candidate's effect — the components it
     removes, re-kinds and adds — and what it read, for the coordinator
     to score and keep.) *)
@@ -295,21 +288,22 @@ val record_eval : Rule.t -> eval -> unit
     outcomes a pass's table answers). *)
 
 type table
-(** A greedy pass's candidate table: each local candidate's last
-    {!Per_comp} evaluation — its effect (or rejection reason) and its
-    extent, the components and nets it read — keyed by rule name, site
-    components and site data; the state its last commit left known
-    cleanup-quiet, if any; and the pass's conflict set, each local
-    rule's site list on one state (see {!greedy_step}). *)
+(** The conflict set of a greedy pass: each local rule's site list on
+    one state (design and {!D.generation}), the cleanups' included, and
+    on each kept site its last {!Per_comp} evaluation — its effect (or
+    rejection reason) and what it read, the components and nets of its
+    extent.  After each commit, one refresh on the commit's {!extent}
+    keeps every list and evaluation exact (see {!greedy_step}). *)
 
 val new_table : unit -> table
 
 val sites : table -> Rule.context -> Rule.t -> Rule.site list
 (** A rule's sites on the current state, as {!greedy_step} scores them.
     For a rule declared [local], the list the table keeps when it
-    describes this state (same design, same {!D.generation}), else a
-    full {!guarded_find}, kept for the next call; a quarantined rule
-    matches nothing.  Any other rule is found in full every call. *)
+    describes this state, else a full {!guarded_find}, kept for the next
+    call; a quarantined rule matches nothing.  Any other rule is found
+    in full every call.  The state is cleanup-quiet when every
+    cleanup's sites are empty. *)
 
 val candidate_gains :
   ?table:table ->
@@ -331,11 +325,10 @@ type step =
       (** the winner's guarded commit was rolled back and its rule
           quarantined; other candidates may still improve *)
   | Quiescent
-      (** no candidate improves the cost by more than [min_gain], the
-          budget is exhausted, or a refused commit quarantined nothing *)
+      (** no candidate improves the cost by more than 1e-9, the budget
+          is exhausted, or a refused commit quarantined nothing *)
 
 val greedy_step :
-  ?min_gain:float ->
   ?budget:Budget.t ->
   ?table:table ->
   exec:Milo_parallel.Exec.t ->
@@ -345,55 +338,41 @@ val greedy_step :
   Rule.t list ->
   step
 (** One greedy step (the Logic Consultant's measure-the-gain control).
-    Every rule's sites are read on the coordinator ({!sites}): a rule
-    declared [local] keeps its list in the table across the steps of a
-    pass (the OPS conflict set), and any other rule is found in full
-    each step.  The sites [table] cannot answer are evaluated by one
-    supervised task per rule on a forked snapshot: a {!Measured} cost
-    is measured on the fork (once per task for the baseline, once per
-    candidate; by delta when the context carries a measurer, which the
-    fork inherits); a {!Per_comp} candidate hands back its effect, and
-    the coordinator
-    replays the cost's fold over the current design with that effect
-    applied, so every gain is bit-identical to a measurement.  When the
-    design is {!cleanup_quiet}, the candidates' cleanups are focused on
-    their own edits.  The merged winner — (rule index, site ordinal)
-    order, earlier candidate wins ties — is re-applied authoritatively
-    if it improves the cost by more than [min_gain].  The commit
-    advances the session's shared analysis over its entries
-    ({!Rule.advance_analysis}) when the analysis describes the state
-    the winner was applied to.
+    Every rule's sites, and whether the state is cleanup-quiet, are
+    read on the coordinator off the table ({!sites}): a rule declared
+    [local] keeps its list there across the steps of a pass, and any
+    other rule is found in full each step.  The sites that hold no kept
+    evaluation are evaluated by one supervised task per rule on a
+    forked snapshot: a {!Measured} cost is measured on the fork (once
+    per task for the baseline, once per candidate; by delta when the
+    context carries a measurer, which the fork inherits); a {!Per_comp}
+    candidate hands back its effect, and the coordinator replays the
+    cost's fold over the current design with that effect applied, so
+    every gain is bit-identical to a measurement.  When the state is
+    cleanup-quiet, the candidates' cleanups are focused on their own
+    edits.  The merged winner — (rule index, site ordinal) order,
+    earlier candidate wins ties — is re-applied through {!commit_app}
+    if it improves the cost by more than 1e-9; when every cleanup is
+    local, a commit from a cleanup-quiet state runs its cleanups as
+    {!run_cleanups_near}, as the candidates did.
 
     After a commit, the extent of its entries ({!extent}) is computed
-    once.  Each kept site list drops its sites anchored in it and
-    splices in, by anchor id, what one [find] focused on it matches, so
-    the list equals a full scan's, order included.  So no local rule
-    is found over the whole design again in the pass, unless a refused
-    commit (rolled back, so the design's generation moved) leaves the
-    lists describing another state.
+    once.  Each kept list drops its sites anchored in it and splices
+    in, by anchor id, what one [find] focused on it matches, so the
+    list equals a full scan's, order included; and each surviving site
+    forgets an evaluation whose read components or nets meet it.  So no
+    local rule is found over the whole design again in the pass, unless
+    a refused commit (rolled back, so the design's generation moved)
+    leaves the lists describing another state.
 
-    When every cleanup is local, a commit made from a cleanup-quiet
-    state runs its cleanups as {!run_cleanups_near}, as the candidates
-    did (under the cleanup locality contract they fire the sites
-    {!run_cleanups} would, in the same order); from any other state it
-    runs {!run_cleanups}.  If the cleanups' last pass found no site at
-    all and their budget held, the committed state is cleanup-quiet, and
-    the table records it (the design, its generation and the quarantine
-    size), so the next step on that state does not probe.  With a
-    non-local cleanup, every commit runs {!run_cleanups} and every step
-    probes.
-
-    The table (default: a fresh one, so nothing is reused) keeps the
-    {!Per_comp} evaluations of rules declared [local] ({!Rule.t}) when
-    every cleanup is local too, on a cleanup-quiet state, when the
-    cleanup cascade stayed inside its budget.  A commit drops every
-    entry whose extent meets the commit's: the components the committed
-    edits add, remove, reconnect or re-kind, the components on the nets
-    they touch and on the nets of the re-kinded components, and those
-    nets.  A state that is not cleanup-quiet, or a grown quarantine,
-    empties it.  The budget is charged one eval per evaluation made.
-    A faulting task quarantines its rule; the step never raises from a
-    task and never hangs on one. *)
+    The table keeps the {!Per_comp} evaluations of rules declared
+    [local] ({!Rule.t}) when every cleanup is local too, on a
+    cleanup-quiet state, when the cleanup cascade stayed inside its
+    budget.  A state that is not cleanup-quiet, or a grown quarantine,
+    forgets every kept evaluation and keeps the sites.  The budget is
+    charged one eval per evaluation made.  A faulting task quarantines
+    its rule; the step never raises from a task and never hangs on
+    one. *)
 
 val greedy_pass :
   ?max_steps:int ->
@@ -411,15 +390,31 @@ val greedy_pass :
     the pass.  [exec] defaults to [Exec.inline ()]; every plan gives
     identical results. *)
 
+(** {2 OPS-style recognize–act}
+
+    Each cycle's conflict set is every (rule, site) match not yet fired;
+    resolution is refraction, then recency of the matched components,
+    then specificity (site size), then rule order.  The winner fires
+    through its raw [apply] and [find] — failures stay loud, nothing is
+    quarantined — and each firing advances the session's shared
+    analysis over its entries. *)
+
 type ops_state
 
 val ops_create : unit -> ops_state
-val ops_cycle : Rule.context -> ops_state -> Rule.t list -> bool
-val ops_run : ?max_cycles:int -> Rule.context -> Rule.t list -> int
-(** Run recognize–act to quiescence; returns the cycle count. *)
 
-val ops_run_incremental :
-  ?max_cycles:int -> ?radius:int -> Rule.context -> Rule.t list -> int
-(** Recognize–act with Rete-style incremental matching: after each
-    firing, only the neighbourhood of the touched components is
-    re-examined; a full scan runs only to confirm quiescence. *)
+val ops_cycle : Rule.context -> ops_state -> Rule.t list -> bool
+(** One cycle, every rule found over the whole design; [false] when the
+    conflict set is empty. *)
+
+val ops_run : Rule.context -> Rule.t list -> int
+(** The naive matcher: cycles to quiescence, at most 2000; returns the
+    cycle count. *)
+
+val ops_run_incremental : Rule.context -> Rule.t list -> int
+(** Recognize–act with Rete-style incremental matching: the same cycle
+    as {!ops_run}, with each [local] rule's sites kept across firings
+    and re-found only on each firing's {!extent}, as a {!table} keeps
+    them, and every other rule found in full each cycle.  It fires
+    exactly what {!ops_run} fires and ends on the same design.  At most
+    100000 cycles; returns the firings that applied. *)

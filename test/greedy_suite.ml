@@ -14,21 +14,23 @@
    - Invalidation is load-bearing: a hand-built design where a commit
      changes a cached candidate's cleanup cascade without touching its
      site.
-   - A commit from a cleanup-quiet state cleans up near its own edits
-     and spares the next step's probe: the same passes with the
-     cleanups rebuilt non-local (probe every step, clean the whole
-     design on every commit) commit the same sequence and end equal,
-     on designs 1-8 and random logic at 150 and 300 gates, and the
-     known-quiet passes make fewer whole-design cleanup finds than one
-     probe per commit.
+   - A commit from a cleanup-quiet state cleans up near its own edits,
+     and the pass reads the next state's quietness off its kept cleanup
+     lists: the same passes with the cleanups rebuilt non-local (found
+     in full every step, clean the whole design on every commit) commit
+     the same sequence and end equal, on designs 1-8 and random logic
+     at 150 and 300 gates, and the kept passes make fewer whole-design
+     cleanup finds than one per cleanup and commit.
    - The extent meets a neighbour's re-kind with no net edit, and a
      net-only pin change.
    - The kept site lists: at every step of the level pass and of the
      area pass, on designs 1-8 and random logic at 150, 300 and 600
-     gates, each local rule's list as the table keeps it
-     ([Engine.sites], what scoring reads) equals a full find, order
-     included; and once the first step has found each local rule in
-     full, no step of the pass finds one over the whole design again. *)
+     gates, each local rule's list and each cleanup's as the table
+     keeps them ([Engine.sites], what scoring reads) equal a full find,
+     order included, so the step's cleanup-quiet answer equals a full
+     find of every cleanup; and once the first step has found each
+     local rule in full, no step of the pass finds one over the whole
+     design again. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -52,6 +54,10 @@ let exec = Milo_parallel.Exec.inline ()
 
 let ctx_of (target : Table_map.target) d =
   R.make_context target.Table_map.tech target.Table_map.set d
+
+(* No live cleanup matches anywhere in the design. *)
+let cleanup_quiet ctx cleanups =
+  List.for_all (fun c -> Engine.guarded_find ctx c = []) cleanups
 
 let ints l = String.concat "," (List.map string_of_int l)
 
@@ -234,7 +240,7 @@ let invalidation_load_bearing () =
   let lib = Milo_library.Generic.get () in
   let mk = R.make_context lib (Milo_compilers.Gate_comp.generic_set lib) in
   let d = cascade_design () in
-  if not (Engine.cleanup_quiet (mk d) cleanups) then
+  if not (cleanup_quiet (mk d) cleanups) then
     fail "cascade: the design is not cleanup-quiet, so nothing would be kept";
   let measured (ctx : R.context) () =
     List.fold_left (fun acc (c : D.comp) -> acc +. cascade_weight c.D.kind) 0.0
@@ -267,29 +273,29 @@ let counting count (r : R.t) =
         r.R.find ctx);
   }
 
-(* --- 4. Known-quiet commits ----------------------------------------------- *)
+(* --- 4. Kept cleanup lists ------------------------------------------------ *)
 
 (* A commit from a cleanup-quiet state runs its cleanups near its own
-   edits and leaves its state known quiet, so the next step skips the
-   probe — but only when every cleanup is local.  The same cleanups
-   rebuilt non-local take the path that probes every step and cleans
-   the whole design on every commit; both must commit the same sequence
-   and end equal.  Returns the number of commits and the whole-design
-   cleanup [find]s each side made. *)
-let known_quiet_differential (name, target, d) =
+   edits, and the pass keeps the cleanups' site lists, so the next step
+   reads its quietness off them — but only when every cleanup is local.
+   The same cleanups rebuilt non-local take the path that finds them in
+   full every step and cleans the whole design on every commit; both
+   must commit the same sequence and end equal.  Returns the number of
+   commits and the whole-design cleanup [find]s each side made. *)
+let kept_cleanups_differential (name, target, d) =
   let per, _ = level_costs target in
   let counted ~local count =
     List.map (fun r -> { (counting count r) with R.local }) cleanups
   in
-  let near = ref 0 and probing = ref 0 in
+  let near = ref 0 and in_full = ref 0 in
   let n =
     differential
       ~per_cleanups:(counted ~local:true near)
-      ~measured_cleanups:(counted ~local:false probing)
-      ~labels:("known-quiet", "probing") name (ctx_of target) d ~per
+      ~measured_cleanups:(counted ~local:false in_full)
+      ~labels:("kept", "found in full") name (ctx_of target) d ~per
       ~measured:per
   in
-  (n, !near, !probing)
+  (n, !near, !in_full)
 
 (* --- 5. The extent ------------------------------------------------------- *)
 
@@ -328,8 +334,9 @@ let extent_unit () =
 (* --- 6. The kept site lists ----------------------------------------------- *)
 
 (* One pass, step by step on one table until it quiesces: before each
-   step, every local rule's kept list must equal a full find of the
-   same state (by the unwrapped rule), order included, and the pass
+   step, every local rule's kept list and every cleanup's must equal a
+   full find of the same state (by the unwrapped rule), order included,
+   and so must the cleanup-quiet answer read off them; and the pass
    must make exactly one whole-design find per local rule, at its first
    step.  Returns the steps taken and the lists compared. *)
 let kept_sites_pass what ~cost ctx rules =
@@ -339,21 +346,30 @@ let kept_sites_pass what ~cost ctx rules =
   in
   let table = Engine.new_table () in
   let check step =
+    let same (r : R.t) (w : R.t) =
+      let kept = Engine.sites table ctx w in
+      let full = Engine.guarded_find ctx r in
+      if kept <> full then
+        fail "%s: step %d: %s keeps %d sites, a full find has %d%s" what step
+          r.R.rule_name (List.length kept) (List.length full)
+          (if List.length kept = List.length full then
+             " (in another order or with other sites)"
+           else "")
+    in
+    List.iter (fun c -> same c c) cleanups;
+    let kept_quiet = List.for_all (fun c -> Engine.sites table ctx c = []) cleanups in
+    if kept_quiet <> cleanup_quiet ctx cleanups then
+      fail "%s: step %d: the kept cleanup lists read %s" what step
+        (if kept_quiet then "quiet on a state that is not"
+         else "not quiet on a quiet state");
     List.fold_left2
       (fun n (r : R.t) (w : R.t) ->
         if not r.R.local then n
         else begin
-          let kept = Engine.sites table ctx w in
-          let full = Engine.guarded_find ctx r in
-          if kept <> full then
-            fail "%s: step %d: %s keeps %d sites, a full find has %d%s" what
-              step r.R.rule_name (List.length kept) (List.length full)
-              (if List.length kept = List.length full then
-                 " (in another order or with other sites)"
-               else "");
+          same r w;
           n + 1
         end)
-      0 rules watched
+      (List.length cleanups) rules watched
   in
   let rec go step lists =
     let lists = lists + check step in
@@ -398,23 +414,23 @@ let () =
     @ List.map Mapped_cases.random_logic [ 150; 300; 600 ]
   in
   List.iter workload_differential cases;
-  let commits, near, probing =
+  let commits, near, in_full =
     List.fold_left
       (fun (c, n, p) ((name, _, _) as case) ->
         if String.starts_with ~prefix:"random_logic_600" name then (c, n, p)
         else
-          let c', n', p' = known_quiet_differential case in
+          let c', n', p' = kept_cleanups_differential case in
           (c + c', n + n', p + p'))
       (0, 0, 0) cases
   in
   Printf.printf
-    "ok   known-quiet: %d commits identical to the probing path; \
-     whole-design cleanup finds %d (probing: %d)\n"
-    commits near probing;
-  (* probing every step would take one find per cleanup per commit *)
+    "ok   kept cleanup lists: %d commits identical to finding them in full; \
+     whole-design cleanup finds %d (in full: %d)\n"
+    commits near in_full;
+  (* finding them every step would take one find per cleanup per commit *)
   if near >= List.length cleanups * commits then
-    fail "known-quiet: %d whole-design cleanup finds over %d commits" near
-      commits;
+    fail "kept cleanup lists: %d whole-design cleanup finds over %d commits"
+      near commits;
   (* The replay is pinned up to 300 gates: at 600, measuring every
      candidate twice would cost more than the rest of the suite. *)
   let first, later =
@@ -439,8 +455,9 @@ let () =
       (0, 0, 0) cases
   in
   Printf.printf
-    "ok   kept sites: %d lists equal to a full find over %d level and %d \
-     area steps; one whole-design find per local rule and pass\n"
+    "ok   kept sites: %d lists (cleanups' included) equal to a full find \
+     over %d level and %d area steps; one whole-design find per local rule \
+     and pass\n"
     lists level area;
   if area = 0 then fail "kept sites: no area pass took a step";
   Printf.printf "greedy_suite: %.1f s\n" (Unix.gettimeofday () -. t0);

@@ -304,6 +304,10 @@ let candidates ?(rules = Milo_critic.Critic.(logic @ area @ power)) ctx =
     (fun r -> List.map (fun s -> (r, s)) (Engine.guarded_find ctx r))
     rules
 
+(* No live cleanup matches anywhere in the design. *)
+let cleanup_quiet ctx cleanups =
+  List.for_all (fun c -> Engine.guarded_find ctx c = []) cleanups
+
 (* On a cleanup-quiet design, each candidate applied with focused
    cleanups and with whole-design cleanups (on two copies) must reach
    the same design and the same level cost.  Returns the number of
@@ -311,7 +315,7 @@ let candidates ?(rules = Milo_critic.Critic.(logic @ area @ power)) ctx =
    them made a cleanup fire. *)
 let check_locality what target d =
   let ctx = ctx_of target d in
-  if not (Engine.cleanup_quiet ctx cleanups) then (0, 0)
+  if not (cleanup_quiet ctx cleanups) then (0, 0)
   else
     List.fold_left
       (fun (n, fired) ((r : R.t), (site : R.site)) ->
@@ -394,10 +398,10 @@ let test_planted_debris_takes_full_path () =
   (* A greedy step focuses its candidates' cleanups only on a
      cleanup-quiet design.  The cleanup rules are wrapped to count
      focused and whole-design [find]s: one step on the quiet design
-     makes focused finds; the same step after planting a double
-     inverter makes none.  A commit from a quiet design cleans up near
-     its own edits and leaves its state known quiet, so the pass's next
-     step makes no whole-design find at all. *)
+     makes focused finds; scoring the candidates after planting a
+     double inverter makes none.  The pass keeps the cleanups' site
+     lists and refreshes them on each commit's extent, so its next step
+     makes no whole-design find at all. *)
   let target = Table_map.ecl_target () in
   let _, quiet_d = mapped_design ~gates:150 ~seed:7 in
   Engine.run_cleanups (ctx_of target quiet_d) cleanups (D.new_log ());
@@ -417,31 +421,47 @@ let test_planted_debris_takes_full_path () =
         })
       cleanups
   in
-  let step ?(table = Engine.new_table ()) ctx =
-    let quiet = Engine.cleanup_quiet ctx cleanups in
+  let exec = Milo_parallel.Exec.inline ()
+  and cost = Engine.Measured (level_cost target) in
+  let counted f =
     focused := 0;
     unfocused := 0;
-    (match
-       Engine.greedy_step ~table ~exec:(Milo_parallel.Exec.inline ())
-         ~cost:(Engine.Measured (level_cost target))
-         ctx ~cleanups:watched Milo_critic.Critic.logic
-     with
-    | Engine.Committed _ -> ()
-    | Engine.Refused | Engine.Quiescent -> Alcotest.fail "no greedy step");
-    (quiet, !focused, !unfocused)
+    f ();
+    (!focused, !unfocused)
+  in
+  let step table ctx =
+    let quiet = cleanup_quiet ctx cleanups in
+    let n, u =
+      counted (fun () ->
+          match
+            Engine.greedy_step ~table ~exec ~cost ctx ~cleanups:watched
+              Milo_critic.Critic.logic
+          with
+          | Engine.Committed _ -> ()
+          | Engine.Refused | Engine.Quiescent -> Alcotest.fail "no greedy step")
+    in
+    (quiet, n, u)
   in
   let ctx = ctx_of target quiet_d and table = Engine.new_table () in
-  let quiet, n, u = step ~table ctx in
+  let quiet, n, u = step table ctx in
   Alcotest.(check bool) "mapped design is quiet after cleanups" true quiet;
   Alcotest.(check bool) "quiet design: focused finds" true (n > 0);
-  Alcotest.(check int) "quiet design: one probe per cleanup" (List.length cleanups) u;
-  let quiet, n, u = step ~table ctx in
+  Alcotest.(check int) "quiet design: one whole-design find per cleanup"
+    (List.length cleanups) u;
+  let quiet, n, u = step table ctx in
   Alcotest.(check bool) "still quiet after the commit" true quiet;
   Alcotest.(check bool) "after a quiet commit: focused finds" true (n > 0);
   Alcotest.(check int) "after a quiet commit: no whole-design find" 0 u;
-  let quiet, n, _ = step (ctx_of target planted_d) in
-  Alcotest.(check bool) "planted pair breaks quietness" false quiet;
-  Alcotest.(check int) "planted design: no focused find" 0 n
+  let ctx = ctx_of target planted_d in
+  Alcotest.(check bool) "planted pair breaks quietness" false
+    (cleanup_quiet ctx cleanups);
+  let n, _ =
+    counted (fun () ->
+        ignore
+          (Engine.candidate_gains ~exec ~cost ctx ~cleanups:watched
+             Milo_critic.Critic.logic))
+  in
+  Alcotest.(check int) "planted design: no focused find while scoring" 0 n
 
 let test_hoisted_baseline_exact () =
   (* A task measures its fork once; every evaluation undoes itself
@@ -452,7 +472,7 @@ let test_hoisted_baseline_exact () =
   List.iter
     (fun (name, target, d) ->
       let ctx = ctx_of target d in
-      let quiet = Engine.cleanup_quiet ctx cleanups in
+      let quiet = cleanup_quiet ctx cleanups in
       let rules =
         Milo_critic.Critic.logic @ Milo_critic.Critic.area @ Milo_critic.Critic.power
       in

@@ -208,26 +208,78 @@ let test_ops_engine () =
   Util.check_equiv (Util.env_ecl ()) reference (Util.env_ecl ()) d
 
 let test_ops_incremental_matches_naive () =
-  (* The Rete-style incremental engine reaches the same quiescent
-     quality as the full-rescan engine, and stays equivalent. *)
-  let src = Milo_designs.Workload.random_logic ~gates:80 ~seed:19 () in
-  let target = Milo_techmap.Table_map.ecl_target () in
-  let rules = Milo_critic.Critic.logic @ Milo_critic.Critic.cleanup in
-  let run engine =
-    let d = Milo_techmap.Table_map.map_design target src in
-    let ctx = Util.ctx_for (Util.ecl ()) d in
-    ignore (engine ctx rules);
-    d
+  (* The Rete-style incremental matcher runs the naive matcher's cycle
+     over a conflict set it keeps, so it fires exactly what the naive
+     matcher fires: the same sites in the same order, each applying or
+     not alike, and structurally the same design, which stays
+     equivalent to its input.  [ops_run] counts its cycles and
+     [ops_run_incremental] the firings that applied.  On mapped random
+     logic, where every firing applies, and on LSS's NAND/NOR level,
+     where the cleanups fire and some firings do not apply. *)
+  let same label tech rules input =
+    let run engine =
+      let fired = ref [] in
+      let logged =
+        List.map
+          (fun (r : R.t) ->
+            {
+              r with
+              R.apply =
+                (fun ctx (site : R.site) log ->
+                  let ok = r.R.apply ctx site log in
+                  fired := (r.R.rule_name, site.R.site_comps, ok) :: !fired;
+                  ok);
+            })
+          rules
+      in
+      let d = input () in
+      let n = engine (Util.ctx_for tech d) logged in
+      (n, List.rev !fired, d)
+    in
+    let cycles, fired, naive = run Milo_rules.Engine.ops_run in
+    let applied, fired', incr = run Milo_rules.Engine.ops_run_incremental in
+    Alcotest.(check bool) (label ^ ": same firings, in order") true (fired = fired');
+    Alcotest.(check int) (label ^ ": naive counts cycles") (List.length fired) cycles;
+    Alcotest.(check int)
+      (label ^ ": incremental counts applied firings")
+      (List.length (List.filter (fun (_, _, ok) -> ok) fired'))
+      applied;
+    Alcotest.(check bool) (label ^ ": same design") true
+      (D.equal_structure naive incr);
+    incr
   in
-  let naive = run (fun ctx r -> Milo_rules.Engine.ops_run ctx r) in
-  let incr = run (fun ctx r -> Milo_rules.Engine.ops_run_incremental ctx r) in
-  Util.check_equiv (Util.env_ecl ()) naive (Util.env_ecl ()) incr;
-  let reference = Milo_techmap.Table_map.map_design target src in
-  Util.check_equiv (Util.env_ecl ()) reference (Util.env_ecl ()) incr;
-  (* both engines should reach comparable sizes *)
-  Alcotest.(check bool) "similar quiescent size" true
-    (abs (D.num_comps naive - D.num_comps incr)
-     <= max 3 (D.num_comps naive / 5))
+  let target = Milo_techmap.Table_map.ecl_target () in
+  List.iter
+    (fun (gates, seed) ->
+      let src = Milo_designs.Workload.random_logic ~gates ~seed () in
+      let mapped () = Milo_techmap.Table_map.map_design target src in
+      let incr =
+        same
+          (Printf.sprintf "%d gates, seed %d" gates seed)
+          (Util.ecl ())
+          (Milo_critic.Critic.logic @ Milo_critic.Critic.cleanup)
+          mapped
+      in
+      Util.check_equiv (Util.env_ecl ()) (mapped ()) (Util.env_ecl ()) incr)
+    [ (80, 19); (200, 7); (400, 7) ];
+  List.iter
+    (fun (case : Milo_designs.Suite.case) ->
+      let nand_nor () =
+        let db = Milo_compilers.Database.create () in
+        Milo_compilers.Compile.expand_design db (Util.generic ())
+          case.Milo_designs.Suite.case_design
+        |> Milo_compilers.Database.flatten db
+        |> Milo_baselines.Lss.to_and_or |> Milo_baselines.Lss.to_nand_nor
+      in
+      let incr =
+        same
+          (case.Milo_designs.Suite.case_name ^ " NAND/NOR")
+          (Util.generic ())
+          Milo_critic.Critic.(logic @ area @ cleanup)
+          nand_nor
+      in
+      Util.check_equiv (Util.env_gen ()) (nand_nor ()) (Util.env_gen ()) incr)
+    Milo_designs.Suite.[ design1 (); design2 () ]
 
 let test_focused_find_order () =
   (* A focus covering every component lists exactly the sites of an
@@ -459,6 +511,37 @@ let test_greedy_improves_cost () =
       Alcotest.(check bool) "positive gains" true (a.Milo_rules.Engine.gain > 0.0))
     apps
 
+(* A cleanup whose [find] raises is quarantined once, on the
+   coordinator, when the greedy step reads its site list: its first
+   failure's message, a count of 1, and the step goes on without it. *)
+let test_raising_cleanup_find () =
+  let src = Milo_designs.Workload.random_logic ~gates:40 ~seed:33 () in
+  let target = Milo_techmap.Table_map.ecl_target () in
+  let d = Milo_techmap.Table_map.map_design target src in
+  let ctx = Util.ctx_for (Util.ecl ()) d in
+  let env name = Milo_library.Technology.find (Util.ecl ()) name in
+  let cost (ctx : R.context) () = Milo_estimate.Estimate.area env ctx.R.design in
+  let broken =
+    R.make ~local:true ~name:"broken-cleanup" ~cls:R.Cleanup
+      ~find:(fun _ -> failwith "boom")
+      ~apply:(fun _ _ _ -> false) ()
+  in
+  (match
+     Milo_rules.Engine.greedy_step ~exec:(Milo_parallel.Exec.inline ())
+       ~cost:(Milo_rules.Engine.Measured cost) ctx
+       ~cleanups:(broken :: Milo_critic.Critic.cleanup)
+       (Milo_critic.Critic.logic @ Milo_critic.Critic.area)
+   with
+  | Milo_rules.Engine.Committed _ -> ()
+  | Milo_rules.Engine.Refused | Milo_rules.Engine.Quiescent ->
+      Alcotest.fail "no greedy step");
+  Alcotest.(check (list (pair string int)))
+    "quarantined once" [ ("broken-cleanup", 1) ]
+    (Milo_rules.Engine.quarantined ctx.R.session);
+  Alcotest.(check (list (pair string string)))
+    "with its own failure" [ ("broken-cleanup", {|Failure("boom")|}) ]
+    (Milo_rules.Engine.quarantined_errors ctx.R.session)
+
 let test_search_lookahead () =
   let src = Milo_designs.Workload.random_logic ~gates:40 ~seed:33 () in
   let target = Milo_techmap.Table_map.ecl_target () in
@@ -596,6 +679,8 @@ let () =
           Alcotest.test_case "cleanup budget accounting" `Quick
             test_cleanup_budget_accounting;
           Alcotest.test_case "greedy improves" `Quick test_greedy_improves_cost;
+          Alcotest.test_case "raising cleanup find quarantined once" `Quick
+            test_raising_cleanup_find;
         ] );
       ( "search",
         [
