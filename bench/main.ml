@@ -472,6 +472,17 @@ let bechamel () =
     Milo_absint.Absint.env_of_techs
       [ Milo_library.Ecl.get (); Milo_library.Generic.get () ]
   in
+  (* flowbench's 150-gate random logic, mapped as the human baseline,
+     and its required delay there: half the baseline's. *)
+  let rl150 =
+    fst
+      (Milo.Flow.human_baseline ~technology:Milo.Flow.Ecl
+         (Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates:150
+            ~seed:7 ()))
+  in
+  let rl150_required =
+    0.5 *. Milo_timing.Sta.worst_delay (Milo_timing.Sta.analyze env rl150)
+  in
   let tests =
     [
       Test.make ~name:"E1-flow-design3"
@@ -517,6 +528,19 @@ let bechamel () =
       Test.make ~name:"absint-design7-cold"
         (Staged.stage (fun () ->
              ignore (Milo_absint.Absint.analyze ecl_env design7)));
+      Test.make ~name:"time-opt-rl150"
+        (Staged.stage (fun () ->
+             let ecl = Milo_library.Ecl.get () in
+             let d = D.copy rl150 in
+             let ctx =
+               R.make_context ecl
+                 (Milo_compilers.Gate_comp.named_set ~prefix:"E_" ecl)
+                 d
+             in
+             ctx.R.measurer := Some (Milo_measure.Measure.create ecl d);
+             ignore
+               (Milo_optimizer.Time_opt.optimize ~required:rl150_required
+                  ~cleanups:Milo_critic.Critic.cleanup ctx)));
     ]
   in
   let benchmark test =

@@ -677,14 +677,16 @@ let run_impl ~technology ~constraints ~lint ~budget ~hooks ~trace ~guard
     end;
     checkpoint Optimize optimized;
     (* Analysis stage: abstract-interpretation facts over the final
-       design.  The fact-driven lint passes report through the same
-       findings channel as the structural ones. *)
+       design, from the kernel memo the optimizer's absint rules left
+       in the session.  The fact-driven lint passes report through the
+       same findings channel as the structural ones. *)
     let analysis =
       if lint = Milo_lint.Lint.Off then None
       else
         Milo_trace.Trace.with_span "lint:analysis" @@ fun () ->
         let st =
           Milo_absint.Absint.analyze
+            ?memo:(Milo_critic.Absint_rules.memo session target.Table_map.tech)
             ~resolve:(Database.resolver db mapped)
             (Milo_absint.Absint.env_of_techs mapped)
             optimized

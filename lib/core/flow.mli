@@ -177,7 +177,9 @@ val run :
     the previous checkpoint (exhaustive for small input counts,
     random-vector and lock-step sequential otherwise), and the engine
     re-simulates committed rule applications over their touched cone
-    (candidate evaluations are unguarded oracles), reverting
+    (candidate evaluations are unguarded oracles; a timing strategy's
+    in-place try is guarded, and rewinds the guard when it is refused),
+    reverting
     and quarantining any rule caught changing function
     ([Engine.Miscompiled]).  A stage-level mismatch degrades the run
     to [Partial] with a [Milo_guard.Guard.Miscompile] error carrying

@@ -40,7 +40,7 @@ let analyze ctx =
   | Some (Facts st) -> st
   | Some _ | None ->
       let memo =
-        match R.previous_analysis ctx with
+        match R.latest_analysis ctx.R.session ctx.R.tech with
         | Some (Facts prev) -> Some (Absint.memo prev)
         | Some _ | None -> None
       in
@@ -51,6 +51,16 @@ let analyze ctx =
       in
       R.set_analysis ctx (Facts st) ~advance:(Absint.advance st);
       st
+
+(* The kernel memo of the session's latest analysis under [tech], so
+   an analysis made outside the rules (the flow's analysis stage of the
+   optimized design) starts from what the run already knows.  The memo
+   is keyed on the macros' physical identity, so a macro it has not
+   seen is only a miss. *)
+let memo session tech =
+  match R.latest_analysis session tech with
+  | Some (Facts st) -> Some (Absint.memo st)
+  | Some _ | None -> None
 
 (* Single-output combinational macro components only: removing one
    keeps every other net's driver intact. *)

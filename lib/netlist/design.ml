@@ -343,6 +343,10 @@ let set_kind ?log t cid kind =
   change_kind t c kind;
   record log (E_set_kind (cid, old, kind))
 
+(* Undoing the addition of the newest id hands the id back, so a whole
+   log undone (newest entry first) leaves the fresh-id counters where
+   they were.  An older id stays spent: an id committed after it is
+   still live. *)
 let undo_entry t =
   touch t;
   function
@@ -350,14 +354,17 @@ let undo_entry t =
       let c = Hashtbl.find t.comps cid in
       let pins = Hashtbl.fold (fun pin _ acc -> pin :: acc) c.conns [] in
       List.iter (fun pin -> ignore (detach_pin t cid pin)) pins;
-      Hashtbl.remove t.comps cid
+      Hashtbl.remove t.comps cid;
+      if cid = t.next_comp - 1 then t.next_comp <- cid
   | E_remove_comp (cid, cname, kind, saved) ->
       Hashtbl.replace t.comps cid (make_comp cid cname kind);
       List.iter (fun (pin, nid) -> attach_pin t cid pin nid) saved
   | E_connect (cid, pin, prev, _) -> (
       ignore (detach_pin t cid pin);
       match prev with None -> () | Some nid -> attach_pin t cid pin nid)
-  | E_add_net (nid, _) -> Hashtbl.remove t.nets nid
+  | E_add_net (nid, _) ->
+      Hashtbl.remove t.nets nid;
+      if nid = t.next_net - 1 then t.next_net <- nid
   | E_remove_net (nid, nname, nport) ->
       Hashtbl.replace t.nets nid (make_net nid nname nport)
   | E_set_kind (cid, old, _) -> change_kind t (Hashtbl.find t.comps cid) old

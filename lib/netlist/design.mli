@@ -125,7 +125,14 @@ val remove_net : ?log:log -> t -> int -> unit
 val set_kind : ?log:log -> t -> int -> Types.kind -> unit
 
 val undo : t -> log -> unit
-(** Undo every recorded edit (most recent first) and clear the log. *)
+(** Undo every recorded edit (most recent first) and clear the log.
+    The fresh-id counters ({!counters}) are restored too: undoing the
+    addition of the newest component or net id hands that id back, so
+    after a log is undone the next {!add_comp} and {!new_net} return
+    the ids they would have returned had the log never been recorded.
+    An id that is not the newest stays spent, so undoing an older log
+    after a later one was committed never lowers a counter below an id
+    that is still in use. *)
 
 (** Semantic-guard verdict on one committed rule application. *)
 type verdict =

@@ -180,15 +180,16 @@ let flat_passes ~exec ~session ~required ~input_arrivals ?budget target d =
   in
   electric ();
   (* One incremental measurer for the whole flat optimization stage:
-     the timing and area passes below share it through the context, and
-     their oracle workers fork it, so candidate evaluation costs a cone
+     the timing and area passes below share it through the context (the
+     timing pass tries its strategies on it in place, the area pass's
+     workers fork it), so candidate evaluation costs a cone
      re-propagation instead of a full-design STA + estimate fold. *)
   ctx.R.measurer :=
     Some (Milo_measure.Measure.create ~input_arrivals target.Table_map.tech d);
   let timing =
     if required < infinity then
       Some
-        (Time_opt.optimize ~exec ~required ?budget
+        (Time_opt.optimize ~required ?budget
            ~cleanups:Milo_critic.Critic.cleanup ctx)
     else None
   in

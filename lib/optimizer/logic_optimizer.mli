@@ -74,9 +74,11 @@ val flat_passes :
     Returns the timing outcome ([None] when [required] is [infinity]).
     A flat design has no [Instance] kinds, so no technology database
     is needed.  One [Milo_measure.Measure] sits in the rule context for
-    the whole call, and every worker fork carries a fork of it, so the
-    timing and area passes evaluate candidates by delta-STA and
-    streaming totals instead of full recomputes. *)
+    the whole call: the timing pass tries each strategy on it in place,
+    and every worker fork of the area pass carries a fork of it, so
+    both evaluate candidates by delta-STA and streaming totals instead
+    of full recomputes.  [exec] is the area pass's plan; the timing
+    pass forks nothing. *)
 
 val optimize :
   ?exec:Milo_parallel.Exec.t ->
@@ -96,8 +98,9 @@ val optimize :
     flattening always complete, so an exhausted budget degrades to the
     mapped-but-unoptimized design.
 
-    [exec] (default [Exec.inline ()]) is the execution plan of every
-    pass: per-level greedy, the strategy oracles (one at a time) and
-    per-rule candidate fan-out.  Every context the optimizer builds
+    [exec] (default [Exec.inline ()]) is the execution plan of the
+    per-rule candidate fan-out of the per-level greedy passes and of
+    area recovery; the timing strategies are tried in place, one at a
+    time, whatever the plan.  Every context the optimizer builds
     carries [session] (default: a fresh one), so quarantine, rule guard
     and certificates span the whole optimization. *)

@@ -21,8 +21,7 @@ type outcome = { met : bool; final_delay : float; steps : step list }
 (* The context's measurer is kept in lock-step with every committed
    edit, so its live Sta view and running totals are always current
    (and carry the input arrivals it was created with).  Every context
-   the optimizer runs on has one: the flat stage installs it, and
-   [Rule.fork_context] forks it for the oracles. *)
+   the optimizer runs on has one: the flat stage installs it. *)
 let measurer ctx =
   match !(ctx.R.measurer) with
   | Some m -> m
@@ -44,10 +43,23 @@ let cost_of ctx =
     power = c.Milo_measure.Measure.power;
   }
 
-(* Try one strategy on the most critical path; keep the edit only if the
-   worst delay strictly improves without a runaway area cost (the
-   two-level collapse of an XOR-rich cone can explode, as the paper
-   notes about the Logic Consultant's minimizer). *)
+module Engine = Milo_rules.Engine
+
+let exhausted budget =
+  match budget with Some b -> Milo_rules.Budget.exhausted b | None -> false
+
+(* Quarantine key for a whole strategy: strategies are not rules, but
+   a raising strategy is contained the same way — under a reserved name
+   the rule tables cannot collide with. *)
+let strategy_key name = "strategy:" ^ name
+
+(* Try one strategy on the most critical path, in place; keep the edit
+   only if the worst delay strictly improves without a runaway area
+   cost (the two-level collapse of an XOR-rich cone can explode, as the
+   paper notes about the Logic Consultant's minimizer).  A refused try
+   leaves no trace: the log is undone (ids included), the measurer
+   retreats exactly and the rule guard is rewound.  A strategy that
+   raises is refused the same way and quarantined. *)
 let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
   (match budget with Some b -> Milo_rules.Budget.eval b | None -> ());
   let sta = analyze ctx in
@@ -59,17 +71,27 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
       (* Attribution is built only when the commit is recorded. *)
       let attributed = D.has_commit_hook ctx.R.design in
       let before_cost = if attributed then Some (cost_of ctx) else None in
+      let session = ctx.R.session in
+      let guard = Engine.guard_mark session in
       let log = D.new_log () in
+      let refuse ?step () =
+        D.undo ctx.R.design log;
+        Option.iter (Engine.measure_drop ctx) step;
+        Engine.guard_rewind session guard;
+        None
+      in
       match s.Strategies.run ctx sta path log with
-      | Strategies.Not_applicable ->
-          D.undo ctx.R.design log;
-          None
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception e ->
+          Engine.note_failure_named session ~reason:Engine.Raised
+            (strategy_key s.Strategies.strat_name)
+            (Printexc.to_string e);
+          refuse ()
+      | Strategies.Not_applicable -> refuse ()
       | Strategies.Applied detail -> (
-          Milo_rules.Engine.run_cleanups ctx cleanups log;
-          match Milo_rules.Engine.measure_step ctx log with
-          | Milo_rules.Engine.Measure_failed ->
-              D.undo ctx.R.design log;
-              None
+          Engine.run_cleanups ctx cleanups log;
+          match Engine.measure_step ctx log with
+          | Engine.Measure_failed -> refuse ()
           | step ->
               let after = worst ctx in
               let area_after = area ctx in
@@ -81,7 +103,7 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
                    [Engine.greedy_step]'s commit): if keeping forces a resync,
                    the totals attached to the commit below are the
                    resynced — final — ones, so attribution telescopes. *)
-                Milo_rules.Engine.measure_keep ctx step;
+                Engine.measure_keep ctx step;
                 let attr =
                   if attributed then
                     {
@@ -104,64 +126,40 @@ let try_strategy ?budget ctx ~cleanups (s : Strategies.strategy) =
                     delay_after = after;
                   }
               end
-              else begin
-                D.undo ctx.R.design log;
-                Milo_rules.Engine.measure_drop ctx step;
-                None
-              end))
-
-module Exec = Milo_parallel.Exec
-
-(* Quarantine key for a whole strategy: strategies are not rules, but
-   a faulting strategy task is contained the same way — under a
-   reserved name the rule tables cannot collide with. *)
-let strategy_key name = "strategy:" ^ name
+              else refuse ~step ()))
 
 (* One optimizer iteration (Figure 8's "try strategies in slack
-   order"): each non-quarantined strategy in [order], in turn, is tried
-   by one [Engine.fan_out] task on a forked snapshot (a pure would-this-help
-   oracle that measures by delta on its forked measurer); the first one
-   the oracle says helps is re-run authoritatively on the real context,
-   and the first that the re-run confirms ends the iteration — so
-   trace, provenance, the measurer and the budget see exactly one
-   strategy application.  The strategies after it are never tried.
-   Each oracle's trapped failures are imported, or a faulting oracle
-   quarantines its strategy for the rest of the run, before the next
-   oracle's fork is made.  The dispatch is sequential because the
-   strategies are tried in order and the first success wins; it is the
-   same for every [exec]. *)
-let try_all ?budget ~exec ctx ~cleanups order =
-  let oracle (s : Strategies.strategy) key =
-    (match budget with Some b -> Milo_rules.Budget.eval b | None -> ());
-    (Milo_rules.Engine.fan_out ~exec ctx
-       [ (Some key, fun wctx -> try_strategy wctx ~cleanups s <> None) ]).(0)
-    = Some true
+   order"): each strategy of [strategies] that is not quarantined is
+   tried once, in turn, in place, and the first that helps is the
+   iteration's one committed application — the strategies after it are
+   never tried.  The budget is checked before each try; a try that has
+   started runs to its end, because a strategy is one local rewrite. *)
+let try_all ?budget ctx ~cleanups strategies =
+  let rec go = function
+    | [] -> None
+    | _ when exhausted budget -> None
+    | (s : Strategies.strategy) :: rest -> (
+        if Engine.is_quarantined ctx.R.session (strategy_key s.Strategies.strat_name)
+        then go rest
+        else
+          match try_strategy ?budget ctx ~cleanups s with
+          | None -> go rest
+          | step -> step)
   in
-  List.find_map
-    (fun id ->
-      let s = Strategies.by_id id in
-      let key = strategy_key s.Strategies.strat_name in
-      if
-        Milo_rules.Engine.is_quarantined ctx.R.session key
-        || not (oracle s key)
-      then None
-      else try_strategy ?budget ctx ~cleanups s)
-    order
+  go strategies
 
-let optimize ?(exec = Exec.inline ()) ?(required = 0.0) ?(max_steps = 64)
-    ?budget ~cleanups ctx =
+let optimize ?(required = 0.0) ?(max_steps = 64) ?budget ~cleanups ctx =
   Milo_trace.Trace.with_span "time-opt" @@ fun () ->
   let steps = ref [] in
-  let exhausted () =
-    match budget with Some b -> Milo_rules.Budget.exhausted b | None -> false
-  in
   let rec loop n =
     let current = worst ctx in
-    if current <= required || n >= max_steps || exhausted () then current
+    if current <= required || n >= max_steps || exhausted budget then current
     else begin
       let deficit = current -. required in
       let order = Strategies.order_for ~deficit ~required:(Float.max required current) in
-      match try_all ?budget ~exec ctx ~cleanups order with
+      match
+        try_all ?budget ctx ~cleanups (List.map Strategies.by_id order)
+      with
       | Some step ->
           steps := step :: !steps;
           loop (n + 1)

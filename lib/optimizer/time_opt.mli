@@ -27,9 +27,31 @@ val try_strategy :
   cleanups:R.t list ->
   Strategies.strategy ->
   step option
+(** One try, in place on the context, charged one budget evaluation:
+    apply the strategy to the most critical path, run [cleanups],
+    measure by delta on the context's measurer, and commit only if the
+    worst arrival strictly falls without a runaway area cost.  A
+    refused try leaves no trace: the design is undone (its fresh-id
+    counters included), the measurer retreats exactly and the rule
+    guard is rewound ({!Milo_rules.Engine.guard_rewind}).  A strategy
+    whose [run] raises is refused the same way and quarantined under
+    ["strategy:NAME"] with reason [Raised] and the exception as its
+    message; [Out_of_memory] and [Stack_overflow] are re-raised, and
+    [Milo_measure.Measure.Divergence] from the measurer stays loud. *)
+
+val try_all :
+  ?budget:Milo_rules.Budget.t ->
+  R.context ->
+  cleanups:R.t list ->
+  Strategies.strategy list ->
+  step option
+(** One iteration of Figure 8: {!try_strategy} on each strategy in
+    turn, skipping quarantined ones, until one helps; the strategies
+    after it are not tried.  The budget is checked before each try, and
+    an exhausted budget ends the iteration; a try that has started runs
+    to its end. *)
 
 val optimize :
-  ?exec:Milo_parallel.Exec.t ->
   ?required:float ->
   ?max_steps:int ->
   ?budget:Milo_rules.Budget.t ->
@@ -41,13 +63,9 @@ val optimize :
     best-so-far delay.  The context must carry a measurer (its input
     arrivals are the ones timing sees).
 
-    Each iteration tries the eligible strategies in slack order, one at
-    a time: a strategy's oracle runs as one supervised task on a forked
-    snapshot, measuring by delta on the fork's measurer, and is charged
-    one budget evaluation.  The first strategy the oracle says helps is
-    re-applied authoritatively, and the first that the re-run confirms
-    ends the iteration; later strategies are not tried.  A faulting
-    oracle quarantines its strategy under ["strategy:NAME"] for the
-    rest of the run, before the next strategy's oracle is forked.
-    [exec] defaults to [Exec.inline ()]; the dispatch is the same for
-    every [exec]. *)
+    Each iteration is one {!try_all} over the eligible strategies in
+    slack order ({!Strategies.order_for}): every strategy is tried once,
+    on the design it optimizes, and the first that helps is the
+    iteration's step.  Nothing is forked and nothing is re-run, so the
+    dispatch is sequential, and the same whatever plan the run's other
+    passes fan out on. *)

@@ -257,6 +257,33 @@ let restore_guard_sample_state (s : Rule.session) tick seen =
       Hashtbl.reset g.rg_seen;
       List.iter (fun n -> Hashtbl.replace g.rg_seen n ()) seen
 
+(* A try made in place on the coordinator and then refused (the time
+   optimizer's) runs under the guard but leaves it as it found it, as
+   an unguarded try on a fork would have: the sampling position and
+   the check, skip and certified counts are rewound.  A miscompile the
+   try caught stays counted, as the quarantine it caused stays. *)
+type guard_mark = (int * string list * int * int * int) option
+
+let guard_mark (s : Rule.session) =
+  Option.map
+    (fun (g : Rule.rule_guard) ->
+      let st = g.rg_stats in
+      ( g.rg_tick,
+        Hashtbl.fold (fun n () acc -> n :: acc) g.rg_seen [],
+        st.Guard.rule_checks,
+        st.Guard.rule_skipped,
+        st.Guard.rule_certified ))
+    s.Rule.rule_guard
+
+let guard_rewind (s : Rule.session) (mark : guard_mark) =
+  match (s.Rule.rule_guard, mark) with
+  | Some g, Some (tick, seen, checks, skipped, certified) ->
+      restore_guard_sample_state s tick seen;
+      g.rg_stats.Guard.rule_checks <- checks;
+      g.rg_stats.Guard.rule_skipped <- skipped;
+      g.rg_stats.Guard.rule_certified <- certified
+  | (Some _ | None), _ -> ()
+
 (* --- Certified rules --------------------------------------------------- *)
 
 (* Rules holding a static Certified certificate (proved sound offline
@@ -368,7 +395,9 @@ let check_snapshot ctx snaps =
    whose results are discarded; only the coordinator's authoritative
    re-application of the merged winner is guarded (and ticks the
    sampling position), which is what keeps guard stats bit-identical
-   across domain counts. *)
+   across domain counts.  A try made in place on the coordinator (the
+   time optimizer's) is guarded, and rewound ([guard_rewind]) when it
+   is refused. *)
 let guard_snapshot ctx r site =
   let s = ctx.Rule.session in
   let verdict v = s.Rule.last_verdict <- v in
@@ -785,7 +814,11 @@ let evaluate ctx ~before ~cost ~quiet ~cleanups (r : Rule.t) site =
    [Per_comp] effect (the coordinator turns it into a gain), its wall
    time, and for the candidate table what it read and how much cleanup
    budget it needed.  [reads] is the extent of its edits, computed
-   after the undo, plus its site's components.  [floor]: the cleanup
+   after the undo, less the ids the candidate itself added, plus its
+   site's components.  An added id no longer exists after the undo, and
+   the undo hands it back, so the next commit may reuse it for
+   something unrelated; what the added component or net connected to
+   is in the extent already.  [floor]: the cleanup
    cascade stays inside its budget, 4 × (1 + components), exactly while
    [4 * D.num_comps design > floor]. *)
 type verdict = Gain of float | Effect of effect
@@ -812,6 +845,12 @@ let evaluate_effect ctx ~quiet ~cleanups (r : Rule.t) (site : Rule.site) =
         Ok (Effect e))
   in
   let comps, nets = extent design !entries in
+  List.iter
+    (function
+      | D.E_add_comp (cid, _, _) -> Hashtbl.remove comps cid
+      | D.E_add_net (nid, _) -> Hashtbl.remove nets nid
+      | D.E_remove_comp _ | D.E_connect _ | D.E_remove_net _ | D.E_set_kind _ -> ())
+    !entries;
   List.iter (fun cid -> Hashtbl.replace comps cid ()) site.Rule.site_comps;
   { verdict; took; reads = (keys comps, keys nets); floor = !floor }
 
@@ -998,6 +1037,14 @@ let sites table ctx r = List.map (fun k -> k.site) (candidates table ctx r)
 
 let forget table =
   Hashtbl.iter (fun _ (_, kept) -> List.iter (fun k -> k.eval <- None) kept) table.lists
+
+let kept_reads table =
+  Hashtbl.fold
+    (fun _ (_, kept) acc ->
+      List.fold_left
+        (fun acc k -> match k.eval with Some e -> e.reads :: acc | None -> acc)
+        acc kept)
+    table.lists []
 
 (* Merge two site lists in anchor order; their anchors are disjoint. *)
 let splice kept found =

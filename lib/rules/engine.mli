@@ -49,6 +49,14 @@ val reason_name : reason -> string
 
 val is_quarantined : Rule.session -> string -> bool
 
+val note_failure_named :
+  Rule.session -> reason:reason -> string -> string -> unit
+(** [note_failure_named s ~reason name msg] counts one failure of
+    [name] — a rule, or a whole strategy as ["strategy:NAME"] —
+    quarantining it with [reason] and [msg] on its first failure.  In a
+    worker fork's session the failure is trapped for the coordinator
+    to import instead. *)
+
 val quarantined : Rule.session -> (string * int) list
 (** Quarantined rules with the number of failed applications trapped
     for each, sorted by name. *)
@@ -75,9 +83,11 @@ val quarantine_restore :
 (** {2 Supervised fan-out}
 
     Every oracle the optimizer runs — the greedy step's candidate
-    scoring, the time optimizer's strategy oracles and the lookahead's
-    search — is a task of {!fan_out}, on a forked context
-    ({!Rule.fork_context}).  Inside a task the engine's observable
+    scoring ({!greedy_step}) and the lookahead's search
+    ([Search.step]) — is a task of {!fan_out}, on a forked context
+    ({!Rule.fork_context}).  (The time optimizer runs no oracle: it
+    tries each strategy once, in place, and undoes a refused try; see
+    [Time_opt.try_strategy].)  Inside a task the engine's observable
     machinery is suspended: tracing is suppressed on the domain, the
     fork's design has no commit hook (so nothing it commits is
     recorded), its measurer (if any) is a fork of the coordinator's,
@@ -97,8 +107,8 @@ val fan_out :
     domain.  Then, in task order, it imports each task's trapped
     failures into [ctx]'s quarantine, or, for a task that faulted
     (raised, overran its deadline or stalled), quarantines [key] — what
-    the task stands for, if anything: a rule, or a whole strategy as
-    ["strategy:NAME"] — with reason {!Raised} and the message
+    the task stands for, if anything: a rule — with reason {!Raised}
+    and the message
     ["parallel task: <fault>"].  Slot [i] is task [i]'s value, [None]
     if it faulted.  Never raises from a task and never hangs on one. *)
 
@@ -138,6 +148,19 @@ val guard_sample_state : Rule.session -> (int * string list) option
 val restore_guard_sample_state : Rule.session -> int -> string list -> unit
 (** Re-enter the sampling sequence at a recorded position (journal
     resume).  No-op when no rule guard is armed. *)
+
+type guard_mark
+
+val guard_mark : Rule.session -> guard_mark
+(** The armed rule guard's sampling position and its check, skip and
+    certified counts, before a try made in place on the coordinator. *)
+
+val guard_rewind : Rule.session -> guard_mark -> unit
+(** Put the guard back at a mark when the try is refused, so only the
+    applications that are kept tick it — as when candidates are tried
+    on unguarded forks.  A miscompile caught since the mark stays in
+    [rule_mismatches], as its quarantine stays.  No-op when no rule
+    guard is armed. *)
 
 val set_certified : Rule.session -> string list -> unit
 (** Install the rules holding a static Certified certificate (proved
@@ -292,10 +315,17 @@ type table
     one state (design and {!D.generation}), the cleanups' included, and
     on each kept site its last {!Per_comp} evaluation — its effect (or
     rejection reason) and what it read, the components and nets of its
-    extent.  After each commit, one refresh on the commit's {!extent}
+    extent less the ids the candidate itself added (those are gone
+    after its undo, which hands them back for the next commit to
+    reuse).  After each commit, one refresh on the commit's {!extent}
     keeps every list and evaluation exact (see {!greedy_step}). *)
 
 val new_table : unit -> table
+
+val kept_reads : table -> (int list * int list) list
+(** What each evaluation the table keeps read: its component ids and
+    net ids, every one of which names a component or net of the state
+    the evaluation was kept on. *)
 
 val sites : table -> Rule.context -> Rule.t -> Rule.site list
 (** A rule's sites on the current state, as {!greedy_step} scores them.

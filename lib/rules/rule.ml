@@ -166,9 +166,9 @@ let analysis ctx =
       Some a.an_value
   | Some _ | None -> None
 
-let previous_analysis ctx =
-  match ctx.session.analysis with
-  | Some a when a.an_tech == ctx.tech -> Some a.an_value
+let latest_analysis session tech =
+  match session.analysis with
+  | Some a when a.an_tech == tech -> Some a.an_value
   | Some _ | None -> None
 
 let set_analysis ctx v ~advance =

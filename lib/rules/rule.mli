@@ -122,12 +122,11 @@ val analysis : context -> analysis option
     technology and resolver.  Every design mutator (undo included)
     bumps the generation, so a returned analysis is never stale. *)
 
-val previous_analysis : context -> analysis option
+val latest_analysis : session -> Milo_library.Technology.t -> analysis option
 (** The session's latest analysis, whatever state it describes, when it
-    was computed under the context's technology (the same value,
-    physically): what is known about the library that an analysis of
-    another state may carry over (the absint rules carry their kernel
-    memo). *)
+    was computed under [tech] (the same value, physically): what is
+    known about the library that an analysis of another state may
+    carry over (the absint rules carry their kernel memo). *)
 
 val set_analysis :
   context -> analysis -> advance:(D.entry list -> unit) -> unit

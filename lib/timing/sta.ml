@@ -30,7 +30,7 @@ type t = {
   net_arrival : (int, float) Hashtbl.t;
   net_from : (int, int * string * string) Hashtbl.t;
       (* net -> (comp, in_pin, out_pin) that determined its arrival *)
-  ep_arrival : (endpoint, float) Hashtbl.t;
+  mutable ep_arrival : (endpoint, float) Hashtbl.t;
   mutable worst_cache : float option;
 }
 
@@ -38,6 +38,9 @@ type token = {
   tk_net : (int, float option * (int * string * string) option) Hashtbl.t;
       (* first-touch previous (arrival, from) per net *)
   tk_ep : (endpoint, float option) Hashtbl.t;
+  mutable tk_ep_order : (endpoint, float) Hashtbl.t option;
+      (* the endpoint table before the update's first insertion or
+         removal, the edits that can change its iteration order *)
 }
 
 let macro_of env (c : D.comp) =
@@ -85,21 +88,28 @@ let clear_net ?tok t nid =
   Hashtbl.remove t.net_arrival nid;
   Hashtbl.remove t.net_from nid
 
-let set_ep ?tok t ep v =
-  (match tok with
+(* Endpoints that tie on arrival are listed in the endpoint table's
+   iteration order, so a rollback must restore that order too.
+   Replacing a present key keeps it, and so does inserting a key and
+   removing it again, unless the insertion grew the table; removing a
+   present key and putting it back moves it.  So the first insertion or
+   removal under a token keeps a copy of the table as it was. *)
+let save_ep tok t ep ~present =
+  match tok with
   | None -> ()
   | Some tk ->
       if not (Hashtbl.mem tk.tk_ep ep) then
-        Hashtbl.replace tk.tk_ep ep (Hashtbl.find_opt t.ep_arrival ep));
+        Hashtbl.replace tk.tk_ep ep (Hashtbl.find_opt t.ep_arrival ep);
+      if tk.tk_ep_order = None && Hashtbl.mem t.ep_arrival ep <> present then
+        tk.tk_ep_order <- Some (Hashtbl.copy t.ep_arrival)
+
+let set_ep ?tok t ep v =
+  save_ep tok t ep ~present:true;
   Hashtbl.replace t.ep_arrival ep v;
   t.worst_cache <- None
 
 let remove_ep ?tok t ep =
-  (match tok with
-  | None -> ()
-  | Some tk ->
-      if not (Hashtbl.mem tk.tk_ep ep) then
-        Hashtbl.replace tk.tk_ep ep (Hashtbl.find_opt t.ep_arrival ep));
+  save_ep tok t ep ~present:false;
   Hashtbl.remove t.ep_arrival ep;
   t.worst_cache <- None
 
@@ -401,6 +411,7 @@ let net_arrival t nid = Hashtbl.find_opt t.net_arrival nid
 (* --- Incremental update ----------------------------------------------- *)
 
 let rollback t tok =
+  Option.iter (fun order -> t.ep_arrival <- order) tok.tk_ep_order;
   Hashtbl.iter
     (fun nid (oa, ofrom) ->
       (match oa with
@@ -420,7 +431,9 @@ let rollback t tok =
 
 let update t ~touched_nets ~touched_comps =
   let design = t.design in
-  let tok = { tk_net = Hashtbl.create 32; tk_ep = Hashtbl.create 16 } in
+  let tok =
+    { tk_net = Hashtbl.create 32; tk_ep = Hashtbl.create 16; tk_ep_order = None }
+  in
   try
     (* Dirty nets: the touched nets plus everything still connected to a
        touched component. *)

@@ -53,7 +53,8 @@ val update : t -> touched_nets:int list -> touched_comps:int list -> token
 
 val rollback : t -> token -> unit
 (** Restore the arrival state exactly as it was before the
-    corresponding {!update}. *)
+    corresponding {!update}, down to the order {!endpoints} lists
+    endpoints that tie on arrival in. *)
 
 type hop = { comp : int; in_pin : string; out_pin : string }
 

@@ -28,9 +28,11 @@
      gates, each local rule's list and each cleanup's as the table
      keeps them ([Engine.sites], what scoring reads) equal a full find,
      order included, so the step's cleanup-quiet answer equals a full
-     find of every cleanup; and once the first step has found each
-     local rule in full, no step of the pass finds one over the whole
-     design again. *)
+     find of every cleanup; every evaluation the table keeps read only
+     components and nets of the state it was kept on (not the ids its
+     candidate added, which the undo hands back to the next commit);
+     and once the first step has found each local rule in full, no
+     step of the pass finds one over the whole design again. *)
 
 module D = Milo_netlist.Design
 module T = Milo_netlist.Types
@@ -333,13 +335,39 @@ let extent_unit () =
 
 (* --- 6. The kept site lists ----------------------------------------------- *)
 
+(* Every evaluation the table keeps must read only components and nets
+   of the state it was kept on.  Checked on the current state: an
+   evaluation that survived the refresh after a commit read nothing the
+   commit added or removed, so what it read is on this state exactly
+   when it was on its own.  Returns the evaluations checked. *)
+let kept_reads_exist what step ctx table =
+  let design = ctx.R.design in
+  List.fold_left
+    (fun n (comps, nets) ->
+      (match
+         ( List.find_opt (fun c -> D.comp_opt design c = None) comps,
+           List.find_opt (fun m -> D.net_opt design m = None) nets )
+       with
+      | None, None -> ()
+      | Some c, _ ->
+          fail "%s: step %d: a kept evaluation read component %d, which the state has not"
+            what step c
+      | None, Some m ->
+          fail "%s: step %d: a kept evaluation read net %d, which the state has not" what
+            step m);
+      n + 1)
+    0 (Engine.kept_reads table)
+
 (* One pass, step by step on one table until it quiesces: before each
    step, every local rule's kept list and every cleanup's must equal a
    full find of the same state (by the unwrapped rule), order included,
-   and so must the cleanup-quiet answer read off them; and the pass
-   must make exactly one whole-design find per local rule, at its first
-   step.  Returns the steps taken and the lists compared. *)
+   and so must the cleanup-quiet answer read off them; every kept
+   evaluation must read only what the state has, also after the last
+   step; and the pass must make exactly one whole-design find per local
+   rule, at its first step.  Returns the steps taken, the lists
+   compared and the kept evaluations checked. *)
 let kept_sites_pass what ~cost ctx rules =
+  let reads = ref 0 in
   let finds = ref 0 in
   let watched =
     List.map (fun (r : R.t) -> if r.R.local then counting finds r else r) rules
@@ -373,6 +401,7 @@ let kept_sites_pass what ~cost ctx rules =
   in
   let rec go step lists =
     let lists = lists + check step in
+    reads := !reads + kept_reads_exist what step ctx table;
     if step >= 200 then (step, lists)
     else
       match Engine.greedy_step ~table ~exec ~cost ctx ~cleanups watched with
@@ -380,30 +409,32 @@ let kept_sites_pass what ~cost ctx rules =
       | Engine.Refused ->
           fail "%s: step %d refused a commit" what step;
           (step, lists)
-      | Engine.Quiescent -> (step, lists)
+      | Engine.Quiescent ->
+          reads := !reads + kept_reads_exist what (step + 1) ctx table;
+          (step, lists)
   in
   let steps, lists = go 0 0 in
   let locals = List.length (List.filter (fun (r : R.t) -> r.R.local) rules) in
   if !finds <> locals then
     fail "%s: %d whole-design finds of %d local rules over %d steps" what !finds
       locals steps;
-  (steps, lists)
+  (steps, lists, !reads)
 
 (* The level pass on the mapped design, then the area pass (measured,
    as the flow's flat stage runs it) on its result. *)
 let kept_sites (name, target, d) =
   let per, _ = level_costs target in
   let ctx = ctx_of target (D.copy d) in
-  let s1, l1 = kept_sites_pass (name ^ " level") ~cost:per ctx rules in
+  let s1, l1, r1 = kept_sites_pass (name ^ " level") ~cost:per ctx rules in
   ctx.R.measurer :=
     Some (Milo_measure.Measure.create target.Table_map.tech ctx.R.design);
-  let s2, l2 =
+  let s2, l2, r2 =
     kept_sites_pass (name ^ " area")
       ~cost:(Engine.Measured (fun c -> Milo_optimizer.Area_opt.cost_fn c))
       ctx
       Milo_critic.Critic.(area @ logic @ power)
   in
-  (s1, s2, l1 + l2)
+  (s1, s2, l1 + l2, r1 + r2)
 
 let () =
   let t0 = Unix.gettimeofday () in
@@ -447,19 +478,20 @@ let () =
      bit-identical to a measurement\n"
     first later;
   if later = 0 then fail "replay: no design took 3 steps";
-  let level, area, lists =
+  let level, area, lists, reads =
     List.fold_left
-      (fun (s, a, l) case ->
-        let s', a', l' = kept_sites case in
-        (s + s', a + a', l + l'))
-      (0, 0, 0) cases
+      (fun (s, a, l, r) case ->
+        let s', a', l', r' = kept_sites case in
+        (s + s', a + a', l + l', r + r'))
+      (0, 0, 0, 0) cases
   in
   Printf.printf
     "ok   kept sites: %d lists (cleanups' included) equal to a full find \
      over %d level and %d area steps; one whole-design find per local rule \
-     and pass\n"
-    lists level area;
+     and pass; %d kept evaluations read only what their state has\n"
+    lists level area reads;
   if area = 0 then fail "kept sites: no area pass took a step";
+  if reads = 0 then fail "kept sites: no evaluation was kept";
   Printf.printf "greedy_suite: %.1f s\n" (Unix.gettimeofday () -. t0);
   if !failures > 0 then begin
     Printf.printf "greedy_suite: %d failure(s)\n" !failures;

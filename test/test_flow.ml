@@ -226,6 +226,45 @@ let test_resolvers_agree () =
     (Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates:150
        ~seed:7 ())
 
+let test_analysis_stage_warm () =
+  (* The analysis stage starts from the kernel memo the optimizer's
+     absint rules left in the run's session: its facts are a cold
+     analysis's of the optimized design, and it evaluates fewer
+     transfer functions. *)
+  let module A = Milo_absint.Absint in
+  let warmed = ref 0 in
+  List.iter
+    (fun (case : Milo_designs.Suite.case) ->
+      let res =
+        Milo.Flow.run_exn ~technology:Milo.Flow.Ecl ~lint:Milo_lint.Lint.Warn
+          ~constraints:case.Milo_designs.Suite.constraints
+          case.Milo_designs.Suite.case_design
+      in
+      let techs =
+        [ (Milo.Flow.target_of Milo.Flow.Ecl).Milo_techmap.Table_map.tech;
+          Milo_library.Generic.get () ]
+      in
+      let cold =
+        A.summary
+          (A.analyze
+             ~resolve:(Milo_compilers.Database.resolver res.Milo.Flow.database techs)
+             (A.env_of_techs techs) res.Milo.Flow.optimized)
+      in
+      let name = case.Milo_designs.Suite.case_name in
+      match res.Milo.Flow.analysis with
+      | None -> Alcotest.failf "%s: no analysis with lint on" name
+      | Some warm ->
+          Alcotest.(check string) (name ^ ": the facts of a cold analysis")
+            (Format.asprintf "%a" A.pp_summary cold)
+            (Format.asprintf "%a" A.pp_summary warm);
+          Alcotest.(check bool) (name ^ ": no more transfers than cold") true
+            (warm.A.sum_transfers <= cold.A.sum_transfers);
+          Printf.printf "%s: %d transfers warm, %d cold\n" name warm.A.sum_transfers
+            cold.A.sum_transfers;
+          if warm.A.sum_transfers < cold.A.sum_transfers then incr warmed)
+    (Milo_designs.Suite.all ());
+  Alcotest.(check bool) "the memo answered on most designs" true (!warmed >= 4)
+
 let () =
   Alcotest.run "flow"
     [
@@ -245,6 +284,9 @@ let () =
           Alcotest.test_case "report" `Quick test_report;
         ] );
       ("abadd", [ Alcotest.test_case "walkthrough" `Quick test_abadd_flow ]);
+      ( "analysis",
+        [ Alcotest.test_case "warm stage = cold analysis" `Slow test_analysis_stage_warm ]
+      );
       ( "netlist",
         [ Alcotest.test_case "resolvers agree" `Slow test_resolvers_agree ] );
     ]

@@ -138,7 +138,50 @@ let prop_undo_random =
             end
       done;
       D.undo d log;
-      D.equal_structure snap d)
+      D.equal_structure snap d && D.counters snap = D.counters d)
+
+(* Undo hands back the ids a log added: the counters return to their
+   old values and the next allocations repeat an untouched copy's.  An
+   older log undone after a later commit hands back nothing the commit
+   still uses. *)
+let test_undo_counters () =
+  let d = D.create "ids" in
+  let a = D.add_port d "A" T.Input in
+  let g = D.add_comp d (T.Macro "INV") in
+  D.connect d g "A0" a;
+  let untouched = D.copy d in
+  let before = D.counters d in
+  let log = D.new_log () in
+  let n = D.new_net ~log d in
+  let g2 = D.add_comp ~log d (T.Macro "BUF") in
+  D.connect ~log d g2 "A0" a;
+  D.connect ~log d g2 "Y" n;
+  ignore (D.add_comp ~log d (T.Macro "INV"));
+  ignore (D.new_net ~log d);
+  D.remove_comp ~log d g2;
+  D.undo d log;
+  Alcotest.(check (pair int int)) "counters restored" before (D.counters d);
+  Alcotest.(check bool) "structure restored" true (D.equal_structure untouched d);
+  Alcotest.(check int) "next comp id" (D.add_comp untouched (T.Macro "BUF"))
+    (D.add_comp d (T.Macro "BUF"));
+  Alcotest.(check int) "next net id" (D.new_net untouched) (D.new_net d);
+  (* An older log, then a committed one on top of it: undoing the older
+     one leaves the committed ids spent. *)
+  let older = D.new_log () in
+  let old_comp = D.add_comp ~log:older d (T.Macro "INV") in
+  let old_net = D.new_net ~log:older d in
+  let later = D.new_log () in
+  let kept_comp = D.add_comp ~log:later d (T.Macro "BUF") in
+  let kept_net = D.new_net ~log:later d in
+  D.commit later;
+  let committed = D.counters d in
+  D.undo d older;
+  Alcotest.(check bool) "older ids gone" true
+    (D.comp_opt d old_comp = None && D.net_opt d old_net = None);
+  Alcotest.(check (pair int int)) "committed ids stay spent" committed (D.counters d);
+  let fresh_comp = D.add_comp d (T.Macro "INV") and fresh_net = D.new_net d in
+  Alcotest.(check bool) "no committed id is handed out again" true
+    (fresh_comp > kept_comp && fresh_net > kept_net)
 
 (* The memoised pin directions, drivers and loads equal a fresh walk
    after every edit.  Every kind has the pins A and Y; FWD and REV give
@@ -450,7 +493,11 @@ let () =
             test_check_catches_multiple_drivers;
         ] );
       ( "undo",
-        [ Alcotest.test_case "scripted" `Quick test_undo_simple; prop_undo_random ]
+        [
+          Alcotest.test_case "scripted" `Quick test_undo_simple;
+          prop_undo_random;
+          Alcotest.test_case "ids handed back" `Quick test_undo_counters;
+        ]
       );
       ( "memos",
         [

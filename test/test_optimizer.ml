@@ -712,15 +712,80 @@ let speculative_optimize ~required ctx =
   let steps = loop 0 [] in
   (steps, !oracles)
 
+(* A strategy that edits the design and then raises is refused in place
+   like any other try: the design (its fresh-id counters included) and
+   the measurer are as before, the strategy is quarantined once with
+   reason [Raised], and the next strategy in the order is still tried;
+   the next iteration skips the quarantined one. *)
+let test_raising_strategy_contained () =
+  let _, d = mapped_design ~gates:60 ~seed:41 in
+  let tech = Util.ecl () in
+  let ctx = measured_ctx tech d in
+  let untouched = D.copy d in
+  let raising =
+    {
+      Strategies.id = 100;
+      strat_name = "raising";
+      run =
+        (fun ctx _ _ log ->
+          let design = ctx.R.design in
+          let victim = List.hd (D.comps design) in
+          D.remove_comp ~log design victim.D.id;
+          let n = D.new_net ~log design in
+          let g = D.add_comp ~log design (T.Macro "E_INV") in
+          D.connect ~log design g "Y" n;
+          failwith "raising strategy");
+    }
+  in
+  let tried = ref 0 in
+  let next =
+    {
+      Strategies.id = 101;
+      strat_name = "next";
+      run =
+        (fun _ _ _ _ ->
+          incr tried;
+          Strategies.Not_applicable);
+    }
+  in
+  let session = ctx.R.session in
+  let key = "strategy:raising" in
+  let iteration () =
+    Alcotest.(check bool) "no step" true
+      (Time_opt.try_all ~cleanups ctx [ raising; next ] = None)
+  in
+  iteration ();
+  Alcotest.(check bool) "same structure" true (D.equal_structure untouched d);
+  Alcotest.(check (pair int int)) "same counters" (D.counters untouched) (D.counters d);
+  let totals m =
+    let c = Milo_measure.Measure.current m in
+    Milo_measure.Measure.[ c.delay; c.area; c.power ]
+  in
+  Alcotest.(check (list (float 0.0))) "measurer as a fresh one"
+    (totals (Milo_measure.Measure.create tech untouched))
+    (totals (Option.get !(ctx.R.measurer)));
+  Alcotest.(check (list (pair string int))) "quarantined once" [ (key, 1) ]
+    (Engine.quarantined session);
+  Alcotest.(check bool) "reason: raised" true
+    (Engine.quarantined_reasons session = [ (key, Engine.Raised) ]);
+  Alcotest.(check int) "the next strategy was tried" 1 !tried;
+  iteration ();
+  Alcotest.(check (list (pair string int))) "skipped once quarantined" [ (key, 1) ]
+    (Engine.quarantined session);
+  Alcotest.(check int) "the next strategy was tried again" 2 !tried
+
 let step_image (s : Time_opt.step) =
   Printf.sprintf "%s | %s | %h -> %h" s.Time_opt.step_strategy s.Time_opt.step_detail
     s.Time_opt.delay_before s.Time_opt.delay_after
 
 let test_in_order_dispatch () =
   (* Designs 1-8 under ECL and CMOS with the paper's constraints, and
-     150-gate random logic at half its delay: in-order dispatch takes
-     the steps the speculative reference takes, to the bit, and on
-     random logic it runs fewer oracles. *)
+     150-gate random logic at half its delay: in-order dispatch, each
+     strategy tried once in place, takes the steps the speculative
+     reference takes, to the bit, ends on the same design, ids
+     included, leaves a Sampled rule guard with the same counts and
+     sampling position, and on random logic makes fewer tries than the
+     reference runs oracles. *)
   let suite =
     List.concat_map
       (fun (case : Milo_designs.Suite.case) ->
@@ -751,6 +816,12 @@ let test_in_order_dispatch () =
         ctx
       in
       let reference = measured () and ctx = measured () in
+      (* The reference's oracles run unguarded on forks and only its
+         re-runs tick the guard; a try in place ticks it, and a refused
+         one rewinds it. *)
+      List.iter
+        (fun c -> Engine.set_rule_guard c.R.session Milo_guard.Guard.Sampled)
+        [ reference; ctx ];
       let required =
         match required with Some r -> r | None -> 0.5 *. Time_opt.worst ctx
       in
@@ -763,6 +834,15 @@ let test_in_order_dispatch () =
         (List.map step_image outcome.Time_opt.steps);
       Alcotest.(check bool) (name ^ ": same design") true
         (D.equal_structure reference.R.design ctx.R.design);
+      let guard c =
+        let st = Option.get (Engine.rule_guard_stats c.R.session) in
+        ( Format.asprintf "%a" Milo_guard.Guard.pp_stats st,
+          Engine.guard_sample_state c.R.session )
+      in
+      let want_stats, want_sample = guard reference and got_stats, got_sample = guard ctx in
+      Alcotest.(check string) (name ^ ": same guard stats") want_stats got_stats;
+      Alcotest.(check (option (pair int (list string))))
+        (name ^ ": same sampling position") want_sample got_sample;
       if name = rl_name then begin
         let evals = (Milo_rules.Budget.status budget).Milo_rules.Budget.evals_used in
         Printf.printf "%s: %d steps, %d budget evals, %d reference oracles\n" name
@@ -795,6 +875,8 @@ let () =
           Alcotest.test_case "reduces delay" `Quick test_time_opt_reduces_delay;
           Alcotest.test_case "in-order = speculative dispatch" `Slow
             test_in_order_dispatch;
+          Alcotest.test_case "raising strategy contained in place" `Quick
+            test_raising_strategy_contained;
         ] );
       ( "area-opt",
         [ Alcotest.test_case "respects timing" `Quick test_area_opt_respects_timing ]

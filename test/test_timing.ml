@@ -226,6 +226,47 @@ let test_update_rewire () =
   Sta.rollback sta tok;
   assert_same_timing "after rewire rollback" sta original
 
+let test_rollback_keeps_endpoint_order () =
+  (* Endpoints that tie on arrival are listed in the order of the
+     endpoint table.  An update over a sequential component takes its
+     endpoints out and puts them back, and one over its removal takes
+     them out for good; on designs 1-8 under ECL and CMOS, rolling
+     either back lists every endpoint as before, ties included. *)
+  let compared = ref 0 in
+  List.iter
+    (fun (name, (target : Milo_techmap.Table_map.target), d) ->
+      let d = D.copy d in
+      let env = Milo_library.Technology.find target.Milo_techmap.Table_map.tech in
+      let sta = Sta.analyze env d in
+      let image () =
+        List.map (fun (ep, v) -> (Sta.endpoint_name sta ep, v)) (Sta.endpoints sta)
+      in
+      let before = image () in
+      let same what =
+        incr compared;
+        Alcotest.(check (list (pair string (float 0.0))))
+          (Printf.sprintf "%s: %s" name what)
+          before (image ())
+      in
+      List.iter
+        (fun (c : D.comp) ->
+          match c.D.kind with
+          | T.Macro m when Milo_library.Macro.is_sequential (env m) ->
+              let tok = Sta.update sta ~touched_nets:[] ~touched_comps:[ c.D.id ] in
+              Sta.rollback sta tok;
+              same ("touched " ^ c.D.cname);
+              let log = D.new_log () in
+              let nets = List.map snd (D.connections d c.D.id) in
+              D.remove_comp ~log d c.D.id;
+              let tok = Sta.update sta ~touched_nets:nets ~touched_comps:[ c.D.id ] in
+              D.undo d log;
+              Sta.rollback sta tok;
+              same ("removed " ^ c.D.cname)
+          | _ -> ())
+        (D.comps d))
+    (Mapped_cases.designs ());
+  Alcotest.(check bool) "sequential components compared" true (!compared > 40)
+
 let () =
   Alcotest.run "timing"
     [
@@ -246,6 +287,8 @@ let () =
           Alcotest.test_case "incremental set_kind" `Quick
             test_update_set_kind;
           Alcotest.test_case "incremental rewire" `Quick test_update_rewire;
+          Alcotest.test_case "rollback keeps endpoint order" `Quick
+            test_rollback_keeps_endpoint_order;
           Alcotest.test_case "critical set" `Quick test_critical_set_with_requirement;
         ] );
     ]
